@@ -8,7 +8,6 @@ two methods agree.
 from .equivalence import EquivalenceReport, compare_limits
 from .exact import (
     bayesian_upper_limit_closed_form,
-    bayesian_upper_limit_quadrature,
     clb_value,
     cls_upper_limit,
     cls_value,
@@ -72,7 +71,6 @@ __all__ = [
     "background_yield",
     "bayesian_marginal_upper_limit",
     "bayesian_upper_limit_closed_form",
-    "bayesian_upper_limit_quadrature",
     "clb_value",
     "cls_upper_limit",
     "cls_value",

@@ -20,7 +20,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import exact
 from .config import load_model
 from .equivalence import VERDICT_UNEXPECTED, compare_limits
 from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError
@@ -157,22 +156,13 @@ def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, to
         except ValueError as err:
             raise ConfigError(str(err)) from err
         methods = ["cls", "bayes"] if method == "both" else [method]
-        integrator = None
-        results = {}
-        if model.has_systematics:
-            integrator = _build_integrator(integrator_kind, samples, seed, nodes)
-            shared = draw_samples(model.systematics, integrator)
-            runners = {
-                "cls": lambda: hybrid_cls_upper_limit(model, req, integrator, samples=shared),
-                "bayes": lambda: bayesian_marginal_upper_limit(model, req, integrator, samples=shared),
-            }
-        else:
-            runners = {
-                "cls": lambda: exact.cls_upper_limit(model, req),
-                "bayes": lambda: exact.bayesian_upper_limit_closed_form(model, req),
-            }
-        for name in methods:
-            results[name] = runners[name]().to_dict()
+        # a model without nuisances solves on its nominal point; the integrator options go unread
+        integrator = _build_integrator(integrator_kind, samples, seed, nodes) if model.has_systematics else None
+        shared = draw_samples(model.systematics, integrator)
+        solvers = {"cls": hybrid_cls_upper_limit, "bayes": bayesian_marginal_upper_limit}
+        results = {
+            name: solvers[name](model, req, integrator, samples=shared).to_dict() for name in methods
+        }
         payload = {
             "config_sha256": _config_sha256(config_path),
             "cl": cl,
@@ -214,20 +204,10 @@ def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, sam
             raise ConfigError(f"--points must be at least 2, got {points}")
         model = load_model(config_path)
         grid = np.linspace(mu_min, mu_max, points)
-        if model.has_systematics:
-            integrator = _build_integrator(integrator_kind, samples, seed, nodes)
-            sample_set = draw_samples(model.systematics, integrator)
-            with_stderr = integrator.kind == "monte_carlo"
-            values, stderrs = scan_quantity(model, quantity, grid, sample_set, with_stderr)
-        else:
-            fns = {
-                "cls": lambda mu: exact.cls_value(model, mu),
-                "clsb": lambda mu: exact.clsb_value(model, mu),
-                "clb": lambda mu: exact.clb_value(model),
-                "posterior": lambda mu: exact.posterior_density(model, mu),
-            }
-            values = np.array([fns[quantity](mu) for mu in grid])
-            stderrs = None
+        integrator = _build_integrator(integrator_kind, samples, seed, nodes) if model.has_systematics else None
+        sample_set = draw_samples(model.systematics, integrator)
+        with_stderr = integrator is not None and integrator.kind == "monte_carlo"
+        values, stderrs = scan_quantity(model, quantity, grid, sample_set, with_stderr)
         lines = ["mu,value,stderr" if stderrs is not None else "mu,value"]
         for i, mu in enumerate(grid):
             row = f"{_fmt_float(mu)},{_fmt_float(values[i])}"

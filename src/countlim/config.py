@@ -22,6 +22,7 @@ Schema (all unknown keys are rejected with path-qualified errors):
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .exceptions import ConfigError, ModelError
@@ -50,7 +51,13 @@ def _require_list(node, path: str) -> list:
 def _require_number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {node!r}")
-    return float(node)
+    try:
+        value = float(node)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):  # json.loads accepts NaN and Infinity
+        raise ConfigError(f"{path}: expected a finite number, got {node!r}")
+    return value
 
 def _require_int(node, path: str) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
@@ -189,7 +196,7 @@ def load_model(path) -> CountingModel:
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"invalid JSON in {path}: {err}") from err
     return parse_model(doc)
 

@@ -3,22 +3,19 @@
 Two routes to the same limit: the CLs criterion solved on the ratio of
 Poisson tail sums, and the Bayesian credible limit with a uniform prior
 on the signal strength, solved in closed form on the regularized upper
-incomplete gamma ratio. A third, quadrature-based Bayesian route
-integrates the posterior directly (through scipy's adaptive quadrature)
-and exists purely as an independent cross-check of the closed form.
+incomplete gamma ratio. Both are the one-point case of the shared
+criterion engine in :mod:`countlim.marginal`: every function here checks
+that the model has identity responses (and, where the criterion needs
+it, a nonzero signal yield) and then runs the engine on the nominal
+yields, as floats on the scalar kernels.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-from scipy.integrate import quad
-
 from .exceptions import ModelError
+from .marginal import _bayes_terms, _check_mu, _cls_terms, _Criterion, _solve
 from .model import CountingModel
-from .special import gamma_q, log_poisson_pmf, poisson_cdf
-from .solver import LimitRequest, LimitResult, solve_decreasing
+from .solver import LimitRequest, LimitResult
 
 __all__ = [
     "clsb_value",
@@ -26,63 +23,46 @@ __all__ = [
     "cls_value",
     "cls_upper_limit",
     "bayesian_upper_limit_closed_form",
-    "bayesian_upper_limit_quadrature",
     "posterior_density",
 ]
 
+_CLS_UNDEFINED = "signal yield is zero; the CLs limit is undefined"
+_POSTERIOR_IMPROPER = "signal yield is zero; the posterior for mu is improper"
 
-def _exact_yields(model: CountingModel):
-    """Nominal (s, b) for a model usable by the exact routines."""
+
+def _nominal(model: CountingModel, kernel, zero_signal: str | None = None) -> _Criterion:
+    """The engine on the nominal yields of a model usable by the exact
+    routines; ``zero_signal`` is the error for a vanishing signal yield."""
     if not model.all_responses_identity:
         raise ModelError(
             "exact limits require identity responses everywhere; "
             "use the marginalised routines for models with systematics"
         )
-    return model.s_nom, model.b_nom_total
-
-
-def _check_mu(mu: float) -> float:
-    mu = float(mu)
-    if mu < 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    return mu
+    if zero_signal is not None and model.s_nom == 0.0:
+        raise ModelError(zero_signal)
+    return _Criterion(kernel, model.n_obs, model.s_nom, model.b_nom_total, None)
 
 
 def clsb_value(model: CountingModel, mu: float) -> float:
     """P(N <= n_obs) under signal-plus-background at strength mu."""
     mu = _check_mu(mu)
-    s, b = _exact_yields(model)
-    return poisson_cdf(model.n_obs, mu * s + b)
+    return _nominal(model, _cls_terms).terms(mu)
 
 
 def clb_value(model: CountingModel) -> float:
     """P(N <= n_obs) under the background-only hypothesis."""
-    _, b = _exact_yields(model)
-    return poisson_cdf(model.n_obs, b)
+    return _nominal(model, _cls_terms).den_terms
 
 
 def cls_value(model: CountingModel, mu: float) -> float:
     """CLs(mu) = CLs+b(mu) / CLb; equals 1 at mu = 0, decreasing in mu."""
     mu = _check_mu(mu)
-    s, b = _exact_yields(model)
-    if s == 0.0:
-        raise ModelError("signal yield is zero; the CLs limit is undefined")
-    return poisson_cdf(model.n_obs, mu * s + b) / poisson_cdf(model.n_obs, b)
+    return _nominal(model, _cls_terms, _CLS_UNDEFINED).criterion(mu)
 
 
 def cls_upper_limit(model: CountingModel, req: LimitRequest) -> LimitResult:
     """Signal strength mu_up with CLs(mu_up) = alpha."""
-    s, b = _exact_yields(model)
-    if s == 0.0:
-        raise ModelError("signal yield is zero; the CLs limit is undefined")
-    n = model.n_obs
-    clb = poisson_cdf(n, b)
-
-    def criterion(mu: float) -> float:
-        return poisson_cdf(n, mu * s + b) / clb
-
-    mu_up, crit, evals, bracket = solve_decreasing(criterion, req.alpha, req.rel_tol, req.max_iter)
-    return LimitResult(mu_up, crit, evals, bracket)
+    return _solve(_nominal(model, _cls_terms, _CLS_UNDEFINED), req)
 
 
 def bayesian_upper_limit_closed_form(model: CountingModel, req: LimitRequest) -> LimitResult:
@@ -91,57 +71,12 @@ def bayesian_upper_limit_closed_form(model: CountingModel, req: LimitRequest) ->
     Solves Q(n_obs + 1, mu*s + b) / Q(n_obs + 1, b) = alpha, the closed
     form of the posterior tail-mass condition.
     """
-    s, b = _exact_yields(model)
-    if s == 0.0:
-        raise ModelError("signal yield is zero; the posterior for mu is improper")
-    a = model.n_obs + 1.0
-    q_b = gamma_q(a, b)
-
-    def criterion(mu: float) -> float:
-        return gamma_q(a, mu * s + b) / q_b
-
-    mu_up, crit, evals, bracket = solve_decreasing(criterion, req.alpha, req.rel_tol, req.max_iter)
-    return LimitResult(mu_up, crit, evals, bracket)
+    return _solve(_nominal(model, _bayes_terms, _POSTERIOR_IMPROPER), req)
 
 
 def posterior_density(model: CountingModel, mu: float) -> float:
     """Posterior density of mu under the uniform prior, normalised in
     closed form: p(mu) = pmf(n_obs; mu*s + b) * s / Q(n_obs + 1, b)."""
     mu = _check_mu(mu)
-    s, b = _exact_yields(model)
-    if s == 0.0:
-        raise ModelError("signal yield is zero; the posterior for mu is improper")
-    return math.exp(log_poisson_pmf(model.n_obs, mu * s + b)) * s / gamma_q(model.n_obs + 1.0, b)
-
-
-def bayesian_upper_limit_quadrature(model: CountingModel, req: LimitRequest) -> LimitResult:
-    """Credible limit by direct adaptive quadrature of the likelihood.
-
-    Normalisation and tail mass are both computed by quadrature of the
-    Poisson pmf in mu, with no incomplete-gamma evaluation anywhere, so
-    this is a genuinely independent route to the closed-form limit.
-    """
-    s, b = _exact_yields(model)
-    if s == 0.0:
-        raise ModelError("signal yield is zero; the posterior for mu is improper")
-    n = model.n_obs
-
-    def like(mu: float) -> float:
-        return math.exp(log_poisson_pmf(n, mu * s + b))
-
-    mode = max((n - b) / s, 0.0)
-    split = mode if mode > 0.0 else 1.0
-    norm = (
-        quad(like, 0.0, split, epsabs=0.0, epsrel=1e-11, limit=200)[0]
-        + quad(like, split, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)[0]
-    )
-
-    def criterion(mu: float) -> float:
-        if mu == 0.0:
-            return 1.0
-        interior = [mode] if 0.0 < mode < mu else None
-        mass = quad(like, 0.0, mu, epsabs=0.0, epsrel=1e-11, limit=200, points=interior)[0]
-        return 1.0 - mass / norm
-
-    mu_up, crit, evals, bracket = solve_decreasing(criterion, req.alpha, req.rel_tol, req.max_iter)
-    return LimitResult(mu_up, crit, evals, bracket)
+    crit = _nominal(model, _bayes_terms, _POSTERIOR_IMPROPER)
+    return float(crit.ratio(crit.pmf_terms(mu)))

@@ -8,6 +8,11 @@ every trial strength, and the equivalence harness shares a single set
 across both methods (common random numbers), which makes the agreement
 of the two criteria exact in finite samples rather than asymptotic.
 
+Both criteria, their pointwise values, the scan quantities and the exact
+limits of :mod:`countlim.exact` are one weighted-mean ratio,
+E_w[term(mu*s + b)] / E_w[term(b)], built in one place: ``_Criterion``.
+The exact limits are its one-point case on the nominal yields.
+
 Reductions over samples go through ``np.sum``, whose pairwise tree over a
 fixed (declaration) sample order keeps results reproducible and
 independent of any internal parallelism.
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, ModelError
+from .exceptions import ConfigError, ConvergenceError, ModelError
 from .model import CountingModel, SystematicsModel, yields_on_samples
 from .special import gamma_q, log_poisson_pmf, poisson_cdf
 from .solver import LimitRequest, LimitResult, solve_decreasing
@@ -39,6 +44,8 @@ __all__ = [
     "bayesian_marginal_upper_limit",
 ]
 
+_GH_MAX_POINTS = 2**20  # largest Gauss-Hermite tensor grid draw_samples builds
+
 
 @dataclass(frozen=True)
 class Integrator:
@@ -46,8 +53,8 @@ class Integrator:
 
     ``monte_carlo`` draws from the priors with a counter-based Philox
     stream per nuisance, keyed by (seed, nuisance index); ``gauss_hermite``
-    builds a tensor-product rule and is valid only when every prior is in
-    the normal family.
+    builds a tensor-product rule, is valid only when every prior is in
+    the normal family, and is refused above ``2**20`` grid points.
     """
 
     kind: str
@@ -114,12 +121,13 @@ class SampleSet(Sequence):
         return NuisanceSample(self.etas[k].copy(), float(self.weights[k]))
 
 
-def draw_samples(systematics: SystematicsModel, integrator: Integrator) -> SampleSet:
+def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -> SampleSet:
     """Deterministic sample set for (systematics, integrator).
 
     With no nuisances the set collapses to a single empty point of weight
-    one. Gauss-Hermite with any non-normal prior is refused rather than
-    run against the wrong measure.
+    one, whatever ``integrator`` is (None included). Gauss-Hermite with
+    any non-normal prior is refused rather than run against the wrong
+    measure, and so is a grid above ``2**20`` points.
     """
     n_nuis = len(systematics.nuisances)
     if n_nuis == 0:
@@ -132,6 +140,12 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator) -> Sampl
             z[:, j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(k)
         weights = np.full(k, 1.0 / k)
     else:
+        points = integrator.nodes_per_dim**n_nuis
+        if points > _GH_MAX_POINTS:
+            raise ConfigError(
+                f"gauss_hermite grid of nodes^J = {integrator.nodes_per_dim}^{n_nuis} = {points} "
+                f"points exceeds the budget of {_GH_MAX_POINTS}; use fewer nodes or monte_carlo"
+            )
         if not systematics.all_normal_family:
             bad = [nu.name for nu in systematics.nuisances if not nu.prior.is_normal_family]
             raise ConfigError(
@@ -164,63 +178,158 @@ def _as_sample_set(samples) -> SampleSet:
     return SampleSet(etas, weights)
 
 
-def marginal_likelihood(model: CountingModel, mu: float, n, samples) -> float:
-    """Prior-weighted average of Poisson(n; mu*s(eta) + b(eta))."""
+def _check_mu(mu) -> float:
+    mu = float(mu)
     if mu < 0.0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
+    return mu
+
+
+def marginal_likelihood(model: CountingModel, mu: float, n, samples) -> float:
+    """Prior-weighted average of Poisson(n; mu*s(eta) + b(eta))."""
+    mu = _check_mu(mu)
     samples = _as_sample_set(samples)
     s, b = yields_on_samples(model, samples.etas)
     pmf = np.exp(log_poisson_pmf(n, mu * s + b))
     return float(np.sum(samples.weights * pmf))
 
 
+def _cls_terms(n: int, s, x):
+    # per-sample P(N <= n; x): CLs+b at x = mu*s + b, CLb at x = b
+    return poisson_cdf(n, x)
+
+
+def _bayes_terms(n: int, s, x):
+    # per-sample Q(n + 1, x) / s: the integral of Poisson(n; m*s + b) over
+    # the strengths m above the one where the mean is x
+    return gamma_q(n + 1.0, x) / s
+
+
+_DENOMINATOR_NAMES = {_cls_terms: "CLb", _bayes_terms: "Q(n_obs + 1, b)"}
+
+
+class _Criterion:
+    """The weighted-mean ratio E_w[term(mu*s + b)] / E_w[term(b)].
+
+    Hybrid CLs (``_cls_terms``) and the marginal posterior tail
+    (``_bayes_terms``) are this one ratio over a shared sample set; the
+    exact limits are its one-point case. ``s`` and ``b`` are the yields
+    per sample with weights ``w``, or plain floats with ``w = None`` for
+    the nominal point, where the weighted mean is the term itself and the
+    scalar kernels are used. The denominator is computed once, here, and
+    refused with :class:`ConvergenceError` when it underflows: every
+    quantity built on the set is then below the float64 range too.
+    """
+
+    def __init__(self, kernel, n: int, s, b, w):
+        self.kernel = kernel
+        self.n = n
+        self.s = s
+        self.b = b
+        self.w = w
+        self.den_terms = kernel(n, s, b)
+        self.den = self.mean(self.den_terms)
+        if not (self.den > 0.0 and math.isfinite(self.den)):
+            where = f"b = {b!r}" if w is None else f"b in [{float(np.min(b))!r}, {float(np.max(b))!r}]"
+            raise ConvergenceError(
+                f"{_DENOMINATOR_NAMES[kernel]} = {self.den!r} at n_obs = {n}, {where}: "
+                f"the denominator is not a positive finite number, so the criterion is undefined"
+            )
+
+    def mean(self, terms):
+        if self.w is None:
+            return terms
+        return float(np.sum(self.w * terms))
+
+    def terms(self, mu: float):
+        return self.kernel(self.n, self.s, mu * self.s + self.b)
+
+    def pmf_terms(self, mu: float):
+        """Per-sample Poisson(n_obs; mu*s + b): over the Bayesian
+        denominator, the posterior density of mu."""
+        return np.exp(log_poisson_pmf(self.n, mu * self.s + self.b))
+
+    def ratio(self, num_terms) -> float:
+        return self.mean(num_terms) / self.den
+
+    def criterion(self, mu: float) -> float:
+        # terms() inlined: this is the solver's inner loop
+        return self.mean(self.kernel(self.n, self.s, mu * self.s + self.b)) / self.den
+
+    def mean_stderr(self, terms) -> float:
+        """Standard error of the weighted mean (Monte Carlo, equal weights)."""
+        return math.sqrt(float(np.var(terms, ddof=1)) / terms.size)
+
+    def ratio_stderr(self, num_terms) -> float:
+        """Delta-method standard error of the ratio (Monte Carlo, equal
+        weights)."""
+        k = num_terms.size
+        a, b = self.mean(num_terms), self.den
+        cov = np.cov(num_terms, self.den_terms, ddof=1) / k
+        var = (a / b) ** 2 * (cov[0, 0] / a**2 + cov[1, 1] / b**2 - 2.0 * cov[0, 1] / (a * b))
+        return math.sqrt(max(var, 0.0))
+
+
+def _criterion(model: CountingModel, kernel, samples) -> _Criterion:
+    """The engine over ``samples``; the nominal one-point set of a model
+    without nuisances runs on the scalar kernels."""
+    samples = _as_sample_set(samples)
+    if samples.etas.shape == (1, 0) and samples.weights[0] == 1.0:
+        s, b, w = model.s_nom, model.b_nom_total, None
+    else:
+        s, b = yields_on_samples(model, samples.etas)
+        w = samples.weights
+    if kernel is _bayes_terms and not np.all(s != 0.0):
+        # a vanishing signal yield leaves the strength unidentified there
+        where = "" if w is None else f" at sample {int(np.argmax(s == 0.0))}"
+        raise ModelError(f"signal yield is zero{where}; the posterior for mu is degenerate")
+    return _Criterion(kernel, model.n_obs, s, b, w)
+
+
+def _solve(crit: _Criterion, req: LimitRequest, with_stderr: bool = False) -> LimitResult:
+    """Root of ``crit`` at ``req.alpha``; ``with_stderr`` adds the Monte
+    Carlo error of the criterion at the root and its propagation, through
+    the slope, onto the limit."""
+    mu_up, value, evals, bracket = solve_decreasing(crit.criterion, req.alpha, req.rel_tol, req.max_iter)
+    if not with_stderr:
+        return LimitResult(mu_up, value, evals, bracket)
+    crit_stderr = crit.ratio_stderr(crit.terms(mu_up))
+    h = 1e-5 * mu_up
+    slope = (crit.criterion(mu_up + h) - crit.criterion(mu_up - h)) / (2.0 * h)
+    mu_stderr = crit_stderr / abs(slope) if slope != 0.0 else math.inf
+    return LimitResult(
+        mu_up, value, evals, bracket, mu_up_stderr=mu_stderr, criterion_stderr=crit_stderr
+    )
+
+
+def _marginal_limit(model, req, integrator, samples, kernel) -> LimitResult:
+    if samples is None:
+        samples = draw_samples(model.systematics, integrator)
+    crit = _criterion(model, kernel, samples)
+    monte_carlo = integrator is not None and integrator.kind == "monte_carlo"
+    return _solve(crit, req, with_stderr=monte_carlo and crit.w is not None and crit.w.size >= 2)
+
+
 def hybrid_cls(model: CountingModel, mu: float, samples) -> float:
     """Marginalised CLs: averaged tail sums, one sample set for both the
     signal-plus-background numerator and the background-only denominator."""
-    if mu < 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    samples = _as_sample_set(samples)
-    s, b = yields_on_samples(model, samples.etas)
-    num = np.sum(samples.weights * poisson_cdf(model.n_obs, mu * s + b))
-    den = np.sum(samples.weights * poisson_cdf(model.n_obs, b))
-    return float(num / den)
-
-
-def _credible_tail_terms(model: CountingModel, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # per-sample Q(n_obs + 1; x) / s, the closed-form piece of the
-    # marginal posterior tail; a vanishing signal yield at any sample
-    # leaves the strength unidentified there
-    zero = s == 0.0
-    if zero.any():
-        k = int(np.argmax(zero))
-        raise ModelError(
-            f"signal yield is zero at sample {k}; the marginal posterior for mu is degenerate"
-        )
-    return gamma_q(model.n_obs + 1.0, x) / s
+    mu = _check_mu(mu)
+    return _criterion(model, _cls_terms, samples).criterion(mu)
 
 
 def marginal_posterior_tail(model: CountingModel, mu: float, samples) -> float:
     """Posterior mass above ``mu`` under the uniform strength prior, with
     nuisances marginalised: the Bayesian counterpart of :func:`hybrid_cls`."""
-    if mu < 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    samples = _as_sample_set(samples)
-    s, b = yields_on_samples(model, samples.etas)
-    num = np.sum(samples.weights * _credible_tail_terms(model, s, mu * s + b))
-    den = np.sum(samples.weights * _credible_tail_terms(model, s, b))
-    return float(num / den)
+    mu = _check_mu(mu)
+    return _criterion(model, _bayes_terms, samples).criterion(mu)
 
 
 def marginal_posterior_density(model: CountingModel, mu: float, samples) -> float:
     """Marginal posterior density of mu; reduces to the exact posterior
     when responses are identity."""
-    if mu < 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    samples = _as_sample_set(samples)
-    s, b = yields_on_samples(model, samples.etas)
-    num = np.sum(samples.weights * np.exp(log_poisson_pmf(model.n_obs, mu * s + b)))
-    den = np.sum(samples.weights * _credible_tail_terms(model, s, b))
-    return float(num / den)
+    mu = _check_mu(mu)
+    crit = _criterion(model, _bayes_terms, samples)
+    return float(crit.ratio(crit.pmf_terms(mu)))
 
 
 def scan_quantity(model: CountingModel, quantity: str, mus, samples, with_stderr: bool):
@@ -230,133 +339,54 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples, with_stderr
     ``with_stderr`` (Monte Carlo sample sets only). Quantities: ``cls``,
     ``clsb``, ``clb``, ``posterior``.
     """
-    samples = _as_sample_set(samples)
-    s, b = yields_on_samples(model, samples.etas)
-    w = samples.weights
-    n = model.n_obs
-    k = len(samples)
+    if quantity not in ("cls", "clsb", "clb", "posterior"):
+        raise ValueError(f"unknown scan quantity {quantity!r}")
+    crit = _criterion(model, _bayes_terms if quantity == "posterior" else _cls_terms, samples)
+    if quantity == "cls" and crit.w is None and model.s_nom == 0.0:
+        # on the nominal point this is the exact CLs curve, refused as by cls_value
+        raise ModelError("signal yield is zero; the CLs limit is undefined")
     mus = np.asarray(mus, dtype=float)
     if mus.size and float(np.min(mus)) < 0.0:
         raise ValueError("mu grid must be nonnegative")
-
-    def mean_err(terms):
-        if not with_stderr or k < 2:
-            return None
-        return math.sqrt(float(np.var(terms, ddof=1)) / k)
-
-    clb_terms = poisson_cdf(n, b)
+    terms_at = {"clb": lambda mu: crit.den_terms, "posterior": crit.pmf_terms}.get(quantity, crit.terms)
+    ratio = quantity in ("cls", "posterior")
+    value, stderr = (crit.ratio, crit.ratio_stderr) if ratio else (crit.mean, crit.mean_stderr)
     values = np.empty(mus.shape)
-    stderrs = np.empty(mus.shape) if with_stderr and k >= 2 else None
+    stderrs = np.empty(mus.shape) if with_stderr and crit.w is not None and crit.w.size >= 2 else None
     for i, mu in enumerate(mus):
-        if quantity == "clsb":
-            terms = poisson_cdf(n, mu * s + b)
-            values[i] = float(np.sum(w * terms))
-            err = mean_err(terms)
-        elif quantity == "clb":
-            values[i] = float(np.sum(w * clb_terms))
-            err = mean_err(clb_terms)
-        elif quantity == "cls":
-            terms = poisson_cdf(n, mu * s + b)
-            values[i] = float(np.sum(w * terms) / np.sum(w * clb_terms))
-            err = _ratio_stderr(terms, clb_terms, w) if stderrs is not None else None
-        elif quantity == "posterior":
-            num_terms = np.exp(log_poisson_pmf(n, mu * s + b))
-            den_terms = _credible_tail_terms(model, s, b)
-            values[i] = float(np.sum(w * num_terms) / np.sum(w * den_terms))
-            err = _ratio_stderr(num_terms, den_terms, w) if stderrs is not None else None
-        else:
-            raise ValueError(f"unknown scan quantity {quantity!r}")
+        terms = terms_at(mu)
+        values[i] = value(terms)
         if stderrs is not None:
-            stderrs[i] = err
+            stderrs[i] = stderr(terms)
     return values, stderrs
-
-
-def _ratio_stderr(num_terms: np.ndarray, den_terms: np.ndarray, weights: np.ndarray) -> float:
-    """Delta-method standard error of a weighted mean ratio (Monte Carlo,
-    equal weights)."""
-    k = num_terms.size
-    if k < 2:
-        return 0.0
-    a = float(np.sum(weights * num_terms))
-    b = float(np.sum(weights * den_terms))
-    cov = np.cov(num_terms, den_terms, ddof=1) / k
-    var = (a / b) ** 2 * (cov[0, 0] / a**2 + cov[1, 1] / b**2 - 2.0 * cov[0, 1] / (a * b))
-    return math.sqrt(max(var, 0.0))
-
-
-def _attach_mc_stderr(result: LimitResult, criterion, num_terms_at, den_terms, weights) -> LimitResult:
-    num_terms = num_terms_at(result.mu_up)
-    crit_stderr = _ratio_stderr(num_terms, den_terms, weights)
-    h = 1e-5 * result.mu_up
-    slope = (criterion(result.mu_up + h) - criterion(result.mu_up - h)) / (2.0 * h)
-    mu_stderr = crit_stderr / abs(slope) if slope != 0.0 else math.inf
-    return LimitResult(
-        result.mu_up,
-        result.criterion_at_solution,
-        result.iterations,
-        result.bracket,
-        mu_up_stderr=mu_stderr,
-        criterion_stderr=crit_stderr,
-    )
 
 
 def hybrid_cls_upper_limit(
     model: CountingModel,
     req: LimitRequest,
-    integrator: Integrator,
+    integrator: Integrator | None,
     samples: SampleSet | None = None,
 ) -> LimitResult:
     """Root of the marginalised CLs criterion at ``req.alpha``.
 
     One sample set is drawn up front and reused for every trial strength;
-    pass ``samples`` to share the set with another method.
+    pass ``samples`` to share the set with another method. A model without
+    nuisances needs no integrator and gives the exact CLs limit.
     """
     if model.s_nom == 0.0:
         raise ModelError("nominal signal yield is zero; the CLs limit is undefined")
-    samples = _as_sample_set(samples) if samples is not None else draw_samples(model.systematics, integrator)
-    s, b = yields_on_samples(model, samples.etas)
-    w = samples.weights
-    n = model.n_obs
-    den_terms = poisson_cdf(n, b)
-    den = np.sum(w * den_terms)
-
-    def num_terms_at(mu: float) -> np.ndarray:
-        return poisson_cdf(n, mu * s + b)
-
-    def criterion(mu: float) -> float:
-        return float(np.sum(w * num_terms_at(mu)) / den)
-
-    mu_up, crit, evals, bracket = solve_decreasing(criterion, req.alpha, req.rel_tol, req.max_iter)
-    result = LimitResult(mu_up, crit, evals, bracket)
-    if integrator.kind == "monte_carlo" and len(samples) >= 2:
-        result = _attach_mc_stderr(result, criterion, num_terms_at, den_terms, w)
-    return result
+    return _marginal_limit(model, req, integrator, samples, _cls_terms)
 
 
 def bayesian_marginal_upper_limit(
     model: CountingModel,
     req: LimitRequest,
-    integrator: Integrator,
+    integrator: Integrator | None,
     samples: SampleSet | None = None,
 ) -> LimitResult:
     """Root of the marginal posterior tail at ``req.alpha`` (uniform
-    strength prior), sharing ``samples`` with the hybrid method when given."""
+    strength prior), sharing ``samples`` with the hybrid method when given.
+    A model without nuisances gives the closed-form credible limit."""
     if model.s_nom == 0.0:
         raise ModelError("nominal signal yield is zero; the posterior for mu is improper")
-    samples = _as_sample_set(samples) if samples is not None else draw_samples(model.systematics, integrator)
-    s, b = yields_on_samples(model, samples.etas)
-    w = samples.weights
-    den_terms = _credible_tail_terms(model, s, b)
-    den = np.sum(w * den_terms)
-
-    def num_terms_at(mu: float) -> np.ndarray:
-        return _credible_tail_terms(model, s, mu * s + b)
-
-    def criterion(mu: float) -> float:
-        return float(np.sum(w * num_terms_at(mu)) / den)
-
-    mu_up, crit, evals, bracket = solve_decreasing(criterion, req.alpha, req.rel_tol, req.max_iter)
-    result = LimitResult(mu_up, crit, evals, bracket)
-    if integrator.kind == "monte_carlo" and len(samples) >= 2:
-        result = _attach_mc_stderr(result, criterion, num_terms_at, den_terms, w)
-    return result
+    return _marginal_limit(model, req, integrator, samples, _bayes_terms)

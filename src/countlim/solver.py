@@ -87,12 +87,10 @@ def _interpolate(pts, lo, hi):
     (x0, g0), (x1, g1) = pts[-2], pts[-1]
     if len(pts) >= 3:
         (xm, gm) = pts[-3]
-        if gm != g0 and gm != g1 and g0 != g1:
-            cand = (
-                xm * g0 * g1 / ((gm - g0) * (gm - g1))
-                + x0 * gm * g1 / ((g0 - gm) * (g0 - g1))
-                + x1 * gm * g0 / ((g1 - gm) * (g1 - g0))
-            )
+        d_m, d_0, d_1 = (gm - g0) * (gm - g1), (g0 - gm) * (g0 - g1), (g1 - gm) * (g1 - g0)
+        # at a tiny target the products of differences can underflow to 0
+        if d_m != 0.0 and d_0 != 0.0 and d_1 != 0.0:
+            cand = xm * g0 * g1 / d_m + x0 * gm * g1 / d_0 + x1 * gm * g0 / d_1
             if math.isfinite(cand) and lo < cand < hi:
                 return cand
     if g0 != g1:

@@ -5,6 +5,13 @@ continuous argument; scalars take a fast ``math``-module path while arrays
 are evaluated vectorised so the marginalisation code can process thousands
 of nuisance samples per call.
 
+The scalar twins are not duplication: exact limits solve on them, and
+the array loops cost far more per call than they save on one lane. On a
+2-vCPU host (Python 3.11, numpy 2.4), an exact limit on one-element
+arrays took 1.27 ms (CLs) and 2.14 ms (Bayes) against 59 us and 83 us on
+the scalar kernels, averaged over a 36-cell small-count grid (b from 0.5
+to 20, s from 0.5 to 2, alpha 0.05 to 0.32), best of 5.
+
 ``poisson_cdf`` is deliberately *not* implemented through ``gamma_q``:
 the two are independent routes to the same quantity, and their agreement
 (``poisson_cdf(n, x) == gamma_q(n + 1, x)``) is used as a cross-check

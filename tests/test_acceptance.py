@@ -24,7 +24,6 @@ from countlim import (
     SystematicsModel,
     bayesian_marginal_upper_limit,
     bayesian_upper_limit_closed_form,
-    bayesian_upper_limit_quadrature,
     cls_upper_limit,
     cls_value,
     compare_limits,
@@ -38,6 +37,7 @@ from countlim import (
     poisson_cdf,
 )
 from helpers import bg_systematic_model, identity_systematic_model, plain_model
+from oracles import bayesian_upper_limit_quadrature
 
 # Pinned regression values for the signal-systematics divergence
 # (criterion 4): s_nom=1 with a log-normal kappa=1.2 signal response under

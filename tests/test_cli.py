@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +115,34 @@ class TestLimitCommand:
         cfg = write_config(tmp_path, {"signal": {"nominal": 1e-30}, "backgrounds": [], "n_obs": 0})
         result = runner.invoke(cli, ["limit", cfg])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("method", ["cls", "bayes"])
+    def test_underflowed_denominator_exits_two(self, tmp_path, method):
+        # CLb = Q(1, 800) = exp(-800) underflows; a real process, to see its stderr
+        doc = {"signal": {"nominal": 1.0}, "backgrounds": [{"name": "b", "nominal": 800.0}], "n_obs": 0}
+        cfg = write_config(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "countlim.cli", "limit", cfg, "--method", method],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "n_obs = 0, b = 800.0" in proc.stderr
+
+    def test_non_finite_config_number_exits_one(self, runner, tmp_path):
+        cfg = tmp_path / "model.json"
+        cfg.write_text('{"signal": {"nominal": NaN}, "backgrounds": [], "n_obs": 0}', encoding="utf-8")
+        result = runner.invoke(cli, ["limit", str(cfg)])
+        assert result.exit_code == 1
+        assert "signal.nominal: expected a finite number" in result.output
+
+    def test_integrator_options_ignored_without_nuisances(self, runner, tmp_path):
+        cfg = write_config(tmp_path, MINIMAL)
+        plain = runner.invoke(cli, ["limit", cfg, "--method", "both"])
+        invalid = runner.invoke(cli, ["limit", cfg, "--method", "both", "--samples", "0", "--nodes", "1"])
+        assert invalid.exit_code == 0
+        assert invalid.output == plain.output
 
     def test_negative_yield_exits_two(self, runner, tmp_path):
         doc = json.loads(json.dumps(BG_SYST))

@@ -95,6 +95,17 @@ class TestParse:
         with pytest.raises(ConfigError, match="sd"):
             parse_model(doc)
 
+    def test_non_finite_numbers(self):
+        # json.loads accepts NaN and Infinity, and so would the model
+        for literal in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
+            text = json.dumps(FULL).replace('"nominal": 1.5', f'"nominal": {literal}')
+            with pytest.raises(ConfigError, match=r"backgrounds\[0\].nominal: expected a finite number"):
+                parse_model(json.loads(text))
+        doc = json.loads(json.dumps(FULL))
+        doc["correlation"][0][1] = float("nan")
+        with pytest.raises(ConfigError, match=r"correlation\[0\]\[1\]: expected a finite number"):
+            parse_model(doc)
+
     def test_model_invariants_become_config_errors(self):
         doc = json.loads(json.dumps(FULL))
         doc["correlation"] = [[1.0, 2.0], [2.0, 1.0]]
@@ -138,5 +149,11 @@ class TestLoadModel:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_model(path)
+
+    def test_integer_too_long_to_convert(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(MINIMAL).replace('"n_obs": 0', '"n_obs": 1' + "0" * 5000))
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_model(path)

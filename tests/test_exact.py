@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from countlim import (
+    ConvergenceError,
     LimitRequest,
     ModelError,
     bayesian_upper_limit_closed_form,
-    bayesian_upper_limit_quadrature,
     clb_value,
     cls_upper_limit,
     cls_value,
@@ -16,6 +16,7 @@ from countlim import (
     posterior_density,
 )
 from helpers import bg_systematic_model, plain_model
+from oracles import bayesian_upper_limit_quadrature
 
 # Frozen oracle values, computed with an mpmath bisection on the tail-sum
 # and incomplete-gamma ratios at 40 digits before this module was written.
@@ -151,6 +152,36 @@ class TestQuadratureRoute:
         closed = bayesian_upper_limit_closed_form(m, req)
         quadr = bayesian_upper_limit_quadrature(m, req)
         assert abs(closed.mu_up - quadr.mu_up) / closed.mu_up <= 1e-6
+
+
+class TestUnderflowedDenominator:
+    # CLb = Q(1, 800) = exp(-800) is below the float64 range
+    @pytest.mark.parametrize(
+        ("route", "name"),
+        [(cls_upper_limit, "CLb"), (bayesian_upper_limit_closed_form, r"Q\(n_obs \+ 1, b\)")],
+    )
+    def test_limit_raises_typed_error(self, route, name):
+        m = plain_model(s=1.0, b=800.0, n_obs=0)
+        with pytest.raises(ConvergenceError, match=name + r" = 0.0 at n_obs = 0, b = 800.0"):
+            route(m, LimitRequest(alpha=0.05))
+
+    def test_values_raise_typed_error(self):
+        m = plain_model(s=1.0, b=800.0, n_obs=0)
+        for value in (lambda: cls_value(m, 1.0), lambda: posterior_density(m, 1.0)):
+            with pytest.raises(ConvergenceError):
+                value()
+
+
+@pytest.mark.parametrize("alpha", [1e-200, 1e-300])
+def test_tiny_alpha(alpha):
+    # the interpolation's products of criterion differences underflow here
+    m = plain_model(s=1.0, b=1.5, n_obs=3)
+    req = LimitRequest(alpha=alpha)
+    cls_res = cls_upper_limit(m, req)
+    bayes_res = bayesian_upper_limit_closed_form(m, req)
+    assert abs(cls_res.mu_up - bayes_res.mu_up) / cls_res.mu_up <= 1e-7
+    for res in (cls_res, bayes_res):
+        assert abs(res.criterion_at_solution - alpha) <= 10.0 * req.rel_tol * alpha
 
 
 def test_monotone_data_dependence():

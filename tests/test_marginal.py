@@ -5,6 +5,7 @@ import pytest
 
 from countlim import (
     ConfigError,
+    ConvergenceError,
     CountingModel,
     BackgroundProcess,
     Integrator,
@@ -29,7 +30,7 @@ from countlim import (
     marginal_posterior_tail,
     posterior_density,
 )
-from countlim.marginal import scan_quantity
+from countlim.marginal import _GH_MAX_POINTS, scan_quantity
 from helpers import bg_systematic_model, identity_systematic_model, plain_model
 
 # Regression pin: hybrid CLs limit for s=1, b=1.5 with a 20% log-normal
@@ -166,6 +167,25 @@ class TestDrawSamples:
         assert ea == pytest.approx(0.0, abs=1e-13)
         assert eb == pytest.approx(1.0, rel=1e-12)
         assert cov == pytest.approx(0.4 * 2.0, rel=1e-11)
+
+    def test_gauss_hermite_grid_budget(self, monkeypatch):
+        # the grid must be refused before anything is allocated
+        class GridBuilt(Exception):
+            pass
+
+        def no_grid(*args, **kwargs):
+            raise GridBuilt
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        m = identity_systematic_model(n_nuisances=8)
+        with pytest.raises(ConfigError, match=r"16\^8 = 4294967296 points exceeds the budget of 1048576"):
+            draw_samples(m.systematics, Integrator.gauss_hermite(16))
+        # 16^5 and 64^3 are within the budget and reach the grid
+        assert 16**5 <= _GH_MAX_POINTS and 64**3 <= _GH_MAX_POINTS
+        for nodes, n_nuisances in ((16, 5), (64, 3)):
+            m = identity_systematic_model(n_nuisances=n_nuisances)
+            with pytest.raises(GridBuilt):
+                draw_samples(m.systematics, Integrator.gauss_hermite(nodes))
 
     def test_log_normal_prior_samples_positive(self):
         m = bg_systematic_model(prior=Prior.log_normal(0.0, 0.5))
@@ -336,6 +356,23 @@ class TestUpperLimits:
         assert mc.mu_up_stderr is not None and mc.mu_up_stderr > 0.0
         assert mc.criterion_stderr is not None and mc.criterion_stderr > 0.0
         assert gh.mu_up_stderr is None
+
+    def test_no_nuisances_is_the_exact_limit(self):
+        # the nominal one-point set runs the exact routes' arithmetic
+        m = plain_model(s=2.0, b=1.5, n_obs=3)
+        req = LimitRequest(alpha=0.05)
+        samples = draw_samples(m.systematics, None)
+        assert hybrid_cls_upper_limit(m, req, None, samples=samples) == cls_upper_limit(m, req)
+        assert bayesian_marginal_upper_limit(m, req, None) == bayesian_upper_limit_closed_form(m, req)
+
+    def test_underflowed_denominator_is_typed(self):
+        m = bg_systematic_model(s=1.0, b=2000.0, n_obs=0, kappa=1.05)
+        req = LimitRequest(alpha=0.05)
+        integ = Integrator.monte_carlo(100, 1)
+        with pytest.raises(ConvergenceError, match=r"CLb = 0.0 at n_obs = 0, b in \["):
+            hybrid_cls_upper_limit(m, req, integ)
+        with pytest.raises(ConvergenceError, match=r"Q\(n_obs \+ 1, b\) = 0.0"):
+            bayesian_marginal_upper_limit(m, req, integ)
 
     def test_degenerate_signal_rejected(self):
         m = CountingModel(

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from countlim import ConvergenceError, LimitRequest, LimitResult, poisson_cdf
-from countlim.solver import solve_decreasing
+from countlim.solver import _interpolate, solve_decreasing
 
 
 class TestSolveDecreasing:
@@ -43,6 +43,12 @@ class TestSolveDecreasing:
     def test_criterion_already_below_target(self):
         with pytest.raises(ConvergenceError):
             solve_decreasing(lambda mu: 0.01 * math.exp(-mu), 0.05, 1e-9, 100)
+
+    def test_interpolation_survives_underflowing_products(self):
+        # each product of two differences is ~1e-620, which underflows to 0
+        pts = [(1.0, 3e-310), (3.0, -1e-310), (2.0, 1e-310)]
+        cand = _interpolate(pts, 2.0, 3.0)
+        assert cand is None or 2.0 < cand < 3.0
 
     def test_flat_criterion_hits_doubling_cap(self):
         with pytest.raises(ConvergenceError) as err:
