@@ -262,11 +262,11 @@ class _Criterion:
 
     def ratio_stderr(self, num_terms) -> float:
         """Delta-method standard error of the ratio (Monte Carlo, equal
-        weights)."""
-        k = num_terms.size
+        weights). The terms are scaled by their means before the
+        covariance, because squares of tiny means underflow."""
         a, b = self.mean(num_terms), self.den
-        cov = np.cov(num_terms, self.den_terms, ddof=1) / k
-        var = (a / b) ** 2 * (cov[0, 0] / a**2 + cov[1, 1] / b**2 - 2.0 * cov[0, 1] / (a * b))
+        cov = np.cov(num_terms / a, self.den_terms / b, ddof=1) / num_terms.size
+        var = (a / b) ** 2 * (cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
         return math.sqrt(max(var, 0.0))
 
 

@@ -12,6 +12,18 @@ arrays took 1.27 ms (CLs) and 2.14 ms (Bayes) against 59 us and 83 us on
 the scalar kernels, averaged over a 36-cell small-count grid (b from 0.5
 to 20, s from 0.5 to 2, alpha 0.05 to 0.32), best of 5.
 
+The twins do the same floating-point operations in the same order on
+each lane. They can still differ in the last bit where numpy's
+vectorised ``log`` and ``exp`` round differently from the ``math``
+module's.
+
+``poisson_cdf`` sums the Poisson terms outwards from the largest term
+of one tail, relative to that term: down from k = n when the mean is at
+least n, and up from k = n + 1, for the complement, when it is below.
+Each lane takes one ``log``, one ``exp`` and O(sqrt(mean)) multiply-adds.
+It matches mpmath to a relative 1e-14 * (n + mean + 1) on a frozen grid
+out to n = 1e4.
+
 ``poisson_cdf`` is deliberately *not* implemented through ``gamma_q``:
 the two are independent routes to the same quantity, and their agreement
 (``poisson_cdf(n, x) == gamma_q(n + 1, x)``) is used as a cross-check
@@ -68,11 +80,17 @@ def log_poisson_pmf(n, nu):
 
 
 def poisson_cdf(n, nu):
-    """P(N <= n) for N ~ Poisson(nu), via log-space term recursion.
+    """P(N <= n) for N ~ Poisson(nu), summed outwards from a tail's largest term.
 
-    Terms are accumulated in declaration order with a compensated (Kahan)
-    sum under a running max shift, which keeps the result accurate for
-    means far into the tails. Independent of :func:`gamma_q` by design.
+    For ``nu >= n`` the terms k = 0..n grow up to k = n, so the sum starts
+    at the pmf term of n and walks down with factor k/nu. For ``nu < n``
+    the result is 1 minus the upper tail k > n, whose terms fall from
+    k = n + 1 with factor nu/k; summing that tail keeps values near 1
+    monotone in ``nu``. Terms are kept relative to the starting term, so a
+    lane takes one ``log`` and one ``exp`` in all, and its walk stops at a
+    term at most 1e-17 of its sum, after O(sqrt(nu)) steps rather than n.
+    Checked against mpmath to a relative 1e-14 * (n + nu + 1) for
+    n <= 1e4. Independent of :func:`gamma_q` by design.
     """
     n = _check_count(n)
     if isinstance(nu, np.ndarray):
@@ -85,56 +103,68 @@ def poisson_cdf(n, nu):
     return _poisson_cdf_scalar(n, nu)
 
 
+# A term at most this fraction of its lane's sum is below half an ulp of
+# the sum, so adding it changes nothing: the array walks, which run until
+# their slowest lane stops, then give the scalar walks' bits.
+_TAIL_EPS = 1e-17
+
+
 def _poisson_cdf_scalar(n: int, nu: float) -> float:
-    if nu == 0.0:
+    if not nu > 0.0:
         return 1.0
-    log_nu = math.log(nu)
-    lt = -nu  # log of the N=0 term
-    shift = lt  # running max of the log terms
-    total = 1.0  # sum of exp(lt_k - shift)
-    comp = 0.0  # Kahan compensation
-    for k in range(1, n + 1):
-        # associate exactly like the array path so both give identical bits
-        lt = lt + log_nu - math.log(k)
-        if lt > shift:
-            rescale = math.exp(shift - lt)
-            total *= rescale
-            comp *= rescale
-            shift = lt
-        term = math.exp(lt - shift)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return min(1.0, math.exp(shift) * total)
+    t = total = 1.0
+    if nu >= n:
+        for k in range(n, 0, -1):
+            t *= k / nu
+            total += t
+            if t <= _TAIL_EPS * total:
+                break
+        return math.exp(n * math.log(nu) - nu - math.lgamma(n + 1)) * total
+    k = n + 1
+    while t > _TAIL_EPS * total:
+        k += 1
+        t *= nu / k
+        total += t
+    return 1.0 - math.exp((n + 1) * math.log(nu) - nu - math.lgamma(n + 2)) * total
 
 
 def _poisson_cdf_array(n: int, nu: np.ndarray) -> np.ndarray:
     out = np.ones(nu.shape, dtype=float)
-    pos = nu > 0.0
-    x = nu[pos]
-    if x.size == 0:
-        return out
-    log_x = np.log(x)
-    lt = -x
-    shift = lt.copy()
-    total = np.ones_like(x)
-    comp = np.zeros_like(x)
-    for k in range(1, n + 1):
-        lt = lt + log_x - math.log(k)
-        grew = lt > shift
-        if grew.any():
-            rescale = np.exp(np.where(grew, shift - lt, 0.0))
-            total = total * rescale
-            comp = comp * rescale
-            shift = np.where(grew, lt, shift)
-        term = np.exp(lt - shift)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    out[pos] = np.minimum(1.0, np.exp(shift) * total)
+    positive = nu > 0.0
+    lower = positive & (nu >= n)
+    upper = positive & (nu < n)
+    if lower.any():
+        out[lower] = _lower_tail_array(n, nu[lower])
+    if upper.any():
+        out[upper] = 1.0 - _upper_tail_array(n, nu[upper])
     return out
+
+
+def _lower_tail_array(n: int, x: np.ndarray) -> np.ndarray:
+    # P(N <= n) for x >= n: terms k = n down to 0, each k/x times the one
+    # before. Testing convergence costs about a step, so it runs every 8th.
+    t = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(n, 0, -1):
+        t = t * (k / x)
+        total = total + t
+        if k % 8 == 0 and bool(np.all(t <= _TAIL_EPS * total)):
+            break
+    return np.exp(n * np.log(x) - x - math.lgamma(n + 1)) * total
+
+
+def _upper_tail_array(n: int, x: np.ndarray) -> np.ndarray:
+    # P(N > n) for x < n: terms k = n + 1 upwards, each x/k times the one before
+    t = np.ones_like(x)
+    total = np.ones_like(x)
+    k = n + 1
+    while True:
+        k += 1
+        t = t * (x / k)
+        total = total + t
+        if k % 8 == 0 and bool(np.all(t <= _TAIL_EPS * total)):
+            break
+    return np.exp((n + 1) * np.log(x) - x - math.lgamma(n + 2)) * total
 
 
 def gamma_q(a, x):

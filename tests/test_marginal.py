@@ -374,6 +374,16 @@ class TestUpperLimits:
         with pytest.raises(ConvergenceError, match=r"Q\(n_obs \+ 1, b\) = 0.0"):
             bayesian_marginal_upper_limit(m, req, integ)
 
+    def test_stderr_finite_for_tiny_denominator(self):
+        # CLb is ~6e-311 here, and squaring it, as the textbook form of the
+        # delta method does, underflows. At n_obs = 0 every sample's CLs is
+        # exp(-mu*s), so the Monte Carlo error is zero.
+        m = bg_systematic_model(s=1.0, b=800.0, n_obs=0, kappa=1.05)
+        res = hybrid_cls_upper_limit(m, LimitRequest(alpha=0.05), Integrator.monte_carlo(100, 1))
+        assert res.mu_up == pytest.approx(math.log(20.0), rel=1e-6)
+        assert 0.0 <= res.criterion_stderr <= 1e-12
+        assert 0.0 <= res.mu_up_stderr <= 1e-9
+
     def test_degenerate_signal_rejected(self):
         m = CountingModel(
             s_nom=0.0,

@@ -21,6 +21,79 @@ GAMMA_Q_TABLE = {
     (200.0, 500.0): 3.7272816423111791189e-53,
 }
 
+# P(N <= n) for N ~ Poisson(x), computed with mpmath at 50 digits as
+#   gammainc(n + 1, x, inf, regularized=True)
+# on n in {0, 1, 3, 10, 30, 100, 150, 300, 1000, 3000, 10000} and
+# x in n * {0.5, 0.8, 1, 1.2, 1.5} plus n +- 5 sqrt(n) where nonnegative.
+POISSON_CDF_TABLE = {
+    (0, 0.0): 1.0,
+    (1, 0.5): 0.90979598956895013541,
+    (1, 0.8): 0.80879213541099884861,
+    (1, 1.0): 0.73575888234288464319,
+    (1, 1.2): 0.66262726620684462867,
+    (1, 1.5): 0.55782540037107457233,
+    (1, 6.0): 0.017351265236664508961,
+    (3, 1.5): 0.93435754562154990866,
+    (3, 2.4000000000000004): 0.77872291103631685472,
+    (3, 3.0): 0.64723188878223125873,
+    (3, 3.5999999999999996): 0.51521611046614860196,
+    (3, 4.5): 0.34229595583459106891,
+    (3, 11.660254037844386): 0.0029762235984633211228,
+    (10, 5.0): 0.98630473140161706178,
+    (10, 8.0): 0.81588579255854649345,
+    (10, 10.0): 0.5830397501929855073,
+    (10, 12.0): 0.34722941755417166919,
+    (10, 15.0): 0.11846441152901508815,
+    (10, 25.811388300841898): 0.00035235752463434942149,
+    (30, 2.613872124741693): 1.0,
+    (30, 15.0): 0.99980268685031174902,
+    (30, 24.0): 0.904151598220515426,
+    (30, 30.0): 0.54835151257791142615,
+    (30, 36.0): 0.18062554245725561016,
+    (30, 45.0): 0.011597729543089793651,
+    (30, 57.38612787525831): 0.000053004700727310733658,
+    (100, 50.0): 0.99999999984302540276,
+    (100, 80.0): 0.98683114512406614551,
+    (100, 100.0): 0.52656219852999847038,
+    (100, 120.0): 0.034668034694424962309,
+    (100, 150.0): 9.0502595708578737626e-6,
+    (150, 75.0): 0.99999999999999170041,
+    (150, 88.76275643042055): 0.99999999881580667957,
+    (150, 120.0): 0.99644803489476473258,
+    (150, 150.0): 0.52169717970747686643,
+    (150, 180.0): 0.012206138282834642718,
+    (150, 211.23724356957945): 5.5178264872146358247e-6,
+    (150, 225.0): 6.6175140471851854501e-8,
+    (300, 150.0): 1.0,
+    (300, 213.39745962155612): 0.99999999068720437149,
+    (300, 240.0): 0.99991728897964811682,
+    (300, 300.0): 0.51534875726292385266,
+    (300, 360.0): 0.00064136202201262810443,
+    (300, 386.6025403784439): 2.6815003877842323255e-6,
+    (300, 450.0): 3.2886235546361791483e-14,
+    (1000, 500.0): 1.0,
+    (1000, 800.0): 0.99999999999561997169,
+    (1000, 841.886116991581): 0.99999994599647880787,
+    (1000, 1000.0): 0.50840936716850599121,
+    (1000, 1158.113883008419): 1.0794242240566273095e-6,
+    (1000, 1200.0): 1.5531469821142221561e-9,
+    (1000, 1500.0): 3.3135975777893505887e-43,
+    (3000, 1500.0): 1.0,
+    (3000, 2400.0): 1.0,
+    (3000, 2726.138721247417): 0.99999988494980640852,
+    (3000, 3000.0): 0.50485556398892019467,
+    (3000, 3273.861278752583): 6.3777795904269871857e-7,
+    (3000, 3600.0): 4.0179280407735409917e-25,
+    (3000, 4500.0): 1.4823015453062330206e-125,
+    (10000, 5000.0): 1.0,
+    (10000, 8000.0): 1.0,
+    (10000, 9500.0): 0.99999982339727104356,
+    (10000, 10000.0): 0.50265958121900762527,
+    (10000, 10500.0): 4.4980275073306997145e-7,
+    (10000, 12000.0): 3.9946284855549772928e-79,
+    (10000, 15000.0): 3.2963647912201342267e-413,
+}
+
 
 class TestLogPoissonPmf:
     def test_empty_process(self):
@@ -86,16 +159,28 @@ class TestPoissonCdf:
         assert poisson_cdf(3, 1.5) == pytest.approx(expected, rel=1e-14)
         assert poisson_cdf(3, 1.5) == pytest.approx(0.93435754562154990866, rel=1e-14)
 
-    @pytest.mark.parametrize("n", [0, 2, 17])
+    @pytest.mark.parametrize("n", [0, 2, 17, 150])
     def test_strictly_decreasing_in_mean(self, n):
-        nus = np.linspace(0.01, 60.0, 400)
+        nus = np.linspace(0.01, max(60.0, 2.5 * n), 400)
         assert_decreasing(poisson_cdf(n, nus))
 
     def test_array_matches_scalar(self):
-        nus = np.array([0.0, 0.2, 1.5, 12.0, 250.0])
-        out = poisson_cdf(6, nus)
-        for i, nu in enumerate(nus):
-            assert out[i] == poisson_cdf(6, float(nu))
+        # means below, at and above n, so both tails' walks are taken
+        cases = {6: [0.0, 0.2, 1.5, 12.0, 250.0], 150: [0.0, 0.3, 100.0, 149.5, 150.0, 151.0, 400.0]}
+        for n, means in cases.items():
+            nus = np.array(means)
+            out = poisson_cdf(n, nus)
+            for i, nu in enumerate(nus):
+                assert out[i] == poisson_cdf(n, float(nu))
+
+    @pytest.mark.parametrize(("n", "x"), sorted(POISSON_CDF_TABLE))
+    def test_reference_values_at_large_counts(self, n, x):
+        ref = POISSON_CDF_TABLE[(n, x)]
+        for got in (poisson_cdf(n, x), float(poisson_cdf(n, np.array([x]))[0])):
+            if ref > 1e-290:
+                assert abs(got - ref) <= 1e-14 * (n + x + 1.0) * ref
+            else:
+                assert 0.0 <= got <= 1e-290
 
     def test_far_tail_is_zero_without_error(self):
         assert poisson_cdf(2, 5000.0) == 0.0
@@ -150,8 +235,8 @@ class TestGammaQ:
 def test_identity_between_routes_spot_grid():
     # the full n in [0, 100] x nu in [0, 50] sweep runs in the acceptance
     # suite; this keeps a coarse version close to the implementation
-    for n in (0, 1, 5, 33, 100):
-        nus = np.linspace(0.0, 50.0, 101)
+    for n in (0, 1, 5, 33, 100, 150, 199):
+        nus = np.linspace(0.0, 50.0 if n <= 100 else 300.0, 101)
         diff = np.abs(poisson_cdf(n, nus) - gamma_q(n + 1.0, nus))
         assert float(diff.max()) <= 1e-12
 
