@@ -42,9 +42,12 @@ class ConvergenceError(CountLimError):
     Attributes:
         bracket: last (lo, hi) bracket for root solves, None otherwise.
         iterations: iterations performed before giving up.
+        history: the (mu, criterion) pairs a failed root solve evaluated,
+            in order, None otherwise.
     """
 
-    def __init__(self, message, bracket=None, iterations=None):
+    def __init__(self, message, bracket=None, iterations=None, history=None):
         super().__init__(message)
         self.bracket = bracket
         self.iterations = iterations
+        self.history = history

@@ -219,6 +219,10 @@ class _Criterion:
     scalar kernels are used. The denominator is computed once, here, and
     refused with :class:`ConvergenceError` when it underflows: every
     quantity built on the set is then below the float64 range too.
+
+    Both terms have a closed-form slope in mu: -s * pmf(n; mu*s + b) for
+    CLs and -pmf(n; mu*s + b) for Bayes, so calling the criterion gives
+    its value and slope for the price of one kernel call and one pmf.
     """
 
     def __init__(self, kernel, n: int, s, b, w):
@@ -235,6 +239,18 @@ class _Criterion:
                 f"{_DENOMINATOR_NAMES[kernel]} = {self.den!r} at n_obs = {n}, {where}: "
                 f"the denominator is not a positive finite number, so the criterion is undefined"
             )
+        self.pmf_scale = s if kernel is _cls_terms else 1.0
+        self.exp = math.exp if w is None else np.exp
+        self.last = None  # (mu, numerator terms, slope) of the latest call
+
+    def __call__(self, mu: float):
+        """``(criterion, slope)`` at ``mu``: the solver's inner loop. At
+        mu = 0 the numerator is the denominator, so no kernel runs."""
+        x = mu * self.s + self.b
+        terms = self.den_terms if mu == 0.0 else self.kernel(self.n, self.s, x)
+        slope = -self.mean(self.pmf_scale * self.exp(log_poisson_pmf(self.n, x))) / self.den
+        self.last = mu, terms, slope
+        return self.mean(terms) / self.den, slope
 
     def mean(self, terms):
         if self.w is None:
@@ -253,8 +269,7 @@ class _Criterion:
         return self.mean(num_terms) / self.den
 
     def criterion(self, mu: float) -> float:
-        # terms() inlined: this is the solver's inner loop
-        return self.mean(self.kernel(self.n, self.s, mu * self.s + self.b)) / self.den
+        return self.ratio(self.terms(mu))
 
     def mean_stderr(self, terms) -> float:
         """Standard error of the weighted mean (Monte Carlo, equal weights)."""
@@ -265,6 +280,8 @@ class _Criterion:
         weights). The terms are scaled by their means before the
         covariance, because squares of tiny means underflow."""
         a, b = self.mean(num_terms), self.den
+        if a == 0.0:  # every term underflowed to 0, so the ratio has no spread
+            return 0.0
         cov = np.cov(num_terms / a, self.den_terms / b, ddof=1) / num_terms.size
         var = (a / b) ** 2 * (cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
         return math.sqrt(max(var, 0.0))
@@ -289,13 +306,14 @@ def _criterion(model: CountingModel, kernel, samples) -> _Criterion:
 def _solve(crit: _Criterion, req: LimitRequest, with_stderr: bool = False) -> LimitResult:
     """Root of ``crit`` at ``req.alpha``; ``with_stderr`` adds the Monte
     Carlo error of the criterion at the root and its propagation, through
-    the slope, onto the limit."""
-    mu_up, value, evals, bracket = solve_decreasing(crit.criterion, req.alpha, req.rel_tol, req.max_iter)
+    the analytic slope, onto the limit."""
+    mu_up, value, evals, bracket = solve_decreasing(crit, req.alpha, req.rel_tol, req.max_iter)
     if not with_stderr:
         return LimitResult(mu_up, value, evals, bracket)
-    crit_stderr = crit.ratio_stderr(crit.terms(mu_up))
-    h = 1e-5 * mu_up
-    slope = (crit.criterion(mu_up + h) - crit.criterion(mu_up - h)) / (2.0 * h)
+    if crit.last[0] != mu_up:  # the solve ended on an earlier point
+        crit(mu_up)
+    _, terms, slope = crit.last
+    crit_stderr = crit.ratio_stderr(terms)
     mu_stderr = crit_stderr / abs(slope) if slope != 0.0 else math.inf
     return LimitResult(
         mu_up, value, evals, bracket, mu_up_stderr=mu_stderr, criterion_stderr=crit_stderr

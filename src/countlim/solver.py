@@ -1,12 +1,18 @@
 """Root solving for upper limits, plus the request/result records.
 
 Every limit in this package is the root of a smooth, strictly decreasing
-criterion c(mu) with c(0) = 1: the solver brackets the root by doubling,
-then refines with bisection accelerated by inverse-quadratic interpolation,
-falling back to bisection whenever the interpolated candidate leaves the
-bracket. Termination requires both a relative bracket width below
-``rel_tol`` and a criterion value within ``10 * rel_tol * target`` of the
-target, so converged results honour the reported-criterion contract.
+criterion c(mu) with c(0) > target, and every criterion comes with its
+analytic slope. The solver takes Newton steps on log c(mu) - log(target):
+the criteria are log-concave for one sample point and nearly log-linear
+in their tails, so a step lands within a few ulps of the root in one to
+three evaluations. Until a point below the target is found, a step may
+reach no further than 8 * max(mu, 1), because the slope can be 0 or
+vanishingly small near mu = 0; after that, a step that leaves the
+sign-checked bracket is replaced by bisection. The test is applied at
+every evaluated point: a solve ends when the value is within
+``10 * rel_tol * target`` of the target and the projected Newton step is
+at most ``rel_tol * mu`` (or below the float64 resolution). The bracket
+is not shrunk to ``rel_tol``.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ from .exceptions import ConvergenceError
 
 __all__ = ["LimitRequest", "LimitResult", "solve_decreasing"]
 
-_BRACKET_CAP = 2.0**64  # doubling guard; criteria this flat are hopeless
-_WIDTH_FLOOR = 8.0 * 2.0**-52  # relative width at the float64 resolution limit
+_BRACKET_CAP = 2.0**64  # expansion guard; criteria this flat are hopeless
+_GROWTH = 8.0  # largest expansion factor while no upper end of the bracket is known
+_WIDTH_FLOOR = 8.0 * 2.0**-52  # relative step or width at the float64 resolution limit
 
 
 @dataclass(frozen=True)
@@ -29,7 +36,8 @@ class LimitRequest:
     ``alpha`` is the exclusion threshold: the CLs criterion is solved for
     CLs(mu) = alpha, the Bayesian one for posterior tail mass alpha
     (credibility 1 - alpha below the limit). Only the uniform prior on the
-    signal strength is supported.
+    signal strength is supported. ``max_iter`` caps the criterion
+    evaluations of one solve.
     """
 
     alpha: float
@@ -53,11 +61,15 @@ class LimitResult:
     """Solved upper limit plus solver and integration diagnostics.
 
     ``criterion_at_solution`` is the criterion evaluated at ``mu_up``;
-    ``bracket`` the final (lo, hi) interval; ``iterations`` the number of
-    criterion evaluations. The stderr fields are filled for Monte Carlo
-    marginalisation only: ``criterion_stderr`` is the delta-method error
-    of the criterion at the solution and ``mu_up_stderr`` its propagation
-    through the criterion slope onto the limit itself.
+    ``iterations`` the number of criterion evaluations; ``bracket`` the
+    tightest sign-checked (lo, hi) interval containing ``mu_up``, with
+    the criterion above the target at ``lo`` and not above it at ``hi``.
+    The bracket may be wider than ``rel_tol``, because the solver stops
+    on the projected Newton step, not on the bracket width. The stderr
+    fields are filled for Monte Carlo marginalisation only:
+    ``criterion_stderr`` is the delta-method error of the criterion at
+    the solution and ``mu_up_stderr`` its propagation through the
+    criterion slope onto the limit itself.
     """
 
     mu_up: float
@@ -78,94 +90,60 @@ class LimitResult:
         }
 
 
-def _interpolate(pts, lo, hi):
-    """Inverse-quadratic (or secant) candidate from the last points.
-
-    Returns None when the candidate is degenerate or leaves (lo, hi),
-    which sends the caller back to bisection.
-    """
-    (x0, g0), (x1, g1) = pts[-2], pts[-1]
-    if len(pts) >= 3:
-        (xm, gm) = pts[-3]
-        d_m, d_0, d_1 = (gm - g0) * (gm - g1), (g0 - gm) * (g0 - g1), (g1 - gm) * (g1 - g0)
-        # at a tiny target the products of differences can underflow to 0
-        if d_m != 0.0 and d_0 != 0.0 and d_1 != 0.0:
-            cand = xm * g0 * g1 / d_m + x0 * gm * g1 / d_0 + x1 * gm * g0 / d_1
-            if math.isfinite(cand) and lo < cand < hi:
-                return cand
-    if g0 != g1:
-        cand = x1 - g1 * (x1 - x0) / (g1 - g0)
-        if math.isfinite(cand) and lo < cand < hi:
-            return cand
-    return None
-
-
 def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int):
-    """Solve criterion(mu) = target for a strictly decreasing criterion.
+    """Solve c(mu) = target for a strictly decreasing criterion with c(0) > target.
 
-    Returns ``(mu, criterion_at_mu, evaluations, (lo, hi))``. Raises
-    :class:`ConvergenceError` when bracketing or refinement exhausts its
-    budget.
+    ``criterion(mu)`` returns ``(c(mu), c'(mu))``. Returns ``(mu, c(mu),
+    evaluations, (lo, hi))``, where (lo, hi) is the tightest sign-checked
+    bracket around ``mu``. Raises :class:`ConvergenceError`, carrying the
+    evaluated ``(mu, c(mu))`` pairs, when ``max_iter`` evaluations do not
+    converge or no sign change is found below ``2**64``.
     """
-    evals = 0
-
-    def g(mu: float) -> float:
-        nonlocal evals
-        evals += 1
-        return criterion(mu) - target
-
-    lo, g_lo = 0.0, g(0.0)
-    if g_lo <= 0.0:
-        raise ConvergenceError(
-            f"criterion at mu=0 is {g_lo + target}, not above the target {target}",
-            bracket=(0.0, 0.0),
-            iterations=evals,
-        )
-    hi = 1.0
-    g_hi = g(hi)
-    while g_hi > 0.0:
-        lo, g_lo = hi, g_hi
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
-            raise ConvergenceError(
-                f"no sign change found while doubling the bracket up to {hi}",
-                bracket=(lo, hi),
-                iterations=evals,
-            )
-        g_hi = g(hi)
-    if g_hi == 0.0:
-        return hi, target, evals, (lo, hi)
-
-    pts = [(lo, g_lo), (hi, g_hi)]
+    log_target = math.log(target)
     crit_tol = 10.0 * rel_tol * target
-    force_bisect = False
-    for _ in range(max_iter):
-        width = hi - lo
-        scale = max(abs(hi), abs(lo))
-        best, g_best = (lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, g_hi)
-        at_floor = width <= _WIDTH_FLOOR * scale
-        if width <= rel_tol * scale and (abs(g_best) <= crit_tol or at_floor):
-            return best, g_best + target, evals, (lo, hi)
-        cand = None if force_bisect else _interpolate(pts, lo, hi)
-        if cand is None:
-            cand = 0.5 * (lo + hi)
-        g_cand = g(cand)
-        pts.append((cand, g_cand))
-        if len(pts) > 3:
-            del pts[0]
-        if g_cand > 0.0:
-            lo, g_lo = cand, g_cand
+    history = []
+
+    def fail(message, bracket):
+        return ConvergenceError(message, bracket=bracket, iterations=len(history), history=history)
+
+    lo = hi = None  # (mu, c(mu), converged) at the ends of the bracket
+    mu = 0.0
+    while True:
+        value, slope = criterion(mu)
+        history.append((mu, value))
+        if math.isnan(value):
+            raise fail(f"criterion at mu={mu} is NaN", None)
+        # Newton step on log c(mu) - log(target), whose slope is c'(mu) / c(mu)
+        step = math.inf
+        if value > 0.0 and slope < 0.0:
+            f = math.log(value) - log_target
+            step = f * (value / -slope) if f else 0.0
+        converged = abs(step) <= rel_tol * mu and (
+            abs(value - target) <= crit_tol or abs(step) <= _WIDTH_FLOOR * mu
+        )
+        if value > target:
+            lo = mu, value, converged
+        elif lo is None:
+            raise fail(f"criterion at mu=0 is {value}, not above the target {target}", (0.0, 0.0))
         else:
-            hi, g_hi = cand, g_cand
-        # interpolation must earn its keep; a slow shrink forces a bisection
-        force_bisect = (hi - lo) > 0.7 * width
-    width = hi - lo
-    scale = max(abs(hi), abs(lo))
-    best, g_best = (lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, g_hi)
-    if width <= rel_tol * scale and (abs(g_best) <= crit_tol or width <= _WIDTH_FLOOR * scale):
-        return best, g_best + target, evals, (lo, hi)
-    raise ConvergenceError(
-        f"root refinement did not converge within {max_iter} iterations",
-        bracket=(lo, hi),
-        iterations=evals,
-    )
+            hi = mu, value, converged
+        # a converged end, or a bracket at the float64 resolution, ends the solve
+        if hi is not None and (lo[2] or hi[2] or hi[0] - lo[0] <= _WIDTH_FLOOR * hi[0]):
+            ends = [end for end in (lo, hi) if end[2]] or [lo, hi]
+            mu, value, _ = min(ends, key=lambda end: abs(end[1] - target))
+            return mu, value, len(history), (lo[0], hi[0])
+        if len(history) == max_iter:
+            raise fail(
+                f"root refinement did not converge within {max_iter} iterations",
+                (lo[0], hi[0] if hi else math.inf),
+            )
+        if hi is not None:
+            mu = mu + step if lo[0] < mu + step < hi[0] else 0.5 * (lo[0] + hi[0])
+        elif converged:
+            # converged below the root: a point just past it signs the bracket
+            mu += max(2.0 * step, rel_tol * mu, _WIDTH_FLOOR * mu)
+        else:
+            # no upper end yet: a near-zero slope must not throw the step out to 2**64
+            mu = min(mu + step, _GROWTH * max(mu, 1.0))
+            if mu > _BRACKET_CAP:
+                raise fail(f"no sign change found while expanding the bracket up to {mu}", (lo[0], mu))

@@ -38,12 +38,14 @@ def bayesian_upper_limit_quadrature(model: CountingModel, req: LimitRequest) -> 
         + quad(like, split, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)[0]
     )
 
-    def criterion(mu: float) -> float:
+    def criterion(mu: float):
+        # the tail mass and its slope, -like(mu) / norm
+        slope = -like(mu) / norm
         if mu == 0.0:
-            return 1.0
+            return 1.0, slope
         interior = [mode] if 0.0 < mode < mu else None
         mass = quad(like, 0.0, mu, epsabs=0.0, epsrel=1e-11, limit=200, points=interior)[0]
-        return 1.0 - mass / norm
+        return 1.0 - mass / norm, slope
 
     mu_up, crit, evals, bracket = solve_decreasing(criterion, req.alpha, req.rel_tol, req.max_iter)
     return LimitResult(mu_up, crit, evals, bracket)

@@ -30,8 +30,8 @@ from countlim import (
     marginal_posterior_tail,
     posterior_density,
 )
-from countlim.marginal import _GH_MAX_POINTS, scan_quantity
-from helpers import bg_systematic_model, identity_systematic_model, plain_model
+from countlim.marginal import _GH_MAX_POINTS, _bayes_terms, _cls_terms, _criterion, scan_quantity
+from helpers import bg_systematic_model, identity_systematic_model, plain_model, signal_systematic_model
 
 # Regression pin: hybrid CLs limit for s=1, b=1.5 with a 20% log-normal
 # background systematic (standard normal prior), n_obs=3, alpha=0.05,
@@ -301,6 +301,41 @@ class TestStructuralEquivalence:
         assert max(diffs) > 1e-4
 
 
+class TestCriterionSlope:
+    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    @pytest.mark.parametrize("s, b, n_obs", [(1.0, 1.5, 3), (2.0, 0.0, 5), (0.5, 3.0, 0), (1.0, 0.0, 0), (10.0, 150.0, 160)])
+    @pytest.mark.parametrize("monte_carlo", [False, True])
+    def test_matches_central_difference(self, kernel, s, b, n_obs, monte_carlo):
+        if monte_carlo:
+            model = signal_systematic_model(s=s, b=b, n_obs=n_obs)
+            samples = draw_samples(model.systematics, Integrator.monte_carlo(500, 7))
+        else:
+            model = plain_model(s=s, b=b, n_obs=n_obs)
+            samples = draw_samples(model.systematics, None)
+        crit = _criterion(model, kernel, samples)
+        for mu in (0.3, 1.0, 4.0):
+            h = 1e-5 * mu
+            central = (crit.criterion(mu + h) - crit.criterion(mu - h)) / (2.0 * h)
+            value, slope = crit(mu)
+            assert value == crit.criterion(mu)
+            assert slope == pytest.approx(central, rel=1e-6)
+
+    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    def test_zero_strength_runs_no_kernel(self, kernel):
+        model = signal_systematic_model(s=1.0, b=1.5, n_obs=3)
+        crit = _criterion(model, kernel, draw_samples(model.systematics, Integrator.monte_carlo(500, 7)))
+        h = 1e-6
+        forward = (crit.criterion(h) - 1.0) / h
+        crit.kernel = None  # any kernel call now fails
+        value, slope = crit(0.0)
+        assert value == 1.0
+        assert slope == pytest.approx(forward, rel=1e-4)
+
+    def test_zero_slope_at_zero_without_background(self):
+        crit = _criterion(plain_model(s=1.0, b=0.0, n_obs=50), _cls_terms, draw_samples(plain_model().systematics, None))
+        assert crit(0.0) == (1.0, 0.0)
+
+
 class TestUpperLimits:
     def test_identity_collapses_to_exact(self):
         m = identity_systematic_model(s=1.0, b=1.5, n_obs=3)
@@ -383,6 +418,24 @@ class TestUpperLimits:
         assert res.mu_up == pytest.approx(math.log(20.0), rel=1e-6)
         assert 0.0 <= res.criterion_stderr <= 1e-12
         assert 0.0 <= res.mu_up_stderr <= 1e-9
+        # the slope divides by the same denormal CLb, and is still -s * CLs
+        crit = _criterion(m, _cls_terms, draw_samples(m.systematics, Integrator.monte_carlo(100, 1)))
+        value, slope = crit(res.mu_up)
+        assert slope == pytest.approx(-value, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "limit, kernel", [(hybrid_cls_upper_limit, _cls_terms), (bayesian_marginal_upper_limit, _bayes_terms)]
+    )
+    @pytest.mark.parametrize("model", [bg_systematic_model(kappa=1.2), signal_systematic_model(n_obs=5)])
+    def test_stderr_matches_finite_difference_slope(self, limit, kernel, model):
+        # the analytic slope replaces a central difference at h = 1e-5 * mu_up
+        integ = Integrator.monte_carlo(2000, 3)
+        res = limit(model, LimitRequest(alpha=0.05), integ)
+        crit = _criterion(model, kernel, draw_samples(model.systematics, integ))
+        h = 1e-5 * res.mu_up
+        slope = (crit.criterion(res.mu_up + h) - crit.criterion(res.mu_up - h)) / (2.0 * h)
+        assert math.isfinite(res.mu_up_stderr)
+        assert res.mu_up_stderr == pytest.approx(res.criterion_stderr / abs(slope), rel=1e-5)
 
     def test_degenerate_signal_rejected(self):
         m = CountingModel(
@@ -448,6 +501,14 @@ class TestScanQuantity:
         assert stderrs is not None and stderrs.shape == mus.shape
         for i, mu in enumerate(mus):
             assert values[i] == pytest.approx(hybrid_cls(m, float(mu), samples), rel=1e-14)
+
+    def test_stderr_where_every_term_underflows(self):
+        # CLs+b = exp(-1000) on every sample: the value and its error are 0
+        m = identity_systematic_model(s=1.0, b=1.5, n_obs=0)
+        samples = draw_samples(m.systematics, Integrator.monte_carlo(2, 0))
+        values, stderrs = scan_quantity(m, "cls", np.array([0.0, 1e3]), samples, with_stderr=True)
+        assert values[1] == 0.0
+        assert stderrs[1] == 0.0
 
     def test_no_stderr_for_quadrature(self):
         m = bg_systematic_model(kappa=1.2)

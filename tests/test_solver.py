@@ -1,59 +1,152 @@
+import itertools
 import math
+import statistics
 
 import pytest
 
-from countlim import ConvergenceError, LimitRequest, LimitResult, poisson_cdf
-from countlim.solver import _interpolate, solve_decreasing
+from countlim import (
+    ConvergenceError,
+    LimitRequest,
+    LimitResult,
+    bayesian_upper_limit_closed_form,
+    cls_upper_limit,
+    log_poisson_pmf,
+    poisson_cdf,
+)
+from countlim.solver import solve_decreasing
+from helpers import plain_model
+
+
+def exponential(rate):
+    """exp(-rate * mu) with its slope: the criterion of a zero count."""
+
+    def criterion(mu):
+        value = math.exp(-rate * mu)
+        return value, -rate * value
+
+    return criterion
+
+
+def poisson_ratio(n, b):
+    """P(N <= n; mu + b) / P(N <= n; b) with its slope, -pmf(n; mu + b) / P(N <= n; b)."""
+    den = poisson_cdf(n, b)
+
+    def criterion(mu):
+        return poisson_cdf(n, mu + b) / den, -math.exp(log_poisson_pmf(n, mu + b)) / den
+
+    return criterion
 
 
 class TestSolveDecreasing:
     def test_closed_form_exponential(self):
-        root, crit, evals, bracket = solve_decreasing(lambda mu: math.exp(-mu), 0.05, 1e-9, 200)
+        root, crit, evals, bracket = solve_decreasing(exponential(1.0), 0.05, 1e-9, 200)
         assert root == pytest.approx(math.log(20.0), rel=1e-9)
         assert crit == pytest.approx(0.05, rel=1e-8)
         assert bracket[0] <= root <= bracket[1]
-        assert evals < 60
+        assert evals <= 4
 
     def test_root_below_one(self):
-        root, _, _, _ = solve_decreasing(lambda mu: math.exp(-50.0 * mu), 0.5, 1e-10, 200)
+        root, _, _, _ = solve_decreasing(exponential(50.0), 0.5, 1e-10, 200)
         assert root == pytest.approx(math.log(2.0) / 50.0, rel=1e-9)
 
-    def test_large_root_brackets_by_doubling(self):
-        root, _, _, _ = solve_decreasing(lambda mu: math.exp(-mu / 5e4), 0.05, 1e-9, 200)
+    def test_large_root_brackets_by_expanding(self):
+        root, _, _, _ = solve_decreasing(exponential(1.0 / 5e4), 0.05, 1e-9, 200)
         assert root == pytest.approx(5e4 * math.log(20.0), rel=1e-9)
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-13])
     def test_criterion_tolerance_contract(self, rel_tol):
         # steep criterion: large count makes the curve highly elastic
         target = 0.05
-
-        def criterion(mu):
-            return poisson_cdf(50, mu + 30.0) / poisson_cdf(50, 30.0)
-
-        root, crit, _, _ = solve_decreasing(criterion, target, rel_tol, 200)
+        criterion = poisson_ratio(50, 30.0)
+        root, crit, _, bracket = solve_decreasing(criterion, target, rel_tol, 200)
         assert abs(crit - target) <= 10.0 * rel_tol * target
-        assert criterion(root) == crit
+        assert criterion(root)[0] == crit
+        assert bracket[0] <= root <= bracket[1]
+
+    def test_bracket_is_sign_checked(self):
+        criterion = poisson_ratio(10, 3.0)
+        root, _, _, (lo, hi) = solve_decreasing(criterion, 0.1, 1e-9, 200)
+        assert lo <= root <= hi
+        assert criterion(lo)[0] > 0.1 >= criterion(hi)[0]
+
+    def test_zero_slope_at_zero(self):
+        # b = 0, n_obs = 50: pmf(50; 0) = 0, so the slope at mu = 0 is 0
+        criterion = poisson_ratio(50, 0.0)
+        assert criterion(0.0) == (1.0, 0.0)
+        root, crit, evals, (lo, hi) = solve_decreasing(criterion, 0.05, 1e-9, 200)
+        assert abs(crit - 0.05) <= 1e-9 * 0.05
+        assert criterion(root)[0] == crit
+        assert lo <= root <= hi
+        assert evals <= 12
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0, 37.0])
+    @pytest.mark.parametrize("target", [1e-3, 0.05, 0.32])
+    def test_zero_count_solves_in_four_evaluations(self, rate, target):
+        # log c(mu) = -rate * mu is linear: one Newton step lands on the root,
+        # once the expansion from mu = 0 (at most 8 at first) has passed it
+        root, _, evals, (lo, hi) = solve_decreasing(exponential(rate), target, 1e-9, 200)
+        assert root == pytest.approx(-math.log(target) / rate, rel=1e-9)
+        assert lo <= root <= hi
+        assert evals <= 4
+
+    def test_tiny_target(self):
+        # alpha = 1e-300: the Newton step works on log c, so nothing underflows
+        criterion = poisson_ratio(1, 0.0)
+        root, crit, _, (lo, hi) = solve_decreasing(criterion, 1e-300, 1e-9, 200)
+        assert abs(crit - 1e-300) <= 10.0 * 1e-9 * 1e-300
+        assert lo <= root <= hi
+        # exp(-mu) * (1 + mu) = 1e-300
+        assert root - math.log1p(root) == pytest.approx(300.0 * math.log(10.0), rel=1e-9)
 
     def test_non_convergence_reports_bracket(self):
+        # exp(-mu) = 0.05 now takes two or three evaluations (mu = 0, one
+        # Newton step, perhaps a point past the root), so allow only one
         with pytest.raises(ConvergenceError) as err:
-            solve_decreasing(lambda mu: math.exp(-mu), 0.05, 1e-12, 3)
+            solve_decreasing(exponential(1.0), 0.05, 1e-12, 1)
         assert err.value.bracket is not None
         assert err.value.iterations is not None
 
-    def test_criterion_already_below_target(self):
-        with pytest.raises(ConvergenceError):
-            solve_decreasing(lambda mu: 0.01 * math.exp(-mu), 0.05, 1e-9, 100)
-
-    def test_interpolation_survives_underflowing_products(self):
-        # each product of two differences is ~1e-620, which underflows to 0
-        pts = [(1.0, 3e-310), (3.0, -1e-310), (2.0, 1e-310)]
-        cand = _interpolate(pts, 2.0, 3.0)
-        assert cand is None or 2.0 < cand < 3.0
-
-    def test_flat_criterion_hits_doubling_cap(self):
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_non_convergence_reports_history(self, max_iter):
+        criterion = poisson_ratio(50, 30.0)
         with pytest.raises(ConvergenceError) as err:
-            solve_decreasing(lambda mu: 1.0, 0.05, 1e-9, 100)
-        assert "bracket" in str(err.value) or err.value.bracket is not None
+            solve_decreasing(criterion, 0.05, 1e-12, max_iter)
+        history = err.value.history
+        assert len(history) == err.value.iterations == max_iter
+        assert history[0] == (0.0, 1.0)
+        assert all(criterion(mu)[0] == value for mu, value in history)
+
+    def test_criterion_already_below_target(self):
+        with pytest.raises(ConvergenceError) as err:
+            solve_decreasing(lambda mu: (0.01 * math.exp(-mu), -0.01 * math.exp(-mu)), 0.05, 1e-9, 100)
+        assert err.value.history == [(0.0, 0.01)]
+
+    def test_nan_criterion_is_refused(self):
+        with pytest.raises(ConvergenceError, match="NaN") as err:
+            solve_decreasing(lambda mu: (math.nan, math.nan) if mu else (1.0, -1.0), 0.05, 1e-9, 100)
+        assert len(err.value.history) == 2
+
+    def test_flat_criterion_hits_expansion_cap(self):
+        with pytest.raises(ConvergenceError) as err:
+            solve_decreasing(lambda mu: (1.0, 0.0), 0.05, 1e-9, 100)
+        assert "bracket" in str(err.value)
+        assert err.value.bracket[1] > 2.0**64
+
+    def test_evaluation_budget_on_the_exact_grid(self):
+        # criterion 2's 225 configurations, both exact routes
+        evals, zero_count_evals = [], []
+        for s, b, n_obs, alpha in itertools.product(
+            (0.5, 1.0, 2.0), (0.0, 0.5, 1.5, 5.0, 20.0), (0, 1, 3, 10, 50), (0.05, 0.1, 0.32)
+        ):
+            model = plain_model(s=s, b=b, n_obs=n_obs)
+            req = LimitRequest(alpha=alpha)
+            pair = [cls_upper_limit(model, req).iterations, bayesian_upper_limit_closed_form(model, req).iterations]
+            evals += pair
+            if n_obs == 0:
+                zero_count_evals += pair
+        assert statistics.median(evals) <= 8
+        assert max(evals) <= 26
+        assert max(zero_count_evals) <= 4
 
 
 class TestLimitRequest:
