@@ -24,6 +24,7 @@ ORACLE_MU_UP_CLS = 6.3551974403785029762  # s=1, b=1.5, n_obs=3, alpha=0.05
 ORACLE_CLS_AT_6356 = 0.049973102763732327899
 ORACLE_MU_UP_BAYES_B5 = 2.6707849463743038758  # s=1, b=5, n_obs=1, alpha=0.1
 ORACLE_POSTERIOR_AT_0 = 9.0 / 67.0  # s=1, b=1.5, n_obs=3
+ORACLE_MU_UP_N1E5 = 621.51642837697398471  # s=1, b=1e5, n_obs=1e5, alpha=0.05 (30 digits)
 
 
 class TestClsValue:
@@ -182,6 +183,18 @@ def test_tiny_alpha(alpha):
     assert abs(cls_res.mu_up - bayes_res.mu_up) / cls_res.mu_up <= 1e-7
     for res in (cls_res, bayes_res):
         assert abs(res.criterion_at_solution - alpha) <= 10.0 * req.rel_tol * alpha
+
+
+def test_large_count_limits_agree():
+    # Q(1e5 + 1, 1e5 + mu) is taken near x = a, where the series and the
+    # continued fraction would need more than 500 steps
+    m = plain_model(s=1.0, b=1e5, n_obs=100_000)
+    req = LimitRequest(alpha=0.05)
+    cls_res = cls_upper_limit(m, req)
+    bayes_res = bayesian_upper_limit_closed_form(m, req)
+    assert abs(cls_res.mu_up - bayes_res.mu_up) / cls_res.mu_up <= 1e-7
+    for res in (cls_res, bayes_res):
+        assert res.mu_up == pytest.approx(ORACLE_MU_UP_N1E5, rel=1e-9)
 
 
 def test_monotone_data_dependence():

@@ -1,4 +1,4 @@
-"""scipy is a test dependency only: the package must import without it."""
+"""scipy and mpmath are test dependencies only: the package must import without them."""
 
 import subprocess
 import sys
@@ -7,10 +7,19 @@ from pathlib import Path
 import pytest
 
 
-def test_import_loads_no_scipy():
-    code = "import sys, countlim, countlim.cli; print('scipy' in sys.modules)"
+def _loaded_by_import(module: str) -> str:
+    code = f"import sys, countlim, countlim.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _loaded_by_import("scipy") == "False"
+
+
+def test_import_loads_no_mpmath():
+    # gamma_q's coefficient table is frozen in the source, not derived at import
+    assert _loaded_by_import("mpmath") == "False"
 
 
 def test_scipy_only_in_test_extra():

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from countlim import ConvergenceError, gamma_q, log_poisson_pmf, poisson_cdf
+from countlim import special
 
 # Reference values computed with mpmath at 50 digits:
 #   gammainc(a, x, inf, regularized=True)
@@ -19,6 +21,43 @@ GAMMA_Q_TABLE = {
     (1.5, 0.001): 0.99997622594634804943,
     (200.0, 180.0): 0.9251419650158404181,
     (200.0, 500.0): 3.7272816423111791189e-53,
+    # Temme's route (a > 20, 0.1 a <= x <= 2 a): both edges, the ulp just
+    # outside each (series below, continued fraction above) and a +- sqrt(a);
+    # at 3 a and 4 a the expansion would miss the bound (by 2x to 3600x)
+    (21.0, 2.0999999999999996): 0.99999999999998452588,
+    (21.0, 2.1): 0.99999999999998452588,
+    (21.0, 16.41742430504416): 0.84362085725294851961,
+    (21.0, 25.58257569495584): 0.15699153782562666018,
+    (21.0, 42.0): 0.0001270656140066638034,
+    (21.0, 42.00000000000001): 0.00012706561400666331352,
+    (21.0, 63.0): 2.5212564132933236152e-10,
+    (21.0, 84.0): 5.4298704237064951565e-17,
+    (151.0, 15.1): 1.0,
+    (151.0, 15.100000000000001): 1.0,
+    (151.0, 138.7117942725555): 0.84162827208479323899,
+    (151.0, 163.2882057274445): 0.15840275469693197125,
+    (151.0, 302.0): 2.4134430037814710777e-22,
+    (151.0, 302.00000000000006): 2.4134430037814015921e-22,
+    (151.0, 604.0): 1.6160220781116061564e-108,
+    (1001.0, 100.1): 1.0,
+    (1001.0, 100.10000000000001): 1.0,
+    (1001.0, 969.3614159608873): 0.84138596151739872244,
+    (1001.0, 1032.6385840391129): 0.15861585054208846117,
+    (1001.0, 2002.0): 5.035491474630023174e-136,
+    (1001.0, 2002.0000000000002): 5.0354914746294495645e-136,
+    (10001.0, 1000.0999999999999): 1.0,
+    (10001.0, 1000.1): 1.0,
+    (10001.0, 9900.995000124994): 0.84134880739884522465,
+    (10001.0, 10101.004999875006): 0.15865124995180733643,
+    (10001.0, 20002.0): 6.647694286978124286e-1336,
+    (10001.0, 20002.000000000004): 6.6476942869660297831e-1336,
+    (100001.0, 10000.099999999999): 1.0,
+    (100001.0, 10000.1): 1.0,
+    (100001.0, 99684.77065284828): 0.84134515025805197054,
+    (100001.0, 100000.0): 0.50084104309934012387,
+    (100001.0, 100317.22934715172): 0.15865485155568777563,
+    (100001.0, 200002.0): 3.3037747808398706229e-13330,
+    (100001.0, 200002.00000000003): 3.3037747807917934109e-13330,
 }
 
 # P(N <= n) for N ~ Poisson(x), computed with mpmath at 50 digits as
@@ -207,9 +246,21 @@ class TestGammaQ:
     def test_reference_values(self, a, x):
         assert gamma_q(a, x) == pytest.approx(GAMMA_Q_TABLE[(a, x)], rel=1e-12)
 
-    @pytest.mark.parametrize("a", [0.3, 1.0, 4.0, 37.5, 120.0])
+    @pytest.mark.parametrize(("a", "x"), sorted(GAMMA_Q_TABLE))
+    def test_reference_values_on_both_twins(self, a, x):
+        ref = GAMMA_Q_TABLE[(a, x)]
+        for got in (gamma_q(a, x), float(gamma_q(a, np.array([x]))[0])):
+            if ref > 1e-290:
+                assert abs(got - ref) <= 1e-14 * (a + x + 1.0) * ref
+            else:
+                assert 0.0 <= got <= 1e-290
+
+    @pytest.mark.parametrize("a", [0.3, 1.0, 4.0, 21.0, 37.5, 120.0, 151.0, 1001.0])
     def test_strictly_decreasing_in_x(self, a):
-        xs = np.linspace(0.01, 4.0 * a + 50.0, 500)
+        # dense either side of where the routes switch: x = 0.1 a, a + 1, 2 a
+        edges = np.array([0.1 * a, a + 1.0, 2.0 * a])
+        near = edges[:, None] * (1.0 + np.array([-1e-6, -1e-9, 0.0, 1e-9, 1e-6]))
+        xs = np.union1d(np.linspace(0.01, 4.0 * a + 50.0, 500), near.ravel())
         assert_decreasing(gamma_q(a, xs))
 
     def test_array_matches_scalar(self):
@@ -217,6 +268,44 @@ class TestGammaQ:
         out = gamma_q(4.2, xs)
         for i, x in enumerate(xs):
             assert out[i] == gamma_q(4.2, float(x))
+
+    @pytest.mark.parametrize("a", [21.0, 151.0, 1001.0, 100001.0])
+    def test_twins_agree_in_temme_region(self, a):
+        # eta comes from the same arithmetic in both twins, so they differ
+        # only where numpy's exp and math.exp round differently, by at most
+        # 2 ulp of Q
+        xs = np.random.default_rng(7).uniform(0.1 * a, 2.0 * a, 400)
+        out = gamma_q(a, xs)
+        for got, x in zip(out, xs):
+            want = gamma_q(a, float(x))
+            assert abs(got - want) <= 2.0 * np.spacing(want)
+
+    def test_temme_table_matches_its_recurrence(self):
+        # Rederive the coefficient table in exact rationals. Row 0: the
+        # Taylor coefficients in eta of 1/mu - 1/eta, where
+        # eta^2/2 = mu - ln(1 + mu); mu = sum_m c_m eta^m follows from
+        # mu dmu/deta = eta (1 + mu). Row k: d[k][j] = (j + 2) d[k-1][j+2]
+        # - d[k-1][1] d[0][j]. Every entry must be the correctly rounded value.
+        table = special._TEMME_D
+        rows, cols = len(table), len(table[0])
+        width = cols + 2 * (rows - 1)
+        c = [Fraction(0), Fraction(1)]
+        for m in range(2, width + 3):
+            acc = c[m - 1] - sum((m + 1 - i) * c[i] * c[m + 1 - i] for i in range(2, m))
+            c.append(acc / (m + 1))
+        v = c[1:]  # mu / eta
+        w = [Fraction(1)]  # eta / mu
+        for n in range(1, width + 1):
+            w.append(-sum(v[k] * w[n - k] for k in range(1, n + 1)))
+        d = [w[1:]]
+        for _ in range(1, rows):
+            prev = d[-1]
+            d.append([(j + 2) * prev[j + 2] - prev[1] * d[0][j] for j in range(len(prev) - 2)])
+        assert d[0][:3] == [Fraction(-1, 3), Fraction(1, 12), Fraction(-2, 135)]
+        assert d[1][0] == Fraction(-1, 540)
+        assert all(len(row) == cols for row in table)
+        for k in range(rows):
+            assert list(table[k]) == [float(q) for q in d[k][:cols]], f"row {k}"
 
     def test_bounds(self):
         xs = np.linspace(0.0, 400.0, 1000)
