@@ -20,6 +20,7 @@ independent of any internal parallelism.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -152,9 +153,7 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
                 f"gauss_hermite integration requires normal-family priors; "
                 f"offending nuisance(s): {bad}"
             )
-        x, w = np.polynomial.hermite.hermgauss(integrator.nodes_per_dim)
-        nodes = math.sqrt(2.0) * x
-        w_norm = w / math.sqrt(math.pi)
+        nodes, w_norm = _hermite_rule(integrator.nodes_per_dim)
         grids = np.meshgrid(*([nodes] * n_nuis), indexing="ij")
         z = np.stack([g.ravel() for g in grids], axis=1)
         w_grids = np.meshgrid(*([w_norm] * n_nuis), indexing="ij")
@@ -167,6 +166,20 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
     for j, nu in enumerate(systematics.nuisances):
         etas[:, j] = nu.prior.from_standard_normal(z[:, j])
     return SampleSet(etas, weights)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_rule(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for the standard normal measure,
+    read-only. ``hermgauss`` solves an eigenproblem (Golub & Welsch 1969),
+    so each rule is built once per process; ``Integrator`` keeps the node
+    count in [2, 64]."""
+    x, w = np.polynomial.hermite.hermgauss(nodes_per_dim)
+    nodes = math.sqrt(2.0) * x
+    w_norm = w / math.sqrt(math.pi)
+    nodes.setflags(write=False)
+    w_norm.setflags(write=False)
+    return nodes, w_norm
 
 
 def _as_sample_set(samples) -> SampleSet:

@@ -96,8 +96,11 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int):
     ``criterion(mu)`` returns ``(c(mu), c'(mu))``. Returns ``(mu, c(mu),
     evaluations, (lo, hi))``, where (lo, hi) is the tightest sign-checked
     bracket around ``mu``. Raises :class:`ConvergenceError`, carrying the
-    evaluated ``(mu, c(mu))`` pairs, when ``max_iter`` evaluations do not
-    converge or no sign change is found below ``2**64``.
+    evaluated ``(mu, c(mu))`` pairs and the bracket, when ``max_iter``
+    evaluations do not converge, when no sign change is found below
+    ``2**64``, or when the bracket closes, unconverged, on a point where
+    c has underflowed to 0 while it is still above the target at the
+    other end: the root then lies past the underflow.
     """
     log_target = math.log(target)
     crit_tol = 10.0 * rel_tol * target
@@ -129,8 +132,15 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int):
             hi = mu, value, converged
         # a converged end, or a bracket at the float64 resolution, ends the solve
         if hi is not None and (lo[2] or hi[2] or hi[0] - lo[0] <= _WIDTH_FLOOR * hi[0]):
-            ends = [end for end in (lo, hi) if end[2]] or [lo, hi]
-            mu, value, _ = min(ends, key=lambda end: abs(end[1] - target))
+            ends = [end for end in (lo, hi) if end[2]]
+            if not ends and hi[1] == 0.0:
+                # the bracket closed on the edge where c underflows, not on the root
+                raise fail(
+                    f"criterion underflows to 0 at mu={hi[0]} while still {lo[1]} at mu={lo[0]}, "
+                    f"above the target {target}: the root lies past the float64 underflow",
+                    (lo[0], hi[0]),
+                )
+            mu, value, _ = min(ends or [lo, hi], key=lambda end: abs(end[1] - target))
             return mu, value, len(history), (lo[0], hi[0])
         if len(history) == max_iter:
             raise fail(

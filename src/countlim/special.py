@@ -6,16 +6,24 @@ are evaluated vectorised so the marginalisation code can process thousands
 of nuisance samples per call.
 
 The scalar twins are not duplication: exact limits solve on them, and
-the array loops cost far more per call than they save on one lane. On a
-2-vCPU host (Python 3.11, numpy 2.4), an exact limit on one-element
-arrays took 1.27 ms (CLs) and 2.14 ms (Bayes) against 59 us and 83 us on
-the scalar kernels, averaged over a 36-cell small-count grid (b from 0.5
-to 20, s from 0.5 to 2, alpha 0.05 to 0.32), best of 5.
+narrow arrays run them lane by lane. An array walk pays a few numpy calls
+per step whatever its width, where a scalar walk pays ~0.1 us per step
+and lane. On a 2-vCPU host (Python 3.11, numpy 2.4), at the counts of the
+small-count Gauss-Hermite toys (n from 0 to 26, best of 5), an array call
+cost ~100 us (``poisson_cdf``) and ~140 us (``gamma_q``) from 8 to 256
+lanes, and the scalar twins 2.2 and 3.4 us per lane: they won at 32
+lanes and lost at 48. Arrays of at most ``_NARROW_LANES`` = 40 lanes take
+the scalar twins, bit for bit.
 
-The twins do the same floating-point operations in the same order on
-each lane. They can still differ in the last bit where numpy's
-vectorised ``log`` and ``exp`` round differently from the ``math``
-module's.
+Wider arrays run the scalar twins' floating-point operations in the same
+order on each lane, in place, but test convergence only every 8th step
+(every 2nd in the continued fraction) and stop with their slowest lane,
+so a converged lane may take a few more terms. ``poisson_cdf``'s extra
+terms are below half an ulp and change nothing; the ``gamma_q`` series
+and fraction stop at 1e-15, so theirs can move the last bits, and
+numpy's vectorised ``log`` and ``exp`` can round differently from the
+``math`` module's. The tests hold the twins to 16 ulp (8 seen), plus a
+``log`` difference carried through the prefactor x^n.
 
 ``poisson_cdf`` sums the Poisson terms outwards from the largest term
 of one tail, relative to that term: down from k = n when the mean is at
@@ -43,6 +51,7 @@ throughout the test suite.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -94,9 +103,9 @@ def poisson_cdf(n, nu):
     """P(N <= n) for N ~ Poisson(nu), summed outwards from a tail's largest term.
 
     For ``nu >= n`` the terms k = 0..n grow up to k = n, so the sum starts
-    at the pmf term of n and walks down with factor k/nu. For ``nu < n``
-    the result is 1 minus the upper tail k > n, whose terms fall from
-    k = n + 1 with factor nu/k; summing that tail keeps values near 1
+    at the pmf term of n and walks down with factor k * (1/nu). For
+    ``nu < n`` the result is 1 minus the upper tail k > n, whose terms fall
+    from k = n + 1 with factor nu/k; summing that tail keeps values near 1
     monotone in ``nu``. Terms are kept relative to the starting term, so a
     lane takes one ``log`` and one ``exp`` in all, and its walk stops at a
     term at most 1e-17 of its sum, after O(sqrt(nu)) steps rather than n.
@@ -105,13 +114,31 @@ def poisson_cdf(n, nu):
     """
     n = _check_count(n)
     if isinstance(nu, np.ndarray):
-        if nu.size and float(np.min(nu)) < 0.0:
-            raise ValueError("nu must be nonnegative")
-        return _poisson_cdf_array(n, np.asarray(nu, dtype=float))
+        return _on_lanes(_poisson_cdf_scalar, _poisson_cdf_array, n, nu, "nu")
     nu = float(nu)
     if nu < 0.0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     return _poisson_cdf_scalar(n, nu)
+
+
+# Arrays of at most this many lanes run the scalar twin lane by lane: the
+# measured crossover, between 32 and 48 (see the module docstring).
+_NARROW_LANES = 40
+
+
+def _on_lanes(scalar, array, first, x, name: str) -> np.ndarray:
+    """``scalar(first, lane)`` on each lane of a narrow array, else
+    ``array(first, x)``, once ``x`` is checked to be nonnegative."""
+    x = np.asarray(x, dtype=float)
+    if x.size > _NARROW_LANES:
+        if float(np.min(x)) < 0.0:
+            raise ValueError(f"{name} must be nonnegative")
+        return array(first, x)
+    lanes = x.ravel().tolist()
+    if lanes and min(lanes) < 0.0:
+        raise ValueError(f"{name} must be nonnegative")
+    out = np.fromiter(map(scalar, itertools.repeat(first, len(lanes)), lanes), float, len(lanes))
+    return out.reshape(x.shape)
 
 
 # A term at most this fraction of its lane's sum is below half an ulp of
@@ -125,8 +152,9 @@ def _poisson_cdf_scalar(n: int, nu: float) -> float:
         return 1.0
     t = total = 1.0
     if nu >= n:
+        inv = 1.0 / nu
         for k in range(n, 0, -1):
-            t *= k / nu
+            t *= k * inv
             total += t
             if t <= _TAIL_EPS * total:
                 break
@@ -151,31 +179,48 @@ def _poisson_cdf_array(n: int, nu: np.ndarray) -> np.ndarray:
     return out
 
 
+# The array walks below run in place, on buffers allocated once per call,
+# with the scalar twins' arithmetic in their order. Testing convergence
+# costs about a step, so they test every 8th step, and every lane walks
+# on until the slowest has converged.
+
+
 def _lower_tail_array(n: int, x: np.ndarray) -> np.ndarray:
-    # P(N <= n) for x >= n: terms k = n down to 0, each k/x times the one
-    # before. Testing convergence costs about a step, so it runs every 8th.
+    # P(N <= n) for x >= n: terms k = n down to 0, each k * (1/x) times the
+    # one before
+    inv = 1.0 / x
+    step = np.empty_like(x)
     t = np.ones_like(x)
     total = np.ones_like(x)
     for k in range(n, 0, -1):
-        t = t * (k / x)
-        total = total + t
-        if k % 8 == 0 and bool(np.all(t <= _TAIL_EPS * total)):
+        np.multiply(inv, k, out=step)
+        t *= step
+        total += t
+        if k % 8 == 0 and _all_small(t, total, _TAIL_EPS, step):
             break
     return np.exp(n * np.log(x) - x - math.lgamma(n + 1)) * total
 
 
 def _upper_tail_array(n: int, x: np.ndarray) -> np.ndarray:
     # P(N > n) for x < n: terms k = n + 1 upwards, each x/k times the one before
+    step = np.empty_like(x)
     t = np.ones_like(x)
     total = np.ones_like(x)
     k = n + 1
     while True:
         k += 1
-        t = t * (x / k)
-        total = total + t
-        if k % 8 == 0 and bool(np.all(t <= _TAIL_EPS * total)):
+        np.divide(x, k, out=step)
+        t *= step
+        total += t
+        if k % 8 == 0 and _all_small(t, total, _TAIL_EPS, step):
             break
     return np.exp((n + 1) * np.log(x) - x - math.lgamma(n + 2)) * total
+
+
+def _all_small(term: np.ndarray, total: np.ndarray, eps: float, buf: np.ndarray) -> bool:
+    # every lane's term at most eps of its sum; overwrites buf
+    np.multiply(total, eps, out=buf)
+    return bool((term <= buf).all())
 
 
 def gamma_q(a, x):
@@ -194,12 +239,14 @@ def gamma_q(a, x):
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a}")
     if isinstance(x, np.ndarray):
-        if x.size and float(np.min(x)) < 0.0:
-            raise ValueError("x must be nonnegative")
-        return _gamma_q_array(a, np.asarray(x, dtype=float))
+        return _on_lanes(_gamma_q_scalar, _gamma_q_array, a, x, "x")
     x = float(x)
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
+    return _gamma_q_scalar(a, x)
+
+
+def _gamma_q_scalar(a: float, x: float) -> float:
     if x == 0.0:
         return 1.0
     if a > _TEMME_MIN_A and _TEMME_LO * a <= x <= _TEMME_HI * a:
@@ -209,15 +256,8 @@ def gamma_q(a, x):
     return _upper_cf_scalar(a, x)
 
 
-def _log_prefactor(a: float, x) :
-    # a*ln(x) - x - ln(Gamma(a)); shared by both expansions
-    if isinstance(x, np.ndarray):
-        return a * np.log(x) - x - math.lgamma(a)
-    return a * math.log(x) - x - math.lgamma(a)
-
-
 def _lower_series_scalar(a: float, x: float) -> float:
-    pref = math.exp(_log_prefactor(a, x))
+    pref = math.exp(a * math.log(x) - x - math.lgamma(a))
     if pref == 0.0:
         return 0.0  # x far below a; the lower function underflows
     r = a
@@ -236,7 +276,7 @@ def _lower_series_scalar(a: float, x: float) -> float:
 
 
 def _upper_cf_scalar(a: float, x: float) -> float:
-    pref = math.exp(_log_prefactor(a, x))
+    pref = math.exp(a * math.log(x) - x - math.lgamma(a))
     if pref == 0.0:
         return 0.0
     b = x + 1.0 - a
@@ -282,17 +322,20 @@ def _gamma_q_array(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    pref = np.exp(_log_prefactor(a, x))
+    pref = np.exp(a * np.log(x) - x - math.lgamma(a))
     r = a
+    step = np.empty_like(x)
     c = np.ones_like(x)
     total = np.ones_like(x)
-    # Converged lanes keep iterating harmlessly (their terms only shrink),
-    # so the loop runs until the slowest lane is done.
-    for _ in range(_MAX_ITER):
+    # Converged lanes keep iterating until the slowest lane is done; their
+    # terms only shrink, but at up to 1e-15 of the sum each, unlike
+    # poisson_cdf's, they can still move the last few bits.
+    for i in range(1, _MAX_ITER + 1):
         r += 1.0
-        c = c * (x / r)
-        total = total + c
-        if bool(np.all(c <= _REL_EPS * total)):
+        np.divide(x, r, out=step)
+        c *= step
+        total += c
+        if (i % 8 == 0 or i == _MAX_ITER) and _all_small(c, total, _REL_EPS, step):
             return pref * total / a
     raise ConvergenceError(
         f"lower incomplete gamma series did not converge for a={a} (array input)",
@@ -300,24 +343,39 @@ def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
     )
 
 
+# The continued fraction's slowest lane converges in a median of 4 steps
+# (18 at most) on the small-count Gauss-Hermite grids, so it tests every
+# 2nd step: every 8th, as the walks do, ran those calls ~30% slower.
+_CF_TEST_EVERY = 2
+
+
 def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
-    pref = np.exp(_log_prefactor(a, x))
+    pref = np.exp(a * np.log(x) - x - math.lgamma(a))
     b = x + 1.0 - a
-    c = np.full_like(x, 1.0 / _TINY)
-    d = 1.0 / np.where(np.abs(b) < _TINY, _TINY, b)
+    # Lentz's d and c as the rows of one array: both add b in one call,
+    # and one reduction tests both against the guard
+    dc = np.empty((2, x.size))
+    d, c = dc
+    d[:] = 1.0 / np.where(np.abs(b) < _TINY, _TINY, b)
+    c.fill(1.0 / _TINY)
     h = d.copy()
+    delta = np.empty_like(x)
+    buf = np.empty_like(dc)
     for i in range(1, _MAX_ITER + 1):
         an = -i * (i - a)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        if bool(np.all(np.abs(delta - 1.0) <= _REL_EPS)):
-            return np.minimum(1.0, pref * h)
+        b += 2.0
+        d *= an
+        np.divide(an, c, out=c)
+        dc += b
+        if float(np.abs(dc, out=buf).min()) < _TINY:
+            dc[buf < _TINY] = _TINY
+        np.divide(1.0, d, out=d)
+        np.multiply(d, c, out=delta)
+        h *= delta
+        if i % _CF_TEST_EVERY == 0 or i == _MAX_ITER:
+            delta -= 1.0
+            if float(np.abs(delta, out=delta).max()) <= _REL_EPS:
+                return np.minimum(1.0, pref * h)
     raise ConvergenceError(
         f"upper incomplete gamma continued fraction did not converge for a={a} (array input)",
         iterations=_MAX_ITER,

@@ -1,4 +1,8 @@
-"""Shared model builders for the test suite."""
+"""Shared model builders for the test suite, and the environment of a
+child interpreter."""
+
+import os
+from pathlib import Path
 
 from countlim import (
     BackgroundProcess,
@@ -53,3 +57,12 @@ def identity_systematic_model(s=1.0, b=1.5, n_obs=3, n_nuisances=1):
         n_obs=n_obs,
         systematics=SystematicsModel(nuisances=nuisances),
     )
+
+
+def src_env():
+    """This process's environment with the source tree first on PYTHONPATH,
+    so a child interpreter imports the countlim under test, installed or not."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

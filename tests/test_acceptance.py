@@ -36,7 +36,7 @@ from countlim import (
     marginal_posterior_tail,
     poisson_cdf,
 )
-from helpers import bg_systematic_model, identity_systematic_model, plain_model
+from helpers import bg_systematic_model, identity_systematic_model, plain_model, src_env
 from oracles import bayesian_upper_limit_quadrature
 
 # Pinned regression values for the signal-systematics divergence
@@ -262,6 +262,7 @@ def test_criterion_6_cli_determinism(tmp_path):
             [sys.executable, "-m", "countlim.cli", *args, "--out", str(out)],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         return out.read_bytes()

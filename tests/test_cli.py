@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from countlim.cli import cli
+from helpers import src_env
 
 MINIMAL = {"signal": {"nominal": 1.0}, "backgrounds": [], "n_obs": 0}
 
@@ -125,10 +126,29 @@ class TestLimitCommand:
             [sys.executable, "-m", "countlim.cli", "limit", cfg, "--method", method],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "n_obs = 0, b = 800.0" in proc.stderr
+
+    @pytest.mark.parametrize("method", ["cls", "bayes"])
+    def test_criterion_underflow_before_the_target_exits_two(self, tmp_path, method):
+        # CLb = exp(-730) is subnormal, and alpha = 1 - CL = 2**-53 puts the
+        # target numerator below the float64 range: the solve must not return
+        # the point where the numerator flushes to 0 (mu = 15.13, not ln(2**53))
+        doc = {"signal": {"nominal": 1.0}, "backgrounds": [{"name": "b", "nominal": 730.0}], "n_obs": 0}
+        cfg = write_config(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "countlim.cli", "limit", cfg, "--method", method, "--cl", repr(1.0 - 2.0**-53)],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "underflows" in proc.stderr
 
     def test_non_finite_config_number_exits_one(self, runner, tmp_path):
         cfg = tmp_path / "model.json"

@@ -185,6 +185,33 @@ def test_tiny_alpha(alpha):
         assert abs(res.criterion_at_solution - alpha) <= 10.0 * req.rel_tol * alpha
 
 
+_EXACT_ROUTES = [cls_upper_limit, bayesian_upper_limit_closed_form]
+
+
+@pytest.mark.parametrize("route", _EXACT_ROUTES)
+@pytest.mark.parametrize("b", [60.0, 69.0])
+def test_tiny_alpha_past_the_underflow_is_refused(route, b):
+    # at n_obs = 0 both criteria are exp(-mu s) for every b, so the root of
+    # alpha = 1e-300 is 300 ln 10 = 690.78; but the numerator exp(-b - mu)
+    # underflows to 0 near mu = 745 - b, above the target and short of it
+    with pytest.raises(ConvergenceError, match="underflows") as err:
+        route(plain_model(s=1.0, b=b, n_obs=0), LimitRequest(alpha=1e-300))
+    lo, hi = err.value.bracket
+    assert lo < hi < 300.0 * math.log(10.0)
+    assert len(err.value.history) == err.value.iterations
+    assert err.value.history[-1][0] in (lo, hi)
+
+
+@pytest.mark.parametrize("route", _EXACT_ROUTES)
+@pytest.mark.parametrize(("b", "rel"), [(23.0, 1e-14), (40.0, 1e-10)])
+def test_tiny_alpha_short_of_the_underflow_solves(route, b, rel):
+    # the numerator at the root is 1e-310 for b = 23 and 4e-318 for b = 40:
+    # subnormal, with ~20 bits left at b = 40, but not 0
+    res = route(plain_model(s=1.0, b=b, n_obs=0), LimitRequest(alpha=1e-300))
+    assert res.mu_up == pytest.approx(300.0 * math.log(10.0), rel=rel)
+    assert res.criterion_at_solution > 0.0
+
+
 def test_large_count_limits_agree():
     # Q(1e5 + 1, 1e5 + mu) is taken near x = a, where the series and the
     # continued fraction would need more than 500 steps

@@ -30,6 +30,7 @@ from countlim import (
     marginal_posterior_tail,
     posterior_density,
 )
+from countlim import marginal
 from countlim.marginal import _GH_MAX_POINTS, _bayes_terms, _cls_terms, _criterion, scan_quantity
 from helpers import bg_systematic_model, identity_systematic_model, plain_model, signal_systematic_model
 
@@ -186,6 +187,53 @@ class TestDrawSamples:
             m = identity_systematic_model(n_nuisances=n_nuisances)
             with pytest.raises(GridBuilt):
                 draw_samples(m.systematics, Integrator.gauss_hermite(nodes))
+
+    def test_hermite_rule_is_read_only(self):
+        nodes, weights = marginal._hermite_rule(16)
+        for rule in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                rule[0] = 0.0
+
+    def test_hermite_rule_is_solved_once_per_node_count(self, monkeypatch):
+        solved = []
+        hermgauss = np.polynomial.hermite.hermgauss
+
+        def counted(deg):
+            solved.append(deg)
+            return hermgauss(deg)
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
+        marginal._hermite_rule.cache_clear()
+        for nodes, model in ((16, identity_systematic_model(n_nuisances=2)), (32, signal_systematic_model())):
+            first, second = (draw_samples(model.systematics, Integrator.gauss_hermite(nodes)) for _ in range(2))
+            assert np.array_equal(first.etas, second.etas)
+            assert np.array_equal(first.weights, second.weights)
+        assert solved == [16, 32]
+
+    @pytest.mark.parametrize(
+        ("nodes", "model"),
+        [
+            (16, bg_systematic_model()),
+            (16, identity_systematic_model(n_nuisances=2)),
+            (32, signal_systematic_model()),
+        ],
+    )
+    def test_cached_rule_gives_the_uncached_sample_set(self, nodes, model):
+        # the set as built from a freshly solved rule on every call, bit for bit
+        x, w = np.polynomial.hermite.hermgauss(nodes)
+        n_nuis = len(model.systematics.nuisances)
+        grids = np.meshgrid(*([math.sqrt(2.0) * x] * n_nuis), indexing="ij")
+        z = model.systematics.correlate(np.stack([g.ravel() for g in grids], axis=1))
+        weights = np.ones(z.shape[0])
+        for g in np.meshgrid(*([w / math.sqrt(math.pi)] * n_nuis), indexing="ij"):
+            weights *= g.ravel()
+        etas = np.stack(
+            [nu.prior.from_standard_normal(z[:, j]) for j, nu in enumerate(model.systematics.nuisances)], axis=1
+        )
+        for _ in range(2):  # the call that fills the cache, and one served from it
+            samples = draw_samples(model.systematics, Integrator.gauss_hermite(nodes))
+            assert np.array_equal(samples.etas, etas)
+            assert np.array_equal(samples.weights, weights / np.sum(weights))
 
     def test_log_normal_prior_samples_positive(self):
         m = bg_systematic_model(prior=Prior.log_normal(0.0, 0.5))

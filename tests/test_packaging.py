@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from helpers import src_env
+
 
 def _loaded_by_import(module: str) -> str:
     code = f"import sys, countlim, countlim.cli; print({module!r} in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=src_env())
     return proc.stdout.strip()
 
 

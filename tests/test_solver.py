@@ -98,6 +98,36 @@ class TestSolveDecreasing:
         # exp(-mu) * (1 + mu) = 1e-300
         assert root - math.log1p(root) == pytest.approx(300.0 * math.log(10.0), rel=1e-9)
 
+    def test_underflowed_edge_is_refused(self):
+        # exp(-mu) flushed to 0 from mu = 50 on, far above the root ln(1e30):
+        # the bracket closes on the flush edge, which is not a root
+        def criterion(mu):
+            value = math.exp(-mu) if mu < 50.0 else 0.0
+            return value, -value
+
+        with pytest.raises(ConvergenceError, match="underflows") as err:
+            solve_decreasing(criterion, 1e-30, 1e-9, 200)
+        lo, hi = err.value.bracket
+        assert lo < 50.0 <= hi <= 50.0 * (1.0 + 1e-14)
+        assert len(err.value.history) == err.value.iterations
+        assert (hi, 0.0) in err.value.history
+
+    def test_underflowed_point_inside_a_solve_is_passed(self):
+        # exp(-mu) (1 + mu) flushed to 0 from mu = 27 on: the second Newton
+        # step overshoots the root (26.4) onto the flushed region, which
+        # only closes the bracket; the root still solves
+        def criterion(mu):
+            value = math.exp(-mu) * (1.0 + mu) if mu < 27.0 else 0.0
+            return value, -mu * math.exp(-mu) if value else 0.0
+
+        with pytest.raises(ConvergenceError) as err:
+            solve_decreasing(criterion, 1e-10, 1e-9, 3)
+        assert err.value.history[-1][1] == 0.0
+        root, crit, _, (lo, hi) = solve_decreasing(criterion, 1e-10, 1e-9, 200)
+        assert root - math.log1p(root) == pytest.approx(10.0 * math.log(10.0), rel=1e-9)
+        assert abs(crit - 1e-10) <= 10.0 * 1e-9 * 1e-10
+        assert lo <= root <= hi
+
     def test_non_convergence_reports_bracket(self):
         # exp(-mu) = 0.05 now takes two or three evaluations (mu = 0, one
         # Newton step, perhaps a point past the root), so allow only one

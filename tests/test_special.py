@@ -185,6 +185,28 @@ def assert_decreasing(vals):
     assert np.all(diffs[interior] < 0.0)
 
 
+# Lane counts either side of the kernels' narrow-call crossover: at most
+# special._NARROW_LANES lanes run the scalar twin lane by lane, more run
+# the array walks.
+NARROW = special._NARROW_LANES
+WIDE = NARROW + 1
+
+
+def assert_twins_agree(array_out, scalar_out, n, xs):
+    """The array walks against the scalar twins on wide calls. Within 16
+    ulp: the array walks run converged lanes on to the slowest lane's end,
+    numpy's exp can round differently from math.exp, and the routes that
+    return 1 - sum magnify the sum's last bits by up to 6.4 (Q(1, 2)). The
+    worst seen on 352,000 lanes (n from 0 to 147) was 8 ulp. On a lane where
+    numpy's log rounds differently from math.log, that difference is carried
+    through the prefactor exp((n + 1) ln x - ...) on top."""
+    log_gap = np.zeros_like(xs)
+    positive = xs > 0.0
+    log_gap[positive] = np.abs(np.log(xs[positive]) - [math.log(x) for x in xs[positive].tolist()])
+    bound = 16.0 * np.spacing(scalar_out) + 2.0 * (n + 1.0) * log_gap
+    assert np.all(np.abs(array_out - scalar_out) <= bound)
+
+
 class TestPoissonCdf:
     def test_zero_mean(self):
         assert poisson_cdf(5, 0.0) == 1.0
@@ -203,19 +225,29 @@ class TestPoissonCdf:
         nus = np.linspace(0.01, max(60.0, 2.5 * n), 400)
         assert_decreasing(poisson_cdf(n, nus))
 
+    # means below, at and above n, so both tails' walks are taken
+    MEANS = {6: [0.0, 0.2, 1.5, 12.0, 250.0], 150: [0.0, 0.3, 100.0, 149.5, 150.0, 151.0, 400.0]}
+
+    @pytest.mark.parametrize("n", sorted(MEANS))
+    def test_narrow_array_is_the_scalar_twin(self, n):
+        nus = np.resize(self.MEANS[n], NARROW)
+        out = poisson_cdf(n, nus)
+        assert out.shape == nus.shape
+        assert out.tolist() == [poisson_cdf(n, x) for x in nus.tolist()]
+
     def test_array_matches_scalar(self):
-        # means below, at and above n, so both tails' walks are taken
-        cases = {6: [0.0, 0.2, 1.5, 12.0, 250.0], 150: [0.0, 0.3, 100.0, 149.5, 150.0, 151.0, 400.0]}
-        for n, means in cases.items():
-            nus = np.array(means)
-            out = poisson_cdf(n, nus)
-            for i, nu in enumerate(nus):
-                assert out[i] == poisson_cdf(n, float(nu))
+        # wide calls: the array walks
+        for n in (0, 1, 3, 6, 17, 40, 100, 150):
+            nus = np.random.default_rng(n).uniform(0.0, 2.5 * n + 10.0, 400)
+            means = self.MEANS.get(n, [])
+            nus[: len(means)] = means
+            assert_twins_agree(poisson_cdf(n, nus), np.array([poisson_cdf(n, x) for x in nus.tolist()]), n, nus)
 
     @pytest.mark.parametrize(("n", "x"), sorted(POISSON_CDF_TABLE))
     def test_reference_values_at_large_counts(self, n, x):
         ref = POISSON_CDF_TABLE[(n, x)]
-        for got in (poisson_cdf(n, x), float(poisson_cdf(n, np.array([x]))[0])):
+        # the scalar twin, and the array walks on a wide call of copies
+        for got in (poisson_cdf(n, x), *poisson_cdf(n, np.full(WIDE, x)).tolist()):
             if ref > 1e-290:
                 assert abs(got - ref) <= 1e-14 * (n + x + 1.0) * ref
             else:
@@ -249,7 +281,8 @@ class TestGammaQ:
     @pytest.mark.parametrize(("a", "x"), sorted(GAMMA_Q_TABLE))
     def test_reference_values_on_both_twins(self, a, x):
         ref = GAMMA_Q_TABLE[(a, x)]
-        for got in (gamma_q(a, x), float(gamma_q(a, np.array([x]))[0])):
+        # the scalar twin, and the array routes on a wide call of copies
+        for got in (gamma_q(a, x), *gamma_q(a, np.full(WIDE, x)).tolist()):
             if ref > 1e-290:
                 assert abs(got - ref) <= 1e-14 * (a + x + 1.0) * ref
             else:
@@ -263,11 +296,23 @@ class TestGammaQ:
         xs = np.union1d(np.linspace(0.01, 4.0 * a + 50.0, 500), near.ravel())
         assert_decreasing(gamma_q(a, xs))
 
+    # every route: zero, series, continued fraction and (a > 20) Temme's
+    XS = [0.0, 0.4, 3.0, 5.1, 200.0, 21.0, 33.0, 77.5]
+
+    @pytest.mark.parametrize("a", [4.2, 31.0])
+    def test_narrow_array_is_the_scalar_twin(self, a):
+        xs = np.resize(self.XS, NARROW)
+        out = gamma_q(a, xs)
+        assert out.shape == xs.shape
+        assert out.tolist() == [gamma_q(a, x) for x in xs.tolist()]
+
     def test_array_matches_scalar(self):
-        xs = np.array([0.0, 0.4, 3.0, 5.1, 200.0])
-        out = gamma_q(4.2, xs)
-        for i, x in enumerate(xs):
-            assert out[i] == gamma_q(4.2, float(x))
+        # wide calls: the array routes
+        for n in (0, 1, 3, 6, 17, 40, 100, 150):
+            xs = np.random.default_rng(n).uniform(0.0, 2.5 * n + 10.0, 400)
+            xs[: len(self.XS)] = self.XS
+            a = n + 1.0
+            assert_twins_agree(gamma_q(a, xs), np.array([gamma_q(a, x) for x in xs.tolist()]), n, xs)
 
     @pytest.mark.parametrize("a", [21.0, 151.0, 1001.0, 100001.0])
     def test_twins_agree_in_temme_region(self, a):
