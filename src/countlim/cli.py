@@ -24,6 +24,7 @@ from .config import load_model
 from .equivalence import VERDICT_UNEXPECTED, compare_limits
 from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError
 from .marginal import (
+    _SCAN_MAX_POINTS,
     Integrator,
     bayesian_marginal_upper_limit,
     draw_samples,
@@ -198,10 +199,10 @@ def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, sam
     plus stderr for Monte Carlo quantities)."""
 
     def run():
-        if not (0.0 <= mu_min < mu_max):
-            raise ConfigError(f"need 0 <= mu-min < mu-max, got [{mu_min}, {mu_max}]")
-        if points < 2:
-            raise ConfigError(f"--points must be at least 2, got {points}")
+        if not (0.0 <= mu_min < mu_max < math.inf):
+            raise ConfigError(f"need finite 0 <= mu-min < mu-max, got [{mu_min}, {mu_max}]")
+        if not 2 <= points <= _SCAN_MAX_POINTS:
+            raise ConfigError(f"--points must be in [2, {_SCAN_MAX_POINTS}], got {points}")
         model = load_model(config_path)
         grid = np.linspace(mu_min, mu_max, points)
         integrator = _build_integrator(integrator_kind, samples, seed, nodes) if model.has_systematics else None
@@ -240,6 +241,8 @@ def cmd_equivalence(config_path, cl, integrator_kind, samples, seed, nodes, tol,
             req = LimitRequest(alpha=alpha, rel_tol=solver_tol)
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        if not 0.0 < tol < math.inf:
+            raise ConfigError(f"--tol must be a positive finite number, got {tol}")
         integrator = _build_integrator(integrator_kind, samples, seed, nodes)
         bayes_samples = None
         if debug_seed_offset:

@@ -10,6 +10,7 @@ is reported, never thresholded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .marginal import (
@@ -73,8 +74,8 @@ def compare_limits(
     to let tests and the CLI's debug path demonstrate what a broken
     shared-sample contract looks like.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     samples = draw_samples(model.systematics, integrator)
     res_cls = hybrid_cls_upper_limit(model, req, integrator, samples=samples)
     res_bayes = bayesian_marginal_upper_limit(

@@ -45,7 +45,14 @@ __all__ = [
     "bayesian_marginal_upper_limit",
 ]
 
+# Size budgets, checked before anything is allocated. A Gauss-Hermite grid
+# or a scan grid of 2**20 points is 8 MiB per float64 column. A solve on a
+# one-nuisance Monte Carlo set peaks at ~200 bytes per sample (0.19 GB at
+# 2**20 samples and n_obs = 3, 0.24 GB at n_obs = 160), so the budget of
+# 2**22 values (samples x nuisances) keeps a limit under ~1 GB.
 _GH_MAX_POINTS = 2**20  # largest Gauss-Hermite tensor grid draw_samples builds
+_MC_MAX_VALUES = 2**22  # largest Monte Carlo set, samples x nuisances
+_SCAN_MAX_POINTS = 2**20  # longest strength grid the scan command tabulates
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,8 @@ class Integrator:
     ``monte_carlo`` draws from the priors with a counter-based Philox
     stream per nuisance, keyed by (seed, nuisance index); ``gauss_hermite``
     builds a tensor-product rule, is valid only when every prior is in
-    the normal family, and is refused above ``2**20`` grid points.
+    the normal family, and is refused above ``2**20`` grid points. A Monte
+    Carlo set is refused above ``2**22`` values, samples times nuisances.
     """
 
     kind: str
@@ -69,6 +77,10 @@ class Integrator:
         if self.kind == "monte_carlo":
             if self.n_samples < 1:
                 raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
+            if self.n_samples > _MC_MAX_VALUES:
+                raise ConfigError(
+                    f"n_samples = {self.n_samples} exceeds the budget of {_MC_MAX_VALUES} Monte Carlo values"
+                )
             if not 0 <= self.seed < 2**64:
                 raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         else:
@@ -128,13 +140,19 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
     With no nuisances the set collapses to a single empty point of weight
     one, whatever ``integrator`` is (None included). Gauss-Hermite with
     any non-normal prior is refused rather than run against the wrong
-    measure, and so is a grid above ``2**20`` points.
+    measure, and so is a grid above ``2**20`` points or a Monte Carlo set
+    above ``2**22`` values (samples x nuisances).
     """
     n_nuis = len(systematics.nuisances)
     if n_nuis == 0:
         return SampleSet(np.zeros((1, 0)), np.ones(1))
     if integrator.kind == "monte_carlo":
         k = integrator.n_samples
+        if k * n_nuis > _MC_MAX_VALUES:
+            raise ConfigError(
+                f"monte_carlo set of samples x nuisances = {k} x {n_nuis} = {k * n_nuis} values "
+                f"exceeds the budget of {_MC_MAX_VALUES}; use fewer samples"
+            )
         z = np.empty((k, n_nuis))
         for j in range(n_nuis):
             key = np.array([integrator.seed, j], dtype=np.uint64)
@@ -233,9 +251,12 @@ class _Criterion:
     refused with :class:`ConvergenceError` when it underflows: every
     quantity built on the set is then below the float64 range too.
 
-    Both terms have a closed-form slope in mu: -s * pmf(n; mu*s + b) for
-    CLs and -pmf(n; mu*s + b) for Bayes, so calling the criterion gives
-    its value and slope for the price of one kernel call and one pmf.
+    Both terms have closed-form derivatives in mu, from the pmf at
+    x = mu*s + b and its x-derivative pmf * (n/x - 1): the slope is
+    -s * pmf for CLs and -pmf for Bayes, the curvature -s^2 * pmf *
+    (n/x - 1) and -s * pmf * (n/x - 1). So calling the criterion gives
+    its value, slope and curvature for the price of one kernel call and
+    one pmf.
     """
 
     def __init__(self, kernel, n: int, s, b, w):
@@ -253,17 +274,54 @@ class _Criterion:
                 f"the denominator is not a positive finite number, so the criterion is undefined"
             )
         self.pmf_scale = s if kernel is _cls_terms else 1.0
-        self.exp = math.exp if w is None else np.exp
+        self.log_factorial = math.lgamma(n + 1.0)
+        # yields are nonnegative, so x = mu*s + b > 0 on every lane unless some b is 0
+        self.x_can_vanish = w is not None and not bool(np.all(b > 0.0))
         self.last = None  # (mu, numerator terms, slope) of the latest call
 
     def __call__(self, mu: float):
-        """``(criterion, slope)`` at ``mu``: the solver's inner loop. At
-        mu = 0 the numerator is the denominator, so no kernel runs."""
-        x = mu * self.s + self.b
-        terms = self.den_terms if mu == 0.0 else self.kernel(self.n, self.s, x)
-        slope = -self.mean(self.pmf_scale * self.exp(log_poisson_pmf(self.n, x))) / self.den
+        """``(criterion, slope, curvature)`` at ``mu``: the solver's inner
+        loop. At mu = 0 the numerator is the denominator, so no kernel runs."""
+        n, s = self.n, self.s
+        x = mu * s + self.b
+        terms = self.den_terms if mu == 0.0 else self.kernel(n, s, x)
+        if n == 0:
+            # pmf(0; x) = exp(-x) is the CLs term and s times the Bayes term:
+            # the derivatives are -s and s^2 times the terms, and log c is
+            # linear on a one-point set, with no second route to disagree
+            d1, d2 = -s * terms, (s * s) * terms
+        else:
+            pmf, dpmf = self.pmf_and_derivative(x)
+            d1 = -self.pmf_scale * pmf
+            d2 = -(s * self.pmf_scale) * dpmf
+        slope = self.mean(d1) / self.den
         self.last = mu, terms, slope
-        return self.mean(terms) / self.den, slope
+        return self.mean(terms) / self.den, slope, self.mean(d2) / self.den
+
+    def pmf_and_derivative(self, x):
+        """Per-sample pmf(n; x) and d pmf/dx = pmf * (n/x - 1), for x >= 0.
+
+        The pmf is exp(n ln x - x - ln n!) with ln n! cached, without the
+        range checks of :func:`log_poisson_pmf`. The derivative is written
+        n * (pmf/x) - pmf, which cannot overflow for n >= 1, and takes its
+        limit pmf(n - 1; 0) - pmf(n; 0) at x = 0.
+        """
+        n = self.n
+        if self.w is None:
+            if x == 0.0:
+                return float(n == 0), float(n == 1) - float(n == 0)
+            pmf = math.exp(n * math.log(x) - x - self.log_factorial)
+            return pmf, n * (pmf / x) - pmf
+        if not self.x_can_vanish:
+            pmf = np.exp(n * np.log(x) - x - self.log_factorial)
+            return pmf, n * (pmf / x) - pmf
+        zero = x == 0.0
+        safe = np.where(zero, 1.0, x)
+        pmf = np.exp(n * np.log(safe) - x - self.log_factorial)
+        dpmf = n * (pmf / safe) - pmf
+        pmf[zero] = float(n == 0)
+        dpmf[zero] = float(n == 1) - float(n == 0)
+        return pmf, dpmf
 
     def mean(self, terms):
         if self.w is None:
@@ -276,7 +334,7 @@ class _Criterion:
     def pmf_terms(self, mu: float):
         """Per-sample Poisson(n_obs; mu*s + b): over the Bayesian
         denominator, the posterior density of mu."""
-        return np.exp(log_poisson_pmf(self.n, mu * self.s + self.b))
+        return self.pmf_and_derivative(mu * self.s + self.b)[0]
 
     def ratio(self, num_terms) -> float:
         return self.mean(num_terms) / self.den
@@ -377,8 +435,8 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples, with_stderr
         # on the nominal point this is the exact CLs curve, refused as by cls_value
         raise ModelError("signal yield is zero; the CLs limit is undefined")
     mus = np.asarray(mus, dtype=float)
-    if mus.size and float(np.min(mus)) < 0.0:
-        raise ValueError("mu grid must be nonnegative")
+    if mus.size and not (float(np.min(mus)) >= 0.0 and float(np.max(mus)) < math.inf):
+        raise ValueError("mu grid must be finite and nonnegative")
     terms_at = {"clb": lambda mu: crit.den_terms, "posterior": crit.pmf_terms}.get(quantity, crit.terms)
     ratio = quantity in ("cls", "posterior")
     value, stderr = (crit.ratio, crit.ratio_stderr) if ratio else (crit.mean, crit.mean_stderr)

@@ -2,17 +2,23 @@
 
 Every limit in this package is the root of a smooth, strictly decreasing
 criterion c(mu) with c(0) > target, and every criterion comes with its
-analytic slope. The solver takes Newton steps on log c(mu) - log(target):
-the criteria are log-concave for one sample point and nearly log-linear
-in their tails, so a step lands within a few ulps of the root in one to
-three evaluations. Until a point below the target is found, a step may
-reach no further than 8 * max(mu, 1), because the slope can be 0 or
-vanishingly small near mu = 0; after that, a step that leaves the
-sign-checked bracket is replaced by bisection. The test is applied at
-every evaluated point: a solve ends when the value is within
-``10 * rel_tol * target`` of the target and the projected Newton step is
-at most ``rel_tol * mu`` (or below the float64 resolution). The bracket
-is not shrunk to ``rel_tol``.
+analytic slope and curvature. The solver takes Halley steps on
+g(mu) = log c(mu) - log(target): the Newton step -g/g' times the factor
+1 / (1 - g g'' / (2 g'^2)), with g' = c'/c and g'' = c''/c - g'^2. The
+criteria are log-concave for one sample point and nearly log-linear in
+their tails, so the factor trims the overshoot of a step from far off,
+and a step lands within a few ulps of the root in one to three
+evaluations. The factor is used only when it lies in (0.5, 2); otherwise
+the step is Newton's. It is also left out where |g''| is within rounding
+of 0: there log c is linear (a zero count on one point), Newton's step is
+exact, and g would magnify the rounding. Until a point below the target
+is found, a step may reach no further than 8 * max(mu, 1), because the
+slope can be 0 or vanishingly small near mu = 0; after that, a step that
+leaves the sign-checked bracket is replaced by bisection. The test is
+applied at every evaluated point: a solve ends when the value is within
+``10 * rel_tol * target`` of the target and the projected step is at
+most ``rel_tol * mu`` (or below the float64 resolution). The bracket is
+not shrunk to ``rel_tol``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ __all__ = ["LimitRequest", "LimitResult", "solve_decreasing"]
 _BRACKET_CAP = 2.0**64  # expansion guard; criteria this flat are hopeless
 _GROWTH = 8.0  # largest expansion factor while no upper end of the bracket is known
 _WIDTH_FLOOR = 8.0 * 2.0**-52  # relative step or width at the float64 resolution limit
+_CURVATURE_FLOOR = 64.0 * 2.0**-52  # |g''| / g'^2 below this is rounding: log c is linear
 
 
 @dataclass(frozen=True)
@@ -36,8 +43,9 @@ class LimitRequest:
     ``alpha`` is the exclusion threshold: the CLs criterion is solved for
     CLs(mu) = alpha, the Bayesian one for posterior tail mass alpha
     (credibility 1 - alpha below the limit). Only the uniform prior on the
-    signal strength is supported. ``max_iter`` caps the criterion
-    evaluations of one solve.
+    signal strength is supported. ``rel_tol``, in (0, 1), is the solver's
+    relative tolerance; ``max_iter`` caps the criterion evaluations of
+    one solve.
     """
 
     alpha: float
@@ -50,8 +58,8 @@ class LimitRequest:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.mu_prior != "uniform":
             raise ValueError(f"only the uniform signal-strength prior is supported, got {self.mu_prior!r}")
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if not self.max_iter > 0:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
 
@@ -65,7 +73,7 @@ class LimitResult:
     tightest sign-checked (lo, hi) interval containing ``mu_up``, with
     the criterion above the target at ``lo`` and not above it at ``hi``.
     The bracket may be wider than ``rel_tol``, because the solver stops
-    on the projected Newton step, not on the bracket width. The stderr
+    on the projected step, not on the bracket width. The stderr
     fields are filled for Monte Carlo marginalisation only:
     ``criterion_stderr`` is the delta-method error of the criterion at
     the solution and ``mu_up_stderr`` its propagation through the
@@ -93,9 +101,11 @@ class LimitResult:
 def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int):
     """Solve c(mu) = target for a strictly decreasing criterion with c(0) > target.
 
-    ``criterion(mu)`` returns ``(c(mu), c'(mu))``. Returns ``(mu, c(mu),
-    evaluations, (lo, hi))``, where (lo, hi) is the tightest sign-checked
-    bracket around ``mu``. Raises :class:`ConvergenceError`, carrying the
+    ``criterion(mu)`` returns ``(c(mu), c'(mu), c''(mu))``; the step is
+    Newton's on log c, times the Halley factor where that lies in (0.5, 2)
+    and the curvature of log c is not rounding noise. Returns ``(mu,
+    c(mu), evaluations, (lo, hi))``, where (lo, hi) is the tightest
+    sign-checked bracket around ``mu``. Raises :class:`ConvergenceError`, carrying the
     evaluated ``(mu, c(mu))`` pairs and the bracket, when ``max_iter``
     evaluations do not converge, when no sign change is found below
     ``2**64``, or when the bracket closes, unconverged, on a point where
@@ -112,15 +122,23 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int):
     lo = hi = None  # (mu, c(mu), converged) at the ends of the bracket
     mu = 0.0
     while True:
-        value, slope = criterion(mu)
+        value, slope, curvature = criterion(mu)
         history.append((mu, value))
         if math.isnan(value):
             raise fail(f"criterion at mu={mu} is NaN", None)
-        # Newton step on log c(mu) - log(target), whose slope is c'(mu) / c(mu)
         step = math.inf
         if value > 0.0 and slope < 0.0:
+            # Newton step on g(mu) = log c(mu) - log(target), with g' = c'/c
             f = math.log(value) - log_target
             step = f * (value / -slope) if f else 0.0
+            # Halley factor 1 / (1 - h), h = g g'' / (2 g'^2), g'' = c''/c - g'^2;
+            # written without g'^2, which can underflow
+            g1 = slope / value
+            g2 = curvature / value - g1 * g1
+            if abs(g2) > _CURVATURE_FLOOR * (g1 * g1):
+                h = -0.5 * step * (g2 / g1)
+                if -1.0 < h < 0.5:
+                    step /= 1.0 - h
         converged = abs(step) <= rel_tol * mu and (
             abs(value - target) <= crit_tol or abs(step) <= _WIDTH_FLOOR * mu
         )

@@ -39,13 +39,17 @@ def bayesian_upper_limit_quadrature(model: CountingModel, req: LimitRequest) -> 
     )
 
     def criterion(mu: float):
-        # the tail mass and its slope, -like(mu) / norm
-        slope = -like(mu) / norm
+        # the tail mass, its slope -like(mu) / norm, and its curvature
+        # -s like(mu) (n/x - 1) / norm at x = mu s + b (the limit at x = 0)
+        x = mu * s + b
+        pmf = like(mu)
+        dpmf = pmf * (n / x - 1.0) if x else float(n == 1) - float(n == 0)
+        slope, curvature = -pmf / norm, -s * dpmf / norm
         if mu == 0.0:
-            return 1.0, slope
+            return 1.0, slope, curvature
         interior = [mode] if 0.0 < mode < mu else None
         mass = quad(like, 0.0, mu, epsabs=0.0, epsrel=1e-11, limit=200, points=interior)[0]
-        return 1.0 - mass / norm, slope
+        return 1.0 - mass / norm, slope, curvature
 
     mu_up, crit, evals, bracket = solve_decreasing(criterion, req.alpha, req.rel_tol, req.max_iter)
     return LimitResult(mu_up, crit, evals, bracket)

@@ -263,6 +263,38 @@ class TestEquivalenceCommand:
         assert result.exit_code == 1
 
 
+class TestRefusals:
+    # each option value is refused up front with a one-line ConfigError:
+    # non-finite tolerances and strengths once printed a limit, NaN
+    # strengths and a CLs above 1; oversized sets ended in a MemoryError
+    @pytest.mark.parametrize(
+        "doc, args, message",
+        [
+            (MINIMAL, ["limit", "--tol", "inf"], r"rel_tol must be in (0, 1), got inf"),
+            (MINIMAL, ["limit", "--tol", "1"], r"rel_tol must be in (0, 1), got 1.0"),
+            (MINIMAL, ["equivalence", "--solver-tol", "inf"], r"rel_tol must be in (0, 1), got inf"),
+            (MINIMAL, ["equivalence", "--tol", "inf"], "--tol must be a positive finite number, got inf"),
+            (MINIMAL, ["equivalence", "--tol", "0"], "--tol must be a positive finite number, got 0.0"),
+            (MINIMAL, ["scan", "--mu-max", "inf", "--points", "3"], "need finite 0 <= mu-min < mu-max, got [0.0, inf]"),
+            (MINIMAL, ["scan", "--mu-min", "inf", "--mu-max", "inf"], "need finite 0 <= mu-min < mu-max"),
+            (MINIMAL, ["scan", "--mu-max", "nan"], "need finite 0 <= mu-min < mu-max"),
+            (BG_SYST, ["limit", "--samples", "100000000000"],
+             "n_samples = 100000000000 exceeds the budget of 4194304 Monte Carlo values"),
+            (MINIMAL, ["equivalence", "--samples", "100000000000"],
+             "n_samples = 100000000000 exceeds the budget of 4194304 Monte Carlo values"),
+            (BG_SYST, ["scan", "--mu-max", "5", "--points", "100000000000"],
+             "--points must be in [2, 1048576], got 100000000000"),
+        ],
+    )
+    def test_exits_one_with_a_one_line_message(self, runner, tmp_path, doc, args, message):
+        cfg = write_config(tmp_path, doc)
+        result = runner.invoke(cli, [args[0], cfg, *args[1:]])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert message in result.output
+
+
 def test_help_documents_alpha_convention(runner):
     result = runner.invoke(cli, ["limit", "--help"])
     assert result.exit_code == 0

@@ -2,9 +2,10 @@
 
 Every call must end with a documented exit code (0 success, 1 config or
 model error, 2 solver error) and never with an uncaught exception or a
-traceback. The examples are derandomised, so every run tests the same
-100 calls. Hypothesis favours the smallest draws, so the smallest draw of
-every choice below is a valid one; one config in five carries a defect.
+traceback. A call with an invalid option value must exit 1. The examples
+are derandomised, so every run tests the same 100 calls. Hypothesis
+favours the smallest draws, so the smallest draw of every choice below is
+a valid one; one config in five carries a defect.
 """
 
 import json
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from countlim.cli import cli
 
 NUISANCE_NAMES = ("p0", "p1", "p2")
+OVER_BUDGET = "100000000000"  # Monte Carlo samples or scan points, far above either budget
 
 responses = st.one_of(
     st.builds(lambda k: {"kind": "log_normal", "kappa": k}, st.floats(min_value=1.01, max_value=2.0)),
@@ -76,10 +78,18 @@ integrator_options = st.one_of(
     st.builds(lambda n, s: ["--integrator", "mc", "--samples", str(n), "--seed", str(s)],
               st.integers(2, 200), st.integers(0, 3)),
     st.builds(lambda n: ["--integrator", "gh", "--nodes", str(n)], st.integers(2, 8)),
-    st.sampled_from([["--samples", "0"], ["--seed", "-1"], ["--integrator", "gh", "--nodes", "1"]]),
+    st.sampled_from([["--samples", "0"], ["--seed", "-1"], ["--integrator", "gh", "--nodes", "1"],
+                     ["--samples", OVER_BUDGET]]),
 )
 levels = st.sampled_from(["0.95", "0.9", "0.68", "0.999", "0", "1"])
-tolerances = st.sampled_from(["1e-9", "1e-12", "1e-4", "0"])
+tolerances = st.sampled_from(["1e-9", "1e-12", "1e-4", "0", "inf"])
+
+# option values refused whatever the config; the integrator's are read only
+# for a model with nuisances, or by the equivalence command
+REFUSED = {("--cl", "0"), ("--cl", "1"), ("--tol", "0"), ("--tol", "inf"), ("--solver-tol", "0"),
+           ("--solver-tol", "inf"), ("--mu-max", "0"), ("--mu-max", "inf"), ("--points", "1"),
+           ("--points", OVER_BUDGET)}
+REFUSED_INTEGRATOR = {("--samples", "0"), ("--seed", "-1"), ("--nodes", "1"), ("--samples", OVER_BUDGET)}
 
 
 @st.composite
@@ -89,11 +99,12 @@ def invocations(draw):
         args = ["--method", draw(st.sampled_from(["both", "cls", "bayes"])), "--cl", draw(levels),
                 "--tol", draw(tolerances)]
     elif command == "equivalence":
-        args = ["--cl", draw(levels), "--solver-tol", draw(tolerances)]
+        args = ["--cl", draw(levels), "--solver-tol", draw(tolerances),
+                "--tol", draw(st.sampled_from(["1e-6", "0", "inf"]))]
     else:
         args = ["--quantity", draw(st.sampled_from(["cls", "clsb", "clb", "posterior"])),
-                "--mu-max", draw(st.sampled_from(["10", "1e3", "0"])),
-                "--points", draw(st.sampled_from(["11", "2", "1"]))]
+                "--mu-max", draw(st.sampled_from(["10", "1e3", "0", "inf"])),
+                "--points", draw(st.sampled_from(["11", "2", "1", OVER_BUDGET]))]
     return command, args + draw(integrator_options)
 
 
@@ -111,6 +122,9 @@ def test_cli_exits_with_a_documented_code(doc, invocation):
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
     assert result.exit_code in (0, 1, 2), result.output
     assert "Traceback" not in result.output
+    options = set(zip(args, args[1:]))
+    if options & REFUSED or (options & REFUSED_INTEGRATOR and (command == "equivalence" or doc["nuisances"])):
+        assert result.exit_code == 1, result.output
     if result.exit_code == 0 and command != "scan":
         payload = json.loads(result.output)
         results = payload["results"].values() if command == "limit" else [payload["report"]]

@@ -98,6 +98,13 @@ def test_invalid_tolerance():
         compare_limits(plain_model(), LimitRequest(alpha=0.05), Integrator.gauss_hermite(4), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_non_finite_tolerance(tol):
+    # tol = inf would call any two limits equivalent
+    with pytest.raises(ValueError, match="positive finite"):
+        compare_limits(plain_model(), LimitRequest(alpha=0.05), Integrator.gauss_hermite(4), tol=tol)
+
+
 def test_sweep_with_certain_signal_never_unexpected():
     # 144 configurations varying count, background, prior, response and
     # threshold; every signal response is identity, so any divergence at

@@ -31,7 +31,14 @@ from countlim import (
     posterior_density,
 )
 from countlim import marginal
-from countlim.marginal import _GH_MAX_POINTS, _bayes_terms, _cls_terms, _criterion, scan_quantity
+from countlim.marginal import (
+    _GH_MAX_POINTS,
+    _MC_MAX_VALUES,
+    _bayes_terms,
+    _cls_terms,
+    _criterion,
+    scan_quantity,
+)
 from helpers import bg_systematic_model, identity_systematic_model, plain_model, signal_systematic_model
 
 # Regression pin: hybrid CLs limit for s=1, b=1.5 with a 20% log-normal
@@ -65,6 +72,8 @@ class TestIntegrator:
             Integrator.gauss_hermite(1)
         with pytest.raises(ConfigError):
             Integrator.gauss_hermite(65)
+        with pytest.raises(ConfigError, match=f"n_samples = {_MC_MAX_VALUES + 1} exceeds the budget of {_MC_MAX_VALUES}"):
+            Integrator.monte_carlo(_MC_MAX_VALUES + 1, 1)
 
     def test_to_dict(self):
         assert Integrator.monte_carlo(100, 7).to_dict() == {
@@ -187,6 +196,22 @@ class TestDrawSamples:
             m = identity_systematic_model(n_nuisances=n_nuisances)
             with pytest.raises(GridBuilt):
                 draw_samples(m.systematics, Integrator.gauss_hermite(nodes))
+
+    def test_monte_carlo_budget(self, monkeypatch):
+        # samples x nuisances is refused before anything is allocated
+        class SetAllocated(Exception):
+            pass
+
+        def no_allocation(*args, **kwargs):
+            raise SetAllocated
+
+        monkeypatch.setattr(np, "empty", no_allocation)
+        m = identity_systematic_model(n_nuisances=3)
+        k = _MC_MAX_VALUES // 3 + 1
+        with pytest.raises(ConfigError, match=rf"{k} x 3 = {3 * k} values exceeds the budget of {_MC_MAX_VALUES}"):
+            draw_samples(m.systematics, Integrator.monte_carlo(k, 1))
+        with pytest.raises(SetAllocated):
+            draw_samples(m.systematics, Integrator.monte_carlo(k - 1, 1))
 
     def test_hermite_rule_is_read_only(self):
         nodes, weights = marginal._hermite_rule(16)
@@ -349,22 +374,26 @@ class TestStructuralEquivalence:
         assert max(diffs) > 1e-4
 
 
+def _criterion_on(s, b, n_obs, kernel, monte_carlo):
+    if monte_carlo:
+        model = signal_systematic_model(s=s, b=b, n_obs=n_obs)
+        samples = draw_samples(model.systematics, Integrator.monte_carlo(500, 7))
+    else:
+        model = plain_model(s=s, b=b, n_obs=n_obs)
+        samples = draw_samples(model.systematics, None)
+    return _criterion(model, kernel, samples)
+
+
 class TestCriterionSlope:
     @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
     @pytest.mark.parametrize("s, b, n_obs", [(1.0, 1.5, 3), (2.0, 0.0, 5), (0.5, 3.0, 0), (1.0, 0.0, 0), (10.0, 150.0, 160)])
     @pytest.mark.parametrize("monte_carlo", [False, True])
     def test_matches_central_difference(self, kernel, s, b, n_obs, monte_carlo):
-        if monte_carlo:
-            model = signal_systematic_model(s=s, b=b, n_obs=n_obs)
-            samples = draw_samples(model.systematics, Integrator.monte_carlo(500, 7))
-        else:
-            model = plain_model(s=s, b=b, n_obs=n_obs)
-            samples = draw_samples(model.systematics, None)
-        crit = _criterion(model, kernel, samples)
+        crit = _criterion_on(s, b, n_obs, kernel, monte_carlo)
         for mu in (0.3, 1.0, 4.0):
             h = 1e-5 * mu
             central = (crit.criterion(mu + h) - crit.criterion(mu - h)) / (2.0 * h)
-            value, slope = crit(mu)
+            value, slope, _ = crit(mu)
             assert value == crit.criterion(mu)
             assert slope == pytest.approx(central, rel=1e-6)
 
@@ -375,13 +404,49 @@ class TestCriterionSlope:
         h = 1e-6
         forward = (crit.criterion(h) - 1.0) / h
         crit.kernel = None  # any kernel call now fails
-        value, slope = crit(0.0)
+        value, slope, _ = crit(0.0)
         assert value == 1.0
         assert slope == pytest.approx(forward, rel=1e-4)
 
     def test_zero_slope_at_zero_without_background(self):
         crit = _criterion(plain_model(s=1.0, b=0.0, n_obs=50), _cls_terms, draw_samples(plain_model().systematics, None))
-        assert crit(0.0) == (1.0, 0.0)
+        assert crit(0.0) == (1.0, 0.0, 0.0)
+
+
+class TestCriterionCurvature:
+    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    @pytest.mark.parametrize("s, b, n_obs", [(1.0, 1.5, 3), (2.0, 0.0, 5), (0.5, 3.0, 0), (1.0, 0.0, 1), (10.0, 150.0, 160)])
+    @pytest.mark.parametrize("monte_carlo", [False, True])
+    def test_matches_central_difference_of_the_slope(self, kernel, s, b, n_obs, monte_carlo):
+        crit = _criterion_on(s, b, n_obs, kernel, monte_carlo)
+        for mu in (0.3, 1.0, 4.0):
+            h = 1e-5 * mu
+            central = (crit(mu + h)[1] - crit(mu - h)[1]) / (2.0 * h)
+            # abs: the difference's rounding, where the curvature crosses 0
+            assert crit(mu)[2] == pytest.approx(central, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    @pytest.mark.parametrize("n_obs", [0, 1, 2])
+    @pytest.mark.parametrize("monte_carlo", [False, True])
+    def test_zero_strength_without_background(self, kernel, n_obs, monte_carlo):
+        # x = 0 at mu = 0: pmf (n/x - 1) takes its limit pmf(n - 1; 0) - pmf(n; 0),
+        # with no RuntimeWarning (the suite turns them into errors); the
+        # forward difference is off by O(h), which abs allows where c'' = 0
+        crit = _criterion_on(1.5, 0.0, n_obs, kernel, monte_carlo)
+        h = 1e-6
+        forward = (crit(h)[1] - crit(0.0)[1]) / h
+        curvature = crit(0.0)[2]
+        assert curvature == pytest.approx(forward, rel=1e-4, abs=10.0 * h)
+        assert (curvature != 0.0) == (n_obs < 2)
+
+    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    def test_zero_count_is_log_linear_on_one_point(self, kernel):
+        # at n_obs = 0 the criterion is exp(-mu s): c' = -s c and c'' = s^2 c
+        crit = _criterion_on(0.7, 23.0, 0, kernel, False)
+        for mu in (0.0, 1.0, 600.0):
+            value, slope, curvature = crit(mu)
+            assert slope == pytest.approx(-0.7 * value, rel=1e-15)
+            assert curvature == pytest.approx(0.49 * value, rel=1e-15)
 
 
 class TestUpperLimits:
@@ -448,6 +513,15 @@ class TestUpperLimits:
         assert hybrid_cls_upper_limit(m, req, None, samples=samples) == cls_upper_limit(m, req)
         assert bayesian_marginal_upper_limit(m, req, None) == bayesian_upper_limit_closed_form(m, req)
 
+    @pytest.mark.parametrize("limit", [hybrid_cls_upper_limit, bayesian_marginal_upper_limit])
+    def test_vanishing_log_slope_at_zero_solves(self, limit):
+        # b ~ 5e-138, n_obs = 2: at mu = 0 the log slope c'/c is ~ -1e-275,
+        # whose square underflows to 0; the limit is that of b = 0
+        req = LimitRequest(alpha=0.05)
+        m = bg_systematic_model(s=1.0, b=4.7e-138, n_obs=2, kappa=1.2)
+        res = limit(m, req, Integrator.monte_carlo(2, 0))
+        assert res.mu_up == pytest.approx(cls_upper_limit(plain_model(s=1.0, b=0.0, n_obs=2), req).mu_up, rel=1e-9)
+
     def test_underflowed_denominator_is_typed(self):
         m = bg_systematic_model(s=1.0, b=2000.0, n_obs=0, kappa=1.05)
         req = LimitRequest(alpha=0.05)
@@ -468,7 +542,7 @@ class TestUpperLimits:
         assert 0.0 <= res.mu_up_stderr <= 1e-9
         # the slope divides by the same denormal CLb, and is still -s * CLs
         crit = _criterion(m, _cls_terms, draw_samples(m.systematics, Integrator.monte_carlo(100, 1)))
-        value, slope = crit(res.mu_up)
+        value, slope, _ = crit(res.mu_up)
         assert slope == pytest.approx(-value, rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -564,6 +638,13 @@ class TestScanQuantity:
         values, stderrs = scan_quantity(m, "clsb", np.array([0.0, 1.0]), samples, with_stderr=False)
         assert stderrs is None
         assert np.all(np.diff(values) < 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_grid_must_be_finite_and_nonnegative(self, bad):
+        m = bg_systematic_model()
+        samples = draw_samples(m.systematics, Integrator.gauss_hermite(4))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            scan_quantity(m, "cls", np.array([0.0, bad]), samples, with_stderr=False)
 
     def test_unknown_quantity(self):
         m = bg_systematic_model()

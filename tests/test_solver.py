@@ -6,33 +6,43 @@ import pytest
 
 from countlim import (
     ConvergenceError,
+    Integrator,
     LimitRequest,
     LimitResult,
+    bayesian_marginal_upper_limit,
     bayesian_upper_limit_closed_form,
     cls_upper_limit,
+    hybrid_cls_upper_limit,
     log_poisson_pmf,
     poisson_cdf,
 )
 from countlim.solver import solve_decreasing
-from helpers import plain_model
+from helpers import bg_systematic_model, plain_model
 
 
-def exponential(rate):
-    """exp(-rate * mu) with its slope: the criterion of a zero count."""
+def exponential(rate, b=0.0):
+    """exp(-rate * mu - b) / exp(-b) with its slope and curvature: the
+    criterion of a zero count over a background b, as the engine builds it."""
+    den = math.exp(-b)
 
     def criterion(mu):
-        value = math.exp(-rate * mu)
-        return value, -rate * value
+        term = math.exp(-rate * mu - b)
+        return term / den, -(rate * term) / den, (rate * rate * term) / den
 
     return criterion
 
 
 def poisson_ratio(n, b):
-    """P(N <= n; mu + b) / P(N <= n; b) with its slope, -pmf(n; mu + b) / P(N <= n; b)."""
+    """P(N <= n; mu + b) / P(N <= n; b) with its slope, -pmf(n; x) / P(N <= n; b),
+    and curvature, -pmf(n; x) (n/x - 1) / P(N <= n; b), at x = mu + b."""
     den = poisson_cdf(n, b)
 
     def criterion(mu):
-        return poisson_cdf(n, mu + b) / den, -math.exp(log_poisson_pmf(n, mu + b)) / den
+        x = mu + b
+        pmf = math.exp(log_poisson_pmf(n, x))
+        # at x = 0, pmf (n/x - 1) is its limit pmf(n - 1; 0) - pmf(n; 0)
+        dpmf = pmf * (n / x - 1.0) if x else float(n == 1) - float(n == 0)
+        return poisson_cdf(n, x) / den, -pmf / den, -dpmf / den
 
     return criterion
 
@@ -72,7 +82,7 @@ class TestSolveDecreasing:
     def test_zero_slope_at_zero(self):
         # b = 0, n_obs = 50: pmf(50; 0) = 0, so the slope at mu = 0 is 0
         criterion = poisson_ratio(50, 0.0)
-        assert criterion(0.0) == (1.0, 0.0)
+        assert criterion(0.0) == (1.0, 0.0, 0.0)
         root, crit, evals, (lo, hi) = solve_decreasing(criterion, 0.05, 1e-9, 200)
         assert abs(crit - 0.05) <= 1e-9 * 0.05
         assert criterion(root)[0] == crit
@@ -103,7 +113,7 @@ class TestSolveDecreasing:
         # the bracket closes on the flush edge, which is not a root
         def criterion(mu):
             value = math.exp(-mu) if mu < 50.0 else 0.0
-            return value, -value
+            return value, -value, value
 
         with pytest.raises(ConvergenceError, match="underflows") as err:
             solve_decreasing(criterion, 1e-30, 1e-9, 200)
@@ -113,19 +123,21 @@ class TestSolveDecreasing:
         assert (hi, 0.0) in err.value.history
 
     def test_underflowed_point_inside_a_solve_is_passed(self):
-        # exp(-mu) (1 + mu) flushed to 0 from mu = 27 on: the second Newton
-        # step overshoots the root (26.4) onto the flushed region, which
-        # only closes the bracket; the root still solves
+        # exp(-mu) (1 + mu) flushed to 0 from mu = 5 on: the expansion from
+        # mu = 0, where the slope is 0, lands on mu = 8 in the flushed
+        # region, which only closes the bracket; the root (4.74) still solves
         def criterion(mu):
-            value = math.exp(-mu) * (1.0 + mu) if mu < 27.0 else 0.0
-            return value, -mu * math.exp(-mu) if value else 0.0
+            value = math.exp(-mu) * (1.0 + mu) if mu < 5.0 else 0.0
+            if not value:
+                return 0.0, 0.0, 0.0
+            return value, -mu * math.exp(-mu), (mu - 1.0) * math.exp(-mu)
 
         with pytest.raises(ConvergenceError) as err:
-            solve_decreasing(criterion, 1e-10, 1e-9, 3)
-        assert err.value.history[-1][1] == 0.0
-        root, crit, _, (lo, hi) = solve_decreasing(criterion, 1e-10, 1e-9, 200)
-        assert root - math.log1p(root) == pytest.approx(10.0 * math.log(10.0), rel=1e-9)
-        assert abs(crit - 1e-10) <= 10.0 * 1e-9 * 1e-10
+            solve_decreasing(criterion, 0.05, 1e-9, 2)
+        assert err.value.history[-1] == (8.0, 0.0)
+        root, crit, _, (lo, hi) = solve_decreasing(criterion, 0.05, 1e-9, 200)
+        assert root - math.log1p(root) == pytest.approx(math.log(20.0), rel=1e-9)
+        assert abs(crit - 0.05) <= 10.0 * 1e-9 * 0.05
         assert lo <= root <= hi
 
     def test_non_convergence_reports_bracket(self):
@@ -148,17 +160,17 @@ class TestSolveDecreasing:
 
     def test_criterion_already_below_target(self):
         with pytest.raises(ConvergenceError) as err:
-            solve_decreasing(lambda mu: (0.01 * math.exp(-mu), -0.01 * math.exp(-mu)), 0.05, 1e-9, 100)
+            solve_decreasing(lambda mu: (0.01 * math.exp(-mu), -0.01 * math.exp(-mu), 0.01 * math.exp(-mu)), 0.05, 1e-9, 100)
         assert err.value.history == [(0.0, 0.01)]
 
     def test_nan_criterion_is_refused(self):
         with pytest.raises(ConvergenceError, match="NaN") as err:
-            solve_decreasing(lambda mu: (math.nan, math.nan) if mu else (1.0, -1.0), 0.05, 1e-9, 100)
+            solve_decreasing(lambda mu: (math.nan, math.nan, math.nan) if mu else (1.0, -1.0, 1.0), 0.05, 1e-9, 100)
         assert len(err.value.history) == 2
 
     def test_flat_criterion_hits_expansion_cap(self):
         with pytest.raises(ConvergenceError) as err:
-            solve_decreasing(lambda mu: (1.0, 0.0), 0.05, 1e-9, 100)
+            solve_decreasing(lambda mu: (1.0, 0.0, 0.0), 0.05, 1e-9, 100)
         assert "bracket" in str(err.value)
         assert err.value.bracket[1] > 2.0**64
 
@@ -174,9 +186,47 @@ class TestSolveDecreasing:
             evals += pair
             if n_obs == 0:
                 zero_count_evals += pair
-        assert statistics.median(evals) <= 8
-        assert max(evals) <= 26
-        assert max(zero_count_evals) <= 4
+        assert statistics.median(evals) <= 5
+        assert max(evals) <= 9
+        assert max(zero_count_evals) <= 3
+
+    @pytest.mark.parametrize("route", [hybrid_cls_upper_limit, bayesian_marginal_upper_limit])
+    def test_evaluation_budget_at_large_count(self, route):
+        # s = 10, b = 150 with a 5% log-normal background systematic on 2000
+        # Monte Carlo samples, one n_obs per Poisson(150) decile
+        req = LimitRequest(alpha=0.05)
+        for decile in range(10):
+            n_obs = next(n for n in itertools.count() if poisson_cdf(n, 150.0) >= (decile + 0.5) / 10.0)
+            model = bg_systematic_model(s=10.0, b=150.0, n_obs=n_obs, kappa=1.05)
+            res = route(model, req, Integrator.monte_carlo(2000, decile))
+            assert res.iterations <= 5, (n_obs, res)
+
+    def test_vanishing_log_slope(self):
+        # b = 4.7e-138, n = 2: at mu = 0, g' = c'/c ~ -1e-275, and g'^2
+        # underflows to 0; the Halley factor must not divide by it
+        criterion = poisson_ratio(2, 4.7e-138)
+        root, crit, _, (lo, hi) = solve_decreasing(criterion, 0.05, 1e-9, 200)
+        assert lo <= root <= hi
+        assert abs(crit - 0.05) <= 10.0 * 1e-9 * 0.05
+
+    @pytest.mark.parametrize("curvature", [1e300, -1e300, math.inf, math.nan])
+    def test_out_of_range_halley_factor_takes_the_newton_step(self, curvature):
+        # a curvature that puts 1/(1 - h) outside (0.5, 2) is not used: the
+        # solve runs Newton's steps, which are exact on log-linear c
+        def criterion(mu):
+            value, slope, _ = exponential(1.0)(mu)
+            return value, slope, curvature
+
+        root, _, evals, _ = solve_decreasing(criterion, 0.05, 1e-9, 200)
+        assert root == pytest.approx(math.log(20.0), rel=1e-15)
+        assert evals == solve_decreasing(exponential(1.0), 0.05, 1e-9, 200)[2]
+
+    @pytest.mark.parametrize("rate, b", [(0.3, 23.0), (0.7, 23.0), (3.0, 5.0), (3.0, 23.0)])
+    def test_log_linear_criterion_keeps_the_newton_step(self, rate, b):
+        # g'' = c''/c - g'^2 is rounding noise here; scaled by f = ln(1e300)
+        # it would throw the root off by up to 6e-14, so Newton's step is kept
+        root, _, _, _ = solve_decreasing(exponential(rate, b), 1e-300, 1e-9, 200)
+        assert root == pytest.approx(300.0 * math.log(10.0) / rate, rel=2e-15)
 
 
 class TestLimitRequest:
@@ -200,6 +250,12 @@ class TestLimitRequest:
             LimitRequest(alpha=0.05, rel_tol=0.0)
         with pytest.raises(ValueError):
             LimitRequest(alpha=0.05, max_iter=0)
+
+    @pytest.mark.parametrize("rel_tol", [1.0, 2.0, math.inf, math.nan])
+    def test_tolerance_below_one(self, rel_tol):
+        # rel_tol = inf once accepted mu = 8 with CLs 0.016 against alpha 0.05
+        with pytest.raises(ValueError, match=r"rel_tol must be in \(0, 1\)"):
+            LimitRequest(alpha=0.05, rel_tol=rel_tol)
 
 
 def test_limit_result_to_dict():
