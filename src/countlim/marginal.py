@@ -62,8 +62,9 @@ class Integrator:
     ``monte_carlo`` draws from the priors with a counter-based Philox
     stream per nuisance, keyed by (seed, nuisance index); ``gauss_hermite``
     builds a tensor-product rule, is valid only when every prior is in
-    the normal family, and is refused above ``2**20`` grid points. A Monte
-    Carlo set is refused above ``2**22`` values, samples times nuisances.
+    the normal family, and is refused above ``2**20`` grid points. The
+    Monte Carlo budget, ``2**22`` samples times nuisances, is checked by
+    :func:`draw_samples`, where a set is built.
     """
 
     kind: str
@@ -77,10 +78,6 @@ class Integrator:
         if self.kind == "monte_carlo":
             if self.n_samples < 1:
                 raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-            if self.n_samples > _MC_MAX_VALUES:
-                raise ConfigError(
-                    f"n_samples = {self.n_samples} exceeds the budget of {_MC_MAX_VALUES} Monte Carlo values"
-                )
             if not 0 <= self.seed < 2**64:
                 raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         else:
@@ -275,8 +272,6 @@ class _Criterion:
             )
         self.pmf_scale = s if kernel is _cls_terms else 1.0
         self.log_factorial = math.lgamma(n + 1.0)
-        # yields are nonnegative, so x = mu*s + b > 0 on every lane unless some b is 0
-        self.x_can_vanish = w is not None and not bool(np.all(b > 0.0))
         self.last = None  # (mu, numerator terms, slope) of the latest call
 
     def __call__(self, mu: float):
@@ -311,9 +306,6 @@ class _Criterion:
             if x == 0.0:
                 return float(n == 0), float(n == 1) - float(n == 0)
             pmf = math.exp(n * math.log(x) - x - self.log_factorial)
-            return pmf, n * (pmf / x) - pmf
-        if not self.x_can_vanish:
-            pmf = np.exp(n * np.log(x) - x - self.log_factorial)
             return pmf, n * (pmf / x) - pmf
         zero = x == 0.0
         safe = np.where(zero, 1.0, x)

@@ -11,7 +11,9 @@ and a step lands within a few ulps of the root in one to three
 evaluations. The factor is used only when it lies in (0.5, 2); otherwise
 the step is Newton's. It is also left out where |g''| is within rounding
 of 0: there log c is linear (a zero count on one point), Newton's step is
-exact, and g would magnify the rounding. Until a point below the target
+exact, and g would magnify the rounding; and where g' itself rounds to
+0 (a subnormal slope on a value of 2 or more), where the factor is
+undefined. Until a point below the target
 is found, a step may reach no further than 8 * max(mu, 1), because the
 slope can be 0 or vanishingly small near mu = 0; after that, a step that
 leaves the sign-checked bracket is replaced by bisection. The test is
@@ -103,7 +105,8 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int):
 
     ``criterion(mu)`` returns ``(c(mu), c'(mu), c''(mu))``; the step is
     Newton's on log c, times the Halley factor where that lies in (0.5, 2)
-    and the curvature of log c is not rounding noise. Returns ``(mu,
+    and neither the curvature of log c is rounding noise nor g' = c'/c
+    has rounded to 0. Returns ``(mu,
     c(mu), evaluations, (lo, hi))``, where (lo, hi) is the tightest
     sign-checked bracket around ``mu``. Raises :class:`ConvergenceError`, carrying the
     evaluated ``(mu, c(mu))`` pairs and the bracket, when ``max_iter``
@@ -132,10 +135,11 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int):
             f = math.log(value) - log_target
             step = f * (value / -slope) if f else 0.0
             # Halley factor 1 / (1 - h), h = g g'' / (2 g'^2), g'' = c''/c - g'^2;
-            # written without g'^2, which can underflow
+            # written without g'^2, which can underflow, and skipped where
+            # g' itself has underflowed to 0
             g1 = slope / value
             g2 = curvature / value - g1 * g1
-            if abs(g2) > _CURVATURE_FLOOR * (g1 * g1):
+            if g1 and abs(g2) > _CURVATURE_FLOOR * (g1 * g1):
                 h = -0.5 * step * (g2 / g1)
                 if -1.0 < h < 0.5:
                     step /= 1.0 - h

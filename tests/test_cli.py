@@ -279,9 +279,9 @@ class TestRefusals:
             (MINIMAL, ["scan", "--mu-min", "inf", "--mu-max", "inf"], "need finite 0 <= mu-min < mu-max"),
             (MINIMAL, ["scan", "--mu-max", "nan"], "need finite 0 <= mu-min < mu-max"),
             (BG_SYST, ["limit", "--samples", "100000000000"],
-             "n_samples = 100000000000 exceeds the budget of 4194304 Monte Carlo values"),
-            (MINIMAL, ["equivalence", "--samples", "100000000000"],
-             "n_samples = 100000000000 exceeds the budget of 4194304 Monte Carlo values"),
+             "samples x nuisances = 100000000000 x 1 = 100000000000 values exceeds the budget of 4194304"),
+            (BG_SYST, ["equivalence", "--samples", "100000000000"],
+             "samples x nuisances = 100000000000 x 1 = 100000000000 values exceeds the budget of 4194304"),
             (BG_SYST, ["scan", "--mu-max", "5", "--points", "100000000000"],
              "--points must be in [2, 1048576], got 100000000000"),
         ],

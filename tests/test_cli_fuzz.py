@@ -85,11 +85,13 @@ levels = st.sampled_from(["0.95", "0.9", "0.68", "0.999", "0", "1"])
 tolerances = st.sampled_from(["1e-9", "1e-12", "1e-4", "0", "inf"])
 
 # option values refused whatever the config; the integrator's are read only
-# for a model with nuisances, or by the equivalence command
+# for a model with nuisances, or by the equivalence command; the Monte Carlo
+# budget is checked only where a set is drawn, for a model with nuisances
 REFUSED = {("--cl", "0"), ("--cl", "1"), ("--tol", "0"), ("--tol", "inf"), ("--solver-tol", "0"),
            ("--solver-tol", "inf"), ("--mu-max", "0"), ("--mu-max", "inf"), ("--points", "1"),
            ("--points", OVER_BUDGET)}
-REFUSED_INTEGRATOR = {("--samples", "0"), ("--seed", "-1"), ("--nodes", "1"), ("--samples", OVER_BUDGET)}
+REFUSED_INTEGRATOR = {("--samples", "0"), ("--seed", "-1"), ("--nodes", "1")}
+REFUSED_SAMPLE_SET = {("--samples", OVER_BUDGET)}
 
 
 @st.composite
@@ -123,7 +125,8 @@ def test_cli_exits_with_a_documented_code(doc, invocation):
     assert result.exit_code in (0, 1, 2), result.output
     assert "Traceback" not in result.output
     options = set(zip(args, args[1:]))
-    if options & REFUSED or (options & REFUSED_INTEGRATOR and (command == "equivalence" or doc["nuisances"])):
+    if (options & REFUSED or (options & REFUSED_INTEGRATOR and (command == "equivalence" or doc["nuisances"]))
+            or (options & REFUSED_SAMPLE_SET and doc["nuisances"])):
         assert result.exit_code == 1, result.output
     if result.exit_code == 0 and command != "scan":
         payload = json.loads(result.output)

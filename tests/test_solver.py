@@ -209,6 +209,20 @@ class TestSolveDecreasing:
         assert lo <= root <= hi
         assert abs(crit - 0.05) <= 10.0 * 1e-9 * 0.05
 
+    def test_log_slope_that_underflows_to_zero(self):
+        # c(0) = 4 with a subnormal slope: g' = c'/c rounds to -0.0 while
+        # g'' does not, and the solve must take the expansion step, not
+        # divide by g'. Past 0 the criterion is 4 exp(-mu^2/2).
+        def criterion(mu):
+            if mu == 0.0:
+                return 4.0, -5e-324, 1.0
+            value = 4.0 * math.exp(-0.5 * mu * mu)
+            return value, -mu * value, (mu * mu - 1.0) * value
+
+        root, crit, _, (lo, hi) = solve_decreasing(criterion, 0.05, 1e-9, 50)
+        assert root == pytest.approx(math.sqrt(2.0 * math.log(80.0)), rel=1e-9)
+        assert lo <= root <= hi
+
     @pytest.mark.parametrize("curvature", [1e300, -1e300, math.inf, math.nan])
     def test_out_of_range_halley_factor_takes_the_newton_step(self, curvature):
         # a curvature that puts 1/(1 - h) outside (0.5, 2) is not used: the
