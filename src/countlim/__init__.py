@@ -8,11 +8,7 @@ two methods agree.
 from .equivalence import EquivalenceReport, compare_limits
 from .exact import (
     bayesian_upper_limit_closed_form,
-    clb_value,
     cls_upper_limit,
-    cls_value,
-    clsb_value,
-    posterior_density,
 )
 from .exceptions import (
     ConfigError,
@@ -23,7 +19,6 @@ from .exceptions import (
 )
 from .marginal import (
     Integrator,
-    NuisanceSample,
     SampleSet,
     bayesian_marginal_upper_limit,
     draw_samples,
@@ -40,9 +35,6 @@ from .model import (
     Prior,
     Response,
     SystematicsModel,
-    background_yield,
-    log_full_likelihood,
-    signal_yield,
     yields_on_samples,
 )
 from .solver import LimitRequest, LimitResult
@@ -62,31 +54,23 @@ __all__ = [
     "LimitResult",
     "ModelError",
     "Nuisance",
-    "NuisanceSample",
     "Prior",
     "Response",
     "SampleSet",
     "SystematicsModel",
     "YieldError",
-    "background_yield",
     "bayesian_marginal_upper_limit",
     "bayesian_upper_limit_closed_form",
-    "clb_value",
     "cls_upper_limit",
-    "cls_value",
-    "clsb_value",
     "compare_limits",
     "draw_samples",
     "gamma_q",
     "hybrid_cls",
     "hybrid_cls_upper_limit",
-    "log_full_likelihood",
     "log_poisson_pmf",
     "marginal_likelihood",
     "marginal_posterior_density",
     "marginal_posterior_tail",
     "poisson_cdf",
-    "posterior_density",
-    "signal_yield",
     "yields_on_samples",
 ]

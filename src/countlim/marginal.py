@@ -11,7 +11,11 @@ of the two criteria exact in finite samples rather than asymptotic.
 Both criteria, their pointwise values, the scan quantities and the exact
 limits of :mod:`countlim.exact` are one weighted-mean ratio,
 E_w[term(mu*s + b)] / E_w[term(b)], built in one place: ``_Criterion``.
-The exact limits are its one-point case on the nominal yields.
+The exact limits are its one-point case on the nominal yields, and so are
+the exact pointwise quantities: :func:`hybrid_cls`, :func:`scan_quantity`
+and :func:`marginal_posterior_density` on ``draw_samples(systematics,
+None)`` of a model without nuisances give CLs, CLs+b, CLb and the
+closed-form posterior density.
 
 Reductions over samples go through ``np.sum``, whose pairwise tree over a
 fixed (declaration) sample order keeps results reproducible and
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +37,6 @@ from .solver import LimitRequest, LimitResult, solve_decreasing
 
 __all__ = [
     "Integrator",
-    "NuisanceSample",
     "SampleSet",
     "draw_samples",
     "marginal_likelihood",
@@ -98,18 +100,9 @@ class Integrator:
         return {"kind": self.kind, "nodes_per_dim": self.nodes_per_dim}
 
 
-@dataclass(frozen=True)
-class NuisanceSample:
-    """One integration point: a nuisance vector and its weight."""
-
-    eta: np.ndarray
-    weight: float
-
-
-class SampleSet(Sequence):
-    """Weighted nuisance samples, stored columnwise for vectorised use.
-
-    Behaves as a sequence of :class:`NuisanceSample`; the constraint
+class SampleSet:
+    """Weighted nuisance samples: a (K, J) matrix of nuisance vectors,
+    one row per sample, and K weights; ``len`` is K. The constraint
     densities are absorbed into the sampling measure, so weights sum to
     one and no prior factor is ever multiplied in again.
     """
@@ -125,24 +118,22 @@ class SampleSet(Sequence):
     def __len__(self) -> int:
         return self.etas.shape[0]
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return SampleSet(self.etas[k], self.weights[k])
-        return NuisanceSample(self.etas[k].copy(), float(self.weights[k]))
-
 
 def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -> SampleSet:
     """Deterministic sample set for (systematics, integrator).
 
     With no nuisances the set collapses to a single empty point of weight
-    one, whatever ``integrator`` is (None included). Gauss-Hermite with
-    any non-normal prior is refused rather than run against the wrong
-    measure, and so is a grid above ``2**20`` points or a Monte Carlo set
-    above ``2**22`` values (samples x nuisances).
+    one, whatever ``integrator`` is (None included); with nuisances an
+    integrator is required. Gauss-Hermite with any non-normal prior is
+    refused rather than run against the wrong measure, and so is a grid
+    above ``2**20`` points or a Monte Carlo set above ``2**22`` values
+    (samples x nuisances).
     """
     n_nuis = len(systematics.nuisances)
     if n_nuis == 0:
         return SampleSet(np.zeros((1, 0)), np.ones(1))
+    if integrator is None:
+        raise ConfigError(f"nuisance(s) {list(systematics.names)} need an integrator to be sampled")
     if integrator.kind == "monte_carlo":
         k = integrator.n_samples
         if k * n_nuis > _MC_MAX_VALUES:
@@ -197,26 +188,16 @@ def _hermite_rule(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, w_norm
 
 
-def _as_sample_set(samples) -> SampleSet:
-    if isinstance(samples, SampleSet):
-        return samples
-    items = list(samples)
-    etas = np.stack([np.asarray(s.eta, dtype=float) for s in items])
-    weights = np.array([s.weight for s in items], dtype=float)
-    return SampleSet(etas, weights)
-
-
 def _check_mu(mu) -> float:
     mu = float(mu)
-    if mu < 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
     return mu
 
 
-def marginal_likelihood(model: CountingModel, mu: float, n, samples) -> float:
+def marginal_likelihood(model: CountingModel, mu: float, n, samples: SampleSet) -> float:
     """Prior-weighted average of Poisson(n; mu*s(eta) + b(eta))."""
     mu = _check_mu(mu)
-    samples = _as_sample_set(samples)
     s, b = yields_on_samples(model, samples.etas)
     pmf = np.exp(log_poisson_pmf(n, mu * s + b))
     return float(np.sum(samples.weights * pmf))
@@ -234,6 +215,8 @@ def _bayes_terms(n: int, s, x):
 
 
 _DENOMINATOR_NAMES = {_cls_terms: "CLb", _bayes_terms: "Q(n_obs + 1, b)"}
+_CLS_UNDEFINED = "nominal signal yield is zero; the CLs limit is undefined"
+_POSTERIOR_IMPROPER = "nominal signal yield is zero; the posterior for mu is improper"
 
 
 class _Criterion:
@@ -321,7 +304,8 @@ class _Criterion:
         return float(np.sum(self.w * terms))
 
     def terms(self, mu: float):
-        return self.kernel(self.n, self.s, mu * self.s + self.b)
+        # at mu = 0 the numerator is the denominator, as in __call__
+        return self.den_terms if mu == 0.0 else self.kernel(self.n, self.s, mu * self.s + self.b)
 
     def pmf_terms(self, mu: float):
         """Per-sample Poisson(n_obs; mu*s + b): over the Bayesian
@@ -350,10 +334,9 @@ class _Criterion:
         return math.sqrt(max(var, 0.0))
 
 
-def _criterion(model: CountingModel, kernel, samples) -> _Criterion:
+def _criterion(model: CountingModel, kernel, samples: SampleSet) -> _Criterion:
     """The engine over ``samples``; the nominal one-point set of a model
     without nuisances runs on the scalar kernels."""
-    samples = _as_sample_set(samples)
     if samples.etas.shape == (1, 0) and samples.weights[0] == 1.0:
         s, b, w = model.s_nom, model.b_nom_total, None
     else:
@@ -391,29 +374,32 @@ def _marginal_limit(model, req, integrator, samples, kernel) -> LimitResult:
     return _solve(crit, req, with_stderr=monte_carlo and crit.w is not None and crit.w.size >= 2)
 
 
-def hybrid_cls(model: CountingModel, mu: float, samples) -> float:
+def hybrid_cls(model: CountingModel, mu: float, samples: SampleSet) -> float:
     """Marginalised CLs: averaged tail sums, one sample set for both the
-    signal-plus-background numerator and the background-only denominator."""
+    signal-plus-background numerator and the background-only denominator.
+    On the one-point set of a model without nuisances, the exact CLs."""
     mu = _check_mu(mu)
+    if model.s_nom == 0.0:
+        raise ModelError(_CLS_UNDEFINED)
     return _criterion(model, _cls_terms, samples).criterion(mu)
 
 
-def marginal_posterior_tail(model: CountingModel, mu: float, samples) -> float:
+def marginal_posterior_tail(model: CountingModel, mu: float, samples: SampleSet) -> float:
     """Posterior mass above ``mu`` under the uniform strength prior, with
     nuisances marginalised: the Bayesian counterpart of :func:`hybrid_cls`."""
     mu = _check_mu(mu)
     return _criterion(model, _bayes_terms, samples).criterion(mu)
 
 
-def marginal_posterior_density(model: CountingModel, mu: float, samples) -> float:
-    """Marginal posterior density of mu; reduces to the exact posterior
-    when responses are identity."""
+def marginal_posterior_density(model: CountingModel, mu: float, samples: SampleSet) -> float:
+    """Marginal posterior density of mu; reduces to the exact posterior,
+    pmf(n_obs; mu*s + b) * s / Q(n_obs + 1, b), when responses are identity."""
     mu = _check_mu(mu)
     crit = _criterion(model, _bayes_terms, samples)
     return float(crit.ratio(crit.pmf_terms(mu)))
 
 
-def scan_quantity(model: CountingModel, quantity: str, mus, samples, with_stderr: bool):
+def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, with_stderr: bool):
     """Tabulate a marginal quantity over a strength grid.
 
     Returns ``(values, stderrs)`` with ``stderrs`` None unless
@@ -424,8 +410,8 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples, with_stderr
         raise ValueError(f"unknown scan quantity {quantity!r}")
     crit = _criterion(model, _bayes_terms if quantity == "posterior" else _cls_terms, samples)
     if quantity == "cls" and crit.w is None and model.s_nom == 0.0:
-        # on the nominal point this is the exact CLs curve, refused as by cls_value
-        raise ModelError("signal yield is zero; the CLs limit is undefined")
+        # on the nominal point this is the exact CLs curve, refused as by cls_upper_limit
+        raise ModelError(_CLS_UNDEFINED)
     mus = np.asarray(mus, dtype=float)
     if mus.size and not (float(np.min(mus)) >= 0.0 and float(np.max(mus)) < math.inf):
         raise ValueError("mu grid must be finite and nonnegative")
@@ -455,7 +441,7 @@ def hybrid_cls_upper_limit(
     nuisances needs no integrator and gives the exact CLs limit.
     """
     if model.s_nom == 0.0:
-        raise ModelError("nominal signal yield is zero; the CLs limit is undefined")
+        raise ModelError(_CLS_UNDEFINED)
     return _marginal_limit(model, req, integrator, samples, _cls_terms)
 
 
@@ -469,5 +455,5 @@ def bayesian_marginal_upper_limit(
     strength prior), sharing ``samples`` with the hybrid method when given.
     A model without nuisances gives the closed-form credible limit."""
     if model.s_nom == 0.0:
-        raise ModelError("nominal signal yield is zero; the posterior for mu is improper")
+        raise ModelError(_POSTERIOR_IMPROPER)
     return _marginal_limit(model, req, integrator, samples, _bayes_terms)

@@ -20,7 +20,6 @@ from typing import Mapping
 import numpy as np
 
 from .exceptions import ModelError, YieldError
-from .special import log_poisson_pmf
 
 __all__ = [
     "Response",
@@ -29,13 +28,8 @@ __all__ = [
     "BackgroundProcess",
     "SystematicsModel",
     "CountingModel",
-    "signal_yield",
-    "background_yield",
-    "log_full_likelihood",
     "yields_on_samples",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -54,6 +48,8 @@ class Response:
     def __post_init__(self):
         if self.kind not in ("identity", "log_normal", "linear"):
             raise ModelError(f"unknown response kind {self.kind!r}")
+        if not (math.isfinite(self.kappa) and math.isfinite(self.delta)):
+            raise ModelError(f"response parameters must be finite, got kappa={self.kappa}, delta={self.delta}")
         if self.kind == "log_normal" and not self.kappa > 0.0:
             raise ModelError(f"log_normal response requires kappa > 0, got {self.kappa}")
 
@@ -73,16 +69,12 @@ class Response:
     def is_identity(self) -> bool:
         return self.kind == "identity"
 
-    def factor(self, eta):
-        """Scale factor at nuisance value ``eta`` (scalar or array)."""
+    def factor(self, eta: np.ndarray) -> np.ndarray:
+        """Scale factors at an array of nuisance values."""
         if self.kind == "identity":
-            if isinstance(eta, np.ndarray):
-                return np.ones_like(eta, dtype=float)
-            return 1.0
+            return np.ones_like(eta, dtype=float)
         if self.kind == "log_normal":
-            if isinstance(eta, np.ndarray):
-                return np.exp(math.log(self.kappa) * eta)
-            return self.kappa**eta
+            return np.exp(math.log(self.kappa) * eta)
         return 1.0 + self.delta * eta
 
 
@@ -103,8 +95,8 @@ class Prior:
             raise ModelError(f"unknown prior kind {self.kind!r}")
         if self.kind == "standard_normal" and (self.loc != 0.0 or self.scale != 1.0):
             raise ModelError("standard_normal prior takes no parameters")
-        if not self.scale > 0.0:
-            raise ModelError(f"prior scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.loc) and 0.0 < self.scale < math.inf):
+            raise ModelError(f"prior needs a finite loc and a positive finite scale, got {self.loc}, {self.scale}")
 
     @classmethod
     def standard_normal(cls) -> "Prior":
@@ -122,20 +114,11 @@ class Prior:
     def is_normal_family(self) -> bool:
         return self.kind in ("standard_normal", "normal")
 
-    def from_standard_normal(self, z):
-        """Map a standard-normal variate (or node) to the prior's scale."""
+    def from_standard_normal(self, z: np.ndarray) -> np.ndarray:
+        """Map standard-normal variates (or nodes) to the prior's scale."""
         if self.kind == "log_normal":
-            return np.exp(self.loc + self.scale * z) if isinstance(z, np.ndarray) else math.exp(self.loc + self.scale * z)
+            return np.exp(self.loc + self.scale * z)
         return self.loc + self.scale * z
-
-    def log_density(self, eta: float) -> float:
-        if self.kind == "log_normal":
-            if eta <= 0.0:
-                return -math.inf
-            u = (math.log(eta) - self.loc) / self.scale
-            return -0.5 * u * u - math.log(eta * self.scale) - 0.5 * _LOG_2PI
-        u = (eta - self.loc) / self.scale
-        return -0.5 * u * u - math.log(self.scale) - 0.5 * _LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -153,8 +136,8 @@ class BackgroundProcess:
     responses: Mapping[str, Response] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.b_nom < 0.0:
-            raise ModelError(f"background {self.name!r} has negative nominal yield {self.b_nom}")
+        if not 0.0 <= self.b_nom < math.inf:
+            raise ModelError(f"background {self.name!r} needs a finite nonnegative nominal yield, got {self.b_nom}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,28 +213,6 @@ class SystematicsModel:
         out[:, idx] = z[:, idx] @ self._chol.T
         return out
 
-    def log_prior_density(self, eta) -> float:
-        """Joint log constraint density at a nuisance vector."""
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape != (len(self.nuisances),):
-            raise ValueError(
-                f"eta has shape {eta.shape}, expected ({len(self.nuisances)},)"
-            )
-        if self._chol is None:
-            return float(sum(nu.prior.log_density(float(eta[j])) for j, nu in enumerate(self.nuisances)))
-        idx = list(self.gaussian_indices)
-        locs = np.array([self.nuisances[j].prior.loc for j in idx])
-        scales = np.array([self.nuisances[j].prior.scale for j in idx])
-        z = (eta[idx] - locs) / scales
-        y = np.linalg.solve(self._chol, z)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
-        lp = -0.5 * float(y @ y) - 0.5 * log_det - 0.5 * len(idx) * _LOG_2PI
-        lp -= float(np.sum(np.log(scales)))
-        for j, nu in enumerate(self.nuisances):
-            if j not in idx:
-                lp += nu.prior.log_density(float(eta[j]))
-        return lp
-
 
 @dataclass(frozen=True)
 class CountingModel:
@@ -264,8 +225,8 @@ class CountingModel:
 
     def __post_init__(self):
         object.__setattr__(self, "backgrounds", tuple(self.backgrounds))
-        if self.s_nom < 0.0:
-            raise ModelError(f"nominal signal yield must be nonnegative, got {self.s_nom}")
+        if not 0.0 <= self.s_nom < math.inf:
+            raise ModelError(f"nominal signal yield must be finite and nonnegative, got {self.s_nom}")
         if not (isinstance(self.n_obs, (int, np.integer)) and self.n_obs >= 0):
             raise ModelError(f"observed count must be a nonnegative integer, got {self.n_obs!r}")
         names = [bkg.name for bkg in self.backgrounds]
@@ -303,57 +264,6 @@ class CountingModel:
         )
 
 
-def _response_product(responses: Mapping[str, Response], names, eta) -> float:
-    factor = 1.0
-    for j, name in enumerate(names):
-        resp = responses.get(name)
-        if resp is None or resp.is_identity:
-            continue
-        f = resp.factor(float(eta[j]))
-        if f < 0.0:
-            raise YieldError(
-                f"response {resp.kind!r} on nuisance {name!r} gives negative factor "
-                f"{f} at eta={float(eta[j])}",
-                eta=np.asarray(eta, dtype=float),
-            )
-        factor *= f
-    return factor
-
-
-def _check_eta(model: CountingModel, eta) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
-    n_nuis = len(model.systematics.nuisances)
-    if eta.shape != (n_nuis,):
-        raise ValueError(f"eta has shape {eta.shape}, expected ({n_nuis},)")
-    return eta
-
-
-def signal_yield(model: CountingModel, eta) -> float:
-    """Signal yield s(eta) = s_nom * prod_j h_j(eta_j)."""
-    eta = _check_eta(model, eta)
-    names = model.systematics.names
-    return model.s_nom * _response_product(model.systematics.signal_responses, names, eta)
-
-
-def background_yield(model: CountingModel, eta) -> float:
-    """Total background yield b(eta), summed over processes."""
-    eta = _check_eta(model, eta)
-    names = model.systematics.names
-    total = 0.0
-    for bkg in model.backgrounds:
-        total += bkg.b_nom * _response_product(bkg.responses, names, eta)
-    return total
-
-
-def log_full_likelihood(model: CountingModel, mu: float, eta, n) -> float:
-    """Log of Poisson(n; mu*s(eta) + b(eta)) times the constraint densities."""
-    if mu < 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    eta = _check_eta(model, eta)
-    nu = mu * signal_yield(model, eta) + background_yield(model, eta)
-    return log_poisson_pmf(n, nu) + model.systematics.log_prior_density(eta)
-
-
 def _response_product_columns(responses: Mapping[str, Response], names, etas: np.ndarray, label: str) -> np.ndarray:
     factor = np.ones(etas.shape[0])
     for j, name in enumerate(names):
@@ -387,4 +297,9 @@ def yields_on_samples(model: CountingModel, etas: np.ndarray):
     b = np.zeros(etas.shape[0])
     for bkg in model.backgrounds:
         b += bkg.b_nom * _response_product_columns(bkg.responses, names, etas, f"background {bkg.name!r}")
+    for label, y in (("signal", s), ("background", b)):
+        undefined = np.isnan(y)  # a zero times an overflowed factor
+        if undefined.any():
+            k = int(np.argmax(undefined))
+            raise YieldError(f"{label} yield is 0 x inf at sample {k}", eta=etas[k].copy(), sample_index=k)
     return s, b

@@ -26,6 +26,7 @@ not shrunk to ``rel_tol``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .exceptions import ConvergenceError
@@ -46,24 +47,21 @@ class LimitRequest:
     CLs(mu) = alpha, the Bayesian one for posterior tail mass alpha
     (credibility 1 - alpha below the limit). Only the uniform prior on the
     signal strength is supported. ``rel_tol``, in (0, 1), is the solver's
-    relative tolerance; ``max_iter`` caps the criterion evaluations of
-    one solve.
+    relative tolerance; ``max_iter``, a positive integer, caps the
+    criterion evaluations of one solve.
     """
 
     alpha: float
-    mu_prior: str = "uniform"
     rel_tol: float = 1e-9
     max_iter: int = 200
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.mu_prior != "uniform":
-            raise ValueError(f"only the uniform signal-strength prior is supported, got {self.mu_prior!r}")
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if not self.max_iter > 0:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter > 0):
+            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ def log_poisson_pmf(n, nu):
     """
     n = _check_count(n)
     if isinstance(nu, np.ndarray):
-        if nu.size and float(np.min(nu)) < 0.0:
+        if nu.size and not float(np.min(nu)) >= 0.0:
             raise ValueError("nu must be nonnegative")
         safe = np.where(nu > 0.0, nu, 1.0)
         out = n * np.log(safe) - nu - math.lgamma(n + 1)
@@ -92,7 +92,7 @@ def log_poisson_pmf(n, nu):
             out = np.where(nu > 0.0, out, -np.inf)
         return out
     nu = float(nu)
-    if nu < 0.0:
+    if not nu >= 0.0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     if nu == 0.0:
         return 0.0 if n == 0 else -math.inf
@@ -116,7 +116,7 @@ def poisson_cdf(n, nu):
     if isinstance(nu, np.ndarray):
         return _on_lanes(_poisson_cdf_scalar, _poisson_cdf_array, n, nu, "nu")
     nu = float(nu)
-    if nu < 0.0:
+    if not nu >= 0.0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     return _poisson_cdf_scalar(n, nu)
 
@@ -128,14 +128,16 @@ _NARROW_LANES = 40
 
 def _on_lanes(scalar, array, first, x, name: str) -> np.ndarray:
     """``scalar(first, lane)`` on each lane of a narrow array, else
-    ``array(first, x)``, once ``x`` is checked to be nonnegative."""
+    ``array(first, x)``, once ``x`` is checked to be nonnegative: a NaN
+    lane is refused too (``np.min`` returns it; ``min`` may step over it,
+    but ``sum`` does not)."""
     x = np.asarray(x, dtype=float)
     if x.size > _NARROW_LANES:
-        if float(np.min(x)) < 0.0:
+        if not float(np.min(x)) >= 0.0:
             raise ValueError(f"{name} must be nonnegative")
         return array(first, x)
     lanes = x.ravel().tolist()
-    if lanes and min(lanes) < 0.0:
+    if lanes and not (min(lanes) >= 0.0 and sum(lanes) >= 0.0):
         raise ValueError(f"{name} must be nonnegative")
     out = np.fromiter(map(scalar, itertools.repeat(first, len(lanes)), lanes), float, len(lanes))
     return out.reshape(x.shape)
@@ -236,12 +238,12 @@ def gamma_q(a, x):
     ``a`` must be positive; ``x`` nonnegative, scalar or array.
     """
     a = float(a)
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"a must be positive, got {a}")
     if isinstance(x, np.ndarray):
         return _on_lanes(_gamma_q_scalar, _gamma_q_array, a, x, "x")
     x = float(x)
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
     return _gamma_q_scalar(a, x)
 

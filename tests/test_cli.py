@@ -171,6 +171,27 @@ class TestLimitCommand:
         result = runner.invoke(cli, ["limit", cfg, "--samples", "10000", "--seed", "0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("nominal", [1.5, 0.0])
+    @pytest.mark.parametrize("command", [["limit"], ["scan", "--mu-max", "5", "--quantity", "clsb"]])
+    def test_overflowed_response_exits_two(self, tmp_path, nominal, command):
+        # kappa = 1e300 overflows the yield to +inf on some samples, a lane
+        # the kernels accept; on an empty background it makes 0 * inf = NaN,
+        # which they refuse, so the yields refuse it first
+        doc = json.loads(json.dumps(BG_SYST))
+        doc["backgrounds"].append(
+            {"name": "extra", "nominal": nominal, "responses": {"bscale": {"kind": "log_normal", "kappa": 1e300}}}
+        )
+        cfg = write_config(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "countlim.cli", command[0], cfg, *command[1:], "--samples", "50"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+
 
 class TestScanCommand:
     def test_cls_starts_at_one(self, runner, tmp_path):

@@ -6,16 +6,17 @@ from scipy.integrate import quad
 
 from countlim import (
     ConvergenceError,
+    Integrator,
     LimitRequest,
     ModelError,
     bayesian_upper_limit_closed_form,
-    clb_value,
     cls_upper_limit,
-    cls_value,
-    clsb_value,
-    posterior_density,
+    draw_samples,
+    hybrid_cls,
+    marginal_posterior_density,
 )
-from helpers import bg_systematic_model, plain_model
+from countlim.marginal import scan_quantity
+from helpers import bg_systematic_model, identity_systematic_model, plain_model
 from oracles import bayesian_upper_limit_quadrature
 
 # Frozen oracle values, computed with an mpmath bisection on the tail-sum
@@ -25,6 +26,21 @@ ORACLE_CLS_AT_6356 = 0.049973102763732327899
 ORACLE_MU_UP_BAYES_B5 = 2.6707849463743038758  # s=1, b=5, n_obs=1, alpha=0.1
 ORACLE_POSTERIOR_AT_0 = 9.0 / 67.0  # s=1, b=1.5, n_obs=3
 ORACLE_MU_UP_N1E5 = 621.51642837697398471  # s=1, b=1e5, n_obs=1e5, alpha=0.05 (30 digits)
+
+
+# The pointwise quantities of a model without nuisances are those of the
+# marginal routines on its one-point sample set.
+def cls_value(model, mu):
+    return hybrid_cls(model, mu, draw_samples(model.systematics, None))
+
+
+def posterior_density(model, mu):
+    return marginal_posterior_density(model, mu, draw_samples(model.systematics, None))
+
+
+def scan(model, quantity, mus):
+    samples = draw_samples(model.systematics, None)
+    return scan_quantity(model, quantity, np.asarray(mus, dtype=float), samples, False)[0]
 
 
 class TestClsValue:
@@ -49,20 +65,39 @@ class TestClsValue:
 
     def test_degenerate_signal(self):
         m = plain_model(s=0.0, b=1.5, n_obs=3)
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="nominal signal yield is zero; the CLs limit is undefined"):
             cls_value(m, 1.0)
+        with pytest.raises(ModelError, match="nominal signal yield is zero; the CLs limit is undefined"):
+            scan(m, "cls", [1.0])
 
-    def test_rejects_systematics(self):
-        with pytest.raises(ModelError):
-            cls_value(bg_systematic_model(), 1.0)
+    def test_degenerate_signal_with_nuisances(self):
+        # the refusal of hybrid_cls_upper_limit, on any sample set
+        m = identity_systematic_model(s=0.0)
+        samples = draw_samples(m.systematics, Integrator.monte_carlo(100, 1))
+        with pytest.raises(ModelError, match="nominal signal yield is zero; the CLs limit is undefined"):
+            hybrid_cls(m, 1.0, samples)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, -1.0])
+    def test_refuses_mu_outside_the_domain(self, mu):
+        # mu = nan once gave CLs = 1.07, and mu = inf gave NaN
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            cls_value(plain_model(s=1.0, b=1.5, n_obs=3), mu)
 
     def test_component_values(self):
         m = plain_model(s=1.0, b=1.5, n_obs=3)
-        assert clsb_value(m, 0.0) == clb_value(m)
-        assert cls_value(m, 2.0) == pytest.approx(clsb_value(m, 2.0) / clb_value(m), rel=1e-15)
+        clsb = scan(m, "clsb", [0.0, 2.0])
+        clb = scan(m, "clb", [0.0, 2.0])
+        assert clsb[0] == clb[0] == clb[1]
+        assert cls_value(m, 2.0) == pytest.approx(clsb[1] / clb[1], rel=1e-15)
+        assert scan(m, "cls", [2.0])[0] == cls_value(m, 2.0)
 
 
 class TestClsUpperLimit:
+    def test_rejects_systematics(self):
+        for route in (cls_upper_limit, bayesian_upper_limit_closed_form):
+            with pytest.raises(ModelError, match="identity responses"):
+                route(bg_systematic_model(), LimitRequest(alpha=0.05))
+
     def test_background_free_closed_form(self):
         m = plain_model(s=1.0, b=0.0, n_obs=0)
         res = cls_upper_limit(m, LimitRequest(alpha=0.05))
@@ -124,6 +159,7 @@ class TestPosteriorDensity:
     def test_density_at_zero(self):
         m = plain_model(s=1.0, b=1.5, n_obs=3)
         assert posterior_density(m, 0.0) == pytest.approx(ORACLE_POSTERIOR_AT_0, rel=1e-13)
+        assert scan(m, "posterior", [0.0])[0] == posterior_density(m, 0.0)
 
     def test_nonnegative(self):
         m = plain_model(s=0.5, b=5.0, n_obs=2)

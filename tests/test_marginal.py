@@ -12,7 +12,6 @@ from countlim import (
     LimitRequest,
     ModelError,
     Nuisance,
-    NuisanceSample,
     Prior,
     Response,
     SampleSet,
@@ -20,15 +19,16 @@ from countlim import (
     bayesian_marginal_upper_limit,
     bayesian_upper_limit_closed_form,
     cls_upper_limit,
-    cls_value,
+    compare_limits,
     draw_samples,
+    gamma_q,
     hybrid_cls,
     hybrid_cls_upper_limit,
     log_poisson_pmf,
     marginal_likelihood,
     marginal_posterior_density,
     marginal_posterior_tail,
-    posterior_density,
+    poisson_cdf,
 )
 from countlim import marginal
 from countlim.marginal import (
@@ -133,16 +133,23 @@ class TestDrawSamples:
         assert samples.etas.shape == (1, 0)
         assert samples.weights[0] == 1.0
 
-    def test_sequence_interface(self):
-        m = bg_systematic_model()
-        samples = draw_samples(m.systematics, Integrator.monte_carlo(10, 5))
-        assert len(samples) == 10
-        first = samples[0]
-        assert isinstance(first, NuisanceSample)
-        assert first.eta.shape == (1,)
-        assert first.weight == pytest.approx(0.1, rel=1e-12)
-        assert len(list(samples)) == 10
-        assert len(samples[2:5]) == 3
+    def test_nuisances_need_an_integrator(self):
+        # once a bare AttributeError on None.kind, from each of these routes
+        m = CountingModel(
+            s_nom=1.0,
+            backgrounds=(BackgroundProcess("b", 1.5, {"lumi": Response.log_normal(1.1)}),),
+            n_obs=3,
+            systematics=SystematicsModel(nuisances=(Nuisance("lumi", Prior.standard_normal()),)),
+        )
+        req = LimitRequest(alpha=0.05)
+        for route in (
+            lambda: draw_samples(m.systematics, None),
+            lambda: hybrid_cls_upper_limit(m, req, None),
+            lambda: bayesian_marginal_upper_limit(m, req, None),
+            lambda: compare_limits(m, req, None),
+        ):
+            with pytest.raises(ConfigError, match=r"nuisance\(s\) \['lumi'\] need an integrator"):
+                route()
 
     def test_monte_carlo_correlation_is_realised(self):
         corr = np.array([[1.0, 0.7], [0.7, 1.0]])
@@ -304,10 +311,10 @@ class TestHybridCls:
 
     def test_identity_matches_exact(self):
         m = identity_systematic_model(s=1.0, b=1.5, n_obs=3)
-        exact = plain_model(s=1.0, b=1.5, n_obs=3)
         samples = draw_samples(m.systematics, Integrator.monte_carlo(2048, 3))
         for mu in (0.5, 2.0, 6.0):
-            assert abs(hybrid_cls(m, mu, samples) - cls_value(exact, mu)) <= 1e-14
+            exact = poisson_cdf(3, mu + 1.5) / poisson_cdf(3, 1.5)
+            assert abs(hybrid_cls(m, mu, samples) - exact) <= 1e-14
 
     def test_two_node_quadrature_by_hand(self):
         m = bg_systematic_model(kappa=1.3)
@@ -591,12 +598,13 @@ class TestUpperLimits:
 
 class TestMarginalPosterior:
     def test_identity_matches_exact_density(self):
+        # the closed form pmf(n_obs; mu*s + b) * s / Q(n_obs + 1, b), at s = 1
         m = identity_systematic_model(s=1.0, b=1.5, n_obs=3)
-        exact = plain_model(s=1.0, b=1.5, n_obs=3)
         samples = draw_samples(m.systematics, Integrator.gauss_hermite(8))
         for mu in (0.0, 1.0, 4.0):
             a = marginal_posterior_density(m, mu, samples)
-            assert a == pytest.approx(posterior_density(exact, mu), rel=1e-12)
+            exact = math.exp(log_poisson_pmf(3, mu + 1.5)) / gamma_q(4.0, 1.5)
+            assert a == pytest.approx(exact, rel=1e-12)
 
     def test_integrates_to_one(self):
         from scipy.integrate import quad
@@ -632,6 +640,16 @@ class TestScanQuantity:
         values, stderrs = scan_quantity(m, "cls", np.array([0.0, 1e3]), samples, with_stderr=True)
         assert values[1] == 0.0
         assert stderrs[1] == 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_zero_strength_runs_no_kernel_where_the_signal_overflows(self):
+        # s = inf on the second sample: 0 * s + b would be a NaN lane, once
+        # counted as CLs+b = 1 there
+        m = signal_systematic_model(kappa=1e300)
+        samples = SampleSet(np.array([[0.0], [2.0]]), np.array([0.5, 0.5]))
+        clsb, _ = scan_quantity(m, "clsb", np.array([0.0]), samples, with_stderr=False)
+        clb, _ = scan_quantity(m, "clb", np.array([0.0]), samples, with_stderr=False)
+        assert clsb[0] == clb[0] < 1.0
 
     def test_no_stderr_for_quadrature(self):
         m = bg_systematic_model(kappa=1.2)

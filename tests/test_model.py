@@ -13,10 +13,9 @@ from countlim import (
     Response,
     SystematicsModel,
     YieldError,
-    background_yield,
-    log_full_likelihood,
+    draw_samples,
     log_poisson_pmf,
-    signal_yield,
+    marginal_likelihood,
     yields_on_samples,
 )
 
@@ -37,6 +36,22 @@ def model_with(signal_responses=None, bkg_responses=None, nuisances=None, s=1.0,
             correlation=correlation,
         ),
     )
+
+
+def signal_yield(model, eta):
+    """s(eta) at one nuisance vector: a one-row yields_on_samples."""
+    return float(yields_on_samples(model, np.array([eta], dtype=float))[0][0])
+
+
+def background_yield(model, eta):
+    """b(eta) at one nuisance vector: a one-row yields_on_samples."""
+    return float(yields_on_samples(model, np.array([eta], dtype=float))[1][0])
+
+
+def likelihood(model, mu, n):
+    """Poisson(n; mu*s + b) of a model without nuisances: the marginal
+    likelihood on its one-point sample set."""
+    return marginal_likelihood(model, mu, n, draw_samples(model.systematics, None))
 
 
 class TestYields:
@@ -75,9 +90,10 @@ class TestYields:
             nuisances=[Nuisance("a", Prior.standard_normal())],
         )
         assert background_yield(m, [-5.0]) == 0.0
-        with pytest.raises(YieldError) as err:
+        with pytest.raises(YieldError, match="negative factor") as err:
             background_yield(m, [-6.0])
-        assert err.value.eta is not None
+        assert err.value.eta.tolist() == [-6.0]
+        assert err.value.sample_index == 0
 
     def test_background_permutation_invariance(self):
         bkgs = (("p1", 0.7), ("p2", 1.1), ("p3", 0.2))
@@ -97,64 +113,36 @@ class TestYields:
 
     def test_eta_dimension_mismatch(self):
         m = model_with(nuisances=[Nuisance("a", Prior.standard_normal())])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"expected \(K, 1\)"):
             signal_yield(m, [0.0, 1.0])
 
 
 class TestFullLikelihood:
+    # without nuisances the full likelihood is the Poisson pmf at the
+    # nominal yields, the marginal likelihood on the one-point set
     def test_reduces_to_poisson(self):
         m = model_with(s=1.0, bkgs=(("bkg", 2.5),), n_obs=0)
-        assert log_full_likelihood(m, 0.0, [], 0) == pytest.approx(-2.5, rel=1e-15)
-
-    def test_gaussian_constraint_at_zero(self):
-        m = model_with(
-            s=1.0,
-            bkgs=(("bkg", 2.5),),
-            n_obs=0,
-            nuisances=[Nuisance("a", Prior.standard_normal())],
-        )
-        expected = -2.5 + math.log(1.0 / math.sqrt(2.0 * math.pi))
-        assert log_full_likelihood(m, 0.0, [0.0], 0) == pytest.approx(expected, rel=1e-14)
+        assert likelihood(m, 0.0, 0) == pytest.approx(math.exp(-2.5), rel=1e-15)
 
     def test_composition(self):
         m = model_with(s=1.0, bkgs=(("bkg", 1.5),), n_obs=3)
-        assert log_full_likelihood(m, 1.0, [], 3) == log_poisson_pmf(3, 2.5)
+        assert likelihood(m, 1.0, 3) == pytest.approx(math.exp(log_poisson_pmf(3, 2.5)), rel=1e-15)
 
     def test_exact_identity_reduction(self):
         m = model_with(s=0.7, bkgs=(("bkg", 1.2), ("x", 0.4)), n_obs=5)
         for mu, n in [(0.0, 0), (1.3, 5), (4.0, 2)]:
-            assert log_full_likelihood(m, mu, [], n) == log_poisson_pmf(n, mu * 0.7 + 1.6)
+            assert likelihood(m, mu, n) == pytest.approx(math.exp(log_poisson_pmf(n, mu * 0.7 + 1.6)), rel=1e-15)
 
     def test_negative_mu_rejected(self):
         m = model_with()
         with pytest.raises(ValueError):
-            log_full_likelihood(m, -0.1, [], 3)
+            likelihood(m, -0.1, 3)
 
-    def test_correlated_prior_matches_scipy(self):
-        from scipy.stats import multivariate_normal
-
-        corr = np.array([[1.0, 0.6], [0.6, 1.0]])
-        m = model_with(
-            nuisances=[
-                Nuisance("a", Prior.normal(0.5, 2.0)),
-                Nuisance("b", Prior.standard_normal()),
-            ],
-            correlation=corr,
-        )
-        eta = np.array([1.3, -0.4])
-        scales = np.array([2.0, 1.0])
-        cov = corr * np.outer(scales, scales)
-        expected = multivariate_normal(mean=[0.5, 0.0], cov=cov).logpdf(eta)
-        got = m.systematics.log_prior_density(eta)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_log_normal_prior_density(self):
-        prior = Prior.log_normal(0.1, 0.4)
-        eta = 1.7
-        u = (math.log(eta) - 0.1) / 0.4
-        expected = -0.5 * u * u - math.log(eta * 0.4 * math.sqrt(2 * math.pi))
-        assert prior.log_density(eta) == pytest.approx(expected, rel=1e-13)
-        assert prior.log_density(-1.0) == -math.inf
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_mu_rejected(self, mu):
+        # NaN once gave a likelihood of 0.0
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            likelihood(model_with(), mu, 3)
 
 
 class TestVectorisedYields:
@@ -169,9 +157,10 @@ class TestVectorisedYields:
         )
         etas = np.array([[0.0, 0.0], [1.0, -1.0], [-2.0, 0.5]])
         s, b = yields_on_samples(m, etas)
-        for k in range(etas.shape[0]):
-            assert s[k] == pytest.approx(signal_yield(m, etas[k]), rel=1e-15)
-            assert b[k] == pytest.approx(background_yield(m, etas[k]), rel=1e-15)
+        for k, (ea, eb) in enumerate(etas):
+            assert s[k] == pytest.approx(1.3**ea, rel=1e-15)
+            assert b[k] == pytest.approx(1.5 * (1.0 + 0.1 * ea) * 0.9**eb, rel=1e-15)
+            assert (s[k], b[k]) == (signal_yield(m, [ea, eb]), background_yield(m, [ea, eb]))
 
     def test_reports_offending_sample(self):
         m = model_with(
@@ -183,6 +172,19 @@ class TestVectorisedYields:
             yields_on_samples(m, etas)
         assert err.value.sample_index == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_zero_times_overflowed_factor_is_refused(self):
+        # 0 * inf is NaN, which the kernels refuse; the yields say where it arose
+        m = model_with(
+            bkgs=(("bkg", 1.5), ("empty", 0.0)),
+            bkg_responses={"empty": {"a": Response.log_normal(1e300)}},
+            nuisances=[Nuisance("a", Prior.standard_normal())],
+        )
+        with pytest.raises(YieldError, match="background yield is 0 x inf at sample 1") as err:
+            yields_on_samples(m, np.array([[0.5], [3.0]]))
+        assert err.value.eta.tolist() == [3.0]
+
 
 class TestValidation:
     def test_negative_signal(self):
@@ -192,6 +194,22 @@ class TestValidation:
     def test_negative_background(self):
         with pytest.raises(ModelError):
             BackgroundProcess("b", -0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters(self, value):
+        # s_nom = nan once ran into a bracket expansion to 7.4e19
+        with pytest.raises(ModelError, match="finite"):
+            CountingModel(s_nom=value, backgrounds=(BackgroundProcess("b", 1.0),), n_obs=0)
+        with pytest.raises(ModelError, match="finite"):
+            BackgroundProcess("b", value)
+        with pytest.raises(ModelError, match="finite"):
+            Response.log_normal(value)
+        with pytest.raises(ModelError, match="finite"):
+            Response.linear(value)
+        with pytest.raises(ModelError, match="finite"):
+            Prior.normal(value, 1.0)
+        with pytest.raises(ModelError, match="finite"):
+            Prior.log_normal(0.0, value)
 
     def test_all_zero_yields(self):
         with pytest.raises(ModelError):

@@ -248,16 +248,17 @@ class TestLimitRequest:
         req = LimitRequest(alpha=0.05)
         assert req.rel_tol == 1e-9
         assert req.max_iter == 200
-        assert req.mu_prior == "uniform"
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
     def test_alpha_range(self, alpha):
         with pytest.raises(ValueError):
             LimitRequest(alpha=alpha)
 
-    def test_only_uniform_prior(self):
-        with pytest.raises(ValueError):
-            LimitRequest(alpha=0.05, mu_prior="jeffreys")
+    @pytest.mark.parametrize("max_iter", [1.5, 200.0, "200", None])
+    def test_max_iter_is_an_integer(self, max_iter):
+        # max_iter = 1.5 was once accepted, and len(history) == 1.5 never held
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            LimitRequest(alpha=0.05, max_iter=max_iter)
 
     def test_positive_tolerances(self):
         with pytest.raises(ValueError):

@@ -366,6 +366,33 @@ class TestGammaQ:
             gamma_q(2.0, -1.0)
 
 
+_NAN_INPUTS = {
+    "scalar": math.nan,
+    "narrow, NaN first": np.array([math.nan, -1.0]),
+    "narrow, NaN after a valid lane": np.array([1.0, math.nan, 2.0]),
+    "narrow, NaN after an inf lane": np.array([math.inf, math.nan]),
+    "wide": np.concatenate([np.linspace(0.0, 9.0, special._NARROW_LANES), [math.nan]]),
+    "wide, NaN first": np.concatenate([[math.nan], np.linspace(0.0, 9.0, special._NARROW_LANES)]),
+}
+
+
+@pytest.mark.parametrize("x", list(_NAN_INPUTS.values()), ids=list(_NAN_INPUTS))
+@pytest.mark.parametrize(
+    "kernel",
+    [lambda x: poisson_cdf(3, x), lambda x: gamma_q(4.0, x), lambda x: log_poisson_pmf(3, x)],
+    ids=["poisson_cdf", "gamma_q", "log_poisson_pmf"],
+)
+def test_nan_is_refused_like_a_negative_mean(kernel, x):
+    # poisson_cdf(3, nan) once returned 1.0, and [nan, -1.0] passed min() < 0
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        kernel(x)
+
+
+def test_nan_shape_parameter_is_refused():
+    with pytest.raises(ValueError, match="a must be positive"):
+        gamma_q(math.nan, 1.0)
+
+
 def test_identity_between_routes_spot_grid():
     # the full n in [0, 100] x nu in [0, 50] sweep runs in the acceptance
     # suite; this keeps a coarse version close to the implementation
