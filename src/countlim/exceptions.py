@@ -23,10 +23,10 @@ class ModelError(CountLimError):
 
 
 class YieldError(CountLimError):
-    """A response function drove a yield negative.
+    """A response function drove a yield negative or past the float64 range.
 
     Attributes:
-        eta: nuisance vector that produced the negative yield.
+        eta: nuisance vector that produced the yield.
         sample_index: index into the sample set, when evaluated over one.
     """
 

@@ -49,9 +49,11 @@ __all__ = [
 
 # Size budgets, checked before anything is allocated. A Gauss-Hermite grid
 # or a scan grid of 2**20 points is 8 MiB per float64 column. A solve on a
-# one-nuisance Monte Carlo set peaks at ~200 bytes per sample (0.19 GB at
-# 2**20 samples and n_obs = 3, 0.24 GB at n_obs = 160), so the budget of
-# 2**22 values (samples x nuisances) keeps a limit under ~1 GB.
+# one-nuisance Monte Carlo set peaks at under ~200 bytes per sample, the
+# two numerator arrays the criterion keeps included (ru_maxrss above the
+# import, at 2**20 samples: 138 and 169 bytes for the CLs and Bayes limits
+# at n_obs = 3, 137 and 180 at n_obs = 160), so the budget of 2**22 values
+# (samples x nuisances) keeps a limit under ~1 GB.
 _GH_MAX_POINTS = 2**20  # largest Gauss-Hermite tensor grid draw_samples builds
 _MC_MAX_VALUES = 2**22  # largest Monte Carlo set, samples x nuisances
 _SCAN_MAX_POINTS = 2**20  # longest strength grid the scan command tabulates
@@ -255,7 +257,10 @@ class _Criterion:
             )
         self.pmf_scale = s if kernel is _cls_terms else 1.0
         self.log_factorial = math.lgamma(n + 1.0)
-        self.last = None  # (mu, numerator terms, slope) of the latest call
+        # (mu, numerator terms, slope) of the last two calls, latest last: a
+        # solve ends on one of its bracket's ends, which is most often the
+        # last point evaluated or the one before it
+        self.recent = (None, None)
 
     def __call__(self, mu: float):
         """``(criterion, slope, curvature)`` at ``mu``: the solver's inner
@@ -273,8 +278,17 @@ class _Criterion:
             d1 = -self.pmf_scale * pmf
             d2 = -(s * self.pmf_scale) * dpmf
         slope = self.mean(d1) / self.den
-        self.last = mu, terms, slope
+        self.recent = self.recent[1], (mu, terms, slope)
         return self.mean(terms) / self.den, slope, self.mean(d2) / self.den
+
+    def terms_and_slope(self, mu: float):
+        """Numerator terms and slope at ``mu``, from one of the last two
+        calls when either was at ``mu``, else from a new call."""
+        for entry in self.recent:
+            if entry is not None and entry[0] == mu:
+                return entry[1:]
+        self(mu)
+        return self.recent[1][1:]
 
     def pmf_and_derivative(self, x):
         """Per-sample pmf(n; x) and d pmf/dx = pmf * (n/x - 1), for x >= 0.
@@ -324,14 +338,16 @@ class _Criterion:
 
     def ratio_stderr(self, num_terms) -> float:
         """Delta-method standard error of the ratio (Monte Carlo, equal
-        weights). The terms are scaled by their means before the
-        covariance, because squares of tiny means underflow."""
+        weights): (a/b) sqrt(var(u - v) / K) for the terms u and v scaled
+        by their means a and b. Scaling keeps squares of tiny means from
+        underflowing, and the variance of the difference does not cancel
+        where the numerator tracks the denominator, as var(u) + var(v) -
+        2 cov(u, v) does."""
         a, b = self.mean(num_terms), self.den
         if a == 0.0:  # every term underflowed to 0, so the ratio has no spread
             return 0.0
-        cov = np.cov(num_terms / a, self.den_terms / b, ddof=1) / num_terms.size
-        var = (a / b) ** 2 * (cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
-        return math.sqrt(max(var, 0.0))
+        var = float(np.var(num_terms / a - self.den_terms / b, ddof=1)) / num_terms.size
+        return (a / b) * math.sqrt(var)
 
 
 def _criterion(model: CountingModel, kernel, samples: SampleSet) -> _Criterion:
@@ -356,9 +372,7 @@ def _solve(crit: _Criterion, req: LimitRequest, with_stderr: bool = False) -> Li
     mu_up, value, evals, bracket = solve_decreasing(crit, req.alpha, req.rel_tol, req.max_iter)
     if not with_stderr:
         return LimitResult(mu_up, value, evals, bracket)
-    if crit.last[0] != mu_up:  # the solve ended on an earlier point
-        crit(mu_up)
-    _, terms, slope = crit.last
+    terms, slope = crit.terms_and_slope(mu_up)
     crit_stderr = crit.ratio_stderr(terms)
     mu_stderr = crit_stderr / abs(slope) if slope != 0.0 else math.inf
     return LimitResult(
@@ -408,10 +422,10 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, 
     """
     if quantity not in ("cls", "clsb", "clb", "posterior"):
         raise ValueError(f"unknown scan quantity {quantity!r}")
-    crit = _criterion(model, _bayes_terms if quantity == "posterior" else _cls_terms, samples)
-    if quantity == "cls" and crit.w is None and model.s_nom == 0.0:
-        # on the nominal point this is the exact CLs curve, refused as by cls_upper_limit
+    if quantity == "cls" and model.s_nom == 0.0:
+        # CLs = 1 at every mu, on any sample set: refused as by hybrid_cls_upper_limit
         raise ModelError(_CLS_UNDEFINED)
+    crit = _criterion(model, _bayes_terms if quantity == "posterior" else _cls_terms, samples)
     mus = np.asarray(mus, dtype=float)
     if mus.size and not (float(np.min(mus)) >= 0.0 and float(np.max(mus)) < math.inf):
         raise ValueError("mu grid must be finite and nonnegative")

@@ -298,8 +298,10 @@ def yields_on_samples(model: CountingModel, etas: np.ndarray):
     for bkg in model.backgrounds:
         b += bkg.b_nom * _response_product_columns(bkg.responses, names, etas, f"background {bkg.name!r}")
     for label, y in (("signal", s), ("background", b)):
-        undefined = np.isnan(y)  # a zero times an overflowed factor
-        if undefined.any():
-            k = int(np.argmax(undefined))
-            raise YieldError(f"{label} yield is 0 x inf at sample {k}", eta=etas[k].copy(), sample_index=k)
+        # an overflowed factor makes the yield inf, or NaN times a zero
+        bad = ~np.isfinite(y)
+        if bad.any():
+            k = int(np.argmax(bad))
+            what = "is 0 x inf" if math.isnan(y[k]) else "overflowed to inf"
+            raise YieldError(f"{label} yield {what} at sample {k}", eta=etas[k].copy(), sample_index=k)
     return s, b

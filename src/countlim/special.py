@@ -34,13 +34,13 @@ out to n = 1e4.
 
 ``gamma_q`` runs Temme's uniform asymptotic expansion for ``a > 20`` and
 ``0.1 a <= x <= 2 a``: one polynomial in eta, one ``exp`` and one
-``erfc`` per lane, with the coefficient table frozen below. Every other
-lane takes the lower series (``x < a + 1``) or the continued fraction;
-for ``a > 20`` these converge in few steps outside the expansion's
-region. In that region the twins compute eta from the
-same arithmetic, so they differ by at most 2 ulp (where ``exp`` rounds
-differently). It matches mpmath to a relative 1e-14 * (a + x + 1) on a
-frozen grid out to a = 1e5 + 1.
+erfcx(z) = exp(z^2) erfc(z) per lane, with both coefficient tables
+frozen below. Every other lane takes the lower series (``x < a + 1``)
+or the continued fraction; for ``a > 20`` these converge in few steps
+outside the expansion's region. In that region the twins compute eta
+and erfcx from the same arithmetic, so they differ by at most 2 ulp
+(where ``exp`` rounds differently). It matches mpmath to a relative
+1e-14 * (a + x + 1) on a frozen grid out to a = 1e5 + 1.
 
 ``poisson_cdf`` is deliberately *not* implemented through ``gamma_q``:
 the two are independent routes to the same quantity, and their agreement
@@ -80,13 +80,15 @@ def log_poisson_pmf(n, nu):
     ``n`` is a nonnegative integer count, ``nu`` a nonnegative mean
     (scalar or array). The factorial goes through ``lgamma`` so large
     counts stay finite. ``nu == 0`` gives probability one for ``n == 0``
-    and probability zero (``-inf``) otherwise.
+    and probability zero (``-inf``) otherwise; ``nu == inf`` gives the
+    limit ``-inf``.
     """
     n = _check_count(n)
     if isinstance(nu, np.ndarray):
         if nu.size and not float(np.min(nu)) >= 0.0:
             raise ValueError("nu must be nonnegative")
-        safe = np.where(nu > 0.0, nu, 1.0)
+        # ln 1 = 0 where nu is 0 or inf, so n ln nu - nu is 0 or -inf there
+        safe = np.where((nu > 0.0) & (nu < np.inf), nu, 1.0)
         out = n * np.log(safe) - nu - math.lgamma(n + 1)
         if n > 0:
             out = np.where(nu > 0.0, out, -np.inf)
@@ -96,6 +98,8 @@ def log_poisson_pmf(n, nu):
         raise ValueError(f"nu must be nonnegative, got {nu}")
     if nu == 0.0:
         return 0.0 if n == 0 else -math.inf
+    if nu == math.inf:
+        return -math.inf
     return n * math.log(nu) - nu - math.lgamma(n + 1)
 
 
@@ -109,8 +113,9 @@ def poisson_cdf(n, nu):
     monotone in ``nu``. Terms are kept relative to the starting term, so a
     lane takes one ``log`` and one ``exp`` in all, and its walk stops at a
     term at most 1e-17 of its sum, after O(sqrt(nu)) steps rather than n.
-    Checked against mpmath to a relative 1e-14 * (n + nu + 1) for
-    n <= 1e4. Independent of :func:`gamma_q` by design.
+    ``nu == inf`` gives the limit 0. Checked against mpmath to a relative
+    1e-14 * (n + nu + 1) for n <= 1e4. Independent of :func:`gamma_q` by
+    design.
     """
     n = _check_count(n)
     if isinstance(nu, np.ndarray):
@@ -154,6 +159,8 @@ def _poisson_cdf_scalar(n: int, nu: float) -> float:
         return 1.0
     t = total = 1.0
     if nu >= n:
+        if nu == math.inf:
+            return 0.0
         inv = 1.0 / nu
         for k in range(n, 0, -1):
             t *= k * inv
@@ -170,9 +177,10 @@ def _poisson_cdf_scalar(n: int, nu: float) -> float:
 
 
 def _poisson_cdf_array(n: int, nu: np.ndarray) -> np.ndarray:
-    out = np.ones(nu.shape, dtype=float)
+    finite = nu < np.inf
+    out = finite.astype(float)  # 1 at nu = 0, the limit 0 at nu = inf
     positive = nu > 0.0
-    lower = positive & (nu >= n)
+    lower = positive & finite & (nu >= n)
     upper = positive & (nu < n)
     if lower.any():
         out[lower] = _lower_tail_array(n, nu[lower])
@@ -230,12 +238,13 @@ def gamma_q(a, x):
 
     Three routes, chosen per lane. For ``a > 20`` and ``0.1 a <= x <= 2 a``
     Temme's uniform asymptotic expansion takes one polynomial, one ``exp``
-    and one ``erfc`` per lane, however close ``x`` is to ``a``. Elsewhere
+    and one erfcx per lane, however close ``x`` is to ``a``. Elsewhere
     the lower-function series runs for ``x < a + 1`` and the Lentz
     continued fraction for the upper function otherwise, iterating until
     the relative term drops below 1e-15. Checked against mpmath to a
     relative 1e-14 * (a + x + 1) on a frozen grid out to a = 1e5 + 1.
-    ``a`` must be positive; ``x`` nonnegative, scalar or array.
+    ``a`` must be positive; ``x`` nonnegative, scalar or array, where
+    ``x == inf`` gives the limit 0.
     """
     a = float(a)
     if not a > 0.0:
@@ -255,6 +264,8 @@ def _gamma_q_scalar(a: float, x: float) -> float:
         return _temme_scalar(a, x)
     if x < a + 1.0:
         return max(0.0, 1.0 - _lower_series_scalar(a, x))
+    if x == math.inf:
+        return 0.0
     return _upper_cf_scalar(a, x)
 
 
@@ -306,16 +317,16 @@ def _upper_cf_scalar(a: float, x: float) -> float:
 
 
 def _gamma_q_array(a: float, x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape, dtype=float)
-    zero = x == 0.0
-    out[zero] = 1.0
-    temme = np.zeros_like(zero)
+    out = np.zeros(x.shape, dtype=float)  # the limit at x = inf
+    out[x == 0.0] = 1.0
+    rest = (x > 0.0) & (x < np.inf)
     if a > _TEMME_MIN_A:
         temme = (x >= _TEMME_LO * a) & (x <= _TEMME_HI * a)
-    lower = (x < a + 1.0) & ~zero & ~temme
-    upper = ~zero & ~lower & ~temme
-    if temme.any():
-        out[temme] = _temme_array(a, x[temme])
+        if temme.any():
+            out[temme] = _temme_array(a, x[temme])
+            rest &= ~temme
+    lower = rest & (x < a + 1.0)
+    upper = rest & ~lower
     if lower.any():
         out[lower] = np.maximum(0.0, 1.0 - _lower_series_array(a, x[lower]))
     if upper.any():
@@ -387,7 +398,12 @@ def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
 # Temme's uniform expansion (Temme 1979, SIAM J. Math. Anal. 10:757):
 #   Q(a, x) = erfc(eta sqrt(a/2)) / 2 + exp(-a eta^2/2) / sqrt(2 pi a) * sum_k C_k(eta) a^-k
 # with lambda = x / a and eta^2 / 2 = lambda - 1 - ln(lambda), eta of the sign
-# of lambda - 1. Row k of _TEMME_D holds the Taylor coefficients of C_k in
+# of lambda - 1. Both terms share e = exp(-a eta^2/2) = exp(-z^2), z = |eta|
+# sqrt(a/2): with erfcx(z) = exp(z^2) erfc(z) and P the sum over k, divided
+# by sqrt(2 pi a),
+#   Q = e (erfcx(z) / 2 + P)        for x >= a,
+#   Q = 1 - e (erfcx(z) / 2 - P)    for x < a, as erfc(-z) = 2 - erfc(z).
+# Row k of _TEMME_D holds the Taylor coefficients of C_k in
 # eta: row 0 those of 1/mu - 1/eta, where eta^2/2 = mu - ln(1 + mu), and
 # d[k][j] = (j + 2) d[k-1][j+2] - d[k-1][1] d[0][j] after it (DiDonato &
 # Morris 1986, ACM TOMS 12:377; the values of cephes igam.h). Each entry is
@@ -696,21 +712,130 @@ def _temme_scalar(a: float, x: float) -> float:
     poly = coeffs[0]
     for c in coeffs[1:]:
         poly = poly * eta + c
-    return 0.5 * math.erfc(math.copysign(math.sqrt(ah), s)) + math.exp(-ah) * norm * poly
+    term = norm * poly
+    if s < 0.0:
+        term = -term
+    q = (0.5 * _erfcx_scalar(math.sqrt(ah)) + term) * math.exp(-ah)
+    return 1.0 - q if s < 0.0 else q
 
 
 def _temme_array(a: float, x: np.ndarray) -> np.ndarray:
-    # The scalar twin's operations in its order, lane by lane; erfc goes
-    # through math.erfc, as numpy has none.
+    # the scalar twin's operations in its order, in place where a buffer
+    # is free, so that this route adds few arrays to a solve's peak
     s = (x - a) / a
     h = _half_eta_sq_array(s)
     ah = a * h
-    eta = np.copysign(np.sqrt(h + h), s)
+    q = _erfcx_array(np.sqrt(ah))
+    q *= 0.5
+    eta = h  # h is not needed again
+    eta += h
+    np.sqrt(eta, out=eta)
+    np.copysign(eta, s, out=eta)
     coeffs, norm = _temme_poly(a)
     poly = np.full_like(s, coeffs[0])
     for c in coeffs[1:]:
         poly *= eta
         poly += c
-    z = np.copysign(np.sqrt(ah), s)
-    erfc = np.fromiter(map(math.erfc, z.tolist()), float, z.size)
-    return 0.5 * erfc + np.exp(-ah) * norm * poly
+    below = s < 0.0
+    poly *= norm
+    np.negative(poly, out=poly, where=below)
+    q += poly
+    np.negative(ah, out=ah)
+    q *= np.exp(ah, out=ah)
+    np.subtract(1.0, q, out=q, where=below)
+    return q
+
+
+# erfcx(z) = exp(z^2) erfc(z) for z >= 0, from + - * / alone, so that the
+# twins give the same bits. Below z = 14: on the pieces j/8 <= y <= (j + 1)/8
+# of y = 2 / (2 + z), j = 1..7, the Chebyshev interpolant of degree 10 in
+# t = 16 y - (2j + 1), frozen as monomial coefficients, highest power first
+# (``tests/oracles.py`` rebuilds them with mpmath, and the tests hold the
+# twins to 1e-15 relative on [0, 400]; 4.3e-16 seen). From z = 14 the
+# continued fraction sqrt(pi) erfcx(z) = 1/(z + (1/2)/(z + 1/(z + (3/2)/(z + ...))))
+# (Abramowitz & Stegun 7.1.14), cut after 8 levels: 1.3e-18 at z = 14.
+_ERFCX_CF_FROM = 14.0
+_ERFCX_CF_STEPS = tuple(k / 2.0 for k in range(8, 0, -1))
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+
+_ERFCX_TABLE = (
+    (
+        -5.647046092245889e-15, 1.5057359357280754e-12, 1.0534123728934357e-11, -3.3096895469977867e-10,
+        -6.9480926963245745e-09, 1.9377389555808373e-08, 3.5895244725507026e-06, 9.883396784282949e-05,
+        0.0018094887189594666, 0.02619081655939079, 0.06467382691951061,
+    ),
+    (
+        -1.0494060697328556e-13, 1.1839457238258224e-13, 2.849928038411864e-11, 1.6505216800130337e-11,
+        -9.496980804239045e-09, -8.42583366581787e-08, 3.2913142148941634e-06, 0.00012705490580125196,
+        0.0024883269814450553, 0.03472972590059183, 0.1251416555381449,
+    ),
+    (
+        -2.1648047282154543e-14, -1.3238589472523398e-12, 1.481739046082781e-11, 3.9882978488305375e-10,
+        -6.323762817078913e-09, -1.8463679200642205e-07, 1.914565815471166e-06, 0.00014855494585520868,
+        0.0033206895352513545, 0.04630448698373452, 0.20562022082810233,
+    ),
+    (
+        4.708201133620572e-14, -9.08814877414234e-13, -7.513401517233955e-12, 4.462155635198464e-10,
+        1.6351184467207913e-11, -2.2311257101055652e-07, -1.884382738972201e-07, 0.00015571678436022455,
+        0.004241968442853227, 0.061415376192271026, 0.3127247666064085,
+    ),
+    (
+        3.408476146929969e-14, -1.6625544432836848e-14, -1.5382545919181413e-11, 2.4110044351393574e-10,
+        4.972697521449537e-09, -1.9024465776400603e-07, -2.305076641603616e-06, 0.0001455196582294354,
+        0.005154184304585219, 0.08022816584602475, 0.45375902824462727,
+    ),
+    (
+        5.8945775431104865e-15, 3.6628426298782933e-13, -1.1313792867365598e-11, 1.8455140812867612e-11,
+        6.710343372606734e-09, -1.1700409519853844e-07, -3.858535662726276e-06, 0.00012037273442070537,
+        0.005958089035037751, 0.10250320408481206, 0.6359536305661487,
+    ),
+    (
+        -6.687583772669283e-15, 3.3134926307948695e-13, -4.632780356529532e-12, -1.0809862291794938e-10,
+        5.956719263511637e-09, -3.923300883004735e-08, -4.631931557125916e-06, 8.589003513097611e-05,
+        0.006579964608477273, 0.12764848550638602, 0.8656903251702591,
+    ),
+)
+# the same table as one row per power, for gathering a coefficient per lane
+_ERFCX_COLUMNS = np.array(_ERFCX_TABLE).T.copy()
+
+
+def _erfcx_scalar(z: float) -> float:
+    if z >= _ERFCX_CF_FROM:
+        d = z
+        for k in _ERFCX_CF_STEPS:
+            d = z + k / d
+        return _INV_SQRT_PI / d
+    u = 16.0 / (2.0 + z)  # 8 y
+    j = min(int(u), 7)
+    t = (u + u) - (2 * j + 1)
+    row = _ERFCX_TABLE[j - 1]
+    p = row[0]
+    for c in row[1:]:
+        p = p * t + c
+    return p
+
+
+def _erfcx_array(z: np.ndarray) -> np.ndarray:
+    # the scalar twin's operations in its order, on every lane
+    u = 16.0 / (2.0 + z)
+    j = u.astype(np.intp)
+    np.minimum(j, 7, out=j)
+    t = u + u
+    t -= 2 * j + 1
+    # lanes from z = 14 on have j = 0, so index -1: "clip" gives them the
+    # first piece, and the continued fraction replaces their values below
+    j -= 1
+    column = np.empty_like(t)
+    p = np.take(_ERFCX_COLUMNS[0], j, mode="clip")
+    for c in _ERFCX_COLUMNS[1:]:
+        p *= t
+        p += np.take(c, j, mode="clip", out=column)
+    far = z >= _ERFCX_CF_FROM
+    if far.any():
+        zf = z[far]
+        d = zf.copy()
+        for k in _ERFCX_CF_STEPS:
+            np.divide(k, d, out=d)
+            d += zf
+        p[far] = _INV_SQRT_PI / d
+    return p

@@ -1,12 +1,15 @@
-"""Independent quadrature oracle for the closed-form Bayesian limit.
+"""Test-only references: an independent quadrature oracle for the
+closed-form Bayesian limit, and the mpmath generator of the frozen erfcx
+table in :mod:`countlim.special`.
 
-Integrates the Poisson likelihood in mu with scipy's adaptive quadrature,
-so it shares no incomplete-gamma evaluation with the package. Test-only:
-scipy is a test dependency, not a runtime one.
+The oracle integrates the Poisson likelihood in mu with scipy's adaptive
+quadrature, so it shares no incomplete-gamma evaluation with the package.
+scipy and mpmath are test dependencies, not runtime ones.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -53,3 +56,36 @@ def bayesian_upper_limit_quadrature(model: CountingModel, req: LimitRequest) -> 
 
     mu_up, crit, evals, bracket = solve_decreasing(criterion, req.alpha, req.rel_tol, req.max_iter)
     return LimitResult(mu_up, crit, evals, bracket)
+
+
+def erfcx_mp(z) -> mpmath.mpf:
+    """exp(z^2) erfc(z) at the working precision of mpmath."""
+    z = mpmath.mpf(z)
+    return mpmath.erfc(z) * mpmath.exp(z * z)
+
+
+def erfcx_table(pieces=range(1, 8), degree=10, dps=30) -> tuple:
+    """Rebuild ``special._ERFCX_TABLE``.
+
+    Piece j covers j/8 <= y <= (j + 1)/8 of y = 2 / (2 + z). On it, erfcx
+    is interpolated at the degree + 1 Chebyshev points of t = 16 y - (2j + 1)
+    in [-1, 1], at ``dps`` digits, and the interpolant is returned as
+    monomial coefficients in t, highest power first, each rounded to the
+    nearest float.
+    """
+    with mpmath.workdps(dps):
+        m = degree + 1
+        angles = [mpmath.pi * (k + mpmath.mpf(1) / 2) / m for k in range(m)]
+        # monomial coefficients of the Chebyshev polynomials T_0 .. T_degree
+        cheb = [[1], [0, 1]]
+        for _ in range(2, m):
+            up = [0] + [2 * c for c in cheb[-1]]
+            cheb.append([c - (cheb[-2][i] if i < len(cheb[-2]) else 0) for i, c in enumerate(up)])
+        table = []
+        for j in pieces:
+            values = [erfcx_mp(2 / ((2 * j + 1 + mpmath.cos(th)) / 16) - 2) for th in angles]
+            coeffs = [2 * mpmath.fsum(v * mpmath.cos(n * th) for v, th in zip(values, angles)) / m for n in range(m)]
+            coeffs[0] /= 2
+            mono = [mpmath.fsum(coeffs[n] * cheb[n][i] for n in range(i, m) if i < len(cheb[n])) for i in range(m)]
+            table.append(tuple(float(c) for c in reversed(mono)))
+        return tuple(table)

@@ -305,6 +305,9 @@ class TestRefusals:
              "samples x nuisances = 100000000000 x 1 = 100000000000 values exceeds the budget of 4194304"),
             (BG_SYST, ["scan", "--mu-max", "5", "--points", "100000000000"],
              "--points must be in [2, 1048576], got 100000000000"),
+            # CLs = 1 at every mu without a signal: once printed on a sample set
+            ({**BG_SYST, "signal": {"nominal": 0.0}}, ["scan", "--integrator", "gh", "--mu-max", "5"],
+             "nominal signal yield is zero; the CLs limit is undefined"),
         ],
     )
     def test_exits_one_with_a_one_line_message(self, runner, tmp_path, doc, args, message):

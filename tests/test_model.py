@@ -185,6 +185,22 @@ class TestVectorisedYields:
             yields_on_samples(m, np.array([[0.5], [3.0]]))
         assert err.value.eta.tolist() == [3.0]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("label", ["signal", "background"])
+    def test_overflowed_yield_is_refused(self, label):
+        # kappa^eta overflows to inf on sample 1, a lane the kernels once
+        # turned into CLb = NaN or 500 continued-fraction steps
+        resp = {"a": Response.log_normal(1e300)}
+        m = model_with(
+            signal_responses=resp if label == "signal" else None,
+            bkg_responses={"bkg": resp} if label == "background" else None,
+            nuisances=[Nuisance("a", Prior.standard_normal())],
+        )
+        with pytest.raises(YieldError, match=f"{label} yield overflowed to inf at sample 1") as err:
+            yields_on_samples(m, np.array([[0.5], [3.0]]))
+        assert err.value.sample_index == 1
+        assert err.value.eta.tolist() == [3.0]
+
 
 class TestValidation:
     def test_negative_signal(self):

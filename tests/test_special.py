@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from countlim import ConvergenceError, gamma_q, log_poisson_pmf, poisson_cdf
 from countlim import special
+from oracles import erfcx_mp, erfcx_table
 
 # Reference values computed with mpmath at 50 digits:
 #   gammainc(a, x, inf, regularized=True)
@@ -352,6 +354,15 @@ class TestGammaQ:
         for k in range(rows):
             assert list(table[k]) == [float(q) for q in d[k][:cols]], f"row {k}"
 
+    def test_temme_takes_no_erfc(self, monkeypatch):
+        # erfc comes from the erfcx kernel: no per-lane math.erfc loop
+        def refuse(z):
+            raise AssertionError("math.erfc called")
+
+        monkeypatch.setattr(math, "erfc", refuse)
+        xs = np.linspace(0.5 * 151.0, 1.5 * 151.0, WIDE)
+        assert_twins_agree(gamma_q(151.0, xs), np.array([gamma_q(151.0, x) for x in xs.tolist()]), 150, xs)
+
     def test_bounds(self):
         xs = np.linspace(0.0, 400.0, 1000)
         vals = gamma_q(33.0, xs)
@@ -364,6 +375,77 @@ class TestGammaQ:
             gamma_q(-2.0, 1.0)
         with pytest.raises(ValueError):
             gamma_q(2.0, -1.0)
+
+
+class TestErfcx:
+    # the ends of every piece of the table (z = 16/j - 2), where the
+    # continued fraction takes over (z = 14), and the floats either side
+    EDGES = [16.0 / j - 2.0 for j in range(1, 9)]
+    ZS = np.unique(
+        np.concatenate(
+            [
+                np.linspace(0.0, 400.0, 2001),
+                np.geomspace(1e-9, 30.0, 400),
+                EDGES,
+                np.nextafter(EDGES, math.inf),
+                np.nextafter(EDGES[:-1], 0.0),
+            ]
+        )
+    )
+
+    def test_table_matches_its_generator(self):
+        assert special._ERFCX_TABLE == erfcx_table()
+
+    def test_matches_mpmath(self):
+        got = special._erfcx_array(self.ZS)
+        with mpmath.workdps(30):
+            worst = max(abs(mpmath.mpf(v) / erfcx_mp(z) - 1) for v, z in zip(got.tolist(), self.ZS.tolist()))
+        assert self.ZS.size >= 2000
+        assert worst <= 1e-15
+
+    def test_twins_give_the_same_bits(self):
+        zs = np.concatenate([self.ZS, [1e3, 1e8, 1e200, math.inf]])
+        assert special._erfcx_array(zs).tolist() == [special._erfcx_scalar(z) for z in zs.tolist()]
+
+    def test_far_tail(self):
+        # erfcx(z) = (1 - 1/(2 z^2) + ...) / (sqrt(pi) z): the leading term
+        # alone is exact to double precision from z = 1e8; 0 at z = inf
+        with mpmath.workdps(30):
+            want = [erfcx_mp(1e3), erfcx_mp(1e7)] + [1 / (mpmath.sqrt(mpmath.pi) * z) for z in (1e8, 1e200)]
+        for z, w in zip((1e3, 1e7, 1e8, 1e200), want):
+            assert abs(special._erfcx_scalar(z) / w - 1) <= 1e-15
+        assert special._erfcx_scalar(math.inf) == 0.0
+
+
+_INF_INPUTS = {
+    "scalar": math.inf,
+    "narrow": np.array([2.0, math.inf, 0.0]),
+    "wide": np.concatenate([np.linspace(0.0, 400.0, special._NARROW_LANES), [math.inf]]),
+}
+
+
+@pytest.mark.parametrize("x", list(_INF_INPUTS.values()), ids=list(_INF_INPUTS))
+@pytest.mark.parametrize(
+    "kernel, limit",
+    [
+        (lambda x: poisson_cdf(3, x), 0.0),
+        (lambda x: poisson_cdf(0, x), 0.0),
+        (lambda x: gamma_q(4.0, x), 0.0),
+        (lambda x: gamma_q(31.0, x), 0.0),
+        (lambda x: log_poisson_pmf(3, x), -math.inf),
+        (lambda x: log_poisson_pmf(0, x), -math.inf),
+    ],
+    ids=["poisson_cdf", "poisson_cdf n=0", "gamma_q", "gamma_q temme", "log_poisson_pmf", "log_poisson_pmf n=0"],
+)
+def test_infinite_mean_gives_the_limit(kernel, limit, x):
+    # poisson_cdf(3, inf) was NaN, gamma_q(4, inf) ran 500 fraction steps
+    got = kernel(x)
+    if isinstance(x, np.ndarray):
+        finite = x < math.inf
+        assert got[~finite].tolist() == [limit]
+        assert np.allclose(got[finite], [kernel(v) for v in x[finite].tolist()], rtol=1e-13, atol=0.0)
+    else:
+        assert got == limit
 
 
 _NAN_INPUTS = {
