@@ -64,28 +64,28 @@ def erfcx_mp(z) -> mpmath.mpf:
     return mpmath.erfc(z) * mpmath.exp(z * z)
 
 
-def erfcx_table(pieces=range(1, 8), degree=10, dps=30) -> tuple:
+def erfcx_table() -> tuple:
     """Rebuild ``special._ERFCX_TABLE``.
 
-    Piece j covers j/8 <= y <= (j + 1)/8 of y = 2 / (2 + z). On it, erfcx
-    is interpolated at the degree + 1 Chebyshev points of t = 16 y - (2j + 1)
-    in [-1, 1], at ``dps`` digits, and the interpolant is returned as
+    Piece j = 1..7 covers j/8 <= y <= (j + 1)/8 of y = 2 / (2 + z). On it,
+    erfcx is interpolated at the 11 Chebyshev points of t = 16 y - (2j + 1)
+    in [-1, 1], at 30 digits, and the degree-10 interpolant is returned as
     monomial coefficients in t, highest power first, each rounded to the
     nearest float.
     """
-    with mpmath.workdps(dps):
-        m = degree + 1
+    with mpmath.workdps(30):
+        m = 11
         angles = [mpmath.pi * (k + mpmath.mpf(1) / 2) / m for k in range(m)]
-        # monomial coefficients of the Chebyshev polynomials T_0 .. T_degree
+        # monomial coefficients of the Chebyshev polynomials T_0 .. T_10
         cheb = [[1], [0, 1]]
         for _ in range(2, m):
             up = [0] + [2 * c for c in cheb[-1]]
             cheb.append([c - (cheb[-2][i] if i < len(cheb[-2]) else 0) for i, c in enumerate(up)])
         table = []
-        for j in pieces:
+        for j in range(1, 8):
             values = [erfcx_mp(2 / ((2 * j + 1 + mpmath.cos(th)) / 16) - 2) for th in angles]
             coeffs = [2 * mpmath.fsum(v * mpmath.cos(n * th) for v, th in zip(values, angles)) / m for n in range(m)]
             coeffs[0] /= 2
-            mono = [mpmath.fsum(coeffs[n] * cheb[n][i] for n in range(i, m) if i < len(cheb[n])) for i in range(m)]
+            mono = [mpmath.fsum(coeffs[n] * cheb[n][i] for n in range(i, m)) for i in range(m)]
             table.append(tuple(float(c) for c in reversed(mono)))
         return tuple(table)
