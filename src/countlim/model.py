@@ -291,12 +291,14 @@ def yields_on_samples(model: CountingModel, etas: np.ndarray):
     if etas.ndim != 2 or etas.shape[1] != n_nuis:
         raise ValueError(f"etas has shape {etas.shape}, expected (K, {n_nuis})")
     names = model.systematics.names
-    s = model.s_nom * _response_product_columns(
-        model.systematics.signal_responses, names, etas, "signal"
-    )
-    b = np.zeros(etas.shape[0])
-    for bkg in model.backgrounds:
-        b += bkg.b_nom * _response_product_columns(bkg.responses, names, etas, f"background {bkg.name!r}")
+    # an overflow is refused below, by sample, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = model.s_nom * _response_product_columns(
+            model.systematics.signal_responses, names, etas, "signal"
+        )
+        b = np.zeros(etas.shape[0])
+        for bkg in model.backgrounds:
+            b += bkg.b_nom * _response_product_columns(bkg.responses, names, etas, f"background {bkg.name!r}")
     for label, y in (("signal", s), ("background", b)):
         # an overflowed factor makes the yield inf, or NaN times a zero
         bad = ~np.isfinite(y)

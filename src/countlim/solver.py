@@ -160,7 +160,9 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int):
                     f"above the target {target}: the root lies past the float64 underflow",
                     (lo[0], hi[0]),
                 )
-            mu, value, _ = min(ends or [lo, hi], key=lambda end: abs(end[1] - target))
+            # both ends converge only when a probe signed the bracket for a
+            # converged lo: the probe is not an answer, so lo comes first
+            mu, value, _ = ends[0] if ends else min((lo, hi), key=lambda end: abs(end[1] - target))
             return mu, value, len(history), (lo[0], hi[0])
         if len(history) == max_iter:
             raise fail(

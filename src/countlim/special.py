@@ -15,15 +15,20 @@ lanes, and the scalar twins 2.2 and 3.4 us per lane: they won at 32
 lanes and lost at 48. Arrays of at most ``_NARROW_LANES`` = 40 lanes take
 the scalar twins, bit for bit.
 
-Wider arrays run the scalar twins' floating-point operations in the same
-order on each lane, in place, but test convergence only every 8th step
-(every 2nd in the continued fraction) and stop with their slowest lane,
-so a converged lane may take a few more terms. ``poisson_cdf``'s extra
-terms are below half an ulp and change nothing; the ``gamma_q`` series
-and fraction stop at 1e-15, so theirs can move the last bits, and
-numpy's vectorised ``log`` and ``exp`` can round differently from the
-``math`` module's. The tests hold the twins to 16 ulp (8 seen), plus a
-``log`` difference carried through the prefactor x^n.
+Wider ``gamma_q`` arrays run the scalar twins' floating-point operations
+in the same order on each lane, in place, but test convergence only every
+8th step (every 2nd in the continued fraction) and stop with their
+slowest lane, so a converged lane may take a few more terms; those are up
+to 1e-15 of its sum and can move the last bits. Wider ``poisson_cdf``
+arrays sum the scalar walk's series as one polynomial in n/x or
+x/(n + 1) per call, by Horner's rule: two numpy calls per term and no
+convergence test, with scalar coefficients built once per call and a
+degree set by the call's longest series. The polynomial rounds
+differently from the walk, and numpy's vectorised ``log`` and ``exp``
+can round differently from the ``math`` module's. The tests hold the
+twins to 16 ulp at n <= 150 and to 64 and 128 ulp at n = 1500 and 1e4
+(45 and 82 seen), plus a ``log`` difference carried through the
+prefactor x^n.
 
 ``poisson_cdf`` sums the Poisson terms outwards from the largest term
 of one tail, relative to that term: down from k = n when the mean is at
@@ -111,8 +116,10 @@ def poisson_cdf(n, nu):
     ``nu < n`` the result is 1 minus the upper tail k > n, whose terms fall
     from k = n + 1 with factor nu/k; summing that tail keeps values near 1
     monotone in ``nu``. Terms are kept relative to the starting term, so a
-    lane takes one ``log`` and one ``exp`` in all, and its walk stops at a
-    term at most 1e-17 of its sum, after O(sqrt(nu)) steps rather than n.
+    lane takes one ``log`` and one ``exp`` in all, and O(sqrt(nu)) terms
+    rather than n: a scalar walk stops at a term at most 1e-17 of its sum,
+    and a wide array takes one polynomial per call, cut where the dropped
+    tail is below half an ulp on every lane.
     ``nu == inf`` gives the limit 0. Checked against mpmath to a relative
     1e-14 * (n + nu + 1) for n <= 1e4. Independent of :func:`gamma_q` by
     design.
@@ -149,8 +156,7 @@ def _on_lanes(scalar, array, first, x, name: str) -> np.ndarray:
 
 
 # A term at most this fraction of its lane's sum is below half an ulp of
-# the sum, so adding it changes nothing: the array walks, which run until
-# their slowest lane stops, then give the scalar walks' bits.
+# the sum, so adding it changes nothing: the scalar walk stops there.
 _TAIL_EPS = 1e-17
 
 
@@ -189,42 +195,57 @@ def _poisson_cdf_array(n: int, nu: np.ndarray) -> np.ndarray:
     return out
 
 
-# The array walks below run in place, on buffers allocated once per call,
-# with the scalar twins' arithmetic in their order. Testing convergence
-# costs about a step, so they test every 8th step, and every lane walks
-# on until the slowest has converged.
+# Wide arrays sum the scalar walks' truncated series as polynomials with
+# scalar coefficients, by Horner's rule: two in-place numpy calls per term
+# and no convergence test. The degree is set by the call's longest series,
+# the lane with the largest ratio m: the coefficients stop before the first j
+# with c_j m^j <= _HORNER_EPS. Past that cut each term is at most
+# r = m (1 - J / (n + J + 2)) times the one before, J the number of terms
+# kept, so the dropped tail is at most 1e-18 / (1 - r) on every lane. For
+# n <= 1e5 that is largest as m -> 1, 3.6e-17 at n = 1e5 (J = 2865): below
+# half an ulp of any lane's sum, which is at least 1.
+_HORNER_EPS = 1e-18
+
+
+def _series_coeffs(factors, m: float) -> list[float]:
+    """c_0 = 1 and c_j = c_{j-1} * f_j over ``factors``, up to the first j
+    with c_j m^j <= _HORNER_EPS, which is left out; highest power first."""
+    coeffs = [1.0]
+    c = reach = 1.0
+    for f in factors:
+        c *= f
+        reach *= f * m
+        if reach <= _HORNER_EPS:
+            break
+        coeffs.append(c)
+    coeffs.reverse()
+    return coeffs
+
+
+def _horner(coeffs, y: np.ndarray) -> np.ndarray:
+    """The polynomial with ``coeffs``, highest power first, at each lane of
+    ``y``, in place on one buffer."""
+    p = np.full_like(y, coeffs[0])
+    for c in coeffs[1:]:
+        p *= y
+        p += c
+    return p
 
 
 def _lower_tail_array(n: int, x: np.ndarray) -> np.ndarray:
-    # P(N <= n) for x >= n: terms k = n down to 0, each k * (1/x) times the
-    # one before
-    inv = 1.0 / x
-    step = np.empty_like(x)
-    t = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(n, 0, -1):
-        np.multiply(inv, k, out=step)
-        t *= step
-        total += t
-        if k % 8 == 0 and _all_small(t, total, _TAIL_EPS, step):
-            break
-    return np.exp(n * np.log(x) - x - math.lgamma(n + 1)) * total
+    # P(N <= n) for x >= n: the terms k = n down to 0, relative to the
+    # k = n one, are G_j y^j with y = n/x <= 1 and G_j = prod_{i<j} (n - i)/n
+    y = n / x
+    coeffs = _series_coeffs((k / n for k in range(n, 0, -1)), float(y.max()))
+    return np.exp(n * np.log(x) - x - math.lgamma(n + 1)) * _horner(coeffs, y)
 
 
 def _upper_tail_array(n: int, x: np.ndarray) -> np.ndarray:
-    # P(N > n) for x < n: terms k = n + 1 upwards, each x/k times the one before
-    step = np.empty_like(x)
-    t = np.ones_like(x)
-    total = np.ones_like(x)
-    k = n + 1
-    while True:
-        k += 1
-        np.divide(x, k, out=step)
-        t *= step
-        total += t
-        if k % 8 == 0 and _all_small(t, total, _TAIL_EPS, step):
-            break
-    return np.exp((n + 1) * np.log(x) - x - math.lgamma(n + 2)) * total
+    # P(N > n) for x < n: the terms k = n + 1 upwards, relative to the first,
+    # are H_j z^j with z = x/(n + 1) < 1 and H_j = prod_{i=1..j} (n + 1)/(n + 1 + i)
+    z = x / (n + 1)
+    coeffs = _series_coeffs(((n + 1) / k for k in itertools.count(n + 2)), float(z.max()))
+    return np.exp((n + 1) * np.log(x) - x - math.lgamma(n + 2)) * _horner(coeffs, z)
 
 
 def _all_small(term: np.ndarray, total: np.ndarray, eps: float, buf: np.ndarray) -> bool:
@@ -243,12 +264,12 @@ def gamma_q(a, x):
     continued fraction for the upper function otherwise, iterating until
     the relative term drops below 1e-15. Checked against mpmath to a
     relative 1e-14 * (a + x + 1) on a frozen grid out to a = 1e5 + 1.
-    ``a`` must be positive; ``x`` nonnegative, scalar or array, where
-    ``x == inf`` gives the limit 0.
+    ``a`` must be positive and finite; ``x`` nonnegative, scalar or array,
+    where ``x == inf`` gives the limit 0.
     """
     a = float(a)
-    if not a > 0.0:
-        raise ValueError(f"a must be positive, got {a}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"a must be positive and finite, got {a}")
     if isinstance(x, np.ndarray):
         return _on_lanes(_gamma_q_scalar, _gamma_q_array, a, x, "x")
     x = float(x)
@@ -696,10 +717,7 @@ def _half_eta_sq_array(s: np.ndarray) -> np.ndarray:
     r = s * scale + (scale - 1.0)
     t = r / (2.0 + r)
     u = t * t
-    p = np.full_like(s, _ATANH_TAIL[0])
-    for c in _ATANH_TAIL[1:]:
-        p *= u
-        p += c
+    p = _horner(_ATANH_TAIL, u)
     return (s - r - e * _LN2) + t * (r - 2.0 * u * p)
 
 
@@ -732,10 +750,7 @@ def _temme_array(a: float, x: np.ndarray) -> np.ndarray:
     np.sqrt(eta, out=eta)
     np.copysign(eta, s, out=eta)
     coeffs, norm = _temme_poly(a)
-    poly = np.full_like(s, coeffs[0])
-    for c in coeffs[1:]:
-        poly *= eta
-        poly += c
+    poly = _horner(coeffs, eta)
     below = s < 0.0
     poly *= norm
     np.negative(poly, out=poly, where=below)

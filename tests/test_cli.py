@@ -192,6 +192,24 @@ class TestLimitCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("error: ")
 
+    @pytest.mark.parametrize("nominal, what", [(1.5, "overflowed to inf"), (0.0, "is 0 x inf")])
+    def test_overflowed_yield_is_one_stderr_line(self, tmp_path, nominal, what):
+        # numpy's overflow warning, with its source line, once came first
+        doc = json.loads(json.dumps(BG_SYST))
+        doc["backgrounds"].append(
+            {"name": "extra", "nominal": nominal, "responses": {"bscale": {"kind": "log_normal", "kappa": 1e300}}}
+        )
+        cfg = write_config(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "countlim.cli", "limit", cfg, "--samples", "50"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: background yield {what} at sample ")
+
 
 class TestScanCommand:
     def test_cls_starts_at_one(self, runner, tmp_path):

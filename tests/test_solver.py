@@ -242,6 +242,44 @@ class TestSolveDecreasing:
         root, _, _, _ = solve_decreasing(exponential(rate, b), 1e-300, 1e-9, 200)
         assert root == pytest.approx(300.0 * math.log(10.0) / rate, rel=2e-15)
 
+    def test_probe_only_signs_the_bracket(self):
+        # P(N <= 20; mu + 20) / P(N <= 20; 20), summed term by term: the solve
+        # converges below the root and signs the bracket at mu + 2 step, which
+        # lies as far above it. Give that probe lo's distance from the target,
+        # one ulp nearer: the converged point is still the answer.
+        n, b, target = 20, 20.0, 0.05
+
+        def cdf(x):
+            return math.exp(-x) * math.fsum(x**k / math.factorial(k) for k in range(n + 1))
+
+        den = cdf(b)
+
+        def criterion(mu):
+            x = mu + b
+            pmf = math.exp(n * math.log(x) - x - math.lgamma(n + 1))
+            return cdf(x) / den, -pmf / den, -pmf * (n / x - 1.0) / den
+
+        history = []
+
+        def recorded(mu):
+            history.append(criterion(mu))
+            return history[-1]
+
+        _, _, evals, (lo, probe) = solve_decreasing(recorded, target, 1e-9, 200)
+        lo_value = history[-2][0]
+        # the last two evaluations are the converged point and its probe
+        assert criterion(lo)[0] == lo_value > target > history[-1][0]
+        assert probe - lo > 1e-9 * lo  # twice a step: not a rel_tol nudge
+
+        mirrored = math.nextafter(target - (lo_value - target), target)
+
+        def nudged(mu):
+            value, slope, curvature = criterion(mu)
+            return (mirrored if mu == probe else value), slope, curvature
+
+        root, crit, evals_nudged, bracket = solve_decreasing(nudged, target, 1e-9, 200)
+        assert (root, crit, evals_nudged, bracket) == (lo, lo_value, evals, (lo, probe))
+
 
 class TestLimitRequest:
     def test_defaults(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -255,6 +256,77 @@ class TestPoissonCdf:
             else:
                 assert 0.0 <= got <= 1e-290
 
+    @pytest.mark.parametrize("n", [150, 1000, 10000])
+    def test_longest_series_beside_far_lanes(self, n):
+        # one wide call holds each tail's longest series, x = n (y = 1) and
+        # the float below n (z -> n/(n + 1)), beside far lanes, x = 3n and
+        # n/3: the slowest lane must set every lane's polynomial degree
+        xs = np.resize([float(n), 3.0 * n, math.nextafter(n, 0.0), n / 3.0], WIDE)
+        got = poisson_cdf(n, xs)
+        with mpmath.workdps(30):
+            refs = [float(mpmath.gammainc(n + 1, x, mpmath.inf, regularized=True)) for x in xs[:4].tolist()]
+        for x, g, ref in zip(xs.tolist(), got.tolist(), itertools.cycle(refs)):
+            if ref > 1e-290:
+                assert abs(g - ref) <= 1e-14 * (n + x + 1.0) * ref
+            else:
+                assert 0.0 <= g <= 1e-290
+
+    # the largest gap seen between the twins on 100,000 uniform lanes in
+    # [0, 2.5 n + 10], beyond the log term: 45 ulp at n = 1500, 82 at 1e4.
+    # The forward walk and the polynomial round differently, and both
+    # carry the rounding of 1/x or n/x into the j-th term j times.
+    LARGE_TWIN_ULPS = {1500: 64.0, 10000: 128.0}
+
+    @pytest.mark.parametrize("n", sorted(LARGE_TWIN_ULPS))
+    def test_twins_agree_at_large_counts(self, n):
+        nus = np.random.default_rng(n).uniform(0.0, 2.5 * n + 10.0, 400)
+        nus[:3] = [float(n), math.nextafter(n, 0.0), n + 0.5]
+        scalar_out = np.array([poisson_cdf(n, x) for x in nus.tolist()])
+        log_gap = np.abs(np.log(nus) - [math.log(x) for x in nus.tolist()])
+        bound = self.LARGE_TWIN_ULPS[n] * np.spacing(scalar_out) + 2.0 * (n + 1.0) * log_gap
+        assert np.all(np.abs(poisson_cdf(n, nus) - scalar_out) <= bound)
+
+    def test_wide_calls_take_no_convergence_test(self, monkeypatch):
+        # the polynomial's degree is fixed before the first term: no lane
+        # is tested against its sum on the way
+        def refuse(*args):
+            raise AssertionError("a wide poisson_cdf call tested convergence")
+
+        monkeypatch.setattr(special, "_all_small", refuse)
+        for n in (6, 150, 1500):
+            xs = np.linspace(0.2, 2.5 * n, WIDE)
+            assert (xs < n).any() and (xs >= n).any()
+            assert_twins_agree(poisson_cdf(n, xs), np.array([poisson_cdf(n, x) for x in xs.tolist()]), n, xs)
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 150, 1500, 10000, 100000])
+    @pytest.mark.parametrize("m", [0.01, 0.5, 0.9, 0.99, 0.999, 1.0])
+    def test_series_cut_where_its_tail_is_below_half_an_ulp(self, n, m):
+        # on the lane of the largest ratio m, the polynomial keeps every
+        # term above 1e-18 and drops the rest, which sum to below half an
+        # ulp of any lane's sum (at least 1) for n <= 1e5
+        tails = (
+            (lambda: (k / n for k in range(n, 0, -1)), m),
+            (lambda: ((n + 1) / k for k in itertools.count(n + 2)), min(m, n / (n + 1.0))),
+        )
+        for factors, ratio in tails:
+            coeffs = special._series_coeffs(factors(), ratio)[::-1]
+            assert coeffs[0] == 1.0
+            assert min(c * ratio**j for j, c in enumerate(coeffs)) > 1e-18
+            term = coeffs[-1] * ratio ** (len(coeffs) - 1)
+            dropped = []
+            for f in itertools.islice(factors(), len(coeffs) - 1, None):
+                term *= f * ratio
+                dropped.append(term)
+                if term < 1e-40:
+                    break
+            assert not dropped or dropped[0] <= 1e-18
+            assert math.fsum(dropped) < 0.5 * np.spacing(1.0)
+
+    def test_horner_takes_every_coefficient(self):
+        y = np.array([0.0, 0.5, 1.0, 2.0])
+        assert special._horner([4.0, 3.0, 2.0, 1.0], y).tolist() == [1.0, 3.25, 10.0, 49.0]
+        assert special._horner([1.0], y).tolist() == [1.0] * 4
+
     def test_far_tail_is_zero_without_error(self):
         assert poisson_cdf(2, 5000.0) == 0.0
 
@@ -473,6 +545,21 @@ def test_nan_is_refused_like_a_negative_mean(kernel, x):
 def test_nan_shape_parameter_is_refused():
     with pytest.raises(ValueError, match="a must be positive"):
         gamma_q(math.nan, 1.0)
+
+
+_FINITE_INPUTS = {
+    "scalar": 1.0,
+    "narrow": np.array([0.0, 1.0, 2.0]),
+    "wide": np.linspace(0.0, 9.0, special._NARROW_LANES + 1),
+}
+
+
+@pytest.mark.parametrize("x", list(_FINITE_INPUTS.values()), ids=list(_FINITE_INPUTS))
+def test_infinite_shape_parameter_is_refused(x):
+    # gamma_q(inf, 1.0) was 0.0 on the scalar path and NaN on a wide array,
+    # where the limit is 1
+    with pytest.raises(ValueError, match="a must be positive and finite"):
+        gamma_q(math.inf, x)
 
 
 def test_identity_between_routes_spot_grid():
