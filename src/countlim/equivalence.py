@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from .marginal import (
     Integrator,
     SampleSet,
-    bayesian_marginal_upper_limit,
+    _bayes_terms,
+    _marginal_limit,
     draw_samples,
     hybrid_cls_upper_limit,
 )
@@ -70,17 +71,25 @@ def compare_limits(
 ) -> EquivalenceReport:
     """Run both methods on one shared sample set and classify the outcome.
 
+    The hybrid CLs limit is solved first, from mu = 0. The Bayesian solve
+    then starts at the CLs root: with a certain signal the two criteria
+    are the same function of mu, so that is its root too. The start is
+    only a first guess; the Bayesian criterion must still converge there
+    on its own value and slope, within ``req.rel_tol``, and ``rel_diff``
+    then reads 0.0 when it does so at the very same point.
+
     ``bayes_samples`` overrides the Bayesian method's sample set and exists
     to let tests and the CLI's debug path demonstrate what a broken
-    shared-sample contract looks like.
+    shared-sample contract looks like; its solve starts at the CLs root
+    too, and finds its own root from there.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     samples = draw_samples(model.systematics, integrator)
     res_cls = hybrid_cls_upper_limit(model, req, integrator, samples=samples)
-    res_bayes = bayesian_marginal_upper_limit(
-        model, req, integrator, samples=bayes_samples if bayes_samples is not None else samples
-    )
+    # the CLs solve has refused a zero signal yield, as the Bayesian route would
+    bayes_set = bayes_samples if bayes_samples is not None else samples
+    res_bayes = _marginal_limit(model, req, integrator, bayes_set, _bayes_terms, start=res_cls.mu_up)
     a, b = res_cls.mu_up, res_bayes.mu_up
     rel_diff = abs(a - b) / max(a, b)
     signal_uncertain = not model.signal_is_certain

@@ -365,11 +365,54 @@ def _criterion(model: CountingModel, kernel, samples: SampleSet) -> _Criterion:
     return _Criterion(kernel, model.n_obs, s, b, w)
 
 
-def _solve(crit: _Criterion, req: LimitRequest, with_stderr: bool = False) -> LimitResult:
-    """Root of ``crit`` at ``req.alpha``; ``with_stderr`` adds the Monte
-    Carlo error of the criterion at the root and its propagation, through
-    the analytic slope, onto the limit."""
-    mu_up, value, evals, bracket = solve_decreasing(crit, req.alpha, req.rel_tol, req.max_iter)
+@functools.lru_cache(maxsize=None)
+def _standard_normal():
+    """The one standard normal of the process, imported on first use so
+    that ``import countlim`` does not pay for :mod:`statistics`."""
+    from statistics import NormalDist
+
+    return NormalDist()
+
+
+def _wilson_hilferty_start(crit: _Criterion, alpha: float) -> float:
+    """First guess at the root of a one-point criterion, or 0 for none.
+
+    Both one-point criteria are Q(a, mu*s + b) / Q(a, b) with a = n + 1,
+    so the root is the x with Q(a, x) = p = alpha * Q(a, b), shifted and
+    scaled. Wilson and Hilferty (1931) make (x/a)^(1/3) normal with mean
+    1 - 1/(9a) and variance 1/(9a), which gives x0 = a (1 - 1/(9a) -
+    z/(3 sqrt(a)))^3 for z the normal p-quantile; DiDonato and Morris
+    (1986) start their inversion of the incomplete gamma ratio the same
+    way. Q(a, b) is the criterion's denominator, times s for Bayes, so no
+    kernel runs. At n = 0 the Newton step from 0 is already exact, and an
+    underflowed p, an x0 at or below b or a start that is not finite
+    fall back to 0.
+    """
+    n = crit.n
+    if n == 0:
+        return 0.0
+    a = n + 1.0
+    p = alpha * (crit.den if crit.kernel is _cls_terms else crit.den * crit.s)
+    if not 0.0 < p < 1.0:
+        return 0.0
+    z = _standard_normal().inv_cdf(p)
+    x0 = a * (1.0 - 1.0 / (9.0 * a) - z / (3.0 * math.sqrt(a))) ** 3
+    start = (x0 - crit.b) / crit.s
+    return start if x0 > crit.b and math.isfinite(start) else 0.0
+
+
+def _solve(
+    crit: _Criterion, req: LimitRequest, with_stderr: bool = False, start: float | None = None
+) -> LimitResult:
+    """Root of ``crit`` at ``req.alpha``, starting from ``start`` after
+    mu = 0 (see :func:`solve_decreasing`), by default from the
+    Wilson-Hilferty guess on a one-point criterion and from 0 on a sample
+    set; ``with_stderr`` adds the Monte Carlo error of the criterion at
+    the root and its propagation, through the analytic slope, onto the
+    limit."""
+    if start is None:
+        start = _wilson_hilferty_start(crit, req.alpha) if crit.w is None else 0.0
+    mu_up, value, evals, bracket = solve_decreasing(crit, req.alpha, req.rel_tol, req.max_iter, start)
     if not with_stderr:
         return LimitResult(mu_up, value, evals, bracket)
     terms, slope = crit.terms_and_slope(mu_up)
@@ -380,12 +423,12 @@ def _solve(crit: _Criterion, req: LimitRequest, with_stderr: bool = False) -> Li
     )
 
 
-def _marginal_limit(model, req, integrator, samples, kernel) -> LimitResult:
+def _marginal_limit(model, req, integrator, samples, kernel, start=None) -> LimitResult:
     if samples is None:
         samples = draw_samples(model.systematics, integrator)
     crit = _criterion(model, kernel, samples)
     monte_carlo = integrator is not None and integrator.kind == "monte_carlo"
-    return _solve(crit, req, with_stderr=monte_carlo and crit.w is not None and crit.w.size >= 2)
+    return _solve(crit, req, monte_carlo and crit.w is not None and crit.w.size >= 2, start)
 
 
 def hybrid_cls(model: CountingModel, mu: float, samples: SampleSet) -> float:

@@ -13,14 +13,19 @@ the step is Newton's. It is also left out where |g''| is within rounding
 of 0: there log c is linear (a zero count on one point), Newton's step is
 exact, and g would magnify the rounding; and where g' itself rounds to
 0 (a subnormal slope on a value of 2 or more), where the factor is
-undefined. Until a point below the target
+undefined. A solve evaluates mu = 0 first, where the criterion needs no
+kernel call; when the caller gives a starting point in (0, 2**64], the
+second evaluation jumps straight there, and the rest of the solve
+proceeds from it. Until a point below the target
 is found, a step may reach no further than 8 * max(mu, 1), because the
-slope can be 0 or vanishingly small near mu = 0; after that, a step that
+slope can be 0 or vanishingly small near mu = 0; that cap applies only
+after the jump. Once a point below the target is known, a step that
 leaves the sign-checked bracket is replaced by bisection. The test is
 applied at every evaluated point: a solve ends when the value is within
 ``10 * rel_tol * target`` of the target and the projected step is at
 most ``rel_tol * mu`` (or below the float64 resolution). The bracket is
-not shrunk to ``rel_tol``.
+not shrunk to ``rel_tol``. A starting point is only a first guess: the
+solve still ends on the criterion's own value and slope.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ class LimitResult:
         }
 
 
-def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int):
+def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, start: float = 0.0):
     """Solve c(mu) = target for a strictly decreasing criterion with c(0) > target.
 
     ``criterion(mu)`` returns ``(c(mu), c'(mu), c''(mu))``; the step is
@@ -106,7 +111,12 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int):
     and neither the curvature of log c is rounding noise nor g' = c'/c
     has rounded to 0. Returns ``(mu,
     c(mu), evaluations, (lo, hi))``, where (lo, hi) is the tightest
-    sign-checked bracket around ``mu``. Raises :class:`ConvergenceError`, carrying the
+    sign-checked bracket around ``mu``. A ``start`` in (0, 2**64] is
+    evaluated second, right after mu = 0, whether it lies below the root
+    or past it; the jump counts against ``max_iter``, and the
+    8 * max(mu, 1) cap on a step applies only after it. Any other
+    ``start`` (0, negative, beyond 2**64, inf or NaN) leaves the solve as
+    it is without one. Raises :class:`ConvergenceError`, carrying the
     evaluated ``(mu, c(mu))`` pairs and the bracket, when ``max_iter``
     evaluations do not converge, when no sign change is found below
     ``2**64``, or when the bracket closes, unconverged, on a point where
@@ -169,7 +179,9 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int):
                 f"root refinement did not converge within {max_iter} iterations",
                 (lo[0], hi[0] if hi else math.inf),
             )
-        if hi is not None:
+        if len(history) == 1 and 0.0 < start <= _BRACKET_CAP:
+            mu = start
+        elif hi is not None:
             mu = mu + step if lo[0] < mu + step < hi[0] else 0.5 * (lo[0] + hi[0])
         elif converged:
             # converged below the root: a point just past it signs the bracket

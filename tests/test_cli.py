@@ -77,6 +77,21 @@ class TestLimitCommand:
         assert payload["integrator"]["kind"] == "monte_carlo"
         assert payload["results"]["cls"]["mu_up_stderr"] > 0.0
 
+    @pytest.mark.parametrize(
+        "doc", [BG_SYST, {**MINIMAL, "n_obs": 3, "backgrounds": [{"name": "bkg", "nominal": 1.5}]}]
+    )
+    def test_both_keeps_independent_solves(self, runner, tmp_path, doc):
+        # only compare_limits starts the Bayes solve at the CLs root;
+        # limit --method both solves each method as it would alone
+        cfg = write_config(tmp_path, doc)
+        args = ["limit", cfg, "--samples", "2000", "--seed", "5"]
+        both = runner.invoke(cli, args + ["--method", "both"])
+        alone = runner.invoke(cli, args + ["--method", "bayes"])
+        assert both.exit_code == alone.exit_code == 0
+        bayes_both = json.loads(both.output)["results"]["bayes"]
+        bayes_alone = json.loads(alone.output)["results"]["bayes"]
+        assert json.dumps(bayes_both) == json.dumps(bayes_alone)
+
     def test_unknown_key_is_config_error(self, runner, tmp_path):
         cfg = write_config(tmp_path, {"signall": {"nominal": 1.0}, "n_obs": 0})
         result = runner.invoke(cli, ["limit", cfg])

@@ -14,6 +14,7 @@ from countlim import (
     compare_limits,
     draw_samples,
 )
+from countlim import marginal
 from countlim.equivalence import (
     VERDICT_EQUIVALENT,
     VERDICT_EXPECTED,
@@ -67,6 +68,54 @@ def test_broken_sample_sharing_is_flagged():
     )
     assert report.verdict == VERDICT_UNEXPECTED
     assert not report.signal_uncertain
+
+
+@pytest.fixture
+def bayes_solve_kernel_calls(monkeypatch):
+    """Counts of the ``gamma_q`` calls made inside a solve: in a compare
+    only the Bayesian criterion calls it, and its denominator is taken
+    before the solve."""
+    counts = []  # one per solve, in order
+    solving = False
+    gamma_q, solve_decreasing = marginal.gamma_q, marginal.solve_decreasing
+
+    def counted_gamma_q(*args):
+        if solving:
+            counts[-1] += 1
+        return gamma_q(*args)
+
+    def counted_solve(*args):
+        nonlocal solving
+        counts.append(0)
+        solving = True
+        try:
+            return solve_decreasing(*args)
+        finally:
+            solving = False
+
+    monkeypatch.setattr(marginal, "gamma_q", counted_gamma_q)
+    monkeypatch.setattr(marginal, "solve_decreasing", counted_solve)
+    return counts
+
+
+@pytest.mark.parametrize(
+    ("model", "integrator"),
+    [
+        (bg_systematic_model(kappa=1.2), Integrator.gauss_hermite(16)),
+        (bg_systematic_model(s=10.0, b=150.0, n_obs=150, kappa=1.05), Integrator.monte_carlo(2000, 3)),
+        (bg_systematic_model(s=10.0, b=150.0, n_obs=137, kappa=1.05), Integrator.monte_carlo(2000, 8)),
+        (plain_model(s=1.0, b=1.5, n_obs=3), Integrator.gauss_hermite(16)),
+    ],
+)
+def test_bayes_solve_starts_at_the_cls_root(bayes_solve_kernel_calls, model, integrator):
+    # with a certain signal the CLs root is the Bayes root: the Bayes solve
+    # evaluates mu = 0 (no kernel call), the CLs root and at most one probe
+    report = compare_limits(model, LimitRequest(alpha=0.05), integrator)
+    cls_calls, bayes_calls = bayes_solve_kernel_calls
+    assert cls_calls == 0
+    assert 1 <= bayes_calls <= 2
+    assert report.verdict == VERDICT_EQUIVALENT
+    assert report.rel_diff <= report.tol
 
 
 def test_report_deterministic():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from countlim import (
     ConvergenceError,
+    CountLimError,
     Integrator,
     LimitRequest,
     ModelError,
@@ -15,7 +17,8 @@ from countlim import (
     hybrid_cls,
     marginal_posterior_density,
 )
-from countlim.marginal import scan_quantity
+from countlim import marginal
+from countlim.marginal import _bayes_terms, _cls_terms, _criterion, _wilson_hilferty_start, scan_quantity
 from helpers import bg_systematic_model, identity_systematic_model, plain_model
 from oracles import bayesian_upper_limit_quadrature
 
@@ -268,3 +271,81 @@ def test_monotone_data_dependence():
                 res = cls_upper_limit(plain_model(s=s, b=b, n_obs=n_obs), LimitRequest(alpha=0.1))
                 assert res.mu_up >= previous
                 previous = res.mu_up
+
+
+def _outcome(route, model, req):
+    """The limit of ``route``, or the class of the error that refuses it."""
+    try:
+        return route(model, req)
+    except CountLimError as err:
+        return type(err)
+
+
+@pytest.fixture
+def from_zero(monkeypatch):
+    """``_outcome`` with the Wilson-Hilferty start switched off, so that
+    every solve starts from mu = 0 alone."""
+
+    def outcome(route, model, req):
+        with monkeypatch.context() as patched:
+            patched.setattr(marginal, "_wilson_hilferty_start", lambda crit, alpha: 0.0)
+            return _outcome(route, model, req)
+
+    return outcome
+
+
+class TestWilsonHilfertyStart:
+    @pytest.mark.parametrize(
+        ("s", "b", "n_obs", "alpha"),
+        [
+            (1.0, 69.0, 3, 1e-300),  # p = alpha * Q(4, 69) underflows to 0
+            (1.0, 1.0, 3, 0.999),  # x0 <= b
+            (1.0, 5.0, 1, 0.99),  # x0 <= b
+            (1e-300, 1.5, 3, 0.05),  # start ~6e300, beyond the solver's 2**64 cap
+            (1e-310, 1.5, 3, 0.05),  # start overflows to inf (the Bayes denominator to inf)
+        ],
+    )
+    @pytest.mark.parametrize(
+        ("route", "kernel"), [(cls_upper_limit, _cls_terms), (bayesian_upper_limit_closed_form, _bayes_terms)]
+    )
+    def test_fallback_is_the_solve_from_zero(self, from_zero, s, b, n_obs, alpha, route, kernel):
+        model = plain_model(s=s, b=b, n_obs=n_obs)
+        try:
+            crit = _criterion(model, kernel, draw_samples(model.systematics, None))
+        except ConvergenceError:
+            pass
+        else:
+            start = _wilson_hilferty_start(crit, alpha)
+            assert start == 0.0 or start > 2.0**64
+        req = LimitRequest(alpha=alpha)
+        assert _outcome(route, model, req) == from_zero(route, model, req)
+
+    def test_start_is_near_the_root(self):
+        # the guess alone is within 2% of the limit at n_obs = 3
+        model = plain_model(s=1.0, b=1.5, n_obs=3)
+        crit = _criterion(model, _cls_terms, draw_samples(model.systematics, None))
+        assert _wilson_hilferty_start(crit, 0.05) == pytest.approx(ORACLE_MU_UP_CLS, rel=0.02)
+
+    def test_no_solve_is_won_or_lost(self, from_zero):
+        # every configuration solved from mu = 0 still solves, to the same
+        # root (two converged points lie within 2 rel_tol of each other),
+        # and every one refused is refused with the same class
+        solved = refused = 0
+        for b in (0.5, 5.0, 50.0, 150.0, 300.0, 700.0):
+            counts = {1, 3, int(2 * b + 10)} | {int(f * b) for f in (0.0, 0.25, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)}
+            for n_obs, alpha, s in itertools.product(
+                sorted(counts), (0.5, 0.05, 1e-3, 1e-10, 1e-40, 1e-100), (0.1, 1.0, 10.0)
+            ):
+                model = plain_model(s=s, b=b, n_obs=n_obs)
+                req = LimitRequest(alpha=alpha)
+                for route in _EXACT_ROUTES:
+                    config = (route.__name__, s, b, n_obs, alpha)
+                    got, expected = _outcome(route, model, req), from_zero(route, model, req)
+                    if isinstance(expected, type):
+                        assert got is expected, config
+                        refused += n_obs > 0
+                    else:
+                        assert not isinstance(got, type), config
+                        assert got.mu_up == pytest.approx(expected.mu_up, rel=2e-9), config
+                        solved += 1
+        assert solved > 2000 and refused > 0

@@ -186,8 +186,11 @@ class TestSolveDecreasing:
             evals += pair
             if n_obs == 0:
                 zero_count_evals += pair
-        assert statistics.median(evals) <= 5
-        assert max(evals) <= 9
+        # the Wilson-Hilferty start takes the median from 5 to 4 and the
+        # maximum from 9 to 5; n_obs = 0 starts from mu = 0, where one
+        # Newton step is exact, and a start there would cost a fourth
+        assert statistics.median(evals) <= 4
+        assert max(evals) <= 5
         assert max(zero_count_evals) <= 3
 
     @pytest.mark.parametrize("route", [hybrid_cls_upper_limit, bayesian_marginal_upper_limit])
@@ -279,6 +282,61 @@ class TestSolveDecreasing:
 
         root, crit, evals_nudged, bracket = solve_decreasing(nudged, target, 1e-9, 200)
         assert (root, crit, evals_nudged, bracket) == (lo, lo_value, evals, (lo, probe))
+
+
+class TestStart:
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_jump_counts_against_max_iter(self, max_iter):
+        # the jump is the second evaluation: with max_iter = 1 it is never made
+        criterion = poisson_ratio(50, 30.0)
+        with pytest.raises(ConvergenceError) as err:
+            solve_decreasing(criterion, 0.05, 1e-12, max_iter, start=5.0)
+        history = err.value.history
+        assert len(history) == err.value.iterations == max_iter
+        assert history[0] == (0.0, 1.0)
+        assert [mu for mu, _ in history[1:]] == [5.0][: max_iter - 1]
+
+    @pytest.mark.parametrize(
+        ("criterion", "target"),
+        [
+            (exponential(1.0), 0.05),
+            (poisson_ratio(10, 3.0), 0.1),
+            (poisson_ratio(50, 30.0), 0.05),
+            (poisson_ratio(1, 0.0), 1e-300),
+        ],
+    )
+    @pytest.mark.parametrize("factor", [1e-6, 0.5, 1.0, 1.3, 8.0, 1e3])
+    def test_any_start_finds_the_root(self, criterion, target, factor):
+        # below the root, at it and past it, even where c has underflowed to 0
+        root = solve_decreasing(criterion, target, 1e-14, 200)[0]
+        mu, value, _, (lo, hi) = solve_decreasing(criterion, target, 1e-9, 200, start=factor * root)
+        assert mu == pytest.approx(root, rel=1e-9)
+        assert abs(value - target) <= 10.0 * 1e-9 * target
+        assert lo <= mu <= hi
+
+    def test_start_is_evaluated_second(self):
+        history = []
+
+        def recorded(mu):
+            history.append(mu)
+            return exponential(1.0)(mu)
+
+        solve_decreasing(recorded, 0.05, 1e-9, 200, start=100.0)
+        # a start 33 times past the root: the growth cap does not apply to it
+        assert history[:2] == [0.0, 100.0]
+
+    @pytest.mark.parametrize("start", [0.0, -1.0, 2.0**65, math.inf, math.nan])
+    def test_ignored_start_changes_nothing(self, start):
+        # 2**65 lies beyond the bracket cap, where a solve from 0 gives up
+        for criterion, target in ((exponential(1.0), 0.05), (poisson_ratio(50, 30.0), 0.05)):
+            expected = solve_decreasing(criterion, target, 1e-9, 200)
+            assert solve_decreasing(criterion, target, 1e-9, 200, start=start) == expected
+        refusals = []
+        for kwargs in ({}, {"start": start}):
+            with pytest.raises(ConvergenceError) as err:
+                solve_decreasing(lambda mu: (1.0, 0.0, 0.0), 0.05, 1e-9, 100, **kwargs)
+            refusals.append((str(err.value), err.value.history))
+        assert refusals[1] == refusals[0]
 
 
 class TestLimitRequest:
