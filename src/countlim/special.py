@@ -15,20 +15,24 @@ lanes, and the scalar twins 2.2 and 3.4 us per lane: they won at 32
 lanes and lost at 48. Arrays of at most ``_NARROW_LANES`` = 40 lanes take
 the scalar twins, bit for bit.
 
-Wider ``gamma_q`` arrays run the scalar twins' floating-point operations
-in the same order on each lane, in place, but test convergence only every
-8th step (every 2nd in the continued fraction) and stop with their
-slowest lane, so a converged lane may take a few more terms; those are up
-to 1e-15 of its sum and can move the last bits. Wider ``poisson_cdf``
-arrays sum the scalar walk's series as one polynomial in n/x or
-x/(n + 1) per call, by Horner's rule: two numpy calls per term and no
-convergence test, with scalar coefficients built once per call and a
-degree set by the call's longest series. The polynomial rounds
-differently from the walk, and numpy's vectorised ``log`` and ``exp``
+Wider arrays take no convergence test. ``poisson_cdf`` sums the scalar
+walk's series as one polynomial in n/x or x/(n + 1) per call, and
+``gamma_q``'s lower series is one polynomial in x, both by Horner's rule:
+two numpy calls per term, with scalar coefficients built once per call
+and a degree set by the call's longest series. ``gamma_q``'s continued
+fraction is evaluated backward from a fixed depth, the steps its scalar
+walk takes on the call's smallest x (for integer a at most a - 1, where
+the fraction ends): three numpy calls per level. These forms round
+differently from the walks, and numpy's vectorised ``log`` and ``exp``
 can round differently from the ``math`` module's. The tests hold the
 twins to 16 ulp at n <= 150 and to 64 and 128 ulp at n = 1500 and 1e4
 (45 and 82 seen), plus a ``log`` difference carried through the
-prefactor x^n.
+prefactor x^n. On 10 x 400 uniform lanes at each n = 0..147, where the
+logs agree, the twins differed by up to 20 ulp on ``gamma_q``'s series
+(at a = 1, where 1 - sum magnifies the sum's rounding), 12 on its
+fraction and 22 in ``poisson_cdf`` (n = 123), so a lane can exceed the
+16-ulp bound. Against mpmath the ``gamma_q`` array forms are the closer
+twin (at a = 1 the series is 11 ulp off at worst, the scalar walk 23).
 
 ``poisson_cdf`` sums the Poisson terms outwards from the largest term
 of one tail, relative to that term: down from k = n when the mean is at
@@ -50,7 +54,13 @@ and erfcx from the same arithmetic, so they differ by at most 2 ulp
 ``poisson_cdf`` is deliberately *not* implemented through ``gamma_q``:
 the two are independent routes to the same quantity, and their agreement
 (``poisson_cdf(n, x) == gamma_q(n + 1, x)``) is used as a cross-check
-throughout the test suite.
+throughout the test suite. They are not independent everywhere. For
+x < n, ``gamma_q``'s lower series and ``poisson_cdf``'s upper tail are
+the same series, sum_j x^j / ((n + 2)...(n + 1 + j)), times the same
+prefactor e^-x x^(n+1) / (n + 1)!. There their agreement checks the code,
+not the mathematics, and the frozen mpmath grids are the oracle. Each
+kernel builds its own coefficient list, so a slip in one does not carry
+into the other.
 """
 
 from __future__ import annotations
@@ -203,7 +213,10 @@ def _poisson_cdf_array(n: int, nu: np.ndarray) -> np.ndarray:
 # r = m (1 - J / (n + J + 2)) times the one before, J the number of terms
 # kept, so the dropped tail is at most 1e-18 / (1 - r) on every lane. For
 # n <= 1e5 that is largest as m -> 1, 3.6e-17 at n = 1e5 (J = 2865): below
-# half an ulp of any lane's sum, which is at least 1.
+# half an ulp of any lane's sum, which is at least 1. The gamma_q lower
+# series, with factors 1 / (a + j) and m its largest x, has r = m / (a + J),
+# where m < a + 1 for a <= 20 and m < 0.1 a above (Temme's route takes the
+# rest): at most 0.28 (a = 20, J = 55), so its tail is below 1.4e-18.
 _HORNER_EPS = 1e-18
 
 
@@ -248,22 +261,18 @@ def _upper_tail_array(n: int, x: np.ndarray) -> np.ndarray:
     return np.exp((n + 1) * np.log(x) - x - math.lgamma(n + 2)) * _horner(coeffs, z)
 
 
-def _all_small(term: np.ndarray, total: np.ndarray, eps: float, buf: np.ndarray) -> bool:
-    # every lane's term at most eps of its sum; overwrites buf
-    np.multiply(total, eps, out=buf)
-    return bool((term <= buf).all())
-
-
 def gamma_q(a, x):
     """Regularized upper incomplete gamma Q(a, x) = Gamma(a; x) / Gamma(a).
 
     Three routes, chosen per lane. For ``a > 20`` and ``0.1 a <= x <= 2 a``
     Temme's uniform asymptotic expansion takes one polynomial, one ``exp``
     and one erfcx per lane, however close ``x`` is to ``a``. Elsewhere
-    the lower-function series runs for ``x < a + 1`` and the Lentz
-    continued fraction for the upper function otherwise, iterating until
-    the relative term drops below 1e-15. Checked against mpmath to a
-    relative 1e-14 * (a + x + 1) on a frozen grid out to a = 1e5 + 1.
+    the lower-function series runs for ``x < a + 1`` and the continued
+    fraction for the upper function otherwise: on a scalar, walks that stop
+    once the relative term drops below 1e-15 (the fraction by modified
+    Lentz); on a wide array, one polynomial or one backward recurrence at
+    a depth fixed per call. Checked against mpmath to a relative
+    1e-14 * (a + x + 1) on a frozen grid out to a = 1e5 + 1.
     ``a`` must be positive and finite; ``x`` nonnegative, scalar or array,
     where ``x == inf`` gives the limit 0.
     """
@@ -313,6 +322,13 @@ def _upper_cf_scalar(a: float, x: float) -> float:
     pref = math.exp(a * math.log(x) - x - math.lgamma(a))
     if pref == 0.0:
         return 0.0
+    return min(1.0, pref * _lentz_cf(a, x)[0])
+
+
+def _lentz_cf(a: float, x: float) -> tuple[float, int]:
+    """1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))), a_k = -k (k - a) and
+    b_k = x + 2k + 1 - a, by the modified Lentz walk (Thompson & Barnett
+    1986, J. Comput. Phys. 64:490), and the number of steps it took."""
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b if abs(b) >= _TINY else 1.0 / _TINY
@@ -330,7 +346,7 @@ def _upper_cf_scalar(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) <= _REL_EPS:
-            return min(1.0, pref * h)
+            return h, i
     raise ConvergenceError(
         f"upper incomplete gamma continued fraction did not converge for a={a}, x={x}",
         iterations=_MAX_ITER,
@@ -356,64 +372,29 @@ def _gamma_q_array(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
+    # the scalar walk's terms x^j / ((a + 1)...(a + j)) as one polynomial in x
     pref = np.exp(a * np.log(x) - x - math.lgamma(a))
-    r = a
-    step = np.empty_like(x)
-    c = np.ones_like(x)
-    total = np.ones_like(x)
-    # Converged lanes keep iterating until the slowest lane is done; their
-    # terms only shrink, but at up to 1e-15 of the sum each, unlike
-    # poisson_cdf's, they can still move the last few bits.
-    for i in range(1, _MAX_ITER + 1):
-        r += 1.0
-        np.divide(x, r, out=step)
-        c *= step
-        total += c
-        if (i % 8 == 0 or i == _MAX_ITER) and _all_small(c, total, _REL_EPS, step):
-            return pref * total / a
-    raise ConvergenceError(
-        f"lower incomplete gamma series did not converge for a={a} (array input)",
-        iterations=_MAX_ITER,
-    )
-
-
-# The continued fraction's slowest lane converges in a median of 4 steps
-# (18 at most) on the small-count Gauss-Hermite grids, so it tests every
-# 2nd step: every 8th, as the walks do, ran those calls ~30% slower.
-_CF_TEST_EVERY = 2
+    coeffs = _series_coeffs((1.0 / (a + j) for j in itertools.count(1)), float(x.max()))
+    return pref * _horner(coeffs, x) / a
 
 
 def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
+    # the fraction evaluated backward (Jones & Thron 1980, Continued
+    # Fractions) from a fixed depth: the steps the scalar walk takes on the
+    # call's slowest lane, its smallest x. For integer a the level k = a has
+    # numerator 0, so depth a - 1 is exact.
     pref = np.exp(a * np.log(x) - x - math.lgamma(a))
+    depth = _lentz_cf(a, float(x.min()))[1]
+    if a.is_integer():
+        depth = min(depth, int(a) - 1)
     b = x + 1.0 - a
-    # Lentz's d and c as the rows of one array: both add b in one call,
-    # and one reduction tests both against the guard
-    dc = np.empty((2, x.size))
-    d, c = dc
-    d[:] = 1.0 / np.where(np.abs(b) < _TINY, _TINY, b)
-    c.fill(1.0 / _TINY)
-    h = d.copy()
-    delta = np.empty_like(x)
-    buf = np.empty_like(dc)
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d *= an
-        np.divide(an, c, out=c)
-        dc += b
-        if float(np.abs(dc, out=buf).min()) < _TINY:
-            dc[buf < _TINY] = _TINY
-        np.divide(1.0, d, out=d)
-        np.multiply(d, c, out=delta)
-        h *= delta
-        if i % _CF_TEST_EVERY == 0 or i == _MAX_ITER:
-            delta -= 1.0
-            if float(np.abs(delta, out=delta).max()) <= _REL_EPS:
-                return np.minimum(1.0, pref * h)
-    raise ConvergenceError(
-        f"upper incomplete gamma continued fraction did not converge for a={a} (array input)",
-        iterations=_MAX_ITER,
-    )
+    t = np.zeros_like(x)
+    for k in range(depth, 0, -1):
+        t += b
+        t += 2.0 * k
+        np.divide(-k * (k - a), t, out=t)
+    t += b
+    return np.minimum(1.0, pref / t)
 
 
 # Temme's uniform expansion (Temme 1979, SIAM J. Math. Anal. 10:757):

@@ -196,11 +196,14 @@ WIDE = NARROW + 1
 
 
 def assert_twins_agree(array_out, scalar_out, n, xs):
-    """The array walks against the scalar twins on wide calls. Within 16
-    ulp: the array walks run converged lanes on to the slowest lane's end,
-    numpy's exp can round differently from math.exp, and the routes that
-    return 1 - sum magnify the sum's last bits by up to 6.4 (Q(1, 2)). The
-    worst seen on 352,000 lanes (n from 0 to 147) was 8 ulp. On a lane where
+    """The array routes against the scalar twins on wide calls. Within 16
+    ulp: the arrays sum by Horner's rule or a backward fraction where the
+    twins walk forward, numpy's exp can round differently from math.exp,
+    and the routes that return 1 - sum magnify the sum's last bits by up to
+    6.4 (Q(1, 2)). On 10 x 400 uniform lanes at each n from 0 to 147, where
+    the logs agree, the worst seen was 20 ulp on gamma_q's series (n = 0),
+    12 on its fraction and 22 for poisson_cdf (n = 123): random lanes can
+    exceed this bound, though the lanes tested here do not. On a lane where
     numpy's log rounds differently from math.log, that difference is carried
     through the prefactor exp((n + 1) ln x - ...) on top."""
     log_gap = np.zeros_like(xs)
@@ -287,16 +290,24 @@ class TestPoissonCdf:
         assert np.all(np.abs(poisson_cdf(n, nus) - scalar_out) <= bound)
 
     def test_wide_calls_take_no_convergence_test(self, monkeypatch):
-        # the polynomial's degree is fixed before the first term: no lane
-        # is tested against its sum on the way
-        def refuse(*args):
-            raise AssertionError("a wide poisson_cdf call tested convergence")
-
-        monkeypatch.setattr(special, "_all_small", refuse)
+        # the polynomials' degrees and the fraction's depth are fixed before
+        # the first term: the only walk that tests convergence, the scalar
+        # Lentz fraction, runs never in a wide poisson_cdf call and once in a
+        # wide gamma_q call with fraction lanes, on its smallest x
+        walked = []
+        lentz = special._lentz_cf
+        monkeypatch.setattr(special, "_lentz_cf", lambda a, x: walked.append(x) or lentz(a, x))
         for n in (6, 150, 1500):
             xs = np.linspace(0.2, 2.5 * n, WIDE)
             assert (xs < n).any() and (xs >= n).any()
             assert_twins_agree(poisson_cdf(n, xs), np.array([poisson_cdf(n, x) for x in xs.tolist()]), n, xs)
+        assert walked == []
+        # where the fraction's lanes begin: x = a + 1, or 2 a past Temme's route
+        for a, start in ((0.5, 1.5), (7.0, 8.0), (31.0, 62.0)):
+            xs = np.linspace(0.2, 3.0 * a + 10.0, WIDE)
+            gamma_q(a, xs)
+            assert walked == [float(xs[xs > start].min())]
+            walked.clear()
 
     @pytest.mark.parametrize("n", [1, 2, 20, 150, 1500, 10000, 100000])
     @pytest.mark.parametrize("m", [0.01, 0.5, 0.9, 0.99, 0.999, 1.0])
@@ -304,9 +315,15 @@ class TestPoissonCdf:
         # on the lane of the largest ratio m, the polynomial keeps every
         # term above 1e-18 and drops the rest, which sum to below half an
         # ulp of any lane's sum (at least 1) for n <= 1e5
+        # and gamma_q's lower series, factors 1 / (a + j), whose largest x
+        # is below a + 1
         tails = (
             (lambda: (k / n for k in range(n, 0, -1)), m),
             (lambda: ((n + 1) / k for k in itertools.count(n + 2)), min(m, n / (n + 1.0))),
+            *(
+                (lambda a=a: (1.0 / (a + j) for j in itertools.count(1)), m * math.nextafter(a + 1.0, 0.0))
+                for a in (0.5, 1.0, 20.0)
+            ),
         )
         for factors, ratio in tails:
             coeffs = special._series_coeffs(factors(), ratio)[::-1]
