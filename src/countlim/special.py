@@ -21,8 +21,8 @@ walk's series as one polynomial in n/x or x/(n + 1) per call, and
 two numpy calls per term, with scalar coefficients built once per call
 and a degree set by the call's longest series. ``gamma_q``'s continued
 fraction is evaluated backward from a fixed depth, the steps its scalar
-walk takes on the call's smallest x (for integer a at most a - 1, where
-the fraction ends): three numpy calls per level. These forms round
+walk takes on the call's smallest x (for integer a it stops by level a,
+where the fraction ends): three numpy calls per level. These forms round
 differently from the walks, and numpy's vectorised ``log`` and ``exp``
 can round differently from the ``math`` module's. The tests hold the
 twins to 16 ulp at n <= 150 and to 64 and 128 ulp at n = 1500 and 1e4
@@ -381,12 +381,10 @@ def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
 def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
     # the fraction evaluated backward (Jones & Thron 1980, Continued
     # Fractions) from a fixed depth: the steps the scalar walk takes on the
-    # call's slowest lane, its smallest x. For integer a the level k = a has
-    # numerator 0, so depth a - 1 is exact.
+    # call's slowest lane, its smallest x. For integer a that walk stops by
+    # level k = a, whose numerator is 0, so the fraction is evaluated whole.
     pref = np.exp(a * np.log(x) - x - math.lgamma(a))
     depth = _lentz_cf(a, float(x.min()))[1]
-    if a.is_integer():
-        depth = min(depth, int(a) - 1)
     b = x + 1.0 - a
     t = np.zeros_like(x)
     for k in range(depth, 0, -1):

@@ -203,9 +203,11 @@ def assert_twins_agree(array_out, scalar_out, n, xs):
     6.4 (Q(1, 2)). On 10 x 400 uniform lanes at each n from 0 to 147, where
     the logs agree, the worst seen was 20 ulp on gamma_q's series (n = 0),
     12 on its fraction and 22 for poisson_cdf (n = 123): random lanes can
-    exceed this bound, though the lanes tested here do not. On a lane where
-    numpy's log rounds differently from math.log, that difference is carried
-    through the prefactor exp((n + 1) ln x - ...) on top."""
+    exceed this bound, though the seeded lanes tested here do not, so it
+    flags a broken route, not every last-bit drift (ROADMAP item 7's open
+    part, scalar twins on the same fixed forms, would close it). On a lane
+    where numpy's log rounds differently from math.log, that difference is
+    carried through the prefactor exp((n + 1) ln x - ...) on top."""
     log_gap = np.zeros_like(xs)
     positive = xs > 0.0
     log_gap[positive] = np.abs(np.log(xs[positive]) - [math.log(x) for x in xs[positive].tolist()])
@@ -378,6 +380,20 @@ class TestGammaQ:
                 assert abs(got - ref) <= 1e-14 * (a + x + 1.0) * ref
             else:
                 assert 0.0 <= got <= 1e-290
+
+    @pytest.mark.parametrize(("a", "x"), [k for k in sorted(GAMMA_Q_TABLE) if not k[0].is_integer()])
+    def test_non_integer_rows_as_the_edge_lane_of_a_wide_call(self, a, x):
+        # A wide call sets the series' degree by its largest lane and the
+        # fraction's depth by its smallest, and for non-integer a the fraction
+        # never ends. So the table x is that lane, with lanes beyond it on its
+        # route, each held to mpmath.
+        edge = np.geomspace(1e-3, 1.0, WIDE) if x < a + 1.0 else np.geomspace(1.0, 8.0, WIDE)
+        xs = x * edge
+        out = gamma_q(a, xs)
+        with mpmath.workdps(30):
+            refs = [float(mpmath.gammainc(a, xi, regularized=True)) for xi in xs.tolist()]
+        for xi, got, ref in zip(xs.tolist(), out.tolist(), refs):
+            assert abs(got - ref) <= 1e-14 * (a + xi + 1.0) * ref
 
     @pytest.mark.parametrize("a", [0.3, 1.0, 4.0, 21.0, 37.5, 120.0, 151.0, 1001.0])
     def test_strictly_decreasing_in_x(self, a):
