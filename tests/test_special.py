@@ -373,27 +373,21 @@ class TestGammaQ:
 
     @pytest.mark.parametrize(("a", "x"), sorted(GAMMA_Q_TABLE))
     def test_reference_values_on_both_twins(self, a, x):
-        ref = GAMMA_Q_TABLE[(a, x)]
-        # the scalar twin, and the array routes on a wide call of copies
-        for got in (gamma_q(a, x), *gamma_q(a, np.full(WIDE, x)).tolist()):
-            if ref > 1e-290:
-                assert abs(got - ref) <= 1e-14 * (a + x + 1.0) * ref
-            else:
-                assert 0.0 <= got <= 1e-290
-
-    @pytest.mark.parametrize(("a", "x"), [k for k in sorted(GAMMA_Q_TABLE) if not k[0].is_integer()])
-    def test_non_integer_rows_as_the_edge_lane_of_a_wide_call(self, a, x):
-        # A wide call sets the series' degree by its largest lane and the
-        # fraction's depth by its smallest, and for non-integer a the fraction
-        # never ends. So the table x is that lane, with lanes beyond it on its
-        # route, each held to mpmath.
+        # the scalar twin, and the array routes on a wide call where x is the
+        # lane that sets the series' degree (its largest) or the fraction's
+        # depth (its smallest), beside lanes further along its route held to
+        # mpmath; for non-integer a the fraction never ends
         edge = np.geomspace(1e-3, 1.0, WIDE) if x < a + 1.0 else np.geomspace(1.0, 8.0, WIDE)
         xs = x * edge
-        out = gamma_q(a, xs)
         with mpmath.workdps(30):
-            refs = [float(mpmath.gammainc(a, xi, regularized=True)) for xi in xs.tolist()]
-        for xi, got, ref in zip(xs.tolist(), out.tolist(), refs):
-            assert abs(got - ref) <= 1e-14 * (a + xi + 1.0) * ref
+            refs = [GAMMA_Q_TABLE[(a, x)] if xi == x else float(mpmath.gammainc(a, xi, regularized=True))
+                    for xi in xs.tolist()]
+        outs = [gamma_q(a, x), *gamma_q(a, xs).tolist()]
+        for xi, got, ref in zip([x, *xs.tolist()], outs, [GAMMA_Q_TABLE[(a, x)], *refs]):
+            if ref > 1e-290:
+                assert abs(got - ref) <= 1e-14 * (a + xi + 1.0) * ref
+            else:
+                assert 0.0 <= got <= 1e-290
 
     @pytest.mark.parametrize("a", [0.3, 1.0, 4.0, 21.0, 37.5, 120.0, 151.0, 1001.0])
     def test_strictly_decreasing_in_x(self, a):
