@@ -51,9 +51,12 @@ __all__ = [
 # or a scan grid of 2**20 points is 8 MiB per float64 column. A solve on a
 # one-nuisance Monte Carlo set peaks at under ~200 bytes per sample, the
 # two numerator arrays the criterion keeps included (ru_maxrss above the
-# import, at 2**20 samples: 138 and 169 bytes for the CLs and Bayes limits
-# at n_obs = 3, 137 and 180 at n_obs = 160), so the budget of 2**22 values
-# (samples x nuisances) keeps a limit under ~1 GB.
+# import, at 2**20 samples, one log-normal background nuisance: 120 and
+# 130 bytes for the CLs and Bayes limits at n_obs = 3, b = 1.5, and 120 and
+# 181 at n_obs = 160, b = 150). The wide series sums take their buffers per
+# block of special._LANE_BLOCK lanes; over all lanes at once the CLs limit
+# at n_obs = 160 peaked at 299. So the budget of 2**22 values (samples x
+# nuisances) keeps a limit under ~1 GB.
 _GH_MAX_POINTS = 2**20  # largest Gauss-Hermite tensor grid draw_samples builds
 _MC_MAX_VALUES = 2**22  # largest Monte Carlo set, samples x nuisances
 _SCAN_MAX_POINTS = 2**20  # longest strength grid the scan command tabulates

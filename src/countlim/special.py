@@ -17,22 +17,27 @@ the scalar twins, bit for bit.
 
 Wider arrays take no convergence test. ``poisson_cdf`` sums the scalar
 walk's series as one polynomial in n/x or x/(n + 1) per call, and
-``gamma_q``'s lower series is one polynomial in x, both by Horner's rule:
-two numpy calls per term, with scalar coefficients built once per call
-and a degree set by the call's longest series. ``gamma_q``'s continued
-fraction is evaluated backward from a fixed depth, the steps its scalar
-walk takes on the call's smallest x (for integer a it stops by level a,
-where the fraction ends): three numpy calls per level. These forms round
-differently from the walks, and numpy's vectorised ``log`` and ``exp``
-can round differently from the ``math`` module's. The tests hold the
-twins to 16 ulp at n <= 150 and to 64 and 128 ulp at n = 1500 and 1e4
-(45 and 82 seen), plus a ``log`` difference carried through the
-prefactor x^n. On 10 x 400 uniform lanes at each n = 0..147, where the
-logs agree, the twins differed by up to 20 ulp on ``gamma_q``'s series
-(at a = 1, where 1 - sum magnifies the sum's rounding), 12 on its
-fraction and 22 in ``poisson_cdf`` (n = 123), so a lane can exceed the
-16-ulp bound. Against mpmath the ``gamma_q`` array forms are the closer
-twin (at a = 1 the series is 11 ulp off at worst, the scalar walk 23).
+``gamma_q``'s lower series is one polynomial in x, with scalar
+coefficients built once per call and a degree d set by the call's longest
+series. Each is summed by baby steps and giant steps over blocks of 8192
+lanes: K = isqrt(2 d) powers of the lane, one matrix product for the sums
+of every block of K coefficients, and Horner's rule in y^K over those
+sums. That is about K + 2 d / K numpy calls per block of lanes where
+Horner's rule takes 2 d: ~30 against 194 at n = 150 (d = 97).
+``gamma_q``'s continued fraction is evaluated backward from a fixed depth,
+the steps its scalar walk takes on the call's smallest x (for integer a
+it stops by level a, where the fraction ends): three numpy calls per
+level. These forms round differently from the walks, and numpy's
+vectorised ``log`` and ``exp`` can round differently from the ``math``
+module's. The tests hold the twins to 16 ulp at n <= 150 and to 64 and
+128 ulp at n = 1500 and 1e4 (38 and 82 seen on 100,000 lanes), plus a
+``log`` difference carried through the prefactor x^n. On 40 x 400
+uniform lanes at each n = 0..147, where the logs agree, the twins
+differed by up to 24 ulp on ``gamma_q``'s series (at a = 1, where
+1 - sum magnifies the sum's rounding), 16 on its fraction and 20 in
+``poisson_cdf`` (n = 96), so a lane can exceed the 16-ulp bound. Against
+mpmath the ``gamma_q`` array forms are the closer twin (at a = 1 the
+series is 16 ulp off at worst, the scalar walk 24).
 
 ``poisson_cdf`` sums the Poisson terms outwards from the largest term
 of one tail, relative to that term: down from k = n when the mean is at
@@ -49,7 +54,9 @@ or the continued fraction; for ``a > 20`` these converge in few steps
 outside the expansion's region. In that region the twins compute eta
 and erfcx from the same arithmetic, so they differ by at most 2 ulp
 (where ``exp`` rounds differently). It matches mpmath to a relative
-1e-14 * (a + x + 1) on a frozen grid out to a = 1e5 + 1.
+1e-14 * (a + x + 1) on a frozen grid from a = 0.5 out to a = 1e5 + 1.
+Below a = 0.5 that is not promised: at a = 0.01 to 0.126 the lower
+series returns Q = 1 - P with P near 1 and misses it by up to 18.5x.
 
 ``poisson_cdf`` is deliberately *not* implemented through ``gamma_q``:
 the two are independent routes to the same quantity, and their agreement
@@ -237,7 +244,7 @@ def _series_coeffs(factors, m: float) -> list[float]:
 
 def _horner(coeffs, y: np.ndarray) -> np.ndarray:
     """The polynomial with ``coeffs``, highest power first, at each lane of
-    ``y``, in place on one buffer."""
+    ``y``, in place on one buffer: the order of the scalar twins' loops."""
     p = np.full_like(y, coeffs[0])
     for c in coeffs[1:]:
         p *= y
@@ -245,12 +252,57 @@ def _horner(coeffs, y: np.ndarray) -> np.ndarray:
     return p
 
 
+# Lanes per block of a wide series sum. A block's buffers, K powers and
+# ceil((d + 1) / K) block sums per lane, take ~1.4 MB at n = 150 (d = 97,
+# K = 13) whatever the call's width: inside the 2 MB L2 cache of one core
+# of the 2-vCPU x86-64 host measured (numpy 2.4, OpenBLAS 0.3.31). There,
+# at d = 97, ns per lane at 1e4 / 1e5 / 2**20 lanes (median of 7 rounds,
+# best of 3 each): 26 / 24 / 28 with blocks of 2048 lanes, 22 / 21 / 22
+# with 8192, 84 / 27 / 29 with 16384 and 83 / 30 / 75 unblocked, against
+# 56 / 45 / 128 for Horner's rule.
+_LANE_BLOCK = 8192
+
+
+def _series_sum(coeffs, y: np.ndarray) -> np.ndarray:
+    """The polynomial with ``coeffs``, highest power first, at each lane of
+    ``y``, by baby steps and giant steps (Paterson & Stockmeyer 1973, SIAM
+    J. Comput. 2:60). For degree d and K = max(2, isqrt(2 d)): the rows
+    y^0 .. y^(K-1), one matrix product for the sums of all ceil((d + 1) / K)
+    blocks of K coefficients, lowest power first, then Horner's rule in y^K
+    over those sums. About K + 2 d / K numpy calls per block of lanes, where
+    Horner's rule takes 2 d. Every caller's coefficients and lanes are
+    positive, so no order of summation can cancel."""
+    d = len(coeffs) - 1
+    k = max(2, math.isqrt(2 * d))
+    blocks = -(-(d + 1) // k)
+    c = np.zeros(blocks * k)
+    c[: d + 1] = coeffs[::-1]
+    c = c.reshape(blocks, k)
+    out = np.empty_like(y)
+    powers = np.empty((k, min(y.size, _LANE_BLOCK)))
+    powers[0] = 1.0
+    for start in range(0, y.size, _LANE_BLOCK):
+        yb = y[start : start + _LANE_BLOCK]
+        v = powers[:, : yb.size]
+        v[1] = yb
+        for i in range(2, k):
+            np.multiply(v[i - 1], yb, out=v[i])
+        sums = c @ v
+        yk = v[-1] * yb
+        p = sums[-1]
+        for row in sums[-2::-1]:
+            p *= yk
+            p += row
+        out[start : start + yb.size] = p
+    return out
+
+
 def _lower_tail_array(n: int, x: np.ndarray) -> np.ndarray:
     # P(N <= n) for x >= n: the terms k = n down to 0, relative to the
     # k = n one, are G_j y^j with y = n/x <= 1 and G_j = prod_{i<j} (n - i)/n
     y = n / x
     coeffs = _series_coeffs((k / n for k in range(n, 0, -1)), float(y.max()))
-    return np.exp(n * np.log(x) - x - math.lgamma(n + 1)) * _horner(coeffs, y)
+    return np.exp(n * np.log(x) - x - math.lgamma(n + 1)) * _series_sum(coeffs, y)
 
 
 def _upper_tail_array(n: int, x: np.ndarray) -> np.ndarray:
@@ -258,7 +310,7 @@ def _upper_tail_array(n: int, x: np.ndarray) -> np.ndarray:
     # are H_j z^j with z = x/(n + 1) < 1 and H_j = prod_{i=1..j} (n + 1)/(n + 1 + i)
     z = x / (n + 1)
     coeffs = _series_coeffs(((n + 1) / k for k in itertools.count(n + 2)), float(z.max()))
-    return np.exp((n + 1) * np.log(x) - x - math.lgamma(n + 2)) * _horner(coeffs, z)
+    return np.exp((n + 1) * np.log(x) - x - math.lgamma(n + 2)) * _series_sum(coeffs, z)
 
 
 def gamma_q(a, x):
@@ -272,7 +324,8 @@ def gamma_q(a, x):
     once the relative term drops below 1e-15 (the fraction by modified
     Lentz); on a wide array, one polynomial or one backward recurrence at
     a depth fixed per call. Checked against mpmath to a relative
-    1e-14 * (a + x + 1) on a frozen grid out to a = 1e5 + 1.
+    1e-14 * (a + x + 1) on a frozen grid for a from 0.5 to 1e5 + 1; below
+    a = 0.5 the lower series can miss that by up to 18.5x.
     ``a`` must be positive and finite; ``x`` nonnegative, scalar or array,
     where ``x == inf`` gives the limit 0.
     """
@@ -372,10 +425,16 @@ def _gamma_q_array(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    # the scalar walk's terms x^j / ((a + 1)...(a + j)) as one polynomial in x
+    # the scalar walk's terms x^j / ((a + 1)...(a + j)) as one polynomial in
+    # x / s with factors s / (a + j), s the power of two above the largest x:
+    # powers of x itself overflow where a is huge (and the prefactor is 0),
+    # while scaling by a power of two is exact, so the coefficients, the cut
+    # and the sum have the bits of the polynomial in x wherever it is finite
     pref = np.exp(a * np.log(x) - x - math.lgamma(a))
-    coeffs = _series_coeffs((1.0 / (a + j) for j in itertools.count(1)), float(x.max()))
-    return pref * _horner(coeffs, x) / a
+    m = float(x.max())
+    s = math.ldexp(1.0, math.frexp(m)[1])
+    coeffs = _series_coeffs((s / (a + j) for j in itertools.count(1)), m / s)
+    return pref * _series_sum(coeffs, x / s) / a
 
 
 def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:

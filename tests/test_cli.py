@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from countlim import special
 from countlim.cli import cli
 from helpers import src_env
 
@@ -120,6 +121,39 @@ class TestLimitCommand:
         assert runner.invoke(cli, args + ["--out", str(out1)]).exit_code == 0
         assert runner.invoke(cli, args + ["--out", str(out2)]).exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_blas_threads_leave_the_bytes_alone(self, tmp_path):
+        # at n_obs = b = 150 every criterion sums its series by a BLAS matrix
+        # product over blocks of lanes: the output must not depend on the
+        # BLAS thread count nor differ between identical calls
+        doc = {
+            "signal": {"nominal": 10.0},
+            "backgrounds": [
+                {"name": "bkg", "nominal": 150.0, "responses": {"bscale": {"kind": "log_normal", "kappa": 1.05}}}
+            ],
+            "nuisances": [{"name": "bscale", "prior": {"kind": "standard_normal"}}],
+            "n_obs": 150,
+        }
+        cfg = write_config(tmp_path, doc)
+        samples = 2 * special._LANE_BLOCK + 123
+        outs = []
+        for i, threads in enumerate([None, "1", None]):
+            env = src_env()
+            for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+                env.pop(name, None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"{i}.json"
+            args = ["limit", cfg, "--method", "both", "--integrator", "mc", "--samples", str(samples)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "countlim.cli", *args, "--seed", "11", "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
     def test_bad_cl_rejected(self, runner, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)

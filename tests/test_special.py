@@ -197,17 +197,18 @@ WIDE = NARROW + 1
 
 def assert_twins_agree(array_out, scalar_out, n, xs):
     """The array routes against the scalar twins on wide calls. Within 16
-    ulp: the arrays sum by Horner's rule or a backward fraction where the
-    twins walk forward, numpy's exp can round differently from math.exp,
-    and the routes that return 1 - sum magnify the sum's last bits by up to
-    6.4 (Q(1, 2)). On 10 x 400 uniform lanes at each n from 0 to 147, where
-    the logs agree, the worst seen was 20 ulp on gamma_q's series (n = 0),
-    12 on its fraction and 22 for poisson_cdf (n = 123): random lanes can
-    exceed this bound, though the seeded lanes tested here do not, so it
-    flags a broken route, not every last-bit drift (ROADMAP item 7's open
-    part, scalar twins on the same fixed forms, would close it). On a lane
-    where numpy's log rounds differently from math.log, that difference is
-    carried through the prefactor exp((n + 1) ln x - ...) on top."""
+    ulp: the arrays sum by baby steps and giant steps or a backward
+    fraction where the twins walk forward, numpy's exp can round differently
+    from math.exp, and the routes that return 1 - sum magnify the sum's last
+    bits by up to 6.4 (Q(1, 2)). On 40 x 400 uniform lanes at each n from 0
+    to 147, where the logs agree, the worst seen was 24 ulp on gamma_q's
+    series (n = 0), 16 on its fraction and 20 for poisson_cdf (n = 96):
+    random lanes can exceed this bound, though the seeded lanes tested here
+    do not, so it flags a broken route, not every last-bit drift (ROADMAP
+    item 7's open part, scalar twins on the same fixed forms, would close
+    it). On a lane where numpy's log rounds differently from math.log, that
+    difference is carried through the prefactor exp((n + 1) ln x - ...) on
+    top."""
     log_gap = np.zeros_like(xs)
     positive = xs > 0.0
     log_gap[positive] = np.abs(np.log(xs[positive]) - [math.log(x) for x in xs[positive].tolist()])
@@ -277,7 +278,7 @@ class TestPoissonCdf:
                 assert 0.0 <= g <= 1e-290
 
     # the largest gap seen between the twins on 100,000 uniform lanes in
-    # [0, 2.5 n + 10], beyond the log term: 45 ulp at n = 1500, 82 at 1e4.
+    # [0, 2.5 n + 10] where the logs agree: 38 ulp at n = 1500, 82 at 1e4.
     # The forward walk and the polynomial round differently, and both
     # carry the rounding of 1/x or n/x into the j-th term j times.
     LARGE_TWIN_ULPS = {1500: 64.0, 10000: 128.0}
@@ -346,6 +347,62 @@ class TestPoissonCdf:
         assert special._horner([4.0, 3.0, 2.0, 1.0], y).tolist() == [1.0, 3.25, 10.0, 49.0]
         assert special._horner([1.0], y).tolist() == [1.0] * 4
 
+    def test_series_sum_is_exact_on_small_integers(self):
+        # every degree up to 40: one coefficient, whole blocks of K (d = K B)
+        # and one coefficient past them (d = K B + 1), on lanes where every
+        # partial sum is exact in float64
+        y = np.array([0.0, 0.5, 1.0, -1.0, 2.0])
+        shapes = set()
+        for d in range(41):
+            k = max(2, math.isqrt(2 * d))
+            shapes.add(min(d % k, 2) if d else "one")
+            coeffs = [float(1 + (7 * j) % 3) for j in range(d + 1)]
+            exact = []
+            for v in y.tolist():
+                p = Fraction(0)
+                for c in coeffs:
+                    p = p * Fraction(v) + Fraction(c)
+                exact.append(float(p))
+            assert special._series_sum(coeffs, y).tolist() == exact
+        assert shapes == {"one", 0, 1, 2}
+
+    @staticmethod
+    def tail_coeffs(n, m):
+        """Each Poisson tail's coefficients at largest ratio m, and its m."""
+        z = min(m, math.nextafter(n / (n + 1.0), 0.0))
+        return (
+            (special._series_coeffs((k / n for k in range(n, 0, -1)), m), m),
+            (special._series_coeffs(((n + 1) / k for k in itertools.count(n + 2)), z), z),
+        )
+
+    @staticmethod
+    def assert_series_sum_near_mpmath(coeffs, values, lanes):
+        """Every lane within 8 ulp of the polynomial with these rounded
+        coefficients at that lane's value, summed by mpmath at 40 digits."""
+        with mpmath.workdps(40):
+            refs = {v: float(mpmath.polyval(coeffs, mpmath.mpf(v))) for v in values}
+        got = special._series_sum(coeffs, lanes)
+        ref = np.array([refs[v] for v in lanes.tolist()])
+        assert np.all(np.abs(got - ref) <= 8.0 * np.spacing(ref))
+
+    @pytest.mark.parametrize("n", [150, 1500, 10000, 100000])
+    @pytest.mark.parametrize("m", [0.999, 1.0])
+    def test_series_sum_near_mpmath(self, n, m):
+        rng = np.random.default_rng(n)
+        for coeffs, ratio in self.tail_coeffs(n, m):
+            lanes = np.append(rng.uniform(0.0, ratio, 15), ratio)
+            self.assert_series_sum_near_mpmath(coeffs, lanes.tolist(), lanes)
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 41), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_series_sum_on_every_lane_of_a_block(self, blocks, extra):
+        # the matrix product may round a lane by where it sits in its block
+        # of lanes: 97 values recur at every offset of calls around the block
+        count = blocks * special._LANE_BLOCK + extra
+        values = np.append(np.random.default_rng(count).uniform(0.0, 1.0, 96), 1.0)
+        for coeffs, ratio in self.tail_coeffs(150, 1.0):
+            lanes = np.resize(values * ratio, count)
+            self.assert_series_sum_near_mpmath(coeffs, set(lanes.tolist()), lanes)
+
     def test_far_tail_is_zero_without_error(self):
         assert poisson_cdf(2, 5000.0) == 0.0
 
@@ -388,6 +445,23 @@ class TestGammaQ:
                 assert abs(got - ref) <= 1e-14 * (a + xi + 1.0) * ref
             else:
                 assert 0.0 <= got <= 1e-290
+
+    @pytest.mark.parametrize("a", [0.5, 0.75])
+    def test_series_route_at_the_smallest_validated_a(self, a):
+        # the documented accuracy holds from a = 0.5, the frozen grid's
+        # smallest a, where 1 - P loses most to the series' rounding
+        xs = np.append(np.linspace(0.01, a + 1.0, 199, endpoint=False), math.nextafter(a + 1.0, 0.0))
+        got = gamma_q(a, xs)
+        with mpmath.workdps(30):
+            refs = [float(mpmath.gammainc(a, x, mpmath.inf, regularized=True)) for x in xs.tolist()]
+        assert np.all(np.abs(got - refs) <= 1e-14 * (a + xs + 1.0) * np.array(refs))
+
+    @pytest.mark.parametrize("a", [1e60, 1e200, 1e300])
+    def test_series_route_at_a_huge_shape(self, a):
+        # every lane's prefactor e^-x x^a / Gamma(a) is 0 and raw powers of x
+        # overflow: the series must stay finite and raise no warning
+        xs = np.geomspace(1e-6, 0.099, WIDE) * a
+        assert gamma_q(a, xs).tolist() == [1.0] * WIDE
 
     @pytest.mark.parametrize("a", [0.3, 1.0, 4.0, 21.0, 37.5, 120.0, 151.0, 1001.0])
     def test_strictly_decreasing_in_x(self, a):
