@@ -13,13 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .exceptions import ModelError
 from .marginal import (
+    _CLS_UNDEFINED,
     Integrator,
     SampleSet,
     _bayes_terms,
+    _cls_terms,
+    _Criterion,
+    _criterion,
     _marginal_limit,
     draw_samples,
-    hybrid_cls_upper_limit,
 )
 from .model import CountingModel
 from .solver import LimitRequest
@@ -71,25 +75,39 @@ def compare_limits(
 ) -> EquivalenceReport:
     """Run both methods on one shared sample set and classify the outcome.
 
-    The hybrid CLs limit is solved first, from mu = 0. The Bayesian solve
-    then starts at the CLs root: with a certain signal the two criteria
-    are the same function of mu, so that is its root too. The start is
-    only a first guess; the Bayesian criterion must still converge there
-    on its own value and slope, within ``req.rel_tol``, and ``rel_diff``
-    then reads 0.0 when it does so at the very same point.
+    Both criteria are built on one computation of the set's yields. The
+    hybrid CLs limit is solved first, from the Wilson-Hilferty guess. The
+    Bayesian solve then starts at the CLs root: with a certain signal the
+    two criteria are the same function of mu, so that is its root too.
+    The start is only a first guess; the Bayesian criterion must still
+    converge there on its own value and slope, within ``req.rel_tol``,
+    and ``rel_diff`` then reads 0.0 when it does so at the very same
+    point. The CLs solve most often ends just past its root (see
+    :class:`~countlim.solver.LimitResult`), where the Bayesian criterion
+    is then converged and not above alpha: the Bayesian solve ends after
+    that one kernel call, two evaluations with mu = 0. Where the CLs
+    solve ended short of its root, one probe past it signs the Bayesian
+    bracket.
 
     ``bayes_samples`` overrides the Bayesian method's sample set and exists
     to let tests and the CLI's debug path demonstrate what a broken
-    shared-sample contract looks like; its solve starts at the CLs root
-    too, and finds its own root from there.
+    shared-sample contract looks like; its solve takes that set's own
+    yields, starts at the CLs root too, and finds its own root from there.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     samples = draw_samples(model.systematics, integrator)
-    res_cls = hybrid_cls_upper_limit(model, req, integrator, samples=samples)
-    # the CLs solve has refused a zero signal yield, as the Bayesian route would
-    bayes_set = bayes_samples if bayes_samples is not None else samples
-    res_bayes = _marginal_limit(model, req, integrator, bayes_set, _bayes_terms, start=res_cls.mu_up)
+    # CLs is 1 at every mu: refused as by hybrid_cls_upper_limit
+    if model.s_nom == 0.0:
+        raise ModelError(_CLS_UNDEFINED)
+    crit = _criterion(model, _cls_terms, samples)
+    res_cls = _marginal_limit(crit, req, integrator)
+    if bayes_samples is None:
+        # one sample set, one set of yields: the criteria differ only in their kernel
+        crit = _Criterion(_bayes_terms, crit.n, crit.s, crit.b, crit.w)
+    else:
+        crit = _criterion(model, _bayes_terms, bayes_samples)
+    res_bayes = _marginal_limit(crit, req, integrator, start=res_cls.mu_up)
     a, b = res_cls.mu_up, res_bayes.mu_up
     rel_diff = abs(a - b) / max(a, b)
     signal_uncertain = not model.signal_is_certain

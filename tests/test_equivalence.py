@@ -118,6 +118,26 @@ def test_bayes_solve_starts_at_the_cls_root(bayes_solve_kernel_calls, model, int
     assert report.rel_diff <= report.tol
 
 
+@pytest.mark.parametrize("override", [False, True])
+def test_yields_are_taken_once_per_sample_set(monkeypatch, override):
+    # both criteria of a compare run on the shared set's yields; a
+    # bayes_samples override takes its own
+    calls = []
+    yields_on_samples = marginal.yields_on_samples
+
+    def counted(model, etas):
+        calls.append(etas)
+        return yields_on_samples(model, etas)
+
+    monkeypatch.setattr(marginal, "yields_on_samples", counted)
+    model = bg_systematic_model(kappa=1.2)
+    other = draw_samples(model.systematics, Integrator.monte_carlo(500, 999)) if override else None
+    compare_limits(model, LimitRequest(alpha=0.05), Integrator.monte_carlo(500, 1), bayes_samples=other)
+    assert len(calls) == 1 + override
+    if override:
+        assert calls[1] is other.etas
+
+
 def test_report_deterministic():
     model = bg_systematic_model(kappa=1.3)
     req = LimitRequest(alpha=0.1)

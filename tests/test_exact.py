@@ -251,6 +251,23 @@ def test_tiny_alpha_short_of_the_underflow_solves(route, b, rel):
     assert res.criterion_at_solution > 0.0
 
 
+# mpmath root of log Q(4, mu + 60) / Q(4, 60) = log 1e-300, at 50 digits
+ORACLE_MU_UP_SUBNORMAL = 698.33944350516580636
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the numerator at the root is subnormal, ~10 bits, until the criteria are taken in log space",
+)
+@pytest.mark.parametrize("route", _EXACT_ROUTES)
+def test_subnormal_numerator_at_the_root(route):
+    # the target alpha Q(4, 60) = 3.3e-322 keeps ~10 bits: both routes return
+    # a limit with no error, 698.3295 (CLs) and 698.3335 (Bayes), well off
+    # the root. This flips to a pass once the criteria work on log values.
+    res = route(plain_model(s=1.0, b=60.0, n_obs=3), LimitRequest(alpha=1e-300))
+    assert res.mu_up == pytest.approx(ORACLE_MU_UP_SUBNORMAL, rel=5e-9)
+
+
 def test_large_count_limits_agree():
     # Q(1e5 + 1, 1e5 + mu) is taken near x = a, where the series and the
     # continued fraction would need more than 500 steps

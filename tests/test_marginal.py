@@ -570,9 +570,11 @@ class TestUpperLimits:
         assert res.mu_up_stderr == pytest.approx(res.criterion_stderr / abs(slope), rel=1e-5)
 
     def test_stderr_reuses_the_evaluation_at_the_lower_end(self):
-        # the solve ends on its converged lower end after signing the bracket
-        # just past it: the stderr takes that end's terms and slope from the
-        # last two evaluations, where it once ran the kernel there again
+        # the last Halley step, aimed past the root, lands just short of it
+        # here, so the solve ends on its converged lower end after a probe
+        # signs the bracket just past it: the stderr takes that end's terms
+        # and slope from the last two evaluations, where it once ran the
+        # kernel there again
         m = bg_systematic_model(s=1.0, b=1.5, n_obs=1, kappa=1.05)
         samples = draw_samples(m.systematics, Integrator.monte_carlo(200, 0))
         crit = _criterion(m, _cls_terms, samples)
@@ -585,6 +587,36 @@ class TestUpperLimits:
         _, slope, _ = fresh(res.mu_up)
         assert res.criterion_stderr == fresh.ratio_stderr(fresh.terms(res.mu_up))
         assert res.mu_up_stderr == res.criterion_stderr / abs(slope)
+
+    @pytest.mark.parametrize(
+        ("model", "integrator"),
+        [
+            (bg_systematic_model(s=10.0, b=150.0, n_obs=160, kappa=1.05), Integrator.monte_carlo(2000, 1)),
+            (signal_systematic_model(kappa=1.2), Integrator.gauss_hermite(32)),
+        ],
+    )
+    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    def test_sample_set_solve_starts_at_wilson_hilferty(self, model, integrator, kernel):
+        # the guess on the weighted-mean yields is the second point evaluated,
+        # within 11% of the root on these sets
+        crit = _criterion(model, kernel, draw_samples(model.systematics, integrator))
+        start = marginal._wilson_hilferty_start(crit, 0.05)
+        mus = []
+        solve = marginal.solve_decreasing
+
+        def recorded(criterion, *args):
+            return solve(lambda mu: mus.append(mu) or criterion(mu), *args)
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(marginal, "solve_decreasing", recorded)
+            res = marginal._solve(crit, LimitRequest(alpha=0.05))
+        assert mus[:2] == [0.0, start] and start > 0.0
+        assert start == pytest.approx(res.mu_up, rel=0.11)
+
+    def test_no_start_on_a_vanishing_mean_signal(self):
+        # every sample's signal yield is 0: the guess would divide by it
+        crit = _Criterion(_cls_terms, 3, np.zeros(4), np.full(4, 1.5), np.full(4, 0.25))
+        assert marginal._wilson_hilferty_start(crit, 0.05) == 0.0
 
     def test_ratio_stderr_where_the_numerator_tracks_the_denominator(self):
         # numerator = denominator * (1 + ~1e-9 eps): var(u) + var(v) - 2 cov(u, v)

@@ -2,6 +2,7 @@ import itertools
 import math
 import statistics
 
+import mpmath
 import pytest
 
 from countlim import (
@@ -12,10 +13,12 @@ from countlim import (
     bayesian_marginal_upper_limit,
     bayesian_upper_limit_closed_form,
     cls_upper_limit,
+    compare_limits,
     hybrid_cls_upper_limit,
     log_poisson_pmf,
     poisson_cdf,
 )
+from countlim import marginal
 from countlim.solver import solve_decreasing
 from helpers import bg_systematic_model, plain_model
 
@@ -45,6 +48,45 @@ def poisson_ratio(n, b):
         return poisson_cdf(n, x) / den, -pmf / den, -dpmf / den
 
     return criterion
+
+
+@pytest.fixture
+def recorded_solves(monkeypatch):
+    """Each solve the limit routines make: its result, its target and the
+    criterion values it evaluated, by mu."""
+    solves = []
+
+    def recorded(criterion, target, *args):
+        values = {}
+
+        def evaluate(mu):
+            result = criterion(mu)
+            values[mu] = result[0]
+            return result
+
+        solves.append((solve_decreasing(evaluate, target, *args), target, values))
+        return solves[-1][0]
+
+    monkeypatch.setattr(marginal, "solve_decreasing", recorded)
+    return solves
+
+
+def large_count_toys():
+    """(n_obs, model, integrator): s = 10, b = 150 with a 5% log-normal
+    background systematic on 2000 Monte Carlo samples, one n_obs per
+    Poisson(150) decile."""
+    for decile in range(10):
+        n_obs = next(n for n in itertools.count() if poisson_cdf(n, 150.0) >= (decile + 0.5) / 10.0)
+        model = bg_systematic_model(s=10.0, b=150.0, n_obs=n_obs, kappa=1.05)
+        yield n_obs, model, Integrator.monte_carlo(2000, decile)
+
+
+def assert_brackets_signed(solves):
+    # both ends of every bracket were evaluated, the criterion is above the
+    # target at lo and not above it at hi, and the limit is one of the ends
+    for (mu, _, _, (lo, hi)), target, values in solves:
+        assert values[lo] > target >= values[hi]
+        assert mu in (lo, hi)
 
 
 class TestSolveDecreasing:
@@ -174,7 +216,7 @@ class TestSolveDecreasing:
         assert "bracket" in str(err.value)
         assert err.value.bracket[1] > 2.0**64
 
-    def test_evaluation_budget_on_the_exact_grid(self):
+    def test_evaluation_budget_on_the_exact_grid(self, recorded_solves):
         # criterion 2's 225 configurations, both exact routes
         evals, zero_count_evals = [], []
         for s, b, n_obs, alpha in itertools.product(
@@ -186,23 +228,35 @@ class TestSolveDecreasing:
             evals += pair
             if n_obs == 0:
                 zero_count_evals += pair
-        # the Wilson-Hilferty start takes the median from 5 to 4 and the
-        # maximum from 9 to 5; n_obs = 0 starts from mu = 0, where one
-        # Newton step is exact, and a start there would cost a fourth
-        assert statistics.median(evals) <= 4
+        # the Wilson-Hilferty start and the step aimed past the root take
+        # the median to 3 and keep the maximum at 5; n_obs = 0 starts from
+        # mu = 0, where one Newton step is exact, and a start there would
+        # cost a fourth
+        assert statistics.median(evals) <= 3
         assert max(evals) <= 5
         assert max(zero_count_evals) <= 3
+        assert len(recorded_solves) == len(evals)
+        assert_brackets_signed(recorded_solves)
 
     @pytest.mark.parametrize("route", [hybrid_cls_upper_limit, bayesian_marginal_upper_limit])
     def test_evaluation_budget_at_large_count(self, route):
-        # s = 10, b = 150 with a 5% log-normal background systematic on 2000
-        # Monte Carlo samples, one n_obs per Poisson(150) decile
+        # each route starts at the Wilson-Hilferty guess on the mean yields
         req = LimitRequest(alpha=0.05)
-        for decile in range(10):
-            n_obs = next(n for n in itertools.count() if poisson_cdf(n, 150.0) >= (decile + 0.5) / 10.0)
-            model = bg_systematic_model(s=10.0, b=150.0, n_obs=n_obs, kappa=1.05)
-            res = route(model, req, Integrator.monte_carlo(2000, decile))
-            assert res.iterations <= 5, (n_obs, res)
+        for n_obs, model, integrator in large_count_toys():
+            res = route(model, req, integrator)
+            assert res.iterations <= 4, (n_obs, res)
+
+    def test_evaluation_budget_of_a_large_count_compare(self, recorded_solves):
+        # on the same toys the CLs solve ends just past its root; the Bayes
+        # solve starts there and ends on it, after mu = 0 and one kernel call
+        req = LimitRequest(alpha=0.05)
+        for n_obs, model, integrator in large_count_toys():
+            report = compare_limits(model, req, integrator)
+            (cls_res, _, _), (bayes_res, _, _) = recorded_solves[-2:]
+            assert cls_res[2] <= 4 and bayes_res[2] == 2, (n_obs, cls_res, bayes_res)
+            assert report.rel_diff == 0.0
+        assert len(recorded_solves) == 20
+        assert_brackets_signed(recorded_solves)
 
     def test_vanishing_log_slope(self):
         # b = 4.7e-138, n = 2: at mu = 0, g' = c'/c ~ -1e-275, and g'^2
@@ -246,22 +300,12 @@ class TestSolveDecreasing:
         assert root == pytest.approx(300.0 * math.log(10.0) / rate, rel=2e-15)
 
     def test_probe_only_signs_the_bracket(self):
-        # P(N <= 20; mu + 20) / P(N <= 20; 20), summed term by term: the solve
-        # converges below the root and signs the bracket at mu + 2 step, which
-        # lies as far above it. Give that probe lo's distance from the target,
-        # one ulp nearer: the converged point is still the answer.
-        n, b, target = 20, 20.0, 0.05
-
-        def cdf(x):
-            return math.exp(-x) * math.fsum(x**k / math.factorial(k) for k in range(n + 1))
-
-        den = cdf(b)
-
-        def criterion(mu):
-            x = mu + b
-            pmf = math.exp(n * math.log(x) - x - math.lgamma(n + 1))
-            return cdf(x) / den, -pmf / den, -pmf * (n / x - 1.0) / den
-
+        # exp(-mu) = 0.05 is log-linear, so the step is Newton's and is not
+        # aimed past the root: it lands converged a hair short of ln 20, and
+        # a probe rel_tol past that point signs the bracket. Give the probe
+        # lo's distance from the target, one ulp nearer: the converged point
+        # is still the answer.
+        criterion, target = exponential(1.0), 0.05
         history = []
 
         def recorded(mu):
@@ -272,7 +316,7 @@ class TestSolveDecreasing:
         lo_value = history[-2][0]
         # the last two evaluations are the converged point and its probe
         assert criterion(lo)[0] == lo_value > target > history[-1][0]
-        assert probe - lo > 1e-9 * lo  # twice a step: not a rel_tol nudge
+        assert probe == pytest.approx(lo * (1.0 + 1e-9), rel=1e-15)
 
         mirrored = math.nextafter(target - (lo_value - target), target)
 
@@ -282,6 +326,27 @@ class TestSolveDecreasing:
 
         root, crit, evals_nudged, bracket = solve_decreasing(nudged, target, 1e-9, 200)
         assert (root, crit, evals_nudged, bracket) == (lo, lo_value, evals, (lo, probe))
+
+    @pytest.mark.parametrize(
+        ("n", "b", "target"), [(3, 1.5, 0.05), (10, 3.0, 0.1), (50, 30.0, 0.05), (150, 150.0, 0.05)]
+    )
+    def test_halley_solve_ends_past_the_root_without_a_probe(self, n, b, target):
+        # the last Halley step is aimed rel_tol/4 past the root: the point
+        # where the solve converges is the upper end of its bracket, and no
+        # probe follows it
+        criterion, history = poisson_ratio(n, b), []
+
+        def recorded(mu):
+            history.append(mu)
+            return criterion(mu)
+
+        mu, value, evals, (lo, hi) = solve_decreasing(recorded, target, 1e-9, 200)
+        assert mu == hi == history[-1] and evals == len(history)
+        assert criterion(lo)[0] > target >= value
+        with mpmath.workdps(30):
+            den = mpmath.gammainc(n + 1, b, regularized=True)
+            root = mpmath.findroot(lambda m: mpmath.gammainc(n + 1, m + b, regularized=True) / den - target, mu)
+        assert 0.0 < mu - root <= 1e-9 * mu
 
 
 class TestStart:
