@@ -21,11 +21,12 @@ import click
 import numpy as np
 
 from .config import load_model
-from .equivalence import VERDICT_UNEXPECTED, compare_limits
+from .equivalence import VERDICT_UNEXPECTED, _cls_limit_and_bayes_criterion, compare_limits
 from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError
 from .marginal import (
     _SCAN_MAX_POINTS,
     Integrator,
+    _marginal_limit,
     bayesian_marginal_upper_limit,
     draw_samples,
     hybrid_cls_upper_limit,
@@ -156,25 +157,25 @@ def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, to
             req = LimitRequest(alpha=alpha, rel_tol=tol)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        methods = ["cls", "bayes"] if method == "both" else [method]
         # a model without nuisances solves on its nominal point; the integrator options go unread
         integrator = _build_integrator(integrator_kind, samples, seed, nodes) if model.has_systematics else None
         shared = draw_samples(model.systematics, integrator)
-        solvers = {"cls": hybrid_cls_upper_limit, "bayes": bayesian_marginal_upper_limit}
-        results = {
-            name: solvers[name](model, req, integrator, samples=shared).to_dict() for name in methods
-        }
+        if method == "both":  # on one set of yields, the Bayes solve from the CLs root, as compare_limits
+            res_cls, crit = _cls_limit_and_bayes_criterion(model, req, integrator, shared)
+            results = {"cls": res_cls, "bayes": _marginal_limit(crit, req, integrator, start=res_cls.mu_up)}
+        else:
+            solver = hybrid_cls_upper_limit if method == "cls" else bayesian_marginal_upper_limit
+            results = {method: solver(model, req, integrator, samples=shared)}
         payload = {
             "config_sha256": _config_sha256(config_path),
             "cl": cl,
             "alpha": alpha,
             "method": method,
             "integrator": integrator.to_dict() if integrator is not None else None,
-            "results": results,
+            "results": {name: res.to_dict() for name, res in results.items()},
         }
         if method == "both":
-            a = results["cls"]["mu_up"]
-            b = results["bayes"]["mu_up"]
+            a, b = results["cls"].mu_up, results["bayes"].mu_up
             payload["rel_diff"] = abs(a - b) / max(a, b)
         _write_output(out, _json_text(payload) + "\n")
 

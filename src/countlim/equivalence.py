@@ -11,7 +11,7 @@ is reported, never thresholded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .exceptions import ModelError
 from .marginal import (
@@ -23,6 +23,7 @@ from .marginal import (
     _Criterion,
     _criterion,
     _marginal_limit,
+    _solve,
     draw_samples,
 )
 from .model import CountingModel
@@ -54,15 +55,21 @@ class EquivalenceReport:
     mc_stderr: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "mu_up_cls": self.mu_up_cls,
-            "mu_up_bayes": self.mu_up_bayes,
-            "rel_diff": self.rel_diff,
-            "signal_uncertain": self.signal_uncertain,
-            "verdict": self.verdict,
-            "tol": self.tol,
-            "mc_stderr": self.mc_stderr,
-        }
+        return asdict(self)
+
+
+def _cls_limit_and_bayes_criterion(model, req, integrator, samples, bayes_samples=None):
+    """The hybrid CLs limit on ``samples`` and the marginal Bayesian criterion,
+    on the same yields (the criteria differ only in their kernel) or on
+    ``bayes_samples``' own, for a solve started at the CLs root."""
+    # CLs is 1 at every mu: refused as by hybrid_cls_upper_limit
+    if model.s_nom == 0.0:
+        raise ModelError(_CLS_UNDEFINED)
+    crit = _criterion(model, _cls_terms, samples)
+    res_cls = _marginal_limit(crit, req, integrator)
+    if bayes_samples is None:
+        return res_cls, _Criterion(_bayes_terms, crit.n, crit.s, crit.b, crit.w)
+    return res_cls, _criterion(model, _bayes_terms, bayes_samples)
 
 
 def compare_limits(
@@ -87,7 +94,7 @@ def compare_limits(
     is then converged and not above alpha: the Bayesian solve ends after
     that one kernel call, two evaluations with mu = 0. Where the CLs
     solve ended short of its root, one probe past it signs the Bayesian
-    bracket.
+    bracket. It takes no Monte Carlo error: the report has only the CLs one.
 
     ``bayes_samples`` overrides the Bayesian method's sample set and exists
     to let tests and the CLI's debug path demonstrate what a broken
@@ -97,17 +104,8 @@ def compare_limits(
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     samples = draw_samples(model.systematics, integrator)
-    # CLs is 1 at every mu: refused as by hybrid_cls_upper_limit
-    if model.s_nom == 0.0:
-        raise ModelError(_CLS_UNDEFINED)
-    crit = _criterion(model, _cls_terms, samples)
-    res_cls = _marginal_limit(crit, req, integrator)
-    if bayes_samples is None:
-        # one sample set, one set of yields: the criteria differ only in their kernel
-        crit = _Criterion(_bayes_terms, crit.n, crit.s, crit.b, crit.w)
-    else:
-        crit = _criterion(model, _bayes_terms, bayes_samples)
-    res_bayes = _marginal_limit(crit, req, integrator, start=res_cls.mu_up)
+    res_cls, crit = _cls_limit_and_bayes_criterion(model, req, integrator, samples, bayes_samples)
+    res_bayes = _solve(crit, req, start=res_cls.mu_up)
     a, b = res_cls.mu_up, res_bayes.mu_up
     rel_diff = abs(a - b) / max(a, b)
     signal_uncertain = not model.signal_is_certain

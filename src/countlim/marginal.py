@@ -17,22 +17,23 @@ and :func:`marginal_posterior_density` on ``draw_samples(systematics,
 None)`` of a model without nuisances give CLs, CLs+b, CLb and the
 closed-form posterior density.
 
-Reductions over samples go through ``np.sum``, whose pairwise tree over a
-fixed (declaration) sample order keeps results reproducible and
-independent of any internal parallelism.
+Reductions over samples go through ``np.add.reduce``, ``np.sum``'s pairwise
+sum without its dispatch, whose tree over a fixed (declaration) sample
+order keeps results reproducible and independent of any parallelism.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError, ConvergenceError, ModelError
 from .model import CountingModel, SystematicsModel, yields_on_samples
-from .special import gamma_q, log_poisson_pmf, poisson_cdf
+from .special import _poisson_cdf_and_pmf, gamma_q, log_poisson_pmf, poisson_cdf
 from .solver import LimitRequest, LimitResult, solve_decreasing
 
 __all__ = [
@@ -51,11 +52,11 @@ __all__ = [
 # or a scan grid of 2**20 points is 8 MiB per float64 column. A solve on a
 # one-nuisance Monte Carlo set peaks at under ~200 bytes per sample, the
 # two numerator arrays the criterion keeps included (ru_maxrss above the
-# import, at 2**20 samples, one log-normal background nuisance: 120 and
-# 130 bytes for the CLs and Bayes limits at n_obs = 3, b = 1.5, and 120 and
-# 181 at n_obs = 160, b = 150). The wide series sums take their buffers per
-# block of special._LANE_BLOCK lanes; over all lanes at once the CLs limit
-# at n_obs = 160 peaked at 299. So the budget of 2**22 values (samples x
+# import, at 2**20 samples, one log-normal background nuisance: 119 and
+# 119 bytes for the CLs and Bayes limits at n_obs = 3, b = 1.5, and 125 and
+# 167 at n_obs = 160, b = 150). The wide series sums and erfcx's gather take
+# their buffers per block of special._LANE_BLOCK lanes (unblocked, 299 and
+# 239 at n_obs = 160). So the budget of 2**22 values (samples x
 # nuisances) keeps a limit under ~1 GB.
 _GH_MAX_POINTS = 2**20  # largest Gauss-Hermite tensor grid draw_samples builds
 _MC_MAX_VALUES = 2**22  # largest Monte Carlo set, samples x nuisances
@@ -243,7 +244,9 @@ class _Criterion:
     -s * pmf for CLs and -pmf for Bayes, the curvature -s^2 * pmf *
     (n/x - 1) and -s * pmf * (n/x - 1). So calling the criterion gives
     its value, slope and curvature for the price of one kernel call and
-    one pmf.
+    one pmf. A wide CLs criterion with n >= 1, chosen once here, takes the
+    pmf of a call whose lanes all take ``poisson_cdf``'s lower tail from
+    that kernel: it is the tail's prefactor, bit for bit.
     """
 
     def __init__(self, kernel, n: int, s, b, w):
@@ -252,11 +255,15 @@ class _Criterion:
             where = "" if w is None else f" at sample {int(np.argmax(s == 0.0))}"
             raise ModelError(f"signal yield is zero{where}; the posterior for mu is degenerate")
         self.kernel = kernel
+        if kernel is _cls_terms and n > 0 and w is not None:
+            me = weakref.proxy(self)  # methods bound to it make no reference cycle, which gc would keep
+            self.kernel = functools.partial(_Criterion._cls_terms_keeping_pmf, me)
+            self.pmf_and_derivative = functools.partial(_Criterion._kept_pmf_and_derivative, me)
         self.n = n
         self.s = s
         self.b = b
         self.w = w
-        self.den_terms = kernel(n, s, b)
+        self.den_terms = self.kernel(n, s, b)
         self.den = self.mean(self.den_terms)
         if not (self.den > 0.0 and math.isfinite(self.den)):
             where = f"b = {b!r}" if w is None else f"b in [{float(np.min(b))!r}, {float(np.max(b))!r}]"
@@ -299,6 +306,17 @@ class _Criterion:
         self(mu)
         return self.recent[1][1:]
 
+    def _cls_terms_keeping_pmf(self, n: int, s, x):
+        terms, pmf = _poisson_cdf_and_pmf(n, x)
+        self.kept_pmf = x, pmf
+        return terms
+
+    def _kept_pmf_and_derivative(self, x):
+        kept_x, pmf = self.kept_pmf  # where kept, x > 0 on every lane
+        if kept_x is not x or pmf is None:
+            return _Criterion.pmf_and_derivative(self, x)
+        return pmf, self.n * (pmf / x) - pmf
+
     def pmf_and_derivative(self, x):
         """Per-sample pmf(n; x) and d pmf/dx = pmf * (n/x - 1), for x >= 0.
 
@@ -324,7 +342,7 @@ class _Criterion:
     def mean(self, terms):
         if self.w is None:
             return terms
-        return float(np.sum(self.w * terms))
+        return float(np.add.reduce(self.w * terms))
 
     def terms(self, mu: float):
         # at mu = 0 the numerator is the denominator, as in __call__
@@ -402,7 +420,7 @@ def _wilson_hilferty_start(crit: _Criterion, alpha: float) -> float:
         return 0.0
     a = n + 1.0
     s, b = crit.mean(crit.s), crit.mean(crit.b)
-    p = alpha * (crit.den if crit.kernel is _cls_terms else crit.den * s)
+    p = alpha * (crit.den * s if crit.kernel is _bayes_terms else crit.den)
     if not (0.0 < p < 1.0 and s > 0.0):
         return 0.0
     z = _standard_normal().inv_cdf(p)

@@ -17,27 +17,16 @@ the scalar twins, bit for bit.
 
 Wider arrays take no convergence test. ``poisson_cdf`` sums the scalar
 walk's series as one polynomial in n/x or x/(n + 1) per call, and
-``gamma_q``'s lower series is one polynomial in x, with scalar
-coefficients built once per call and a degree d set by the call's longest
-series. Each is summed by baby steps and giant steps over blocks of 8192
-lanes: K = isqrt(2 d) powers of the lane, one matrix product for the sums
-of every block of K coefficients, and Horner's rule in y^K over those
-sums. That is about K + 2 d / K numpy calls per block of lanes where
-Horner's rule takes 2 d: ~30 against 194 at n = 150 (d = 97).
-``gamma_q``'s continued fraction is evaluated backward from a fixed depth,
-the steps its scalar walk takes on the call's smallest x (for integer a
-it stops by level a, where the fraction ends): three numpy calls per
-level. These forms round differently from the walks, and numpy's
-vectorised ``log`` and ``exp`` can round differently from the ``math``
-module's. The tests hold the twins to 16 ulp at n <= 150 and to 64 and
-128 ulp at n = 1500 and 1e4 (38 and 82 seen on 100,000 lanes), plus a
-``log`` difference carried through the prefactor x^n. On 40 x 400
-uniform lanes at each n = 0..147, where the logs agree, the twins
-differed by up to 24 ulp on ``gamma_q``'s series (at a = 1, where
-1 - sum magnifies the sum's rounding), 16 on its fraction and 20 in
-``poisson_cdf`` (n = 96), so a lane can exceed the 16-ulp bound. Against
-mpmath the ``gamma_q`` array forms are the closer twin (at a = 1 the
-series is 16 ulp off at worst, the scalar walk 24).
+``gamma_q``'s lower series one polynomial in x, by baby steps and giant
+steps (``_series_sum``), with coefficients from a cached table per count
+(per ``(a, s)`` for ``gamma_q``) of the scalar loop's products, cut at a
+degree set by the call's longest series. ``gamma_q``'s continued fraction
+is evaluated backward from a fixed depth. A call whose lanes all take one
+route (one tail, or one of ``gamma_q``'s three) runs it on the whole
+array, with no masks, gathers or scatters, and the same bits. The twins
+round differently (forms, and numpy's ``log`` and ``exp`` against the
+``math`` module's): by up to ~24 ulp at n <= 150 and 82 at n = 1e4 on
+random lanes (README), the ``gamma_q`` array forms being nearer mpmath.
 
 ``poisson_cdf`` sums the Poisson terms outwards from the largest term
 of one tail, relative to that term: down from k = n when the mean is at
@@ -157,14 +146,14 @@ _NARROW_LANES = 40
 
 def _on_lanes(scalar, array, first, x, name: str) -> np.ndarray:
     """``scalar(first, lane)`` on each lane of a narrow array, else
-    ``array(first, x)``, once ``x`` is checked to be nonnegative: a NaN
-    lane is refused too (``np.min`` returns it; ``min`` may step over it,
-    but ``sum`` does not)."""
+    ``array(first, x, min, max)``, once ``x`` is checked to be nonnegative:
+    NaN too (``np.min`` returns it; ``min`` may skip it, ``sum`` does not)."""
     x = np.asarray(x, dtype=float)
     if x.size > _NARROW_LANES:
-        if not float(np.min(x)) >= 0.0:
+        lo = float(np.min(x))
+        if not lo >= 0.0:
             raise ValueError(f"{name} must be nonnegative")
-        return array(first, x)
+        return array(first, x, lo, float(np.max(x)))
     lanes = x.ravel().tolist()
     if lanes and not (min(lanes) >= 0.0 and sum(lanes) >= 0.0):
         raise ValueError(f"{name} must be nonnegative")
@@ -199,22 +188,36 @@ def _poisson_cdf_scalar(n: int, nu: float) -> float:
     return 1.0 - math.exp((n + 1) * math.log(nu) - nu - math.lgamma(n + 2)) * total
 
 
-def _poisson_cdf_array(n: int, nu: np.ndarray) -> np.ndarray:
+def _poisson_cdf_array(n: int, nu: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    if 0.0 < lo and hi < math.inf:  # every lane in one tail: no masks
+        if lo >= n:
+            return np.multiply(*_lower_tail_array(n, nu, lo))
+        if hi < n:
+            # P(N > n) from k = n + 1: H_j z^j, z = x/(n + 1) < 1, H_j = prod_{i<=j} (n + 1)/(n + 1 + i)
+            sums = _series_sum(_series_coeffs(_series_table(n + 1, n + 1), hi / (n + 1)), nu / (n + 1))
+            return 1.0 - np.exp((n + 1) * np.log(nu) - nu - math.lgamma(n + 2)) * sums
+    # else each tail's lanes, gathered, make a call of one route
     finite = nu < np.inf
     out = finite.astype(float)  # 1 at nu = 0, the limit 0 at nu = inf
     positive = nu > 0.0
-    lower = positive & finite & (nu >= n)
-    upper = positive & (nu < n)
-    if lower.any():
-        out[lower] = _lower_tail_array(n, nu[lower])
-    if upper.any():
-        out[upper] = 1.0 - _upper_tail_array(n, nu[upper])
+    for tail in (positive & finite & (nu >= n), positive & (nu < n)):
+        if tail.any():
+            out[tail] = _poisson_cdf_array(n, x := nu[tail], float(x.min()), float(x.max()))
     return out
 
 
-# Wide arrays sum the scalar walks' truncated series as polynomials with
-# scalar coefficients, by Horner's rule: two in-place numpy calls per term
-# and no convergence test. The degree is set by the call's longest series,
+def _poisson_cdf_and_pmf(n: int, nu: np.ndarray):
+    """``poisson_cdf(n, nu)`` on an array and, when its lanes all take the wide
+    lower tail, its prefactor: pmf(n; nu), with the same bits. Else None."""
+    lo = float(np.min(nu)) if nu.size > _NARROW_LANES else 0.0
+    if 0.0 < lo and n <= lo and float(np.max(nu)) < math.inf:
+        pmf, sums = _lower_tail_array(n, nu, lo)
+        return pmf * sums, pmf
+    return poisson_cdf(n, nu), None
+
+
+# Wide arrays sum the scalar walks' truncated series as polynomials, with
+# no convergence test. The degree is set by the call's longest series,
 # the lane with the largest ratio m: the coefficients stop before the first j
 # with c_j m^j <= _HORNER_EPS. Past that cut each term is at most
 # r = m (1 - J / (n + J + 2)) times the one before, J the number of terms
@@ -227,19 +230,29 @@ def _poisson_cdf_array(n: int, nu: np.ndarray) -> np.ndarray:
 _HORNER_EPS = 1e-18
 
 
-def _series_coeffs(factors, m: float) -> list[float]:
-    """c_0 = 1 and c_j = c_{j-1} * f_j over ``factors``, up to the first j
-    with c_j m^j <= _HORNER_EPS, which is left out; highest power first."""
-    coeffs = [1.0]
-    c = reach = 1.0
-    for f in factors:
-        c *= f
-        reach *= f * m
-        if reach <= _HORNER_EPS:
-            break
-        coeffs.append(c)
-    coeffs.reverse()
-    return coeffs
+@functools.lru_cache(maxsize=256)
+def _series_table(a, s) -> tuple[np.ndarray, np.ndarray]:
+    """Factors f_j, (a + 1 - j) / a then 0 for s None (the Poisson lower tail
+    at count a), else s / (a + j), and the loop's c_j = f_1 ... f_j, c_0 = 1,
+    to the loop's cut at the route's largest m: 1 on the Poisson tails (9.1
+    sqrt(n) + 27 factors at most), min(1, (a + 1) / s) on gamma_q's series."""
+    m = 1.0 if s is None else min(1.0, (a + 1.0) / s)
+    for size in (64 * 4**k for k in itertools.count()):
+        j = np.arange(1, size + 1)
+        f = np.maximum(a + 1 - j, 0) / max(a, 1) if s is None else s / (a + j)
+        below = np.cumprod(f * m) <= _HORNER_EPS
+        if below.any():
+            f = f[: below.argmax() + 1].copy()
+            c = np.cumprod(np.concatenate(([1.0], f[:-1])))
+            f.flags.writeable = c.flags.writeable = False  # the cache hands both to every call
+            return f, c
+
+
+def _series_coeffs(table, m: float) -> np.ndarray:
+    """The table's c_j, highest power first, up to the scalar loop's cut at
+    m: one cumulative product (``np.cumprod`` without its dispatch)."""
+    f, c = table
+    return c[int((np.multiply.accumulate(f * m) <= _HORNER_EPS).argmax()) :: -1]
 
 
 def _horner(coeffs, y: np.ndarray) -> np.ndarray:
@@ -297,20 +310,12 @@ def _series_sum(coeffs, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lower_tail_array(n: int, x: np.ndarray) -> np.ndarray:
-    # P(N <= n) for x >= n: the terms k = n down to 0, relative to the
-    # k = n one, are G_j y^j with y = n/x <= 1 and G_j = prod_{i<j} (n - i)/n
-    y = n / x
-    coeffs = _series_coeffs((k / n for k in range(n, 0, -1)), float(y.max()))
-    return np.exp(n * np.log(x) - x - math.lgamma(n + 1)) * _series_sum(coeffs, y)
-
-
-def _upper_tail_array(n: int, x: np.ndarray) -> np.ndarray:
-    # P(N > n) for x < n: the terms k = n + 1 upwards, relative to the first,
-    # are H_j z^j with z = x/(n + 1) < 1 and H_j = prod_{i=1..j} (n + 1)/(n + 1 + i)
-    z = x / (n + 1)
-    coeffs = _series_coeffs(((n + 1) / k for k in itertools.count(n + 2)), float(z.max()))
-    return np.exp((n + 1) * np.log(x) - x - math.lgamma(n + 2)) * _series_sum(coeffs, z)
+def _lower_tail_array(n: int, x: np.ndarray, lo: float) -> tuple[np.ndarray, np.ndarray]:
+    # P(N <= n) for x >= n, as the prefactor pmf(n; x) and the sum: the terms
+    # k = n down to 0, relative to the k = n one, are G_j y^j with
+    # y = n/x <= 1 and G_j = prod_{i<j} (n - i)/n, largest at x = lo
+    coeffs = _series_coeffs(_series_table(n, None), n / lo)
+    return np.exp(n * np.log(x) - x - math.lgamma(n + 1)), _series_sum(coeffs, n / x)
 
 
 def gamma_q(a, x):
@@ -406,44 +411,39 @@ def _lentz_cf(a: float, x: float) -> tuple[float, int]:
     )
 
 
-def _gamma_q_array(a: float, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(x.shape, dtype=float)  # the limit at x = inf
-    out[x == 0.0] = 1.0
+def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    expands = a > _TEMME_MIN_A  # Temme's route takes 0.1 a <= x <= 2 a
+    if 0.0 < lo and hi < math.inf:  # every lane on one route: no masks
+        if expands and _TEMME_LO * a <= lo and hi <= _TEMME_HI * a:
+            return _temme_array(a, x)
+        if hi < (_TEMME_LO * a if expands else a + 1.0):
+            # Q = 1 - the walk's terms x^j / ((a + 1)...(a + j)), a polynomial in
+            # x / s, factors s / (a + j), s the power of two above hi: powers of x
+            # overflow at huge a (where the prefactor is 0), and scaling by s is
+            # exact, so the coefficients, the cut and the sum are those in x
+            s = math.ldexp(1.0, math.frexp(hi)[1])
+            sums = _series_sum(_series_coeffs(_series_table(a, s), hi / s), x / s)
+            return np.maximum(0.0, 1.0 - np.exp(a * np.log(x) - x - math.lgamma(a)) * sums / a)
+        if lo >= a + 1.0 and not (expands and lo <= _TEMME_HI * a):
+            return _upper_cf_array(a, x, lo)
+    # else each route's lanes, gathered, make a call of one route
+    out = (x == 0.0).astype(float)  # 1 at x = 0, the limit 0 at x = inf
     rest = (x > 0.0) & (x < np.inf)
-    if a > _TEMME_MIN_A:
-        temme = (x >= _TEMME_LO * a) & (x <= _TEMME_HI * a)
-        if temme.any():
-            out[temme] = _temme_array(a, x[temme])
-            rest &= ~temme
-    lower = rest & (x < a + 1.0)
-    upper = rest & ~lower
-    if lower.any():
-        out[lower] = np.maximum(0.0, 1.0 - _lower_series_array(a, x[lower]))
-    if upper.any():
-        out[upper] = _upper_cf_array(a, x[upper])
+    temme = rest & (x >= _TEMME_LO * a) & (x <= _TEMME_HI * a) if expands else np.zeros_like(rest)
+    lower = rest & ~temme & (x < a + 1.0)
+    for route in (temme, lower, rest & ~temme & ~lower):
+        if route.any():
+            out[route] = _gamma_q_array(a, sub := x[route], float(sub.min()), float(sub.max()))
     return out
 
 
-def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
-    # the scalar walk's terms x^j / ((a + 1)...(a + j)) as one polynomial in
-    # x / s with factors s / (a + j), s the power of two above the largest x:
-    # powers of x itself overflow where a is huge (and the prefactor is 0),
-    # while scaling by a power of two is exact, so the coefficients, the cut
-    # and the sum have the bits of the polynomial in x wherever it is finite
-    pref = np.exp(a * np.log(x) - x - math.lgamma(a))
-    m = float(x.max())
-    s = math.ldexp(1.0, math.frexp(m)[1])
-    coeffs = _series_coeffs((s / (a + j) for j in itertools.count(1)), m / s)
-    return pref * _series_sum(coeffs, x / s) / a
-
-
-def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
+def _upper_cf_array(a: float, x: np.ndarray, lo: float) -> np.ndarray:
     # the fraction evaluated backward (Jones & Thron 1980, Continued
     # Fractions) from a fixed depth: the steps the scalar walk takes on the
-    # call's slowest lane, its smallest x. For integer a that walk stops by
-    # level k = a, whose numerator is 0, so the fraction is evaluated whole.
+    # call's slowest lane, its smallest x, lo. For integer a that walk stops
+    # by level k = a, whose numerator is 0, so the fraction is evaluated whole.
     pref = np.exp(a * np.log(x) - x - math.lgamma(a))
-    depth = _lentz_cf(a, float(x.min()))[1]
+    depth = _lentz_cf(a, lo)[1]
     b = x + 1.0 - a
     t = np.zeros_like(x)
     for k in range(depth, 0, -1):
@@ -878,11 +878,14 @@ def _erfcx_array(z: np.ndarray) -> np.ndarray:
     # lanes from z = 14 on have j = 0, so index -1: "clip" gives them the
     # first piece, and the continued fraction replaces their values below
     j -= 1
-    column = np.empty_like(t)
-    p = np.take(_ERFCX_COLUMNS[0], j, mode="clip")
-    for c in _ERFCX_COLUMNS[1:]:
-        p *= t
-        p += np.take(c, j, mode="clip", out=column)
+    p = np.empty_like(t)
+    for start in range(0, t.size, _LANE_BLOCK):  # the rows gathered take 88 bytes a lane
+        pb, tb = p[start : start + _LANE_BLOCK], t[start : start + _LANE_BLOCK]
+        rows = np.take(_ERFCX_COLUMNS, j[start : start + _LANE_BLOCK], axis=1, mode="clip")
+        pb[...] = rows[0]
+        for row in rows[1:]:
+            pb *= tb
+            pb += row
     far = z >= _ERFCX_CF_FROM
     if far.any():
         zf = z[far]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from countlim import special
+from countlim import marginal, special
 from countlim.cli import cli
 from helpers import src_env
 
@@ -78,20 +78,26 @@ class TestLimitCommand:
         assert payload["integrator"]["kind"] == "monte_carlo"
         assert payload["results"]["cls"]["mu_up_stderr"] > 0.0
 
-    @pytest.mark.parametrize(
-        "doc", [BG_SYST, {**MINIMAL, "n_obs": 3, "backgrounds": [{"name": "bkg", "nominal": 1.5}]}]
-    )
-    def test_both_keeps_independent_solves(self, runner, tmp_path, doc):
-        # only compare_limits starts the Bayes solve at the CLs root;
-        # limit --method both solves each method as it would alone
-        cfg = write_config(tmp_path, doc)
-        args = ["limit", cfg, "--samples", "2000", "--seed", "5"]
+    def test_both_solves_on_one_set_of_yields(self, runner, tmp_path, monkeypatch):
+        # as in compare_limits: the yields are taken once, and the Bayes
+        # solve starts at the CLs root, where it ends after mu = 0 and one
+        # kernel call; both limits keep their Monte Carlo errors
+        calls = []
+        yields_on_samples = marginal.yields_on_samples
+        monkeypatch.setattr(
+            marginal, "yields_on_samples", lambda model, etas: calls.append(etas) or yields_on_samples(model, etas)
+        )
+        cfg = write_config(tmp_path, BG_SYST)
+        args = ["limit", cfg, "--samples", "10000", "--seed", "3"]
         both = runner.invoke(cli, args + ["--method", "both"])
-        alone = runner.invoke(cli, args + ["--method", "bayes"])
-        assert both.exit_code == alone.exit_code == 0
-        bayes_both = json.loads(both.output)["results"]["bayes"]
-        bayes_alone = json.loads(alone.output)["results"]["bayes"]
-        assert json.dumps(bayes_both) == json.dumps(bayes_alone)
+        assert both.exit_code == 0 and len(calls) == 1
+        payload = json.loads(both.output)
+        assert payload["results"]["bayes"]["iterations"] == 2
+        assert payload["rel_diff"] == 0.0
+        assert all(payload["results"][m]["mu_up_stderr"] > 0.0 for m in ("cls", "bayes"))
+        # solved alone, from its own start, the Bayes limit is the same root
+        alone = json.loads(runner.invoke(cli, args + ["--method", "bayes"]).output)["results"]["bayes"]
+        assert alone["mu_up"] == pytest.approx(payload["results"]["bayes"]["mu_up"], rel=2e-9)
 
     def test_unknown_key_is_config_error(self, runner, tmp_path):
         cfg = write_config(tmp_path, {"signall": {"nominal": 1.0}, "n_obs": 0})

@@ -459,6 +459,40 @@ class TestCriterionCurvature:
             assert curvature == pytest.approx(0.49 * value, rel=1e-15)
 
 
+class TestPmfFromTheKernel:
+    def test_prefactor_pmf_is_pmf_and_derivative(self):
+        # a wide CLs criterion takes its pmf from poisson_cdf's lower tail
+        # when every lane takes it, where the pmf is that tail's prefactor:
+        # its values, slopes and curvatures are those of the same criterion
+        # with pmf_and_derivative, bit for bit, whichever route each call took
+        model = bg_systematic_model(s=10.0, b=150.0, n_obs=160, kappa=1.05)
+        samples = draw_samples(model.systematics, Integrator.monte_carlo(2000, 1))
+        crit, plain = (_criterion(model, _cls_terms, samples) for _ in range(2))
+        plain.kernel = _cls_terms
+        del plain.pmf_and_derivative
+        kept = []
+        for mu in (0.0, 0.5, 2.0, 5.0, 20.0):
+            assert crit(mu) == plain(mu)
+            x = mu * crit.s + crit.b
+            crit.terms(mu)
+            pmf = crit.kept_pmf[1]
+            kept.append(pmf is not None)
+            assert kept[-1] == (float(x.min()) >= model.n_obs)
+            if pmf is not None:
+                want, dwant = plain.pmf_and_derivative(x)
+                assert pmf.tolist() == want.tolist()
+                assert crit.pmf_and_derivative(crit.kept_pmf[0])[1].tolist() == dwant.tolist()
+        assert kept == [False, False, False, True, True]
+
+    @pytest.mark.parametrize("kernel, n_obs, rows", [(_cls_terms, 0, 2000), (_bayes_terms, 160, 2000), (_cls_terms, 160, 16)])
+    def test_other_criteria_compute_their_pmf(self, kernel, n_obs, rows):
+        # n_obs = 0 needs no pmf, the Bayes kernel has none to give, and a
+        # narrow set runs the scalar twin lane by lane
+        model = bg_systematic_model(s=10.0, b=150.0, n_obs=n_obs, kappa=1.05)
+        crit = _criterion(model, kernel, draw_samples(model.systematics, Integrator.monte_carlo(rows, 1)))
+        assert crit.kernel is kernel or crit.kept_pmf[1] is None
+
+
 class TestUpperLimits:
     def test_identity_collapses_to_exact(self):
         m = identity_systematic_model(s=1.0, b=1.5, n_obs=3)

@@ -246,15 +246,22 @@ class TestSolveDecreasing:
             res = route(model, req, integrator)
             assert res.iterations <= 4, (n_obs, res)
 
-    def test_evaluation_budget_of_a_large_count_compare(self, recorded_solves):
+    def test_evaluation_budget_of_a_large_count_compare(self, recorded_solves, monkeypatch):
         # on the same toys the CLs solve ends just past its root; the Bayes
-        # solve starts there and ends on it, after mu = 0 and one kernel call
+        # solve starts there and ends on it, after mu = 0 and one kernel
+        # call. Only the CLs limit takes a Monte Carlo error: the report
+        # carries no other.
+        ratio_stderr, stderrs = marginal._Criterion.ratio_stderr, []
+        monkeypatch.setattr(
+            marginal._Criterion, "ratio_stderr", lambda crit, terms: stderrs.append(crit) or ratio_stderr(crit, terms)
+        )
         req = LimitRequest(alpha=0.05)
-        for n_obs, model, integrator in large_count_toys():
+        for compares, (n_obs, model, integrator) in enumerate(large_count_toys(), 1):
             report = compare_limits(model, req, integrator)
             (cls_res, _, _), (bayes_res, _, _) = recorded_solves[-2:]
             assert cls_res[2] <= 4 and bayes_res[2] == 2, (n_obs, cls_res, bayes_res)
             assert report.rel_diff == 0.0
+            assert len(stderrs) == compares and stderrs[-1].kernel is not marginal._bayes_terms
         assert len(recorded_solves) == 20
         assert_brackets_signed(recorded_solves)
 

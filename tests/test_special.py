@@ -216,6 +216,21 @@ def assert_twins_agree(array_out, scalar_out, n, xs):
     assert np.all(np.abs(array_out - scalar_out) <= bound)
 
 
+def loop_coeffs(factors, m: float) -> list[float]:
+    """The coefficient list the wide series once built per call: c_0 = 1
+    and c_j = c_{j-1} * f_j, up to the first j with (f_1 m) ... (f_j m)
+    <= 1e-18, which is left out; highest power first."""
+    coeffs = [1.0]
+    c = reach = 1.0
+    for f in factors:
+        c *= f
+        reach *= f * m
+        if reach <= 1e-18:
+            break
+        coeffs.append(c)
+    return coeffs[::-1]
+
+
 class TestPoissonCdf:
     def test_zero_mean(self):
         assert poisson_cdf(5, 0.0) == 1.0
@@ -318,18 +333,18 @@ class TestPoissonCdf:
         # on the lane of the largest ratio m, the polynomial keeps every
         # term above 1e-18 and drops the rest, which sum to below half an
         # ulp of any lane's sum (at least 1) for n <= 1e5
-        # and gamma_q's lower series, factors 1 / (a + j), whose largest x
-        # is below a + 1
-        tails = (
-            (lambda: (k / n for k in range(n, 0, -1)), m),
-            (lambda: ((n + 1) / k for k in itertools.count(n + 2)), min(m, n / (n + 1.0))),
-            *(
-                (lambda a=a: (1.0 / (a + j) for j in itertools.count(1)), m * math.nextafter(a + 1.0, 0.0))
-                for a in (0.5, 1.0, 20.0)
-            ),
-        )
-        for factors, ratio in tails:
-            coeffs = special._series_coeffs(factors(), ratio)[::-1]
+        # and gamma_q's lower series, factors s / (a + j) in x / s, whose
+        # largest x is below a + 1
+        tails = [
+            ((n, None), lambda: (k / n for k in range(n, 0, -1)), m),
+            ((n + 1, n + 1), lambda: ((n + 1) / k for k in itertools.count(n + 2)), min(m, n / (n + 1.0))),
+        ]
+        for a in (0.5, 1.0, 20.0):
+            x = m * math.nextafter(a + 1.0, 0.0)
+            s = math.ldexp(1.0, math.frexp(x)[1])
+            tails.append(((a, s), lambda a=a, s=s: (s / (a + j) for j in itertools.count(1)), x / s))
+        for key, factors, ratio in tails:
+            coeffs = special._series_coeffs(special._series_table(*key), ratio)[::-1].tolist()
             assert coeffs[0] == 1.0
             assert min(c * ratio**j for j, c in enumerate(coeffs)) > 1e-18
             term = coeffs[-1] * ratio ** (len(coeffs) - 1)
@@ -341,6 +356,34 @@ class TestPoissonCdf:
                     break
             assert not dropped or dropped[0] <= 1e-18
             assert math.fsum(dropped) < 0.5 * np.spacing(1.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 150, 10000, 100000])
+    @pytest.mark.parametrize("m", [1e-300, 0.5, 1.0 - 2.0**-52, 1.0])
+    def test_table_cut_is_the_loops_list(self, n, m):
+        # the per-count table's cut at ratio m gives the coefficients the
+        # scalar loop builds from the same factors, bit for bit; the tables
+        # end at m = 1, after ~9.1 sqrt(n) + 27 factors at most
+        for key, factors in (
+            ((n, None), (k / n for k in range(n, 0, -1))),
+            ((n + 1, n + 1), ((n + 1) / k for k in itertools.count(n + 2))),
+        ):
+            table = special._series_table(*key)
+            assert special._series_coeffs(table, m).tolist() == loop_coeffs(factors, m)
+            assert len(table[0]) <= 9.2 * math.sqrt(n) + 30
+
+    @pytest.mark.parametrize("a", [0.5, 21.0, 1e60, 1e300])
+    def test_gamma_series_table_cut_is_the_loops_list(self, a):
+        # the largest x of a call's series lanes lies below a + 1, and below
+        # 0.1 a where Temme's route takes a > 20; in x / s, s the power of two
+        # above it, the table for (a, s) ends where that bound ends the
+        # series, and its cut at the real x / s is the loop's
+        bound = a + 1.0 if a <= special._TEMME_MIN_A else special._TEMME_LO * a
+        for x in (1e-300, 0.5, 0.5 * bound, math.nextafter(bound, 0.0)):
+            s = math.ldexp(1.0, math.frexp(x)[1])
+            table = special._series_table(a, s)
+            want = loop_coeffs((s / (a + j) for j in itertools.count(1)), x / s)
+            assert special._series_coeffs(table, x / s).tolist() == want
+            assert len(table[0]) <= 64
 
     def test_horner_takes_every_coefficient(self):
         y = np.array([0.0, 0.5, 1.0, 2.0])
@@ -371,8 +414,8 @@ class TestPoissonCdf:
         """Each Poisson tail's coefficients at largest ratio m, and its m."""
         z = min(m, math.nextafter(n / (n + 1.0), 0.0))
         return (
-            (special._series_coeffs((k / n for k in range(n, 0, -1)), m), m),
-            (special._series_coeffs(((n + 1) / k for k in itertools.count(n + 2)), z), z),
+            (special._series_coeffs(special._series_table(n, None), m).tolist(), m),
+            (special._series_coeffs(special._series_table(n + 1, n + 1), z).tolist(), z),
         )
 
     @staticmethod
@@ -674,3 +717,53 @@ def test_identity_between_routes_spot_grid():
 
 def test_convergence_error_type_exists():
     assert issubclass(ConvergenceError, Exception)
+
+
+# (kernel, first argument, low and high end of the lanes of one route)
+_ONE_ROUTE = {
+    "poisson_cdf lower tail": (poisson_cdf, 150, 150.0, 400.0),
+    "poisson_cdf upper tail": (poisson_cdf, 150, 0.5, 149.9),
+    "gamma_q Temme": (gamma_q, 151.0, 15.1, 302.0),
+    "gamma_q series, a > 20": (gamma_q, 151.0, 0.01, 15.0),
+    "gamma_q fraction, a > 20": (gamma_q, 151.0, 302.5, 700.0),
+    "gamma_q series": (gamma_q, 7.0, 0.01, 7.9),
+    "gamma_q fraction": (gamma_q, 7.0, 8.0, 40.0),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ONE_ROUTE))
+def test_one_route_call_is_the_same_lanes_of_a_mixed_call(route):
+    # a wide call whose lanes all take one route runs it on the whole array,
+    # with no masks; a mixed call gathers the same lanes, in the same order,
+    # beside 0, inf and lanes of the other routes, and must give their bits
+    kernel, first, lo, hi = _ONE_ROUTE[route]
+    rng = np.random.default_rng(len(route))
+    lanes = np.append(rng.uniform(lo, hi, 300), [lo, hi])
+    others = [0.0, math.inf]
+    for k, f, l, h in _ONE_ROUTE.values():
+        if k is kernel and f == first and (l, h) != (lo, hi):
+            others.extend(rng.uniform(l, h, 50).tolist())
+    mixed = np.empty(lanes.size + len(others))
+    at = np.sort(rng.choice(mixed.size, lanes.size, replace=False))
+    mixed[at] = lanes
+    mixed[np.setdiff1d(np.arange(mixed.size), at)] = rng.permutation(others)
+    assert kernel(first, lanes).tolist() == kernel(first, mixed)[at].tolist()
+
+
+def test_series_tables_stay_bounded(monkeypatch):
+    # every count 0..2000 on both Poisson tails and gamma_q's series: the
+    # cache keeps its maxsize = 256 most recent tables, each cut where its
+    # ratio 1 ends it, so at most 2 (9.2 sqrt(2000) + 30) floats a table
+    # (1.8 MB for the cache) however long the run
+    table, keys = special._series_table, []
+    monkeypatch.setattr(special, "_series_table", lambda *key: keys.append(key) or table(*key))
+    table.cache_clear()
+    for n in range(2001):
+        xs = np.linspace(0.5, 2.0 * n + 10.0, WIDE)
+        poisson_cdf(n, xs)
+        gamma_q(n + 1.0, xs / 10.0)
+    maxsize = table.cache_parameters()["maxsize"]
+    cached = list(dict.fromkeys(reversed(keys)))[:maxsize]
+    assert table.cache_info().currsize == len(cached) == maxsize
+    floats = sum(f.size + c.size for f, c in map(lambda key: table(*key), cached))
+    assert floats <= maxsize * 2 * (9.2 * math.sqrt(2000) + 30)
