@@ -12,8 +12,10 @@ and lane. On a 2-vCPU host (Python 3.11, numpy 2.4), at the counts of the
 small-count Gauss-Hermite toys (n from 0 to 26, best of 5), an array call
 cost ~100 us (``poisson_cdf``) and ~140 us (``gamma_q``) from 8 to 256
 lanes, and the scalar twins 2.2 and 3.4 us per lane: they won at 32
-lanes and lost at 48. Arrays of at most ``_NARROW_LANES`` = 40 lanes take
-the scalar twins, bit for bit.
+lanes and lost at 48. The ``gamma_q`` twin, re-measured on its
+fixed-depth fraction (lanes uniform in [a/2, 5a/2 + 5], a = 1 to 27),
+costs ~2.9 us per lane, so it still wins at 40. Arrays of at most
+``_NARROW_LANES`` = 40 lanes take the scalar twins, bit for bit.
 
 Wider arrays take no convergence test. ``poisson_cdf`` sums the scalar
 walk's series as one polynomial in n/x or x/(n + 1) per call, and
@@ -21,12 +23,14 @@ walk's series as one polynomial in n/x or x/(n + 1) per call, and
 steps (``_series_sum``), with coefficients from a cached table per count
 (per ``(a, s)`` for ``gamma_q``) of the scalar loop's products, cut at a
 degree set by the call's longest series. ``gamma_q``'s continued fraction
-is evaluated backward from a fixed depth. A call whose lanes all take one
-route (one tail, or one of ``gamma_q``'s three) runs it on the whole
-array, with no masks, gathers or scatters, and the same bits. The twins
-round differently (forms, and numpy's ``log`` and ``exp`` against the
-``math`` module's): by up to ~24 ulp at n <= 150 and 82 at n = 1e4 on
-random lanes (README), the ``gamma_q`` array forms being nearer mpmath.
+is evaluated backward, in both twins, from a depth known from a alone. A
+call whose lanes all take one route (one tail, or one of ``gamma_q``'s
+three) runs it on the whole array, with no masks, gathers or scatters,
+and the same bits. On the series the twins round differently (forms, and
+numpy's ``log`` and ``exp`` against the ``math`` module's): by up to ~24
+ulp at n <= 150 and 82 at n = 1e4 on random lanes (README), the
+``gamma_q`` array forms being nearer mpmath. On the fraction and Temme's
+route they differ only where numpy rounds a ``log`` or ``exp`` differently.
 
 ``poisson_cdf`` sums the Poisson terms outwards from the largest term
 of one tail, relative to that term: down from k = n when the mean is at
@@ -35,17 +39,17 @@ Each lane takes one ``log``, one ``exp`` and O(sqrt(mean)) multiply-adds.
 It matches mpmath to a relative 1e-14 * (n + mean + 1) on a frozen grid
 out to n = 1e4.
 
-``gamma_q`` runs Temme's uniform asymptotic expansion for ``a > 20`` and
-``0.1 a <= x <= 2 a``: one polynomial in eta, one ``exp`` and one
+``gamma_q`` takes an integer a, the calculator's a = n + 1, and refuses
+any other. It runs Temme's uniform asymptotic expansion for ``a > 20``
+and ``0.1 a <= x <= 2 a``: one polynomial in eta, one ``exp`` and one
 erfcx(z) = exp(z^2) erfc(z) per lane, with both coefficient tables
 frozen below. Every other lane takes the lower series (``x < a + 1``)
-or the continued fraction; for ``a > 20`` these converge in few steps
-outside the expansion's region. In that region the twins compute eta
-and erfcx from the same arithmetic, so they differ by at most 2 ulp
-(where ``exp`` rounds differently). It matches mpmath to a relative
-1e-14 * (a + x + 1) on a frozen grid from a = 0.5 out to a = 1e5 + 1.
-Below a = 0.5 that is not promised: at a = 0.01 to 0.126 the lower
-series returns Q = 1 - P with P near 1 and misses it by up to 18.5x.
+or the continued fraction, which for integer a ends at level a; for
+``a > 20`` both converge in few steps outside the expansion's region.
+In that region the twins compute eta and erfcx from the same
+arithmetic, so they differ by at most 2 ulp (where ``exp`` rounds
+differently). It matches mpmath to a relative 1e-14 * (a + x + 1) on a
+frozen grid of integer a from 1 out to 1e5 + 1.
 
 ``poisson_cdf`` is deliberately *not* implemented through ``gamma_q``:
 the two are independent routes to the same quantity, and their agreement
@@ -71,9 +75,8 @@ from .exceptions import ConvergenceError
 
 __all__ = ["log_poisson_pmf", "poisson_cdf", "gamma_q"]
 
-_REL_EPS = 1e-15  # relative-term convergence target for series / CF
+_REL_EPS = 1e-15  # relative-term convergence target for the scalar lower series
 _MAX_ITER = 500  # iteration cap; exceeding it raises ConvergenceError
-_TINY = 1e-300  # Lentz guard against division by zero
 
 
 def _check_count(n) -> int:
@@ -234,10 +237,13 @@ _HORNER_EPS = 1e-18
 def _series_table(a, s) -> tuple[np.ndarray, np.ndarray]:
     """Factors f_j, (a + 1 - j) / a then 0 for s None (the Poisson lower tail
     at count a), else s / (a + j), and the loop's c_j = f_1 ... f_j, c_0 = 1,
-    to the loop's cut at the route's largest m: 1 on the Poisson tails (9.1
-    sqrt(n) + 27 factors at most), min(1, (a + 1) / s) on gamma_q's series."""
+    to the loop's cut at the route's largest m: 1 on the Poisson tails, keys
+    (n, None) and (n + 1, n + 1), min(1, (a + 1) / s) on gamma_q's series.
+    One try holds the cut: 9.1 sqrt(a) + 27 factors on the Poisson keys
+    (checked to n = 1e5), 64 on gamma_q's, whose a can be 1e300."""
     m = 1.0 if s is None else min(1.0, (a + 1.0) / s)
-    for size in (64 * 4**k for k in itertools.count()):
+    first = math.ceil(9.1 * math.sqrt(a) + 27.0) if s is None or s == a else 64
+    for size in (first * 4**k for k in itertools.count()):
         j = np.arange(1, size + 1)
         f = np.maximum(a + 1 - j, 0) / max(a, 1) if s is None else s / (a + j)
         below = np.cumprod(f * m) <= _HORNER_EPS
@@ -324,19 +330,20 @@ def gamma_q(a, x):
     Three routes, chosen per lane. For ``a > 20`` and ``0.1 a <= x <= 2 a``
     Temme's uniform asymptotic expansion takes one polynomial, one ``exp``
     and one erfcx per lane, however close ``x`` is to ``a``. Elsewhere
-    the lower-function series runs for ``x < a + 1`` and the continued
-    fraction for the upper function otherwise: on a scalar, walks that stop
-    once the relative term drops below 1e-15 (the fraction by modified
-    Lentz); on a wide array, one polynomial or one backward recurrence at
-    a depth fixed per call. Checked against mpmath to a relative
-    1e-14 * (a + x + 1) on a frozen grid for a from 0.5 to 1e5 + 1; below
-    a = 0.5 the lower series can miss that by up to 18.5x.
-    ``a`` must be positive and finite; ``x`` nonnegative, scalar or array,
-    where ``x == inf`` gives the limit 0.
+    the lower-function series runs for ``x < a + 1``, on a scalar as a walk
+    to a relative term of 1e-15 and on a wide array as one polynomial, and
+    otherwise the continued fraction, evaluated backward in both twins
+    from a depth set by ``a``: a - 1 (where it ends) to a = 20, 16 above.
+    Checked against mpmath to a relative 1e-14 * (a + x + 1) on a frozen
+    grid for integer a from 1 to 1e5 + 1. ``a`` must be a positive
+    integer (an integral float passes); ``x`` nonnegative, scalar or
+    array, where ``x == inf`` gives the limit 0.
     """
     a = float(a)
     if not 0.0 < a < math.inf:
         raise ValueError(f"a must be positive and finite, got {a}")
+    if not a.is_integer():
+        raise ValueError(f"a must be an integer, got {a}")
     if isinstance(x, np.ndarray):
         return _on_lanes(_gamma_q_scalar, _gamma_q_array, a, x, "x")
     x = float(x)
@@ -376,39 +383,30 @@ def _lower_series_scalar(a: float, x: float) -> float:
     )
 
 
+# Q(a, x) over its prefactor is 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))),
+# a_k = k (a - k) and b_k = x + 1 - a + 2k, all positive before a_a = 0 on
+# the route's lanes, x >= a + 1 (a <= 20) or x > 2 a. Both twins evaluate
+# it backward (Jones & Thron 1980, Continued Fractions; Gil, Segura & Temme
+# 2012, SIAM J. Sci. Comput. 34:A2965) from a depth set by a alone: a - 1
+# for a <= 20, where it ends, and _CF_DEPTH above. Against mpmath at x just
+# above 2 a, its slowest lane, for every integer a from 21 to 199 and
+# a = 250 to 1e8, 12 levels reach 1e-15 relative and 16 leave 1.5e-16.
+_CF_DEPTH = 16
+
+
+def _cf_depth(a: float) -> int:
+    return int(a) - 1 if a <= _TEMME_MIN_A else _CF_DEPTH
+
+
 def _upper_cf_scalar(a: float, x: float) -> float:
     pref = math.exp(a * math.log(x) - x - math.lgamma(a))
     if pref == 0.0:
         return 0.0
-    return min(1.0, pref * _lentz_cf(a, x)[0])
-
-
-def _lentz_cf(a: float, x: float) -> tuple[float, int]:
-    """1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))), a_k = -k (k - a) and
-    b_k = x + 2k + 1 - a, by the modified Lentz walk (Thompson & Barnett
-    1986, J. Comput. Phys. 64:490), and the number of steps it took."""
     b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b if abs(b) >= _TINY else 1.0 / _TINY
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) <= _REL_EPS:
-            return h, i
-    raise ConvergenceError(
-        f"upper incomplete gamma continued fraction did not converge for a={a}, x={x}",
-        iterations=_MAX_ITER,
-    )
+    t = 0.0
+    for k in range(_cf_depth(a), 0, -1):
+        t = k * (a - k) / ((t + b) + 2 * k)
+    return min(1.0, pref / (b + t))
 
 
 def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -425,7 +423,7 @@ def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
             sums = _series_sum(_series_coeffs(_series_table(a, s), hi / s), x / s)
             return np.maximum(0.0, 1.0 - np.exp(a * np.log(x) - x - math.lgamma(a)) * sums / a)
         if lo >= a + 1.0 and not (expands and lo <= _TEMME_HI * a):
-            return _upper_cf_array(a, x, lo)
+            return _upper_cf_array(a, x)
     # else each route's lanes, gathered, make a call of one route
     out = (x == 0.0).astype(float)  # 1 at x = 0, the limit 0 at x = inf
     rest = (x > 0.0) & (x < np.inf)
@@ -437,19 +435,15 @@ def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-def _upper_cf_array(a: float, x: np.ndarray, lo: float) -> np.ndarray:
-    # the fraction evaluated backward (Jones & Thron 1980, Continued
-    # Fractions) from a fixed depth: the steps the scalar walk takes on the
-    # call's slowest lane, its smallest x, lo. For integer a that walk stops
-    # by level k = a, whose numerator is 0, so the fraction is evaluated whole.
+def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
+    # the scalar twin's operations in its order, on every lane
     pref = np.exp(a * np.log(x) - x - math.lgamma(a))
-    depth = _lentz_cf(a, lo)[1]
     b = x + 1.0 - a
     t = np.zeros_like(x)
-    for k in range(depth, 0, -1):
+    for k in range(_cf_depth(a), 0, -1):
         t += b
-        t += 2.0 * k
-        np.divide(-k * (k - a), t, out=t)
+        t += 2 * k
+        np.divide(k * (a - k), t, out=t)
     t += b
     return np.minimum(1.0, pref / t)
 
@@ -472,8 +466,9 @@ def _upper_cf_array(a: float, x: np.ndarray, lo: float) -> np.ndarray:
 # scaled by a^-24 < 2e-32. Above x = 2 a the truncated eta series fails
 # fast (relative error 2e-12 at x = 3 a and 4e-9 at 4 a, for a = 21 and
 # 151; the frozen grid holds such points), while the continued fraction
-# there takes at most 13 steps; below x = 0.1 a the series takes at most
-# 15. For a <= 20 (cephes' threshold too) neither takes more than ~75.
+# there needs 12 levels (_CF_DEPTH); below x = 0.1 a the series takes at
+# most 15 steps. For a <= 20 (cephes' threshold too) the series takes at
+# most ~75 steps, and the fraction ends after a - 1 levels.
 _TEMME_MIN_A = 20.0
 _TEMME_LO = 0.1  # x / a
 _TEMME_HI = 2.0
