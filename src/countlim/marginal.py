@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError, ConvergenceError, ModelError
 from .model import CountingModel, SystematicsModel, yields_on_samples
-from .special import _poisson_cdf_and_pmf, gamma_q, log_poisson_pmf, poisson_cdf
+from .special import _poisson_cdf_and_pmf, gamma_q, log_poisson_pmf
 from .solver import LimitRequest, LimitResult, solve_decreasing
 
 __all__ = [
@@ -210,14 +209,15 @@ def marginal_likelihood(model: CountingModel, mu: float, n, samples: SampleSet) 
 
 
 def _cls_terms(n: int, s, x):
-    # per-sample P(N <= n; x): CLs+b at x = mu*s + b, CLb at x = b
-    return poisson_cdf(n, x)
+    # per-sample P(N <= n; x): CLs+b at x = mu*s + b, CLb at x = b; and
+    # pmf(n; x) where the kernel has it, else None
+    return _poisson_cdf_and_pmf(n, x)
 
 
 def _bayes_terms(n: int, s, x):
     # per-sample Q(n + 1, x) / s: the integral of Poisson(n; m*s + b) over
-    # the strengths m above the one where the mean is x
-    return gamma_q(n + 1.0, x) / s
+    # the strengths m above the one where the mean is x; and no pmf
+    return gamma_q(n + 1.0, x) / s, None
 
 
 _DENOMINATOR_NAMES = {_cls_terms: "CLb", _bayes_terms: "Q(n_obs + 1, b)"}
@@ -244,9 +244,9 @@ class _Criterion:
     -s * pmf for CLs and -pmf for Bayes, the curvature -s^2 * pmf *
     (n/x - 1) and -s * pmf * (n/x - 1). So calling the criterion gives
     its value, slope and curvature for the price of one kernel call and
-    one pmf. A wide CLs criterion with n >= 1, chosen once here, takes the
-    pmf of a call whose lanes all take ``poisson_cdf``'s lower tail from
-    that kernel: it is the tail's prefactor, bit for bit.
+    one pmf. A kernel returns its terms and the pmf where it has one: a
+    wide CLs call whose lanes all take ``poisson_cdf``'s lower tail, where
+    the pmf is the tail's prefactor, bit for bit.
     """
 
     def __init__(self, kernel, n: int, s, b, w):
@@ -255,15 +255,11 @@ class _Criterion:
             where = "" if w is None else f" at sample {int(np.argmax(s == 0.0))}"
             raise ModelError(f"signal yield is zero{where}; the posterior for mu is degenerate")
         self.kernel = kernel
-        if kernel is _cls_terms and n > 0 and w is not None:
-            me = weakref.proxy(self)  # methods bound to it make no reference cycle, which gc would keep
-            self.kernel = functools.partial(_Criterion._cls_terms_keeping_pmf, me)
-            self.pmf_and_derivative = functools.partial(_Criterion._kept_pmf_and_derivative, me)
         self.n = n
         self.s = s
         self.b = b
         self.w = w
-        self.den_terms = self.kernel(n, s, b)
+        self.den_terms, self.den_pmf = kernel(n, s, b)
         self.den = self.mean(self.den_terms)
         if not (self.den > 0.0 and math.isfinite(self.den)):
             where = f"b = {b!r}" if w is None else f"b in [{float(np.min(b))!r}, {float(np.max(b))!r}]"
@@ -283,14 +279,14 @@ class _Criterion:
         loop. At mu = 0 the numerator is the denominator, so no kernel runs."""
         n, s = self.n, self.s
         x = mu * s + self.b
-        terms = self.den_terms if mu == 0.0 else self.kernel(n, s, x)
+        terms, pmf = (self.den_terms, self.den_pmf) if mu == 0.0 else self.kernel(n, s, x)
         if n == 0:
             # pmf(0; x) = exp(-x) is the CLs term and s times the Bayes term:
             # the derivatives are -s and s^2 times the terms, and log c is
             # linear on a one-point set, with no second route to disagree
             d1, d2 = -s * terms, (s * s) * terms
-        else:
-            pmf, dpmf = self.pmf_and_derivative(x)
+        else:  # a kernel gives a pmf only where x > 0 on every lane
+            pmf, dpmf = self.pmf_and_derivative(x) if pmf is None else (pmf, n * (pmf / x) - pmf)
             d1 = -self.pmf_scale * pmf
             d2 = -(s * self.pmf_scale) * dpmf
         slope = self.mean(d1) / self.den
@@ -305,17 +301,6 @@ class _Criterion:
                 return entry[1:]
         self(mu)
         return self.recent[1][1:]
-
-    def _cls_terms_keeping_pmf(self, n: int, s, x):
-        terms, pmf = _poisson_cdf_and_pmf(n, x)
-        self.kept_pmf = x, pmf
-        return terms
-
-    def _kept_pmf_and_derivative(self, x):
-        kept_x, pmf = self.kept_pmf  # where kept, x > 0 on every lane
-        if kept_x is not x or pmf is None:
-            return _Criterion.pmf_and_derivative(self, x)
-        return pmf, self.n * (pmf / x) - pmf
 
     def pmf_and_derivative(self, x):
         """Per-sample pmf(n; x) and d pmf/dx = pmf * (n/x - 1), for x >= 0.
@@ -346,7 +331,7 @@ class _Criterion:
 
     def terms(self, mu: float):
         # at mu = 0 the numerator is the denominator, as in __call__
-        return self.den_terms if mu == 0.0 else self.kernel(self.n, self.s, mu * self.s + self.b)
+        return self.den_terms if mu == 0.0 else self.kernel(self.n, self.s, mu * self.s + self.b)[0]
 
     def pmf_terms(self, mu: float):
         """Per-sample Poisson(n_obs; mu*s + b): over the Bayesian

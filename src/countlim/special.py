@@ -18,19 +18,20 @@ costs ~2.9 us per lane, so it still wins at 40. Arrays of at most
 ``_NARROW_LANES`` = 40 lanes take the scalar twins, bit for bit.
 
 Wider arrays take no convergence test. ``poisson_cdf`` sums the scalar
-walk's series as one polynomial in n/x or x/(n + 1) per call, and
-``gamma_q``'s lower series one polynomial in x, by baby steps and giant
-steps (``_series_sum``), with coefficients from a cached table per count
-(per ``(a, s)`` for ``gamma_q``) of the scalar loop's products, cut at a
-degree set by the call's longest series. ``gamma_q``'s continued fraction
-is evaluated backward, in both twins, from a depth known from a alone. A
-call whose lanes all take one route (one tail, or one of ``gamma_q``'s
-three) runs it on the whole array, with no masks, gathers or scatters,
-and the same bits. On the series the twins round differently (forms, and
-numpy's ``log`` and ``exp`` against the ``math`` module's): by up to ~24
-ulp at n <= 150 and 82 at n = 1e4 on random lanes (README), the
-``gamma_q`` array forms being nearer mpmath. On the fraction and Temme's
-route they differ only where numpy rounds a ``log`` or ``exp`` differently.
+walk's series as one polynomial in n/x or x/(n + 1), and ``gamma_q``'s
+lower series one polynomial in x, by baby steps and giant steps
+(``_series_sum``), with a cached table per route and count of the scalar
+loop's products, cut at a degree set by the count: where the route's
+edge ends the series. ``gamma_q``'s continued fraction is evaluated
+backward, in both twins, from a depth set by a. So each wide lane's bits
+depend on (count, x) alone. A call whose lanes all take one route (one
+tail, or one of ``gamma_q``'s three) runs it on the whole array, with no
+masks, gathers or scatters, and the same bits. On the series the twins
+round differently (forms, and numpy's ``log`` and ``exp`` against the
+``math`` module's): by up to ~24 ulp at n <= 150 and 84 at n = 1e4 on
+random lanes (README), the ``gamma_q`` array forms being nearer mpmath.
+On the fraction and Temme's route they differ only where numpy rounds a
+``log`` or ``exp`` differently.
 
 ``poisson_cdf`` sums the Poisson terms outwards from the largest term
 of one tail, relative to that term: down from k = n when the mean is at
@@ -127,8 +128,8 @@ def poisson_cdf(n, nu):
     monotone in ``nu``. Terms are kept relative to the starting term, so a
     lane takes one ``log`` and one ``exp`` in all, and O(sqrt(nu)) terms
     rather than n: a scalar walk stops at a term at most 1e-17 of its sum,
-    and a wide array takes one polynomial per call, cut where the dropped
-    tail is below half an ulp on every lane.
+    and a wide array takes one polynomial per count, cut where the dropped
+    tail is below half an ulp at the tail's edge, x = n or x -> n.
     ``nu == inf`` gives the limit 0. Checked against mpmath to a relative
     1e-14 * (n + nu + 1) for n <= 1e4. Independent of :func:`gamma_q` by
     design.
@@ -194,10 +195,10 @@ def _poisson_cdf_scalar(n: int, nu: float) -> float:
 def _poisson_cdf_array(n: int, nu: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if 0.0 < lo and hi < math.inf:  # every lane in one tail: no masks
         if lo >= n:
-            return np.multiply(*_lower_tail_array(n, nu, lo))
+            return np.multiply(*_lower_tail_array(n, nu))
         if hi < n:
             # P(N > n) from k = n + 1: H_j z^j, z = x/(n + 1) < 1, H_j = prod_{i<=j} (n + 1)/(n + 1 + i)
-            sums = _series_sum(_series_coeffs(_series_table(n + 1, n + 1), hi / (n + 1)), nu / (n + 1))
+            sums = _series_sum(_series_table("upper", n), nu / (n + 1))
             return 1.0 - np.exp((n + 1) * np.log(nu) - nu - math.lgamma(n + 2)) * sums
     # else each tail's lanes, gathered, make a call of one route
     finite = nu < np.inf
@@ -209,56 +210,65 @@ def _poisson_cdf_array(n: int, nu: np.ndarray, lo: float, hi: float) -> np.ndarr
     return out
 
 
-def _poisson_cdf_and_pmf(n: int, nu: np.ndarray):
-    """``poisson_cdf(n, nu)`` on an array and, when its lanes all take the wide
+def _poisson_cdf_and_pmf(n: int, nu):
+    """``poisson_cdf(n, nu)`` and, on a wide array whose lanes all take the
     lower tail, its prefactor: pmf(n; nu), with the same bits. Else None."""
-    lo = float(np.min(nu)) if nu.size > _NARROW_LANES else 0.0
-    if 0.0 < lo and n <= lo and float(np.max(nu)) < math.inf:
-        pmf, sums = _lower_tail_array(n, nu, lo)
-        return pmf * sums, pmf
+    if isinstance(nu, np.ndarray) and nu.size > _NARROW_LANES:
+        lo = float(np.min(nu))
+        if 0.0 < lo and n <= lo and float(np.max(nu)) < math.inf:
+            pmf, sums = _lower_tail_array(n, nu)
+            return pmf * sums, pmf
     return poisson_cdf(n, nu), None
 
 
 # Wide arrays sum the scalar walks' truncated series as polynomials, with
-# no convergence test. The degree is set by the call's longest series,
-# the lane with the largest ratio m: the coefficients stop before the first j
-# with c_j m^j <= _HORNER_EPS. Past that cut each term is at most
+# no convergence test. The degree is set by the count, at the largest ratio
+# m of the route (1 on the Poisson tails): the coefficients stop before the
+# first j with c_j m^j <= _HORNER_EPS. Past that cut each term is at most
 # r = m (1 - J / (n + J + 2)) times the one before, J the number of terms
 # kept, so the dropped tail is at most 1e-18 / (1 - r) on every lane. For
-# n <= 1e5 that is largest as m -> 1, 3.6e-17 at n = 1e5 (J = 2865): below
+# n <= 1e5 that is largest at m = 1, 3.6e-17 at n = 1e5 (J = 2865): below
 # half an ulp of any lane's sum, which is at least 1. The gamma_q lower
-# series, with factors 1 / (a + j) and m its largest x, has r = m / (a + J),
-# where m < a + 1 for a <= 20 and m < 0.1 a above (Temme's route takes the
+# series, with factors 1 / (a + j) and m its route's edge, has r = m / (a + J),
+# where m = a + 1 for a <= 20 and 0.1 a above (Temme's route takes the
 # rest): at most 0.28 (a = 20, J = 55), so its tail is below 1.4e-18.
 _HORNER_EPS = 1e-18
 
 
+def _series_bound(a: float) -> tuple[float, float]:
+    # the edge of gamma_q's series route at a, and s, the power of two above
+    # it: the route sums in x / s, as powers of x overflow at huge a
+    bound = a + 1.0 if a <= _TEMME_MIN_A else _TEMME_LO * a
+    return bound, math.ldexp(1.0, math.frexp(bound)[1])
+
+
 @functools.lru_cache(maxsize=256)
-def _series_table(a, s) -> tuple[np.ndarray, np.ndarray]:
-    """Factors f_j, (a + 1 - j) / a then 0 for s None (the Poisson lower tail
-    at count a), else s / (a + j), and the loop's c_j = f_1 ... f_j, c_0 = 1,
-    to the loop's cut at the route's largest m: 1 on the Poisson tails, keys
-    (n, None) and (n + 1, n + 1), min(1, (a + 1) / s) on gamma_q's series.
-    One try holds the cut: 9.1 sqrt(a) + 27 factors on the Poisson keys
-    (checked to n = 1e5), 64 on gamma_q's, whose a can be 1e300."""
-    m = 1.0 if s is None else min(1.0, (a + 1.0) / s)
-    first = math.ceil(9.1 * math.sqrt(a) + 27.0) if s is None or s == a else 64
+def _series_table(route: str, a) -> np.ndarray:
+    """A series route's c_j = f_1 ... f_j, c_0 = 1, highest power first, up
+    to the scalar loop's cut at the route's largest ratio m: ``"lower"``,
+    the Poisson lower tail at count a in y = a/x, f_j = (a + 1 - j) / a then
+    0, and ``"upper"``, in z = x/(a + 1), f_j = (a + 1) / (a + 1 + j), both
+    at m = 1; ``"gamma"``, gamma_q's series in x/s, f_j = s / (a + j), at
+    m = edge / s (``_series_bound``). One try holds the cut: 9.1 sqrt(a) +
+    27 factors on the Poisson tails (checked to n = 1e5), 64 on gamma_q's."""
+    if route == "gamma":
+        bound, s = _series_bound(a)
+        m, first = bound / s, 64
+    else:
+        m, first = 1.0, math.ceil(9.1 * math.sqrt(a) + 27.0)
     for size in (first * 4**k for k in itertools.count()):
         j = np.arange(1, size + 1)
-        f = np.maximum(a + 1 - j, 0) / max(a, 1) if s is None else s / (a + j)
+        if route == "lower":
+            f = np.maximum(a + 1 - j, 0) / max(a, 1)
+        elif route == "upper":
+            f = (a + 1) / (a + 1 + j)
+        else:
+            f = s / (a + j)
         below = np.cumprod(f * m) <= _HORNER_EPS
         if below.any():
-            f = f[: below.argmax() + 1].copy()
-            c = np.cumprod(np.concatenate(([1.0], f[:-1])))
-            f.flags.writeable = c.flags.writeable = False  # the cache hands both to every call
-            return f, c
-
-
-def _series_coeffs(table, m: float) -> np.ndarray:
-    """The table's c_j, highest power first, up to the scalar loop's cut at
-    m: one cumulative product (``np.cumprod`` without its dispatch)."""
-    f, c = table
-    return c[int((np.multiply.accumulate(f * m) <= _HORNER_EPS).argmax()) :: -1]
+            c = np.cumprod(np.concatenate(([1.0], f[: below.argmax()])))[::-1].copy()
+            c.flags.writeable = False  # the cache hands it to every call
+            return c
 
 
 def _horner(coeffs, y: np.ndarray) -> np.ndarray:
@@ -316,12 +326,11 @@ def _series_sum(coeffs, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lower_tail_array(n: int, x: np.ndarray, lo: float) -> tuple[np.ndarray, np.ndarray]:
+def _lower_tail_array(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # P(N <= n) for x >= n, as the prefactor pmf(n; x) and the sum: the terms
     # k = n down to 0, relative to the k = n one, are G_j y^j with
-    # y = n/x <= 1 and G_j = prod_{i<j} (n - i)/n, largest at x = lo
-    coeffs = _series_coeffs(_series_table(n, None), n / lo)
-    return np.exp(n * np.log(x) - x - math.lgamma(n + 1)), _series_sum(coeffs, n / x)
+    # y = n/x <= 1 and G_j = prod_{i<j} (n - i)/n
+    return np.exp(n * np.log(x) - x - math.lgamma(n + 1)), _series_sum(_series_table("lower", n), n / x)
 
 
 def gamma_q(a, x):
@@ -414,13 +423,12 @@ def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if 0.0 < lo and hi < math.inf:  # every lane on one route: no masks
         if expands and _TEMME_LO * a <= lo and hi <= _TEMME_HI * a:
             return _temme_array(a, x)
-        if hi < (_TEMME_LO * a if expands else a + 1.0):
+        bound, s = _series_bound(a)
+        if hi < bound:
             # Q = 1 - the walk's terms x^j / ((a + 1)...(a + j)), a polynomial in
-            # x / s, factors s / (a + j), s the power of two above hi: powers of x
-            # overflow at huge a (where the prefactor is 0), and scaling by s is
-            # exact, so the coefficients, the cut and the sum are those in x
-            s = math.ldexp(1.0, math.frexp(hi)[1])
-            sums = _series_sum(_series_coeffs(_series_table(a, s), hi / s), x / s)
+            # x / s with factors s / (a + j): the coefficients, the cut and the
+            # sum are those in x
+            sums = _series_sum(_series_table("gamma", a), x / s)
             return np.maximum(0.0, 1.0 - np.exp(a * np.log(x) - x - math.lgamma(a)) * sums / a)
         if lo >= a + 1.0 and not (expands and lo <= _TEMME_HI * a):
             return _upper_cf_array(a, x)

@@ -31,7 +31,7 @@ from countlim import (
     marginal_posterior_tail,
     poisson_cdf,
 )
-from countlim import marginal
+from countlim import marginal, special
 from countlim.marginal import (
     _GH_MAX_POINTS,
     _MC_MAX_VALUES,
@@ -460,37 +460,42 @@ class TestCriterionCurvature:
 
 
 class TestPmfFromTheKernel:
-    def test_prefactor_pmf_is_pmf_and_derivative(self):
-        # a wide CLs criterion takes its pmf from poisson_cdf's lower tail
-        # when every lane takes it, where the pmf is that tail's prefactor:
-        # its values, slopes and curvatures are those of the same criterion
-        # with pmf_and_derivative, bit for bit, whichever route each call took
-        model = bg_systematic_model(s=10.0, b=150.0, n_obs=160, kappa=1.05)
+    @pytest.mark.parametrize("n_obs, kept", [(160, [False, False, False, True, True]), (100, [True] * 5)])
+    def test_prefactor_pmf_is_pmf_and_derivative(self, n_obs, kept):
+        # the CLs kernel returns poisson_cdf's lower-tail prefactor as its
+        # pmf when every lane of a wide call takes that tail, and the
+        # criterion takes it, at mu = 0 the denominator's: its values,
+        # slopes and curvatures are those of the same criterion with
+        # pmf_and_derivative, bit for bit, whichever route each call took
+        model = bg_systematic_model(s=10.0, b=150.0, n_obs=n_obs, kappa=1.05)
         samples = draw_samples(model.systematics, Integrator.monte_carlo(2000, 1))
         crit, plain = (_criterion(model, _cls_terms, samples) for _ in range(2))
-        plain.kernel = _cls_terms
-        del plain.pmf_and_derivative
-        kept = []
+        plain.kernel = lambda n, s, x: (_cls_terms(n, s, x)[0], None)
+        plain.den_pmf = None
+        seen = []
         for mu in (0.0, 0.5, 2.0, 5.0, 20.0):
             assert crit(mu) == plain(mu)
             x = mu * crit.s + crit.b
-            crit.terms(mu)
-            pmf = crit.kept_pmf[1]
-            kept.append(pmf is not None)
-            assert kept[-1] == (float(x.min()) >= model.n_obs)
+            terms, pmf = _cls_terms(n_obs, crit.s, x)
+            assert terms.tolist() == crit.terms(mu).tolist()
+            seen.append(pmf is not None)
+            assert seen[-1] == (float(x.min()) >= n_obs)
             if pmf is not None:
-                want, dwant = plain.pmf_and_derivative(x)
-                assert pmf.tolist() == want.tolist()
-                assert crit.pmf_and_derivative(crit.kept_pmf[0])[1].tolist() == dwant.tolist()
-        assert kept == [False, False, False, True, True]
+                assert pmf.tolist() == crit.pmf_and_derivative(x)[0].tolist()
+        assert seen == kept
+        assert (crit.den_pmf is not None) == kept[0]
 
-    @pytest.mark.parametrize("kernel, n_obs, rows", [(_cls_terms, 0, 2000), (_bayes_terms, 160, 2000), (_cls_terms, 160, 16)])
-    def test_other_criteria_compute_their_pmf(self, kernel, n_obs, rows):
-        # n_obs = 0 needs no pmf, the Bayes kernel has none to give, and a
-        # narrow set runs the scalar twin lane by lane
-        model = bg_systematic_model(s=10.0, b=150.0, n_obs=n_obs, kappa=1.05)
-        crit = _criterion(model, kernel, draw_samples(model.systematics, Integrator.monte_carlo(rows, 1)))
-        assert crit.kernel is kernel or crit.kept_pmf[1] is None
+    def test_other_calls_return_no_pmf(self):
+        # the Bayes kernel has none to give, a narrow array or a float runs
+        # the scalar twin, and a wide call with a lane in the upper tail
+        # gathers each tail's lanes
+        wide = np.linspace(170.0, 250.0, 2000)
+        assert _cls_terms(160, 10.0, wide)[1] is not None
+        assert _bayes_terms(160, 10.0, wide)[1] is None
+        for x in (wide[: special._NARROW_LANES], 170.0, np.append(wide, 150.0)):
+            terms, pmf = _cls_terms(160, 10.0, x)
+            assert pmf is None
+            assert np.array_equal(terms, poisson_cdf(160, x))
 
 
 class TestUpperLimits:
@@ -663,7 +668,7 @@ class TestUpperLimits:
         e = rng.integers(-(2**12), 2**12, k // 2)
         den = 0.5 + np.concatenate([m, -m]) * 2.0**-12
         num = den + np.concatenate([e, -e]) * 2.0**-42
-        crit = _Criterion(lambda n, s, x: den, 3, np.ones(k), np.ones(k), np.full(k, 1.0 / k))
+        crit = _Criterion(lambda n, s, x: (den, None), 3, np.ones(k), np.ones(k), np.full(k, 1.0 / k))
         a = sum(map(Fraction, num.tolist())) / k
         b = sum(map(Fraction, den.tolist())) / k
         d = [Fraction(u) / a - Fraction(v) / b for u, v in zip(num.tolist(), den.tolist())]

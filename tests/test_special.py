@@ -225,9 +225,17 @@ def assert_twins_agree(array_out, scalar_out, n, xs):
     assert np.all(np.abs(array_out - scalar_out) <= bound)
 
 
+def assert_lanes_are_independent_of_the_call(kernel, first, edge, inner):
+    """Each lane of one wide call on a route, from its edge inward (linspace
+    and geomspace to ``inner``), is the same x in a wide call of copies, bit
+    for bit: a lane's value depends on (first, x) alone."""
+    xs = np.union1d(np.linspace(edge, inner, 200), np.geomspace(edge, inner, 200))
+    assert kernel(first, xs).tolist() == [kernel(first, np.full(WIDE, x))[0] for x in xs.tolist()]
+
+
 def loop_coeffs(factors, m: float) -> list[float]:
-    """The coefficient list the wide series once built per call: c_0 = 1
-    and c_j = c_{j-1} * f_j, up to the first j with (f_1 m) ... (f_j m)
+    """The scalar loop's coefficient list at ratio m: c_0 = 1 and
+    c_j = c_{j-1} * f_j, up to the first j with (f_1 m) ... (f_j m)
     <= 1e-18, which is left out; highest power first."""
     coeffs = [1.0]
     c = reach = 1.0
@@ -295,7 +303,7 @@ class TestPoissonCdf:
     def test_longest_series_beside_far_lanes(self, n):
         # one wide call holds each tail's longest series, x = n (y = 1) and
         # the float below n (z -> n/(n + 1)), beside far lanes, x = 3n and
-        # n/3: the slowest lane must set every lane's polynomial degree
+        # n/3: each tail's polynomial, cut at its edge, holds its longest lane
         xs = np.resize([float(n), 3.0 * n, math.nextafter(n, 0.0), n / 3.0], WIDE)
         got = poisson_cdf(n, xs)
         with mpmath.workdps(30):
@@ -307,7 +315,7 @@ class TestPoissonCdf:
                 assert 0.0 <= g <= 1e-290
 
     # the largest gap seen between the twins on 100,000 uniform lanes in
-    # [0, 2.5 n + 10] where the logs agree: 38 ulp at n = 1500, 82 at 1e4.
+    # [0, 2.5 n + 10] where the logs agree: 38 ulp at n = 1500, 84 at 1e4.
     # The forward walk and the polynomial round differently, and both
     # carry the rounding of 1/x or n/x into the j-th term j times.
     LARGE_TWIN_ULPS = {1500: 64.0, 10000: 128.0}
@@ -324,23 +332,24 @@ class TestPoissonCdf:
     @pytest.mark.parametrize("n", [1, 2, 20, 150, 1500, 10000, 100000])
     @pytest.mark.parametrize("m", [0.01, 0.5, 0.9, 0.99, 0.999, 1.0])
     def test_series_cut_where_its_tail_is_below_half_an_ulp(self, n, m):
-        # on the lane of the largest ratio m, the polynomial keeps every
-        # term above 1e-18 and drops the rest, which sum to below half an
-        # ulp of any lane's sum (at least 1) for n <= 1e5
-        # and gamma_q's lower series, factors s / (a + j) in x / s, whose
-        # largest x is below a + 1
+        # at each route's largest ratio, 1 on both Poisson tails, the
+        # polynomial keeps every term above 1e-18; on a lane of m times
+        # that ratio it drops terms that sum to below half an ulp of the
+        # lane's sum (at least 1) for n <= 1e5. And gamma_q's lower series,
+        # factors s / (a + j) in x / s, whose largest x is below a + 1
+        # (a <= 20) or 0.1 a
         tails = [
-            ((n, None), lambda: (k / n for k in range(n, 0, -1)), m),
-            ((n + 1, n + 1), lambda: ((n + 1) / k for k in itertools.count(n + 2)), min(m, n / (n + 1.0))),
+            (("lower", n), lambda: (k / n for k in range(n, 0, -1)), 1.0),
+            (("upper", n), lambda: ((n + 1) / k for k in itertools.count(n + 2)), 1.0),
         ]
-        for a in (1.0, 2.0, 20.0):
-            x = m * math.nextafter(a + 1.0, 0.0)
-            s = math.ldexp(1.0, math.frexp(x)[1])
-            tails.append(((a, s), lambda a=a, s=s: (s / (a + j) for j in itertools.count(1)), x / s))
-        for key, factors, ratio in tails:
-            coeffs = special._series_coeffs(special._series_table(*key), ratio)[::-1].tolist()
+        for a in (1.0, 2.0, 20.0, 21.0, 151.0):
+            bound, s = special._series_bound(a)
+            tails.append((("gamma", a), lambda a=a, s=s: (s / (a + j) for j in itertools.count(1)), bound / s))
+        for key, factors, edge in tails:
+            coeffs = special._series_table(*key)[::-1].tolist()
             assert coeffs[0] == 1.0
-            assert min(c * ratio**j for j, c in enumerate(coeffs)) > 1e-18
+            assert min(c * edge**j for j, c in enumerate(coeffs)) > 1e-18
+            ratio = m * edge
             term = coeffs[-1] * ratio ** (len(coeffs) - 1)
             dropped = []
             for f in itertools.islice(factors(), len(coeffs) - 1, None):
@@ -354,20 +363,24 @@ class TestPoissonCdf:
     @pytest.mark.parametrize("n", [0, 1, 150, 10000, 100000])
     @pytest.mark.parametrize("m", [1e-300, 0.5, 1.0 - 2.0**-52, 1.0])
     def test_table_cut_is_the_loops_list(self, n, m):
-        # the per-count table's cut at ratio m gives the coefficients the
-        # scalar loop builds from the same factors, bit for bit; the tables
-        # end at m = 1, after ~9.1 sqrt(n) + 27 factors at most
-        for key, factors in (
-            ((n, None), (k / n for k in range(n, 0, -1))),
-            ((n + 1, n + 1), ((n + 1) / k for k in itertools.count(n + 2))),
+        # each tail's table at count n holds the coefficients the scalar
+        # loop builds from the same factors, bit for bit, cut at the tail's
+        # largest ratio 1, after ~9.1 sqrt(n) + 27 factors at most; the
+        # loop's list cut at a lane of ratio m is its lowest powers
+        for route, factors in (
+            ("lower", lambda: (k / n for k in range(n, 0, -1))),
+            ("upper", lambda: ((n + 1) / k for k in itertools.count(n + 2))),
         ):
-            table = special._series_table(*key)
-            assert special._series_coeffs(table, m).tolist() == loop_coeffs(factors, m)
-            assert len(table[0]) <= 9.2 * math.sqrt(n) + 30
+            table = special._series_table(route, n).tolist()
+            assert table == loop_coeffs(factors(), 1.0)
+            lane = loop_coeffs(factors(), m)
+            assert table[len(table) - len(lane) :] == lane
+            assert len(table) <= 9.2 * math.sqrt(n) + 30
 
-    def test_poisson_tables_are_built_in_one_try(self, monkeypatch):
+    def test_tables_are_built_in_one_try(self, monkeypatch):
         # each try lays out its factors with one np.arange: both tails of
-        # every count take one try, however long their table
+        # every count, and gamma_q's series at every a, take one try,
+        # however long their table
         tries = []
 
         class CountingNumpy:
@@ -379,25 +392,25 @@ class TestPoissonCdf:
                 return np.arange(*args)
 
         monkeypatch.setattr(special, "np", CountingNumpy())
-        for n in [*range(2001), 10000]:
-            for key in ((n, None), (n + 1, n + 1)):
-                tries.clear()
-                special._series_table.__wrapped__(*key)
-                assert len(tries) == 1, key
+        keys = [(route, n) for n in [*range(2001), 10000] for route in ("lower", "upper")]
+        keys += [("gamma", float(a)) for a in [*range(1, 202), 1e5 + 1, 1e60, 1e300]]
+        for key in keys:
+            tries.clear()
+            special._series_table.__wrapped__(*key)
+            assert len(tries) == 1, key
 
-    @pytest.mark.parametrize("a", [1.0, 21.0, 1e60, 1e300])
+    @pytest.mark.parametrize("a", [1.0, 20.0, 21.0, 1e60, 1e300])
     def test_gamma_series_table_cut_is_the_loops_list(self, a):
-        # the largest x of a call's series lanes lies below a + 1, and below
-        # 0.1 a where Temme's route takes a > 20; in x / s, s the power of two
-        # above it, the table for (a, s) ends where that bound ends the
-        # series, and its cut at the real x / s is the loop's
-        bound = a + 1.0 if a <= special._TEMME_MIN_A else special._TEMME_LO * a
-        for x in (1e-300, 0.5, 0.5 * bound, math.nextafter(bound, 0.0)):
-            s = math.ldexp(1.0, math.frexp(x)[1])
-            table = special._series_table(a, s)
-            want = loop_coeffs((s / (a + j) for j in itertools.count(1)), x / s)
-            assert special._series_coeffs(table, x / s).tolist() == want
-            assert len(table[0]) <= 64
+        # the series lanes lie below a + 1, and below 0.1 a where Temme's
+        # route takes a > 20; in x / s, s the power of two above that bound,
+        # the table for a is the loop's list, cut where the bound ends it
+        bound = TestGammaQ.series_edge(a)
+        edge, s = special._series_bound(a)
+        assert edge == bound < s <= 2.0 * bound
+        assert math.frexp(s)[0] == 0.5
+        table = special._series_table("gamma", a)
+        assert table.tolist() == loop_coeffs((s / (a + j) for j in itertools.count(1)), bound / s)
+        assert len(table) <= 64
 
     def test_horner_takes_every_coefficient(self):
         y = np.array([0.0, 0.5, 1.0, 2.0])
@@ -425,11 +438,12 @@ class TestPoissonCdf:
 
     @staticmethod
     def tail_coeffs(n, m):
-        """Each Poisson tail's coefficients at largest ratio m, and its m."""
+        """Each Poisson tail's coefficients at count n, and the largest
+        ratio of lanes to try on it: m, and below n/(n + 1) for the upper."""
         z = min(m, math.nextafter(n / (n + 1.0), 0.0))
         return (
-            (special._series_coeffs(special._series_table(n, None), m).tolist(), m),
-            (special._series_coeffs(special._series_table(n + 1, n + 1), z).tolist(), z),
+            (special._series_table("lower", n).tolist(), m),
+            (special._series_table("upper", n).tolist(), z),
         )
 
     @staticmethod
@@ -537,17 +551,19 @@ class TestGammaQ:
             assert_twins_agree(gamma_q(a, xs), np.array([gamma_q(a, x) for x in xs.tolist()]), n, xs)
 
     @staticmethod
+    def series_edge(a):
+        """The bound the series route's lanes stay below."""
+        return a + 1.0 if a <= special._TEMME_MIN_A else special._TEMME_LO * a
+
+    @staticmethod
     def fraction_edge(a):
         """The smallest x on the continued fraction's route."""
         return a + 1.0 if a <= special._TEMME_MIN_A else math.nextafter(special._TEMME_HI * a, math.inf)
 
     @pytest.mark.parametrize("a", [2.0, 5.0, 12.0, 20.0, 21.0, 151.0])
     def test_fraction_lanes_are_independent_of_the_call(self, a):
-        # the fraction's depth comes from a alone: each lane of a wide call
-        # on its route is the same x in a wide call of copies, bit for bit
-        edge, top = self.fraction_edge(a), 20.0 * a + 50.0
-        xs = np.union1d(np.linspace(edge, top, 200), np.geomspace(edge, top, 200))
-        assert gamma_q(a, xs).tolist() == [gamma_q(a, np.full(WIDE, x))[0] for x in xs.tolist()]
+        # the fraction's depth comes from a alone
+        assert_lanes_are_independent_of_the_call(gamma_q, a, self.fraction_edge(a), 20.0 * a + 50.0)
 
     def test_fraction_twins_give_the_same_bits(self):
         # both twins take the fraction's operations in one order, so they
@@ -793,11 +809,29 @@ def test_one_route_call_is_the_same_lanes_of_a_mixed_call(route):
     assert kernel(first, lanes).tolist() == kernel(first, mixed)[at].tolist()
 
 
+# (kernel, first argument, the route's edge, a lane further in)
+_SERIES_ROUTES = {
+    **{f"poisson_cdf lower tail, n = {n}": (poisson_cdf, n, float(n), 20.0 * n + 50.0) for n in (5, 150, 1500)},
+    **{f"poisson_cdf upper tail, n = {n}": (poisson_cdf, n, math.nextafter(n, 0.0), 1e-3) for n in (5, 150, 1500)},
+    **{
+        f"gamma_q series, a = {a:g}": (gamma_q, a, math.nextafter(TestGammaQ.series_edge(a), 0.0), 1e-3)
+        for a in (2.0, 5.0, 20.0, 21.0)
+    },
+}
+
+
+@pytest.mark.parametrize("route", sorted(_SERIES_ROUTES))
+def test_series_lanes_are_independent_of_the_call(route):
+    # each series' polynomial is cut where its route's edge ends it, set by
+    # the count alone, not by the call's largest ratio
+    assert_lanes_are_independent_of_the_call(*_SERIES_ROUTES[route])
+
+
 def test_series_tables_stay_bounded(monkeypatch):
     # every count 0..2000 on both Poisson tails and gamma_q's series: the
     # cache keeps its maxsize = 256 most recent tables, each cut where its
-    # ratio 1 ends it, so at most 2 (9.2 sqrt(2000) + 30) floats a table
-    # (1.8 MB for the cache) however long the run
+    # route's edge ends it, so at most 9.2 sqrt(2000) + 30 floats a table
+    # (0.9 MB for the cache) however long the run
     table, keys = special._series_table, []
     monkeypatch.setattr(special, "_series_table", lambda *key: keys.append(key) or table(*key))
     table.cache_clear()
@@ -808,5 +842,5 @@ def test_series_tables_stay_bounded(monkeypatch):
     maxsize = table.cache_parameters()["maxsize"]
     cached = list(dict.fromkeys(reversed(keys)))[:maxsize]
     assert table.cache_info().currsize == len(cached) == maxsize
-    floats = sum(f.size + c.size for f, c in map(lambda key: table(*key), cached))
-    assert floats <= maxsize * 2 * (9.2 * math.sqrt(2000) + 30)
+    floats = sum(table(*key).size for key in cached)
+    assert floats <= maxsize * (9.2 * math.sqrt(2000) + 30)
