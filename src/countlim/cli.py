@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .config import load_model
 from .equivalence import VERDICT_UNEXPECTED, _cls_limit_and_bayes_criterion, compare_limits
@@ -157,9 +156,9 @@ def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, to
             req = LimitRequest(alpha=alpha, rel_tol=tol)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        # a model without nuisances solves on its nominal point; the integrator options go unread
+        # a model without nuisances solves on its nominal floats: no integrator, sample set or numpy
         integrator = _build_integrator(integrator_kind, samples, seed, nodes) if model.has_systematics else None
-        shared = draw_samples(model.systematics, integrator)
+        shared = draw_samples(model.systematics, integrator) if integrator is not None else None
         if method == "both":  # on one set of yields, the Bayes solve from the CLs root, as compare_limits
             res_cls, crit = _cls_limit_and_bayes_criterion(model, req, integrator, shared)
             results = {"cls": res_cls, "bayes": _marginal_limit(crit, req, integrator, start=res_cls.mu_up)}
@@ -204,6 +203,7 @@ def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, sam
             raise ConfigError(f"need finite 0 <= mu-min < mu-max, got [{mu_min}, {mu_max}]")
         if not 2 <= points <= _SCAN_MAX_POINTS:
             raise ConfigError(f"--points must be in [2, {_SCAN_MAX_POINTS}], got {points}")
+        import numpy as np
         model = load_model(config_path)
         grid = np.linspace(mu_min, mu_max, points)
         integrator = _build_integrator(integrator_kind, samples, seed, nodes) if model.has_systematics else None

@@ -103,7 +103,7 @@ def compare_limits(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
-    samples = draw_samples(model.systematics, integrator)
+    samples = draw_samples(model.systematics, integrator) if model.has_systematics else None
     res_cls, crit = _cls_limit_and_bayes_criterion(model, req, integrator, samples, bayes_samples)
     res_bayes = _solve(crit, req, start=res_cls.mu_up)
     a, b = res_cls.mu_up, res_bayes.mu_up

@@ -15,7 +15,7 @@ posterior density) come from :mod:`countlim.marginal` on
 from __future__ import annotations
 
 from .exceptions import ModelError
-from .marginal import _CLS_UNDEFINED, _POSTERIOR_IMPROPER, _bayes_terms, _cls_terms, _Criterion, _solve
+from .marginal import _CLS_UNDEFINED, _POSTERIOR_IMPROPER, _bayes_terms, _cls_terms, _Criterion, _criterion, _solve
 from .model import CountingModel
 from .solver import LimitRequest, LimitResult
 
@@ -32,7 +32,7 @@ def _nominal(model: CountingModel, kernel, zero_signal: str) -> _Criterion:
         )
     if model.s_nom == 0.0:
         raise ModelError(zero_signal)
-    return _Criterion(kernel, model.n_obs, model.s_nom, model.b_nom_total, None)
+    return _criterion(model, kernel)
 
 
 def cls_upper_limit(model: CountingModel, req: LimitRequest) -> LimitResult:

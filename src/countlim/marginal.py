@@ -15,7 +15,8 @@ The exact limits are its one-point case on the nominal yields, and so are
 the exact pointwise quantities: :func:`hybrid_cls`, :func:`scan_quantity`
 and :func:`marginal_posterior_density` on ``draw_samples(systematics,
 None)`` of a model without nuisances give CLs, CLs+b, CLb and the
-closed-form posterior density.
+closed-form posterior density. The limits of a model without nuisances
+draw no set, and run on its floats; numpy is imported where first needed.
 
 Reductions over samples go through ``np.add.reduce``, ``np.sum``'s pairwise
 sum without its dispatch, whose tree over a fixed (declaration) sample
@@ -28,11 +29,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exceptions import ConfigError, ConvergenceError, ModelError
 from .model import CountingModel, SystematicsModel, yields_on_samples
-from .special import _poisson_cdf_and_pmf, gamma_q, log_poisson_pmf
+from .special import _gamma_q_scalar, _poisson_cdf_and_pmf, _poisson_cdf_scalar, gamma_q, log_poisson_pmf
 from .solver import LimitRequest, LimitResult, solve_decreasing
 
 __all__ = [
@@ -113,6 +112,7 @@ class SampleSet:
     """
 
     def __init__(self, etas: np.ndarray, weights: np.ndarray):
+        import numpy as np
         etas = np.asarray(etas, dtype=float)
         weights = np.asarray(weights, dtype=float)
         if etas.ndim != 2 or weights.ndim != 1 or etas.shape[0] != weights.shape[0]:
@@ -134,6 +134,7 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
     above ``2**20`` points or a Monte Carlo set above ``2**22`` values
     (samples x nuisances).
     """
+    import numpy as np
     n_nuis = len(systematics.nuisances)
     if n_nuis == 0:
         return SampleSet(np.zeros((1, 0)), np.ones(1))
@@ -185,6 +186,7 @@ def _hermite_rule(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
     read-only. ``hermgauss`` solves an eigenproblem (Golub & Welsch 1969),
     so each rule is built once per process; ``Integrator`` keeps the node
     count in [2, 64]."""
+    import numpy as np
     x, w = np.polynomial.hermite.hermgauss(nodes_per_dim)
     nodes = math.sqrt(2.0) * x
     w_norm = w / math.sqrt(math.pi)
@@ -202,6 +204,7 @@ def _check_mu(mu) -> float:
 
 def marginal_likelihood(model: CountingModel, mu: float, n, samples: SampleSet) -> float:
     """Prior-weighted average of Poisson(n; mu*s(eta) + b(eta))."""
+    import numpy as np
     mu = _check_mu(mu)
     s, b = yields_on_samples(model, samples.etas)
     pmf = np.exp(log_poisson_pmf(n, mu * s + b))
@@ -220,6 +223,9 @@ def _bayes_terms(n: int, s, x):
     return gamma_q(n + 1.0, x) / s, None
 
 
+# on the nominal point, where x = mu*s + b is a float >= 0: the scalar twins, with no dispatch
+_ON_ONE_POINT = {_cls_terms: lambda n, s, x: (_poisson_cdf_scalar(n, x), None),
+                 _bayes_terms: lambda n, s, x: (_gamma_q_scalar(n + 1.0, x) / s, None)}
 _DENOMINATOR_NAMES = {_cls_terms: "CLb", _bayes_terms: "Q(n_obs + 1, b)"}
 _CLS_UNDEFINED = "nominal signal yield is zero; the CLs limit is undefined"
 _POSTERIOR_IMPROPER = "nominal signal yield is zero; the posterior for mu is improper"
@@ -233,11 +239,12 @@ class _Criterion:
     exact limits are its one-point case. ``s`` and ``b`` are the yields
     per sample with weights ``w``, or plain floats with ``w = None`` for
     the nominal point, where the weighted mean is the term itself and the
-    scalar kernels are used. The Bayesian criterion is refused with
-    :class:`ModelError` where a signal yield is 0, which leaves the
-    strength unidentified. The denominator is computed once, here, and
-    refused with :class:`ConvergenceError` when it underflows: every
-    quantity built on the set is then below the float64 range too.
+    kernel runs as its scalar twin, with no dispatch. The Bayesian
+    criterion is refused with :class:`ModelError` where a signal yield is
+    0, which leaves the strength unidentified. The denominator is computed
+    once, here, and refused with :class:`ConvergenceError` when it
+    underflows: every quantity built on the set is then below the float64
+    range too.
 
     Both terms have closed-form derivatives in mu, from the pmf at
     x = mu*s + b and its x-derivative pmf * (n/x - 1): the slope is
@@ -250,19 +257,20 @@ class _Criterion:
     """
 
     def __init__(self, kernel, n: int, s, b, w):
-        if kernel is _bayes_terms and not (s != 0.0 if w is None else np.all(s != 0.0)):
+        self.bayes = kernel is _bayes_terms
+        if self.bayes and not (s != 0.0 if w is None else (s != 0.0).all()):
             # a vanishing signal yield leaves the strength unidentified there
-            where = "" if w is None else f" at sample {int(np.argmax(s == 0.0))}"
+            where = "" if w is None else f" at sample {int((s == 0.0).argmax())}"
             raise ModelError(f"signal yield is zero{where}; the posterior for mu is degenerate")
-        self.kernel = kernel
+        self.kernel = kernel if w is not None else _ON_ONE_POINT[kernel]
         self.n = n
         self.s = s
         self.b = b
         self.w = w
-        self.den_terms, self.den_pmf = kernel(n, s, b)
+        self.den_terms, self.den_pmf = self.kernel(n, s, b)
         self.den = self.mean(self.den_terms)
         if not (self.den > 0.0 and math.isfinite(self.den)):
-            where = f"b = {b!r}" if w is None else f"b in [{float(np.min(b))!r}, {float(np.max(b))!r}]"
+            where = f"b = {b!r}" if w is None else f"b in [{float(b.min())!r}, {float(b.max())!r}]"
             raise ConvergenceError(
                 f"{_DENOMINATOR_NAMES[kernel]} = {self.den!r} at n_obs = {n}, {where}: "
                 f"the denominator is not a positive finite number, so the criterion is undefined"
@@ -316,6 +324,7 @@ class _Criterion:
                 return float(n == 0), float(n == 1) - float(n == 0)
             pmf = math.exp(n * math.log(x) - x - self.log_factorial)
             return pmf, n * (pmf / x) - pmf
+        import numpy as np
         zero = x == 0.0
         safe = np.where(zero, 1.0, x)
         pmf = np.exp(n * np.log(safe) - x - self.log_factorial)
@@ -327,6 +336,7 @@ class _Criterion:
     def mean(self, terms):
         if self.w is None:
             return terms
+        import numpy as np
         return float(np.add.reduce(self.w * terms))
 
     def terms(self, mu: float):
@@ -346,7 +356,7 @@ class _Criterion:
 
     def mean_stderr(self, terms) -> float:
         """Standard error of the weighted mean (Monte Carlo, equal weights)."""
-        return math.sqrt(float(np.var(terms, ddof=1)) / terms.size)
+        return math.sqrt(float(terms.var(ddof=1)) / terms.size)
 
     def ratio_stderr(self, num_terms) -> float:
         """Delta-method standard error of the ratio (Monte Carlo, equal
@@ -358,19 +368,17 @@ class _Criterion:
         a, b = self.mean(num_terms), self.den
         if a == 0.0:  # every term underflowed to 0, so the ratio has no spread
             return 0.0
-        var = float(np.var(num_terms / a - self.den_terms / b, ddof=1)) / num_terms.size
+        var = float((num_terms / a - self.den_terms / b).var(ddof=1)) / num_terms.size
         return (a / b) * math.sqrt(var)
 
 
-def _criterion(model: CountingModel, kernel, samples: SampleSet) -> _Criterion:
-    """The engine over ``samples``; the nominal one-point set of a model
-    without nuisances runs on the scalar kernels."""
-    if samples.etas.shape == (1, 0) and samples.weights[0] == 1.0:
-        s, b, w = model.s_nom, model.b_nom_total, None
-    else:
-        s, b = yields_on_samples(model, samples.etas)
-        w = samples.weights
-    return _Criterion(kernel, model.n_obs, s, b, w)
+def _criterion(model: CountingModel, kernel, samples: SampleSet | None = None) -> _Criterion:
+    """The engine over ``samples``; with no set, or the one-point set of a
+    model without nuisances, the engine on the nominal yields, as floats."""
+    if samples is None or samples.etas.shape == (1, 0) and samples.weights[0] == 1.0:
+        return _Criterion(kernel, int(model.n_obs), float(model.s_nom), model.b_nom_total, None)
+    s, b = yields_on_samples(model, samples.etas)
+    return _Criterion(kernel, model.n_obs, s, b, samples.weights)
 
 
 @functools.lru_cache(maxsize=None)
@@ -405,7 +413,7 @@ def _wilson_hilferty_start(crit: _Criterion, alpha: float) -> float:
         return 0.0
     a = n + 1.0
     s, b = crit.mean(crit.s), crit.mean(crit.b)
-    p = alpha * (crit.den * s if crit.kernel is _bayes_terms else crit.den)
+    p = alpha * (crit.den * s if crit.bayes else crit.den)
     if not (0.0 < p < 1.0 and s > 0.0):
         return 0.0
     z = _standard_normal().inv_cdf(p)
@@ -473,6 +481,7 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, 
     ``with_stderr`` (Monte Carlo sample sets only). Quantities: ``cls``,
     ``clsb``, ``clb``, ``posterior``.
     """
+    import numpy as np
     if quantity not in ("cls", "clsb", "clb", "posterior"):
         raise ValueError(f"unknown scan quantity {quantity!r}")
     if quantity == "cls" and model.s_nom == 0.0:
@@ -487,7 +496,7 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, 
     value, stderr = (crit.ratio, crit.ratio_stderr) if ratio else (crit.mean, crit.mean_stderr)
     values = np.empty(mus.shape)
     stderrs = np.empty(mus.shape) if with_stderr and crit.w is not None and crit.w.size >= 2 else None
-    for i, mu in enumerate(mus):
+    for i, mu in enumerate(mus.tolist()):
         terms = terms_at(mu)
         values[i] = value(terms)
         if stderrs is not None:
@@ -509,7 +518,7 @@ def hybrid_cls_upper_limit(
     """
     if model.s_nom == 0.0:
         raise ModelError(_CLS_UNDEFINED)
-    if samples is None:
+    if samples is None and model.has_systematics:
         samples = draw_samples(model.systematics, integrator)
     return _marginal_limit(_criterion(model, _cls_terms, samples), req, integrator)
 
@@ -525,6 +534,6 @@ def bayesian_marginal_upper_limit(
     A model without nuisances gives the closed-form credible limit."""
     if model.s_nom == 0.0:
         raise ModelError(_POSTERIOR_IMPROPER)
-    if samples is None:
+    if samples is None and model.has_systematics:
         samples = draw_samples(model.systematics, integrator)
     return _marginal_limit(_criterion(model, _bayes_terms, samples), req, integrator)

@@ -14,10 +14,9 @@ here is pure, so models can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
-
-import numpy as np
 
 from .exceptions import ModelError, YieldError
 
@@ -71,6 +70,7 @@ class Response:
 
     def factor(self, eta: np.ndarray) -> np.ndarray:
         """Scale factors at an array of nuisance values."""
+        import numpy as np
         if self.kind == "identity":
             return np.ones_like(eta, dtype=float)
         if self.kind == "log_normal":
@@ -117,6 +117,7 @@ class Prior:
     def from_standard_normal(self, z: np.ndarray) -> np.ndarray:
         """Map standard-normal variates (or nodes) to the prior's scale."""
         if self.kind == "log_normal":
+            import numpy as np
             return np.exp(self.loc + self.scale * z)
         return self.loc + self.scale * z
 
@@ -161,7 +162,7 @@ class SystematicsModel:
             return False
         return self.correlation is None or (
             self.correlation.shape == other.correlation.shape
-            and bool(np.array_equal(self.correlation, other.correlation))
+            and bool((self.correlation == other.correlation).all())
         )
 
     def __post_init__(self):
@@ -174,6 +175,7 @@ class SystematicsModel:
                 raise ModelError(f"signal response references unknown nuisance {key!r}")
         chol = None
         if self.correlation is not None:
+            import numpy as np
             corr = np.asarray(self.correlation, dtype=float)
             object.__setattr__(self, "correlation", corr)
             k = len(self.gaussian_indices)
@@ -227,7 +229,8 @@ class CountingModel:
         object.__setattr__(self, "backgrounds", tuple(self.backgrounds))
         if not 0.0 <= self.s_nom < math.inf:
             raise ModelError(f"nominal signal yield must be finite and nonnegative, got {self.s_nom}")
-        if not (isinstance(self.n_obs, (int, np.integer)) and self.n_obs >= 0):
+        # numpy's integers are registered as Integral; a bool is not a count
+        if isinstance(self.n_obs, bool) or not (isinstance(self.n_obs, numbers.Integral) and self.n_obs >= 0):
             raise ModelError(f"observed count must be a nonnegative integer, got {self.n_obs!r}")
         names = [bkg.name for bkg in self.backgrounds]
         if len(set(names)) != len(names):
@@ -265,6 +268,7 @@ class CountingModel:
 
 
 def _response_product_columns(responses: Mapping[str, Response], names, etas: np.ndarray, label: str) -> np.ndarray:
+    import numpy as np
     factor = np.ones(etas.shape[0])
     for j, name in enumerate(names):
         resp = responses.get(name)
@@ -286,6 +290,7 @@ def _response_product_columns(responses: Mapping[str, Response], names, etas: np
 
 def yields_on_samples(model: CountingModel, etas: np.ndarray):
     """Vectorised (signal, background) yields over a (K, J) eta matrix."""
+    import numpy as np
     etas = np.asarray(etas, dtype=float)
     n_nuis = len(model.systematics.nuisances)
     if etas.ndim != 2 or etas.shape[1] != n_nuis:

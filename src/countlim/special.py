@@ -1,9 +1,9 @@
 """Numerically stable Poisson probabilities and regularized incomplete gamma.
 
 All three public functions accept a scalar or a 1-d numpy array for the
-continuous argument; scalars take a fast ``math``-module path while arrays
-are evaluated vectorised so the marginalisation code can process thousands
-of nuisance samples per call.
+continuous argument; scalars take a fast ``math``-module path, which never
+imports numpy, while arrays are evaluated vectorised so the marginalisation
+code can process thousands of nuisance samples per call.
 
 The scalar twins are not duplication: exact limits solve on them, and
 narrow arrays run them lane by lane. An array walk pays a few numpy calls
@@ -69,8 +69,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-
-import numpy as np
+import sys
 
 from .exceptions import ConvergenceError
 
@@ -99,7 +98,8 @@ def log_poisson_pmf(n, nu):
     limit ``-inf``.
     """
     n = _check_count(n)
-    if isinstance(nu, np.ndarray):
+    if _is_array(nu):
+        import numpy as np
         if nu.size and not float(np.min(nu)) >= 0.0:
             raise ValueError("nu must be nonnegative")
         # ln 1 = 0 where nu is 0 or inf, so n ln nu - nu is 0 or -inf there
@@ -135,12 +135,17 @@ def poisson_cdf(n, nu):
     design.
     """
     n = _check_count(n)
-    if isinstance(nu, np.ndarray):
+    if _is_array(nu):
         return _on_lanes(_poisson_cdf_scalar, _poisson_cdf_array, n, nu, "nu")
     nu = float(nu)
     if not nu >= 0.0:
         raise ValueError(f"nu must be nonnegative, got {nu}")
     return _poisson_cdf_scalar(n, nu)
+
+
+def _is_array(x) -> bool:
+    # imports nothing: before numpy is loaded, no argument can be its array
+    return isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ()))
 
 
 # Arrays of at most this many lanes run the scalar twin lane by lane: the
@@ -152,6 +157,7 @@ def _on_lanes(scalar, array, first, x, name: str) -> np.ndarray:
     """``scalar(first, lane)`` on each lane of a narrow array, else
     ``array(first, x, min, max)``, once ``x`` is checked to be nonnegative:
     NaN too (``np.min`` returns it; ``min`` may skip it, ``sum`` does not)."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     if x.size > _NARROW_LANES:
         lo = float(np.min(x))
@@ -193,6 +199,7 @@ def _poisson_cdf_scalar(n: int, nu: float) -> float:
 
 
 def _poisson_cdf_array(n: int, nu: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    import numpy as np
     if 0.0 < lo and hi < math.inf:  # every lane in one tail: no masks
         if lo >= n:
             return np.multiply(*_lower_tail_array(n, nu))
@@ -213,9 +220,9 @@ def _poisson_cdf_array(n: int, nu: np.ndarray, lo: float, hi: float) -> np.ndarr
 def _poisson_cdf_and_pmf(n: int, nu):
     """``poisson_cdf(n, nu)`` and, on a wide array whose lanes all take the
     lower tail, its prefactor: pmf(n; nu), with the same bits. Else None."""
-    if isinstance(nu, np.ndarray) and nu.size > _NARROW_LANES:
-        lo = float(np.min(nu))
-        if 0.0 < lo and n <= lo and float(np.max(nu)) < math.inf:
+    if _is_array(nu) and nu.size > _NARROW_LANES:
+        lo = float(nu.min())
+        if 0.0 < lo and n <= lo and float(nu.max()) < math.inf:
             pmf, sums = _lower_tail_array(n, nu)
             return pmf * sums, pmf
     return poisson_cdf(n, nu), None
@@ -251,6 +258,7 @@ def _series_table(route: str, a) -> np.ndarray:
     at m = 1; ``"gamma"``, gamma_q's series in x/s, f_j = s / (a + j), at
     m = edge / s (``_series_bound``). One try holds the cut: 9.1 sqrt(a) +
     27 factors on the Poisson tails (checked to n = 1e5), 64 on gamma_q's."""
+    import numpy as np
     if route == "gamma":
         bound, s = _series_bound(a)
         m, first = bound / s, 64
@@ -274,6 +282,7 @@ def _series_table(route: str, a) -> np.ndarray:
 def _horner(coeffs, y: np.ndarray) -> np.ndarray:
     """The polynomial with ``coeffs``, highest power first, at each lane of
     ``y``, in place on one buffer: the order of the scalar twins' loops."""
+    import numpy as np
     p = np.full_like(y, coeffs[0])
     for c in coeffs[1:]:
         p *= y
@@ -301,6 +310,7 @@ def _series_sum(coeffs, y: np.ndarray) -> np.ndarray:
     over those sums. About K + 2 d / K numpy calls per block of lanes, where
     Horner's rule takes 2 d. Every caller's coefficients and lanes are
     positive, so no order of summation can cancel."""
+    import numpy as np
     d = len(coeffs) - 1
     k = max(2, math.isqrt(2 * d))
     blocks = -(-(d + 1) // k)
@@ -330,6 +340,7 @@ def _lower_tail_array(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # P(N <= n) for x >= n, as the prefactor pmf(n; x) and the sum: the terms
     # k = n down to 0, relative to the k = n one, are G_j y^j with
     # y = n/x <= 1 and G_j = prod_{i<j} (n - i)/n
+    import numpy as np
     return np.exp(n * np.log(x) - x - math.lgamma(n + 1)), _series_sum(_series_table("lower", n), n / x)
 
 
@@ -353,7 +364,7 @@ def gamma_q(a, x):
         raise ValueError(f"a must be positive and finite, got {a}")
     if not a.is_integer():
         raise ValueError(f"a must be an integer, got {a}")
-    if isinstance(x, np.ndarray):
+    if _is_array(x):
         return _on_lanes(_gamma_q_scalar, _gamma_q_array, a, x, "x")
     x = float(x)
     if not x >= 0.0:
@@ -419,6 +430,7 @@ def _upper_cf_scalar(a: float, x: float) -> float:
 
 
 def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    import numpy as np
     expands = a > _TEMME_MIN_A  # Temme's route takes 0.1 a <= x <= 2 a
     if 0.0 < lo and hi < math.inf:  # every lane on one route: no masks
         if expands and _TEMME_LO * a <= lo and hi <= _TEMME_HI * a:
@@ -445,6 +457,7 @@ def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
     # the scalar twin's operations in its order, on every lane
+    import numpy as np
     pref = np.exp(a * np.log(x) - x - math.lgamma(a))
     b = x + 1.0 - a
     t = np.zeros_like(x)
@@ -752,6 +765,7 @@ def _half_eta_sq_scalar(s: float) -> float:
 
 
 def _half_eta_sq_array(s: np.ndarray) -> np.ndarray:
+    import numpy as np
     m, e = np.frexp(1.0 + s)
     e = e - (m < _SQRT_HALF)
     scale = np.ldexp(1.0, -e)
@@ -781,6 +795,7 @@ def _temme_scalar(a: float, x: float) -> float:
 def _temme_array(a: float, x: np.ndarray) -> np.ndarray:
     # the scalar twin's operations in its order, in place where a buffer
     # is free, so that this route adds few arrays to a solve's peak
+    import numpy as np
     s = (x - a) / a
     h = _half_eta_sq_array(s)
     ah = a * h
@@ -851,8 +866,12 @@ _ERFCX_TABLE = (
         0.006579964608477273, 0.12764848550638602, 0.8656903251702591,
     ),
 )
-# the same table as one row per power, for gathering a coefficient per lane
-_ERFCX_COLUMNS = np.array(_ERFCX_TABLE).T.copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _erfcx_columns():  # the table as one row per power, to gather a coefficient per lane
+    import numpy as np
+    return np.array(_ERFCX_TABLE).T.copy()
 
 
 def _erfcx_scalar(z: float) -> float:
@@ -873,6 +892,7 @@ def _erfcx_scalar(z: float) -> float:
 
 def _erfcx_array(z: np.ndarray) -> np.ndarray:
     # the scalar twin's operations in its order, on every lane
+    import numpy as np
     u = 16.0 / (2.0 + z)
     j = u.astype(np.intp)
     np.minimum(j, 7, out=j)
@@ -884,7 +904,7 @@ def _erfcx_array(z: np.ndarray) -> np.ndarray:
     p = np.empty_like(t)
     for start in range(0, t.size, _LANE_BLOCK):  # the rows gathered take 88 bytes a lane
         pb, tb = p[start : start + _LANE_BLOCK], t[start : start + _LANE_BLOCK]
-        rows = np.take(_ERFCX_COLUMNS, j[start : start + _LANE_BLOCK], axis=1, mode="clip")
+        rows = np.take(_erfcx_columns(), j[start : start + _LANE_BLOCK], axis=1, mode="clip")
         pb[...] = rows[0]
         for row in rows[1:]:
             pb *= tb

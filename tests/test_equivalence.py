@@ -72,17 +72,21 @@ def test_broken_sample_sharing_is_flagged():
 
 @pytest.fixture
 def bayes_solve_kernel_calls(monkeypatch):
-    """Counts of the ``gamma_q`` calls made inside a solve: in a compare
-    only the Bayesian criterion calls it, and its denominator is taken
-    before the solve."""
+    """Counts of the ``gamma_q`` calls made inside a solve, on a sample set
+    or, through its scalar twin, on the nominal point: in a compare only
+    the Bayesian criterion calls it, and its denominator is taken before
+    the solve."""
     counts = []  # one per solve, in order
     solving = False
-    gamma_q, solve_decreasing = marginal.gamma_q, marginal.solve_decreasing
+    solve_decreasing = marginal.solve_decreasing
 
-    def counted_gamma_q(*args):
-        if solving:
-            counts[-1] += 1
-        return gamma_q(*args)
+    def counted(kernel):
+        def call(*args):
+            if solving:
+                counts[-1] += 1
+            return kernel(*args)
+
+        return call
 
     def counted_solve(*args):
         nonlocal solving
@@ -93,7 +97,8 @@ def bayes_solve_kernel_calls(monkeypatch):
         finally:
             solving = False
 
-    monkeypatch.setattr(marginal, "gamma_q", counted_gamma_q)
+    monkeypatch.setattr(marginal, "gamma_q", counted(marginal.gamma_q))
+    monkeypatch.setattr(marginal, "_gamma_q_scalar", counted(marginal._gamma_q_scalar))
     monkeypatch.setattr(marginal, "solve_decreasing", counted_solve)
     return counts
 

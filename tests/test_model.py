@@ -254,6 +254,16 @@ class TestValidation:
         with pytest.raises(ModelError):
             CountingModel(s_nom=1.0, backgrounds=(), n_obs=-1)
 
+    @pytest.mark.parametrize("n_obs", [True, False, np.bool_(True), 3.0, np.float64(3.0)])
+    def test_count_that_is_not_an_integer(self, n_obs):
+        # a bool is Integral in Python but not a count; parse_model refuses it too
+        with pytest.raises(ModelError, match="nonnegative integer"):
+            CountingModel(s_nom=1.0, backgrounds=[BackgroundProcess("b", 1.5)], n_obs=n_obs)
+
+    @pytest.mark.parametrize("n_obs", [3, np.int64(3), np.uint8(3)])
+    def test_numpy_integer_count(self, n_obs):
+        assert CountingModel(s_nom=1.0, backgrounds=[BackgroundProcess("b", 1.5)], n_obs=n_obs).n_obs == 3
+
     def test_response_parameter_checks(self):
         with pytest.raises(ModelError):
             Response.log_normal(0.0)

@@ -1,6 +1,8 @@
 """scipy and mpmath are test dependencies only: the package must import
-without them. The public API is pinned, with the names the benchmark uses."""
+without them, and numpy is loaded only where a wide path needs it. The
+public API is pinned, with the names the benchmark uses."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -10,19 +12,98 @@ import pytest
 from helpers import src_env
 
 
-def _loaded_by_import(module: str) -> str:
-    code = f"import sys, countlim, countlim.cli; print({module!r} in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=src_env())
-    return proc.stdout.strip()
+def loaded_in_child(module: str, code: str = "", argv=None, cwd=None):
+    """Run ``code``, then the CLI with ``argv`` when given, in a child
+    interpreter on the source tree. Returns whether ``module`` was in the
+    child's ``sys.modules`` as it exited, and the finished process."""
+    if argv is not None:
+        code += f"\nimport sys\nsys.argv = ['countlim', *{list(argv)!r}]\nfrom countlim.cli import main\nmain()"
+    report = f"import atexit, sys\natexit.register(lambda: sys.stderr.write('\\n' + str({module!r} in sys.modules)))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", report + code], capture_output=True, text=True, env=src_env(), cwd=cwd
+    )
+    return proc.stderr.rsplit("\n", 1)[-1] == "True", proc
+
+
+IMPORTS = "import countlim, countlim.cli"
 
 
 def test_import_loads_no_scipy():
-    assert _loaded_by_import("scipy") == "False"
+    loaded, proc = loaded_in_child("scipy", IMPORTS)
+    assert proc.returncode == 0 and not loaded, proc.stderr
 
 
 def test_import_loads_no_mpmath():
     # gamma_q's coefficient table is frozen in the source, not derived at import
-    assert _loaded_by_import("mpmath") == "False"
+    loaded, proc = loaded_in_child("mpmath", IMPORTS)
+    assert proc.returncode == 0 and not loaded, proc.stderr
+
+
+PLAIN = {"signal": {"nominal": 1.0}, "backgrounds": [{"name": "bkg", "nominal": 1.5}], "n_obs": 3}
+BG_SYST = {
+    "signal": {"nominal": 1.0},
+    "backgrounds": [{"name": "bkg", "nominal": 1.5, "responses": {"p": {"kind": "log_normal", "kappa": 1.2}}}],
+    "nuisances": [{"name": "p", "prior": {"kind": "standard_normal"}}],
+    "n_obs": 3,
+}
+
+
+@pytest.fixture
+def configs(tmp_path):
+    for name, doc in (("plain", PLAIN), ("bg", BG_SYST), ("bad", {**PLAIN, "n_obs": -1})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    ("code", "argv", "exit_code"),
+    [
+        ("import countlim", None, 0),
+        ("import countlim.cli", None, 0),
+        ("from countlim import gamma_q, log_poisson_pmf, poisson_cdf\n"
+         "poisson_cdf(3, 2.5), gamma_q(4, 2.5), log_poisson_pmf(3, 2.5)", None, 0),
+        ("", ["--help"], 0),
+        ("", ["limit", "plain.json"], 0),
+        ("", ["limit", "plain.json", "--method", "bayes"], 0),
+        ("", ["limit", "plain.json", "--method", "both", "--out", "out.json"], 0),
+        ("", ["equivalence", "plain.json"], 0),
+        ("", ["limit", "bad.json", "--method", "both"], 1),
+    ],
+)
+def test_one_point_path_loads_no_numpy(configs, code, argv, exit_code):
+    # a model without nuisances solves on floats and the scalar kernels
+    loaded, proc = loaded_in_child("numpy", code, argv, cwd=configs)
+    assert proc.returncode == exit_code, proc.stderr
+    assert not loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "bg.json", "--samples", "500"],
+        ["limit", "bg.json", "--integrator", "gh"],
+        ["scan", "plain.json", "--mu-max", "5", "--points", "11"],
+    ],
+)
+def test_wide_paths_load_numpy(configs, argv):
+    # so that the test above cannot pass with a child that never ran
+    loaded, proc = loaded_in_child("numpy", "", argv, cwd=configs)
+    assert proc.returncode == 0, proc.stderr
+    assert loaded
+    if argv[0] == "scan":  # the grid and the values, on a model without nuisances
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "mu,value" and len(lines) == 12
+        assert lines[1] == "0,1"
+
+
+def test_one_point_bytes_do_not_depend_on_numpy(configs):
+    argv, outs = ["limit", "plain.json", "--method", "both", "--out", "o.json"], []
+    for code in ("", "import numpy"):
+        loaded, proc = loaded_in_child("numpy", code, argv, cwd=configs)
+        assert proc.returncode == 0 and loaded == bool(code), proc.stderr
+        outs.append((configs / "o.json").read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["rel_diff"] == 0
 
 
 def test_scipy_only_in_test_extra():

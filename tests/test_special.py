@@ -382,16 +382,8 @@ class TestPoissonCdf:
         # every count, and gamma_q's series at every a, take one try,
         # however long their table
         tries = []
-
-        class CountingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def arange(self, *args):
-                tries.append(args)
-                return np.arange(*args)
-
-        monkeypatch.setattr(special, "np", CountingNumpy())
+        arange = np.arange
+        monkeypatch.setattr(np, "arange", lambda *args: tries.append(args) or arange(*args))
         keys = [(route, n) for n in [*range(2001), 10000] for route in ("lower", "upper")]
         keys += [("gamma", float(a)) for a in [*range(1, 202), 1e5 + 1, 1e60, 1e300]]
         for key in keys:
@@ -733,6 +725,27 @@ def test_nan_is_refused_like_a_negative_mean(kernel, x):
     # poisson_cdf(3, nan) once returned 1.0, and [nan, -1.0] passed min() < 0
     with pytest.raises(ValueError, match="must be nonnegative"):
         kernel(x)
+
+
+@pytest.mark.parametrize(
+    ("kernel", "first", "at_2", "at_2_5"),
+    [
+        (poisson_cdf, 3, "0x1.b6d8e2def382cp-1", "0x1.83e104d812c50p-1"),
+        (gamma_q, 4, "0x1.b6d8e2def382ep-1", "0x1.83e104d812c52p-1"),
+        (log_poisson_pmf, 3, "-0x1.b65a77bb2c91ep+0", "-0x1.8afaa90d8cf50p+0"),
+    ],
+    ids=["poisson_cdf", "gamma_q", "log_poisson_pmf"],
+)
+def test_each_input_takes_its_branch(kernel, first, at_2, at_2_5):
+    # the kernels test for an array without importing numpy; with numpy
+    # loaded, every kind of input keeps its branch, its bits and its type
+    for x, want in ((2, at_2), (np.int64(2), at_2), (2.5, at_2_5), (np.float64(2.5), at_2_5)):
+        got = kernel(first, x)
+        assert type(got) is float and got.hex() == want
+    got = kernel(first, np.array(2.5))
+    assert type(got) is np.ndarray and got.shape == () and float(got).hex() == at_2_5
+    with pytest.raises(TypeError, match="not 'list'"):
+        kernel(first, [1.0, 2.0])
 
 
 def test_nan_shape_parameter_is_refused():
