@@ -57,6 +57,11 @@ __all__ = [
 # 239 at n_obs = 160). So the budget of 2**22 values (samples x
 # nuisances) keeps a limit under ~1 GB.
 _GH_MAX_POINTS = 2**20  # largest Gauss-Hermite tensor grid draw_samples builds
+# Largest grid draw_samples keeps for the life of the process, in values:
+# K x J nodes plus K weights, at most 512 KiB a grid. Node counts are in
+# [2, 64], so the grids within it are finite in number, 8.4 MiB if every
+# one were drawn; a larger grid is built on each call and not kept.
+_GH_CACHED_VALUES = 2**16
 _MC_MAX_VALUES = 2**22  # largest Monte Carlo set, samples x nuisances
 _SCAN_MAX_POINTS = 2**20  # longest strength grid the scan command tabulates
 
@@ -132,7 +137,10 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
     integrator is required. Gauss-Hermite with any non-normal prior is
     refused rather than run against the wrong measure, and so is a grid
     above ``2**20`` points or a Monte Carlo set above ``2**22`` values
-    (samples x nuisances).
+    (samples x nuisances). A Gauss-Hermite grid of at most ``2**16``
+    values (K x J nodes and K weights, 512 KiB) is built once per process
+    and kept read-only, 8.4 MiB at most for all such grids; the set's
+    arrays are its own, so writing into them changes no later draw.
     """
     import numpy as np
     n_nuis = len(systematics.nuisances)
@@ -152,6 +160,7 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
             key = np.array([integrator.seed, j], dtype=np.uint64)
             z[:, j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(k)
         weights = np.full(k, 1.0 / k)
+        weights /= np.sum(weights)
     else:
         points = integrator.nodes_per_dim**n_nuis
         if points > _GH_MAX_POINTS:
@@ -165,14 +174,11 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
                 f"gauss_hermite integration requires normal-family priors; "
                 f"offending nuisance(s): {bad}"
             )
-        nodes, w_norm = _hermite_rule(integrator.nodes_per_dim)
-        grids = np.meshgrid(*([nodes] * n_nuis), indexing="ij")
-        z = np.stack([g.ravel() for g in grids], axis=1)
-        w_grids = np.meshgrid(*([w_norm] * n_nuis), indexing="ij")
-        weights = np.ones(z.shape[0])
-        for g in w_grids:
-            weights *= g.ravel()
-    weights = weights / np.sum(weights)
+        if points * (n_nuis + 1) <= _GH_CACHED_VALUES:
+            z, weights = _hermite_grid_cached(integrator.nodes_per_dim, n_nuis)
+            weights = weights.copy()  # the set's own: the cache's is read-only and shared
+        else:
+            z, weights = _hermite_grid(integrator.nodes_per_dim, n_nuis)
     z = systematics.correlate(z)
     etas = np.empty_like(z)
     for j, nu in enumerate(systematics.nuisances):
@@ -185,7 +191,9 @@ def _hermite_rule(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights for the standard normal measure,
     read-only. ``hermgauss`` solves an eigenproblem (Golub & Welsch 1969),
     so each rule is built once per process; ``Integrator`` keeps the node
-    count in [2, 64]."""
+    count in [2, 64], so the cache pins at most 63 rules of at most 64
+    nodes and weights, about 32 KiB in all. The tensor grids built on it are
+    cached too, up to ``_GH_CACHED_VALUES`` (:func:`_hermite_grid_cached`)."""
     import numpy as np
     x, w = np.polynomial.hermite.hermgauss(nodes_per_dim)
     nodes = math.sqrt(2.0) * x
@@ -193,6 +201,30 @@ def _hermite_rule(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     w_norm.setflags(write=False)
     return nodes, w_norm
+
+
+def _hermite_grid(nodes_per_dim: int, n_nuis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor-product rule over ``n_nuis`` standard normals: the (K, J)
+    matrix of nodes, last column fastest, and the K weights, normalised."""
+    import numpy as np
+    nodes, w_norm = _hermite_rule(nodes_per_dim)
+    grids = np.meshgrid(*([nodes] * n_nuis), indexing="ij")
+    z = np.stack([g.ravel() for g in grids], axis=1)
+    weights = np.ones(z.shape[0])
+    for g in np.meshgrid(*([w_norm] * n_nuis), indexing="ij"):
+        weights *= g.ravel()
+    return z, weights / np.sum(weights)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_grid_cached(nodes_per_dim: int, n_nuis: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_hermite_grid`, built once per process and read-only. Only
+    grids of at most ``_GH_CACHED_VALUES`` values come here, so the keys
+    are finite and the cache pins at most 8.4 MiB (see there)."""
+    z, weights = _hermite_grid(nodes_per_dim, n_nuis)
+    z.setflags(write=False)
+    weights.setflags(write=False)
+    return z, weights
 
 
 def _check_mu(mu) -> float:
@@ -275,7 +307,13 @@ class _Criterion:
                 f"{_DENOMINATOR_NAMES[kernel]} = {self.den!r} at n_obs = {n}, {where}: "
                 f"the denominator is not a positive finite number, so the criterion is undefined"
             )
-        self.pmf_scale = s if kernel is _cls_terms else 1.0
+        # the factors of the slope and curvature terms, signs included, made
+        # once per criterion rather than per call (see __call__)
+        pmf_scale = s if kernel is _cls_terms else 1.0
+        self.d1_scale, self.d2_scale = (-s, s * s) if n == 0 else (-pmf_scale, -(s * pmf_scale))
+        # with every b > 0, x = mu*s + b > 0 at every mu >= 0: no lane needs
+        # the pmf's limit at x = 0
+        self.x_positive = w is None or float(b.min()) > 0.0
         self.log_factorial = math.lgamma(n + 1.0)
         # (mu, numerator terms, slope) of the last two calls, latest last: a
         # solve ends on one of its bracket's ends, which is most often the
@@ -292,11 +330,11 @@ class _Criterion:
             # pmf(0; x) = exp(-x) is the CLs term and s times the Bayes term:
             # the derivatives are -s and s^2 times the terms, and log c is
             # linear on a one-point set, with no second route to disagree
-            d1, d2 = -s * terms, (s * s) * terms
+            d1, d2 = self.d1_scale * terms, self.d2_scale * terms
         else:  # a kernel gives a pmf only where x > 0 on every lane
             pmf, dpmf = self.pmf_and_derivative(x) if pmf is None else (pmf, n * (pmf / x) - pmf)
-            d1 = -self.pmf_scale * pmf
-            d2 = -(s * self.pmf_scale) * dpmf
+            d1 = self.d1_scale * pmf
+            d2 = self.d2_scale * dpmf
         slope = self.mean(d1) / self.den
         self.recent = self.recent[1], (mu, terms, slope)
         return self.mean(terms) / self.den, slope, self.mean(d2) / self.den
@@ -325,12 +363,20 @@ class _Criterion:
             pmf = math.exp(n * math.log(x) - x - self.log_factorial)
             return pmf, n * (pmf / x) - pmf
         import numpy as np
-        zero = x == 0.0
-        safe = np.where(zero, 1.0, x)
-        pmf = np.exp(n * np.log(safe) - x - self.log_factorial)
-        dpmf = n * (pmf / safe) - pmf
-        pmf[zero] = float(n == 0)
-        dpmf[zero] = float(n == 1) - float(n == 0)
+        # lanes at x = 0 take the limits, on a set where some b is 0
+        zero = None if self.x_positive else x == 0.0
+        safe = x if zero is None else np.where(zero, 1.0, x)
+        pmf = np.log(safe)  # the formulas above, in place on two buffers
+        pmf *= n
+        pmf -= x
+        pmf -= self.log_factorial
+        np.exp(pmf, out=pmf)
+        dpmf = pmf / safe
+        dpmf *= n
+        dpmf -= pmf
+        if zero is not None:
+            pmf[zero] = float(n == 0)
+            dpmf[zero] = float(n == 1) - float(n == 0)
         return pmf, dpmf
 
     def mean(self, terms):
@@ -375,7 +421,10 @@ class _Criterion:
 def _criterion(model: CountingModel, kernel, samples: SampleSet | None = None) -> _Criterion:
     """The engine over ``samples``; with no set, or the one-point set of a
     model without nuisances, the engine on the nominal yields, as floats."""
-    if samples is None or samples.etas.shape == (1, 0) and samples.weights[0] == 1.0:
+    # a model with nuisances refuses the one-point set, as any set of the wrong shape
+    if samples is None or (
+        not model.has_systematics and samples.etas.shape == (1, 0) and samples.weights[0] == 1.0
+    ):
         return _Criterion(kernel, int(model.n_obs), float(model.s_nom), model.b_nom_total, None)
     s, b = yields_on_samples(model, samples.etas)
     return _Criterion(kernel, model.n_obs, s, b, samples.weights)

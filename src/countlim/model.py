@@ -275,8 +275,9 @@ def _response_product_columns(responses: Mapping[str, Response], names, etas: np
         if resp is None or resp.is_identity:
             continue
         f = resp.factor(etas[:, j])
-        bad = f < 0.0
-        if bad.any():
+        # only a linear factor can be negative: a log-normal one is exp(.) >= 0,
+        # and its overflow is refused by the caller's isfinite check
+        if resp.kind == "linear" and (bad := f < 0.0).any():
             k = int(np.argmax(bad))
             raise YieldError(
                 f"response {resp.kind!r} on nuisance {name!r} gives a negative factor "

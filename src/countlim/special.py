@@ -26,10 +26,13 @@ edge ends the series. ``gamma_q``'s continued fraction is evaluated
 backward, in both twins, from a depth set by a. So each wide lane's bits
 depend on (count, x) alone. A call whose lanes all take one route (one
 tail, or one of ``gamma_q``'s three) runs it on the whole array, with no
-masks, gathers or scatters, and the same bits. On the series the twins
-round differently (forms, and numpy's ``log`` and ``exp`` against the
-``math`` module's): by up to ~24 ulp at n <= 150 and 84 at n = 1e4 on
-random lanes (README), the ``gamma_q`` array forms being nearer mpmath.
+masks, gathers or scatters, and the same bits. Otherwise each route
+runs on its own lanes, gathered in order by one mask (``gamma_q``'s
+Temme lanes by two), once any lanes at 0 or inf are set apart. On the
+series the twins round differently (forms, and numpy's ``log`` and
+``exp`` against the ``math`` module's): by up to ~24 ulp at n <= 150
+and 84 at n = 1e4 on random lanes (README), the ``gamma_q`` array forms
+being nearer mpmath.
 On the fraction and Temme's route they differ only where numpy rounds a
 ``log`` or ``exp`` differently.
 
@@ -200,21 +203,33 @@ def _poisson_cdf_scalar(n: int, nu: float) -> float:
 
 def _poisson_cdf_array(n: int, nu: np.ndarray, lo: float, hi: float) -> np.ndarray:
     import numpy as np
-    if 0.0 < lo and hi < math.inf:  # every lane in one tail: no masks
-        if lo >= n:
-            return np.multiply(*_lower_tail_array(n, nu))
-        if hi < n:
-            # P(N > n) from k = n + 1: H_j z^j, z = x/(n + 1) < 1, H_j = prod_{i<=j} (n + 1)/(n + 1 + i)
-            sums = _series_sum(_series_table("upper", n), nu / (n + 1))
-            return 1.0 - np.exp((n + 1) * np.log(nu) - nu - math.lgamma(n + 2)) * sums
-    # else each tail's lanes, gathered, make a call of one route
-    finite = nu < np.inf
-    out = finite.astype(float)  # 1 at nu = 0, the limit 0 at nu = inf
-    positive = nu > 0.0
-    for tail in (positive & finite & (nu >= n), positive & (nu < n)):
-        if tail.any():
-            out[tail] = _poisson_cdf_array(n, x := nu[tail], float(x.min()), float(x.max()))
+    if not (0.0 < lo and hi < math.inf):
+        # 1 at nu = 0, the limit 0 at nu = inf; the other lanes, gathered,
+        # make a call with neither
+        finite = nu < np.inf
+        out = finite.astype(float)
+        rest = finite & (nu > 0.0)
+        if rest.any():
+            out[rest] = _poisson_cdf_array(n, x := nu[rest], float(x.min()), float(x.max()))
+        return out
+    if lo >= n:  # every lane in one tail: no masks
+        return np.multiply(*_lower_tail_array(n, nu))
+    if hi < n:
+        return _upper_tail_array(n, nu)
+    # lanes in both tails: each tail's lanes, gathered by one mask, in order
+    upper = nu < n
+    out = np.empty_like(nu)
+    out[upper] = _upper_tail_array(n, nu[upper])
+    lower = ~upper
+    out[lower] = np.multiply(*_lower_tail_array(n, nu[lower]))
     return out
+
+
+def _upper_tail_array(n: int, nu: np.ndarray) -> np.ndarray:
+    # P(N > n) from k = n + 1: H_j z^j, z = x/(n + 1) < 1, H_j = prod_{i<=j} (n + 1)/(n + 1 + i)
+    import numpy as np
+    sums = _series_sum(_series_table("upper", n), nu / (n + 1))
+    return 1.0 - np.exp((n + 1) * np.log(nu) - nu - math.lgamma(n + 2)) * sums
 
 
 def _poisson_cdf_and_pmf(n: int, nu):
@@ -431,28 +446,44 @@ def _upper_cf_scalar(a: float, x: float) -> float:
 
 def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     import numpy as np
+    if not (0.0 < lo and hi < math.inf):
+        # 1 at x = 0, the limit 0 at x = inf; the other lanes, gathered,
+        # make a call with neither
+        out = (x == 0.0).astype(float)
+        rest = (x > 0.0) & (x < np.inf)
+        if rest.any():
+            out[rest] = _gamma_q_array(a, sub := x[rest], float(sub.min()), float(sub.max()))
+        return out
     expands = a > _TEMME_MIN_A  # Temme's route takes 0.1 a <= x <= 2 a
-    if 0.0 < lo and hi < math.inf:  # every lane on one route: no masks
-        if expands and _TEMME_LO * a <= lo and hi <= _TEMME_HI * a:
-            return _temme_array(a, x)
-        bound, s = _series_bound(a)
-        if hi < bound:
-            # Q = 1 - the walk's terms x^j / ((a + 1)...(a + j)), a polynomial in
-            # x / s with factors s / (a + j): the coefficients, the cut and the
-            # sum are those in x
-            sums = _series_sum(_series_table("gamma", a), x / s)
-            return np.maximum(0.0, 1.0 - np.exp(a * np.log(x) - x - math.lgamma(a)) * sums / a)
-        if lo >= a + 1.0 and not (expands and lo <= _TEMME_HI * a):
-            return _upper_cf_array(a, x)
-    # else each route's lanes, gathered, make a call of one route
-    out = (x == 0.0).astype(float)  # 1 at x = 0, the limit 0 at x = inf
-    rest = (x > 0.0) & (x < np.inf)
-    temme = rest & (x >= _TEMME_LO * a) & (x <= _TEMME_HI * a) if expands else np.zeros_like(rest)
-    lower = rest & ~temme & (x < a + 1.0)
-    for route in (temme, lower, rest & ~temme & ~lower):
-        if route.any():
-            out[route] = _gamma_q_array(a, sub := x[route], float(sub.min()), float(sub.max()))
+    edge = _series_bound(a)[0]  # the series takes x < edge, the fraction the rest
+    top = _TEMME_HI * a
+    # every lane on one route: no masks
+    if hi < edge:
+        return _lower_series_array(a, x)
+    if (lo > top) if expands else (lo >= edge):
+        return _upper_cf_array(a, x)
+    if expands and edge <= lo and hi <= top:
+        return _temme_array(a, x)
+    # lanes on more than one route: each route's lanes, gathered, in order
+    series = x < edge
+    fraction = x > top if expands else ~series
+    routes = [(_lower_series_array, series), (_upper_cf_array, fraction)]
+    if expands:
+        routes.append((_temme_array, ~(series | fraction)))
+    out = np.empty_like(x)
+    for route, lanes in routes:
+        if lanes.any():
+            out[lanes] = route(a, x[lanes])
     return out
+
+
+def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
+    # Q = 1 - the walk's terms x^j / ((a + 1)...(a + j)), a polynomial in
+    # x / s with factors s / (a + j): the coefficients, the cut and the
+    # sum are those in x
+    import numpy as np
+    sums = _series_sum(_series_table("gamma", a), x / _series_bound(a)[1])
+    return np.maximum(0.0, 1.0 - np.exp(a * np.log(x) - x - math.lgamma(a)) * sums / a)
 
 
 def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:

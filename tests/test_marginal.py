@@ -33,6 +33,7 @@ from countlim import (
 )
 from countlim import marginal, special
 from countlim.marginal import (
+    _GH_CACHED_VALUES,
     _GH_MAX_POINTS,
     _MC_MAX_VALUES,
     _Criterion,
@@ -49,6 +50,19 @@ from helpers import bg_systematic_model, identity_systematic_model, plain_model,
 # quadrature limit (pull -1.2 sigma), then frozen.
 PIN_HYBRID_MC_1E5 = 6.365512683226769
 REF_HYBRID_GH32 = 6.366309056359327
+
+
+def _correlated_model():
+    """Two correlated normal nuisances on one log-normal background."""
+    return CountingModel(
+        s_nom=1.0,
+        backgrounds=(BackgroundProcess("bkg", 1.5, {"a": Response.log_normal(1.2), "b": Response.log_normal(1.1)}),),
+        n_obs=3,
+        systematics=SystematicsModel(
+            nuisances=(Nuisance("a", Prior.standard_normal()), Nuisance("b", Prior.normal(0.5, 2.0))),
+            correlation=np.array([[1.0, 0.4], [0.4, 1.0]]),
+        ),
+    )
 
 
 def cdf_oracle(n, nu):
@@ -239,6 +253,7 @@ class TestDrawSamples:
 
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
         marginal._hermite_rule.cache_clear()
+        marginal._hermite_grid_cached.cache_clear()
         for nodes, model in ((16, identity_systematic_model(n_nuisances=2)), (32, signal_systematic_model())):
             first, second = (draw_samples(model.systematics, Integrator.gauss_hermite(nodes)) for _ in range(2))
             assert np.array_equal(first.etas, second.etas)
@@ -251,10 +266,14 @@ class TestDrawSamples:
             (16, bg_systematic_model()),
             (16, identity_systematic_model(n_nuisances=2)),
             (32, signal_systematic_model()),
+            (16, _correlated_model()),
+            *((16, identity_systematic_model(n_nuisances=j)) for j in (1, 3)),
+            *((32, identity_systematic_model(n_nuisances=j)) for j in (1, 2, 3)),
         ],
     )
     def test_cached_rule_gives_the_uncached_sample_set(self, nodes, model):
-        # the set as built from a freshly solved rule on every call, bit for bit
+        # the set as built from a freshly solved rule and meshgrid on every
+        # call, bit for bit; 32^3 points are above the cache's cap
         x, w = np.polynomial.hermite.hermgauss(nodes)
         n_nuis = len(model.systematics.nuisances)
         grids = np.meshgrid(*([math.sqrt(2.0) * x] * n_nuis), indexing="ij")
@@ -269,6 +288,46 @@ class TestDrawSamples:
             samples = draw_samples(model.systematics, Integrator.gauss_hermite(nodes))
             assert np.array_equal(samples.etas, etas)
             assert np.array_equal(samples.weights, weights / np.sum(weights))
+
+    @pytest.mark.parametrize("model", [identity_systematic_model(n_nuisances=2), _correlated_model()])
+    def test_writing_into_a_set_changes_no_later_draw(self, model):
+        integrator = Integrator.gauss_hermite(16)
+        first = draw_samples(model.systematics, integrator)
+        etas, weights = first.etas.copy(), first.weights.copy()
+        first.etas[...] = -1.0
+        first.weights[...] = 7.0
+        second = draw_samples(model.systematics, integrator)
+        assert np.array_equal(second.etas, etas)
+        assert np.array_equal(second.weights, weights)
+
+    def test_grid_above_the_cap_is_built_and_not_kept(self):
+        # 32^3 points and their weights are 4 x 32768 values > 2^16
+        assert 32**3 * 4 > _GH_CACHED_VALUES >= 16**3 * 4
+        model = identity_systematic_model(n_nuisances=3)
+        marginal._hermite_grid_cached.cache_clear()
+        big = draw_samples(model.systematics, Integrator.gauss_hermite(32))
+        assert marginal._hermite_grid_cached.cache_info().currsize == 0
+        assert big.etas.shape == (32**3, 3) and math.fsum(big.weights) == pytest.approx(1.0, rel=1e-15)
+        # integrates second moments exactly, as the grid must
+        assert float(np.sum(big.weights * big.etas[:, 2] ** 2)) == pytest.approx(1.0, rel=1e-13)
+        draw_samples(model.systematics, Integrator.gauss_hermite(16))
+        assert marginal._hermite_grid_cached.cache_info().currsize == 1
+
+    def test_cached_grids_are_read_only_and_bounded(self):
+        z, weights = marginal._hermite_grid_cached(16, 2)
+        for grid in (z, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0] = 0.0
+        # every grid the cache may keep, over the node counts Integrator
+        # accepts and every J, pins under the documented 8.4 MiB in all
+        kept = [
+            nodes**j * (j + 1)
+            for nodes in range(2, 65)
+            for j in range(1, 21)
+            if nodes**j * (j + 1) <= _GH_CACHED_VALUES
+        ]
+        assert 8 * sum(kept) <= 8.43 * 2**20
+        assert max(kept) * 8 <= 512 * 2**10
 
     def test_log_normal_prior_samples_positive(self):
         m = bg_systematic_model(prior=Prior.log_normal(0.0, 0.5))
@@ -496,6 +555,86 @@ class TestPmfFromTheKernel:
             terms, pmf = _cls_terms(160, 10.0, x)
             assert pmf is None
             assert np.array_equal(terms, poisson_cdf(160, x))
+
+
+class TestPmfWithoutMasks:
+    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    @pytest.mark.parametrize(
+        ("model", "integrator"),
+        [
+            (bg_systematic_model(s=10.0, b=150.0, n_obs=160, kappa=1.05), Integrator.monte_carlo(2000, 1)),
+            (bg_systematic_model(n_obs=3), Integrator.gauss_hermite(16)),
+            (signal_systematic_model(n_obs=1), Integrator.gauss_hermite(32)),
+        ],
+    )
+    def test_positive_lanes_give_the_masked_formula(self, kernel, model, integrator):
+        # every b > 0, so no lane of x = mu*s + b is 0 and no mask is made
+        crit = _criterion(model, kernel, draw_samples(model.systematics, integrator))
+        assert crit.x_positive
+        n = model.n_obs
+        for mu in (0.0, 0.5, 3.0, 40.0):
+            x = mu * crit.s + crit.b
+            zero = x == 0.0
+            safe = np.where(zero, 1.0, x)
+            pmf = np.exp(n * np.log(safe) - x - math.lgamma(n + 1.0))
+            dpmf = n * (pmf / safe) - pmf
+            pmf[zero] = float(n == 0)
+            dpmf[zero] = float(n == 1) - float(n == 0)
+            got_pmf, got_dpmf = crit.pmf_and_derivative(x)
+            assert got_pmf.tolist() == pmf.tolist()
+            assert got_dpmf.tolist() == dpmf.tolist()
+
+    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    @pytest.mark.parametrize("n_obs", [0, 1, 2, 5])
+    def test_zero_background_lane_takes_the_limit(self, kernel, n_obs):
+        # a linear background response reaches 0 at eta = -2, the first
+        # lane: there x = 0 at mu = 0, and the pmf and its derivative take
+        # their limits, with no RuntimeWarning (the suite turns them into errors)
+        m = CountingModel(
+            s_nom=1.0,
+            backgrounds=(BackgroundProcess("b", 1.5, {"a": Response.linear(0.5)}),),
+            n_obs=n_obs,
+            systematics=SystematicsModel(nuisances=(Nuisance("a", Prior.standard_normal()),)),
+        )
+        samples = SampleSet(np.linspace(-2.0, 2.0, 64)[:, None], np.full(64, 1.0 / 64))
+        crit = _criterion(m, kernel, samples)
+        assert crit.b[0] == 0.0 and not crit.x_positive
+        pmf, dpmf = crit.pmf_and_derivative(crit.b)
+        assert (pmf[0], dpmf[0]) == (float(n_obs == 0), float(n_obs == 1) - float(n_obs == 0))
+        rest = crit.b[1:]
+        assert pmf[1:].tolist() == np.exp(n_obs * np.log(rest) - rest - math.lgamma(n_obs + 1.0)).tolist()
+        value, slope, curvature = crit(0.0)
+        assert value == 1.0 and math.isfinite(slope) and math.isfinite(curvature)
+        # the masked path is the one-point formula on every lane
+        for k in (0, 17, 63):
+            one = _criterion(plain_model(s=1.0, b=float(crit.b[k]), n_obs=n_obs), kernel)
+            assert (pmf[k], dpmf[k]) == pytest.approx(one.pmf_and_derivative(float(crit.b[k])), rel=1e-14)
+
+
+class TestNominalPointSet:
+    # draw_samples(SystematicsModel(), None), one empty point of weight 1,
+    # stands for the nominal yields of a model without nuisances only
+    CALLS = {
+        "hybrid_cls": lambda m, samples: hybrid_cls(m, 2.0, samples),
+        "marginal_posterior_tail": lambda m, samples: marginal_posterior_tail(m, 2.0, samples),
+        "hybrid_cls_upper_limit": lambda m, samples: hybrid_cls_upper_limit(m, LimitRequest(0.05), None, samples),
+        "bayesian_marginal_upper_limit": lambda m, samples: bayesian_marginal_upper_limit(
+            m, LimitRequest(0.05), None, samples
+        ),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_model_with_nuisances_refuses_a_set_without_them(self, call, points):
+        one_point = draw_samples(SystematicsModel(), None)
+        samples = one_point if points == 1 else SampleSet(np.zeros((2, 0)), np.full(2, 0.5))
+        with pytest.raises(ValueError, match=rf"etas has shape \({points}, 0\), expected \(K, 1\)"):
+            self.CALLS[call](bg_systematic_model(kappa=1.5), samples)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_model_without_nuisances_takes_its_floats(self, call):
+        m = plain_model()
+        assert self.CALLS[call](m, draw_samples(m.systematics, None)) == self.CALLS[call](m, None)
 
 
 class TestUpperLimits:

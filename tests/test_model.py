@@ -172,6 +172,25 @@ class TestVectorisedYields:
             yields_on_samples(m, etas)
         assert err.value.sample_index == 2
 
+    @pytest.mark.parametrize("label", ["signal", "background 'bkg'"])
+    def test_linear_factor_crossing_zero_beside_log_normal_is_refused(self, label):
+        # only linear factors are scanned for a sign; a log-normal factor on
+        # the same yield, whatever its size, does not hide the crossing
+        resp = {"a": Response.log_normal(1.5), "b": Response.linear(0.25)}
+        m = model_with(
+            signal_responses=resp if label == "signal" else None,
+            bkg_responses={"bkg": resp} if label != "signal" else None,
+            nuisances=[Nuisance("a", Prior.standard_normal()), Nuisance("b", Prior.standard_normal())],
+        )
+        etas = np.array([[0.0, 0.0], [2.0, -4.0], [-3.0, -3.0], [1.0, -4.5], [0.0, -5.0]])
+        with pytest.raises(YieldError, match=f"factor for {label} at sample 3") as err:
+            yields_on_samples(m, etas)
+        assert err.value.sample_index == 3
+        assert err.value.eta.tolist() == [1.0, -4.5]
+        # at -4 the factor is 0: a zero yield, not an error
+        s, b = yields_on_samples(m, etas[:3])
+        assert (s if label == "signal" else b)[1] == 0.0
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_zero_times_overflowed_factor_is_refused(self):

@@ -803,22 +803,53 @@ _ONE_ROUTE = {
 }
 
 
-@pytest.mark.parametrize("route", sorted(_ONE_ROUTE))
-def test_one_route_call_is_the_same_lanes_of_a_mixed_call(route):
-    # a wide call whose lanes all take one route runs it on the whole array,
-    # with no masks; a mixed call gathers the same lanes, in the same order,
-    # beside 0, inf and lanes of the other routes, and must give their bits
-    kernel, first, lo, hi = _ONE_ROUTE[route]
-    rng = np.random.default_rng(len(route))
-    lanes = np.append(rng.uniform(lo, hi, 300), [lo, hi])
-    others = [0.0, math.inf]
-    for k, f, l, h in _ONE_ROUTE.values():
-        if k is kernel and f == first and (l, h) != (lo, hi):
-            others.extend(rng.uniform(l, h, 50).tolist())
+def _mixed_call(rng, lanes, others):
+    # lanes and others in one array, the lanes at sorted random places
     mixed = np.empty(lanes.size + len(others))
     at = np.sort(rng.choice(mixed.size, lanes.size, replace=False))
     mixed[at] = lanes
     mixed[np.setdiff1d(np.arange(mixed.size), at)] = rng.permutation(others)
+    return mixed, at
+
+
+@pytest.mark.parametrize("ends", [[0.0, math.inf], []], ids=["with 0 and inf", "positive and finite"])
+@pytest.mark.parametrize("route", sorted(_ONE_ROUTE))
+def test_one_route_call_is_the_same_lanes_of_a_mixed_call(route, ends):
+    # a wide call whose lanes all take one route runs it on the whole array,
+    # with no masks; a mixed call gathers the same lanes, in the same order,
+    # beside lanes of the other routes (and 0 and inf, whose lanes it
+    # gathers out first), and must give their bits
+    kernel, first, lo, hi = _ONE_ROUTE[route]
+    rng = np.random.default_rng(len(route))
+    lanes = np.append(rng.uniform(lo, hi, 300), [lo, hi])
+    others = list(ends)
+    for k, f, l, h in _ONE_ROUTE.values():
+        if k is kernel and f == first and (l, h) != (lo, hi):
+            others.extend(rng.uniform(l, h, 50).tolist())
+    mixed, at = _mixed_call(rng, lanes, others)
+    assert kernel(first, lanes).tolist() == kernel(first, mixed)[at].tolist()
+
+
+_ROUTE_PAIRS = [
+    (route, other)
+    for route, (kernel, first, _, _) in sorted(_ONE_ROUTE.items())
+    for other, (k, f, _, _) in sorted(_ONE_ROUTE.items())
+    if other != route and k is kernel and f == first
+]
+
+
+@pytest.mark.parametrize(("route", "other"), _ROUTE_PAIRS)
+def test_one_route_call_is_the_same_lanes_of_a_two_route_call(route, other):
+    # both Poisson tails; gamma_q's series and fraction at a <= 20; and at
+    # a > 20 Temme's route beside the series or the fraction (and those
+    # two): lanes all positive and finite, so each route's lanes are
+    # gathered by one mask and that route runs on them directly
+    kernel, first, lo, hi = _ONE_ROUTE[route]
+    _, _, other_lo, other_hi = _ONE_ROUTE[other]
+    rng = np.random.default_rng(len(route) + 7 * len(other))
+    lanes = np.append(rng.uniform(lo, hi, 300), [lo, hi])
+    mixed, at = _mixed_call(rng, lanes, rng.uniform(other_lo, other_hi, 60).tolist() + [other_lo, other_hi])
+    assert 0.0 < mixed.min() and mixed.max() < math.inf
     assert kernel(first, lanes).tolist() == kernel(first, mixed)[at].tolist()
 
 
