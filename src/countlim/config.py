@@ -59,6 +59,12 @@ def _require_number(node, path: str) -> float:
         raise ConfigError(f"{path}: expected a finite number, got {node!r}")
     return value
 
+def _require_yield(node, path: str) -> float:
+    value = _require_number(node, path)
+    if value < 0.0:
+        raise ConfigError(f"{path}: must be nonnegative, got {value}")
+    return value
+
 def _require_int(node, path: str) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
         raise ConfigError(f"{path}: expected an integer, got {node!r}")
@@ -135,7 +141,7 @@ def parse_model(doc) -> CountingModel:
 
     signal = _require_mapping(_take(doc, "signal", ""), "signal")
     _reject_unknown(signal, {"nominal", "responses"}, "signal")
-    s_nom = _require_number(_take(signal, "nominal", "signal"), "signal.nominal")
+    s_nom = _require_yield(_take(signal, "nominal", "signal"), "signal.nominal")
     signal_responses = _parse_responses(signal.get("responses", {}), "signal.responses")
 
     backgrounds = []
@@ -146,7 +152,7 @@ def parse_model(doc) -> CountingModel:
         backgrounds.append(
             BackgroundProcess(
                 name=_require_str(_take(bnode, "name", path), f"{path}.name"),
-                b_nom=_require_number(_take(bnode, "nominal", path), f"{path}.nominal"),
+                b_nom=_require_yield(_take(bnode, "nominal", path), f"{path}.nominal"),
                 responses=_parse_responses(bnode.get("responses", {}), f"{path}.responses"),
             )
         )

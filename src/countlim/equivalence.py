@@ -5,7 +5,8 @@ signal responses are all identity the two criteria are the same function
 of the strength parameter and the limits must coincide to solver
 precision. A genuinely uncertain signal breaks that cancellation and the
 limits are expected to differ; the size of the gap is model-dependent and
-is reported, never thresholded.
+is reported, never thresholded. :func:`compare_limits` and the CLI's
+``limit --method both`` run one paired solve, ``_paired_limits``.
 """
 
 from __future__ import annotations
@@ -13,19 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .exceptions import ModelError
-from .marginal import (
-    _CLS_UNDEFINED,
-    Integrator,
-    SampleSet,
-    _bayes_terms,
-    _cls_terms,
-    _Criterion,
-    _criterion,
-    _marginal_limit,
-    _solve,
-    draw_samples,
-)
+from .marginal import Integrator, SampleSet, _bayes_terms, _cls_terms, _Criterion, _criterion, _limit, _solve, _takes_mc_error
 from .model import CountingModel
 from .solver import LimitRequest
 
@@ -58,18 +47,19 @@ class EquivalenceReport:
         return asdict(self)
 
 
-def _cls_limit_and_bayes_criterion(model, req, integrator, samples, bayes_samples=None):
-    """The hybrid CLs limit on ``samples`` and the marginal Bayesian criterion,
-    on the same yields (the criteria differ only in their kernel) or on
-    ``bayes_samples``' own, for a solve started at the CLs root."""
-    # CLs is 1 at every mu: refused as by hybrid_cls_upper_limit
-    if model.s_nom == 0.0:
-        raise ModelError(_CLS_UNDEFINED)
-    crit = _criterion(model, _cls_terms, samples)
-    res_cls = _marginal_limit(crit, req, integrator)
+def _paired_limits(model, req, integrator, bayes_samples=None, bayes_error=False):
+    """The hybrid CLs limit, the marginal Bayesian limit solved from the
+    CLs root on the same yields or on ``bayes_samples``' own (see
+    :func:`compare_limits`), and their ``rel_diff``, |a - b| / max(a, b).
+    ``bayes_error`` adds the Bayesian Monte Carlo error."""
+    res_cls, crit, samples = _limit(model, _cls_terms, req, integrator)
     if bayes_samples is None:
-        return res_cls, _Criterion(_bayes_terms, crit.n, crit.s, crit.b, crit.w)
-    return res_cls, _criterion(model, _bayes_terms, bayes_samples)
+        crit = _Criterion(_bayes_terms, crit.n, crit.s, crit.b, crit.w)
+    else:
+        crit, samples = _criterion(model, _bayes_terms, bayes_samples), bayes_samples
+    res_bayes = _solve(crit, req, bayes_error and _takes_mc_error(integrator, samples), start=res_cls.mu_up)
+    a, b = res_cls.mu_up, res_bayes.mu_up
+    return res_cls, res_bayes, abs(a - b) / max(a, b)
 
 
 def compare_limits(
@@ -103,11 +93,7 @@ def compare_limits(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
-    samples = draw_samples(model.systematics, integrator) if model.has_systematics else None
-    res_cls, crit = _cls_limit_and_bayes_criterion(model, req, integrator, samples, bayes_samples)
-    res_bayes = _solve(crit, req, start=res_cls.mu_up)
-    a, b = res_cls.mu_up, res_bayes.mu_up
-    rel_diff = abs(a - b) / max(a, b)
+    res_cls, res_bayes, rel_diff = _paired_limits(model, req, integrator, bayes_samples)
     signal_uncertain = not model.signal_is_certain
     if rel_diff <= tol:
         verdict = VERDICT_EQUIVALENT
@@ -116,8 +102,8 @@ def compare_limits(
     else:
         verdict = VERDICT_UNEXPECTED
     return EquivalenceReport(
-        mu_up_cls=a,
-        mu_up_bayes=b,
+        mu_up_cls=res_cls.mu_up,
+        mu_up_bayes=res_bayes.mu_up,
         rel_diff=rel_diff,
         signal_uncertain=signal_uncertain,
         verdict=verdict,

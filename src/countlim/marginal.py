@@ -18,6 +18,9 @@ None)`` of a model without nuisances give CLs, CLs+b, CLb and the
 closed-form posterior density. The limits of a model without nuisances
 draw no set, and run on its floats; numpy is imported where first needed.
 
+Every marginal limit takes one path, ``_limit``, which refuses a zero
+signal, draws the set and decides on the Monte Carlo error, once.
+
 Reductions over samples go through ``np.add.reduce``, ``np.sum``'s pairwise
 sum without its dispatch, whose tree over a fixed (declaration) sample
 order keeps results reproducible and independent of any parallelism.
@@ -493,11 +496,6 @@ def _solve(
     )
 
 
-def _marginal_limit(crit: _Criterion, req, integrator, start=None) -> LimitResult:
-    monte_carlo = integrator is not None and integrator.kind == "monte_carlo"
-    return _solve(crit, req, monte_carlo and crit.w is not None and crit.w.size >= 2, start)
-
-
 def hybrid_cls(model: CountingModel, mu: float, samples: SampleSet) -> float:
     """Marginalised CLs: averaged tail sums, one sample set for both the
     signal-plus-background numerator and the background-only denominator.
@@ -553,6 +551,24 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, 
     return values, stderrs
 
 
+def _takes_mc_error(integrator: Integrator | None, samples: SampleSet | None) -> bool:
+    """A limit or scan takes a Monte Carlo error on a Monte Carlo set of 2 or more samples."""
+    return integrator is not None and integrator.kind == "monte_carlo" and samples is not None and len(samples) >= 2
+
+
+def _limit(model: CountingModel, kernel, req: LimitRequest, integrator: Integrator | None, samples: SampleSet | None = None):
+    """The limit, its criterion and its set. A zero nominal signal is
+    refused with the method's message before any set is drawn; the set is
+    drawn when the model has nuisances and none was passed; the Monte
+    Carlo error is taken where :func:`_takes_mc_error` says so."""
+    if model.s_nom == 0.0:
+        raise ModelError(_CLS_UNDEFINED if kernel is _cls_terms else _POSTERIOR_IMPROPER)
+    if samples is None and model.has_systematics:
+        samples = draw_samples(model.systematics, integrator)
+    crit = _criterion(model, kernel, samples)
+    return _solve(crit, req, _takes_mc_error(integrator, samples)), crit, samples
+
+
 def hybrid_cls_upper_limit(
     model: CountingModel,
     req: LimitRequest,
@@ -565,11 +581,7 @@ def hybrid_cls_upper_limit(
     pass ``samples`` to share the set with another method. A model without
     nuisances needs no integrator and gives the exact CLs limit.
     """
-    if model.s_nom == 0.0:
-        raise ModelError(_CLS_UNDEFINED)
-    if samples is None and model.has_systematics:
-        samples = draw_samples(model.systematics, integrator)
-    return _marginal_limit(_criterion(model, _cls_terms, samples), req, integrator)
+    return _limit(model, _cls_terms, req, integrator, samples)[0]
 
 
 def bayesian_marginal_upper_limit(
@@ -581,8 +593,4 @@ def bayesian_marginal_upper_limit(
     """Root of the marginal posterior tail at ``req.alpha`` (uniform
     strength prior), sharing ``samples`` with the hybrid method when given.
     A model without nuisances gives the closed-form credible limit."""
-    if model.s_nom == 0.0:
-        raise ModelError(_POSTERIOR_IMPROPER)
-    if samples is None and model.has_systematics:
-        samples = draw_samples(model.systematics, integrator)
-    return _marginal_limit(_criterion(model, _bayes_terms, samples), req, integrator)
+    return _limit(model, _bayes_terms, req, integrator, samples)[0]

@@ -1,7 +1,8 @@
-"""Shared model builders for the test suite, and the environment of a
-child interpreter."""
+"""Shared model builders for the test suite, a spy on the sample draws,
+and the environment of a child interpreter."""
 
 import os
+import sys
 from pathlib import Path
 
 from countlim import (
@@ -57,6 +58,27 @@ def identity_systematic_model(s=1.0, b=1.5, n_obs=3, n_nuisances=1):
         n_obs=n_obs,
         systematics=SystematicsModel(nuisances=nuisances),
     )
+
+
+def spy_on_draws(monkeypatch):
+    """The list of ``draw_samples`` calls made from now on, one entry of
+    arguments per call. Every countlim module's name for the function is
+    replaced, as perfbench's tracer does, so a draw is counted wherever it
+    is made from."""
+    from countlim import marginal
+
+    draw, calls = marginal.draw_samples, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "countlim" or name.startswith("countlim."):
+            for key, value in list(vars(module).items()):
+                if value is draw:
+                    monkeypatch.setattr(module, key, spy)
+    return calls
 
 
 def src_env():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from countlim import marginal, special
+from countlim import Integrator, LimitRequest, compare_limits, marginal, special
 from countlim.cli import cli
-from helpers import src_env
+from countlim.config import load_model
+from helpers import spy_on_draws, src_env
 
 MINIMAL = {"signal": {"nominal": 1.0}, "backgrounds": [], "n_obs": 0}
 
@@ -35,6 +36,8 @@ SIG_SYST = {
     "nuisances": [{"name": "sscale", "prior": {"kind": "standard_normal"}}],
     "n_obs": 3,
 }
+
+PLAIN = {"signal": {"nominal": 1.0}, "backgrounds": [{"name": "bkg", "nominal": 1.5}], "n_obs": 3}
 
 
 @pytest.fixture
@@ -321,6 +324,58 @@ class TestScanCommand:
         assert runner.invoke(cli, args + ["--out", str(out1)]).exit_code == 0
         assert runner.invoke(cli, args + ["--out", str(out2)]).exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestOnePathToTheLimits:
+    # `limit --method both` and compare_limits run one paired solve; every
+    # limit draws its set once, in the library, after the zero-signal check
+    @pytest.mark.parametrize(
+        ("doc", "args", "integrator"),
+        [
+            (BG_SYST, ["--samples", "3000", "--seed", "5"], Integrator.monte_carlo(3000, 5)),
+            (SIG_SYST, ["--integrator", "gh", "--nodes", "12"], Integrator.gauss_hermite(12)),
+            (PLAIN, [], Integrator.monte_carlo(10000, 0)),
+        ],
+        ids=["monte carlo", "gauss-hermite", "plain"],
+    )
+    def test_both_prints_the_compare_limits_pair(self, runner, tmp_path, doc, args, integrator):
+        cfg = write_config(tmp_path, doc)
+        result = runner.invoke(cli, ["limit", cfg, "--method", "both", *args])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        report = compare_limits(load_model(cfg), LimitRequest(alpha=payload["alpha"]), integrator)
+        cls, bayes = payload["results"]["cls"], payload["results"]["bayes"]
+        # 17 significant digits round-trip a double, so == is bit for bit
+        assert (cls["mu_up"], bayes["mu_up"], payload["rel_diff"]) == (
+            report.mu_up_cls, report.mu_up_bayes, report.rel_diff
+        )
+        assert cls["mu_up_stderr"] == report.mc_stderr
+
+    @pytest.mark.parametrize("method", ["cls", "bayes", "both"])
+    @pytest.mark.parametrize(("doc", "draws"), [(BG_SYST, 1), (PLAIN, 0)], ids=["monte carlo", "plain"])
+    def test_a_limit_draws_its_set_once(self, runner, tmp_path, monkeypatch, method, doc, draws):
+        calls = spy_on_draws(monkeypatch)
+        cfg = write_config(tmp_path, doc)
+        result = runner.invoke(cli, ["limit", cfg, "--method", method, "--samples", "500"])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == draws
+
+    @pytest.mark.parametrize(
+        ("method", "message"),
+        [
+            ("cls", "nominal signal yield is zero; the CLs limit is undefined"),
+            ("bayes", "nominal signal yield is zero; the posterior for mu is improper"),
+            ("both", "nominal signal yield is zero; the CLs limit is undefined"),
+        ],
+        ids=["cls", "bayes", "both"],
+    )
+    def test_zero_signal_exits_one_before_a_set_is_drawn(self, runner, tmp_path, monkeypatch, method, message):
+        calls = spy_on_draws(monkeypatch)
+        cfg = write_config(tmp_path, {**BG_SYST, "signal": {"nominal": 0.0}})
+        result = runner.invoke(cli, ["limit", cfg, "--method", method])
+        assert result.exit_code == 1
+        assert result.output == f"error: {message}\n"
+        assert calls == []
 
 
 class TestEquivalenceCommand:

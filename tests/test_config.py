@@ -85,6 +85,35 @@ class TestParse:
         with pytest.raises(ConfigError, match="n_obs"):
             parse_model({"signal": {"nominal": 1.0}, "n_obs": -1})
 
+    @pytest.mark.parametrize(
+        ("doc", "path"),
+        [
+            ({"signal": {"nominal": -1.0}, "backgrounds": [{"name": "b", "nominal": 1.0}], "n_obs": 1}, "signal"),
+            ({"signal": {"nominal": 1.0}, "backgrounds": [{"name": "b", "nominal": -1.0}], "n_obs": 1}, r"backgrounds\[0\]"),
+            (
+                {"signal": {"nominal": 1.0}, "backgrounds": [{"name": "a", "nominal": 1.0}, {"name": "b", "nominal": -2}],
+                 "n_obs": 1},
+                r"backgrounds\[1\]",
+            ),
+        ],
+        ids=["signal", "background", "second background"],
+    )
+    def test_negative_nominal_yield_is_a_path_qualified_config_error(self, doc, path):
+        with pytest.raises(ConfigError, match=rf"^{path}\.nominal: must be nonnegative, got -[12]\.0$"):
+            parse_model(doc)
+
+    def test_negative_nominal_yield_exits_1(self, tmp_path):
+        from click.testing import CliRunner
+
+        from countlim.cli import cli
+
+        for doc in ({"signal": {"nominal": -1.0}, "n_obs": 1},
+                    {"signal": {"nominal": 1.0}, "backgrounds": [{"name": "b", "nominal": -1.0}], "n_obs": 1}):
+            cfg = tmp_path / "model.json"
+            cfg.write_text(json.dumps(doc), encoding="utf-8")
+            result = CliRunner().invoke(cli, ["limit", str(cfg)])
+            assert result.exit_code == 1 and "nominal: must be nonnegative" in result.output
+
     def test_bad_parameter_values(self):
         doc = json.loads(json.dumps(FULL))
         doc["signal"]["responses"]["jes"]["kappa"] = -2.0

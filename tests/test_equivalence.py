@@ -7,12 +7,15 @@ from countlim import (
     CountingModel,
     Integrator,
     LimitRequest,
+    ModelError,
     Nuisance,
     Prior,
     Response,
     SystematicsModel,
+    bayesian_marginal_upper_limit,
     compare_limits,
     draw_samples,
+    hybrid_cls_upper_limit,
 )
 from countlim import marginal
 from countlim.equivalence import (
@@ -20,7 +23,7 @@ from countlim.equivalence import (
     VERDICT_EXPECTED,
     VERDICT_UNEXPECTED,
 )
-from helpers import bg_systematic_model, plain_model, signal_systematic_model
+from helpers import bg_systematic_model, plain_model, signal_systematic_model, spy_on_draws
 
 
 def test_no_systematics_equivalent():
@@ -68,6 +71,24 @@ def test_broken_sample_sharing_is_flagged():
     )
     assert report.verdict == VERDICT_UNEXPECTED
     assert not report.signal_uncertain
+
+
+@pytest.mark.parametrize(
+    ("limit", "message"),
+    [
+        (hybrid_cls_upper_limit, "nominal signal yield is zero; the CLs limit is undefined"),
+        (bayesian_marginal_upper_limit, "nominal signal yield is zero; the posterior for mu is improper"),
+        (compare_limits, "nominal signal yield is zero; the CLs limit is undefined"),
+    ],
+    ids=["hybrid_cls_upper_limit", "bayesian_marginal_upper_limit", "compare_limits"],
+)
+@pytest.mark.parametrize("integrator", [Integrator.monte_carlo(1000, 2), Integrator.gauss_hermite(8)], ids=["mc", "gh"])
+def test_zero_signal_is_refused_before_a_set_is_drawn(monkeypatch, limit, message, integrator):
+    draws = spy_on_draws(monkeypatch)
+    with pytest.raises(ModelError) as err:
+        limit(bg_systematic_model(s=0.0), LimitRequest(alpha=0.05), integrator)
+    assert str(err.value) == message
+    assert draws == []
 
 
 @pytest.fixture

@@ -157,10 +157,8 @@ def test_public_api_is_pinned():
 
 
 def test_names_the_benchmark_uses_resolve():
-    # perfbench imports these and wraps its LAYERS targets by name, so a
-    # deletion that breaks the benchmark fails here first
-    import importlib.util
-
+    # perfbench imports these, so a deletion that breaks the benchmark
+    # fails here first
     import countlim
     import countlim.config
     import countlim.marginal
@@ -169,12 +167,22 @@ def test_names_the_benchmark_uses_resolve():
                  "cls_upper_limit", "bayesian_upper_limit_closed_form", "compare_limits"):
         assert callable(getattr(countlim, name))
     assert callable(countlim.config.parse_model)
+    # the tracer counts the rows of a drawn set with len()
+    assert len(countlim.marginal.draw_samples(countlim.SystematicsModel(), None)) == 1
+
+
+def test_tracer_layers_are_defined_in_their_home_modules():
+    # perfbench's tracer wraps each function of its LAYERS by identity and
+    # silently leaves a missing one's metrics out: a layer function renamed
+    # or moved to another module must fail here rather than blind the split
+    import importlib.util
+
     path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert tracer.LAYERS
     for module, attr, _, _ in tracer.LAYERS:
-        assert callable(getattr(importlib.import_module(module), attr)), f"{module}.{attr}"
-    # the tracer counts the rows of a drawn set with len()
-    assert len(countlim.marginal.draw_samples(countlim.SystematicsModel(), None)) == 1
+        fn = getattr(importlib.import_module(module), attr, None)
+        assert callable(fn), f"{module}.{attr} is gone"
+        assert (fn.__module__, fn.__name__) == (module, attr), f"{module}.{attr} is defined elsewhere"
