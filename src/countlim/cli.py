@@ -6,20 +6,21 @@ posterior curves to CSV, ``equivalence`` runs ``compare_limits`` and
 classifies the outcome. Results go to ``--out`` (``-`` for stdout) as
 JSON or CSV with every float printed to 17 significant digits, so
 identical invocations produce byte-identical files. Exit codes: 0
-success, 1 configuration or model error, 2 solver error, 3 unexpected
-divergence from the ``equivalence`` command.
+success, 1 usage, configuration or model error, 2 solver error, 3
+unexpected divergence from the ``equivalence`` command; each error is one
+``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
-
-import click
 
 from .config import load_model
 from .equivalence import VERDICT_UNEXPECTED, _paired_limits, compare_limits
@@ -110,52 +111,12 @@ def _exit_codes(fn):
         try:
             return fn(*args, **kwargs)
         except (ConfigError, ModelError, YieldError, ConvergenceError) as err:
-            click.echo(f"error: {err}", err=True)
+            print(f"error: {err}", file=sys.stderr)
             sys.exit(_FAIL_CONFIG if isinstance(err, (ConfigError, ModelError)) else _FAIL_SOLVER)
 
     return command
 
 
-_integrator_options = [
-    click.option(
-        "--integrator",
-        "integrator_kind",
-        type=click.Choice(["mc", "gh"]),
-        default="mc",
-        show_default=True,
-        help="Marginalisation rule for models with nuisances: Monte Carlo or Gauss-Hermite.",
-    ),
-    click.option("--samples", type=int, default=10000, show_default=True, help="Monte Carlo sample count."),
-    click.option("--seed", type=int, default=0, show_default=True, help="Monte Carlo seed (never read from the environment)."),
-    click.option("--nodes", type=int, default=16, show_default=True, help="Gauss-Hermite nodes per nuisance dimension."),
-]
-
-
-def _with_integrator_options(fn):
-    for option in reversed(_integrator_options):
-        fn = option(fn)
-    return fn
-
-
-@click.group()
-def cli():
-    """Upper limits for single-channel Poisson counting experiments."""
-
-
-@cli.command("limit")
-@click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", type=click.Choice(["cls", "bayes", "both"]), default="cls", show_default=True)
-@click.option(
-    "--cl",
-    type=float,
-    default=0.95,
-    show_default=True,
-    help="Confidence (or credibility) level; the solver targets alpha = 1 - CL, "
-    "the CLs exclusion threshold and Bayesian upper tail mass.",
-)
-@_with_integrator_options
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="Root-solver relative tolerance.")
-@click.option("--out", type=str, default="-", show_default=True, help="Output path, '-' for stdout.")
 @_exit_codes
 def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, tol, out):
     """Solve the upper limit on the signal strength for a model config."""
@@ -182,19 +143,6 @@ def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, to
     _write_output(out, _json_text(payload) + "\n")
 
 
-@cli.command("scan")
-@click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--mu-min", type=float, default=0.0, show_default=True)
-@click.option("--mu-max", type=float, required=True)
-@click.option("--points", type=int, default=101, show_default=True)
-@click.option(
-    "--quantity",
-    type=click.Choice(["cls", "clsb", "clb", "posterior"]),
-    default="cls",
-    show_default=True,
-)
-@_with_integrator_options
-@click.option("--out", type=str, default="-", show_default=True, help="Output path, '-' for stdout.")
 @_exit_codes
 def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, samples, seed, nodes, out):
     """Tabulate a quantity on a strength grid as CSV (columns mu,value
@@ -218,14 +166,6 @@ def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, sam
     _write_output(out, "\n".join(lines) + "\n")
 
 
-@cli.command("equivalence")
-@click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--cl", type=float, default=0.95, show_default=True)
-@_with_integrator_options
-@click.option("--tol", type=float, default=1e-6, show_default=True, help="Relative tolerance for declaring the limits equivalent.")
-@click.option("--solver-tol", type=float, default=1e-9, show_default=True, help="Root-solver relative tolerance.")
-@click.option("--out", type=str, default="-", show_default=True, help="Output path, '-' for stdout.")
-@click.option("--debug-seed-offset", type=int, default=0, hidden=True, help="Offset the Bayesian method's Monte Carlo seed, deliberately breaking the shared-sample contract.")
 @_exit_codes
 def cmd_equivalence(config_path, cl, integrator_kind, samples, seed, nodes, tol, solver_tol, out, debug_seed_offset):
     """Compare the two limit methods on one shared sample set.
@@ -256,8 +196,68 @@ def cmd_equivalence(config_path, cl, integrator_kind, samples, seed, nodes, tol,
         sys.exit(_FAIL_DIVERGENCE)
 
 
-def main():
-    cli()
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a configuration error: one line, exit 1
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(_FAIL_CONFIG)
+
+
+def _config_path(path: str) -> str:
+    if not (os.path.isfile(path) and os.access(path, os.R_OK)):
+        raise argparse.ArgumentTypeError(f"{path!r} is not a readable file")
+    return path
+
+
+_COMMANDS = {"limit": cmd_limit, "scan": cmd_scan, "equivalence": cmd_equivalence}
+
+
+def _parser() -> argparse.ArgumentParser:
+    # whole option names only, and help at a fixed width with every default shown
+    style = {"formatter_class": functools.partial(argparse.ArgumentDefaultsHelpFormatter, width=80),
+             "allow_abbrev": False}
+    parser = _Parser(prog="countlim", description="Upper limits for single-channel Poisson counting experiments.",
+                     **style)
+    commands = parser.add_subparsers(dest="command", required=True)
+    sub = {name: commands.add_parser(name, help=(fn.__doc__ or "").split("\n\n")[0], description=fn.__doc__,
+                                     **style) for name, fn in _COMMANDS.items()}
+    for command in sub.values():
+        command.add_argument("config_path", type=_config_path, help="Model configuration (JSON).")
+    sub["limit"].add_argument("--method", choices=["cls", "bayes", "both"], default="cls",
+                              help="Hybrid CLs, marginal Bayesian, or both on one shared sample set.")
+    sub["scan"].add_argument("--mu-min", type=float, default=0.0, help="Lowest signal strength of the grid.")
+    sub["scan"].add_argument("--mu-max", type=float, required=True, default=argparse.SUPPRESS,
+                             help="Highest signal strength of the grid (required).")
+    sub["scan"].add_argument("--points", type=int, default=101, help="Grid points, both ends included.")
+    sub["scan"].add_argument("--quantity", choices=["cls", "clsb", "clb", "posterior"], default="cls",
+                             help="CLs, its CLs+b and CLb terms, or the posterior density of mu.")
+    for name in ("limit", "equivalence"):
+        sub[name].add_argument("--cl", type=float, default=0.95, help="Confidence (or credibility) level; the solver "
+                               "targets alpha = 1 - CL, the CLs exclusion threshold and Bayesian upper tail mass.")
+    for command in sub.values():
+        command.add_argument("--integrator", dest="integrator_kind", choices=["mc", "gh"], default="mc",
+                             help="Marginalisation rule for models with nuisances: Monte Carlo or Gauss-Hermite.")
+        command.add_argument("--samples", type=int, default=10000, help="Monte Carlo sample count.")
+        command.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (never read from the environment).")
+        command.add_argument("--nodes", type=int, default=16, help="Gauss-Hermite nodes per nuisance dimension.")
+    sub["limit"].add_argument("--tol", type=float, default=1e-9, help="Root-solver relative tolerance.")
+    sub["equivalence"].add_argument("--tol", type=float, default=1e-6,
+                                    help="Relative tolerance for declaring the limits equivalent.")
+    sub["equivalence"].add_argument("--solver-tol", type=float, default=1e-9, help="Root-solver relative tolerance.")
+    for command in sub.values():
+        command.add_argument("--out", default="-", help="Output path, '-' for stdout.")
+    # offsets the Bayesian method's Monte Carlo seed, deliberately breaking the shared-sample contract
+    sub["equivalence"].add_argument("--debug-seed-offset", type=int, default=0, help=argparse.SUPPRESS)
+    return parser
+
+
+def main(args=None, standalone_mode=True) -> None:
+    """Run one command on ``args`` (default ``sys.argv[1:]``), printing to the current ``sys.stdout``;
+    a failure raises ``SystemExit``. ``standalone_mode`` is ignored, kept for click's spelling (perfbench)."""
+    options = vars(_parser().parse_args(args))
+    _COMMANDS[options.pop("command")](**options)
+
+
+cli = main.main = main  # the console script, called in process as ``cli.main(args=...)``
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Shared model builders for the test suite, a spy on the sample draws,
-and the environment of a child interpreter."""
+an in-process CLI call and the environment of a child interpreter."""
 
+import contextlib
+import io
 import os
 import sys
 from pathlib import Path
@@ -79,6 +81,22 @@ def spy_on_draws(monkeypatch):
                 if value is draw:
                     monkeypatch.setattr(module, key, spy)
     return calls
+
+
+def run_cli(argv):
+    """Run the ``countlim`` CLI in this process on ``argv`` with its streams
+    captured. Returns ``(exit_code, stdout, stderr)``. Any exception other
+    than ``SystemExit`` propagates, so a test sees an uncaught error."""
+    from countlim.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(argv))
+            code = 0
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def src_env():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,12 +7,11 @@ import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+import countlim.cli
 from countlim import Integrator, LimitRequest, compare_limits, marginal, special
-from countlim.cli import cli
 from countlim.config import load_model
-from helpers import spy_on_draws, src_env
+from helpers import run_cli, spy_on_draws, src_env
 
 MINIMAL = {"signal": {"nominal": 1.0}, "backgrounds": [], "n_obs": 0}
 
@@ -40,11 +41,6 @@ SIG_SYST = {
 PLAIN = {"signal": {"nominal": 1.0}, "backgrounds": [{"name": "bkg", "nominal": 1.5}], "n_obs": 3}
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 def write_config(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -52,36 +48,33 @@ def write_config(tmp_path, doc, name="model.json"):
 
 
 class TestLimitCommand:
-    def test_minimal_closed_form(self, runner, tmp_path):
+    def test_minimal_closed_form(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
-        result = runner.invoke(cli, ["limit", cfg, "--method", "cls", "--cl", "0.95"])
-        assert result.exit_code == 0
-        payload = json.loads(result.output)
+        code, out, _ = run_cli(["limit", cfg, "--method", "cls", "--cl", "0.95"])
+        assert code == 0
+        payload = json.loads(out)
         assert payload["results"]["cls"]["mu_up"] == pytest.approx(math.log(20.0), rel=1e-9)
         assert payload["alpha"] == pytest.approx(0.05)
         assert payload["integrator"] is None
         assert len(payload["config_sha256"]) == 64
 
-    def test_both_methods_agree(self, runner, tmp_path):
+    def test_both_methods_agree(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
-        result = runner.invoke(cli, ["limit", cfg, "--method", "both"])
-        assert result.exit_code == 0
-        payload = json.loads(result.output)
+        code, out, _ = run_cli(["limit", cfg, "--method", "both"])
+        assert code == 0
+        payload = json.loads(out)
         assert payload["rel_diff"] <= 1e-7
 
-    def test_systematics_shared_samples(self, runner, tmp_path):
+    def test_systematics_shared_samples(self, tmp_path):
         cfg = write_config(tmp_path, BG_SYST)
-        result = runner.invoke(
-            cli,
-            ["limit", cfg, "--method", "both", "--integrator", "mc", "--samples", "3000", "--seed", "5"],
-        )
-        assert result.exit_code == 0
-        payload = json.loads(result.output)
+        code, out, _ = run_cli(["limit", cfg, "--method", "both", "--integrator", "mc", "--samples", "3000", "--seed", "5"])
+        assert code == 0
+        payload = json.loads(out)
         assert payload["rel_diff"] <= 1e-7
         assert payload["integrator"]["kind"] == "monte_carlo"
         assert payload["results"]["cls"]["mu_up_stderr"] > 0.0
 
-    def test_both_solves_on_one_set_of_yields(self, runner, tmp_path, monkeypatch):
+    def test_both_solves_on_one_set_of_yields(self, tmp_path, monkeypatch):
         # as in compare_limits: the yields are taken once, and the Bayes
         # solve starts at the CLs root, where it ends after mu = 0 and one
         # kernel call; both limits keep their Monte Carlo errors
@@ -92,43 +85,43 @@ class TestLimitCommand:
         )
         cfg = write_config(tmp_path, BG_SYST)
         args = ["limit", cfg, "--samples", "10000", "--seed", "3"]
-        both = runner.invoke(cli, args + ["--method", "both"])
-        assert both.exit_code == 0 and len(calls) == 1
-        payload = json.loads(both.output)
+        code, out, _ = run_cli(args + ["--method", "both"])
+        assert code == 0 and len(calls) == 1
+        payload = json.loads(out)
         assert payload["results"]["bayes"]["iterations"] == 2
         assert payload["rel_diff"] == 0.0
         assert all(payload["results"][m]["mu_up_stderr"] > 0.0 for m in ("cls", "bayes"))
         # solved alone, from its own start, the Bayes limit is the same root
-        alone = json.loads(runner.invoke(cli, args + ["--method", "bayes"]).output)["results"]["bayes"]
+        alone = json.loads(run_cli(args + ["--method", "bayes"])[1])["results"]["bayes"]
         assert alone["mu_up"] == pytest.approx(payload["results"]["bayes"]["mu_up"], rel=2e-9)
 
-    def test_unknown_key_is_config_error(self, runner, tmp_path):
+    def test_unknown_key_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {"signall": {"nominal": 1.0}, "n_obs": 0})
-        result = runner.invoke(cli, ["limit", cfg])
-        assert result.exit_code == 1
-        assert "signall" in result.output
+        code, _, err = run_cli(["limit", cfg])
+        assert code == 1
+        assert "signall" in err
 
-    def test_seventeen_digit_floats(self, runner, tmp_path):
+    def test_seventeen_digit_floats(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
-        result = runner.invoke(cli, ["limit", cfg])
-        payload = json.loads(result.output)
+        _, out, _ = run_cli(["limit", cfg])
+        payload = json.loads(out)
         mu = payload["results"]["cls"]["mu_up"]
-        assert format(mu, ".17g") in result.output
-        assert format(0.95, ".17g") in result.output
+        assert format(mu, ".17g") in out
+        assert format(0.95, ".17g") in out
 
-    def test_out_file(self, runner, tmp_path):
+    def test_out_file(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         out = tmp_path / "result.json"
-        result = runner.invoke(cli, ["limit", cfg, "--out", str(out)])
-        assert result.exit_code == 0
+        code, _, _ = run_cli(["limit", cfg, "--out", str(out)])
+        assert code == 0
         assert json.loads(out.read_text())["method"] == "cls"
 
-    def test_repeated_runs_byte_identical(self, runner, tmp_path):
+    def test_repeated_runs_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, BG_SYST)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         args = ["limit", cfg, "--method", "both", "--samples", "2000", "--seed", "3"]
-        assert runner.invoke(cli, args + ["--out", str(out1)]).exit_code == 0
-        assert runner.invoke(cli, args + ["--out", str(out2)]).exit_code == 0
+        assert run_cli(args + ["--out", str(out1)])[0] == 0
+        assert run_cli(args + ["--out", str(out2)])[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_blas_threads_leave_the_bytes_alone(self, tmp_path):
@@ -164,16 +157,16 @@ class TestLimitCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_bad_cl_rejected(self, runner, tmp_path):
+    def test_bad_cl_rejected(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
-        result = runner.invoke(cli, ["limit", cfg, "--cl", "1.5"])
-        assert result.exit_code == 1
+        code, _, _ = run_cli(["limit", cfg, "--cl", "1.5"])
+        assert code == 1
 
-    def test_solver_failure_exits_two(self, runner, tmp_path):
+    def test_solver_failure_exits_two(self, tmp_path):
         # microscopic signal: the limit sits beyond the doubling guard
         cfg = write_config(tmp_path, {"signal": {"nominal": 1e-30}, "backgrounds": [], "n_obs": 0})
-        result = runner.invoke(cli, ["limit", cfg])
-        assert result.exit_code == 2
+        code, _, _ = run_cli(["limit", cfg])
+        assert code == 2
 
     @pytest.mark.parametrize("method", ["cls", "bayes"])
     def test_underflowed_denominator_exits_two(self, tmp_path, method):
@@ -208,26 +201,26 @@ class TestLimitCommand:
         assert "Traceback" not in proc.stderr
         assert "underflows" in proc.stderr
 
-    def test_non_finite_config_number_exits_one(self, runner, tmp_path):
+    def test_non_finite_config_number_exits_one(self, tmp_path):
         cfg = tmp_path / "model.json"
         cfg.write_text('{"signal": {"nominal": NaN}, "backgrounds": [], "n_obs": 0}', encoding="utf-8")
-        result = runner.invoke(cli, ["limit", str(cfg)])
-        assert result.exit_code == 1
-        assert "signal.nominal: expected a finite number" in result.output
+        code, _, err = run_cli(["limit", str(cfg)])
+        assert code == 1
+        assert "signal.nominal: expected a finite number" in err
 
-    def test_integrator_options_ignored_without_nuisances(self, runner, tmp_path):
+    def test_integrator_options_ignored_without_nuisances(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
-        plain = runner.invoke(cli, ["limit", cfg, "--method", "both"])
-        invalid = runner.invoke(cli, ["limit", cfg, "--method", "both", "--samples", "0", "--nodes", "1"])
-        assert invalid.exit_code == 0
-        assert invalid.output == plain.output
+        _, plain, _ = run_cli(["limit", cfg, "--method", "both"])
+        code, invalid, _ = run_cli(["limit", cfg, "--method", "both", "--samples", "0", "--nodes", "1"])
+        assert code == 0
+        assert invalid == plain
 
-    def test_negative_yield_exits_two(self, runner, tmp_path):
+    def test_negative_yield_exits_two(self, tmp_path):
         doc = json.loads(json.dumps(BG_SYST))
         doc["backgrounds"][0]["responses"]["bscale"] = {"kind": "linear", "delta": 0.4}
         cfg = write_config(tmp_path, doc)
-        result = runner.invoke(cli, ["limit", cfg, "--samples", "10000", "--seed", "0"])
-        assert result.exit_code == 2
+        code, _, _ = run_cli(["limit", cfg, "--samples", "10000", "--seed", "0"])
+        assert code == 2
 
     @pytest.mark.parametrize("nominal", [1.5, 0.0])
     @pytest.mark.parametrize("command", [["limit"], ["scan", "--mu-max", "5", "--quantity", "clsb"]])
@@ -270,59 +263,53 @@ class TestLimitCommand:
 
 
 class TestScanCommand:
-    def test_cls_starts_at_one(self, runner, tmp_path):
+    def test_cls_starts_at_one(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
-        result = runner.invoke(cli, ["scan", cfg, "--mu-max", "5", "--points", "21"])
-        assert result.exit_code == 0
-        lines = result.output.strip().splitlines()
+        code, out, _ = run_cli(["scan", cfg, "--mu-max", "5", "--points", "21"])
+        assert code == 0
+        lines = out.strip().splitlines()
         assert lines[0] == "mu,value"
         first_mu, first_val = lines[1].split(",")
         assert float(first_mu) == 0.0
         assert float(first_val) == 1.0
 
-    def test_clsb_monotone_nonincreasing(self, runner, tmp_path):
+    def test_clsb_monotone_nonincreasing(self, tmp_path):
         cfg = write_config(tmp_path, {"signal": {"nominal": 1.0}, "backgrounds": [{"name": "b", "nominal": 1.5}], "n_obs": 3})
-        result = runner.invoke(cli, ["scan", cfg, "--mu-max", "10", "--points", "51", "--quantity", "clsb"])
-        values = [float(line.split(",")[1]) for line in result.output.strip().splitlines()[1:]]
+        _, out, _ = run_cli(["scan", cfg, "--mu-max", "10", "--points", "51", "--quantity", "clsb"])
+        values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
-    def test_posterior_integrates_to_one(self, runner, tmp_path):
+    def test_posterior_integrates_to_one(self, tmp_path):
         cfg = write_config(tmp_path, {"signal": {"nominal": 1.0}, "backgrounds": [{"name": "b", "nominal": 1.5}], "n_obs": 3})
-        result = runner.invoke(
-            cli, ["scan", cfg, "--mu-max", "60", "--points", "6001", "--quantity", "posterior"]
-        )
-        rows = [line.split(",") for line in result.output.strip().splitlines()[1:]]
+        _, out, _ = run_cli(["scan", cfg, "--mu-max", "60", "--points", "6001", "--quantity", "posterior"])
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         mus = np.array([float(r[0]) for r in rows])
         dens = np.array([float(r[1]) for r in rows])
         assert np.trapezoid(dens, mus) == pytest.approx(1.0, abs=1e-4)
 
-    def test_stderr_column_for_monte_carlo(self, runner, tmp_path):
+    def test_stderr_column_for_monte_carlo(self, tmp_path):
         cfg = write_config(tmp_path, BG_SYST)
-        result = runner.invoke(
-            cli, ["scan", cfg, "--mu-max", "4", "--points", "5", "--integrator", "mc", "--samples", "500"]
-        )
-        lines = result.output.strip().splitlines()
+        _, out, _ = run_cli(["scan", cfg, "--mu-max", "4", "--points", "5", "--integrator", "mc", "--samples", "500"])
+        lines = out.strip().splitlines()
         assert lines[0] == "mu,value,stderr"
         assert all(len(line.split(",")) == 3 for line in lines[1:])
 
-    def test_no_stderr_column_for_quadrature(self, runner, tmp_path):
+    def test_no_stderr_column_for_quadrature(self, tmp_path):
         cfg = write_config(tmp_path, BG_SYST)
-        result = runner.invoke(
-            cli, ["scan", cfg, "--mu-max", "4", "--points", "5", "--integrator", "gh", "--nodes", "8"]
-        )
-        assert result.output.strip().splitlines()[0] == "mu,value"
+        _, out, _ = run_cli(["scan", cfg, "--mu-max", "4", "--points", "5", "--integrator", "gh", "--nodes", "8"])
+        assert out.strip().splitlines()[0] == "mu,value"
 
-    def test_invalid_range_exits_one(self, runner, tmp_path):
+    def test_invalid_range_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
-        assert runner.invoke(cli, ["scan", cfg, "--mu-min", "3", "--mu-max", "2"]).exit_code == 1
-        assert runner.invoke(cli, ["scan", cfg, "--mu-max", "2", "--points", "1"]).exit_code == 1
+        assert run_cli(["scan", cfg, "--mu-min", "3", "--mu-max", "2"])[0] == 1
+        assert run_cli(["scan", cfg, "--mu-max", "2", "--points", "1"])[0] == 1
 
-    def test_scan_deterministic(self, runner, tmp_path):
+    def test_scan_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, BG_SYST)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["scan", cfg, "--mu-max", "6", "--points", "11", "--samples", "1000", "--seed", "17"]
-        assert runner.invoke(cli, args + ["--out", str(out1)]).exit_code == 0
-        assert runner.invoke(cli, args + ["--out", str(out2)]).exit_code == 0
+        assert run_cli(args + ["--out", str(out1)])[0] == 0
+        assert run_cli(args + ["--out", str(out2)])[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -338,11 +325,11 @@ class TestOnePathToTheLimits:
         ],
         ids=["monte carlo", "gauss-hermite", "plain"],
     )
-    def test_both_prints_the_compare_limits_pair(self, runner, tmp_path, doc, args, integrator):
+    def test_both_prints_the_compare_limits_pair(self, tmp_path, doc, args, integrator):
         cfg = write_config(tmp_path, doc)
-        result = runner.invoke(cli, ["limit", cfg, "--method", "both", *args])
-        assert result.exit_code == 0
-        payload = json.loads(result.output)
+        code, out, _ = run_cli(["limit", cfg, "--method", "both", *args])
+        assert code == 0
+        payload = json.loads(out)
         report = compare_limits(load_model(cfg), LimitRequest(alpha=payload["alpha"]), integrator)
         cls, bayes = payload["results"]["cls"], payload["results"]["bayes"]
         # 17 significant digits round-trip a double, so == is bit for bit
@@ -353,11 +340,11 @@ class TestOnePathToTheLimits:
 
     @pytest.mark.parametrize("method", ["cls", "bayes", "both"])
     @pytest.mark.parametrize(("doc", "draws"), [(BG_SYST, 1), (PLAIN, 0)], ids=["monte carlo", "plain"])
-    def test_a_limit_draws_its_set_once(self, runner, tmp_path, monkeypatch, method, doc, draws):
+    def test_a_limit_draws_its_set_once(self, tmp_path, monkeypatch, method, doc, draws):
         calls = spy_on_draws(monkeypatch)
         cfg = write_config(tmp_path, doc)
-        result = runner.invoke(cli, ["limit", cfg, "--method", method, "--samples", "500"])
-        assert result.exit_code == 0, result.output
+        code, _, err = run_cli(["limit", cfg, "--method", method, "--samples", "500"])
+        assert code == 0, err
         assert len(calls) == draws
 
     @pytest.mark.parametrize(
@@ -369,47 +356,42 @@ class TestOnePathToTheLimits:
         ],
         ids=["cls", "bayes", "both"],
     )
-    def test_zero_signal_exits_one_before_a_set_is_drawn(self, runner, tmp_path, monkeypatch, method, message):
+    def test_zero_signal_exits_one_before_a_set_is_drawn(self, tmp_path, monkeypatch, method, message):
         calls = spy_on_draws(monkeypatch)
         cfg = write_config(tmp_path, {**BG_SYST, "signal": {"nominal": 0.0}})
-        result = runner.invoke(cli, ["limit", cfg, "--method", method])
-        assert result.exit_code == 1
-        assert result.output == f"error: {message}\n"
+        code, _, err = run_cli(["limit", cfg, "--method", method])
+        assert code == 1
+        assert err == f"error: {message}\n"
         assert calls == []
 
 
 class TestEquivalenceCommand:
-    def test_background_systematics_equivalent(self, runner, tmp_path):
+    def test_background_systematics_equivalent(self, tmp_path):
         cfg = write_config(tmp_path, BG_SYST)
-        result = runner.invoke(cli, ["equivalence", cfg, "--samples", "2000", "--seed", "4"])
-        assert result.exit_code == 0
-        payload = json.loads(result.output)
+        code, out, _ = run_cli(["equivalence", cfg, "--samples", "2000", "--seed", "4"])
+        assert code == 0
+        payload = json.loads(out)
         assert payload["report"]["verdict"] == "equivalent_within_tol"
 
-    def test_signal_systematics_divergent_but_expected(self, runner, tmp_path):
+    def test_signal_systematics_divergent_but_expected(self, tmp_path):
         cfg = write_config(tmp_path, SIG_SYST)
-        result = runner.invoke(cli, ["equivalence", cfg, "--integrator", "gh", "--nodes", "16"])
-        assert result.exit_code == 0
-        payload = json.loads(result.output)
+        code, out, _ = run_cli(["equivalence", cfg, "--integrator", "gh", "--nodes", "16"])
+        assert code == 0
+        payload = json.loads(out)
         assert payload["report"]["verdict"] == "divergent_as_expected"
         assert payload["report"]["signal_uncertain"] is True
 
-    def test_forged_mismatch_exits_three(self, runner, tmp_path):
+    def test_forged_mismatch_exits_three(self, tmp_path):
         cfg = write_config(tmp_path, BG_SYST)
-        result = runner.invoke(
-            cli,
-            ["equivalence", cfg, "--samples", "2000", "--seed", "4", "--debug-seed-offset", "11"],
-        )
-        assert result.exit_code == 3
-        payload = json.loads(result.output)
+        code, out, _ = run_cli(["equivalence", cfg, "--samples", "2000", "--seed", "4", "--debug-seed-offset", "11"])
+        assert code == 3
+        payload = json.loads(out)
         assert payload["report"]["verdict"] == "unexpected_divergence"
 
-    def test_debug_offset_requires_monte_carlo(self, runner, tmp_path):
+    def test_debug_offset_requires_monte_carlo(self, tmp_path):
         cfg = write_config(tmp_path, BG_SYST)
-        result = runner.invoke(
-            cli, ["equivalence", cfg, "--integrator", "gh", "--debug-seed-offset", "1"]
-        )
-        assert result.exit_code == 1
+        code, _, _ = run_cli(["equivalence", cfg, "--integrator", "gh", "--debug-seed-offset", "1"])
+        assert code == 1
 
 
 class TestRefusals:
@@ -438,16 +420,80 @@ class TestRefusals:
              "nominal signal yield is zero; the CLs limit is undefined"),
         ],
     )
-    def test_exits_one_with_a_one_line_message(self, runner, tmp_path, doc, args, message):
+    def test_exits_one_with_a_one_line_message(self, tmp_path, doc, args, message):
         cfg = write_config(tmp_path, doc)
-        result = runner.invoke(cli, [args[0], cfg, *args[1:]])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert result.output.startswith("error: ") and result.output.count("\n") == 1
-        assert message in result.output
+        code, _, err = run_cli([args[0], cfg, *args[1:]])
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
-def test_help_documents_alpha_convention(runner):
-    result = runner.invoke(cli, ["limit", "--help"])
-    assert result.exit_code == 0
-    assert "alpha = 1 - CL" in result.output
+def test_help_documents_alpha_convention():
+    code, out, _ = run_cli(["limit", "--help"])
+    assert code == 0
+    assert "alpha = 1 - CL" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["limit", "{dir}/missing.json"],
+        ["limit", "{dir}"],
+        ["limit", "{cfg}", "--method", "foo"],
+        ["limit", "{cfg}", "--samples", "abc"],
+        ["limit", "{cfg}", "--bogus"],
+        ["scan", "{cfg}"],
+        [],
+    ],
+    ids=["missing config", "directory config", "bad choice", "bad integer", "unknown option", "required option",
+         "no command"],
+)
+def test_usage_error_exits_one_with_one_line(tmp_path, args):
+    # exit 2 is the solver-error code, and a usage block would bury the one line that matters
+    cfg = write_config(tmp_path, MINIMAL)
+    code, out, err = run_cli([arg.format(dir=tmp_path, cfg=cfg) for arg in args])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", [[], ["limit"], ["scan"], ["equivalence"]])
+def test_help_exits_zero(command):
+    code, out, err = run_cli([*command, "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: countlim")
+    assert "--debug-seed-offset" not in out
+
+
+class TestInProcessEntry:
+    # perfbench's traced run calls cli.main(args=..., standalone_mode=False)
+    # in process and reads what it printed: it must be a child's stdout, byte
+    # for byte, on the four command shapes of its cli_mix workload
+    @staticmethod
+    def in_process(args):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            countlim.cli.cli.main(args=list(args), standalone_mode=False)
+        return out.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize(
+        ("doc", "args"),
+        [
+            (BG_SYST, ["limit", "--method", "both", "--samples", "10000", "--seed", "8"]),
+            (PLAIN, ["limit", "--method", "both"]),
+            (SIG_SYST, ["equivalence", "--integrator", "gh", "--nodes", "32"]),
+            (BG_SYST, ["scan", "--mu-max", "20", "--points", "101", "--samples", "2000", "--seed", "9"]),
+        ],
+        ids=["limit monte carlo", "limit plain", "equivalence", "scan"],
+    )
+    def test_prints_the_bytes_of_a_child(self, tmp_path, doc, args):
+        argv = [args[0], write_config(tmp_path, doc), *args[1:]]
+        child = subprocess.run([sys.executable, "-m", "countlim.cli", *argv], capture_output=True, env=src_env())
+        assert child.returncode == 0, child.stderr
+        assert self.in_process(argv) == child.stdout
+
+    def test_config_error_raises_system_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**PLAIN, "n_obs": -1})
+        with pytest.raises(SystemExit) as exit_info:
+            self.in_process(["limit", cfg])
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err.startswith("error: ")

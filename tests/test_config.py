@@ -5,6 +5,7 @@ import pytest
 
 from countlim import ConfigError, Prior, Response
 from countlim.config import emit_config, load_model, parse_model
+from helpers import run_cli
 
 MINIMAL = {"signal": {"nominal": 1.0}, "backgrounds": [], "n_obs": 0}
 
@@ -103,16 +104,12 @@ class TestParse:
             parse_model(doc)
 
     def test_negative_nominal_yield_exits_1(self, tmp_path):
-        from click.testing import CliRunner
-
-        from countlim.cli import cli
-
         for doc in ({"signal": {"nominal": -1.0}, "n_obs": 1},
                     {"signal": {"nominal": 1.0}, "backgrounds": [{"name": "b", "nominal": -1.0}], "n_obs": 1}):
             cfg = tmp_path / "model.json"
             cfg.write_text(json.dumps(doc), encoding="utf-8")
-            result = CliRunner().invoke(cli, ["limit", str(cfg)])
-            assert result.exit_code == 1 and "nominal: must be nonnegative" in result.output
+            code, _, err = run_cli(["limit", str(cfg)])
+            assert code == 1 and "nominal: must be nonnegative" in err
 
     def test_bad_parameter_values(self):
         doc = json.loads(json.dumps(FULL))

@@ -1,6 +1,7 @@
 """scipy and mpmath are test dependencies only: the package must import
-without them, and numpy is loaded only where a wide path needs it. The
-public API is pinned, with the names the benchmark uses."""
+without them, numpy is loaded only where a wide path needs it, and the
+CLI loads no click. The public API is pinned, with the names the
+benchmark uses."""
 
 import json
 import subprocess
@@ -106,11 +107,23 @@ def test_one_point_bytes_do_not_depend_on_numpy(configs):
     assert json.loads(outs[0])["rel_diff"] == 0
 
 
+@pytest.mark.parametrize(
+    ("code", "argv"),
+    [("import countlim.cli", None), ("", ["--help"]), ("", ["limit", "bg.json", "--samples", "500"])],
+    ids=["import", "help", "wide limit"],
+)
+def test_cli_loads_no_click(configs, code, argv):
+    # the front end is stdlib argparse; click was ~28 ms of every call's import
+    loaded, proc = loaded_in_child("click", code, argv, cwd=configs)
+    assert proc.returncode == 0, proc.stderr
+    assert not loaded
+
+
 def test_scipy_only_in_test_extra():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
     names = [dep.split(">")[0].split("=")[0].strip() for dep in project["dependencies"]]
-    assert names == ["numpy", "click"]
+    assert names == ["numpy"]
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
