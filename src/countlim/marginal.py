@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 from .exceptions import ConfigError, ConvergenceError, ModelError
@@ -78,7 +80,9 @@ class Integrator:
     builds a tensor-product rule, is valid only when every prior is in
     the normal family, and is refused above ``2**20`` grid points. The
     Monte Carlo budget, ``2**22`` samples times nuisances, is checked by
-    :func:`draw_samples`, where a set is built.
+    :func:`draw_samples`, where a set is built. ``n_samples``, ``seed``
+    and ``nodes_per_dim`` must be integers (numpy's included, kept as
+    ``int``); a float or a bool is refused with :class:`ConfigError`.
     """
 
     kind: str
@@ -89,6 +93,13 @@ class Integrator:
     def __post_init__(self):
         if self.kind not in ("monte_carlo", "gauss_hermite"):
             raise ConfigError(f"unknown integrator kind {self.kind!r}")
+        for name in ("n_samples", "seed", "nodes_per_dim"):
+            value = getattr(self, name)
+            # numpy's integers are registered as Integral, and become int so
+            # that to_dict stays serialisable; a bool or a float is not a count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.kind == "monte_carlo":
             if self.n_samples < 1:
                 raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
@@ -100,11 +111,11 @@ class Integrator:
 
     @classmethod
     def monte_carlo(cls, n_samples: int, seed: int) -> "Integrator":
-        return cls("monte_carlo", n_samples=int(n_samples), seed=int(seed))
+        return cls("monte_carlo", n_samples=n_samples, seed=seed)
 
     @classmethod
     def gauss_hermite(cls, nodes_per_dim: int) -> "Integrator":
-        return cls("gauss_hermite", nodes_per_dim=int(nodes_per_dim))
+        return cls("gauss_hermite", nodes_per_dim=nodes_per_dim)
 
     def to_dict(self) -> dict:
         if self.kind == "monte_carlo":
@@ -289,7 +300,15 @@ class _Criterion:
     one pmf. A kernel returns its terms and the pmf where it has one: a
     wide CLs call whose lanes all take ``poisson_cdf``'s lower tail, where
     the pmf is the tail's prefactor, bit for bit.
+
+    At mu = 0 the numerator is the denominator, and the criterion is
+    exactly ``value_at_zero`` = 1: den / den, den a positive finite float,
+    the same reduction on both sides of a sample set. So a solve that has
+    a start records it there and jumps, calling nothing
+    (:func:`~countlim.solver.solve_decreasing`).
     """
+
+    value_at_zero = 1.0
 
     def __init__(self, kernel, n: int, s, b, w):
         self.bayes = kernel is _bayes_terms
@@ -303,7 +322,7 @@ class _Criterion:
         self.b = b
         self.w = w
         self.den_terms, self.den_pmf = self.kernel(n, s, b)
-        self.den = self.mean(self.den_terms)
+        self.den = self.den_terms if w is None else self.mean(self.den_terms)
         if not (self.den > 0.0 and math.isfinite(self.den)):
             where = f"b = {b!r}" if w is None else f"b in [{float(b.min())!r}, {float(b.max())!r}]"
             raise ConvergenceError(
@@ -338,9 +357,13 @@ class _Criterion:
             pmf, dpmf = self.pmf_and_derivative(x) if pmf is None else (pmf, n * (pmf / x) - pmf)
             d1 = self.d1_scale * pmf
             d2 = self.d2_scale * dpmf
-        slope = self.mean(d1) / self.den
+        den = self.den
+        if self.w is None:  # on the nominal point each weighted mean is its term
+            value, slope, curvature = terms / den, d1 / den, d2 / den
+        else:
+            value, slope, curvature = self.mean(terms) / den, self.mean(d1) / den, self.mean(d2) / den
         self.recent = self.recent[1], (mu, terms, slope)
-        return self.mean(terms) / self.den, slope, self.mean(d2) / self.den
+        return value, slope, curvature
 
     def terms_and_slope(self, mu: float):
         """Numerator terms and slope at ``mu``, from one of the last two
@@ -464,7 +487,7 @@ def _wilson_hilferty_start(crit: _Criterion, alpha: float) -> float:
     if n == 0:
         return 0.0
     a = n + 1.0
-    s, b = crit.mean(crit.s), crit.mean(crit.b)
+    s, b = (crit.s, crit.b) if crit.w is None else (crit.mean(crit.s), crit.mean(crit.b))
     p = alpha * (crit.den * s if crit.bayes else crit.den)
     if not (0.0 < p < 1.0 and s > 0.0):
         return 0.0
@@ -485,15 +508,13 @@ def _solve(
     analytic slope, onto the limit."""
     if start is None:
         start = _wilson_hilferty_start(crit, req.alpha)
-    mu_up, value, evals, bracket = solve_decreasing(crit, req.alpha, req.rel_tol, req.max_iter, start)
+    solution = solve_decreasing(crit, req.alpha, req.rel_tol, req.max_iter, start)
     if not with_stderr:
-        return LimitResult(mu_up, value, evals, bracket)
-    terms, slope = crit.terms_and_slope(mu_up)
+        return LimitResult(*solution)
+    terms, slope = crit.terms_and_slope(solution[0])
     crit_stderr = crit.ratio_stderr(terms)
     mu_stderr = crit_stderr / abs(slope) if slope != 0.0 else math.inf
-    return LimitResult(
-        mu_up, value, evals, bracket, mu_up_stderr=mu_stderr, criterion_stderr=crit_stderr
-    )
+    return LimitResult(*solution, mu_up_stderr=mu_stderr, criterion_stderr=crit_stderr)
 
 
 def hybrid_cls(model: CountingModel, mu: float, samples: SampleSet) -> float:
@@ -525,12 +546,18 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, 
     """Tabulate a marginal quantity over a strength grid.
 
     Returns ``(values, stderrs)`` with ``stderrs`` None unless
-    ``with_stderr`` (Monte Carlo sample sets only). Quantities: ``cls``,
-    ``clsb``, ``clb``, ``posterior``.
+    ``with_stderr`` and the set has 2 or more samples. Quantities:
+    ``cls``, ``clsb``, ``clb``, ``posterior``. The standard errors are
+    those of an equal-weight Monte Carlo mean, so a set of unequal
+    weights, such as a Gauss-Hermite grid, is refused with
+    :class:`ValueError` when ``with_stderr`` asks for them.
     """
     import numpy as np
     if quantity not in ("cls", "clsb", "clb", "posterior"):
         raise ValueError(f"unknown scan quantity {quantity!r}")
+    with_stderr = with_stderr and len(samples) >= 2
+    if with_stderr and float(samples.weights.min()) != float(samples.weights.max()):
+        raise ValueError("standard errors need an equal-weight Monte Carlo set; this set's weights differ")
     if quantity == "cls" and model.s_nom == 0.0:
         # CLs = 1 at every mu, on any sample set: refused as by hybrid_cls_upper_limit
         raise ModelError(_CLS_UNDEFINED)
@@ -542,7 +569,7 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, 
     ratio = quantity in ("cls", "posterior")
     value, stderr = (crit.ratio, crit.ratio_stderr) if ratio else (crit.mean, crit.mean_stderr)
     values = np.empty(mus.shape)
-    stderrs = np.empty(mus.shape) if with_stderr and crit.w is not None and crit.w.size >= 2 else None
+    stderrs = np.empty(mus.shape) if with_stderr else None
     for i, mu in enumerate(mus.tolist()):
         terms = terms_at(mu)
         values[i] = value(terms)

@@ -218,7 +218,13 @@ class SystematicsModel:
 
 @dataclass(frozen=True)
 class CountingModel:
-    """Nominal yields, observed count and systematics of one channel."""
+    """Nominal yields, observed count and systematics of one channel.
+
+    Derived on construction: ``b_nom_total``, the sum of the nominal
+    backgrounds; ``has_systematics``, whether there is any nuisance;
+    ``signal_is_certain``, whether every signal response is the identity;
+    and ``all_responses_identity``, whether every response is.
+    """
 
     s_nom: float
     backgrounds: tuple = ()
@@ -242,34 +248,27 @@ class CountingModel:
                     raise ModelError(
                         f"background {bkg.name!r} response references unknown nuisance {key!r}"
                     )
+        # derived once, the model being immutable, rather than on every limit
+        object.__setattr__(self, "b_nom_total", float(sum(bkg.b_nom for bkg in self.backgrounds)))
         if self.s_nom == 0.0 and self.b_nom_total == 0.0:
             raise ModelError("model must have a positive signal or background yield")
-
-    @property
-    def b_nom_total(self) -> float:
-        return float(sum(bkg.b_nom for bkg in self.backgrounds))
-
-    @property
-    def has_systematics(self) -> bool:
-        return len(self.systematics.nuisances) > 0
-
-    @property
-    def signal_is_certain(self) -> bool:
-        """True when every signal response is the identity."""
-        return all(resp.is_identity for resp in self.systematics.signal_responses.values())
-
-    @property
-    def all_responses_identity(self) -> bool:
-        if not self.signal_is_certain:
-            return False
-        return all(
-            resp.is_identity for bkg in self.backgrounds for resp in bkg.responses.values()
+        object.__setattr__(self, "has_systematics", len(self.systematics.nuisances) > 0)
+        signal = self.systematics.signal_responses.values()
+        object.__setattr__(self, "signal_is_certain", all(resp.is_identity for resp in signal))
+        object.__setattr__(
+            self,
+            "all_responses_identity",
+            self.signal_is_certain
+            and all(resp.is_identity for bkg in self.backgrounds for resp in bkg.responses.values()),
         )
 
 
-def _response_product_columns(responses: Mapping[str, Response], names, etas: np.ndarray, label: str) -> np.ndarray:
+def _yield_columns(nominal: float, responses: Mapping[str, Response], names, etas: np.ndarray, label: str) -> np.ndarray:
+    """A yield over the samples: ``nominal`` times the product of its
+    response factors, multiplied in last. The product starts from the first
+    factor, a fresh array, not from ones: 1.0 * f is f to the bit."""
     import numpy as np
-    factor = np.ones(etas.shape[0])
+    factor = None
     for j, name in enumerate(names):
         resp = responses.get(name)
         if resp is None or resp.is_identity:
@@ -285,8 +284,13 @@ def _response_product_columns(responses: Mapping[str, Response], names, etas: np
                 eta=etas[k].copy(),
                 sample_index=k,
             )
-        factor *= f
-    return factor
+        if factor is None:
+            factor = f
+        else:
+            factor *= f
+    if factor is None:
+        return np.full(etas.shape[0], nominal, dtype=float)
+    return np.multiply(factor, nominal, out=factor)
 
 
 def yields_on_samples(model: CountingModel, etas: np.ndarray):
@@ -299,12 +303,15 @@ def yields_on_samples(model: CountingModel, etas: np.ndarray):
     names = model.systematics.names
     # an overflow is refused below, by sample, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
-        s = model.s_nom * _response_product_columns(
-            model.systematics.signal_responses, names, etas, "signal"
-        )
-        b = np.zeros(etas.shape[0])
+        s = _yield_columns(model.s_nom, model.systematics.signal_responses, names, etas, "signal")
+        # the sum starts from its first term, not from zeros: 0.0 + y is y to
+        # the bit for these nonnegative yields, once a nominal of -0.0 is 0.0
+        b = None
         for bkg in model.backgrounds:
-            b += bkg.b_nom * _response_product_columns(bkg.responses, names, etas, f"background {bkg.name!r}")
+            y = _yield_columns(bkg.b_nom + 0.0, bkg.responses, names, etas, f"background {bkg.name!r}")
+            b = y if b is None else np.add(b, y, out=b)
+        if b is None:
+            b = np.zeros(etas.shape[0])
     for label, y in (("signal", s), ("background", b)):
         # an overflowed factor makes the yield inf, or NaN times a zero
         bad = ~np.isfinite(y)

@@ -31,12 +31,17 @@ probe. That happens to a Newton step landing a hair short, and to a
 Halley step that misses by more than its aim (66 of the 360 solves with
 n_obs >= 1 on the exact grid of acceptance criterion 2).
 
-A solve evaluates mu = 0 first, where the criterion needs no kernel
-call; when the caller gives a starting point in (0, 2**64], the second
-evaluation jumps straight there, and the rest of the solve proceeds from
-it. Until a point below the target is found, a step may reach no
-further than 8 * max(mu, 1), because the slope can be 0 or vanishingly
-small near mu = 0; that cap applies only after the jump. Once a point
+A solve counts mu = 0 as its first evaluation; when the caller gives a
+starting point in (0, 2**64], the second evaluation jumps straight
+there, and the rest of the solve proceeds from it. A criterion object
+may declare its value at 0 as ``value_at_zero``: every
+``marginal._Criterion`` does, being exactly 1 there. A solve with a
+start then records that value at mu = 0 and jumps, with no call and no
+arithmetic there. A plain function, or a solve with no start, is called
+at mu = 0, because the first step from 0 needs the slope there. Until a
+point below the target is found, a step may reach no further than
+8 * max(mu, 1), because the slope can be 0 or vanishingly small near
+mu = 0; that cap applies only after the jump. Once a point
 below the target is known, a step that leaves the sign-checked bracket
 is replaced by bisection. The test is applied at every evaluated point:
 a solve ends when the value is within ``10 * rel_tol * target`` of the
@@ -91,7 +96,8 @@ class LimitResult:
     """Solved upper limit plus solver and integration diagnostics.
 
     ``criterion_at_solution`` is the criterion evaluated at ``mu_up``;
-    ``iterations`` the number of criterion evaluations; ``bracket`` the
+    ``iterations`` the number of criterion evaluations, mu = 0 included
+    where a started solve records c(0) = 1 without computing it; ``bracket`` the
     tightest sign-checked (lo, hi) interval containing ``mu_up``, with
     the criterion above the target at ``lo`` and not above it at ``hi``.
     ``mu_up`` is one of the two ends. It is most often ``hi``: the solve's
@@ -126,6 +132,10 @@ class LimitResult:
         }
 
 
+def _fail(message, bracket, history):
+    return ConvergenceError(message, bracket=bracket, iterations=len(history), history=history)
+
+
 def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, start: float = 0.0):
     """Solve c(mu) = target for a strictly decreasing criterion with c(0) > target.
 
@@ -143,7 +153,10 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, st
     ends. A ``start`` in (0, 2**64] is evaluated second, right after
     mu = 0, whether it lies below the root or past it; the jump counts
     against ``max_iter``, and the 8 * max(mu, 1) cap on a step applies
-    only after it. Any other
+    only after it. Where ``criterion`` has a ``value_at_zero`` attribute
+    above the target and ``max_iter`` allows the jump, that value is
+    recorded as c(0), counted as the first evaluation, and ``criterion``
+    is not called at mu = 0. Any other
     ``start`` (0, negative, beyond 2**64, inf or NaN) leaves the solve as
     it is without one. Raises :class:`ConvergenceError`, carrying the
     evaluated ``(mu, c(mu))`` pairs and the bracket, when ``max_iter``
@@ -154,18 +167,23 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, st
     """
     log_target = math.log(target)
     crit_tol = 10.0 * rel_tol * target
-    history = []
-
-    def fail(message, bracket):
-        return ConvergenceError(message, bracket=bracket, iterations=len(history), history=history)
-
+    jump = 0.0 < start <= _BRACKET_CAP
     lo = hi = None  # (mu, c(mu), converged) at the ends of the bracket
-    mu = 0.0
+    # a criterion that declares c(0) needs no arithmetic there when the
+    # solve jumps on from 0: only the step from 0 would need its slope
+    value = getattr(criterion, "value_at_zero", None) if jump and max_iter > 1 else None
+    if value is not None and value > target:
+        history = [(0.0, value)]
+        lo = 0.0, value, False
+        mu = start
+    else:
+        history = []
+        mu = 0.0
     while True:
         value, slope, curvature = criterion(mu)
         history.append((mu, value))
         if math.isnan(value):
-            raise fail(f"criterion at mu={mu} is NaN", None)
+            raise _fail(f"criterion at mu={mu} is NaN", None, history)
         step, margin = math.inf, 0.0
         if value > 0.0 and slope < 0.0:
             # Newton step on g(mu) = log c(mu) - log(target), with g' = c'/c
@@ -189,30 +207,32 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, st
         if value > target:
             lo = mu, value, converged
         elif lo is None:
-            raise fail(f"criterion at mu=0 is {value}, not above the target {target}", (0.0, 0.0))
+            raise _fail(f"criterion at mu=0 is {value}, not above the target {target}", (0.0, 0.0), history)
         else:
             hi = mu, value, converged
         # a converged end, or a bracket at the float64 resolution, ends the solve
         if hi is not None and (lo[2] or hi[2] or hi[0] - lo[0] <= _WIDTH_FLOOR * hi[0]):
-            ends = [end for end in (lo, hi) if end[2]]
-            if not ends and hi[1] == 0.0:
+            # both ends converge only when a probe signed the bracket for a
+            # converged lo: the probe is not an answer, so lo comes first
+            end = lo if lo[2] else hi if hi[2] else None
+            if end is None and hi[1] == 0.0:
                 # the bracket closed on the edge where c underflows, not on the root
-                raise fail(
+                raise _fail(
                     f"criterion underflows to 0 at mu={hi[0]} while still {lo[1]} at mu={lo[0]}, "
                     f"above the target {target}: the root lies past the float64 underflow",
                     (lo[0], hi[0]),
+                    history,
                 )
-            # both ends converge only when a probe signed the bracket for a
-            # converged lo: the probe is not an answer, so lo comes first
-            mu, value, _ = ends[0] if ends else min((lo, hi), key=lambda end: abs(end[1] - target))
+            mu, value, _ = end or min((lo, hi), key=lambda end: abs(end[1] - target))
             return mu, value, len(history), (lo[0], hi[0])
         if len(history) == max_iter:
-            raise fail(
+            raise _fail(
                 f"root refinement did not converge within {max_iter} iterations",
                 (lo[0], hi[0] if hi else math.inf),
+                history,
             )
         aim = mu + step + margin
-        if len(history) == 1 and 0.0 < start <= _BRACKET_CAP:
+        if len(history) == 1 and jump:
             mu = start
         elif hi is not None:
             mu = aim if lo[0] < aim < hi[0] else 0.5 * (lo[0] + hi[0])
@@ -223,4 +243,4 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, st
             # no upper end yet: a near-zero slope must not throw the step out to 2**64
             mu = min(aim, _GROWTH * max(mu, 1.0))
             if mu > _BRACKET_CAP:
-                raise fail(f"no sign change found while expanding the bracket up to {mu}", (lo[0], mu))
+                raise _fail(f"no sign change found while expanding the bracket up to {mu}", (lo[0], mu), history)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -88,6 +89,33 @@ class TestIntegrator:
             Integrator.gauss_hermite(1)
         with pytest.raises(ConfigError):
             Integrator.gauss_hermite(65)
+
+    @pytest.mark.parametrize(
+        ("kind", "name", "value"),
+        [
+            ("monte_carlo", "n_samples", 100.5),  # once a bare TypeError
+            ("monte_carlo", "seed", 1.5),  # once ran seed 1, while to_dict said 1.5
+            ("gauss_hermite", "nodes_per_dim", 8.0),  # once numpy's own TypeError
+            ("monte_carlo", "n_samples", True),  # once a bare TypeError
+        ],
+    )
+    def test_count_fields_are_integers(self, kind, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
+            Integrator(kind, **{name: value})
+
+    def test_factories_do_not_truncate(self):
+        # Integrator.monte_carlo(100.5, 1) once ran 100 samples
+        with pytest.raises(ConfigError, match="n_samples must be an integer, got 100.5"):
+            Integrator.monte_carlo(100.5, 1)
+        with pytest.raises(ConfigError, match="nodes_per_dim must be an integer, got 8.5"):
+            Integrator.gauss_hermite(8.5)
+
+    def test_numpy_integers_become_int(self):
+        integ = Integrator.monte_carlo(np.int64(100), np.uint64(2**64 - 1))
+        assert integ == Integrator.monte_carlo(100, 2**64 - 1)
+        assert [type(v) for v in integ.to_dict().values()] == [str, int, int]
+        assert type(Integrator.gauss_hermite(np.int32(8)).nodes_per_dim) is int
+        json.dumps(integ.to_dict())
 
     def test_to_dict(self):
         assert Integrator.monte_carlo(100, 7).to_dict() == {
@@ -896,6 +924,29 @@ class TestScanQuantity:
         # (tests/test_model.py), so the engine is built on it directly.
         crit = _Criterion(_cls_terms, 3, np.array([1.0, math.inf]), np.array([1.5, 1.5]), np.array([0.5, 0.5]))
         assert crit.mean(crit.terms(0.0)) == crit.den < 1.0
+
+    @pytest.mark.parametrize("quantity", ["cls", "clsb", "clb", "posterior"])
+    def test_stderr_refused_on_a_quadrature(self, quantity):
+        # the errors are those of an equal-weight Monte Carlo mean: on this
+        # 8-node set they once read CLs 0.810 +- 0.027, a number with no meaning
+        m = bg_systematic_model(kappa=1.2)
+        samples = draw_samples(m.systematics, Integrator.gauss_hermite(8))
+        with pytest.raises(ValueError, match="equal-weight Monte Carlo set"):
+            scan_quantity(m, quantity, np.array([0.0, 2.0]), samples, with_stderr=True)
+
+    def test_monte_carlo_stderr_bits(self):
+        # the errors of an equal-weight set, as before the refusal above
+        m = bg_systematic_model(kappa=1.2)
+        samples = draw_samples(m.systematics, Integrator.monte_carlo(500, 9))
+        expected = {
+            "cls": ["0x0.0p+0", "0x1.59478186cbfbcp-10", "0x1.7dc036e65627cp-10"],
+            "clsb": ["0x1.904d9b1a80960p-10", "0x1.3f80c5cab35a3p-9", "0x1.f02c21676075bp-10"],
+            "clb": ["0x1.904d9b1a80960p-10"] * 3,
+            "posterior": ["0x1.b5d9754cd02f4p-10", "0x1.bcf725ed17e9fp-11", "0x1.9cf96c984b676p-12"],
+        }
+        for quantity, hexes in expected.items():
+            _, stderrs = scan_quantity(m, quantity, np.array([0.0, 1.0, 3.0]), samples, with_stderr=True)
+            assert [x.hex() for x in stderrs.tolist()] == hexes
 
     def test_no_stderr_for_quadrature(self):
         m = bg_systematic_model(kappa=1.2)

@@ -221,6 +221,81 @@ class TestVectorisedYields:
         assert err.value.eta.tolist() == [3.0]
 
 
+def yields_by_the_old_fold(model, etas):
+    """yields_on_samples as it was once written: each product of factors
+    from np.ones(K) and the background sum from np.zeros(K)."""
+    names = model.systematics.names
+
+    def product(responses):
+        factor = np.ones(etas.shape[0])
+        for j, name in enumerate(names):
+            resp = responses.get(name)
+            if resp is not None and not resp.is_identity:
+                factor *= resp.factor(etas[:, j])
+        return factor
+
+    s = model.s_nom * product(model.systematics.signal_responses)
+    b = np.zeros(etas.shape[0])
+    for bkg in model.backgrounds:
+        b += bkg.b_nom * product(bkg.responses)
+    return s, b
+
+
+class TestYieldsFromTheFirstFactor:
+    """Each yield starts from its first factor or term, not from ones or
+    zeros, with the same bits."""
+
+    NUISANCES = [Nuisance("a", Prior.standard_normal()), Nuisance("b", Prior.standard_normal())]
+    # the linear factor 1 + 0.25 eta_b is exactly 0 at eta_b = -4
+    ETAS = np.concatenate([
+        np.random.default_rng(5).standard_normal((64, 2)),
+        [[0.0, -4.0], [-0.0, 0.0], [3.5, -4.0], [-1e-300, 1e-300]],
+    ])
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            model_with(  # an identity-only background beside a log-normal signal
+                signal_responses={"a": Response.log_normal(1.3)},
+                bkg_responses={"bkg": {"a": Response.identity(), "b": Response.identity()}},
+                nuisances=NUISANCES,
+            ),
+            model_with(  # a zero nominal background
+                bkgs=(("bkg", 0.0),),
+                bkg_responses={"bkg": {"a": Response.log_normal(1.2)}},
+                nuisances=NUISANCES,
+            ),
+            model_with(  # nominal backgrounds of -0.0, which the sum from zeros made 0.0
+                bkgs=(("neg", -0.0), ("flat", -0.0)),
+                bkg_responses={"neg": {"b": Response.log_normal(0.8)}},
+                nuisances=NUISANCES,
+            ),
+            model_with(  # a linear factor that reaches exactly 0, on both yields
+                signal_responses={"a": Response.log_normal(1.1), "b": Response.linear(0.25)},
+                bkg_responses={"bkg": {"b": Response.linear(0.25), "a": Response.log_normal(1.4)}},
+                nuisances=NUISANCES,
+            ),
+            model_with(  # three backgrounds, one of them with no response
+                s=2.5,
+                bkgs=(("x", 0.7), ("y", 3.1), ("z", 1e-3)),
+                bkg_responses={
+                    "x": {"a": Response.log_normal(1.2), "b": Response.linear(0.1)},
+                    "z": {"b": Response.log_normal(2.0)},
+                },
+                nuisances=NUISANCES,
+            ),
+            model_with(s=2, bkgs=(), nuisances=NUISANCES),  # an integer signal and no background
+        ],
+        ids=["identity_background", "zero_background", "negative_zero_backgrounds", "linear_zero", "three_backgrounds", "no_background"],
+    )
+    def test_same_bits_as_the_old_fold(self, model):
+        s, b = yields_on_samples(model, self.ETAS)
+        old_s, old_b = yields_by_the_old_fold(model, self.ETAS)
+        assert s.dtype == b.dtype == np.float64
+        assert s.tobytes() == old_s.tobytes()
+        assert b.tobytes() == old_b.tobytes()
+
+
 class TestValidation:
     def test_negative_signal(self):
         with pytest.raises(ModelError):

@@ -3,6 +3,7 @@ import math
 import statistics
 
 import mpmath
+import numpy as np
 import pytest
 
 from countlim import (
@@ -409,6 +410,142 @@ class TestStart:
                 solve_decreasing(lambda mu: (1.0, 0.0, 0.0), 0.05, 1e-9, 100, **kwargs)
             refusals.append((str(err.value), err.value.history))
         assert refusals[1] == refusals[0]
+
+
+class Declared:
+    """A criterion object that declares c(0) = ``value_at_zero``, as
+    ``marginal._Criterion`` does, and records the points it is called at."""
+
+    def __init__(self, criterion, value_at_zero=1.0):
+        self.criterion, self.value_at_zero, self.points = criterion, value_at_zero, []
+
+    def __call__(self, mu):
+        self.points.append(mu)
+        return self.criterion(mu)
+
+
+class TestDeclaredValueAtZero:
+    @pytest.mark.parametrize("start", [0.3, 3.0, 30.0])
+    def test_started_solve_does_not_evaluate_zero(self, start):
+        declared = Declared(poisson_ratio(10, 3.0))
+        full = solve_decreasing(poisson_ratio(10, 3.0), 0.1, 1e-9, 200, start)
+        assert solve_decreasing(declared, 0.1, 1e-9, 200, start) == full
+        assert declared.points[0] == start and 0.0 not in declared.points
+
+    def test_solve_without_a_start_evaluates_zero(self):
+        # the first Newton step needs the slope there
+        declared = Declared(exponential(1.0))
+        assert solve_decreasing(declared, 0.05, 1e-9, 200) == solve_decreasing(exponential(1.0), 0.05, 1e-9, 200)
+        assert declared.points[0] == 0.0
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_refusal_is_the_full_paths(self, max_iter):
+        refusals = []
+        for criterion in (poisson_ratio(50, 30.0), Declared(poisson_ratio(50, 30.0))):
+            with pytest.raises(ConvergenceError) as err:
+                solve_decreasing(criterion, 0.05, 1e-12, max_iter, start=5.0)
+            refusals.append((str(err.value), err.value.history, err.value.bracket, err.value.iterations))
+        assert refusals[1] == refusals[0]
+        assert refusals[1][1][0] == (0.0, 1.0)
+
+    def test_declared_value_not_above_the_target_is_evaluated(self):
+        declared = Declared(lambda mu: (0.01 * math.exp(-mu), -0.01 * math.exp(-mu), 0.01 * math.exp(-mu)), 0.01)
+        with pytest.raises(ConvergenceError, match="not above the target") as err:
+            solve_decreasing(declared, 0.05, 1e-9, 100, start=2.0)
+        assert declared.points == [0.0] and err.value.history == [(0.0, 0.01)]
+
+
+def exact_grid_criteria():
+    """(criterion, alpha, start) on criterion 2's 225 configurations: both
+    exact routes from their Wilson-Hilferty starts, and the Bayes route
+    again from the CLs root, as ``compare_limits`` starts it."""
+    for s, b, n_obs, alpha in itertools.product(
+        (0.5, 1.0, 2.0), (0.0, 0.5, 1.5, 5.0, 20.0), (0, 1, 3, 10, 50), (0.05, 0.1, 0.32)
+    ):
+        model = plain_model(s=s, b=b, n_obs=n_obs)
+        cls, bayes = (marginal._criterion(model, kernel) for kernel in (marginal._cls_terms, marginal._bayes_terms))
+        yield cls, alpha, marginal._wilson_hilferty_start(cls, alpha)
+        yield bayes, alpha, marginal._wilson_hilferty_start(bayes, alpha)
+        yield bayes, alpha, cls_upper_limit(model, LimitRequest(alpha=alpha)).mu_up
+
+
+def sample_set_criteria():
+    """(criterion, alpha, start) on one Monte Carlo and one Gauss-Hermite
+    set of a log-normal background model, both kernels."""
+    for integrator in (Integrator.monte_carlo(2000, 3), Integrator.gauss_hermite(16)):
+        for n_obs, alpha in itertools.product((0, 1, 3, 10, 40), (0.05, 0.32)):
+            model = bg_systematic_model(s=1.0, b=5.0, n_obs=n_obs, kappa=1.3)
+            samples = marginal.draw_samples(model.systematics, integrator)
+            for kernel in (marginal._cls_terms, marginal._bayes_terms):
+                crit = marginal._criterion(model, kernel, samples)
+                yield crit, alpha, marginal._wilson_hilferty_start(crit, alpha)
+
+
+@pytest.fixture
+def criterion_points(monkeypatch):
+    """The mu of every ``_Criterion`` call, in order."""
+    points, call = [], marginal._Criterion.__call__
+
+    def recorded(crit, mu):
+        points.append(mu)
+        return call(crit, mu)
+
+    monkeypatch.setattr(marginal._Criterion, "__call__", recorded)
+    return points
+
+
+class TestShortcutAgainstTheFullPath:
+    """A ``_Criterion`` declares c(0) = 1, so a started solve records it
+    and jumps; wrapped in a plain function it takes the full path, which
+    evaluates mu = 0. Both give the same solve."""
+
+    @pytest.mark.parametrize("criteria", [exact_grid_criteria, sample_set_criteria], ids=["exact_grid", "sample_sets"])
+    def test_same_solve_and_points(self, criteria, criterion_points):
+        started = total = 0
+        for crit, alpha, start in criteria():
+            total += 1
+            del criterion_points[:]
+            direct = solve_decreasing(crit, alpha, 1e-9, 200, start)
+            direct_points = criterion_points[:]
+            del criterion_points[:]
+            full = solve_decreasing(lambda mu: crit(mu), alpha, 1e-9, 200, start)
+            assert direct == full
+            assert criterion_points[0] == 0.0
+            if start > 0.0:
+                started += 1
+                assert direct_points == criterion_points[1:]
+            else:
+                assert direct_points == criterion_points
+        # every solve with n_obs >= 1, and the Bayes solves from the CLs root
+        assert started >= 0.75 * total
+
+    @pytest.mark.parametrize("monte_carlo", [False, True])
+    @pytest.mark.parametrize("kernel", [marginal._cls_terms, marginal._bayes_terms])
+    def test_no_kernel_or_pmf_at_zero(self, kernel, monte_carlo, criterion_points):
+        model = bg_systematic_model(s=1.0, b=1.5, n_obs=3) if monte_carlo else plain_model(s=1.0, b=1.5, n_obs=3)
+        samples = marginal.draw_samples(model.systematics, Integrator.monte_carlo(500, 1)) if monte_carlo else None
+        crit = marginal._criterion(model, kernel, samples)
+        kernel_x, pmf_x = [], []
+        kernel_call, pmf_call = crit.kernel, crit.pmf_and_derivative
+        crit.kernel = lambda n, s, x: kernel_x.append(x) or kernel_call(n, s, x)
+        crit.pmf_and_derivative = lambda x: pmf_x.append(x) or pmf_call(x)
+        start = marginal._wilson_hilferty_start(crit, 0.05)
+        assert start > 0.0
+        _, _, evals, _ = solve_decreasing(crit, 0.05, 1e-9, 200, start)
+        # every call is at a mu > 0, where x = mu*s + b is not b
+        assert len(criterion_points) == len(kernel_x) == evals - 1 and 0.0 not in criterion_points
+        assert not any(np.array_equal(x, crit.b) for x in kernel_x + pmf_x)
+        with pytest.raises(ConvergenceError) as err:
+            solve_decreasing(crit, 0.05, 1e-9, 2, start)
+        assert err.value.history[0] == (0.0, 1.0) and len(err.value.history) == 2
+        assert len(kernel_x) == evals
+
+    @pytest.mark.parametrize("kernel", [marginal._cls_terms, marginal._bayes_terms])
+    def test_one_evaluation_with_a_start(self, kernel):
+        crit = marginal._criterion(plain_model(s=1.0, b=1.5, n_obs=3), kernel)
+        with pytest.raises(ConvergenceError, match="within 1 iterations") as err:
+            solve_decreasing(crit, 0.05, 1e-9, 1, marginal._wilson_hilferty_start(crit, 0.05))
+        assert err.value.history == [(0.0, 1.0)] and err.value.iterations == 1
 
 
 class TestLimitRequest:
