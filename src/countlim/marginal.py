@@ -309,6 +309,7 @@ class _Criterion:
     """
 
     value_at_zero = 1.0
+    curved = True  # a set whose s^2 overflows is not (see __init__)
 
     def __init__(self, kernel, n: int, s, b, w):
         self.bayes = kernel is _bayes_terms
@@ -330,9 +331,19 @@ class _Criterion:
                 f"the denominator is not a positive finite number, so the criterion is undefined"
             )
         # the factors of the slope and curvature terms, signs included, made
-        # once per criterion rather than per call (see __call__)
+        # once per criterion rather than per call (see __call__). The
+        # curvature's holds s^2 at n = 0 and for CLs, which overflows above a
+        # signal yield of ~1.3e154, silently on floats. On a set where it
+        # would, the set is not ``curved``: the factor is 0 and the
+        # curvature inf, as its terms would make it, with none of numpy's
+        # warnings (the overflow, inf times 0, inf minus inf). The solver
+        # takes no Halley factor either way
         pmf_scale = s if kernel is _cls_terms else 1.0
-        self.d1_scale, self.d2_scale = (-s, s * s) if n == 0 else (-pmf_scale, -(s * pmf_scale))
+        if w is not None and (n == 0 or not self.bayes) and (top := float(s.max())) * top == math.inf:
+            self.curved = False
+            self.d1_scale, self.d2_scale = -s if n == 0 else -pmf_scale, 0.0
+        else:
+            self.d1_scale, self.d2_scale = (-s, s * s) if n == 0 else (-pmf_scale, -(s * pmf_scale))
         # with every b > 0, x = mu*s + b > 0 at every mu >= 0: no lane needs
         # the pmf's limit at x = 0
         self.x_positive = w is None or float(b.min()) > 0.0
@@ -361,7 +372,8 @@ class _Criterion:
         if self.w is None:  # on the nominal point each weighted mean is its term
             value, slope, curvature = terms / den, d1 / den, d2 / den
         else:
-            value, slope, curvature = self.mean(terms) / den, self.mean(d1) / den, self.mean(d2) / den
+            value, slope = self.mean(terms) / den, self.mean(d1) / den
+            curvature = self.mean(d2) / den if self.curved else math.inf
         self.recent = self.recent[1], (mu, terms, slope)
         return value, slope, curvature
 
@@ -479,7 +491,11 @@ def _wilson_hilferty_start(crit: _Criterion, alpha: float) -> float:
     weighted means of the yields, with p = alpha * CLb for CLs and
     alpha * E_w[Q(a, b) / s] * E_w[s] for Bayes; on the Monte Carlo and
     Gauss-Hermite toys of the test suite it falls 0.5% to 10% short of
-    the root. At n = 0 the Newton step from 0 is already exact, and an
+    the root. On the benchmark's sets (``perfbench``, the first 200
+    compares at seed 1, both criteria) it falls further short: 5% to 46%
+    on ``large_count``, where every CLs solve then takes 3 kernel
+    evaluations after the jump, and up to 77% on ``toys_small``. At n = 0
+    the Newton step from 0 is already exact, and an
     underflowed p, a mean signal yield of 0, an x0 at or below b or a
     start that is not finite fall back to 0.
     """

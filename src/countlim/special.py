@@ -6,16 +6,30 @@ imports numpy, while arrays are evaluated vectorised so the marginalisation
 code can process thousands of nuisance samples per call.
 
 The scalar twins are not duplication: exact limits solve on them, and
-narrow arrays run them lane by lane. An array walk pays a few numpy calls
-per step whatever its width, where a scalar walk pays ~0.1 us per step
-and lane. On a 2-vCPU host (Python 3.11, numpy 2.4), at the counts of the
-small-count Gauss-Hermite toys (n from 0 to 26, best of 5), an array call
-cost ~100 us (``poisson_cdf``) and ~140 us (``gamma_q``) from 8 to 256
-lanes, and the scalar twins 2.2 and 3.4 us per lane: they won at 32
-lanes and lost at 48. The ``gamma_q`` twin, re-measured on its
-fixed-depth fraction (lanes uniform in [a/2, 5a/2 + 5], a = 1 to 27),
-costs ~2.9 us per lane, so it still wins at 40. Arrays of at most
-``_NARROW_LANES`` = 40 lanes take the scalar twins, bit for bit.
+narrow arrays run them lane by lane. An array call pays a fixed cost in
+numpy calls whatever its width, where a scalar walk pays per lane. The
+cost of an array call over that of the scalar twin on its lanes, on
+Gauss-Hermite-like lanes x = c 1.2^eta (eta the nodes of the width's
+rule, c = n + 1 + 2 sqrt(n + 1)), best of 7 rounds of 200 calls on a
+2-vCPU x86-64 host (Python 3.11, numpy 2.4), by width
+(``tools/kernel_crossover.py``; README has all 22 rows):
+
+    kernel        n     8    12    16    20    24    28    32    40    48
+    poisson_cdf   0  1.69  1.29  0.97  0.85  0.74  0.66  0.59  0.49  0.42
+    poisson_cdf   3  1.37  2.58  1.73  1.42  1.21  1.03  0.89  0.74  0.61
+    poisson_cdf  10  2.72  1.54  1.20  0.96  0.82  0.70  0.63  0.50  0.43
+    poisson_cdf  30  1.91  1.25  0.94  0.76  0.49  0.66  0.45  0.39  0.32
+    gamma_q       0  2.65  1.67  1.35  1.07  0.92  0.80  0.67  0.57  0.47
+    gamma_q       3  2.32  1.64  1.27  1.02  0.84  0.74  0.66  0.52  0.43
+    gamma_q      10  2.58  1.44  1.18  1.04  0.83  0.71  0.61  0.49  0.43
+    gamma_q      20  4.67  3.51  2.21  1.88  1.52  1.35  1.17  0.95  0.85
+    gamma_q      30  4.37  2.97  3.21  1.69  1.55  1.21  1.20  1.08  0.91
+    median     0-30  2.33  1.53  1.25  1.03  0.84  0.74  0.66  0.53  0.43
+
+The median crosses 1 at 20 lanes (0.98 to 1.03 over four runs): arrays
+of at most ``_NARROW_LANES`` = 20 lanes take the scalar twins, bit for
+bit. ``gamma_q`` above a = 20, where Temme's route takes most lanes, is
+the exception: its twin still wins at 32 lanes.
 
 Wider arrays take no convergence test. ``poisson_cdf`` sums the scalar
 walk's series as one polynomial in n/x or x/(n + 1), and ``gamma_q``'s
@@ -152,21 +166,22 @@ def _is_array(x) -> bool:
 
 
 # Arrays of at most this many lanes run the scalar twin lane by lane: the
-# measured crossover, between 32 and 48 (see the module docstring).
-_NARROW_LANES = 40
+# width at which the median cost ratio of the module docstring's table
+# crosses 1, where an array call and its lanes on the twin cost the same.
+_NARROW_LANES = 20
 
 
 def _on_lanes(scalar, array, first, x, name: str) -> np.ndarray:
     """``scalar(first, lane)`` on each lane of a narrow array, else
     ``array(first, x, min, max)``, once ``x`` is checked to be nonnegative:
-    NaN too (``np.min`` returns it; ``min`` may skip it, ``sum`` does not)."""
+    NaN too (``x.min()`` returns it; ``min`` may skip it, ``sum`` does not)."""
     import numpy as np
     x = np.asarray(x, dtype=float)
     if x.size > _NARROW_LANES:
-        lo = float(np.min(x))
+        lo = float(x.min())
         if not lo >= 0.0:
             raise ValueError(f"{name} must be nonnegative")
-        return array(first, x, lo, float(np.max(x)))
+        return array(first, x, lo, float(x.max()))
     lanes = x.ravel().tolist()
     if lanes and not (min(lanes) >= 0.0 and sum(lanes) >= 0.0):
         raise ValueError(f"{name} must be nonnegative")
@@ -228,7 +243,7 @@ def _poisson_cdf_array(n: int, nu: np.ndarray, lo: float, hi: float) -> np.ndarr
 def _upper_tail_array(n: int, nu: np.ndarray) -> np.ndarray:
     # P(N > n) from k = n + 1: H_j z^j, z = x/(n + 1) < 1, H_j = prod_{i<=j} (n + 1)/(n + 1 + i)
     import numpy as np
-    sums = _series_sum(_series_table("upper", n), nu / (n + 1))
+    sums = _series_sum(_series_blocks("upper", n), nu / (n + 1))
     return 1.0 - np.exp((n + 1) * np.log(nu) - nu - math.lgamma(n + 2)) * sums
 
 
@@ -316,39 +331,64 @@ def _horner(coeffs, y: np.ndarray) -> np.ndarray:
 _LANE_BLOCK = 8192
 
 
-def _series_sum(coeffs, y: np.ndarray) -> np.ndarray:
-    """The polynomial with ``coeffs``, highest power first, at each lane of
-    ``y``, by baby steps and giant steps (Paterson & Stockmeyer 1973, SIAM
-    J. Comput. 2:60). For degree d and K = max(2, isqrt(2 d)): the rows
-    y^0 .. y^(K-1), one matrix product for the sums of all ceil((d + 1) / K)
-    blocks of K coefficients, lowest power first, then Horner's rule in y^K
-    over those sums. About K + 2 d / K numpy calls per block of lanes, where
-    Horner's rule takes 2 d. Every caller's coefficients and lanes are
-    positive, so no order of summation can cancel."""
+def _block_matrix(coeffs) -> np.ndarray:
+    """``_series_sum``'s matrix for ``coeffs``, highest power first: for
+    degree d and K = max(2, isqrt(2 d)), the coefficients lowest power
+    first, zero-padded to ceil((d + 1) / K) rows of K."""
     import numpy as np
     d = len(coeffs) - 1
     k = max(2, math.isqrt(2 * d))
-    blocks = -(-(d + 1) // k)
-    c = np.zeros(blocks * k)
+    c = np.zeros(-(-(d + 1) // k) * k)
     c[: d + 1] = coeffs[::-1]
-    c = c.reshape(blocks, k)
+    return c.reshape(-1, k)
+
+
+@functools.lru_cache(maxsize=256)
+def _series_blocks(route: str, a) -> np.ndarray:
+    """``_series_table(route, a)`` as its ``_block_matrix``, built once."""
+    c = _block_matrix(_series_table(route, a))
+    c.flags.writeable = False  # the cache hands it to every call
+    return c
+
+
+def _series_sum(coeffs, y: np.ndarray) -> np.ndarray:
+    """The polynomial with ``coeffs``, highest power first, or with their
+    ``_block_matrix``, at each lane of ``y``, by baby steps and giant steps
+    (Paterson & Stockmeyer 1973, SIAM J. Comput. 2:60). With the matrix's
+    K columns and B rows: the rows y^0 .. y^(K-1), one matrix product for
+    the sums of all B blocks of K coefficients, then Horner's rule in y^K
+    over those sums. That is K + 2 B numpy calls per block of lanes, about
+    K + 2 d / K for degree d where Horner's rule takes 2 d, and one more
+    to copy each block out where a call spans more than one. Every
+    caller's coefficients and lanes are positive, so no order of summation
+    can cancel."""
+    import numpy as np
+    c = coeffs if getattr(coeffs, "ndim", 1) == 2 else _block_matrix(coeffs)
+    k = c.shape[1]
+    if y.size <= _LANE_BLOCK:  # one block of lanes: its sums are the result
+        return _block_sum(c, y, np.empty((k, y.size)))
     out = np.empty_like(y)
-    powers = np.empty((k, min(y.size, _LANE_BLOCK)))
-    powers[0] = 1.0
+    powers = np.empty((k, _LANE_BLOCK))
     for start in range(0, y.size, _LANE_BLOCK):
         yb = y[start : start + _LANE_BLOCK]
-        v = powers[:, : yb.size]
-        v[1] = yb
-        for i in range(2, k):
-            np.multiply(v[i - 1], yb, out=v[i])
-        sums = c @ v
-        yk = v[-1] * yb
-        p = sums[-1]
-        for row in sums[-2::-1]:
-            p *= yk
-            p += row
-        out[start : start + yb.size] = p
+        out[start : start + yb.size] = _block_sum(c, yb, powers[:, : yb.size])
     return out
+
+
+def _block_sum(c: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # _series_sum on one block of lanes, with v a free K x len(y) buffer
+    import numpy as np
+    v[0] = 1.0
+    v[1] = y
+    for i in range(2, len(v)):
+        np.multiply(v[i - 1], y, out=v[i])
+    sums = c @ v
+    yk = v[-1] * y
+    p = sums[-1]
+    for row in sums[-2::-1]:
+        p *= yk
+        p += row
+    return p
 
 
 def _lower_tail_array(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +396,7 @@ def _lower_tail_array(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # k = n down to 0, relative to the k = n one, are G_j y^j with
     # y = n/x <= 1 and G_j = prod_{i<j} (n - i)/n
     import numpy as np
-    return np.exp(n * np.log(x) - x - math.lgamma(n + 1)), _series_sum(_series_table("lower", n), n / x)
+    return np.exp(n * np.log(x) - x - math.lgamma(n + 1)), _series_sum(_series_blocks("lower", n), n / x)
 
 
 def gamma_q(a, x):
@@ -464,16 +504,17 @@ def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
         return _upper_cf_array(a, x)
     if expands and edge <= lo and hi <= top:
         return _temme_array(a, x)
-    # lanes on more than one route: each route's lanes, gathered, in order
+    # lanes on more than one route: each route's lanes, gathered, in order;
+    # lo and hi tell whether the series and the fraction have any
     series = x < edge
     fraction = x > top if expands else ~series
-    routes = [(_lower_series_array, series), (_upper_cf_array, fraction)]
-    if expands:
-        routes.append((_temme_array, ~(series | fraction)))
     out = np.empty_like(x)
-    for route, lanes in routes:
-        if lanes.any():
-            out[lanes] = route(a, x[lanes])
+    if lo < edge:
+        out[series] = _lower_series_array(a, x[series])
+    if hi > top if expands else hi >= edge:
+        out[fraction] = _upper_cf_array(a, x[fraction])
+    if expands and (temme := ~(series | fraction)).any():
+        out[temme] = _temme_array(a, x[temme])
     return out
 
 
@@ -482,21 +523,24 @@ def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
     # x / s with factors s / (a + j): the coefficients, the cut and the
     # sum are those in x
     import numpy as np
-    sums = _series_sum(_series_table("gamma", a), x / _series_bound(a)[1])
+    sums = _series_sum(_series_blocks("gamma", a), x / _series_bound(a)[1])
     return np.maximum(0.0, 1.0 - np.exp(a * np.log(x) - x - math.lgamma(a)) * sums / a)
 
 
 def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
-    # the scalar twin's operations in its order, on every lane
+    # the scalar twin's operations in its order, on every lane: t holds the
+    # next level's denominator, (0 + b) + 2 depth at the deepest, then
+    # (t_k + b) + 2 (k - 1) below level k, and b + t_1 after the last
     import numpy as np
     pref = np.exp(a * np.log(x) - x - math.lgamma(a))
     b = x + 1.0 - a
-    t = np.zeros_like(x)
-    for k in range(_cf_depth(a), 0, -1):
-        t += b
-        t += 2 * k
+    depth = _cf_depth(a)
+    t = b + 2 * depth
+    for k in range(depth, 0, -1):
         np.divide(k * (a - k), t, out=t)
-    t += b
+        t += b
+        if k > 1:
+            t += 2 * (k - 1)
     return np.minimum(1.0, pref / t)
 
 

@@ -261,6 +261,22 @@ class TestLimitCommand:
         [line] = proc.stderr.splitlines()
         assert line.startswith(f"error: background yield {what} at sample ")
 
+    def test_huge_signal_yield_leaves_stderr_empty(self, tmp_path):
+        # s^2 overflows above s ~ 1.3e154: numpy's overflow warning, with its
+        # source line, once reached stderr beside a valid result
+        doc = json.loads(json.dumps(SIG_SYST))
+        doc["signal"]["nominal"] = 1e200
+        cfg = write_config(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "countlim.cli", "limit", cfg, "--method", "both", "--integrator", "gh", "--nodes", "8"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["results"]["cls"]["mu_up"] == pytest.approx(6.66271014e-200, rel=1e-8)
+
 
 class TestScanCommand:
     def test_cls_starts_at_one(self, tmp_path):

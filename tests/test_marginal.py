@@ -545,6 +545,33 @@ class TestCriterionCurvature:
             assert slope == pytest.approx(-0.7 * value, rel=1e-15)
             assert curvature == pytest.approx(0.49 * value, rel=1e-15)
 
+    def test_zero_count_at_a_huge_signal_yield(self):
+        # s^2 overflows above s ~ 1.3e154, once with numpy's RuntimeWarning
+        # (the suite turns them into errors): the curvature is inf, so the
+        # solve takes no Halley factor, and both limits are ln 20 / s
+        rep = compare_limits(bg_systematic_model(s=1e300, b=2.0, n_obs=0), LimitRequest(alpha=0.05), Integrator.gauss_hermite(6))
+        assert rep.mu_up_cls == rep.mu_up_bayes == 2.9957322735539905e-300
+        for kernel in (_cls_terms, _bayes_terms):
+            assert _criterion_on(1e300, 2.0, 0, kernel, True)(1e-300)[2] == math.inf
+
+    @pytest.mark.parametrize(
+        "model, integrator, limits",
+        [
+            (bg_systematic_model(s=1e200, b=2.0, n_obs=3), Integrator.monte_carlo(100, 1), ["0x1.256cff7e377cbp-662"] * 2),
+            # kappa^eta spreads s over the nodes: pmf' takes both signs, once inf - inf in the mean
+            (
+                signal_systematic_model(s=1e200, b=2.0, n_obs=3),
+                Integrator.gauss_hermite(48),
+                ["0x1.326684ca314c8p-662", "0x1.3cc1b9cc22fa9p-662"],
+            ),
+        ],
+    )
+    def test_cls_at_a_huge_signal_yield(self, model, integrator, limits):
+        # for CLs at n >= 1 the curvature holds s^2 too (for Bayes, s): the
+        # limits keep the bits they had when the warning was let through
+        rep = compare_limits(model, LimitRequest(alpha=0.05), integrator)
+        assert [rep.mu_up_cls.hex(), rep.mu_up_bayes.hex()] == limits
+
 
 class TestPmfFromTheKernel:
     @pytest.mark.parametrize("n_obs, kept", [(160, [False, False, False, True, True]), (100, [True] * 5)])

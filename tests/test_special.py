@@ -202,6 +202,10 @@ def assert_decreasing(vals):
 # the array walks.
 NARROW = special._NARROW_LANES
 WIDE = NARROW + 1
+# Widths the array routes took over from the scalar twins when the
+# crossover came down from 40 lanes: the 32-node rule's sets among them.
+MOVED = (32, 40)
+assert NARROW < min(MOVED)
 
 
 def assert_twins_agree(array_out, scalar_out, n, xs):
@@ -228,9 +232,12 @@ def assert_twins_agree(array_out, scalar_out, n, xs):
 def assert_lanes_are_independent_of_the_call(kernel, first, edge, inner):
     """Each lane of one wide call on a route, from its edge inward (linspace
     and geomspace to ``inner``), is the same x in a wide call of copies, bit
-    for bit: a lane's value depends on (first, x) alone."""
+    for bit, whatever that call's width: a lane's value depends on (first,
+    x) alone."""
     xs = np.union1d(np.linspace(edge, inner, 200), np.geomspace(edge, inner, 200))
-    assert kernel(first, xs).tolist() == [kernel(first, np.full(WIDE, x))[0] for x in xs.tolist()]
+    got = kernel(first, xs).tolist()
+    for width in (WIDE, *MOVED):
+        assert got == [kernel(first, np.full(width, x))[0] for x in xs.tolist()]
 
 
 def loop_coeffs(factors, m: float) -> list[float]:
@@ -283,9 +290,10 @@ class TestPoissonCdf:
             means = self.MEANS.get(n, [])
             nus[: len(means)] = means
             assert_twins_agree(poisson_cdf(n, nus), np.array([poisson_cdf(n, x) for x in nus.tolist()]), n, nus)
-        # and lanes spread evenly over both tails, out to n = 1500
-        for n in (6, 150, 1500):
-            nus = np.linspace(0.2, 2.5 * n, WIDE)
+        # and lanes spread evenly over both tails, out to n = 1500, on calls
+        # just wide enough for the array walks and as wide as 40
+        for n, width in itertools.product((6, 150, 1500), (WIDE, *MOVED)):
+            nus = np.linspace(0.2, 2.5 * n, width)
             assert (nus < n).any() and (nus >= n).any()
             assert_twins_agree(poisson_cdf(n, nus), np.array([poisson_cdf(n, x) for x in nus.tolist()]), n, nus)
 
@@ -539,6 +547,12 @@ class TestGammaQ:
         for n in (0, 1, 3, 6, 17, 40, 100, 150):
             xs = np.random.default_rng(n).uniform(0.0, 2.5 * n + 10.0, 400)
             xs[: len(self.XS)] = self.XS
+            a = n + 1.0
+            assert_twins_agree(gamma_q(a, xs), np.array([gamma_q(a, x) for x in xs.tolist()]), n, xs)
+        # and lanes spread evenly over every route, on calls just wide enough
+        # for the array routes and as wide as 40
+        for n, width in itertools.product((0, 6, 30, 150), (WIDE, *MOVED)):
+            xs = np.linspace(0.2, 2.5 * n + 10.0, width)
             a = n + 1.0
             assert_twins_agree(gamma_q(a, xs), np.array([gamma_q(a, x) for x in xs.tolist()]), n, xs)
 
@@ -888,3 +902,31 @@ def test_series_tables_stay_bounded(monkeypatch):
     assert table.cache_info().currsize == len(cached) == maxsize
     floats = sum(table(*key).size for key in cached)
     assert floats <= maxsize * (9.2 * math.sqrt(2000) + 30)
+
+
+def test_series_block_matrices_stay_bounded():
+    # each table's block matrix for _series_sum, cached beside the tables:
+    # the cache keeps its maxsize most recent, every one read-only, and
+    # one rebuilt after cache_clear has the same bits
+    blocks = special._series_blocks
+    keys = [(route, n) for n in range(200) for route in ("lower", "upper")] + [("gamma", n + 1.0) for n in range(200)]
+    built = [blocks(*key) for key in keys]
+    maxsize = blocks.cache_parameters()["maxsize"]
+    assert blocks.cache_info().currsize == maxsize < len(keys)
+    assert not any(matrix.flags.writeable for matrix in built)
+    with pytest.raises(ValueError):
+        built[-1][0, 0] = 1.0
+    blocks.cache_clear()
+    for key, matrix in zip(keys, built):
+        again = blocks(*key)
+        assert again is not matrix
+        assert again.shape == matrix.shape and again.tobytes() == matrix.tobytes()
+        # the table lowest power first, zero-padded to whole rows of K
+        table = special._series_table(*key)
+        assert matrix.shape[1] == max(2, math.isqrt(2 * (table.size - 1)))
+        assert matrix.ravel().tolist() == table[::-1].tolist() + [0.0] * (matrix.size - table.size)
+    # a plain coefficient list sums as its cached matrix does
+    y = np.linspace(0.0, 1.0, 50)
+    for key in keys[-3:]:
+        plain = special._series_table(*key).tolist()
+        assert special._series_sum(plain, y).tolist() == special._series_sum(blocks(*key), y).tolist()
