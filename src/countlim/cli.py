@@ -79,7 +79,10 @@ def _write_output(out: str, text: str) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        try:
+            Path(out).write_text(text, encoding="utf-8", newline="\n")
+        except OSError as err:  # a missing directory, a directory, no permission
+            raise ConfigError(f"cannot write --out {out}: {err.strerror or err}") from err
 
 
 def _config_sha256(path: str) -> str:

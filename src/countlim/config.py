@@ -199,9 +199,10 @@ def parse_model(doc) -> CountingModel:
 
 def load_model(path) -> CountingModel:
     """Parse a JSON configuration file into a model."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path} is not UTF-8 text: {err}") from err
     except ValueError as err:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"invalid JSON in {path}: {err}") from err
     return parse_model(doc)

@@ -5,13 +5,17 @@ continuous argument; scalars take a fast ``math``-module path, which never
 imports numpy, while arrays are evaluated vectorised so the marginalisation
 code can process thousands of nuisance samples per call.
 
-The scalar twins are not duplication: exact limits solve on them, and
-narrow arrays run them lane by lane. An array call pays a fixed cost in
-numpy calls whatever its width, where a scalar walk pays per lane. The
-cost of an array call over that of the scalar twin on its lanes, on
-Gauss-Hermite-like lanes x = c 1.2^eta (eta the nodes of the width's
-rule, c = n + 1 + 2 sqrt(n + 1)), best of 7 rounds of 200 calls on a
-2-vCPU x86-64 host (Python 3.11, numpy 2.4), by width
+Three of ``gamma_q``'s routes, the continued fraction, eta^2/2 and
+Temme's expansion, have one body each, run on the ``math`` module's
+functions for a float (``_MATH``) or on numpy's for an array
+(``_numpy()``, built on first use). The series walks and erfcx keep a
+float and an array form by design. Exact limits solve on the float
+paths, and narrow arrays run them lane by lane. An array call pays a
+fixed cost in numpy calls whatever its width, where a float path pays
+per lane. The cost of an array call over that of the float path on its
+lanes, on Gauss-Hermite-like lanes x = c 1.2^eta (eta the nodes of the
+width's rule, c = n + 1 + 2 sqrt(n + 1)), best of 7 rounds of 200 calls
+on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4), by width
 (``tools/kernel_crossover.py``; README has all 22 rows):
 
     kernel        n     8    12    16    20    24    28    32    40    48
@@ -27,17 +31,17 @@ rule, c = n + 1 + 2 sqrt(n + 1)), best of 7 rounds of 200 calls on a
     median     0-30  2.33  1.53  1.25  1.03  0.84  0.74  0.66  0.53  0.43
 
 The median crosses 1 at 20 lanes (0.98 to 1.03 over four runs): arrays
-of at most ``_NARROW_LANES`` = 20 lanes take the scalar twins, bit for
+of at most ``_NARROW_LANES`` = 20 lanes take the float paths, bit for
 bit. ``gamma_q`` above a = 20, where Temme's route takes most lanes, is
-the exception: its twin still wins at 32 lanes.
+the exception: its float path still wins at 32 lanes.
 
 Wider arrays take no convergence test. ``poisson_cdf`` sums the scalar
 walk's series as one polynomial in n/x or x/(n + 1), and ``gamma_q``'s
 lower series one polynomial in x, by baby steps and giant steps
-(``_series_sum``), with a cached table per route and count of the scalar
-loop's products, cut at a degree set by the count: where the route's
-edge ends the series. ``gamma_q``'s continued fraction is evaluated
-backward, in both twins, from a depth set by a. So each wide lane's bits
+(``_series_sum``), with a cached matrix per route and count of the
+scalar loop's products, cut at a degree set by the count: where the
+route's edge ends the series. ``gamma_q``'s continued fraction is evaluated
+backward, by one body, from a depth set by a. So each wide lane's bits
 depend on (count, x) alone. A call whose lanes all take one route (one
 tail, or one of ``gamma_q``'s three) runs it on the whole array, with no
 masks, gathers or scatters, and the same bits. Otherwise each route
@@ -47,8 +51,8 @@ series the twins round differently (forms, and numpy's ``log`` and
 ``exp`` against the ``math`` module's): by up to ~24 ulp at n <= 150
 and 84 at n = 1e4 on random lanes (README), the ``gamma_q`` array forms
 being nearer mpmath.
-On the fraction and Temme's route they differ only where numpy rounds a
-``log`` or ``exp`` differently.
+On the fraction and Temme's route, one body each, a float and a lane
+differ only where numpy rounds a ``log`` or ``exp`` differently.
 
 ``poisson_cdf`` sums the Poisson terms outwards from the largest term
 of one tail, relative to that term: down from k = n when the mean is at
@@ -64,10 +68,10 @@ erfcx(z) = exp(z^2) erfc(z) per lane, with both coefficient tables
 frozen below. Every other lane takes the lower series (``x < a + 1``)
 or the continued fraction, which for integer a ends at level a; for
 ``a > 20`` both converge in few steps outside the expansion's region.
-In that region the twins compute eta and erfcx from the same
-arithmetic, so they differ by at most 2 ulp (where ``exp`` rounds
-differently). It matches mpmath to a relative 1e-14 * (a + x + 1) on a
-frozen grid of integer a from 1 out to 1e5 + 1.
+In that region one body computes eta and erfcx for floats and arrays
+from + - * / alone, so the two differ by at most 2 ulp (where ``exp``
+rounds differently). It matches mpmath to a relative 1e-14 * (a + x + 1)
+on a frozen grid of integer a from 1 out to 1e5 + 1.
 
 ``poisson_cdf`` is deliberately *not* implemented through ``gamma_q``:
 the two are independent routes to the same quantity, and their agreement
@@ -87,6 +91,7 @@ import functools
 import itertools
 import math
 import sys
+import types
 
 from .exceptions import ConvergenceError
 
@@ -165,9 +170,9 @@ def _is_array(x) -> bool:
     return isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ()))
 
 
-# Arrays of at most this many lanes run the scalar twin lane by lane: the
+# Arrays of at most this many lanes run the float path lane by lane: the
 # width at which the median cost ratio of the module docstring's table
-# crosses 1, where an array call and its lanes on the twin cost the same.
+# crosses 1, where an array call and its lanes as floats cost the same.
 _NARROW_LANES = 20
 
 
@@ -279,7 +284,6 @@ def _series_bound(a: float) -> tuple[float, float]:
     return bound, math.ldexp(1.0, math.frexp(bound)[1])
 
 
-@functools.lru_cache(maxsize=256)
 def _series_table(route: str, a) -> np.ndarray:
     """A series route's c_j = f_1 ... f_j, c_0 = 1, highest power first, up
     to the scalar loop's cut at the route's largest ratio m: ``"lower"``,
@@ -304,16 +308,15 @@ def _series_table(route: str, a) -> np.ndarray:
             f = s / (a + j)
         below = np.cumprod(f * m) <= _HORNER_EPS
         if below.any():
-            c = np.cumprod(np.concatenate(([1.0], f[: below.argmax()])))[::-1].copy()
-            c.flags.writeable = False  # the cache hands it to every call
-            return c
+            return np.cumprod(np.concatenate(([1.0], f[: below.argmax()])))[::-1]
 
 
-def _horner(coeffs, y: np.ndarray) -> np.ndarray:
-    """The polynomial with ``coeffs``, highest power first, at each lane of
-    ``y``, in place on one buffer: the order of the scalar twins' loops."""
-    import numpy as np
-    p = np.full_like(y, coeffs[0])
+def _horner(coeffs, y):
+    """The polynomial with ``coeffs``, highest power first, at a finite
+    float ``y`` or at each lane of an array, in place on one fresh buffer:
+    c_0 + 0 y, then p y + c_j for each next c_j, the order of a scalar loop."""
+    p = y * 0.0
+    p += coeffs[0]
     for c in coeffs[1:]:
         p *= y
         p += c
@@ -407,8 +410,9 @@ def gamma_q(a, x):
     and one erfcx per lane, however close ``x`` is to ``a``. Elsewhere
     the lower-function series runs for ``x < a + 1``, on a scalar as a walk
     to a relative term of 1e-15 and on a wide array as one polynomial, and
-    otherwise the continued fraction, evaluated backward in both twins
-    from a depth set by ``a``: a - 1 (where it ends) to a = 20, 16 above.
+    otherwise the continued fraction, evaluated backward, on floats and
+    arrays alike, from a depth set by ``a``: a - 1 (where it ends) to
+    a = 20, 16 above.
     Checked against mpmath to a relative 1e-14 * (a + x + 1) on a frozen
     grid for integer a from 1 to 1e5 + 1. ``a`` must be a positive
     integer (an integral float passes); ``x`` nonnegative, scalar or
@@ -431,12 +435,12 @@ def _gamma_q_scalar(a: float, x: float) -> float:
     if x == 0.0:
         return 1.0
     if a > _TEMME_MIN_A and _TEMME_LO * a <= x <= _TEMME_HI * a:
-        return _temme_scalar(a, x)
+        return _temme(a, x, _MATH)
     if x < a + 1.0:
         return max(0.0, 1.0 - _lower_series_scalar(a, x))
     if x == math.inf:
         return 0.0
-    return _upper_cf_scalar(a, x)
+    return _upper_cf(a, x, _MATH)
 
 
 def _lower_series_scalar(a: float, x: float) -> float:
@@ -460,7 +464,7 @@ def _lower_series_scalar(a: float, x: float) -> float:
 
 # Q(a, x) over its prefactor is 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))),
 # a_k = k (a - k) and b_k = x + 1 - a + 2k, all positive before a_a = 0 on
-# the route's lanes, x >= a + 1 (a <= 20) or x > 2 a. Both twins evaluate
+# the route's lanes, x >= a + 1 (a <= 20) or x > 2 a. _upper_cf evaluates
 # it backward (Jones & Thron 1980, Continued Fractions; Gil, Segura & Temme
 # 2012, SIAM J. Sci. Comput. 34:A2965) from a depth set by a alone: a - 1
 # for a <= 20, where it ends, and _CF_DEPTH above. Against mpmath at x just
@@ -469,19 +473,30 @@ def _lower_series_scalar(a: float, x: float) -> float:
 _CF_DEPTH = 16
 
 
-def _cf_depth(a: float) -> int:
-    return int(a) - 1 if a <= _TEMME_MIN_A else _CF_DEPTH
+@functools.lru_cache(maxsize=64)
+def _cf_levels(a: float) -> tuple[tuple[float, float], ...]:
+    """The fraction's levels k = depth .. 1, deepest first, as floats: the
+    numerator k (a - k) and the 2 (k - 1) added below the level. ``a`` is
+    fixed over a call and over a solve."""
+    depth = int(a) - 1 if a <= _TEMME_MIN_A else _CF_DEPTH
+    return tuple((k * (a - k), 2.0 * (k - 1)) for k in range(depth, 0, -1))
 
 
-def _upper_cf_scalar(a: float, x: float) -> float:
-    pref = math.exp(a * math.log(x) - x - math.lgamma(a))
-    if pref == 0.0:
-        return 0.0
+def _upper_cf(a: float, x, ns):
+    """Q(a, x) on the fraction's route, on a float with ``ns`` the ``math``
+    namespace or on an array with numpy's, each level's two sums in place.
+    t holds the next level's denominator: b + 2 depth at the deepest, then
+    (t_k + b) + 2 (k - 1) below level k, and t_1 + b after the last. A
+    prefactor that underflows gives 0 / t = 0."""
+    pref = ns.exp(a * ns.log(x) - x - math.lgamma(a))
     b = x + 1.0 - a
-    t = 0.0
-    for k in range(_cf_depth(a), 0, -1):
-        t = k * (a - k) / ((t + b) + 2 * k)
-    return min(1.0, pref / (b + t))
+    levels = _cf_levels(a)
+    t = b + 2 * len(levels)
+    for c, d in levels:
+        t = c / t
+        t += b
+        t += d
+    return ns.min(1.0, pref / t)
 
 
 def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -501,9 +516,9 @@ def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if hi < edge:
         return _lower_series_array(a, x)
     if (lo > top) if expands else (lo >= edge):
-        return _upper_cf_array(a, x)
+        return _upper_cf(a, x, _numpy())
     if expands and edge <= lo and hi <= top:
-        return _temme_array(a, x)
+        return _temme(a, x, _numpy())
     # lanes on more than one route: each route's lanes, gathered, in order;
     # lo and hi tell whether the series and the fraction have any
     series = x < edge
@@ -512,9 +527,9 @@ def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if lo < edge:
         out[series] = _lower_series_array(a, x[series])
     if hi > top if expands else hi >= edge:
-        out[fraction] = _upper_cf_array(a, x[fraction])
+        out[fraction] = _upper_cf(a, x[fraction], _numpy())
     if expands and (temme := ~(series | fraction)).any():
-        out[temme] = _temme_array(a, x[temme])
+        out[temme] = _temme(a, x[temme], _numpy())
     return out
 
 
@@ -525,23 +540,6 @@ def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
     import numpy as np
     sums = _series_sum(_series_blocks("gamma", a), x / _series_bound(a)[1])
     return np.maximum(0.0, 1.0 - np.exp(a * np.log(x) - x - math.lgamma(a)) * sums / a)
-
-
-def _upper_cf_array(a: float, x: np.ndarray) -> np.ndarray:
-    # the scalar twin's operations in its order, on every lane: t holds the
-    # next level's denominator, (0 + b) + 2 depth at the deepest, then
-    # (t_k + b) + 2 (k - 1) below level k, and b + t_1 after the last
-    import numpy as np
-    pref = np.exp(a * np.log(x) - x - math.lgamma(a))
-    b = x + 1.0 - a
-    depth = _cf_depth(a)
-    t = b + 2 * depth
-    for k in range(depth, 0, -1):
-        np.divide(k * (a - k), t, out=t)
-        t += b
-        if k > 1:
-            t += 2 * (k - 1)
-    return np.minimum(1.0, pref / t)
 
 
 # Temme's uniform expansion (Temme 1979, SIAM J. Math. Anal. 10:757):
@@ -816,79 +814,48 @@ def _temme_poly(a: float) -> tuple[tuple[float, ...], float]:
     return tuple(coeffs), 1.0 / math.sqrt(2.0 * math.pi * a)
 
 
-# Both twins take eta^2 / 2 = s - ln(1 + s), s = (x - a) / a, from the same
-# arithmetic rather than from log1p, which numpy and math round differently
-# and whose cancellation near s = 0 would leave eta with a relative error
-# of ~eps / |s|. With 1 + s = 2^e (1 + r), |r| <= sqrt(2) - 1, and
-# t = r / (2 + r): ln(1 + r) = 2 atanh(t) and r - 2t = r t, so
+# _half_eta_sq takes eta^2 / 2 = s - ln(1 + s), s = (x - a) / a, from the
+# exact frexp and ldexp and + - * / alone, rather than from log1p, which
+# numpy and math round differently and whose cancellation near s = 0 would
+# leave eta with a relative error of ~eps / |s|. With 1 + s = 2^e (1 + r),
+# |r| <= sqrt(2) - 1, and t = r / (2 + r): ln(1 + r) = 2 atanh(t) and
+# r - 2t = r t, so
 #   s - ln(1 + s) = (s - r - e ln 2) + t (r - 2 t^2 sum_k t^2k / (2k + 3)),
 # where s - r is 0 for e = 0 and the sum has converged by k = 10.
 
 
-def _half_eta_sq_scalar(s: float) -> float:
-    m, e = math.frexp(1.0 + s)
-    if m < _SQRT_HALF:
-        e -= 1
-    scale = math.ldexp(1.0, -e)
-    r = s * scale + (scale - 1.0)
-    t = r / (2.0 + r)
-    u = t * t
-    p = _ATANH_TAIL[0]
-    for c in _ATANH_TAIL[1:]:
-        p = p * u + c
-    return (s - r - e * _LN2) + t * (r - 2.0 * u * p)
-
-
-def _half_eta_sq_array(s: np.ndarray) -> np.ndarray:
-    import numpy as np
-    m, e = np.frexp(1.0 + s)
-    e = e - (m < _SQRT_HALF)
-    scale = np.ldexp(1.0, -e)
-    r = s * scale + (scale - 1.0)
+def _half_eta_sq(s, ns):
+    m, e = ns.frexp(1.0 + s)
+    e -= m < _SQRT_HALF
+    scale = ns.ldexp(1.0, -e)
+    r = s * scale
+    r += scale - 1.0
     t = r / (2.0 + r)
     u = t * t
     p = _horner(_ATANH_TAIL, u)
     return (s - r - e * _LN2) + t * (r - 2.0 * u * p)
 
 
-def _temme_scalar(a: float, x: float) -> float:
+def _temme(a: float, x, ns):
+    """Q(a, x) on Temme's route, on a float with ``ns`` the ``math``
+    namespace or on an array with numpy's. The expansion's two cases are
+    one formula: with sign = 1 from x = a up and -1 below, Q = sign e
+    (erfcx(z) / 2 + sign P) + (1 - sign) / 2, whose products with sign
+    and sum with 0 are exact, so each case keeps its bits."""
     s = (x - a) / a
-    h = _half_eta_sq_scalar(s)
+    h = _half_eta_sq(s, ns)
     ah = a * h
-    eta = math.copysign(math.sqrt(h + h), s)
-    coeffs, norm = _temme_poly(a)
-    poly = coeffs[0]
-    for c in coeffs[1:]:
-        poly = poly * eta + c
-    term = norm * poly
-    if s < 0.0:
-        term = -term
-    q = (0.5 * _erfcx_scalar(math.sqrt(ah)) + term) * math.exp(-ah)
-    return 1.0 - q if s < 0.0 else q
-
-
-def _temme_array(a: float, x: np.ndarray) -> np.ndarray:
-    # the scalar twin's operations in its order, in place where a buffer
-    # is free, so that this route adds few arrays to a solve's peak
-    import numpy as np
-    s = (x - a) / a
-    h = _half_eta_sq_array(s)
-    ah = a * h
-    q = _erfcx_array(np.sqrt(ah))
+    q = ns.erfcx(ns.sqrt(ah))
     q *= 0.5
-    eta = h  # h is not needed again
-    eta += h
-    np.sqrt(eta, out=eta)
-    np.copysign(eta, s, out=eta)
+    h += h
     coeffs, norm = _temme_poly(a)
-    poly = _horner(coeffs, eta)
-    below = s < 0.0
-    poly *= norm
-    np.negative(poly, out=poly, where=below)
+    poly = _horner(coeffs, ns.copysign(ns.sqrt(h), s))
+    sign = ns.copysign(1.0, s)
+    poly *= sign * norm
     q += poly
-    np.negative(ah, out=ah)
-    q *= np.exp(ah, out=ah)
-    np.subtract(1.0, q, out=q, where=below)
+    q *= ns.exp(-ah)
+    q *= sign
+    q += 0.5 - 0.5 * sign
     return q
 
 
@@ -993,3 +960,20 @@ def _erfcx_array(z: np.ndarray) -> np.ndarray:
             d += zf
         p[far] = _INV_SQRT_PI / d
     return p
+
+
+# The namespaces of the one-body routes: the math module's for floats,
+# and numpy's for arrays, built on first use, so a float never imports it.
+_MATH = types.SimpleNamespace(
+    exp=math.exp, log=math.log, sqrt=math.sqrt, frexp=math.frexp, ldexp=math.ldexp,
+    copysign=math.copysign, min=min, erfcx=_erfcx_scalar,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy() -> types.SimpleNamespace:
+    import numpy as np
+    return types.SimpleNamespace(
+        exp=np.exp, log=np.log, sqrt=np.sqrt, frexp=np.frexp, ldexp=np.ldexp,
+        copysign=np.copysign, min=np.minimum, erfcx=_erfcx_array,
+    )

@@ -208,6 +208,38 @@ class TestLimitCommand:
         assert code == 1
         assert "signal.nominal: expected a finite number" in err
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_exits_one(self, tmp_path, where):
+        # the write's OSError once left a traceback in place of one error line
+        cfg = write_config(tmp_path, MINIMAL)
+        out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+        proc = subprocess.run(
+            [sys.executable, "-m", "countlim.cli", "limit", cfg, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: cannot write --out {out}: ")
+
+    def test_config_not_utf8_exits_one(self, tmp_path):
+        cfg = tmp_path / "model.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "countlim.cli", "limit", str(cfg)],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: {cfg} is not UTF-8 text: ")
+
     def test_integrator_options_ignored_without_nuisances(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         _, plain, _ = run_cli(["limit", cfg, "--method", "both"])

@@ -178,6 +178,12 @@ class TestLoadModel:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_model(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="is not UTF-8 text"):
+            load_model(path)
+
     def test_integer_too_long_to_convert(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(MINIMAL).replace('"n_obs": 0', '"n_obs": 1' + "0" * 5000))

@@ -396,7 +396,7 @@ class TestPoissonCdf:
         keys += [("gamma", float(a)) for a in [*range(1, 202), 1e5 + 1, 1e60, 1e300]]
         for key in keys:
             tries.clear()
-            special._series_table.__wrapped__(*key)
+            special._series_table(*key)
             assert len(tries) == 1, key
 
     @pytest.mark.parametrize("a", [1.0, 20.0, 21.0, 1e60, 1e300])
@@ -416,6 +416,10 @@ class TestPoissonCdf:
         y = np.array([0.0, 0.5, 1.0, 2.0])
         assert special._horner([4.0, 3.0, 2.0, 1.0], y).tolist() == [1.0, 3.25, 10.0, 49.0]
         assert special._horner([1.0], y).tolist() == [1.0] * 4
+        # a float takes the same loop, and gives a float
+        assert [special._horner((4.0, 3.0, 2.0, 1.0), v) for v in y.tolist()] == [1.0, 3.25, 10.0, 49.0]
+        assert [special._horner((1.0,), v) for v in (-2.0, 0.0, 3.0)] == [1.0] * 3
+        assert type(special._horner((4.0, 3.0), 0.5)) is float
 
     def test_series_sum_is_exact_on_small_integers(self):
         # every degree up to 40: one coefficient, whole blocks of K (d = K B)
@@ -584,6 +588,31 @@ class TestGammaQ:
             same = pref == [math.exp(a * math.log(x) - x - math.lgamma(a)) for x in xs.tolist()]
             got = gamma_q(a, xs)
             assert got[same].tolist() == [gamma_q(a, x) for x in xs[same].tolist()]
+            lanes, agreed = lanes + xs.size, agreed + int(same.sum())
+        assert agreed >= 0.9 * lanes
+
+    def test_half_eta_sq_is_the_same_on_floats_and_arrays(self):
+        # one body on the math module's functions and on numpy's: frexp
+        # and ldexp are exact and the rest is + - * /, so every lane of
+        # Temme's s = (x - a) / a in [-0.9, 1] gives the same bits
+        edges = [-0.9, 1.0, 0.0, 5e-324, -5e-324, math.nextafter(-0.9, 0.0), math.nextafter(1.0, 0.0)]
+        edges += [math.sqrt(0.5) - 1.0, math.nextafter(math.sqrt(0.5) - 1.0, 0.0), 1e-300, -1e-300]
+        ss = np.concatenate([np.random.default_rng(25).uniform(-0.9, 1.0, 20000), np.linspace(-0.9, 1.0, 2001), edges])
+        got = special._half_eta_sq(ss, special._numpy())
+        assert got.tolist() == [special._half_eta_sq(s, special._MATH) for s in ss.tolist()]
+
+    def test_temme_twins_give_the_same_bits(self):
+        # Temme's route runs one body on floats and on arrays, so the two
+        # differ only where numpy rounds exp(-a eta^2 / 2) differently from
+        # the math module
+        rng = np.random.default_rng(21)
+        lanes = agreed = 0
+        for a in [*range(21, 201), 1001, 10001, 100001]:
+            xs = np.append(rng.uniform(0.1 * a, 2.0 * a, 200), [0.1 * a, a, 2.0 * a])
+            ah = a * special._half_eta_sq((xs - a) / a, special._numpy())
+            same = np.exp(-ah) == [math.exp(-v) for v in ah.tolist()]
+            got = gamma_q(float(a), xs)
+            assert got[same].tolist() == [gamma_q(float(a), x) for x in xs[same].tolist()]
             lanes, agreed = lanes + xs.size, agreed + int(same.sum())
         assert agreed >= 0.9 * lanes
 
@@ -887,21 +916,24 @@ def test_series_lanes_are_independent_of_the_call(route):
 
 def test_series_tables_stay_bounded(monkeypatch):
     # every count 0..2000 on both Poisson tails and gamma_q's series: the
-    # cache keeps its maxsize = 256 most recent tables, each cut where its
-    # route's edge ends it, so at most 9.2 sqrt(2000) + 30 floats a table
+    # block-matrix cache keeps its maxsize = 256 most recent tables, each
+    # cut where its route's edge ends it, so at most 9.2 sqrt(2000) + 30
+    # floats a table, and with each matrix's zero padding no more in all
     # (0.9 MB for the cache) however long the run
-    table, keys = special._series_table, []
-    monkeypatch.setattr(special, "_series_table", lambda *key: keys.append(key) or table(*key))
-    table.cache_clear()
+    blocks, keys = special._series_blocks, []
+    monkeypatch.setattr(special, "_series_blocks", lambda *key: keys.append(key) or blocks(*key))
+    blocks.cache_clear()
     for n in range(2001):
         xs = np.linspace(0.5, 2.0 * n + 10.0, WIDE)
         poisson_cdf(n, xs)
         gamma_q(n + 1.0, xs / 10.0)
-    maxsize = table.cache_parameters()["maxsize"]
+    maxsize = blocks.cache_parameters()["maxsize"]
     cached = list(dict.fromkeys(reversed(keys)))[:maxsize]
-    assert table.cache_info().currsize == len(cached) == maxsize
-    floats = sum(table(*key).size for key in cached)
-    assert floats <= maxsize * (9.2 * math.sqrt(2000) + 30)
+    assert blocks.cache_info().currsize == len(cached) == maxsize
+    bound = 9.2 * math.sqrt(2000) + 30
+    assert all(np.count_nonzero(blocks(*key)) <= bound for key in cached)
+    floats = sum(blocks(*key).size for key in cached)
+    assert floats <= maxsize * bound
 
 
 def test_series_block_matrices_stay_bounded():
