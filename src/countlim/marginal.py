@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 from .exceptions import ConfigError, ConvergenceError, ModelError
 from .model import CountingModel, SystematicsModel, yields_on_samples
-from .special import _gamma_q_scalar, _poisson_cdf_and_pmf, _poisson_cdf_scalar, gamma_q, log_poisson_pmf
+from .special import _MATH, _gamma_q_scalar, _log_pmf, _log_pmf_limit, _numpy, _poisson_cdf_and_pmf, _poisson_cdf_scalar
+from .special import gamma_q, log_poisson_pmf
 from .solver import LimitRequest, LimitResult, solve_decreasing
 
 __all__ = [
@@ -249,11 +250,13 @@ def _check_mu(mu) -> float:
 
 
 def marginal_likelihood(model: CountingModel, mu: float, n, samples: SampleSet) -> float:
-    """Prior-weighted average of Poisson(n; mu*s(eta) + b(eta))."""
+    """Prior-weighted average of Poisson(n; mu*s(eta) + b(eta)), 0 on a
+    sample whose mean overflows, as in ``_Criterion.x_at``."""
     import numpy as np
     mu = _check_mu(mu)
     s, b = yields_on_samples(model, samples.etas)
-    pmf = np.exp(log_poisson_pmf(n, mu * s + b))
+    with np.errstate(over="ignore"):  # a mean that overflows is inf, where the pmf is 0
+        pmf = np.exp(log_poisson_pmf(n, mu * s + b))
     return float(np.sum(samples.weights * pmf))
 
 
@@ -297,9 +300,11 @@ class _Criterion:
     -s * pmf for CLs and -pmf for Bayes, the curvature -s^2 * pmf *
     (n/x - 1) and -s * pmf * (n/x - 1). So calling the criterion gives
     its value, slope and curvature for the price of one kernel call and
-    one pmf. A kernel returns its terms and the pmf where it has one: a
-    wide CLs call whose lanes all take ``poisson_cdf``'s lower tail, where
-    the pmf is the tail's prefactor, bit for bit.
+    one pmf, the exp of the kernels' one log-pmf body (``special._log_pmf``),
+    or of its limits at x = 0 and inf (``_log_pmf_limit``) where a lane
+    may reach them (``x_at``). A kernel returns its terms and the pmf where
+    it has one: a wide CLs call whose lanes all take ``poisson_cdf``'s
+    lower tail, where the pmf is the tail's prefactor, bit for bit.
 
     At mu = 0 the numerator is the denominator, and the criterion is
     exactly ``value_at_zero`` = 1: den / den, den a positive finite float,
@@ -338,16 +343,18 @@ class _Criterion:
         # curvature inf, as its terms would make it, with none of numpy's
         # warnings (the overflow, inf times 0, inf minus inf). The solver
         # takes no Halley factor either way
+        self.s_max, self.b_max = (s, b) if w is None else (float(s.max()), float(b.max()))  # see x_at
         pmf_scale = s if kernel is _cls_terms else 1.0
-        if w is not None and (n == 0 or not self.bayes) and (top := float(s.max())) * top == math.inf:
+        if w is not None and (n == 0 or not self.bayes) and self.s_max * self.s_max == math.inf:
             self.curved = False
             self.d1_scale, self.d2_scale = -s if n == 0 else -pmf_scale, 0.0
         else:
             self.d1_scale, self.d2_scale = (-s, s * s) if n == 0 else (-pmf_scale, -(s * pmf_scale))
         # with every b > 0, x = mu*s + b > 0 at every mu >= 0: no lane needs
-        # the pmf's limit at x = 0
+        # the pmf's limit at x = 0 (see x_at)
         self.x_positive = w is None or float(b.min()) > 0.0
         self.log_factorial = math.lgamma(n + 1.0)
+        self.ns = _MATH if w is None else _numpy()
         # (mu, numerator terms, slope) of the last two calls, latest last: a
         # solve ends on one of its bracket's ends, which is most often the
         # last point evaluated or the one before it
@@ -356,16 +363,16 @@ class _Criterion:
     def __call__(self, mu: float):
         """``(criterion, slope, curvature)`` at ``mu``: the solver's inner
         loop. At mu = 0 the numerator is the denominator, so no kernel runs."""
-        n, s = self.n, self.s
-        x = mu * s + self.b
-        terms, pmf = (self.den_terms, self.den_pmf) if mu == 0.0 else self.kernel(n, s, x)
+        n = self.n
+        x, edges = self.x_at(mu)
+        terms, pmf = (self.den_terms, self.den_pmf) if mu == 0.0 else self.kernel(n, self.s, x)
         if n == 0:
             # pmf(0; x) = exp(-x) is the CLs term and s times the Bayes term:
             # the derivatives are -s and s^2 times the terms, and log c is
             # linear on a one-point set, with no second route to disagree
             d1, d2 = self.d1_scale * terms, self.d2_scale * terms
         else:  # a kernel gives a pmf only where x > 0 on every lane
-            pmf, dpmf = self.pmf_and_derivative(x) if pmf is None else (pmf, n * (pmf / x) - pmf)
+            pmf, dpmf = self.pmf_and_derivative(x, edges) if pmf is None else (pmf, n * (pmf / x) - pmf)
             d1 = self.d1_scale * pmf
             d2 = self.d2_scale * dpmf
         den = self.den
@@ -386,35 +393,40 @@ class _Criterion:
         self(mu)
         return self.recent[1][1:]
 
-    def pmf_and_derivative(self, x):
-        """Per-sample pmf(n; x) and d pmf/dx = pmf * (n/x - 1), for x >= 0.
-
-        The pmf is exp(n ln x - x - ln n!) with ln n! cached, without the
-        range checks of :func:`log_poisson_pmf`. The derivative is written
-        n * (pmf/x) - pmf, which cannot overflow for n >= 1, and takes its
-        limit pmf(n - 1; 0) - pmf(n; 0) at x = 0.
-        """
-        n = self.n
-        if self.w is None:
-            if x == 0.0:
-                return float(n == 0), float(n == 1) - float(n == 0)
-            pmf = math.exp(n * math.log(x) - x - self.log_factorial)
-            return pmf, n * (pmf / x) - pmf
+    def x_at(self, mu: float):
+        """x = mu*s + b, and whether a lane may be at x = 0 or inf. With s,
+        b >= 0, mu*s_max + b_max bounds every lane: only where it overflows
+        can one be inf, and only there is numpy's warning silenced, so a
+        solve pays no ``np.errstate``. A lane is 0 only where its b is."""
+        top = mu * self.s_max + self.b_max
+        if self.w is None:  # the nominal point's x is its top lane
+            return top, not 0.0 < top < math.inf
+        if top < math.inf:
+            return mu * self.s + self.b, not self.x_positive
         import numpy as np
-        # lanes at x = 0 take the limits, on a set where some b is 0
-        zero = None if self.x_positive else x == 0.0
-        safe = x if zero is None else np.where(zero, 1.0, x)
-        pmf = np.log(safe)  # the formulas above, in place on two buffers
-        pmf *= n
-        pmf -= x
-        pmf -= self.log_factorial
-        np.exp(pmf, out=pmf)
-        dpmf = pmf / safe
+        with np.errstate(over="ignore"):
+            return mu * self.s + self.b, True
+
+    def pmf_and_derivative(self, x, edges: bool = True):
+        """Per-sample pmf(n; x) and d pmf/dx = pmf * (n/x - 1), for x >= 0,
+        on a float or an array alike: the exp of special's log-pmf body with
+        ln n! cached or, where ``edges`` says a lane may be at x = 0 or inf,
+        of ``_log_pmf_limit``. The derivative is written n * (pmf/x) - pmf,
+        which cannot overflow for n >= 1 and is 0 at x = inf. At x = 0 it
+        divides by x + 1, giving (n - 1) pmf(n; 0), and adds pmf(0; 0) = 1
+        at n = 1: the limit pmf(n - 1; 0) - pmf(n; 0)."""
+        n, ns = self.n, self.ns
+        if edges:
+            pmf = ns.exp(_log_pmf_limit(n, x, self.log_factorial, ns))
+            zero = x == 0.0
+            dpmf = pmf / (x + zero)
+        else:
+            pmf = ns.exp(_log_pmf(n, x, self.log_factorial, ns))
+            dpmf = pmf / x
         dpmf *= n
         dpmf -= pmf
-        if zero is not None:
-            pmf[zero] = float(n == 0)
-            dpmf[zero] = float(n == 1) - float(n == 0)
+        if edges and n == 1:
+            dpmf += zero
         return pmf, dpmf
 
     def mean(self, terms):
@@ -425,12 +437,12 @@ class _Criterion:
 
     def terms(self, mu: float):
         # at mu = 0 the numerator is the denominator, as in __call__
-        return self.den_terms if mu == 0.0 else self.kernel(self.n, self.s, mu * self.s + self.b)[0]
+        return self.den_terms if mu == 0.0 else self.kernel(self.n, self.s, self.x_at(mu)[0])[0]
 
     def pmf_terms(self, mu: float):
         """Per-sample Poisson(n_obs; mu*s + b): over the Bayesian
         denominator, the posterior density of mu."""
-        return self.pmf_and_derivative(mu * self.s + self.b)[0]
+        return self.pmf_and_derivative(*self.x_at(mu))[0]
 
     def ratio(self, num_terms) -> float:
         return self.mean(num_terms) / self.den

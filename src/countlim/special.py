@@ -5,6 +5,13 @@ continuous argument; scalars take a fast ``math``-module path, which never
 imports numpy, while arrays are evaluated vectorised so the marginalisation
 code can process thousands of nuisance samples per call.
 
+Every route but Temme's is a Poisson prefactor e^-x x^k / k! times one
+sum or one fraction. Its log, k ln x - x - ln k! (ln Gamma(a) at k = a
+in ``gamma_q``), is one body, ``_log_pmf``, shared by the kernels,
+:func:`log_poisson_pmf` and :mod:`countlim.marginal`'s criterion; the
+pmf's limits at x = 0 and inf are in ``_log_pmf_limit``, the kernels'
+(1 and 0) in ``_on_lanes``.
+
 Three of ``gamma_q``'s routes, the continued fraction, eta^2/2 and
 Temme's expansion, have one body each, run on the ``math`` module's
 functions for a float (``_MATH``) or on numpy's for an array
@@ -12,25 +19,9 @@ functions for a float (``_MATH``) or on numpy's for an array
 float and an array form by design. Exact limits solve on the float
 paths, and narrow arrays run them lane by lane. An array call pays a
 fixed cost in numpy calls whatever its width, where a float path pays
-per lane. The cost of an array call over that of the float path on its
-lanes, on Gauss-Hermite-like lanes x = c 1.2^eta (eta the nodes of the
-width's rule, c = n + 1 + 2 sqrt(n + 1)), best of 7 rounds of 200 calls
-on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4), by width
-(``tools/kernel_crossover.py``; README has all 22 rows):
-
-    kernel        n     8    12    16    20    24    28    32    40    48
-    poisson_cdf   0  1.69  1.29  0.97  0.85  0.74  0.66  0.59  0.49  0.42
-    poisson_cdf   3  1.37  2.58  1.73  1.42  1.21  1.03  0.89  0.74  0.61
-    poisson_cdf  10  2.72  1.54  1.20  0.96  0.82  0.70  0.63  0.50  0.43
-    poisson_cdf  30  1.91  1.25  0.94  0.76  0.49  0.66  0.45  0.39  0.32
-    gamma_q       0  2.65  1.67  1.35  1.07  0.92  0.80  0.67  0.57  0.47
-    gamma_q       3  2.32  1.64  1.27  1.02  0.84  0.74  0.66  0.52  0.43
-    gamma_q      10  2.58  1.44  1.18  1.04  0.83  0.71  0.61  0.49  0.43
-    gamma_q      20  4.67  3.51  2.21  1.88  1.52  1.35  1.17  0.95  0.85
-    gamma_q      30  4.37  2.97  3.21  1.69  1.55  1.21  1.20  1.08  0.91
-    median     0-30  2.33  1.53  1.25  1.03  0.84  0.74  0.66  0.53  0.43
-
-The median crosses 1 at 20 lanes (0.98 to 1.03 over four runs): arrays
+per lane. README tabulates the cost of an array call over the float
+path's on its lanes, by kernel, count and width (``tools/kernel_crossover.py``).
+Its median crosses 1 at 20 lanes (0.98 to 1.03 over four runs): arrays
 of at most ``_NARROW_LANES`` = 20 lanes take the float paths, bit for
 bit. ``gamma_q`` above a = 20, where Temme's route takes most lanes, is
 the exception: its float path still wins at 32 lanes.
@@ -90,6 +81,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import sys
 import types
 
@@ -102,12 +94,34 @@ _MAX_ITER = 500  # iteration cap; exceeding it raises ConvergenceError
 
 
 def _check_count(n) -> int:
-    if isinstance(n, float) and not n.is_integer():
+    # int() would take a bool or a string, and truncate a fraction; an int skips the slower ABC checks
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Real) or not float(n).is_integer()):
         raise ValueError(f"count must be an integer, got {n!r}")
     n = int(n)
     if n < 0:
         raise ValueError(f"count must be nonnegative, got {n}")
     return n
+
+
+def _log_pmf(k, x, log_norm: float, ns):
+    """``k * ns.log(x) - x - log_norm``, the log of the Poisson prefactor
+    e^-x x^k / k! (``log_norm`` = ln k!) for 0 < x < inf: on a float with
+    ``ns`` the ``math`` namespace, or in place on ``ns.log(x)`` with numpy's."""
+    p = ns.log(x)
+    p *= k
+    p -= x
+    p -= log_norm
+    return p
+
+
+def _log_pmf_limit(n: int, x, log_norm: float, ns):
+    """``_log_pmf`` of a count ``n`` at means x >= 0, a float or an array,
+    with its limits where the body has none: at x = 0, 0 for n = 0 and
+    -inf above; at x = inf, -inf. The body sees 1 on those lanes, where
+    ln 1 = 0 raises no warning."""
+    inside = (0.0 < x) & (x < math.inf)
+    p = _log_pmf(n, ns.where(inside, x, 1.0), log_norm, ns)
+    return ns.where(inside, p, -math.inf if n else ns.where(x == 0.0, 0.0, -math.inf))
 
 
 def log_poisson_pmf(n, nu):
@@ -121,23 +135,12 @@ def log_poisson_pmf(n, nu):
     """
     n = _check_count(n)
     if _is_array(nu):
-        import numpy as np
-        if nu.size and not float(np.min(nu)) >= 0.0:
-            raise ValueError("nu must be nonnegative")
-        # ln 1 = 0 where nu is 0 or inf, so n ln nu - nu is 0 or -inf there
-        safe = np.where((nu > 0.0) & (nu < np.inf), nu, 1.0)
-        out = n * np.log(safe) - nu - math.lgamma(n + 1)
-        if n > 0:
-            out = np.where(nu > 0.0, out, -np.inf)
-        return out
-    nu = float(nu)
-    if not nu >= 0.0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
-    if nu == 0.0:
-        return 0.0 if n == 0 else -math.inf
-    if nu == math.inf:
-        return -math.inf
-    return n * math.log(nu) - nu - math.lgamma(n + 1)
+        ns, lo = _numpy(), float(nu.min()) if nu.size else 0.0
+    else:
+        ns, lo = _MATH, (nu := float(nu))
+    if not lo >= 0.0:
+        raise ValueError(f"nu must be nonnegative, got {lo}")
+    return _log_pmf_limit(n, nu, math.lgamma(n + 1), ns)
 
 
 def poisson_cdf(n, nu):
@@ -156,13 +159,7 @@ def poisson_cdf(n, nu):
     1e-14 * (n + nu + 1) for n <= 1e4. Independent of :func:`gamma_q` by
     design.
     """
-    n = _check_count(n)
-    if _is_array(nu):
-        return _on_lanes(_poisson_cdf_scalar, _poisson_cdf_array, n, nu, "nu")
-    nu = float(nu)
-    if not nu >= 0.0:
-        raise ValueError(f"nu must be nonnegative, got {nu}")
-    return _poisson_cdf_scalar(n, nu)
+    return _on_lanes(_poisson_cdf_scalar, _poisson_cdf_array, _check_count(n), nu, "nu")
 
 
 def _is_array(x) -> bool:
@@ -171,22 +168,35 @@ def _is_array(x) -> bool:
 
 
 # Arrays of at most this many lanes run the float path lane by lane: the
-# width at which the median cost ratio of the module docstring's table
-# crosses 1, where an array call and its lanes as floats cost the same.
+# width at which the median cost ratio of README's table crosses 1, where
+# an array call and its lanes as floats cost the same.
 _NARROW_LANES = 20
 
 
-def _on_lanes(scalar, array, first, x, name: str) -> np.ndarray:
-    """``scalar(first, lane)`` on each lane of a narrow array, else
-    ``array(first, x, min, max)``, once ``x`` is checked to be nonnegative:
-    NaN too (``x.min()`` returns it; ``min`` may skip it, ``sum`` does not)."""
+def _on_lanes(scalar, array, first, x, name: str):
+    """``scalar(first, x)`` on a float or on each lane of a narrow array,
+    else ``array(first, x, min, max)``, once ``x`` is checked to be
+    nonnegative: NaN too (``x.min()`` returns it; ``min`` may skip it,
+    ``sum`` does not). ``array`` sees no lane at 0 or inf: both kernels
+    are 1 at x = 0 and take the limit 0 at x = inf, and the other lanes,
+    gathered, make a call with neither."""
+    if not _is_array(x):
+        if not (x := float(x)) >= 0.0:
+            raise ValueError(f"{name} must be nonnegative, got {x}")
+        return scalar(first, x)
     import numpy as np
     x = np.asarray(x, dtype=float)
     if x.size > _NARROW_LANES:
-        lo = float(x.min())
+        lo, hi = float(x.min()), float(x.max())
         if not lo >= 0.0:
             raise ValueError(f"{name} must be nonnegative")
-        return array(first, x, lo, float(x.max()))
+        if 0.0 < lo and hi < math.inf:
+            return array(first, x, lo, hi)
+        out = (x == 0.0).astype(float)
+        rest = (x > 0.0) & (x < math.inf)
+        if rest.any():
+            out[rest] = array(first, sub := x[rest], float(sub.min()), float(sub.max()))
+        return out
     lanes = x.ravel().tolist()
     if lanes and not (min(lanes) >= 0.0 and sum(lanes) >= 0.0):
         raise ValueError(f"{name} must be nonnegative")
@@ -212,26 +222,17 @@ def _poisson_cdf_scalar(n: int, nu: float) -> float:
             total += t
             if t <= _TAIL_EPS * total:
                 break
-        return math.exp(n * math.log(nu) - nu - math.lgamma(n + 1)) * total
+        return math.exp(_log_pmf(n, nu, math.lgamma(n + 1), _MATH)) * total
     k = n + 1
     while t > _TAIL_EPS * total:
         k += 1
         t *= nu / k
         total += t
-    return 1.0 - math.exp((n + 1) * math.log(nu) - nu - math.lgamma(n + 2)) * total
+    return 1.0 - math.exp(_log_pmf(n + 1, nu, math.lgamma(n + 2), _MATH)) * total
 
 
 def _poisson_cdf_array(n: int, nu: np.ndarray, lo: float, hi: float) -> np.ndarray:
     import numpy as np
-    if not (0.0 < lo and hi < math.inf):
-        # 1 at nu = 0, the limit 0 at nu = inf; the other lanes, gathered,
-        # make a call with neither
-        finite = nu < np.inf
-        out = finite.astype(float)
-        rest = finite & (nu > 0.0)
-        if rest.any():
-            out[rest] = _poisson_cdf_array(n, x := nu[rest], float(x.min()), float(x.max()))
-        return out
     if lo >= n:  # every lane in one tail: no masks
         return np.multiply(*_lower_tail_array(n, nu))
     if hi < n:
@@ -249,7 +250,7 @@ def _upper_tail_array(n: int, nu: np.ndarray) -> np.ndarray:
     # P(N > n) from k = n + 1: H_j z^j, z = x/(n + 1) < 1, H_j = prod_{i<=j} (n + 1)/(n + 1 + i)
     import numpy as np
     sums = _series_sum(_series_blocks("upper", n), nu / (n + 1))
-    return 1.0 - np.exp((n + 1) * np.log(nu) - nu - math.lgamma(n + 2)) * sums
+    return 1.0 - np.exp(_log_pmf(n + 1, nu, math.lgamma(n + 2), _numpy())) * sums
 
 
 def _poisson_cdf_and_pmf(n: int, nu):
@@ -399,7 +400,7 @@ def _lower_tail_array(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # k = n down to 0, relative to the k = n one, are G_j y^j with
     # y = n/x <= 1 and G_j = prod_{i<j} (n - i)/n
     import numpy as np
-    return np.exp(n * np.log(x) - x - math.lgamma(n + 1)), _series_sum(_series_blocks("lower", n), n / x)
+    return np.exp(_log_pmf(n, x, math.lgamma(n + 1), _numpy())), _series_sum(_series_blocks("lower", n), n / x)
 
 
 def gamma_q(a, x):
@@ -418,17 +419,12 @@ def gamma_q(a, x):
     integer (an integral float passes); ``x`` nonnegative, scalar or
     array, where ``x == inf`` gives the limit 0.
     """
-    a = float(a)
-    if not 0.0 < a < math.inf:
+    real = type(a) is float or isinstance(a, numbers.Real) and not isinstance(a, bool)  # float() takes a bool or str
+    if real and not 0.0 < (a := float(a)) < math.inf:
         raise ValueError(f"a must be positive and finite, got {a}")
-    if not a.is_integer():
-        raise ValueError(f"a must be an integer, got {a}")
-    if _is_array(x):
-        return _on_lanes(_gamma_q_scalar, _gamma_q_array, a, x, "x")
-    x = float(x)
-    if not x >= 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return _gamma_q_scalar(a, x)
+    if not (real and a.is_integer()):
+        raise ValueError(f"a must be an integer, got {a!r}")
+    return _on_lanes(_gamma_q_scalar, _gamma_q_array, a, x, "x")
 
 
 def _gamma_q_scalar(a: float, x: float) -> float:
@@ -444,7 +440,7 @@ def _gamma_q_scalar(a: float, x: float) -> float:
 
 
 def _lower_series_scalar(a: float, x: float) -> float:
-    pref = math.exp(a * math.log(x) - x - math.lgamma(a))
+    pref = math.exp(_log_pmf(a, x, math.lgamma(a), _MATH))
     if pref == 0.0:
         return 0.0  # x far below a; the lower function underflows
     r = a
@@ -488,7 +484,7 @@ def _upper_cf(a: float, x, ns):
     t holds the next level's denominator: b + 2 depth at the deepest, then
     (t_k + b) + 2 (k - 1) below level k, and t_1 + b after the last. A
     prefactor that underflows gives 0 / t = 0."""
-    pref = ns.exp(a * ns.log(x) - x - math.lgamma(a))
+    pref = ns.exp(_log_pmf(a, x, math.lgamma(a), ns))
     b = x + 1.0 - a
     levels = _cf_levels(a)
     t = b + 2 * len(levels)
@@ -501,14 +497,6 @@ def _upper_cf(a: float, x, ns):
 
 def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     import numpy as np
-    if not (0.0 < lo and hi < math.inf):
-        # 1 at x = 0, the limit 0 at x = inf; the other lanes, gathered,
-        # make a call with neither
-        out = (x == 0.0).astype(float)
-        rest = (x > 0.0) & (x < np.inf)
-        if rest.any():
-            out[rest] = _gamma_q_array(a, sub := x[rest], float(sub.min()), float(sub.max()))
-        return out
     expands = a > _TEMME_MIN_A  # Temme's route takes 0.1 a <= x <= 2 a
     edge = _series_bound(a)[0]  # the series takes x < edge, the fraction the rest
     top = _TEMME_HI * a
@@ -539,7 +527,7 @@ def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
     # sum are those in x
     import numpy as np
     sums = _series_sum(_series_blocks("gamma", a), x / _series_bound(a)[1])
-    return np.maximum(0.0, 1.0 - np.exp(a * np.log(x) - x - math.lgamma(a)) * sums / a)
+    return np.maximum(0.0, 1.0 - np.exp(_log_pmf(a, x, math.lgamma(a), _numpy())) * sums / a)
 
 
 # Temme's uniform expansion (Temme 1979, SIAM J. Math. Anal. 10:757):
@@ -966,7 +954,7 @@ def _erfcx_array(z: np.ndarray) -> np.ndarray:
 # and numpy's for arrays, built on first use, so a float never imports it.
 _MATH = types.SimpleNamespace(
     exp=math.exp, log=math.log, sqrt=math.sqrt, frexp=math.frexp, ldexp=math.ldexp,
-    copysign=math.copysign, min=min, erfcx=_erfcx_scalar,
+    copysign=math.copysign, min=min, erfcx=_erfcx_scalar, where=lambda c, a, b: a if c else b,
 )
 
 
@@ -975,5 +963,5 @@ def _numpy() -> types.SimpleNamespace:
     import numpy as np
     return types.SimpleNamespace(
         exp=np.exp, log=np.log, sqrt=np.sqrt, frexp=np.frexp, ldexp=np.ldexp,
-        copysign=np.copysign, min=np.minimum, erfcx=_erfcx_array,
+        copysign=np.copysign, min=np.minimum, erfcx=_erfcx_array, where=np.where,
     )

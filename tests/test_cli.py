@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,32 @@ class TestScanCommand:
         assert run_cli(args + ["--out", str(out1)])[0] == 0
         assert run_cli(args + ["--out", str(out2)])[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("doc", [PLAIN, BG_SYST], ids=["one point", "one nuisance"])
+    @pytest.mark.parametrize("quantity", ["posterior", "cls"])
+    def test_overflowed_mean_prints_zero(self, tmp_path, doc, quantity):
+        # at s = 1e10, mu*s + b overflows at both mu > 0: both quantities
+        # are 0 there. The posterior once printed null, and numpy's warnings
+        # went to stderr
+        cfg = write_config(tmp_path, {**doc, "signal": {"nominal": 1e10}})
+        args = ["scan", cfg, "--mu-max", "1e300", "--points", "3", "--quantity", quantity, "--samples", "50"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(args)
+        assert code == 0 and err == ""
+        zeros = ["0"] if doc is PLAIN else ["0", "0"]  # the value, and its stderr on a Monte Carlo set
+        assert [line.split(",")[1:] for line in out.splitlines()[2:]] == [zeros, zeros]
+
+    def test_overflowed_mean_writes_nothing_to_stderr(self, tmp_path):
+        cfg = write_config(tmp_path, {**BG_SYST, "signal": {"nominal": 1e10}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "countlim.cli", "scan", cfg, "--mu-max", "1e300", "--points", "3", "--quantity", "posterior"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[2:] == ["5.0000000000000003e+299,0,0", "1.0000000000000001e+300,0,0"]
 
 
 class TestOnePathToTheLimits:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -924,6 +925,55 @@ class TestMarginalPosterior:
         m = bg_systematic_model()
         samples = draw_samples(m.systematics, Integrator.gauss_hermite(8))
         assert marginal_posterior_tail(m, 0.0, samples) == 1.0
+
+    @pytest.mark.parametrize("n_obs", [3, 0])
+    @pytest.mark.parametrize("nuisance", [False, True], ids=["one point", "monte carlo"])
+    def test_zero_where_the_mean_overflows(self, n_obs, nuisance):
+        # x = mu*s + b is inf at s = 1e10, mu = 1e300, where the pmf's limit
+        # is 0: n ln x - x once made it inf - inf, and the density NaN
+        m = (bg_systematic_model if nuisance else plain_model)(s=1e10, b=1.5, n_obs=n_obs)
+        samples = draw_samples(m.systematics, Integrator.monte_carlo(50, 1) if nuisance else None)
+        assert marginal_posterior_density(m, 1e300, samples) == 0.0
+
+
+class TestOverflowedMean:
+    # s = 1e10 at mu = 1e300 on a 50-sample Monte Carlo set: x = mu*s + b
+    # overflows on every sample, which once let numpy warn of the overflow
+    # (and of inf - inf for the density); every quantity is 0 there
+    CALLS = {
+        "hybrid_cls": lambda m, samples: hybrid_cls(m, 1e300, samples),
+        "marginal_posterior_tail": lambda m, samples: marginal_posterior_tail(m, 1e300, samples),
+        "marginal_posterior_density": lambda m, samples: marginal_posterior_density(m, 1e300, samples),
+        "marginal_likelihood": lambda m, samples: marginal_likelihood(m, 1e300, 3, samples),
+        "scan_quantity": lambda m, samples: [
+            scan_quantity(m, q, np.array([0.0, 1e300]), samples, with_stderr=True)[i][1]
+            for q in ("cls", "clsb", "clb", "posterior") for i in (0, 1) if q != "clb"
+        ],
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_no_warning_and_zero(self, call):
+        m = bg_systematic_model(s=1e10, b=1.5, n_obs=3)
+        samples = draw_samples(m.systematics, Integrator.monte_carlo(50, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.CALLS[call](m, samples)
+        assert got == ([0.0] * 6 if call == "scan_quantity" else 0.0)
+
+    def test_lanes_past_the_overflow_take_the_limit(self):
+        # one lane of x overflows, the other does not: only the first call
+        # has a bound that can overflow, and each lane takes its own pmf
+        crit = _Criterion(_bayes_terms, 3, np.array([1e-9, 1e300]), np.array([1.5, 1.5]), np.array([0.5, 0.5]))
+        assert crit.x_at(1.0)[1] is False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, edges = crit.x_at(1e10)
+            pmf, dpmf = crit.pmf_and_derivative(x, edges)
+            value, slope, curvature = crit(1e10)
+        assert edges and x[1] == math.inf
+        assert pmf.tolist() == [math.exp(log_poisson_pmf(3, float(x[0]))), 0.0] and dpmf[1] == 0.0
+        assert slope == -0.5 * pmf[0] / crit.den
+        assert 0.0 < value < 1.0 and math.isfinite(curvature)
 
 
 class TestScanQuantity:

@@ -528,7 +528,7 @@ class TestShortcutAgainstTheFullPath:
         kernel_x, pmf_x = [], []
         kernel_call, pmf_call = crit.kernel, crit.pmf_and_derivative
         crit.kernel = lambda n, s, x: kernel_x.append(x) or kernel_call(n, s, x)
-        crit.pmf_and_derivative = lambda x: pmf_x.append(x) or pmf_call(x)
+        crit.pmf_and_derivative = lambda x, *edges: pmf_x.append(x) or pmf_call(x, *edges)
         start = marginal._wilson_hilferty_start(crit, 0.05)
         assert start > 0.0
         _, _, evals, _ = solve_decreasing(crit, 0.05, 1e-9, 200, start)

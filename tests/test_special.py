@@ -173,6 +173,22 @@ class TestLogPoissonPmf:
         with pytest.raises(ValueError):
             log_poisson_pmf(1.5, 1.0)
 
+    # a count that is not an integer of some numeric type: once, int()
+    # truncated np.float32(2.5) to 2 and took a string or a bool
+    NOT_COUNTS = [np.float32(2.5), np.float64(2.5), Fraction(5, 2), "3", True, np.True_, None]
+
+    @pytest.mark.parametrize("n", NOT_COUNTS, ids=repr)
+    @pytest.mark.parametrize("kernel", [log_poisson_pmf, poisson_cdf])
+    def test_non_integer_counts_are_refused(self, kernel, n):
+        for nu in (2.5, np.linspace(0.0, 9.0, 3), np.linspace(0.0, 9.0, 30)):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                kernel(n, nu)
+
+    @pytest.mark.parametrize("n", [2, np.int64(2), np.uint8(2), 2.0, np.float32(2.0), Fraction(4, 2)], ids=repr)
+    @pytest.mark.parametrize("kernel", [log_poisson_pmf, poisson_cdf])
+    def test_integral_counts_of_any_type_pass(self, kernel, n):
+        assert kernel(n, 2.5) == kernel(2, 2.5)
+
     def test_array_matches_scalar(self):
         nus = np.array([0.0, 0.3, 2.5, 40.0])
         out = log_poisson_pmf(4, nus)
@@ -675,6 +691,16 @@ class TestGammaQ:
             gamma_q(-2.0, 1.0)
         with pytest.raises(ValueError):
             gamma_q(2.0, -1.0)
+
+    @pytest.mark.parametrize("a", ["4", True, np.True_, np.float32(2.5), None], ids=repr)
+    def test_strings_bools_and_fractions_are_refused(self, a):
+        # float() once took '4' and True as a = 4 and a = 1
+        with pytest.raises(ValueError, match="a must be an integer"):
+            gamma_q(a, 2.5)
+
+    @pytest.mark.parametrize("a", [4, np.int64(4), 4.0, np.float32(4.0)], ids=repr)
+    def test_integral_shape_parameters_of_any_type_pass(self, a):
+        assert gamma_q(a, 2.5) == gamma_q(4.0, 2.5)
 
 
 class TestErfcx:

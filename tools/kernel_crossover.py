@@ -61,13 +61,15 @@ def main(argv=None) -> None:
     default = special._NARROW_LANES
     print("kernel       count " + "".join(f"{w:>7}" for w in widths))
     columns = [[] for _ in widths]
-    for name, kernel in KERNELS.items():
-        for n in counts:
-            ratios = [cost_ratio(kernel, n, lanes(n, w), args.calls, args.rounds) for w in widths]
-            for column, ratio in zip(columns, ratios):
-                column.append(ratio)
-            print(f"{name:<12} {n:>5} " + "".join(f"{r:>7.2f}" for r in ratios))
-    special._NARROW_LANES = default
+    try:  # cost_ratio sets special._NARROW_LANES: restored however the table ends
+        for name, kernel in KERNELS.items():
+            for n in counts:
+                ratios = [cost_ratio(kernel, n, lanes(n, w), args.calls, args.rounds) for w in widths]
+                for column, ratio in zip(columns, ratios):
+                    column.append(ratio)
+                print(f"{name:<12} {n:>5} " + "".join(f"{r:>7.2f}" for r in ratios))
+    finally:
+        special._NARROW_LANES = default
     medians = [statistics.median(c) for c in columns]
     print("median" + " " * 13 + "".join(f"{m:>7.2f}" for m in medians))
     width, median = min(zip(widths, medians), key=lambda wm: abs(math.log(wm[1])))
