@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import load_model
+from .config import _parse_file, load_model
 from .equivalence import VERDICT_UNEXPECTED, _paired_limits, compare_limits
 from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError
 from .marginal import (
@@ -85,8 +85,10 @@ def _write_output(out: str, text: str) -> None:
             raise ConfigError(f"cannot write --out {out}: {err.strerror or err}") from err
 
 
-def _config_sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _load(config_path: str):
+    """The model in a config file and the SHA-256 of the very bytes it was parsed from."""
+    data = Path(config_path).read_bytes()
+    return _parse_file(data, config_path), hashlib.sha256(data).hexdigest()
 
 
 def _request(cl: float, rel_tol: float) -> LimitRequest:
@@ -105,25 +107,9 @@ def _build_integrator(kind: str, samples: int, seed: int, nodes: int) -> Integra
     return Integrator.gauss_hermite(nodes)
 
 
-def _exit_codes(fn):
-    """A command that prints a library error to stderr and exits with its
-    code: 1 for a configuration or model error, 2 for a solver error."""
-
-    @functools.wraps(fn)
-    def command(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ConfigError, ModelError, YieldError, ConvergenceError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            sys.exit(_FAIL_CONFIG if isinstance(err, (ConfigError, ModelError)) else _FAIL_SOLVER)
-
-    return command
-
-
-@_exit_codes
 def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, tol, out):
     """Solve the upper limit on the signal strength for a model config."""
-    model = load_model(config_path)
+    model, config_sha256 = _load(config_path)
     req = _request(cl, tol)
     # a model without nuisances solves on its nominal floats: no integrator, sample set or numpy
     integrator = _build_integrator(integrator_kind, samples, seed, nodes) if model.has_systematics else None
@@ -134,7 +120,7 @@ def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, to
         solver = hybrid_cls_upper_limit if method == "cls" else bayesian_marginal_upper_limit
         results = {method: solver(model, req, integrator)}
     payload = {
-        "config_sha256": _config_sha256(config_path),
+        "config_sha256": config_sha256,
         "cl": cl,
         "alpha": req.alpha,
         "method": method,
@@ -146,7 +132,6 @@ def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, to
     _write_output(out, _json_text(payload) + "\n")
 
 
-@_exit_codes
 def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, samples, seed, nodes, out):
     """Tabulate a quantity on a strength grid as CSV (columns mu,value
     plus stderr for Monte Carlo quantities)."""
@@ -169,13 +154,12 @@ def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, sam
     _write_output(out, "\n".join(lines) + "\n")
 
 
-@_exit_codes
 def cmd_equivalence(config_path, cl, integrator_kind, samples, seed, nodes, tol, solver_tol, out, debug_seed_offset):
     """Compare the two limit methods on one shared sample set.
 
     Exits 3 when the methods diverge although every signal response is the
     identity (which shared samples should make impossible)."""
-    model = load_model(config_path)
+    model, config_sha256 = _load(config_path)
     req = _request(cl, solver_tol)
     if not 0.0 < tol < math.inf:
         raise ConfigError(f"--tol must be a positive finite number, got {tol}")
@@ -188,7 +172,7 @@ def cmd_equivalence(config_path, cl, integrator_kind, samples, seed, nodes, tol,
         bayes_samples = draw_samples(model.systematics, shifted)
     report = compare_limits(model, req, integrator, tol=tol, bayes_samples=bayes_samples)
     payload = {
-        "config_sha256": _config_sha256(config_path),
+        "config_sha256": config_sha256,
         "cl": cl,
         "alpha": req.alpha,
         "integrator": integrator.to_dict(),
@@ -257,7 +241,11 @@ def main(args=None, standalone_mode=True) -> None:
     """Run one command on ``args`` (default ``sys.argv[1:]``), printing to the current ``sys.stdout``;
     a failure raises ``SystemExit``. ``standalone_mode`` is ignored, kept for click's spelling (perfbench)."""
     options = vars(_parser().parse_args(args))
-    _COMMANDS[options.pop("command")](**options)
+    try:
+        _COMMANDS[options.pop("command")](**options)
+    except (ConfigError, ModelError, YieldError, ConvergenceError) as err:  # one error line, then its exit code
+        print(f"error: {err}", file=sys.stderr)
+        sys.exit(_FAIL_CONFIG if isinstance(err, (ConfigError, ModelError)) else _FAIL_SOLVER)
 
 
 cli = main.main = main  # the console script, called in process as ``cli.main(args=...)``

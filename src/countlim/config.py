@@ -17,10 +17,13 @@ Schema (all unknown keys are rejected with path-qualified errors):
     prior:    {"kind": "standard_normal"}
             | {"kind": "normal", "mean": number, "sd": number > 0}
             | {"kind": "log_normal", "mu": number, "sigma": number > 0}
+
+Each response and prior kind is stated once, in ``_KINDS``, read by parsing and emitting alike.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from pathlib import Path
@@ -88,50 +91,34 @@ def _take(node: dict, key: str, path: str):
     return node[key]
 
 
-def _parse_response(node, path: str) -> Response:
-    node = _require_mapping(node, path)
-    kind = _require_str(_take(node, "kind", path), f"{path}.kind")
-    if kind == "identity":
-        _reject_unknown(node, {"kind"}, path)
-        return Response.identity()
-    if kind == "log_normal":
-        _reject_unknown(node, {"kind", "kappa"}, path)
-        kappa = _require_number(_take(node, "kappa", path), f"{path}.kappa")
-        if not kappa > 0.0:
-            raise ConfigError(f"{path}.kappa: must be positive, got {kappa}")
-        return Response.log_normal(kappa)
-    if kind == "linear":
-        _reject_unknown(node, {"kind", "delta"}, path)
-        return Response.linear(_require_number(_take(node, "delta", path), f"{path}.delta"))
-    raise ConfigError(f"{path}.kind: unknown response kind {kind!r}")
+# Each response and prior kind: its config keys, in order, each with the model
+# attribute it fills and whether the value must be positive.
+_KINDS = {
+    Response: {"identity": {}, "log_normal": {"kappa": ("kappa", True)}, "linear": {"delta": ("delta", False)}},
+    Prior: {"standard_normal": {}, "normal": {"mean": ("loc", False), "sd": ("scale", True)},
+            "log_normal": {"mu": ("loc", False), "sigma": ("scale", True)}},
+}
 
 
-def _parse_prior(node, path: str) -> Prior:
+def _parse_kind(cls, node, path: str):
+    """The ``cls`` (a :class:`Response` or :class:`Prior`) a config node states, by its ``_KINDS`` entry."""
     node = _require_mapping(node, path)
     kind = _require_str(_take(node, "kind", path), f"{path}.kind")
-    if kind == "standard_normal":
-        _reject_unknown(node, {"kind"}, path)
-        return Prior.standard_normal()
-    if kind == "normal":
-        _reject_unknown(node, {"kind", "mean", "sd"}, path)
-        mean = _require_number(_take(node, "mean", path), f"{path}.mean")
-        sd = _require_number(_take(node, "sd", path), f"{path}.sd")
-        if not sd > 0.0:
-            raise ConfigError(f"{path}.sd: must be positive, got {sd}")
-        return Prior.normal(mean, sd)
-    if kind == "log_normal":
-        _reject_unknown(node, {"kind", "mu", "sigma"}, path)
-        mu = _require_number(_take(node, "mu", path), f"{path}.mu")
-        sigma = _require_number(_take(node, "sigma", path), f"{path}.sigma")
-        if not sigma > 0.0:
-            raise ConfigError(f"{path}.sigma: must be positive, got {sigma}")
-        return Prior.log_normal(mu, sigma)
-    raise ConfigError(f"{path}.kind: unknown prior kind {kind!r}")
+    keys = _KINDS[cls].get(kind)
+    if keys is None:
+        raise ConfigError(f"{path}.kind: unknown {cls.__name__.lower()} kind {kind!r}")
+    _reject_unknown(node, {"kind", *keys}, path)
+    values = {}
+    for key, (attr, positive) in keys.items():
+        values[attr] = _require_number(_take(node, key, path), f"{path}.{key}")
+        if positive and not values[attr] > 0.0:
+            raise ConfigError(f"{path}.{key}: must be positive, got {values[attr]}")
+    return cls(kind, **values)
 
 
 def _parse_responses(node, path: str) -> dict:
     node = _require_mapping(node, path)
-    return {name: _parse_response(sub, f"{path}.{name}") for name, sub in node.items()}
+    return {name: _parse_kind(Response, sub, f"{path}.{name}") for name, sub in node.items()}
 
 
 def parse_model(doc) -> CountingModel:
@@ -165,7 +152,7 @@ def parse_model(doc) -> CountingModel:
         nuisances.append(
             Nuisance(
                 name=_require_str(_take(nnode, "name", path), f"{path}.name"),
-                prior=_parse_prior(_take(nnode, "prior", path), f"{path}.prior"),
+                prior=_parse_kind(Prior, _take(nnode, "prior", path), f"{path}.prior"),
             )
         )
 
@@ -199,8 +186,13 @@ def parse_model(doc) -> CountingModel:
 
 def load_model(path) -> CountingModel:
     """Parse a JSON configuration file into a model."""
+    return _parse_file(Path(path).read_bytes(), path)
+
+
+def _parse_file(data: bytes, path) -> CountingModel:
+    """The model in ``data``, the bytes of the file ``path``, decoded as :meth:`Path.read_text` decodes them."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path} is not UTF-8 text: {err}") from err
     except ValueError as err:  # JSONDecodeError, or an integer too long to convert
@@ -208,20 +200,10 @@ def load_model(path) -> CountingModel:
     return parse_model(doc)
 
 
-def _emit_response(resp: Response) -> dict:
-    if resp.kind == "identity":
-        return {"kind": "identity"}
-    if resp.kind == "log_normal":
-        return {"kind": "log_normal", "kappa": resp.kappa}
-    return {"kind": "linear", "delta": resp.delta}
-
-
-def _emit_prior(prior: Prior) -> dict:
-    if prior.kind == "standard_normal":
-        return {"kind": "standard_normal"}
-    if prior.kind == "normal":
-        return {"kind": "normal", "mean": prior.loc, "sd": prior.scale}
-    return {"kind": "log_normal", "mu": prior.loc, "sigma": prior.scale}
+def _emit_kind(obj) -> dict:
+    """The config node of a :class:`Response` or :class:`Prior`, by its ``_KINDS`` entry."""
+    keys = _KINDS[type(obj)][obj.kind]
+    return {"kind": obj.kind, **{key: getattr(obj, attr) for key, (attr, _) in keys.items()}}
 
 
 def emit_config(model: CountingModel) -> dict:
@@ -230,7 +212,7 @@ def emit_config(model: CountingModel) -> dict:
         "signal": {
             "nominal": model.s_nom,
             "responses": {
-                name: _emit_response(resp)
+                name: _emit_kind(resp)
                 for name, resp in model.systematics.signal_responses.items()
             },
         },
@@ -238,12 +220,12 @@ def emit_config(model: CountingModel) -> dict:
             {
                 "name": bkg.name,
                 "nominal": bkg.b_nom,
-                "responses": {name: _emit_response(resp) for name, resp in bkg.responses.items()},
+                "responses": {name: _emit_kind(resp) for name, resp in bkg.responses.items()},
             }
             for bkg in model.backgrounds
         ],
         "nuisances": [
-            {"name": nu.name, "prior": _emit_prior(nu.prior)}
+            {"name": nu.name, "prior": _emit_kind(nu.prior)}
             for nu in model.systematics.nuisances
         ],
         "n_obs": model.n_obs,

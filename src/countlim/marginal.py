@@ -131,6 +131,8 @@ class SampleSet:
     one and no prior factor is ever multiplied in again.
     """
 
+    monte_carlo = False  # set on the instance by draw_samples: True on a set it drew by Monte Carlo
+
     def __init__(self, etas: np.ndarray, weights: np.ndarray):
         import numpy as np
         etas = np.asarray(etas, dtype=float)
@@ -198,7 +200,9 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
     etas = np.empty_like(z)
     for j, nu in enumerate(systematics.nuisances):
         etas[:, j] = nu.prior.from_standard_normal(z[:, j])
-    return SampleSet(etas, weights)
+    samples = SampleSet(etas, weights)
+    samples.monte_carlo = integrator.kind == "monte_carlo"
+    return samples
 
 
 @functools.lru_cache(maxsize=None)
@@ -576,16 +580,16 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, 
     Returns ``(values, stderrs)`` with ``stderrs`` None unless
     ``with_stderr`` and the set has 2 or more samples. Quantities:
     ``cls``, ``clsb``, ``clb``, ``posterior``. The standard errors are
-    those of an equal-weight Monte Carlo mean, so a set of unequal
-    weights, such as a Gauss-Hermite grid, is refused with
-    :class:`ValueError` when ``with_stderr`` asks for them.
+    those of an equal-weight Monte Carlo mean, so a set not drawn by
+    Monte Carlo, such as a Gauss-Hermite grid (whose weights may all be
+    equal), is refused with :class:`ValueError` when ``with_stderr`` asks for them.
     """
     import numpy as np
     if quantity not in ("cls", "clsb", "clb", "posterior"):
         raise ValueError(f"unknown scan quantity {quantity!r}")
     with_stderr = with_stderr and len(samples) >= 2
-    if with_stderr and float(samples.weights.min()) != float(samples.weights.max()):
-        raise ValueError("standard errors need an equal-weight Monte Carlo set; this set's weights differ")
+    if with_stderr and not samples.monte_carlo:
+        raise ValueError("standard errors need an equal-weight Monte Carlo set; this set was not drawn by Monte Carlo")
     if quantity == "cls" and model.s_nom == 0.0:
         # CLs = 1 at every mu, on any sample set: refused as by hybrid_cls_upper_limit
         raise ModelError(_CLS_UNDEFINED)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -467,6 +468,36 @@ class TestEquivalenceCommand:
         cfg = write_config(tmp_path, BG_SYST)
         code, _, _ = run_cli(["equivalence", cfg, "--integrator", "gh", "--debug-seed-offset", "1"])
         assert code == 1
+
+
+class TestConfigReadOnce:
+    # the config_sha256 of the payload is the hash of the bytes the model was
+    # parsed from: the file was once hashed again after the solve, so a file
+    # rewritten mid-command gave the hash of bytes that were never parsed
+    @pytest.mark.parametrize(
+        ("doc", "args", "solve"),
+        [
+            (PLAIN, ["limit", "--method", "cls"], "hybrid_cls_upper_limit"),
+            (BG_SYST, ["limit", "--method", "both", "--samples", "500"], "_paired_limits"),
+            (BG_SYST, ["equivalence", "--samples", "500"], "compare_limits"),
+        ],
+    )
+    def test_a_file_rewritten_mid_command_keeps_the_parsed_hash(self, tmp_path, monkeypatch, doc, args, solve):
+        cfg = write_config(tmp_path, doc)
+        parsed = (tmp_path / "model.json").read_bytes()
+        code, before, _ = run_cli([args[0], cfg, *args[1:]])
+        assert code == 0
+        inner = getattr(countlim.cli, solve)
+
+        def rewriting(*a, **k):
+            write_config(tmp_path, {**doc, "n_obs": 7})
+            return inner(*a, **k)
+
+        monkeypatch.setattr(countlim.cli, solve, rewriting)
+        code, after, _ = run_cli([args[0], cfg, *args[1:]])
+        assert code == 0 and (tmp_path / "model.json").read_bytes() != parsed
+        assert json.loads(after)["config_sha256"] == hashlib.sha256(parsed).hexdigest()
+        assert after == before
 
 
 class TestRefusals:

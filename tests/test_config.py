@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from countlim import ConfigError, Prior, Response
-from countlim.config import emit_config, load_model, parse_model
+from countlim.config import _KINDS, emit_config, load_model, parse_model
 from helpers import run_cli
 
 MINIMAL = {"signal": {"nominal": 1.0}, "backgrounds": [], "n_obs": 0}
@@ -149,7 +149,43 @@ class TestParse:
             parse_model(doc)
 
 
+# the canonical config node of each response and prior kind, and the value it stands for
+CANONICAL = {
+    (Response, "identity"): ({"kind": "identity"}, Response.identity()),
+    (Response, "log_normal"): ({"kind": "log_normal", "kappa": 1.5}, Response.log_normal(1.5)),
+    (Response, "linear"): ({"kind": "linear", "delta": -0.25}, Response.linear(-0.25)),
+    (Prior, "standard_normal"): ({"kind": "standard_normal"}, Prior.standard_normal()),
+    (Prior, "normal"): ({"kind": "normal", "mean": -0.25, "sd": 1.5}, Prior.normal(-0.25, 1.5)),
+    (Prior, "log_normal"): ({"kind": "log_normal", "mu": -0.25, "sigma": 1.5}, Prior.log_normal(-0.25, 1.5)),
+}
+KIND_CASES = [
+    (cls, kind, place)
+    for cls, kinds in _KINDS.items()
+    for kind in kinds
+    for place in (("signal", "background") if cls is Response else ("nuisance",))
+]
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize(("cls", "kind", "place"), KIND_CASES, ids=[f"{k}-{p}" for _, k, p in KIND_CASES])
+    def test_every_kind_round_trips(self, cls, kind, place):
+        node, value = CANONICAL[cls, kind]
+        responses = {"a": node} if cls is Response else {}
+        doc = {
+            "signal": {"nominal": 1.0, "responses": responses if place == "signal" else {}},
+            "backgrounds": [{"name": "bkg", "nominal": 1.5, "responses": responses if place == "background" else {}}],
+            "nuisances": [{"name": "a", "prior": node if cls is Prior else {"kind": "standard_normal"}}],
+            "n_obs": 3,
+        }
+        model = parse_model(doc)
+        parsed = {
+            "signal": model.systematics.signal_responses.get("a"),
+            "background": model.backgrounds[0].responses.get("a"),
+            "nuisance": model.systematics.nuisances[0].prior,
+        }
+        assert parsed[place] == value
+        assert json.dumps(emit_config(model)) == json.dumps(doc)  # equal, key order included
+
     @pytest.mark.parametrize("doc", [MINIMAL, FULL])
     def test_parse_emit_parse(self, doc):
         model = parse_model(doc)

@@ -1,5 +1,6 @@
 import json
 import math
+import statistics
 import warnings
 from fractions import Fraction
 
@@ -749,6 +750,25 @@ class TestUpperLimits:
         assert mc.criterion_stderr is not None and mc.criterion_stderr > 0.0
         assert gh.mu_up_stderr is None
 
+    @pytest.mark.parametrize(
+        ("model", "limit", "n_samples"),
+        [
+            (bg_systematic_model(s=10.0, b=150.0, n_obs=150, kappa=1.05), hybrid_cls_upper_limit, 2000),
+            (bg_systematic_model(n_obs=3, kappa=1.2), hybrid_cls_upper_limit, 2000),
+            (signal_systematic_model(n_obs=3, kappa=1.2), hybrid_cls_upper_limit, 2000),
+            (signal_systematic_model(n_obs=3, kappa=1.2), bayesian_marginal_upper_limit, 2000),
+            (bg_systematic_model(b=3.0, n_obs=10, kappa=2.0), hybrid_cls_upper_limit, 200),
+        ],
+        ids=["large count", "background kappa", "signal kappa cls", "signal kappa bayes", "wide background"],
+    )
+    def test_monte_carlo_error_is_calibrated(self, model, limit, n_samples):
+        # over 200 seeds the spread of the limits is what their stated
+        # errors say: the ratios read 0.956, 0.888, 0.899, 0.927 and 0.981
+        req = LimitRequest(alpha=0.05)
+        results = [limit(model, req, Integrator.monte_carlo(n_samples, seed)) for seed in range(200)]
+        ratio = statistics.stdev(r.mu_up for r in results) / statistics.median(r.mu_up_stderr for r in results)
+        assert 0.8 <= ratio <= 1.25
+
     def test_no_nuisances_is_the_exact_limit(self):
         # the nominal one-point set runs the exact routes' arithmetic
         m = plain_model(s=2.0, b=1.5, n_obs=3)
@@ -1003,11 +1023,24 @@ class TestScanQuantity:
         assert crit.mean(crit.terms(0.0)) == crit.den < 1.0
 
     @pytest.mark.parametrize("quantity", ["cls", "clsb", "clb", "posterior"])
-    def test_stderr_refused_on_a_quadrature(self, quantity):
-        # the errors are those of an equal-weight Monte Carlo mean: on this
-        # 8-node set they once read CLs 0.810 +- 0.027, a number with no meaning
+    @pytest.mark.parametrize(("nodes", "n_nuisances"), [(8, 1), (2, 1), (2, 2)])
+    def test_stderr_refused_on_a_quadrature(self, quantity, nodes, n_nuisances):
+        # the errors are those of an equal-weight Monte Carlo mean: on the
+        # 8-node set they once read CLs 0.810 +- 0.027, a number with no
+        # meaning; a 2-node rule has equal weights (any 2^J grid does), and
+        # was once let through with errors such as 0.0326 and 0.0418
         m = bg_systematic_model(kappa=1.2)
-        samples = draw_samples(m.systematics, Integrator.gauss_hermite(8))
+        if n_nuisances == 2:
+            responses = {"a": Response.log_normal(1.2), "b": Response.linear(0.1)}
+            m = CountingModel(
+                s_nom=1.0,
+                backgrounds=(BackgroundProcess("bkg", 1.5, responses),),
+                n_obs=3,
+                systematics=SystematicsModel(nuisances=tuple(Nuisance(n, Prior.standard_normal()) for n in "ab")),
+            )
+        samples = draw_samples(m.systematics, Integrator.gauss_hermite(nodes))
+        if nodes == 2:  # equal weights: a comparison of weights let this set through
+            assert len(set(samples.weights.tolist())) == 1
         with pytest.raises(ValueError, match="equal-weight Monte Carlo set"):
             scan_quantity(m, quantity, np.array([0.0, 2.0]), samples, with_stderr=True)
 

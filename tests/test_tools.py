@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -70,3 +71,20 @@ def test_result_hash_prints_one_repeatable_hash_per_workload_and_seed(monkeypatc
     # other iterations and brackets: the hash sees them
     monkeypatch.setattr(marginal, "_wilson_hilferty_start", lambda crit, alpha: 0.0)
     assert tool.result_hash("exact_small", 1, 3) != lines[0].split()[2]
+
+
+def test_result_hash_of_cli_mix_repeats_and_writes_nothing_into_the_repository(monkeypatch, capsys):
+    pytest.importorskip("mpmath")  # the benchmark's streams import it
+    tool = load_tool(monkeypatch, "result_hash")
+
+    def files():  # bytecode aside, which an import may write
+        return {Path(d, f) for d, _, names in os.walk(tool.ROOT) for f in names
+                if not {".git", "__pycache__"} & set(Path(d).parts)}
+
+    before = files()
+    for _ in range(2):
+        tool.main(["--workloads", "cli_mix", "--ops", "4", "--seeds", "1"])  # each of the four commands once
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert lines[0].split()[:2] == ["cli_mix", "1"] and len(lines[0].split()[2]) == 64
+    assert files() == before

@@ -6,10 +6,14 @@ and prints one SHA-256 over every operation's result and every
 ``LimitResult`` a solve returns on the way: ``mu_up``,
 ``criterion_at_solution``, ``iterations``, ``bracket`` and both standard
 errors, each float by ``repr``. Two builds whose lines match computed the
-same limits, brackets, iteration counts and errors to the bit. Run from
+same limits, brackets, iteration counts and errors to the bit. The
+``cli_mix`` workload, named only on request, makes its CLI calls in this
+process (``workloads.cli_in_process``) on configs in a temporary
+directory, and hashes each call's exit code and stdout bytes. Run from
 the repository root:
 
     python3 tools/result_hash.py [--ops 200] [--seeds 1,7] [--workloads exact_small,toys_small,large_count]
+    python3 tools/result_hash.py --workloads cli_mix --ops 40
 
 The streams need mpmath (a test dependency) to import, though no
 operation's check is run here.
@@ -18,6 +22,7 @@ operation's check is run here.
 import argparse
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,10 +57,11 @@ def result_hash(workload: str, seed: int, ops: int) -> str:
     for module in patched:
         module._solve = spy
     try:
-        ctx = workloads.Context(workloads.Oracle(), ROOT, None)
-        stream = workloads.STREAMS[workload](seed, ctx)
-        for _ in range(ops):
-            digest.update(repr(next(stream).call()).encode())
+        with tempfile.TemporaryDirectory() as workdir:
+            ctx = workloads.Context(workloads.Oracle(), Path(workdir), workloads.cli_in_process)
+            stream = workloads.STREAMS[workload](seed, ctx)
+            for _ in range(ops):
+                digest.update(repr(next(stream).call()).encode())
     finally:
         for module in patched:
             module._solve = solve
