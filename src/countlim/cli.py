@@ -28,7 +28,6 @@ from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError
 from .marginal import (
     _SCAN_MAX_POINTS,
     Integrator,
-    _takes_mc_error,
     bayesian_marginal_upper_limit,
     draw_samples,
     hybrid_cls_upper_limit,
@@ -101,7 +100,9 @@ def _request(cl: float, rel_tol: float) -> LimitRequest:
         raise ConfigError(str(err)) from err
 
 
-def _build_integrator(kind: str, samples: int, seed: int, nodes: int) -> Integrator:
+def _build_integrator(model, kind: str, samples: int, seed: int, nodes: int) -> Integrator | None:
+    if not model.has_systematics:  # solved on its nominal floats: no integrator, sample set or numpy
+        return None
     if kind == "mc":
         return Integrator.monte_carlo(samples, seed)
     return Integrator.gauss_hermite(nodes)
@@ -111,8 +112,7 @@ def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, to
     """Solve the upper limit on the signal strength for a model config."""
     model, config_sha256 = _load(config_path)
     req = _request(cl, tol)
-    # a model without nuisances solves on its nominal floats: no integrator, sample set or numpy
-    integrator = _build_integrator(integrator_kind, samples, seed, nodes) if model.has_systematics else None
+    integrator = _build_integrator(model, integrator_kind, samples, seed, nodes)
     if method == "both":  # the paired solve of compare_limits, keeping the Bayes Monte Carlo error
         res_cls, res_bayes, rel_diff = _paired_limits(model, req, integrator, bayes_error=True)
         results = {"cls": res_cls, "bayes": res_bayes}
@@ -142,9 +142,8 @@ def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, sam
     import numpy as np
     model = load_model(config_path)
     grid = np.linspace(mu_min, mu_max, points)
-    integrator = _build_integrator(integrator_kind, samples, seed, nodes) if model.has_systematics else None
-    sample_set = draw_samples(model.systematics, integrator)
-    values, stderrs = scan_quantity(model, quantity, grid, sample_set, _takes_mc_error(integrator, sample_set))
+    sample_set = draw_samples(model.systematics, _build_integrator(model, integrator_kind, samples, seed, nodes))
+    values, stderrs = scan_quantity(model, quantity, grid, sample_set, sample_set.monte_carlo)
     lines = ["mu,value,stderr" if stderrs is not None else "mu,value"]
     for i, mu in enumerate(grid):
         row = f"{_fmt_float(mu)},{_fmt_float(values[i])}"
@@ -163,11 +162,11 @@ def cmd_equivalence(config_path, cl, integrator_kind, samples, seed, nodes, tol,
     req = _request(cl, solver_tol)
     if not 0.0 < tol < math.inf:
         raise ConfigError(f"--tol must be a positive finite number, got {tol}")
-    integrator = _build_integrator(integrator_kind, samples, seed, nodes)
+    integrator = _build_integrator(model, integrator_kind, samples, seed, nodes)
     bayes_samples = None
     if debug_seed_offset:
-        if integrator.kind != "monte_carlo":
-            raise ConfigError("--debug-seed-offset requires the Monte Carlo integrator")
+        if integrator is None or integrator.kind != "monte_carlo":
+            raise ConfigError("--debug-seed-offset requires the Monte Carlo integrator and a model with nuisances")
         shifted = Integrator.monte_carlo(integrator.n_samples, integrator.seed + debug_seed_offset)
         bayes_samples = draw_samples(model.systematics, shifted)
     report = compare_limits(model, req, integrator, tol=tol, bayes_samples=bayes_samples)
@@ -175,7 +174,7 @@ def cmd_equivalence(config_path, cl, integrator_kind, samples, seed, nodes, tol,
         "config_sha256": config_sha256,
         "cl": cl,
         "alpha": req.alpha,
-        "integrator": integrator.to_dict(),
+        "integrator": integrator.to_dict() if integrator is not None else None,
         "report": report.to_dict(),
     }
     _write_output(out, _json_text(payload) + "\n")

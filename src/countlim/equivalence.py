@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .marginal import Integrator, SampleSet, _bayes_terms, _cls_terms, _Criterion, _criterion, _limit, _solve, _takes_mc_error
+from .marginal import _BAYES, _CLS, Integrator, SampleSet, _Criterion, _criterion, _limit, _solve, _takes_mc_error
 from .model import CountingModel
 from .solver import LimitRequest
 
@@ -52,12 +52,12 @@ def _paired_limits(model, req, integrator, bayes_samples=None, bayes_error=False
     CLs root on the same yields or on ``bayes_samples``' own (see
     :func:`compare_limits`), and their ``rel_diff``, |a - b| / max(a, b).
     ``bayes_error`` adds the Bayesian Monte Carlo error."""
-    res_cls, crit, samples = _limit(model, _cls_terms, req, integrator)
+    res_cls, crit, samples = _limit(model, _CLS, req, integrator)
     if bayes_samples is None:
-        crit = _Criterion(_bayes_terms, crit.n, crit.s, crit.b, crit.w)
+        crit = _Criterion(_BAYES, crit.n, crit.s, crit.b, crit.w)
     else:
-        crit, samples = _criterion(model, _bayes_terms, bayes_samples), bayes_samples
-    res_bayes = _solve(crit, req, bayes_error and _takes_mc_error(integrator, samples), start=res_cls.mu_up)
+        crit, samples = _criterion(model, _BAYES, bayes_samples), bayes_samples
+    res_bayes = _solve(crit, req, bayes_error and _takes_mc_error(samples), start=res_cls.mu_up)
     a, b = res_cls.mu_up, res_bayes.mu_up
     return res_cls, res_bayes, abs(a - b) / max(a, b)
 

@@ -15,29 +15,29 @@ posterior density) come from :mod:`countlim.marginal` on
 from __future__ import annotations
 
 from .exceptions import ModelError
-from .marginal import _CLS_UNDEFINED, _POSTERIOR_IMPROPER, _bayes_terms, _cls_terms, _Criterion, _criterion, _solve
+from .marginal import _BAYES, _CLS, _Criterion, _criterion, _solve
 from .model import CountingModel
 from .solver import LimitRequest, LimitResult
 
 __all__ = ["cls_upper_limit", "bayesian_upper_limit_closed_form"]
 
 
-def _nominal(model: CountingModel, kernel, zero_signal: str) -> _Criterion:
+def _nominal(model: CountingModel, method) -> _Criterion:
     """The engine on the nominal yields of a model usable by the exact
-    routines; ``zero_signal`` is the error for a vanishing signal yield."""
+    routines, refusing a vanishing signal yield with the method's error."""
     if not model.all_responses_identity:
         raise ModelError(
             "exact limits require identity responses everywhere; "
             "use the marginalised routines for models with systematics"
         )
     if model.s_nom == 0.0:
-        raise ModelError(zero_signal)
-    return _criterion(model, kernel)
+        raise ModelError(method.zero_signal)
+    return _criterion(model, method)
 
 
 def cls_upper_limit(model: CountingModel, req: LimitRequest) -> LimitResult:
     """Signal strength mu_up with CLs(mu_up) = alpha."""
-    return _solve(_nominal(model, _cls_terms, _CLS_UNDEFINED), req)
+    return _solve(_nominal(model, _CLS), req)
 
 
 def bayesian_upper_limit_closed_form(model: CountingModel, req: LimitRequest) -> LimitResult:
@@ -46,4 +46,4 @@ def bayesian_upper_limit_closed_form(model: CountingModel, req: LimitRequest) ->
     Solves Q(n_obs + 1, mu*s + b) / Q(n_obs + 1, b) = alpha, the closed
     form of the posterior tail-mass condition.
     """
-    return _solve(_nominal(model, _bayes_terms, _POSTERIOR_IMPROPER), req)
+    return _solve(_nominal(model, _BAYES), req)

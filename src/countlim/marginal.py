@@ -32,6 +32,7 @@ import functools
 import math
 import numbers
 import operator
+import types
 from dataclasses import dataclass
 
 from .exceptions import ConfigError, ConvergenceError, ModelError
@@ -264,40 +265,36 @@ def marginal_likelihood(model: CountingModel, mu: float, n, samples: SampleSet) 
     return float(np.sum(samples.weights * pmf))
 
 
-def _cls_terms(n: int, s, x):
-    # per-sample P(N <= n; x): CLs+b at x = mu*s + b, CLb at x = b; and
-    # pmf(n; x) where the kernel has it, else None
-    return _poisson_cdf_and_pmf(n, x)
-
-
-def _bayes_terms(n: int, s, x):
-    # per-sample Q(n + 1, x) / s: the integral of Poisson(n; m*s + b) over
-    # the strengths m above the one where the mean is x; and no pmf
-    return gamma_q(n + 1.0, x) / s, None
-
-
-# on the nominal point, where x = mu*s + b is a float >= 0: the scalar twins, with no dispatch
-_ON_ONE_POINT = {_cls_terms: lambda n, s, x: (_poisson_cdf_scalar(n, x), None),
-                 _bayes_terms: lambda n, s, x: (_gamma_q_scalar(n + 1.0, x) / s, None)}
-_DENOMINATOR_NAMES = {_cls_terms: "CLb", _bayes_terms: "Q(n_obs + 1, b)"}
-_CLS_UNDEFINED = "nominal signal yield is zero; the CLs limit is undefined"
-_POSTERIOR_IMPROPER = "nominal signal yield is zero; the posterior for mu is improper"
+# The two methods. ``wide``: a set's per-sample terms, and the pmf where the kernel
+# has it, else None; ``one_point``: the nominal point's, as floats. CLs: P(N <= n; x);
+# Bayes: Q(n + 1, x) / s, the integral of Poisson(n; m*s + b) over m >= (x - b) / s.
+_CLS = types.SimpleNamespace(
+    wide=lambda n, s, x: _poisson_cdf_and_pmf(n, x),
+    one_point=lambda n, s, x: (_poisson_cdf_scalar(n, x), None),
+    denominator="CLb",
+    zero_signal="nominal signal yield is zero; the CLs limit is undefined",
+)
+_BAYES = types.SimpleNamespace(
+    wide=lambda n, s, x: (gamma_q(n + 1.0, x) / s, None),
+    one_point=lambda n, s, x: (_gamma_q_scalar(n + 1.0, x) / s, None),
+    denominator="Q(n_obs + 1, b)",
+    zero_signal="nominal signal yield is zero; the posterior for mu is improper",
+)
 
 
 class _Criterion:
     """The weighted-mean ratio E_w[term(mu*s + b)] / E_w[term(b)].
 
-    Hybrid CLs (``_cls_terms``) and the marginal posterior tail
-    (``_bayes_terms``) are this one ratio over a shared sample set; the
-    exact limits are its one-point case. ``s`` and ``b`` are the yields
-    per sample with weights ``w``, or plain floats with ``w = None`` for
-    the nominal point, where the weighted mean is the term itself and the
-    kernel runs as its scalar twin, with no dispatch. The Bayesian
-    criterion is refused with :class:`ModelError` where a signal yield is
-    0, which leaves the strength unidentified. The denominator is computed
-    once, here, and refused with :class:`ConvergenceError` when it
-    underflows: every quantity built on the set is then below the float64
-    range too.
+    Hybrid CLs (``_CLS``) and the marginal posterior tail (``_BAYES``) are
+    this one ratio over a shared sample set; the exact limits are its
+    one-point case. ``s`` and ``b`` are the yields per sample with weights
+    ``w``, or plain floats with ``w = None`` for the nominal point, where
+    the weighted mean is the term itself and the kernel runs as its scalar
+    twin, with no dispatch. The Bayesian criterion is refused with
+    :class:`ModelError` where a signal yield is 0, which leaves the strength
+    unidentified. The denominator is computed once, here, and refused with
+    :class:`ConvergenceError` when it underflows: every quantity built on
+    the set is then below the float64 range too.
 
     Both terms have closed-form derivatives in mu, from the pmf at
     x = mu*s + b and its x-derivative pmf * (n/x - 1): the slope is
@@ -320,13 +317,13 @@ class _Criterion:
     value_at_zero = 1.0
     curved = True  # a set whose s^2 overflows is not (see __init__)
 
-    def __init__(self, kernel, n: int, s, b, w):
-        self.bayes = kernel is _bayes_terms
+    def __init__(self, method, n: int, s, b, w):
+        self.bayes = method is _BAYES
         if self.bayes and not (s != 0.0 if w is None else (s != 0.0).all()):
             # a vanishing signal yield leaves the strength unidentified there
             where = "" if w is None else f" at sample {int((s == 0.0).argmax())}"
             raise ModelError(f"signal yield is zero{where}; the posterior for mu is degenerate")
-        self.kernel = kernel if w is not None else _ON_ONE_POINT[kernel]
+        self.kernel = method.wide if w is not None else method.one_point
         self.n = n
         self.s = s
         self.b = b
@@ -336,7 +333,7 @@ class _Criterion:
         if not (self.den > 0.0 and math.isfinite(self.den)):
             where = f"b = {b!r}" if w is None else f"b in [{float(b.min())!r}, {float(b.max())!r}]"
             raise ConvergenceError(
-                f"{_DENOMINATOR_NAMES[kernel]} = {self.den!r} at n_obs = {n}, {where}: "
+                f"{method.denominator} = {self.den!r} at n_obs = {n}, {where}: "
                 f"the denominator is not a positive finite number, so the criterion is undefined"
             )
         # the factors of the slope and curvature terms, signs included, made
@@ -348,7 +345,7 @@ class _Criterion:
         # warnings (the overflow, inf times 0, inf minus inf). The solver
         # takes no Halley factor either way
         self.s_max, self.b_max = (s, b) if w is None else (float(s.max()), float(b.max()))  # see x_at
-        pmf_scale = s if kernel is _cls_terms else 1.0
+        pmf_scale = 1.0 if self.bayes else s
         if w is not None and (n == 0 or not self.bayes) and self.s_max * self.s_max == math.inf:
             self.curved = False
             self.d1_scale, self.d2_scale = -s if n == 0 else -pmf_scale, 0.0
@@ -472,16 +469,16 @@ class _Criterion:
         return (a / b) * math.sqrt(var)
 
 
-def _criterion(model: CountingModel, kernel, samples: SampleSet | None = None) -> _Criterion:
+def _criterion(model: CountingModel, method, samples: SampleSet | None = None) -> _Criterion:
     """The engine over ``samples``; with no set, or the one-point set of a
     model without nuisances, the engine on the nominal yields, as floats."""
     # a model with nuisances refuses the one-point set, as any set of the wrong shape
     if samples is None or (
         not model.has_systematics and samples.etas.shape == (1, 0) and samples.weights[0] == 1.0
     ):
-        return _Criterion(kernel, int(model.n_obs), float(model.s_nom), model.b_nom_total, None)
+        return _Criterion(method, int(model.n_obs), float(model.s_nom), model.b_nom_total, None)
     s, b = yields_on_samples(model, samples.etas)
-    return _Criterion(kernel, model.n_obs, s, b, samples.weights)
+    return _Criterion(method, model.n_obs, s, b, samples.weights)
 
 
 @functools.lru_cache(maxsize=None)
@@ -555,22 +552,22 @@ def hybrid_cls(model: CountingModel, mu: float, samples: SampleSet) -> float:
     On the one-point set of a model without nuisances, the exact CLs."""
     mu = _check_mu(mu)
     if model.s_nom == 0.0:
-        raise ModelError(_CLS_UNDEFINED)
-    return _criterion(model, _cls_terms, samples).criterion(mu)
+        raise ModelError(_CLS.zero_signal)
+    return _criterion(model, _CLS, samples).criterion(mu)
 
 
 def marginal_posterior_tail(model: CountingModel, mu: float, samples: SampleSet) -> float:
     """Posterior mass above ``mu`` under the uniform strength prior, with
     nuisances marginalised: the Bayesian counterpart of :func:`hybrid_cls`."""
     mu = _check_mu(mu)
-    return _criterion(model, _bayes_terms, samples).criterion(mu)
+    return _criterion(model, _BAYES, samples).criterion(mu)
 
 
 def marginal_posterior_density(model: CountingModel, mu: float, samples: SampleSet) -> float:
     """Marginal posterior density of mu; reduces to the exact posterior,
     pmf(n_obs; mu*s + b) * s / Q(n_obs + 1, b), when responses are identity."""
     mu = _check_mu(mu)
-    crit = _criterion(model, _bayes_terms, samples)
+    crit = _criterion(model, _BAYES, samples)
     return float(crit.ratio(crit.pmf_terms(mu)))
 
 
@@ -592,8 +589,8 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, 
         raise ValueError("standard errors need an equal-weight Monte Carlo set; this set was not drawn by Monte Carlo")
     if quantity == "cls" and model.s_nom == 0.0:
         # CLs = 1 at every mu, on any sample set: refused as by hybrid_cls_upper_limit
-        raise ModelError(_CLS_UNDEFINED)
-    crit = _criterion(model, _bayes_terms if quantity == "posterior" else _cls_terms, samples)
+        raise ModelError(_CLS.zero_signal)
+    crit = _criterion(model, _BAYES if quantity == "posterior" else _CLS, samples)
     mus = np.asarray(mus, dtype=float)
     if mus.size and not (float(np.min(mus)) >= 0.0 and float(np.max(mus)) < math.inf):
         raise ValueError("mu grid must be finite and nonnegative")
@@ -610,22 +607,23 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, 
     return values, stderrs
 
 
-def _takes_mc_error(integrator: Integrator | None, samples: SampleSet | None) -> bool:
-    """A limit or scan takes a Monte Carlo error on a Monte Carlo set of 2 or more samples."""
-    return integrator is not None and integrator.kind == "monte_carlo" and samples is not None and len(samples) >= 2
+def _takes_mc_error(samples: SampleSet | None) -> bool:
+    """A limit takes a Monte Carlo error on a set drawn by Monte Carlo with 2 or more samples."""
+    return samples is not None and samples.monte_carlo and len(samples) >= 2
 
 
-def _limit(model: CountingModel, kernel, req: LimitRequest, integrator: Integrator | None, samples: SampleSet | None = None):
+def _limit(model: CountingModel, method, req: LimitRequest, integrator: Integrator | None,
+           samples: SampleSet | None = None):
     """The limit, its criterion and its set. A zero nominal signal is
     refused with the method's message before any set is drawn; the set is
-    drawn when the model has nuisances and none was passed; the Monte
-    Carlo error is taken where :func:`_takes_mc_error` says so."""
+    drawn by ``integrator`` when the model has nuisances and none was
+    passed, and decides on the Monte Carlo error (:func:`_takes_mc_error`)."""
     if model.s_nom == 0.0:
-        raise ModelError(_CLS_UNDEFINED if kernel is _cls_terms else _POSTERIOR_IMPROPER)
+        raise ModelError(method.zero_signal)
     if samples is None and model.has_systematics:
         samples = draw_samples(model.systematics, integrator)
-    crit = _criterion(model, kernel, samples)
-    return _solve(crit, req, _takes_mc_error(integrator, samples)), crit, samples
+    crit = _criterion(model, method, samples)
+    return _solve(crit, req, _takes_mc_error(samples)), crit, samples
 
 
 def hybrid_cls_upper_limit(
@@ -636,11 +634,12 @@ def hybrid_cls_upper_limit(
 ) -> LimitResult:
     """Root of the marginalised CLs criterion at ``req.alpha``.
 
-    One sample set is drawn up front and reused for every trial strength;
-    pass ``samples`` to share the set with another method. A model without
-    nuisances needs no integrator and gives the exact CLs limit.
+    One sample set, drawn up front by ``integrator`` unless ``samples``
+    shares one with another method, serves every trial strength, and gives
+    a Monte Carlo error when drawn by Monte Carlo with 2 or more samples. A
+    model without nuisances needs no integrator and gives the exact CLs limit.
     """
-    return _limit(model, _cls_terms, req, integrator, samples)[0]
+    return _limit(model, _CLS, req, integrator, samples)[0]
 
 
 def bayesian_marginal_upper_limit(
@@ -650,6 +649,6 @@ def bayesian_marginal_upper_limit(
     samples: SampleSet | None = None,
 ) -> LimitResult:
     """Root of the marginal posterior tail at ``req.alpha`` (uniform
-    strength prior), sharing ``samples`` with the hybrid method when given.
-    A model without nuisances gives the closed-form credible limit."""
-    return _limit(model, _bayes_terms, req, integrator, samples)[0]
+    strength prior), on a set as for :func:`hybrid_cls_upper_limit`. A model
+    without nuisances gives the closed-form credible limit."""
+    return _limit(model, _BAYES, req, integrator, samples)[0]

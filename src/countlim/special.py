@@ -355,19 +355,16 @@ def _series_blocks(route: str, a) -> np.ndarray:
     return c
 
 
-def _series_sum(coeffs, y: np.ndarray) -> np.ndarray:
-    """The polynomial with ``coeffs``, highest power first, or with their
-    ``_block_matrix``, at each lane of ``y``, by baby steps and giant steps
-    (Paterson & Stockmeyer 1973, SIAM J. Comput. 2:60). With the matrix's
-    K columns and B rows: the rows y^0 .. y^(K-1), one matrix product for
-    the sums of all B blocks of K coefficients, then Horner's rule in y^K
-    over those sums. That is K + 2 B numpy calls per block of lanes, about
-    K + 2 d / K for degree d where Horner's rule takes 2 d, and one more
-    to copy each block out where a call spans more than one. Every
-    caller's coefficients and lanes are positive, so no order of summation
-    can cancel."""
+def _series_sum(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The polynomial of the block matrix ``c`` (``_block_matrix``) at each
+    lane of ``y``, by baby steps and giant steps (Paterson & Stockmeyer 1973,
+    SIAM J. Comput. 2:60): for its K columns and B rows, the rows y^0 ..
+    y^(K-1), one matrix product for the B block sums, then Horner's rule in
+    y^K over them. That is K + 2 B numpy calls per block of lanes, about K +
+    2 d / K for degree d where Horner's rule takes 2 d, plus one copy per
+    block where a call spans more than one. Every caller's coefficients and
+    lanes are positive, so no order of summation can cancel."""
     import numpy as np
-    c = coeffs if getattr(coeffs, "ndim", 1) == 2 else _block_matrix(coeffs)
     k = c.shape[1]
     if y.size <= _LANE_BLOCK:  # one block of lanes: its sums are the result
         return _block_sum(c, y, np.empty((k, y.size)))

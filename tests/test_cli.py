@@ -469,6 +469,20 @@ class TestEquivalenceCommand:
         code, _, _ = run_cli(["equivalence", cfg, "--integrator", "gh", "--debug-seed-offset", "1"])
         assert code == 1
 
+    def test_no_integrator_without_nuisances(self, tmp_path):
+        # as for `limit`: a model without nuisances draws no set
+        cfg = write_config(tmp_path, PLAIN)
+        code, out, _ = run_cli(["equivalence", cfg])
+        assert code == 0
+        assert json.loads(out)["integrator"] is None
+
+    def test_debug_offset_requires_nuisances(self, tmp_path):
+        # a model without nuisances has no set for the offset to shift
+        cfg = write_config(tmp_path, PLAIN)
+        code, out, err = run_cli(["equivalence", cfg, "--debug-seed-offset", "1"])
+        assert code == 1 and out == ""
+        assert err == "error: --debug-seed-offset requires the Monte Carlo integrator and a model with nuisances\n"
+
 
 class TestConfigReadOnce:
     # the config_sha256 of the payload is the hash of the bytes the model was

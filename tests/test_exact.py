@@ -18,7 +18,7 @@ from countlim import (
     marginal_posterior_density,
 )
 from countlim import marginal
-from countlim.marginal import _bayes_terms, _cls_terms, _criterion, _wilson_hilferty_start, scan_quantity
+from countlim.marginal import _BAYES, _CLS, _criterion, _wilson_hilferty_start, scan_quantity
 from helpers import bg_systematic_model, identity_systematic_model, plain_model
 from oracles import bayesian_upper_limit_quadrature
 
@@ -323,12 +323,12 @@ class TestWilsonHilfertyStart:
         ],
     )
     @pytest.mark.parametrize(
-        ("route", "kernel"), [(cls_upper_limit, _cls_terms), (bayesian_upper_limit_closed_form, _bayes_terms)]
+        ("route", "method"), [(cls_upper_limit, _CLS), (bayesian_upper_limit_closed_form, _BAYES)]
     )
-    def test_fallback_is_the_solve_from_zero(self, from_zero, s, b, n_obs, alpha, route, kernel):
+    def test_fallback_is_the_solve_from_zero(self, from_zero, s, b, n_obs, alpha, route, method):
         model = plain_model(s=s, b=b, n_obs=n_obs)
         try:
-            crit = _criterion(model, kernel, draw_samples(model.systematics, None))
+            crit = _criterion(model, method, draw_samples(model.systematics, None))
         except ConvergenceError:
             pass
         else:
@@ -340,7 +340,7 @@ class TestWilsonHilfertyStart:
     def test_start_is_near_the_root(self):
         # the guess alone is within 2% of the limit at n_obs = 3
         model = plain_model(s=1.0, b=1.5, n_obs=3)
-        crit = _criterion(model, _cls_terms, draw_samples(model.systematics, None))
+        crit = _criterion(model, _CLS, draw_samples(model.systematics, None))
         assert _wilson_hilferty_start(crit, 0.05) == pytest.approx(ORACLE_MU_UP_CLS, rel=0.02)
 
     def test_no_solve_is_won_or_lost(self, from_zero):

@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+import types
 import warnings
 from fractions import Fraction
 
@@ -36,12 +37,12 @@ from countlim import (
 )
 from countlim import marginal, special
 from countlim.marginal import (
+    _BAYES,
+    _CLS,
     _GH_CACHED_VALUES,
     _GH_MAX_POINTS,
     _MC_MAX_VALUES,
     _Criterion,
-    _bayes_terms,
-    _cls_terms,
     _criterion,
     scan_quantity,
 )
@@ -473,22 +474,22 @@ class TestStructuralEquivalence:
         assert max(diffs) > 1e-4
 
 
-def _criterion_on(s, b, n_obs, kernel, monte_carlo):
+def _criterion_on(s, b, n_obs, method, monte_carlo):
     if monte_carlo:
         model = signal_systematic_model(s=s, b=b, n_obs=n_obs)
         samples = draw_samples(model.systematics, Integrator.monte_carlo(500, 7))
     else:
         model = plain_model(s=s, b=b, n_obs=n_obs)
         samples = draw_samples(model.systematics, None)
-    return _criterion(model, kernel, samples)
+    return _criterion(model, method, samples)
 
 
 class TestCriterionSlope:
-    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    @pytest.mark.parametrize("method", [_CLS, _BAYES])
     @pytest.mark.parametrize("s, b, n_obs", [(1.0, 1.5, 3), (2.0, 0.0, 5), (0.5, 3.0, 0), (1.0, 0.0, 0), (10.0, 150.0, 160)])
     @pytest.mark.parametrize("monte_carlo", [False, True])
-    def test_matches_central_difference(self, kernel, s, b, n_obs, monte_carlo):
-        crit = _criterion_on(s, b, n_obs, kernel, monte_carlo)
+    def test_matches_central_difference(self, method, s, b, n_obs, monte_carlo):
+        crit = _criterion_on(s, b, n_obs, method, monte_carlo)
         for mu in (0.3, 1.0, 4.0):
             h = 1e-5 * mu
             central = (crit.criterion(mu + h) - crit.criterion(mu - h)) / (2.0 * h)
@@ -496,10 +497,10 @@ class TestCriterionSlope:
             assert value == crit.criterion(mu)
             assert slope == pytest.approx(central, rel=1e-6)
 
-    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
-    def test_zero_strength_runs_no_kernel(self, kernel):
+    @pytest.mark.parametrize("method", [_CLS, _BAYES])
+    def test_zero_strength_runs_no_kernel(self, method):
         model = signal_systematic_model(s=1.0, b=1.5, n_obs=3)
-        crit = _criterion(model, kernel, draw_samples(model.systematics, Integrator.monte_carlo(500, 7)))
+        crit = _criterion(model, method, draw_samples(model.systematics, Integrator.monte_carlo(500, 7)))
         h = 1e-6
         forward = (crit.criterion(h) - 1.0) / h
         crit.kernel = None  # any kernel call now fails
@@ -508,40 +509,40 @@ class TestCriterionSlope:
         assert slope == pytest.approx(forward, rel=1e-4)
 
     def test_zero_slope_at_zero_without_background(self):
-        crit = _criterion(plain_model(s=1.0, b=0.0, n_obs=50), _cls_terms, draw_samples(plain_model().systematics, None))
+        crit = _criterion(plain_model(s=1.0, b=0.0, n_obs=50), _CLS, draw_samples(plain_model().systematics, None))
         assert crit(0.0) == (1.0, 0.0, 0.0)
 
 
 class TestCriterionCurvature:
-    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    @pytest.mark.parametrize("method", [_CLS, _BAYES])
     @pytest.mark.parametrize("s, b, n_obs", [(1.0, 1.5, 3), (2.0, 0.0, 5), (0.5, 3.0, 0), (1.0, 0.0, 1), (10.0, 150.0, 160)])
     @pytest.mark.parametrize("monte_carlo", [False, True])
-    def test_matches_central_difference_of_the_slope(self, kernel, s, b, n_obs, monte_carlo):
-        crit = _criterion_on(s, b, n_obs, kernel, monte_carlo)
+    def test_matches_central_difference_of_the_slope(self, method, s, b, n_obs, monte_carlo):
+        crit = _criterion_on(s, b, n_obs, method, monte_carlo)
         for mu in (0.3, 1.0, 4.0):
             h = 1e-5 * mu
             central = (crit(mu + h)[1] - crit(mu - h)[1]) / (2.0 * h)
             # abs: the difference's rounding, where the curvature crosses 0
             assert crit(mu)[2] == pytest.approx(central, rel=1e-6, abs=1e-9)
 
-    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    @pytest.mark.parametrize("method", [_CLS, _BAYES])
     @pytest.mark.parametrize("n_obs", [0, 1, 2])
     @pytest.mark.parametrize("monte_carlo", [False, True])
-    def test_zero_strength_without_background(self, kernel, n_obs, monte_carlo):
+    def test_zero_strength_without_background(self, method, n_obs, monte_carlo):
         # x = 0 at mu = 0: pmf (n/x - 1) takes its limit pmf(n - 1; 0) - pmf(n; 0),
         # with no RuntimeWarning (the suite turns them into errors); the
         # forward difference is off by O(h), which abs allows where c'' = 0
-        crit = _criterion_on(1.5, 0.0, n_obs, kernel, monte_carlo)
+        crit = _criterion_on(1.5, 0.0, n_obs, method, monte_carlo)
         h = 1e-6
         forward = (crit(h)[1] - crit(0.0)[1]) / h
         curvature = crit(0.0)[2]
         assert curvature == pytest.approx(forward, rel=1e-4, abs=10.0 * h)
         assert (curvature != 0.0) == (n_obs < 2)
 
-    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
-    def test_zero_count_is_log_linear_on_one_point(self, kernel):
+    @pytest.mark.parametrize("method", [_CLS, _BAYES])
+    def test_zero_count_is_log_linear_on_one_point(self, method):
         # at n_obs = 0 the criterion is exp(-mu s): c' = -s c and c'' = s^2 c
-        crit = _criterion_on(0.7, 23.0, 0, kernel, False)
+        crit = _criterion_on(0.7, 23.0, 0, method, False)
         for mu in (0.0, 1.0, 600.0):
             value, slope, curvature = crit(mu)
             assert slope == pytest.approx(-0.7 * value, rel=1e-15)
@@ -553,8 +554,8 @@ class TestCriterionCurvature:
         # solve takes no Halley factor, and both limits are ln 20 / s
         rep = compare_limits(bg_systematic_model(s=1e300, b=2.0, n_obs=0), LimitRequest(alpha=0.05), Integrator.gauss_hermite(6))
         assert rep.mu_up_cls == rep.mu_up_bayes == 2.9957322735539905e-300
-        for kernel in (_cls_terms, _bayes_terms):
-            assert _criterion_on(1e300, 2.0, 0, kernel, True)(1e-300)[2] == math.inf
+        for method in (_CLS, _BAYES):
+            assert _criterion_on(1e300, 2.0, 0, method, True)(1e-300)[2] == math.inf
 
     @pytest.mark.parametrize(
         "model, integrator, limits",
@@ -585,14 +586,14 @@ class TestPmfFromTheKernel:
         # pmf_and_derivative, bit for bit, whichever route each call took
         model = bg_systematic_model(s=10.0, b=150.0, n_obs=n_obs, kappa=1.05)
         samples = draw_samples(model.systematics, Integrator.monte_carlo(2000, 1))
-        crit, plain = (_criterion(model, _cls_terms, samples) for _ in range(2))
-        plain.kernel = lambda n, s, x: (_cls_terms(n, s, x)[0], None)
+        crit, plain = (_criterion(model, _CLS, samples) for _ in range(2))
+        plain.kernel = lambda n, s, x: (_CLS.wide(n, s, x)[0], None)
         plain.den_pmf = None
         seen = []
         for mu in (0.0, 0.5, 2.0, 5.0, 20.0):
             assert crit(mu) == plain(mu)
             x = mu * crit.s + crit.b
-            terms, pmf = _cls_terms(n_obs, crit.s, x)
+            terms, pmf = _CLS.wide(n_obs, crit.s, x)
             assert terms.tolist() == crit.terms(mu).tolist()
             seen.append(pmf is not None)
             assert seen[-1] == (float(x.min()) >= n_obs)
@@ -606,16 +607,16 @@ class TestPmfFromTheKernel:
         # the scalar twin, and a wide call with a lane in the upper tail
         # gathers each tail's lanes
         wide = np.linspace(170.0, 250.0, 2000)
-        assert _cls_terms(160, 10.0, wide)[1] is not None
-        assert _bayes_terms(160, 10.0, wide)[1] is None
+        assert _CLS.wide(160, 10.0, wide)[1] is not None
+        assert _BAYES.wide(160, 10.0, wide)[1] is None
         for x in (wide[: special._NARROW_LANES], 170.0, np.append(wide, 150.0)):
-            terms, pmf = _cls_terms(160, 10.0, x)
+            terms, pmf = _CLS.wide(160, 10.0, x)
             assert pmf is None
             assert np.array_equal(terms, poisson_cdf(160, x))
 
 
 class TestPmfWithoutMasks:
-    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    @pytest.mark.parametrize("method", [_CLS, _BAYES])
     @pytest.mark.parametrize(
         ("model", "integrator"),
         [
@@ -624,9 +625,9 @@ class TestPmfWithoutMasks:
             (signal_systematic_model(n_obs=1), Integrator.gauss_hermite(32)),
         ],
     )
-    def test_positive_lanes_give_the_masked_formula(self, kernel, model, integrator):
+    def test_positive_lanes_give_the_masked_formula(self, method, model, integrator):
         # every b > 0, so no lane of x = mu*s + b is 0 and no mask is made
-        crit = _criterion(model, kernel, draw_samples(model.systematics, integrator))
+        crit = _criterion(model, method, draw_samples(model.systematics, integrator))
         assert crit.x_positive
         n = model.n_obs
         for mu in (0.0, 0.5, 3.0, 40.0):
@@ -641,9 +642,9 @@ class TestPmfWithoutMasks:
             assert got_pmf.tolist() == pmf.tolist()
             assert got_dpmf.tolist() == dpmf.tolist()
 
-    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
+    @pytest.mark.parametrize("method", [_CLS, _BAYES])
     @pytest.mark.parametrize("n_obs", [0, 1, 2, 5])
-    def test_zero_background_lane_takes_the_limit(self, kernel, n_obs):
+    def test_zero_background_lane_takes_the_limit(self, method, n_obs):
         # a linear background response reaches 0 at eta = -2, the first
         # lane: there x = 0 at mu = 0, and the pmf and its derivative take
         # their limits, with no RuntimeWarning (the suite turns them into errors)
@@ -654,7 +655,7 @@ class TestPmfWithoutMasks:
             systematics=SystematicsModel(nuisances=(Nuisance("a", Prior.standard_normal()),)),
         )
         samples = SampleSet(np.linspace(-2.0, 2.0, 64)[:, None], np.full(64, 1.0 / 64))
-        crit = _criterion(m, kernel, samples)
+        crit = _criterion(m, method, samples)
         assert crit.b[0] == 0.0 and not crit.x_positive
         pmf, dpmf = crit.pmf_and_derivative(crit.b)
         assert (pmf[0], dpmf[0]) == (float(n_obs == 0), float(n_obs == 1) - float(n_obs == 0))
@@ -664,7 +665,7 @@ class TestPmfWithoutMasks:
         assert value == 1.0 and math.isfinite(slope) and math.isfinite(curvature)
         # the masked path is the one-point formula on every lane
         for k in (0, 17, 63):
-            one = _criterion(plain_model(s=1.0, b=float(crit.b[k]), n_obs=n_obs), kernel)
+            one = _criterion(plain_model(s=1.0, b=float(crit.b[k]), n_obs=n_obs), method)
             assert (pmf[k], dpmf[k]) == pytest.approx(one.pmf_and_derivative(float(crit.b[k])), rel=1e-14)
 
 
@@ -750,6 +751,24 @@ class TestUpperLimits:
         assert mc.criterion_stderr is not None and mc.criterion_stderr > 0.0
         assert gh.mu_up_stderr is None
 
+    def test_the_error_follows_the_set(self):
+        # the Monte Carlo error is read from the set a limit solves on; the
+        # integrator passed beside a set draws nothing and decides nothing
+        m = bg_systematic_model()
+        req = LimitRequest(alpha=0.05)
+        gh = draw_samples(m.systematics, Integrator.gauss_hermite(16))
+        for limit in (hybrid_cls_upper_limit, bayesian_marginal_upper_limit):
+            assert limit(m, req, Integrator.monte_carlo(100, 1), samples=gh).mu_up_stderr is None
+        own = Integrator.monte_carlo(2000, 1)
+        mc = draw_samples(m.systematics, own)
+        for limit in (hybrid_cls_upper_limit, bayesian_marginal_upper_limit):
+            want = limit(m, req, own, samples=mc)
+            assert want.mu_up_stderr > 0.0 and want.criterion_stderr > 0.0
+            for integrator in (Integrator.gauss_hermite(16), None):
+                res = limit(m, req, integrator, samples=mc)
+                assert (res.mu_up_stderr, res.criterion_stderr) == (want.mu_up_stderr, want.criterion_stderr)
+        assert hybrid_cls_upper_limit(m, req, None, samples=mc).mu_up_stderr == 0.004772952055779573
+
     @pytest.mark.parametrize(
         ("model", "limit", "n_samples"),
         [
@@ -805,19 +824,19 @@ class TestUpperLimits:
         assert 0.0 <= res.criterion_stderr <= 1e-12
         assert 0.0 <= res.mu_up_stderr <= 1e-9
         # the slope divides by the same denormal CLb, and is still -s * CLs
-        crit = _criterion(m, _cls_terms, draw_samples(m.systematics, Integrator.monte_carlo(100, 1)))
+        crit = _criterion(m, _CLS, draw_samples(m.systematics, Integrator.monte_carlo(100, 1)))
         value, slope, _ = crit(res.mu_up)
         assert slope == pytest.approx(-value, rel=1e-9)
 
     @pytest.mark.parametrize(
-        "limit, kernel", [(hybrid_cls_upper_limit, _cls_terms), (bayesian_marginal_upper_limit, _bayes_terms)]
+        "limit, method", [(hybrid_cls_upper_limit, _CLS), (bayesian_marginal_upper_limit, _BAYES)]
     )
     @pytest.mark.parametrize("model", [bg_systematic_model(kappa=1.2), signal_systematic_model(n_obs=5)])
-    def test_stderr_matches_finite_difference_slope(self, limit, kernel, model):
+    def test_stderr_matches_finite_difference_slope(self, limit, method, model):
         # the analytic slope replaces a central difference at h = 1e-5 * mu_up
         integ = Integrator.monte_carlo(2000, 3)
         res = limit(model, LimitRequest(alpha=0.05), integ)
-        crit = _criterion(model, kernel, draw_samples(model.systematics, integ))
+        crit = _criterion(model, method, draw_samples(model.systematics, integ))
         h = 1e-5 * res.mu_up
         slope = (crit.criterion(res.mu_up + h) - crit.criterion(res.mu_up - h)) / (2.0 * h)
         assert math.isfinite(res.mu_up_stderr)
@@ -831,13 +850,13 @@ class TestUpperLimits:
         # kernel there again
         m = bg_systematic_model(s=1.0, b=1.5, n_obs=1, kappa=1.05)
         samples = draw_samples(m.systematics, Integrator.monte_carlo(200, 0))
-        crit = _criterion(m, _cls_terms, samples)
+        crit = _criterion(m, _CLS, samples)
         kernel, calls = crit.kernel, []
         crit.kernel = lambda n, s, x: calls.append(x) or kernel(n, s, x)
         res = marginal._solve(crit, LimitRequest(alpha=0.05), with_stderr=True)
         assert len(calls) == res.iterations - 1  # each evaluation but mu = 0's, and no more
         assert res.mu_up == res.bracket[0] and crit.recent[1][0] == res.bracket[1]
-        fresh = _criterion(m, _cls_terms, samples)
+        fresh = _criterion(m, _CLS, samples)
         _, slope, _ = fresh(res.mu_up)
         assert res.criterion_stderr == fresh.ratio_stderr(fresh.terms(res.mu_up))
         assert res.mu_up_stderr == res.criterion_stderr / abs(slope)
@@ -849,11 +868,11 @@ class TestUpperLimits:
             (signal_systematic_model(kappa=1.2), Integrator.gauss_hermite(32)),
         ],
     )
-    @pytest.mark.parametrize("kernel", [_cls_terms, _bayes_terms])
-    def test_sample_set_solve_starts_at_wilson_hilferty(self, model, integrator, kernel):
+    @pytest.mark.parametrize("method", [_CLS, _BAYES])
+    def test_sample_set_solve_starts_at_wilson_hilferty(self, model, integrator, method):
         # the guess on the weighted-mean yields is the second point evaluated,
         # within 11% of the root on these sets
-        crit = _criterion(model, kernel, draw_samples(model.systematics, integrator))
+        crit = _criterion(model, method, draw_samples(model.systematics, integrator))
         start = marginal._wilson_hilferty_start(crit, 0.05)
         mus = []
         solve = marginal.solve_decreasing
@@ -869,7 +888,7 @@ class TestUpperLimits:
 
     def test_no_start_on_a_vanishing_mean_signal(self):
         # every sample's signal yield is 0: the guess would divide by it
-        crit = _Criterion(_cls_terms, 3, np.zeros(4), np.full(4, 1.5), np.full(4, 0.25))
+        crit = _Criterion(_CLS, 3, np.zeros(4), np.full(4, 1.5), np.full(4, 0.25))
         assert marginal._wilson_hilferty_start(crit, 0.05) == 0.0
 
     def test_ratio_stderr_where_the_numerator_tracks_the_denominator(self):
@@ -883,7 +902,8 @@ class TestUpperLimits:
         e = rng.integers(-(2**12), 2**12, k // 2)
         den = 0.5 + np.concatenate([m, -m]) * 2.0**-12
         num = den + np.concatenate([e, -e]) * 2.0**-42
-        crit = _Criterion(lambda n, s, x: (den, None), 3, np.ones(k), np.ones(k), np.full(k, 1.0 / k))
+        method = types.SimpleNamespace(wide=lambda n, s, x: (den, None))
+        crit = _Criterion(method, 3, np.ones(k), np.ones(k), np.full(k, 1.0 / k))
         a = sum(map(Fraction, num.tolist())) / k
         b = sum(map(Fraction, den.tolist())) / k
         d = [Fraction(u) / a - Fraction(v) / b for u, v in zip(num.tolist(), den.tolist())]
@@ -983,7 +1003,7 @@ class TestOverflowedMean:
     def test_lanes_past_the_overflow_take_the_limit(self):
         # one lane of x overflows, the other does not: only the first call
         # has a bound that can overflow, and each lane takes its own pmf
-        crit = _Criterion(_bayes_terms, 3, np.array([1e-9, 1e300]), np.array([1.5, 1.5]), np.array([0.5, 0.5]))
+        crit = _Criterion(_BAYES, 3, np.array([1e-9, 1e300]), np.array([1.5, 1.5]), np.array([0.5, 0.5]))
         assert crit.x_at(1.0)[1] is False
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1019,7 +1039,7 @@ class TestScanQuantity:
         # s = inf on the second sample: 0 * s + b would be a NaN lane, once
         # counted as CLs+b = 1 there. The yields now refuse such a sample
         # (tests/test_model.py), so the engine is built on it directly.
-        crit = _Criterion(_cls_terms, 3, np.array([1.0, math.inf]), np.array([1.5, 1.5]), np.array([0.5, 0.5]))
+        crit = _Criterion(_CLS, 3, np.array([1.0, math.inf]), np.array([1.5, 1.5]), np.array([0.5, 0.5]))
         assert crit.mean(crit.terms(0.0)) == crit.den < 1.0
 
     @pytest.mark.parametrize("quantity", ["cls", "clsb", "clb", "posterior"])

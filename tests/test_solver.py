@@ -262,7 +262,7 @@ class TestSolveDecreasing:
             (cls_res, _, _), (bayes_res, _, _) = recorded_solves[-2:]
             assert cls_res[2] <= 4 and bayes_res[2] == 2, (n_obs, cls_res, bayes_res)
             assert report.rel_diff == 0.0
-            assert len(stderrs) == compares and stderrs[-1].kernel is not marginal._bayes_terms
+            assert len(stderrs) == compares and not stderrs[-1].bayes
         assert len(recorded_solves) == 20
         assert_brackets_signed(recorded_solves)
 
@@ -463,7 +463,7 @@ def exact_grid_criteria():
         (0.5, 1.0, 2.0), (0.0, 0.5, 1.5, 5.0, 20.0), (0, 1, 3, 10, 50), (0.05, 0.1, 0.32)
     ):
         model = plain_model(s=s, b=b, n_obs=n_obs)
-        cls, bayes = (marginal._criterion(model, kernel) for kernel in (marginal._cls_terms, marginal._bayes_terms))
+        cls, bayes = (marginal._criterion(model, method) for method in (marginal._CLS, marginal._BAYES))
         yield cls, alpha, marginal._wilson_hilferty_start(cls, alpha)
         yield bayes, alpha, marginal._wilson_hilferty_start(bayes, alpha)
         yield bayes, alpha, cls_upper_limit(model, LimitRequest(alpha=alpha)).mu_up
@@ -476,8 +476,8 @@ def sample_set_criteria():
         for n_obs, alpha in itertools.product((0, 1, 3, 10, 40), (0.05, 0.32)):
             model = bg_systematic_model(s=1.0, b=5.0, n_obs=n_obs, kappa=1.3)
             samples = marginal.draw_samples(model.systematics, integrator)
-            for kernel in (marginal._cls_terms, marginal._bayes_terms):
-                crit = marginal._criterion(model, kernel, samples)
+            for method in (marginal._CLS, marginal._BAYES):
+                crit = marginal._criterion(model, method, samples)
                 yield crit, alpha, marginal._wilson_hilferty_start(crit, alpha)
 
 
@@ -520,11 +520,11 @@ class TestShortcutAgainstTheFullPath:
         assert started >= 0.75 * total
 
     @pytest.mark.parametrize("monte_carlo", [False, True])
-    @pytest.mark.parametrize("kernel", [marginal._cls_terms, marginal._bayes_terms])
-    def test_no_kernel_or_pmf_at_zero(self, kernel, monte_carlo, criterion_points):
+    @pytest.mark.parametrize("method", [marginal._CLS, marginal._BAYES])
+    def test_no_kernel_or_pmf_at_zero(self, method, monte_carlo, criterion_points):
         model = bg_systematic_model(s=1.0, b=1.5, n_obs=3) if monte_carlo else plain_model(s=1.0, b=1.5, n_obs=3)
         samples = marginal.draw_samples(model.systematics, Integrator.monte_carlo(500, 1)) if monte_carlo else None
-        crit = marginal._criterion(model, kernel, samples)
+        crit = marginal._criterion(model, method, samples)
         kernel_x, pmf_x = [], []
         kernel_call, pmf_call = crit.kernel, crit.pmf_and_derivative
         crit.kernel = lambda n, s, x: kernel_x.append(x) or kernel_call(n, s, x)
@@ -540,9 +540,9 @@ class TestShortcutAgainstTheFullPath:
         assert err.value.history[0] == (0.0, 1.0) and len(err.value.history) == 2
         assert len(kernel_x) == evals
 
-    @pytest.mark.parametrize("kernel", [marginal._cls_terms, marginal._bayes_terms])
-    def test_one_evaluation_with_a_start(self, kernel):
-        crit = marginal._criterion(plain_model(s=1.0, b=1.5, n_obs=3), kernel)
+    @pytest.mark.parametrize("method", [marginal._CLS, marginal._BAYES])
+    def test_one_evaluation_with_a_start(self, method):
+        crit = marginal._criterion(plain_model(s=1.0, b=1.5, n_obs=3), method)
         with pytest.raises(ConvergenceError, match="within 1 iterations") as err:
             solve_decreasing(crit, 0.05, 1e-9, 1, marginal._wilson_hilferty_start(crit, 0.05))
         assert err.value.history == [(0.0, 1.0)] and err.value.iterations == 1

@@ -453,7 +453,7 @@ class TestPoissonCdf:
                 for c in coeffs:
                     p = p * Fraction(v) + Fraction(c)
                 exact.append(float(p))
-            assert special._series_sum(coeffs, y).tolist() == exact
+            assert special._series_sum(special._block_matrix(coeffs), y).tolist() == exact
         assert shapes == {"one", 0, 1, 2}
 
     @staticmethod
@@ -472,7 +472,7 @@ class TestPoissonCdf:
         coefficients at that lane's value, summed by mpmath at 40 digits."""
         with mpmath.workdps(40):
             refs = {v: float(mpmath.polyval(coeffs, mpmath.mpf(v))) for v in values}
-        got = special._series_sum(coeffs, lanes)
+        got = special._series_sum(special._block_matrix(coeffs), lanes)
         ref = np.array([refs[v] for v in lanes.tolist()])
         assert np.all(np.abs(got - ref) <= 8.0 * np.spacing(ref))
 
@@ -983,8 +983,8 @@ def test_series_block_matrices_stay_bounded():
         table = special._series_table(*key)
         assert matrix.shape[1] == max(2, math.isqrt(2 * (table.size - 1)))
         assert matrix.ravel().tolist() == table[::-1].tolist() + [0.0] * (matrix.size - table.size)
-    # a plain coefficient list sums as its cached matrix does
+    # the matrix of a plain coefficient list sums as the cached one does
     y = np.linspace(0.0, 1.0, 50)
     for key in keys[-3:]:
-        plain = special._series_table(*key).tolist()
+        plain = special._block_matrix(special._series_table(*key).tolist())
         assert special._series_sum(plain, y).tolist() == special._series_sum(blocks(*key), y).tolist()

@@ -1,5 +1,7 @@
 import importlib.util
 import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,18 +75,39 @@ def test_result_hash_prints_one_repeatable_hash_per_workload_and_seed(monkeypatc
     assert tool.result_hash("exact_small", 1, 3) != lines[0].split()[2]
 
 
+def repository_files(root):
+    """Every file under ``root``, bytecode aside, which an import may write."""
+    return {Path(d, f) for d, _, names in os.walk(root) for f in names
+            if not {".git", "__pycache__"} & set(Path(d).parts)}
+
+
 def test_result_hash_of_cli_mix_repeats_and_writes_nothing_into_the_repository(monkeypatch, capsys):
     pytest.importorskip("mpmath")  # the benchmark's streams import it
     tool = load_tool(monkeypatch, "result_hash")
-
-    def files():  # bytecode aside, which an import may write
-        return {Path(d, f) for d, _, names in os.walk(tool.ROOT) for f in names
-                if not {".git", "__pycache__"} & set(Path(d).parts)}
-
-    before = files()
+    before = repository_files(tool.ROOT)
     for _ in range(2):
         tool.main(["--workloads", "cli_mix", "--ops", "4", "--seeds", "1"])  # each of the four commands once
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and lines[0] == lines[1]
     assert lines[0].split()[:2] == ["cli_mix", "1"] and len(lines[0].split()[2]) == 64
-    assert files() == before
+    assert repository_files(tool.ROOT) == before
+
+
+def test_result_hash_against_a_revision(monkeypatch, capsys):
+    pytest.importorskip("mpmath")  # the benchmark's streams import it
+    tool = load_tool(monkeypatch, "result_hash")
+    if shutil.which("git") is None or subprocess.run(
+        ["git", "-C", str(tool.ROOT), "rev-parse", "--verify", "HEAD"], capture_output=True
+    ).returncode:
+        pytest.skip("needs git and a checkout with a commit")
+    before = repository_files(tool.ROOT)
+    codes = [tool.main(["--against", "HEAD", "--ops", "3", "--seeds", "1"]) for _ in range(2)]
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[:2] for line in lines] == [[w, "1"] for w in ("exact_small", "toys_small", "large_count")] * 2
+    assert all(len(line) == 5 and len(line[2]) == len(line[3]) == 64 for line in lines)
+    assert [line[2] for line in lines[:3]] == [line[2] for line in lines[3:]]  # HEAD's side repeats
+    for code, run in zip(codes, (lines[:3], lines[3:])):
+        verdicts = [line[4] for line in run]
+        assert verdicts == ["same" if line[2] == line[3] else "differs" for line in run]
+        assert code == int("differs" in verdicts)
+    assert repository_files(tool.ROOT) == before

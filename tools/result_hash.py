@@ -9,11 +9,18 @@ errors, each float by ``repr``. Two builds whose lines match computed the
 same limits, brackets, iteration counts and errors to the bit. The
 ``cli_mix`` workload, named only on request, makes its CLI calls in this
 process (``workloads.cli_in_process``) on configs in a temporary
-directory, and hashes each call's exit code and stdout bytes. Run from
-the repository root:
+directory, and hashes each call's exit code and stdout bytes.
+
+``--against REV`` hashes git revision REV's ``src/`` too, extracted by
+``git archive`` into a temporary directory and run in a child interpreter
+with that ``src/`` first on its path and this tree's ``perfbench/``. Each
+line then reads workload, seed, REV's hash, this tree's hash and ``same``
+or ``differs``, and the tool exits 1 if any line differs. Nothing is
+written into the repository or its ``.git``. Run from the repository root:
 
     python3 tools/result_hash.py [--ops 200] [--seeds 1,7] [--workloads exact_small,toys_small,large_count]
     python3 tools/result_hash.py --workloads cli_mix --ops 40
+    python3 tools/result_hash.py --against HEAD
 
 The streams need mpmath (a test dependency) to import, though no
 operation's check is run here.
@@ -21,7 +28,11 @@ operation's check is run here.
 
 import argparse
 import hashlib
+import io
+import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -33,6 +44,19 @@ import workloads  # noqa: E402
 from countlim import marginal  # noqa: E402
 
 WORKLOADS = ("exact_small", "toys_small", "large_count")
+
+# The child of --against: countlim is imported from the extracted src/ before
+# this tool runs, so the tool's own path entries find the package loaded, and
+# every countlim module it and perfbench import is from REV.
+CHILD = """
+import runpy, sys
+src, tool, *argv = sys.argv[1:]
+sys.path.insert(0, src)
+import countlim
+assert countlim.__file__.startswith(src), countlim.__file__
+sys.argv = [tool, *argv]
+runpy.run_path(tool, run_name="__main__")
+"""
 
 
 def solve_record(res) -> str:
@@ -68,16 +92,46 @@ def result_hash(workload: str, seed: int, ops: int) -> str:
     return digest.hexdigest()
 
 
-def main(argv=None) -> None:
+def revision_hashes(rev: str, argv: list[str]) -> dict[tuple[str, int], str]:
+    """This tool's hashes for ``argv`` on ``rev``'s ``src/``, by (workload,
+    seed): the source is extracted into a temporary directory and hashed in
+    a child interpreter (see ``CHILD``) that writes no bytecode."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True)
+    if archive.returncode:
+        raise SystemExit(f"error: git archive {rev}: {archive.stderr.decode().strip()}")
+    with tempfile.TemporaryDirectory() as workdir:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(workdir, filter="data")
+        src = str(Path(workdir, "src"))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        child = subprocess.run([sys.executable, "-c", CHILD, src, __file__, *argv],
+                               stdout=subprocess.PIPE, text=True, check=True, env=env)
+    lines = [line.split() for line in child.stdout.splitlines()]
+    return {(workload, int(seed)): digest for workload, seed, digest in lines}
+
+
+def main(argv=None) -> int:
+    """Print the hashes; with ``--against``, return 1 if any differs from REV's, else 0."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ops", type=int, default=200)
     parser.add_argument("--seeds", default="1,7")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--against", metavar="REV", help="git revision whose src/ to hash beside this tree's")
     args = parser.parse_args(argv)
+    shared = ["--ops", str(args.ops), "--seeds", args.seeds, "--workloads", args.workloads]
+    theirs = revision_hashes(args.against, shared) if args.against else {}
+    differs = False
     for workload in args.workloads.split(","):
         for seed in (int(s) for s in args.seeds.split(",")):
-            print(f"{workload:<12} {seed:>4} {result_hash(workload, seed, args.ops)}")
+            ours = result_hash(workload, seed, args.ops)
+            if not args.against:
+                print(f"{workload:<12} {seed:>4} {ours}")
+                continue
+            rev = theirs[workload, seed]
+            differs |= rev != ours
+            print(f"{workload:<12} {seed:>4} {rev} {ours} {'same' if rev == ours else 'differs'}")
+    return int(differs)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
