@@ -133,8 +133,8 @@ def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, to
 
 
 def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, samples, seed, nodes, out):
-    """Tabulate a quantity on a strength grid as CSV (columns mu,value
-    plus stderr for Monte Carlo quantities)."""
+    """Tabulate a quantity on a strength grid as CSV: columns mu,value, and
+    stderr on a set drawn by Monte Carlo with 2 or more samples."""
     if not (0.0 <= mu_min < mu_max < math.inf):
         raise ConfigError(f"need finite 0 <= mu-min < mu-max, got [{mu_min}, {mu_max}]")
     if not 2 <= points <= _SCAN_MAX_POINTS:
@@ -143,7 +143,7 @@ def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, sam
     model = load_model(config_path)
     grid = np.linspace(mu_min, mu_max, points)
     sample_set = draw_samples(model.systematics, _build_integrator(model, integrator_kind, samples, seed, nodes))
-    values, stderrs = scan_quantity(model, quantity, grid, sample_set, sample_set.monte_carlo)
+    values, stderrs = scan_quantity(model, quantity, grid, sample_set)
     lines = ["mu,value,stderr" if stderrs is not None else "mu,value"]
     for i, mu in enumerate(grid):
         row = f"{_fmt_float(mu)},{_fmt_float(values[i])}"

@@ -19,7 +19,8 @@ closed-form posterior density. The limits of a model without nuisances
 draw no set, and run on its floats; numpy is imported where first needed.
 
 Every marginal limit takes one path, ``_limit``, which refuses a zero
-signal, draws the set and decides on the Monte Carlo error, once.
+signal and draws the set. Whether a limit or a scan takes a Monte Carlo
+error is read from the set alone, by one predicate: ``_takes_mc_error``.
 
 Reductions over samples go through ``np.add.reduce``, ``np.sum``'s pairwise
 sum without its dispatch, whose tree over a fixed (declaration) sample
@@ -132,14 +133,14 @@ class SampleSet:
     one and no prior factor is ever multiplied in again.
     """
 
-    monte_carlo = False  # set on the instance by draw_samples: True on a set it drew by Monte Carlo
+    monte_carlo = False  # True on a set draw_samples drew by Monte Carlo; read by _takes_mc_error alone
 
     def __init__(self, etas: np.ndarray, weights: np.ndarray):
         import numpy as np
         etas = np.asarray(etas, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        if etas.ndim != 2 or weights.ndim != 1 or etas.shape[0] != weights.shape[0]:
-            raise ValueError(f"inconsistent sample shapes {etas.shape}, {weights.shape}")
+        if etas.ndim != 2 or weights.ndim != 1 or not 0 < etas.shape[0] == weights.shape[0]:
+            raise ValueError(f"inconsistent or empty sample shapes {etas.shape}, {weights.shape}")
         self.etas = etas
         self.weights = weights
 
@@ -155,9 +156,10 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
     integrator is required. Gauss-Hermite with any non-normal prior is
     refused rather than run against the wrong measure, and so is a grid
     above ``2**20`` points or a Monte Carlo set above ``2**22`` values
-    (samples x nuisances). A Gauss-Hermite grid of at most ``2**16``
-    values (K x J nodes and K weights, 512 KiB) is built once per process
-    and kept read-only, 8.4 MiB at most for all such grids; the set's
+    (samples x nuisances). A Gauss-Hermite grid, its rule solved by
+    ``hermgauss``, of at most ``2**16`` values (K x J nodes and K weights,
+    512 KiB) is built once per process and kept read-only, 8.4 MiB at most
+    for all such grids; a larger one is built on each draw. The set's
     arrays are its own, so writing into them changes no later draw.
     """
     import numpy as np
@@ -192,11 +194,9 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
                 f"gauss_hermite integration requires normal-family priors; "
                 f"offending nuisance(s): {bad}"
             )
-        if points * (n_nuis + 1) <= _GH_CACHED_VALUES:
-            z, weights = _hermite_grid_cached(integrator.nodes_per_dim, n_nuis)
-            weights = weights.copy()  # the set's own: the cache's is read-only and shared
-        else:
-            z, weights = _hermite_grid(integrator.nodes_per_dim, n_nuis)
+        grid = _kept_hermite_grid if points * (n_nuis + 1) <= _GH_CACHED_VALUES else _hermite_grid
+        z, weights = grid(integrator.nodes_per_dim, n_nuis)
+        weights = weights.copy()  # the set's own: the grid's is read-only, and a kept one shared
     z = systematics.correlate(z)
     etas = np.empty_like(z)
     for j, nu in enumerate(systematics.nuisances):
@@ -206,45 +206,26 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
     return samples
 
 
-@functools.lru_cache(maxsize=None)
-def _hermite_rule(nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights for the standard normal measure,
-    read-only. ``hermgauss`` solves an eigenproblem (Golub & Welsch 1969),
-    so each rule is built once per process; ``Integrator`` keeps the node
-    count in [2, 64], so the cache pins at most 63 rules of at most 64
-    nodes and weights, about 32 KiB in all. The tensor grids built on it are
-    cached too, up to ``_GH_CACHED_VALUES`` (:func:`_hermite_grid_cached`)."""
+def _hermite_grid(nodes_per_dim: int, n_nuis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor-product Gauss-Hermite rule over ``n_nuis`` standard normals,
+    read-only: the (K, J) nodes, last column fastest, and the K weights,
+    normalised. ``hermgauss`` solves an eigenproblem (Golub & Welsch 1969)."""
     import numpy as np
     x, w = np.polynomial.hermite.hermgauss(nodes_per_dim)
-    nodes = math.sqrt(2.0) * x
-    w_norm = w / math.sqrt(math.pi)
-    nodes.setflags(write=False)
-    w_norm.setflags(write=False)
-    return nodes, w_norm
-
-
-def _hermite_grid(nodes_per_dim: int, n_nuis: int) -> tuple[np.ndarray, np.ndarray]:
-    """The tensor-product rule over ``n_nuis`` standard normals: the (K, J)
-    matrix of nodes, last column fastest, and the K weights, normalised."""
-    import numpy as np
-    nodes, w_norm = _hermite_rule(nodes_per_dim)
-    grids = np.meshgrid(*([nodes] * n_nuis), indexing="ij")
+    grids = np.meshgrid(*([math.sqrt(2.0) * x] * n_nuis), indexing="ij")
     z = np.stack([g.ravel() for g in grids], axis=1)
     weights = np.ones(z.shape[0])
-    for g in np.meshgrid(*([w_norm] * n_nuis), indexing="ij"):
+    for g in np.meshgrid(*([w / math.sqrt(math.pi)] * n_nuis), indexing="ij"):
         weights *= g.ravel()
-    return z, weights / np.sum(weights)
-
-
-@functools.lru_cache(maxsize=None)
-def _hermite_grid_cached(nodes_per_dim: int, n_nuis: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_hermite_grid`, built once per process and read-only. Only
-    grids of at most ``_GH_CACHED_VALUES`` values come here, so the keys
-    are finite and the cache pins at most 8.4 MiB (see there)."""
-    z, weights = _hermite_grid(nodes_per_dim, n_nuis)
+    weights /= np.sum(weights)
     z.setflags(write=False)
     weights.setflags(write=False)
     return z, weights
+
+
+# the grids draw_samples keeps, each solved and built once per process: only those
+# within _GH_CACHED_VALUES come here, so the cache pins at most 8.4 MiB (see there)
+_kept_hermite_grid = functools.lru_cache(maxsize=None)(_hermite_grid)
 
 
 def _check_mu(mu) -> float:
@@ -476,7 +457,7 @@ def _criterion(model: CountingModel, method, samples: SampleSet | None = None) -
     if samples is None or (
         not model.has_systematics and samples.etas.shape == (1, 0) and samples.weights[0] == 1.0
     ):
-        return _Criterion(method, int(model.n_obs), float(model.s_nom), model.b_nom_total, None)
+        return _Criterion(method, model.n_obs, model.s_nom, model.b_nom_total, None)
     s, b = yields_on_samples(model, samples.etas)
     return _Criterion(method, model.n_obs, s, b, samples.weights)
 
@@ -571,22 +552,18 @@ def marginal_posterior_density(model: CountingModel, mu: float, samples: SampleS
     return float(crit.ratio(crit.pmf_terms(mu)))
 
 
-def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, with_stderr: bool):
+def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet):
     """Tabulate a marginal quantity over a strength grid.
 
-    Returns ``(values, stderrs)`` with ``stderrs`` None unless
-    ``with_stderr`` and the set has 2 or more samples. Quantities:
-    ``cls``, ``clsb``, ``clb``, ``posterior``. The standard errors are
-    those of an equal-weight Monte Carlo mean, so a set not drawn by
-    Monte Carlo, such as a Gauss-Hermite grid (whose weights may all be
-    equal), is refused with :class:`ValueError` when ``with_stderr`` asks for them.
+    Returns ``(values, stderrs)``. Quantities: ``cls``, ``clsb``, ``clb``,
+    ``posterior``. ``stderrs`` holds the standard errors of an equal-weight
+    Monte Carlo mean where a limit on the set would take a Monte Carlo error
+    (:func:`_takes_mc_error`), and is None on any other set, such as a
+    Gauss-Hermite grid (whose weights may all be equal).
     """
     import numpy as np
     if quantity not in ("cls", "clsb", "clb", "posterior"):
         raise ValueError(f"unknown scan quantity {quantity!r}")
-    with_stderr = with_stderr and len(samples) >= 2
-    if with_stderr and not samples.monte_carlo:
-        raise ValueError("standard errors need an equal-weight Monte Carlo set; this set was not drawn by Monte Carlo")
     if quantity == "cls" and model.s_nom == 0.0:
         # CLs = 1 at every mu, on any sample set: refused as by hybrid_cls_upper_limit
         raise ModelError(_CLS.zero_signal)
@@ -598,7 +575,7 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, 
     ratio = quantity in ("cls", "posterior")
     value, stderr = (crit.ratio, crit.ratio_stderr) if ratio else (crit.mean, crit.mean_stderr)
     values = np.empty(mus.shape)
-    stderrs = np.empty(mus.shape) if with_stderr else None
+    stderrs = np.empty(mus.shape) if _takes_mc_error(samples) else None
     for i, mu in enumerate(mus.tolist()):
         terms = terms_at(mu)
         values[i] = value(terms)
@@ -608,7 +585,7 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet, 
 
 
 def _takes_mc_error(samples: SampleSet | None) -> bool:
-    """A limit takes a Monte Carlo error on a set drawn by Monte Carlo with 2 or more samples."""
+    """A limit or a scan takes a Monte Carlo error on a set drawn by Monte Carlo with 2 or more samples."""
     return samples is not None and samples.monte_carlo and len(samples) >= 2
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -51,6 +52,8 @@ class Response:
             raise ModelError(f"response parameters must be finite, got kappa={self.kappa}, delta={self.delta}")
         if self.kind == "log_normal" and not self.kappa > 0.0:
             raise ModelError(f"log_normal response requires kappa > 0, got {self.kappa}")
+        object.__setattr__(self, "kappa", float(self.kappa))  # a numpy scalar is not a config number
+        object.__setattr__(self, "delta", float(self.delta))
 
     @classmethod
     def identity(cls) -> "Response":
@@ -97,6 +100,8 @@ class Prior:
             raise ModelError("standard_normal prior takes no parameters")
         if not (math.isfinite(self.loc) and 0.0 < self.scale < math.inf):
             raise ModelError(f"prior needs a finite loc and a positive finite scale, got {self.loc}, {self.scale}")
+        object.__setattr__(self, "loc", float(self.loc))  # a numpy scalar is not a config number
+        object.__setattr__(self, "scale", float(self.scale))
 
     @classmethod
     def standard_normal(cls) -> "Prior":
@@ -139,6 +144,7 @@ class BackgroundProcess:
     def __post_init__(self):
         if not 0.0 <= self.b_nom < math.inf:
             raise ModelError(f"background {self.name!r} needs a finite nonnegative nominal yield, got {self.b_nom}")
+        object.__setattr__(self, "b_nom", float(self.b_nom) + 0.0)  # a Python float, and -0.0 made 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +244,8 @@ class CountingModel:
         # numpy's integers are registered as Integral; a bool is not a count
         if isinstance(self.n_obs, bool) or not (isinstance(self.n_obs, numbers.Integral) and self.n_obs >= 0):
             raise ModelError(f"observed count must be a nonnegative integer, got {self.n_obs!r}")
+        object.__setattr__(self, "s_nom", float(self.s_nom))  # Python's numbers: numpy's are no config numbers
+        object.__setattr__(self, "n_obs", operator.index(self.n_obs))
         names = [bkg.name for bkg in self.backgrounds]
         if len(set(names)) != len(names):
             raise ModelError(f"background names are not unique: {names}")
@@ -304,11 +312,11 @@ def yields_on_samples(model: CountingModel, etas: np.ndarray):
     # an overflow is refused below, by sample, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         s = _yield_columns(model.s_nom, model.systematics.signal_responses, names, etas, "signal")
-        # the sum starts from its first term, not from zeros: 0.0 + y is y to
-        # the bit for these nonnegative yields, once a nominal of -0.0 is 0.0
+        # the sum starts from its first term, not from zeros: 0.0 + y is y to the bit
+        # for these nonnegative yields, a nominal of -0.0 being 0.0 (BackgroundProcess)
         b = None
         for bkg in model.backgrounds:
-            y = _yield_columns(bkg.b_nom + 0.0, bkg.responses, names, etas, f"background {bkg.name!r}")
+            y = _yield_columns(bkg.b_nom, bkg.responses, names, etas, f"background {bkg.name!r}")
             b = y if b is None else np.add(b, y, out=b)
         if b is None:
             b = np.zeros(etas.shape[0])

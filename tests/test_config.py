@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from countlim import ConfigError, Prior, Response
+from countlim import BackgroundProcess, ConfigError, CountingModel, Nuisance, Prior, Response, SystematicsModel
 from countlim.config import _KINDS, emit_config, load_model, parse_model
 from helpers import run_cli
 
@@ -195,6 +195,30 @@ class TestRoundTrip:
         doc = emit_config(parse_model(FULL))
         text = json.dumps(doc)
         assert parse_model(json.loads(text)) == parse_model(FULL)
+
+    @pytest.mark.parametrize("real", [np.float32, np.float64, np.int64], ids=lambda t: t.__name__)
+    @pytest.mark.parametrize("integer", [np.int64, np.uint8], ids=lambda t: t.__name__)
+    def test_numpy_scalars_in_a_model_round_trip(self, real, integer):
+        # a model once kept numpy's scalars as given: parse_model refused the
+        # emitted np.float32(2.0) and np.int64(3), and json.dumps a float32
+        systematics = SystematicsModel(
+            nuisances=(
+                Nuisance("a", Prior("normal", loc=real(1), scale=real(2))),
+                Nuisance("c", Prior("log_normal", loc=real(0), scale=real(1))),
+            ),
+            signal_responses={"c": Response("linear", delta=real(1))},
+        )
+        responses = {"a": Response("log_normal", kappa=real(2)), "c": Response("linear", delta=real(0))}
+        background = BackgroundProcess("b", real(1), responses)
+        model = CountingModel(s_nom=real(2), backgrounds=(background,), n_obs=integer(3), systematics=systematics)
+        stored = [model.s_nom, model.backgrounds[0].b_nom]
+        for resp in (*model.backgrounds[0].responses.values(), *model.systematics.signal_responses.values()):
+            stored += [resp.kappa, resp.delta]
+        for nu in model.systematics.nuisances:
+            stored += [nu.prior.loc, nu.prior.scale]
+        assert [type(x) for x in stored] == [float] * 12 and type(model.n_obs) is int
+        assert parse_model(emit_config(model)) == model
+        assert parse_model(json.loads(json.dumps(emit_config(model)))) == model
 
     def test_correlation_survives(self):
         model = parse_model(FULL)

@@ -43,7 +43,7 @@ def posterior_density(model, mu):
 
 def scan(model, quantity, mus):
     samples = draw_samples(model.systematics, None)
-    return scan_quantity(model, quantity, np.asarray(mus, dtype=float), samples, False)[0]
+    return scan_quantity(model, quantity, np.asarray(mus, dtype=float), samples)[0]
 
 
 class TestClsValue:

@@ -180,6 +180,13 @@ class TestDrawSamples:
         assert samples.etas.shape == (1, 0)
         assert samples.weights[0] == 1.0
 
+    @pytest.mark.parametrize(("etas", "weights"), [((0, 1), (0,)), ((0, 0), (0,))])
+    def test_an_empty_set_is_refused_where_it_is_made(self, etas, weights):
+        # once accepted, and every limit or scan on it then failed inside the
+        # criterion on numpy's "zero-size array to reduction operation minimum"
+        with pytest.raises(ValueError, match=rf"empty sample shapes \({etas[0]}, {etas[1]}\), \(0,\)"):
+            SampleSet(np.zeros(etas), np.ones(weights))
+
     def test_nuisances_need_an_integrator(self):
         # once a bare AttributeError on None.kind, from each of these routes
         m = CountingModel(
@@ -268,13 +275,7 @@ class TestDrawSamples:
         plain = draw_samples(plain_model().systematics, Integrator.monte_carlo(100 * _MC_MAX_VALUES, 1))
         assert plain.etas.shape == (1, 0)
 
-    def test_hermite_rule_is_read_only(self):
-        nodes, weights = marginal._hermite_rule(16)
-        for rule in (nodes, weights):
-            with pytest.raises(ValueError, match="read-only"):
-                rule[0] = 0.0
-
-    def test_hermite_rule_is_solved_once_per_node_count(self, monkeypatch):
+    def test_hermgauss_runs_once_per_kept_grid(self, monkeypatch):
         solved = []
         hermgauss = np.polynomial.hermite.hermgauss
 
@@ -283,13 +284,15 @@ class TestDrawSamples:
             return hermgauss(deg)
 
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
-        marginal._hermite_rule.cache_clear()
-        marginal._hermite_grid_cached.cache_clear()
-        for nodes, model in ((16, identity_systematic_model(n_nuisances=2)), (32, signal_systematic_model())):
+        marginal._kept_hermite_grid.cache_clear()
+        # each kept (nodes, J) grid solves its rule once, a repeated draw nothing;
+        # 32^3 points are above the cache's cap, and solve theirs on each draw
+        for nodes, n_nuisances in ((16, 1), (16, 2), (32, 1), (32, 3)):
+            model = identity_systematic_model(n_nuisances=n_nuisances)
             first, second = (draw_samples(model.systematics, Integrator.gauss_hermite(nodes)) for _ in range(2))
             assert np.array_equal(first.etas, second.etas)
             assert np.array_equal(first.weights, second.weights)
-        assert solved == [16, 32]
+        assert solved == [16, 16, 32, 32, 32]
 
     @pytest.mark.parametrize(
         ("nodes", "model"),
@@ -320,9 +323,13 @@ class TestDrawSamples:
             assert np.array_equal(samples.etas, etas)
             assert np.array_equal(samples.weights, weights / np.sum(weights))
 
-    @pytest.mark.parametrize("model", [identity_systematic_model(n_nuisances=2), _correlated_model()])
-    def test_writing_into_a_set_changes_no_later_draw(self, model):
-        integrator = Integrator.gauss_hermite(16)
+    @pytest.mark.parametrize(
+        ("nodes", "model"),
+        [(16, identity_systematic_model(n_nuisances=2)), (16, _correlated_model()),
+         (32, identity_systematic_model(n_nuisances=3))],  # above the cache's cap
+    )
+    def test_writing_into_a_set_changes_no_later_draw(self, nodes, model):
+        integrator = Integrator.gauss_hermite(nodes)
         first = draw_samples(model.systematics, integrator)
         etas, weights = first.etas.copy(), first.weights.copy()
         first.etas[...] = -1.0
@@ -330,22 +337,23 @@ class TestDrawSamples:
         second = draw_samples(model.systematics, integrator)
         assert np.array_equal(second.etas, etas)
         assert np.array_equal(second.weights, weights)
+        assert not np.shares_memory(first.etas, second.etas) and not np.shares_memory(first.weights, second.weights)
 
     def test_grid_above_the_cap_is_built_and_not_kept(self):
         # 32^3 points and their weights are 4 x 32768 values > 2^16
         assert 32**3 * 4 > _GH_CACHED_VALUES >= 16**3 * 4
         model = identity_systematic_model(n_nuisances=3)
-        marginal._hermite_grid_cached.cache_clear()
+        marginal._kept_hermite_grid.cache_clear()
         big = draw_samples(model.systematics, Integrator.gauss_hermite(32))
-        assert marginal._hermite_grid_cached.cache_info().currsize == 0
+        assert marginal._kept_hermite_grid.cache_info().currsize == 0
         assert big.etas.shape == (32**3, 3) and math.fsum(big.weights) == pytest.approx(1.0, rel=1e-15)
         # integrates second moments exactly, as the grid must
         assert float(np.sum(big.weights * big.etas[:, 2] ** 2)) == pytest.approx(1.0, rel=1e-13)
         draw_samples(model.systematics, Integrator.gauss_hermite(16))
-        assert marginal._hermite_grid_cached.cache_info().currsize == 1
+        assert marginal._kept_hermite_grid.cache_info().currsize == 1
 
     def test_cached_grids_are_read_only_and_bounded(self):
-        z, weights = marginal._hermite_grid_cached(16, 2)
+        z, weights = marginal._kept_hermite_grid(16, 2)
         for grid in (z, weights):
             with pytest.raises(ValueError, match="read-only"):
                 grid[0] = 0.0
@@ -986,7 +994,7 @@ class TestOverflowedMean:
         "marginal_posterior_density": lambda m, samples: marginal_posterior_density(m, 1e300, samples),
         "marginal_likelihood": lambda m, samples: marginal_likelihood(m, 1e300, 3, samples),
         "scan_quantity": lambda m, samples: [
-            scan_quantity(m, q, np.array([0.0, 1e300]), samples, with_stderr=True)[i][1]
+            scan_quantity(m, q, np.array([0.0, 1e300]), samples)[i][1]
             for q in ("cls", "clsb", "clb", "posterior") for i in (0, 1) if q != "clb"
         ],
     }
@@ -1021,7 +1029,7 @@ class TestScanQuantity:
         m = bg_systematic_model(kappa=1.2)
         samples = draw_samples(m.systematics, Integrator.monte_carlo(2000, 9))
         mus = np.linspace(0.0, 8.0, 9)
-        values, stderrs = scan_quantity(m, "cls", mus, samples, with_stderr=True)
+        values, stderrs = scan_quantity(m, "cls", mus, samples)
         assert values[0] == 1.0
         assert stderrs is not None and stderrs.shape == mus.shape
         for i, mu in enumerate(mus):
@@ -1031,7 +1039,7 @@ class TestScanQuantity:
         # CLs+b = exp(-1000) on every sample: the value and its error are 0
         m = identity_systematic_model(s=1.0, b=1.5, n_obs=0)
         samples = draw_samples(m.systematics, Integrator.monte_carlo(2, 0))
-        values, stderrs = scan_quantity(m, "cls", np.array([0.0, 1e3]), samples, with_stderr=True)
+        values, stderrs = scan_quantity(m, "cls", np.array([0.0, 1e3]), samples)
         assert values[1] == 0.0
         assert stderrs[1] == 0.0
 
@@ -1044,11 +1052,12 @@ class TestScanQuantity:
 
     @pytest.mark.parametrize("quantity", ["cls", "clsb", "clb", "posterior"])
     @pytest.mark.parametrize(("nodes", "n_nuisances"), [(8, 1), (2, 1), (2, 2)])
-    def test_stderr_refused_on_a_quadrature(self, quantity, nodes, n_nuisances):
+    def test_no_stderr_on_a_quadrature(self, quantity, nodes, n_nuisances):
         # the errors are those of an equal-weight Monte Carlo mean: on the
         # 8-node set they once read CLs 0.810 +- 0.027, a number with no
         # meaning; a 2-node rule has equal weights (any 2^J grid does), and
-        # was once let through with errors such as 0.0326 and 0.0418
+        # was once let through with errors such as 0.0326 and 0.0418, then
+        # refused when asked for. A set not drawn by Monte Carlo gives none
         m = bg_systematic_model(kappa=1.2)
         if n_nuisances == 2:
             responses = {"a": Response.log_normal(1.2), "b": Response.linear(0.1)}
@@ -1061,11 +1070,57 @@ class TestScanQuantity:
         samples = draw_samples(m.systematics, Integrator.gauss_hermite(nodes))
         if nodes == 2:  # equal weights: a comparison of weights let this set through
             assert len(set(samples.weights.tolist())) == 1
-        with pytest.raises(ValueError, match="equal-weight Monte Carlo set"):
-            scan_quantity(m, quantity, np.array([0.0, 2.0]), samples, with_stderr=True)
+        values, stderrs = scan_quantity(m, quantity, np.array([0.0, 2.0]), samples)
+        assert stderrs is None and values.shape == (2,)
+
+    # the values a scan gave on each set before its errors were read from the set
+    NO_STDERR_VALUES = {
+        "monte carlo, 1 sample": {
+            "cls": ["0x1.0000000000000p+0", "0x1.1eeeb20a05d2ap-1"],
+            "clsb": ["0x1.d82e91e7eddc1p-1", "0x1.089e2557cfaebp-1"],
+            "clb": ["0x1.d82e91e7eddc1p-1"] * 2,
+            "posterior": ["0x1.3009602555ebep-3", "0x1.d86d0c9ebc754p-3"],
+        },
+        "gauss-hermite 8": {
+            "cls": ["0x1.0000000000000p+0", "0x1.264a52ad75179p-1"],
+            "clsb": ["0x1.da5b9aab039f6p-1", "0x1.10a775a6ee00fp-1"],
+            "clb": ["0x1.da5b9aab039f6p-1"] * 2,
+            "posterior": ["0x1.18366d11da6a8p-3", "0x1.d75c5ab144210p-3"],
+        },
+        "gauss-hermite 2": {
+            "cls": ["0x1.0000000000000p+0", "0x1.263c477cb008dp-1"],
+            "clsb": ["0x1.da5faf974cef5p-1", "0x1.109ccb4640078p-1"],
+            "clb": ["0x1.da5faf974cef5p-1"] * 2,
+            "posterior": ["0x1.18a72df658dc0p-3", "0x1.d74c6f2bd3bcfp-3"],
+        },
+        "hand-built": {
+            "cls": ["0x1.0000000000000p+0", "0x1.1c15ffa9658aep-1"],
+            "clsb": ["0x1.cd7c41c688625p-1", "0x1.000ec084e4176p-1"],
+            "clb": ["0x1.cd7c41c688625p-1"] * 2,
+            "posterior": ["0x1.45a31d49c1c21p-3", "0x1.d5973336752efp-3"],
+        },
+    }
+
+    @pytest.mark.parametrize("which", sorted(NO_STDERR_VALUES))
+    def test_no_stderr_off_a_monte_carlo_set_of_two_or_more(self, which):
+        # errors come where a limit on the set would take one, and nowhere else:
+        # a one-sample Monte Carlo set, a quadrature and a set built by hand
+        # (equal weights, 3 samples) give the values alone, bit for bit
+        m = bg_systematic_model(kappa=1.2)
+        samples = {
+            "monte carlo, 1 sample": lambda: draw_samples(m.systematics, Integrator.monte_carlo(1, 9)),
+            "gauss-hermite 8": lambda: draw_samples(m.systematics, Integrator.gauss_hermite(8)),
+            "gauss-hermite 2": lambda: draw_samples(m.systematics, Integrator.gauss_hermite(2)),
+            "hand-built": lambda: SampleSet(np.array([[-1.0], [0.5], [2.0]]), np.full(3, 1.0 / 3.0)),
+        }[which]()
+        for quantity, hexes in self.NO_STDERR_VALUES[which].items():
+            values, stderrs = scan_quantity(m, quantity, np.array([0.0, 2.0]), samples)
+            assert stderrs is None
+            assert [x.hex() for x in values.tolist()] == hexes
 
     def test_monte_carlo_stderr_bits(self):
-        # the errors of an equal-weight set, as before the refusal above
+        # the errors of an equal-weight Monte Carlo set, which a scan on it
+        # gives unasked, bit for bit as when they were asked for by a flag
         m = bg_systematic_model(kappa=1.2)
         samples = draw_samples(m.systematics, Integrator.monte_carlo(500, 9))
         expected = {
@@ -1075,13 +1130,13 @@ class TestScanQuantity:
             "posterior": ["0x1.b5d9754cd02f4p-10", "0x1.bcf725ed17e9fp-11", "0x1.9cf96c984b676p-12"],
         }
         for quantity, hexes in expected.items():
-            _, stderrs = scan_quantity(m, quantity, np.array([0.0, 1.0, 3.0]), samples, with_stderr=True)
+            _, stderrs = scan_quantity(m, quantity, np.array([0.0, 1.0, 3.0]), samples)
             assert [x.hex() for x in stderrs.tolist()] == hexes
 
     def test_no_stderr_for_quadrature(self):
         m = bg_systematic_model(kappa=1.2)
         samples = draw_samples(m.systematics, Integrator.gauss_hermite(8))
-        values, stderrs = scan_quantity(m, "clsb", np.array([0.0, 1.0]), samples, with_stderr=False)
+        values, stderrs = scan_quantity(m, "clsb", np.array([0.0, 1.0]), samples)
         assert stderrs is None
         assert np.all(np.diff(values) < 0.0)
 
@@ -1090,10 +1145,10 @@ class TestScanQuantity:
         m = bg_systematic_model()
         samples = draw_samples(m.systematics, Integrator.gauss_hermite(4))
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            scan_quantity(m, "cls", np.array([0.0, bad]), samples, with_stderr=False)
+            scan_quantity(m, "cls", np.array([0.0, bad]), samples)
 
     def test_unknown_quantity(self):
         m = bg_systematic_model()
         samples = draw_samples(m.systematics, Integrator.gauss_hermite(4))
         with pytest.raises(ValueError):
-            scan_quantity(m, "pvalue", np.array([0.0]), samples, with_stderr=False)
+            scan_quantity(m, "pvalue", np.array([0.0]), samples)
