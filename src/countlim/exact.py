@@ -30,8 +30,6 @@ def _nominal(model: CountingModel, method) -> _Criterion:
             "exact limits require identity responses everywhere; "
             "use the marginalised routines for models with systematics"
         )
-    if model.s_nom == 0.0:
-        raise ModelError(method.zero_signal)
     return _criterion(model, method)
 
 

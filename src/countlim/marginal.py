@@ -450,9 +450,13 @@ class _Criterion:
         return (a / b) * math.sqrt(var)
 
 
-def _criterion(model: CountingModel, method, samples: SampleSet | None = None) -> _Criterion:
+def _criterion(model: CountingModel, method, samples: SampleSet | None = None, zero_signal_ok=False) -> _Criterion:
     """The engine over ``samples``; with no set, or the one-point set of a
-    model without nuisances, the engine on the nominal yields, as floats."""
+    model without nuisances, the engine on the nominal yields, as floats.
+    A zero nominal signal is refused with the method's message, unless
+    ``zero_signal_ok`` (the CLs+b and CLb scans)."""
+    if model.s_nom == 0.0 and not zero_signal_ok:
+        raise ModelError(method.zero_signal)
     # a model with nuisances refuses the one-point set, as any set of the wrong shape
     if samples is None or (
         not model.has_systematics and samples.etas.shape == (1, 0) and samples.weights[0] == 1.0
@@ -532,8 +536,6 @@ def hybrid_cls(model: CountingModel, mu: float, samples: SampleSet) -> float:
     signal-plus-background numerator and the background-only denominator.
     On the one-point set of a model without nuisances, the exact CLs."""
     mu = _check_mu(mu)
-    if model.s_nom == 0.0:
-        raise ModelError(_CLS.zero_signal)
     return _criterion(model, _CLS, samples).criterion(mu)
 
 
@@ -564,10 +566,8 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet):
     import numpy as np
     if quantity not in ("cls", "clsb", "clb", "posterior"):
         raise ValueError(f"unknown scan quantity {quantity!r}")
-    if quantity == "cls" and model.s_nom == 0.0:
-        # CLs = 1 at every mu, on any sample set: refused as by hybrid_cls_upper_limit
-        raise ModelError(_CLS.zero_signal)
-    crit = _criterion(model, _BAYES if quantity == "posterior" else _CLS, samples)
+    # CLs = 1 at every mu without a signal, on any sample set: refused as by the limits
+    crit = _criterion(model, _BAYES if quantity == "posterior" else _CLS, samples, quantity in ("clsb", "clb"))
     mus = np.asarray(mus, dtype=float)
     if mus.size and not (float(np.min(mus)) >= 0.0 and float(np.max(mus)) < math.inf):
         raise ValueError("mu grid must be finite and nonnegative")

@@ -32,6 +32,20 @@ __all__ = [
 ]
 
 
+def _real(owner, name: str) -> float:
+    """Field ``name`` of ``owner``, refused unless a real number (a bool is
+    none), stored as a Python float; an int beyond the float range is +-inf."""
+    value = getattr(owner, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelError(f"{type(owner).__name__}.{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
+    object.__setattr__(owner, name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class Response:
     """Multiplicative yield response to one nuisance parameter.
@@ -48,12 +62,11 @@ class Response:
     def __post_init__(self):
         if self.kind not in ("identity", "log_normal", "linear"):
             raise ModelError(f"unknown response kind {self.kind!r}")
-        if not (math.isfinite(self.kappa) and math.isfinite(self.delta)):
-            raise ModelError(f"response parameters must be finite, got kappa={self.kappa}, delta={self.delta}")
-        if self.kind == "log_normal" and not self.kappa > 0.0:
-            raise ModelError(f"log_normal response requires kappa > 0, got {self.kappa}")
-        object.__setattr__(self, "kappa", float(self.kappa))  # a numpy scalar is not a config number
-        object.__setattr__(self, "delta", float(self.delta))
+        kappa, delta = _real(self, "kappa"), _real(self, "delta")
+        if not (math.isfinite(kappa) and math.isfinite(delta)):
+            raise ModelError(f"response parameters must be finite, got kappa={kappa}, delta={delta}")
+        if self.kind == "log_normal" and not kappa > 0.0:
+            raise ModelError(f"log_normal response requires kappa > 0, got {kappa}")
 
     @classmethod
     def identity(cls) -> "Response":
@@ -61,11 +74,11 @@ class Response:
 
     @classmethod
     def log_normal(cls, kappa: float) -> "Response":
-        return cls("log_normal", kappa=float(kappa))
+        return cls("log_normal", kappa=kappa)
 
     @classmethod
     def linear(cls, delta: float) -> "Response":
-        return cls("linear", delta=float(delta))
+        return cls("linear", delta=delta)
 
     @property
     def is_identity(self) -> bool:
@@ -96,12 +109,11 @@ class Prior:
     def __post_init__(self):
         if self.kind not in ("standard_normal", "normal", "log_normal"):
             raise ModelError(f"unknown prior kind {self.kind!r}")
-        if self.kind == "standard_normal" and (self.loc != 0.0 or self.scale != 1.0):
+        loc, scale = _real(self, "loc"), _real(self, "scale")
+        if self.kind == "standard_normal" and (loc != 0.0 or scale != 1.0):
             raise ModelError("standard_normal prior takes no parameters")
-        if not (math.isfinite(self.loc) and 0.0 < self.scale < math.inf):
-            raise ModelError(f"prior needs a finite loc and a positive finite scale, got {self.loc}, {self.scale}")
-        object.__setattr__(self, "loc", float(self.loc))  # a numpy scalar is not a config number
-        object.__setattr__(self, "scale", float(self.scale))
+        if not (math.isfinite(loc) and 0.0 < scale < math.inf):
+            raise ModelError(f"prior needs a finite loc and a positive finite scale, got {loc}, {scale}")
 
     @classmethod
     def standard_normal(cls) -> "Prior":
@@ -109,11 +121,11 @@ class Prior:
 
     @classmethod
     def normal(cls, mean: float, sd: float) -> "Prior":
-        return cls("normal", loc=float(mean), scale=float(sd))
+        return cls("normal", loc=mean, scale=sd)
 
     @classmethod
     def log_normal(cls, mu: float, sigma: float) -> "Prior":
-        return cls("log_normal", loc=float(mu), scale=float(sigma))
+        return cls("log_normal", loc=mu, scale=sigma)
 
     @property
     def is_normal_family(self) -> bool:
@@ -142,9 +154,10 @@ class BackgroundProcess:
     responses: Mapping[str, Response] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 <= self.b_nom < math.inf:
-            raise ModelError(f"background {self.name!r} needs a finite nonnegative nominal yield, got {self.b_nom}")
-        object.__setattr__(self, "b_nom", float(self.b_nom) + 0.0)  # a Python float, and -0.0 made 0.0
+        b_nom = _real(self, "b_nom")
+        if not 0.0 <= b_nom < math.inf:
+            raise ModelError(f"background {self.name!r} needs a finite nonnegative nominal yield, got {b_nom}")
+        object.__setattr__(self, "b_nom", b_nom + 0.0)  # -0.0 made 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,13 +252,12 @@ class CountingModel:
 
     def __post_init__(self):
         object.__setattr__(self, "backgrounds", tuple(self.backgrounds))
-        if not 0.0 <= self.s_nom < math.inf:
+        if not 0.0 <= _real(self, "s_nom") < math.inf:
             raise ModelError(f"nominal signal yield must be finite and nonnegative, got {self.s_nom}")
         # numpy's integers are registered as Integral; a bool is not a count
         if isinstance(self.n_obs, bool) or not (isinstance(self.n_obs, numbers.Integral) and self.n_obs >= 0):
             raise ModelError(f"observed count must be a nonnegative integer, got {self.n_obs!r}")
-        object.__setattr__(self, "s_nom", float(self.s_nom))  # Python's numbers: numpy's are no config numbers
-        object.__setattr__(self, "n_obs", operator.index(self.n_obs))
+        object.__setattr__(self, "n_obs", operator.index(self.n_obs))  # a Python int, as for the floats
         names = [bkg.name for bkg in self.backgrounds]
         if len(set(names)) != len(names):
             raise ModelError(f"background names are not unique: {names}")

@@ -538,6 +538,11 @@ class TestRefusals:
             # CLs = 1 at every mu without a signal: once printed on a sample set
             ({**BG_SYST, "signal": {"nominal": 0.0}}, ["scan", "--integrator", "gh", "--mu-max", "5"],
              "nominal signal yield is zero; the CLs limit is undefined"),
+            # the posterior once blamed sample 0 on a set, or called itself degenerate on one point
+            ({**BG_SYST, "signal": {"nominal": 0.0}}, ["scan", "--mu-max", "5", "--quantity", "posterior"],
+             "nominal signal yield is zero; the posterior for mu is improper"),
+            ({**PLAIN, "signal": {"nominal": 0.0}}, ["scan", "--mu-max", "5", "--quantity", "posterior"],
+             "nominal signal yield is zero; the posterior for mu is improper"),
         ],
     )
     def test_exits_one_with_a_one_line_message(self, tmp_path, doc, args, message):

@@ -949,6 +949,42 @@ class TestUpperLimits:
             marginal_posterior_tail(m, 1.0, samples)
 
 
+class TestZeroNominalSignal:
+    # the Bayesian entries once refused a zero nominal signal with another
+    # text than the Bayesian limits: "signal yield is zero; the posterior for
+    # mu is degenerate" on one point, and "... at sample 0; ..." on a sample set
+    @staticmethod
+    def sets():
+        plain = plain_model(s=0.0)
+        syst = bg_systematic_model(s=0.0)
+        return [(plain, draw_samples(plain.systematics, None)),
+                (syst, draw_samples(syst.systematics, Integrator.monte_carlo(50, 3)))]
+
+    @pytest.mark.parametrize("entry", [
+        marginal_posterior_tail,
+        marginal_posterior_density,
+        lambda m, mu, samples: scan_quantity(m, "posterior", [0.0, mu], samples),
+    ], ids=["tail", "density", "scan"])
+    def test_bayes_entries_refuse_it_as_the_limits_do(self, entry):
+        req = LimitRequest(alpha=0.05)
+        for m, samples in self.sets():
+            with pytest.raises(ModelError) as limit:
+                bayesian_marginal_upper_limit(m, req, None, samples)
+            with pytest.raises(ModelError) as pointwise:
+                entry(m, 1.0, samples)
+            assert str(pointwise.value) == str(limit.value) == _BAYES.zero_signal
+
+    def test_cls_refuses_it_and_clsb_and_clb_scans_take_it(self):
+        for m, samples in self.sets():
+            with pytest.raises(ModelError, match=_CLS.zero_signal):
+                hybrid_cls(m, 1.0, samples)
+            with pytest.raises(ModelError, match=_CLS.zero_signal):
+                scan_quantity(m, "cls", [0.0, 1.0], samples)
+            clsb = scan_quantity(m, "clsb", [0.0, 1.0], samples)[0]
+            clb = scan_quantity(m, "clb", [0.0, 1.0], samples)[0]
+            assert clsb.tolist() == clb.tolist() == [clb[0]] * 2 and 0.0 < clb[0] < 1.0
+
+
 class TestMarginalPosterior:
     def test_identity_matches_exact_density(self):
         # the closed form pmf(n_obs; mu*s + b) * s / Q(n_obs + 1, b), at s = 1

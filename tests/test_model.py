@@ -321,6 +321,39 @@ class TestValidation:
         with pytest.raises(ModelError, match="finite"):
             Prior.log_normal(0.0, value)
 
+    # each float field, by constructor and by classmethod: an int beyond the
+    # float range once raised OverflowError, a string or None TypeError, and
+    # True was taken as 1.0, as the classmethods took "3" (they called float())
+    MAKERS = {
+        "CountingModel": lambda v: CountingModel(s_nom=v, backgrounds=(BackgroundProcess("b", 1.0),), n_obs=0),
+        "BackgroundProcess": lambda v: BackgroundProcess("b", v),
+        "Response": lambda v: Response("log_normal", kappa=v),
+        "Prior": lambda v: Prior("normal", loc=v),
+        "Response.log_normal": Response.log_normal,
+        "Response.linear": Response.linear,
+        "Prior.normal": lambda v: Prior.normal(v, 1.0),
+        "Prior.log_normal": lambda v: Prior.log_normal(0.0, v),
+    }
+
+    @pytest.mark.parametrize(("value", "message"), [
+        (10**400, "finite"),
+        (-(10**400), "finite"),
+        ("3", r"\.(s_nom|b_nom|kappa|delta|loc|scale) must be a real number, got '3'"),
+        (None, r"\.(s_nom|b_nom|kappa|delta|loc|scale) must be a real number, got None"),
+        (True, r"\.(s_nom|b_nom|kappa|delta|loc|scale) must be a real number, got True"),
+    ], ids=["int above", "int below", "str", "None", "True"])
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+    def test_float_fields_refuse_what_is_no_double(self, make, value, message):
+        with pytest.raises(ModelError, match=message):
+            make(value)
+
+    def test_classmethods_store_numpy_scalars_as_floats(self):
+        normal = Prior.normal(np.float64(0.5), np.float32(2.0))
+        log_normal = Prior.log_normal(np.int64(0), np.float64(0.3))
+        stored = [Response.log_normal(np.float32(1.5)).kappa, Response.linear(np.int64(0)).delta]
+        stored += [normal.loc, normal.scale, log_normal.loc, log_normal.scale]
+        assert stored == [1.5, 0.0, 0.5, 2.0, 0.0, 0.3] and {type(x) for x in stored} == {float}
+
     def test_all_zero_yields(self):
         with pytest.raises(ModelError):
             CountingModel(s_nom=0.0, backgrounds=(), n_obs=1)

@@ -504,6 +504,45 @@ class TestPoissonCdf:
             poisson_cdf(-3, 1.0)
 
 
+# a log grid of integer shapes on Temme's route, from 61 to 1e5 + 1
+TEMME_LOG_GRID = [round(v) for v in np.geomspace(61.0, 100001.0, 12).tolist()]
+
+
+def temme_rationals(rows: int, cols: int) -> list[list[Fraction]]:
+    """Temme's coefficient rows d[k][j], k < rows and j < cols, in exact
+    rationals. Row 0: the Taylor coefficients in eta of 1/mu - 1/eta, where
+    eta^2/2 = mu - ln(1 + mu); mu = sum_m c_m eta^m follows from
+    mu dmu/deta = eta (1 + mu). Row k: d[k][j] = (j + 2) d[k-1][j+2]
+    - d[k-1][1] d[0][j], so row k needs 2 (rows - 1 - k) more columns than
+    ``cols``: 25 rows of 25 columns start from a row 0 of width 73."""
+    width = cols + 2 * (rows - 1)
+    c = [Fraction(0), Fraction(1)]
+    for m in range(2, width + 3):
+        acc = c[m - 1] - sum((m + 1 - i) * c[i] * c[m + 1 - i] for i in range(2, m))
+        c.append(acc / (m + 1))
+    v = c[1:]  # mu / eta
+    w = [Fraction(1)]  # eta / mu
+    for n in range(1, width + 1):
+        w.append(-sum(v[k] * w[n - k] for k in range(1, n + 1)))
+    d = [w[1:]]
+    for _ in range(1, rows):
+        prev = d[-1]
+        d.append([(j + 2) * prev[j + 2] - prev[1] * d[0][j] for j in range(len(prev) - 2)])
+    return [row[:cols] for row in d]
+
+
+def temme_fold(rows, a: float) -> tuple[float, ...]:
+    """sum_k C_k(eta) a^-k over ``rows`` as one polynomial in eta, highest
+    power first, in ``special._temme_poly``'s order of operations."""
+    coeffs = []
+    for j in range(len(rows[0]) - 1, -1, -1):
+        c = 0.0
+        for row in reversed(rows):
+            c = c / a + row[j]
+        coeffs.append(c)
+    return tuple(coeffs)
+
+
 class TestGammaQ:
     def test_exponential_special_case(self):
         # Q(1, x) = exp(-x); x here is ln(2) rounded to 6 digits
@@ -644,31 +683,57 @@ class TestGammaQ:
             assert abs(got - want) <= 2.0 * np.spacing(want)
 
     def test_temme_table_matches_its_recurrence(self):
-        # Rederive the coefficient table in exact rationals. Row 0: the
-        # Taylor coefficients in eta of 1/mu - 1/eta, where
-        # eta^2/2 = mu - ln(1 + mu); mu = sum_m c_m eta^m follows from
-        # mu dmu/deta = eta (1 + mu). Row k: d[k][j] = (j + 2) d[k-1][j+2]
-        # - d[k-1][1] d[0][j]. Every entry must be the correctly rounded value.
+        # Every entry must be the correctly rounded value of its rational.
         table = special._TEMME_D
         rows, cols = len(table), len(table[0])
-        width = cols + 2 * (rows - 1)
-        c = [Fraction(0), Fraction(1)]
-        for m in range(2, width + 3):
-            acc = c[m - 1] - sum((m + 1 - i) * c[i] * c[m + 1 - i] for i in range(2, m))
-            c.append(acc / (m + 1))
-        v = c[1:]  # mu / eta
-        w = [Fraction(1)]  # eta / mu
-        for n in range(1, width + 1):
-            w.append(-sum(v[k] * w[n - k] for k in range(1, n + 1)))
-        d = [w[1:]]
-        for _ in range(1, rows):
-            prev = d[-1]
-            d.append([(j + 2) * prev[j + 2] - prev[1] * d[0][j] for j in range(len(prev) - 2)])
+        d = temme_rationals(rows, cols)
         assert d[0][:3] == [Fraction(-1, 3), Fraction(1, 12), Fraction(-2, 135)]
         assert d[1][0] == Fraction(-1, 540)
-        assert all(len(row) == cols for row in table)
+        assert (rows, cols) == (14, 25) and all(len(row) == cols for row in table)
         for k in range(rows):
-            assert list(table[k]) == [float(q) for q in d[k][:cols]], f"row {k}"
+            assert list(table[k]) == [float(q) for q in d[k]], f"row {k}"
+
+    def test_dropped_temme_rows_are_below_a_double(self):
+        # DiDonato and Morris's rows 14-24, as polynomials of the table's 25
+        # columns, add at most 2^-64 of Q anywhere on the route: with D their
+        # sum over k of C_k(eta) a^-k, |D| e^(-a eta^2/2) / sqrt(2 pi a) <= 2^-64 Q
+        kept = len(special._TEMME_D)
+        dropped = temme_rationals(25, 25)[kept:]
+        with mpmath.workdps(20):
+            rows = [[mpmath.mpf(q.numerator) / q.denominator for q in row] for row in dropped]
+            worst = 0.0
+            for a in [*range(21, 61), *TEMME_LOG_GRID]:
+                # D as one polynomial in eta, highest power first
+                scale = [mpmath.mpf(a) ** -(kept + k) for k in range(len(rows))]
+                poly = [sum(row[j] * f for row, f in zip(rows, scale)) for j in range(24, -1, -1)]
+                for x in [*np.linspace(0.1 * a, 2.0 * a, 58).tolist(), 0.1 * a, 2.0 * a]:
+                    lam = mpmath.mpf(x) / a
+                    h = lam - 1 - mpmath.log(lam)
+                    eta = mpmath.sign(lam - 1) * mpmath.sqrt(2 * h)
+                    bound = abs(mpmath.polyval(poly, eta)) * mpmath.exp(-a * h) / mpmath.sqrt(2 * mpmath.pi * a)
+                    q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+                    worst = max(worst, float(bound / q) * 2.0**64)
+        assert 0.0 < worst <= 1.0
+
+    def test_temme_fold_is_the_25_row_fold_from_a_50(self):
+        # from a = 50 on, rows 14-24 change no bit of the folded polynomial
+        full = [[float(q) for q in row] for row in temme_rationals(25, 25)]
+        for a in [*range(50, 2001), *TEMME_LOG_GRID]:
+            assert special._temme_poly(float(a))[0] == temme_fold(full, float(a)), a
+
+    def test_temme_lanes_below_a_50_are_within_an_ulp_of_the_25_row_fold(self, monkeypatch):
+        # below a = 50 rows 14-24 move low bits of the highest powers' folded
+        # coefficients; no lane of Q moves by more than 1 ulp
+        full = [[float(q) for q in row] for row in temme_rationals(25, 25)]
+        rng = np.random.default_rng(30)
+        for a in range(21, 50):
+            xs = np.append(rng.uniform(0.1 * a, 2.0 * a, 400), [0.1 * a, a, 2.0 * a])
+            folded = (temme_fold(full, float(a)), special._temme_poly(float(a))[1])
+            monkeypatch.setattr(special, "_temme_poly", lambda _: folded)
+            want = gamma_q(float(a), xs)
+            monkeypatch.undo()
+            got = gamma_q(float(a), xs)
+            assert np.all(np.abs(got - want) <= np.spacing(want)), a
 
     def test_temme_takes_no_erfc(self, monkeypatch):
         # erfc comes from the erfcx kernel: no per-lane math.erfc loop

@@ -93,6 +93,27 @@ def test_result_hash_of_cli_mix_repeats_and_writes_nothing_into_the_repository(m
     assert repository_files(tool.ROOT) == before
 
 
+def test_result_hash_of_kernels_repeats_and_sees_one_temme_coefficient(monkeypatch, capsys):
+    pytest.importorskip("mpmath")  # the tool imports the benchmark's streams
+    tool = load_tool(monkeypatch, "result_hash")
+    before = repository_files(tool.ROOT)
+    for _ in range(2):
+        tool.main(["--workloads", "kernels", "--ops", "40", "--seeds", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert lines[0].split()[:2] == ["kernels", "1"] and len(lines[0].split()[2]) == 64
+    assert repository_files(tool.ROOT) == before
+    # the constant coefficient of Temme's folded polynomial, 1e-9 off
+    fold = special._temme_poly
+
+    def perturbed(a):
+        coeffs, norm = fold(a)
+        return (*coeffs[:-1], coeffs[-1] * (1.0 + 1e-9)), norm
+
+    monkeypatch.setattr(special, "_temme_poly", perturbed)
+    assert tool.kernel_hash(1, 40) != lines[0].split()[2]
+
+
 def test_result_hash_against_a_revision(monkeypatch, capsys):
     pytest.importorskip("mpmath")  # the benchmark's streams import it
     tool = load_tool(monkeypatch, "result_hash")

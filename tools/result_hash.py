@@ -9,7 +9,11 @@ errors, each float by ``repr``. Two builds whose lines match computed the
 same limits, brackets, iteration counts and errors to the bit. The
 ``cli_mix`` workload, named only on request, makes its CLI calls in this
 process (``workloads.cli_in_process``) on configs in a temporary
-directory, and hashes each call's exit code and stdout bytes.
+directory, and hashes each call's exit code and stdout bytes. The
+``kernels`` workload, also named only on request, makes ``--ops`` calls of
+``poisson_cdf``, ``gamma_q``, ``log_poisson_pmf`` or
+``special._poisson_cdf_and_pmf`` on seeded draws (``kernel_hash``), and
+hashes each call's float outputs by ``repr`` and its arrays by their bytes.
 
 ``--against REV`` hashes git revision REV's ``src/`` too, extracted by
 ``git archive`` into a temporary directory and run in a child interpreter
@@ -20,6 +24,7 @@ written into the repository or its ``.git``. Run from the repository root:
 
     python3 tools/result_hash.py [--ops 200] [--seeds 1,7] [--workloads exact_small,toys_small,large_count]
     python3 tools/result_hash.py --workloads cli_mix --ops 40
+    python3 tools/result_hash.py --workloads kernels --against HEAD
     python3 tools/result_hash.py --against HEAD
 
 The streams need mpmath (a test dependency) to import, though no
@@ -36,14 +41,18 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 
-from countlim import marginal  # noqa: E402
+from countlim import marginal, special  # noqa: E402
 
 WORKLOADS = ("exact_small", "toys_small", "large_count")
+KERNELS = ("poisson_cdf", "gamma_q", "log_poisson_pmf", "_poisson_cdf_and_pmf")
+WIDTHS = (None, 16, 21, 2000)  # a float, or the lanes of an array: narrow, just wide and wide
 
 # The child of --against: countlim is imported from the extracted src/ before
 # this tool runs, so the tool's own path entries find the package loaded, and
@@ -64,11 +73,41 @@ def solve_record(res) -> str:
     return repr(fields)
 
 
+def kernel_hash(seed: int, ops: int) -> str:
+    """The hash of ``ops`` kernel calls at ``seed``. Each call draws its
+    kernel, a count n from 0-60 or log-uniform up to 1e4 (``gamma_q`` takes
+    a = n + 1, so Temme's route from a = 21) and a float or an array of a
+    width in ``WIDTHS``. A quarter of the calls take lanes uniform in
+    [n, 2.5 n + 10], where ``_poisson_cdf_and_pmf`` returns its pmf on a
+    wide array; the rest take lanes uniform in [0, 2.5 n + 10] with the
+    edges 0.1 a, 2 a, n, 0 and inf among them, or a float from either."""
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for _ in range(ops):
+        name = KERNELS[rng.integers(len(KERNELS))]
+        n = int(rng.integers(61)) if rng.random() < 0.5 else int(np.exp(rng.uniform(0.0, np.log(1e4))))
+        a = n + 1.0
+        width = WIDTHS[rng.integers(len(WIDTHS))]
+        lower_tail = rng.random() < 0.25
+        x = rng.uniform(n if lower_tail else 0.0, 2.5 * n + 10.0, width or 1)
+        edges = np.array([0.1 * a, 2.0 * a, n, 0.0, np.inf])
+        if width is None:
+            x = float(x[0] if lower_tail or rng.random() < 0.5 else rng.choice(edges))
+        elif not lower_tail:
+            x[rng.choice(width, edges.size, replace=False)] = edges
+        out = getattr(special, name)(a if name == "gamma_q" else n, x)
+        for value in out if isinstance(out, tuple) else (out,):
+            digest.update(value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode())
+    return digest.hexdigest()
+
+
 def result_hash(workload: str, seed: int, ops: int) -> str:
     """The hash of the first ``ops`` operations of ``workload`` at ``seed``.
     Every countlim module's name for ``marginal._solve``, the one function
     that returns a solve's ``LimitResult``, is wrapped for the run, and
     restored after it."""
+    if workload == "kernels":
+        return kernel_hash(seed, ops)
     digest = hashlib.sha256()
     solve = marginal._solve
 
