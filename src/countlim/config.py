@@ -1,4 +1,4 @@
-"""Model configuration files: JSON schema, validation and round-tripping.
+"""Model configuration files: JSON schema, parsing and round-tripping.
 
 Schema (all unknown keys are rejected with path-qualified errors):
 
@@ -18,14 +18,17 @@ Schema (all unknown keys are rejected with path-qualified errors):
             | {"kind": "normal", "mean": number, "sd": number > 0}
             | {"kind": "log_normal", "mu": number, "sigma": number > 0}
 
-Each response and prior kind is stated once, in ``_KINDS``, read by parsing and emitting alike.
+Parsing checks only JSON's shape: objects, lists, the ``kind`` string,
+and unknown and missing keys. Every type and range rule is the model's;
+``_node`` names the config node of a field the model refuses. Each kind's
+keys are its class's ``KINDS``, read by parsing and emitting alike.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
-import math
 from pathlib import Path
 
 from .exceptions import ConfigError, ModelError
@@ -41,9 +44,17 @@ from .model import (
 __all__ = ["load_model", "parse_model", "emit_config"]
 
 
-def _require_mapping(node, path: str) -> dict:
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+def _object(node, path: str, keys=None) -> dict:
+    """``node``, refused unless a JSON object with no key outside ``keys`` (if given)."""
     if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(node).__name__}")
+        raise ConfigError(f"{path or '<root>'}: expected an object, got {type(node).__name__}")
+    if keys is not None:
+        for key in node:
+            if key not in keys:
+                raise ConfigError(f"{_at(path, key)}: unknown key")
     return node
 
 def _require_list(node, path: str) -> list:
@@ -51,137 +62,74 @@ def _require_list(node, path: str) -> list:
         raise ConfigError(f"{path}: expected a list, got {type(node).__name__}")
     return node
 
-def _require_number(node, path: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {node!r}")
-    try:
-        value = float(node)
-    except OverflowError:  # an integer literal beyond the float range
-        value = math.inf
-    if not math.isfinite(value):  # json.loads accepts NaN and Infinity
-        raise ConfigError(f"{path}: expected a finite number, got {node!r}")
-    return value
-
-def _require_yield(node, path: str) -> float:
-    value = _require_number(node, path)
-    if value < 0.0:
-        raise ConfigError(f"{path}: must be nonnegative, got {value}")
-    return value
-
-def _require_int(node, path: str) -> int:
-    if isinstance(node, bool) or not isinstance(node, int):
-        raise ConfigError(f"{path}: expected an integer, got {node!r}")
-    return node
-
-def _require_str(node, path: str) -> str:
-    if not isinstance(node, str):
-        raise ConfigError(f"{path}: expected a string, got {node!r}")
-    return node
-
-def _reject_unknown(node: dict, allowed: set, path: str) -> None:
-    for key in node:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"{where}: unknown key")
-
 def _take(node: dict, key: str, path: str):
     if key not in node:
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"{where}: missing required key")
+        raise ConfigError(f"{_at(path, key)}: missing required key")
     return node[key]
 
 
-# Each response and prior kind: its config keys, in order, each with the model
-# attribute it fills and whether the value must be positive.
-_KINDS = {
-    Response: {"identity": {}, "log_normal": {"kappa": ("kappa", True)}, "linear": {"delta": ("delta", False)}},
-    Prior: {"standard_normal": {}, "normal": {"mean": ("loc", False), "sd": ("scale", True)},
-            "log_normal": {"mu": ("loc", False), "sigma": ("scale", True)}},
-}
+@contextlib.contextmanager
+def _node(path: str, **keys):
+    """Where the model object of the config node at ``path`` is built: a
+    :class:`ModelError` becomes a :class:`ConfigError` prefixed by the path
+    ``keys`` gives for the field it refuses, or else by ``path``."""
+    try:
+        yield
+    except ModelError as err:
+        raise ConfigError(f"{keys.get(err.field, path)}: {err}") from err
 
 
 def _parse_kind(cls, node, path: str):
-    """The ``cls`` (a :class:`Response` or :class:`Prior`) a config node states, by its ``_KINDS`` entry."""
-    node = _require_mapping(node, path)
-    kind = _require_str(_take(node, "kind", path), f"{path}.kind")
-    keys = _KINDS[cls].get(kind)
-    if keys is None:
-        raise ConfigError(f"{path}.kind: unknown {cls.__name__.lower()} kind {kind!r}")
-    _reject_unknown(node, {"kind", *keys}, path)
-    values = {}
-    for key, (attr, positive) in keys.items():
-        values[attr] = _require_number(_take(node, key, path), f"{path}.{key}")
-        if positive and not values[attr] > 0.0:
-            raise ConfigError(f"{path}.{key}: must be positive, got {values[attr]}")
-    return cls(kind, **values)
+    """The ``cls`` (a :class:`Response` or :class:`Prior`) a config node states, by ``cls.KINDS``."""
+    kind = _take(_object(node, path), "kind", path)
+    if not isinstance(kind, str):
+        raise ConfigError(f"{path}.kind: expected a string, got {kind!r}")
+    keys = cls.KINDS.get(kind, {})  # an unknown kind is the model's to refuse
+    _object(node, path, {"kind", *keys})
+    with _node(path, kind=f"{path}.kind", **{attr: f"{path}.{key}" for key, attr in keys.items()}):
+        return cls(kind, **{attr: _take(node, key, path) for key, attr in keys.items()})
 
 
 def _parse_responses(node, path: str) -> dict:
-    node = _require_mapping(node, path)
-    return {name: _parse_kind(Response, sub, f"{path}.{name}") for name, sub in node.items()}
+    return {name: _parse_kind(Response, sub, f"{path}.{name}") for name, sub in _object(node, path).items()}
 
 
 def parse_model(doc) -> CountingModel:
     """Build a :class:`CountingModel` from a parsed configuration document."""
-    doc = _require_mapping(doc, "<root>")
-    _reject_unknown(doc, {"signal", "backgrounds", "nuisances", "correlation", "n_obs"}, "")
-
-    signal = _require_mapping(_take(doc, "signal", ""), "signal")
-    _reject_unknown(signal, {"nominal", "responses"}, "signal")
-    s_nom = _require_yield(_take(signal, "nominal", "signal"), "signal.nominal")
+    doc = _object(doc, "", {"signal", "backgrounds", "nuisances", "correlation", "n_obs"})
+    signal = _object(_take(doc, "signal", ""), "signal", {"nominal", "responses"})
+    s_nom = _take(signal, "nominal", "signal")
     signal_responses = _parse_responses(signal.get("responses", {}), "signal.responses")
 
     backgrounds = []
     for i, bnode in enumerate(_require_list(doc.get("backgrounds", []), "backgrounds")):
         path = f"backgrounds[{i}]"
-        bnode = _require_mapping(bnode, path)
-        _reject_unknown(bnode, {"name", "nominal", "responses"}, path)
-        backgrounds.append(
-            BackgroundProcess(
-                name=_require_str(_take(bnode, "name", path), f"{path}.name"),
-                b_nom=_require_yield(_take(bnode, "nominal", path), f"{path}.nominal"),
-                responses=_parse_responses(bnode.get("responses", {}), f"{path}.responses"),
-            )
-        )
+        bnode = _object(bnode, path, {"name", "nominal", "responses"})
+        name, b_nom = _take(bnode, "name", path), _take(bnode, "nominal", path)
+        responses = _parse_responses(bnode.get("responses", {}), f"{path}.responses")
+        with _node(path, name=f"{path}.name", b_nom=f"{path}.nominal"):
+            backgrounds.append(BackgroundProcess(name, b_nom, responses))
 
     nuisances = []
     for i, nnode in enumerate(_require_list(doc.get("nuisances", []), "nuisances")):
         path = f"nuisances[{i}]"
-        nnode = _require_mapping(nnode, path)
-        _reject_unknown(nnode, {"name", "prior"}, path)
-        nuisances.append(
-            Nuisance(
-                name=_require_str(_take(nnode, "name", path), f"{path}.name"),
-                prior=_parse_kind(Prior, _take(nnode, "prior", path), f"{path}.prior"),
-            )
-        )
+        nnode = _object(nnode, path, {"name", "prior"})
+        name = _take(nnode, "name", path)
+        prior = _parse_kind(Prior, _take(nnode, "prior", path), f"{path}.prior")
+        with _node(path, name=f"{path}.name"):
+            nuisances.append(Nuisance(name, prior))
 
     correlation = None
     if "correlation" in doc:
-        rows = _require_list(doc["correlation"], "correlation")
-        correlation = [
-            [_require_number(v, f"correlation[{i}][{j}]") for j, v in enumerate(_require_list(row, f"correlation[{i}]"))]
-            for i, row in enumerate(rows)
-        ]
+        correlation = _require_list(doc["correlation"], "correlation")
+        for i, row in enumerate(correlation):
+            _require_list(row, f"correlation[{i}]")
 
-    n_obs = _require_int(_take(doc, "n_obs", ""), "n_obs")
-    if n_obs < 0:
-        raise ConfigError(f"n_obs: must be nonnegative, got {n_obs}")
-
-    try:
-        systematics = SystematicsModel(
-            nuisances=tuple(nuisances),
-            signal_responses=signal_responses,
-            correlation=correlation,
-        )
-        return CountingModel(
-            s_nom=s_nom,
-            backgrounds=tuple(backgrounds),
-            n_obs=n_obs,
-            systematics=systematics,
-        )
-    except ModelError as err:
-        raise ConfigError(str(err)) from err
+    n_obs = _take(doc, "n_obs", "")
+    with _node("<root>", s_nom="signal.nominal", signal_responses="signal.responses", n_obs="n_obs",
+               backgrounds="backgrounds", nuisances="nuisances", correlation="correlation"):
+        systematics = SystematicsModel(tuple(nuisances), signal_responses, correlation)
+        return CountingModel(s_nom, tuple(backgrounds), n_obs, systematics)
 
 
 def load_model(path) -> CountingModel:
@@ -201,9 +149,9 @@ def _parse_file(data: bytes, path) -> CountingModel:
 
 
 def _emit_kind(obj) -> dict:
-    """The config node of a :class:`Response` or :class:`Prior`, by its ``_KINDS`` entry."""
-    keys = _KINDS[type(obj)][obj.kind]
-    return {"kind": obj.kind, **{key: getattr(obj, attr) for key, (attr, _) in keys.items()}}
+    """The config node of a :class:`Response` or :class:`Prior`, by its class's ``KINDS``."""
+    keys = type(obj).KINDS[obj.kind]
+    return {"kind": obj.kind, **{key: getattr(obj, attr) for key, attr in keys.items()}}
 
 
 def emit_config(model: CountingModel) -> dict:

@@ -16,10 +16,18 @@ class ConfigError(CountLimError):
 class ModelError(CountLimError):
     """Statistical model violates an invariant or is used out of contract.
 
-    Covers degenerate models (zero signal yield, so the strength parameter
-    is unidentified) and calling exact-limit routines on models that carry
-    non-identity response functions.
+    Raised by the model's constructors for any field of the wrong type or
+    range, naming the class and the field; also for degenerate models (zero
+    signal yield, so the strength parameter is unidentified) and for exact
+    limits of models that carry non-identity response functions.
+
+    Attributes:
+        field: name of the constructor field refused, None otherwise.
     """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class YieldError(CountLimError):

@@ -7,8 +7,10 @@ Yields respond multiplicatively to nuisance parameters through
 :class:`Prior`. Nuisance ordering is the declaration order and is part of
 the model's identity, since eta vectors are positional.
 
-All model values are immutable after construction and every operation
-here is pure, so models can be shared freely across threads.
+Each constructor refuses a field of the wrong type or range with a
+:class:`ModelError` naming the class and the field. All model values are
+immutable after construction and every operation here is pure, so models
+can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field, fields
 
 from .exceptions import ModelError, YieldError
 
@@ -32,18 +34,89 @@ __all__ = [
 ]
 
 
-def _real(owner, name: str) -> float:
-    """Field ``name`` of ``owner``, refused unless a real number (a bool is
-    none), stored as a Python float; an int beyond the float range is +-inf."""
-    value = getattr(owner, name)
+def _require(owner, name: str, holds: bool, rule: str, got=None) -> None:
+    """Refuse field ``name`` of ``owner`` unless ``holds``: the error names
+    the class, the field, the ``rule`` and the field's value (or ``got``)."""
+    if not holds:
+        got = getattr(owner, name) if got is None else got
+        raise ModelError(f"{type(owner).__name__}.{name} must {rule}, got {got!r}", field=name)
+
+
+def _float(value) -> float | None:
+    """``value`` as a Python float (+-inf beyond the float range), None unless a real number and no bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ModelError(f"{type(owner).__name__}.{name} must be a real number, got {value!r}")
+        return None
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:
-        value = math.inf if value > 0 else -math.inf
+        return math.inf if value > 0 else -math.inf
+
+
+def _real(owner, name: str) -> float:
+    """Field ``name`` of ``owner``, refused unless a real number, stored as a Python float."""
+    value = _float(getattr(owner, name))
+    _require(owner, name, value is not None, "be a real number")
     object.__setattr__(owner, name, value)
     return value
+
+
+def _named(owner, name: str, cls) -> tuple:
+    """Field ``name`` of ``owner``, refused unless an iterable of ``cls`` of unique names, stored as a tuple."""
+    value = getattr(owner, name)
+    items = tuple(value) if isinstance(value, Iterable) else None
+    valid = items is not None and all(isinstance(item, cls) for item in items)
+    _require(owner, name, valid, f"be a sequence of {cls.__name__}")
+    names = [item.name for item in items]
+    _require(owner, name, len(set(names)) == len(names), "have unique names", names)
+    object.__setattr__(owner, name, items)
+    return items
+
+
+def _responses(owner, name: str) -> None:
+    """Refuse field ``name`` of ``owner`` unless a mapping of nuisance names to :class:`Response`."""
+    value = getattr(owner, name)
+    valid = isinstance(value, Mapping) and all(
+        isinstance(key, str) and isinstance(resp, Response) for key, resp in value.items())
+    _require(owner, name, valid, "map nuisance names to Responses")
+
+
+def _kind(owner) -> None:
+    """Check ``owner``'s kind by its class's ``KINDS``: each parameter is made
+    a float, and one the kind does not take must keep its default."""
+    kinds = type(owner).KINDS
+    _require(owner, "kind", isinstance(owner.kind, str) and owner.kind in kinds, f"be one of {', '.join(kinds)}")
+    for param in fields(owner)[1:]:
+        allowed = _real(owner, param.name) == param.default or param.name in kinds[owner.kind].values()
+        _require(owner, param.name, allowed, f"be {param.default} for kind {owner.kind}")
+
+
+def _correlation(owner, name: str, k: int):
+    """The Cholesky factor of field ``name`` of ``owner``, refused unless a
+    k x k matrix of finite reals for k >= 1, symmetric with a unit diagonal
+    and positive definite; the field is stored as a float array."""
+    import numpy as np
+    _require(owner, name, k > 0, "be None without a Gaussian-prior nuisance to couple")
+    try:
+        rows = [list(row) for row in getattr(owner, name)]
+    except TypeError:  # not an iterable of iterables
+        rows = []
+    _require(owner, name, len(rows) == k and all(len(row) == k for row in rows),
+             f"be a {k} x {k} matrix, a row and a column per Gaussian-prior nuisance")
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            row[j] = _float(entry)
+            if row[j] is None or not math.isfinite(row[j]):
+                where = f"{type(owner).__name__}.{name}[{i}][{j}]"
+                raise ModelError(f"{where} must be a finite real number, got {entry!r}", field=name)
+    corr = np.array(rows)
+    object.__setattr__(owner, name, corr)
+    _require(owner, name, np.allclose(corr, corr.T, atol=1e-12), "be symmetric", rows)
+    _require(owner, name, np.allclose(np.diag(corr), 1.0, atol=1e-12), "have a unit diagonal", rows)
+    try:
+        return np.linalg.cholesky(corr)
+    except np.linalg.LinAlgError:
+        pass
+    _require(owner, name, False, "be positive definite", rows)
 
 
 @dataclass(frozen=True)
@@ -59,14 +132,14 @@ class Response:
     kappa: float = 1.0
     delta: float = 0.0
 
+    # each kind's parameters, config key -> field: the one table of them,
+    # read by the kind check, config parsing and emitting
+    KINDS = {"identity": {}, "log_normal": {"kappa": "kappa"}, "linear": {"delta": "delta"}}
+
     def __post_init__(self):
-        if self.kind not in ("identity", "log_normal", "linear"):
-            raise ModelError(f"unknown response kind {self.kind!r}")
-        kappa, delta = _real(self, "kappa"), _real(self, "delta")
-        if not (math.isfinite(kappa) and math.isfinite(delta)):
-            raise ModelError(f"response parameters must be finite, got kappa={kappa}, delta={delta}")
-        if self.kind == "log_normal" and not kappa > 0.0:
-            raise ModelError(f"log_normal response requires kappa > 0, got {kappa}")
+        _kind(self)
+        _require(self, "kappa", 0.0 < self.kappa < math.inf, "be positive and finite")
+        _require(self, "delta", math.isfinite(self.delta), "be finite")
 
     @classmethod
     def identity(cls) -> "Response":
@@ -106,14 +179,14 @@ class Prior:
     loc: float = 0.0
     scale: float = 1.0
 
+    # as Response.KINDS
+    KINDS = {"standard_normal": {}, "normal": {"mean": "loc", "sd": "scale"},
+             "log_normal": {"mu": "loc", "sigma": "scale"}}
+
     def __post_init__(self):
-        if self.kind not in ("standard_normal", "normal", "log_normal"):
-            raise ModelError(f"unknown prior kind {self.kind!r}")
-        loc, scale = _real(self, "loc"), _real(self, "scale")
-        if self.kind == "standard_normal" and (loc != 0.0 or scale != 1.0):
-            raise ModelError("standard_normal prior takes no parameters")
-        if not (math.isfinite(loc) and 0.0 < scale < math.inf):
-            raise ModelError(f"prior needs a finite loc and a positive finite scale, got {loc}, {scale}")
+        _kind(self)
+        _require(self, "loc", math.isfinite(self.loc), "be finite")
+        _require(self, "scale", 0.0 < self.scale < math.inf, "be positive and finite")
 
     @classmethod
     def standard_normal(cls) -> "Prior":
@@ -129,7 +202,7 @@ class Prior:
 
     @property
     def is_normal_family(self) -> bool:
-        return self.kind in ("standard_normal", "normal")
+        return self.kind != "log_normal"
 
     def from_standard_normal(self, z: np.ndarray) -> np.ndarray:
         """Map standard-normal variates (or nodes) to the prior's scale."""
@@ -144,6 +217,10 @@ class Nuisance:
     name: str
     prior: Prior
 
+    def __post_init__(self):
+        _require(self, "name", isinstance(self.name, str), "be a str")
+        _require(self, "prior", isinstance(self.prior, Prior), "be a Prior")
+
 
 @dataclass(frozen=True)
 class BackgroundProcess:
@@ -154,10 +231,10 @@ class BackgroundProcess:
     responses: Mapping[str, Response] = field(default_factory=dict)
 
     def __post_init__(self):
-        b_nom = _real(self, "b_nom")
-        if not 0.0 <= b_nom < math.inf:
-            raise ModelError(f"background {self.name!r} needs a finite nonnegative nominal yield, got {b_nom}")
-        object.__setattr__(self, "b_nom", b_nom + 0.0)  # -0.0 made 0.0
+        _require(self, "name", isinstance(self.name, str), "be a str")
+        _require(self, "b_nom", 0.0 <= _real(self, "b_nom") < math.inf, "be finite and nonnegative")
+        object.__setattr__(self, "b_nom", self.b_nom + 0.0)  # -0.0 made 0.0
+        _responses(self, "responses")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,44 +250,19 @@ class SystematicsModel:
     def __eq__(self, other):
         if not isinstance(other, SystematicsModel):
             return NotImplemented
-        if self.nuisances != other.nuisances:
-            return False
-        if dict(self.signal_responses) != dict(other.signal_responses):
-            return False
-        if (self.correlation is None) != (other.correlation is None):
-            return False
-        return self.correlation is None or (
-            self.correlation.shape == other.correlation.shape
-            and bool((self.correlation == other.correlation).all())
-        )
+        return self._key() == other._key()
+
+    def _key(self) -> tuple:
+        """What equality compares: the correlation's finite entries, as nested lists, and each mapping as a dict."""
+        corr = None if self.correlation is None else self.correlation.tolist()
+        return self.nuisances, dict(self.signal_responses), corr
 
     def __post_init__(self):
-        object.__setattr__(self, "nuisances", tuple(self.nuisances))
-        names = [nu.name for nu in self.nuisances]
-        if len(set(names)) != len(names):
-            raise ModelError(f"nuisance names are not unique: {names}")
+        _named(self, "nuisances", Nuisance)
+        _responses(self, "signal_responses")
         for key in self.signal_responses:
-            if key not in names:
-                raise ModelError(f"signal response references unknown nuisance {key!r}")
-        chol = None
-        if self.correlation is not None:
-            import numpy as np
-            corr = np.asarray(self.correlation, dtype=float)
-            object.__setattr__(self, "correlation", corr)
-            k = len(self.gaussian_indices)
-            if corr.shape != (k, k):
-                raise ModelError(
-                    f"correlation matrix shape {corr.shape} does not match the "
-                    f"{k} Gaussian-prior nuisance(s)"
-                )
-            if not np.allclose(corr, corr.T, atol=1e-12):
-                raise ModelError("correlation matrix must be symmetric")
-            if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-                raise ModelError("correlation matrix must have a unit diagonal")
-            try:
-                chol = np.linalg.cholesky(corr)
-            except np.linalg.LinAlgError:
-                raise ModelError("correlation matrix must be positive definite") from None
+            _require(self, "signal_responses", key in self.names, "name declared nuisances only", key)
+        chol = None if self.correlation is None else _correlation(self, "correlation", len(self.gaussian_indices))
         object.__setattr__(self, "_chol", chol)
 
     @property
@@ -251,36 +303,25 @@ class CountingModel:
     systematics: SystematicsModel = field(default_factory=SystematicsModel)
 
     def __post_init__(self):
-        object.__setattr__(self, "backgrounds", tuple(self.backgrounds))
-        if not 0.0 <= _real(self, "s_nom") < math.inf:
-            raise ModelError(f"nominal signal yield must be finite and nonnegative, got {self.s_nom}")
+        _require(self, "s_nom", 0.0 <= _real(self, "s_nom") < math.inf, "be finite and nonnegative")
+        backgrounds = _named(self, "backgrounds", BackgroundProcess)
         # numpy's integers are registered as Integral; a bool is not a count
-        if isinstance(self.n_obs, bool) or not (isinstance(self.n_obs, numbers.Integral) and self.n_obs >= 0):
-            raise ModelError(f"observed count must be a nonnegative integer, got {self.n_obs!r}")
+        count = not isinstance(self.n_obs, bool) and isinstance(self.n_obs, numbers.Integral) and self.n_obs >= 0
+        _require(self, "n_obs", count, "be a nonnegative integer")
         object.__setattr__(self, "n_obs", operator.index(self.n_obs))  # a Python int, as for the floats
-        names = [bkg.name for bkg in self.backgrounds]
-        if len(set(names)) != len(names):
-            raise ModelError(f"background names are not unique: {names}")
-        known = set(self.systematics.names)
-        for bkg in self.backgrounds:
+        _require(self, "systematics", isinstance(self.systematics, SystematicsModel), "be a SystematicsModel")
+        for bkg in backgrounds:
             for key in bkg.responses:
-                if key not in known:
-                    raise ModelError(
-                        f"background {bkg.name!r} response references unknown nuisance {key!r}"
-                    )
+                _require(self, "backgrounds", key in self.systematics.names, "respond to declared nuisances only", key)
         # derived once, the model being immutable, rather than on every limit
         object.__setattr__(self, "b_nom_total", float(sum(bkg.b_nom for bkg in self.backgrounds)))
         if self.s_nom == 0.0 and self.b_nom_total == 0.0:
-            raise ModelError("model must have a positive signal or background yield")
+            raise ModelError("CountingModel must have a positive signal or background yield")
         object.__setattr__(self, "has_systematics", len(self.systematics.nuisances) > 0)
         signal = self.systematics.signal_responses.values()
         object.__setattr__(self, "signal_is_certain", all(resp.is_identity for resp in signal))
-        object.__setattr__(
-            self,
-            "all_responses_identity",
-            self.signal_is_certain
-            and all(resp.is_identity for bkg in self.backgrounds for resp in bkg.responses.values()),
-        )
+        backgrounds_certain = all(resp.is_identity for bkg in backgrounds for resp in bkg.responses.values())
+        object.__setattr__(self, "all_responses_identity", self.signal_is_certain and backgrounds_certain)
 
 
 def _yield_columns(nominal: float, responses: Mapping[str, Response], names, etas: np.ndarray, label: str) -> np.ndarray:

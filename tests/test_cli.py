@@ -208,7 +208,7 @@ class TestLimitCommand:
         cfg.write_text('{"signal": {"nominal": NaN}, "backgrounds": [], "n_obs": 0}', encoding="utf-8")
         code, _, err = run_cli(["limit", str(cfg)])
         assert code == 1
-        assert "signal.nominal: expected a finite number" in err
+        assert "signal.nominal: CountingModel.s_nom must be finite and nonnegative, got nan" in err
 
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     def test_unwritable_out_exits_one(self, tmp_path, where):
@@ -543,6 +543,9 @@ class TestRefusals:
              "nominal signal yield is zero; the posterior for mu is improper"),
             ({**PLAIN, "signal": {"nominal": 0.0}}, ["scan", "--mu-max", "5", "--quantity", "posterior"],
              "nominal signal yield is zero; the posterior for mu is improper"),
+            # a ragged correlation once left numpy's ValueError as a traceback
+            ({**PLAIN, "nuisances": [{"name": "a", "prior": {"kind": "standard_normal"}}], "correlation": [[1.0, 0.0]]},
+             ["limit"], "correlation: SystematicsModel.correlation must be a 1 x 1 matrix, a row and a column"),
         ],
     )
     def test_exits_one_with_a_one_line_message(self, tmp_path, doc, args, message):

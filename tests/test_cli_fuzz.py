@@ -48,6 +48,8 @@ DEFECTS = (
     lambda doc: doc["backgrounds"].append({"name": "huge", "nominal": 1e300}),
     lambda doc: doc.update(n_obs=400),
     lambda doc: doc.update(correlation=[[1.0, 2.0], [2.0, 1.0]]),
+    # a ragged row once raised numpy's ValueError, a traceback
+    lambda doc: doc.update(correlation=[[1.0], [0.0, 1.0]]),
 )
 
 

@@ -1,10 +1,24 @@
+import copy
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from countlim import BackgroundProcess, ConfigError, CountingModel, Nuisance, Prior, Response, SystematicsModel
-from countlim.config import _KINDS, emit_config, load_model, parse_model
+from countlim import (
+    BackgroundProcess,
+    ConfigError,
+    CountingModel,
+    ModelError,
+    Nuisance,
+    Prior,
+    Response,
+    SystematicsModel,
+)
+from countlim.config import emit_config, load_model, parse_model
 from helpers import run_cli
 
 MINIMAL = {"signal": {"nominal": 1.0}, "backgrounds": [], "n_obs": 0}
@@ -75,9 +89,9 @@ class TestParse:
             parse_model({"signal": {"nominal": 1.0}})
 
     def test_type_errors(self):
-        with pytest.raises(ConfigError, match="signal.nominal: expected a number"):
+        with pytest.raises(ConfigError, match="signal.nominal: CountingModel.s_nom must be a real number"):
             parse_model({"signal": {"nominal": "one"}, "n_obs": 0})
-        with pytest.raises(ConfigError, match="n_obs: expected an integer"):
+        with pytest.raises(ConfigError, match="n_obs: CountingModel.n_obs must be a nonnegative integer"):
             parse_model({"signal": {"nominal": 1.0}, "n_obs": 2.5})
         with pytest.raises(ConfigError, match="backgrounds: expected a list"):
             parse_model({"signal": {"nominal": 1.0}, "backgrounds": {}, "n_obs": 0})
@@ -89,27 +103,32 @@ class TestParse:
     @pytest.mark.parametrize(
         ("doc", "path"),
         [
-            ({"signal": {"nominal": -1.0}, "backgrounds": [{"name": "b", "nominal": 1.0}], "n_obs": 1}, "signal"),
-            ({"signal": {"nominal": 1.0}, "backgrounds": [{"name": "b", "nominal": -1.0}], "n_obs": 1}, r"backgrounds\[0\]"),
+            ({"signal": {"nominal": -1.0}, "backgrounds": [{"name": "b", "nominal": 1.0}], "n_obs": 1},
+             r"signal\.nominal: CountingModel\.s_nom"),
+            ({"signal": {"nominal": 1.0}, "backgrounds": [{"name": "b", "nominal": -1.0}], "n_obs": 1},
+             r"backgrounds\[0\]\.nominal: BackgroundProcess\.b_nom"),
             (
                 {"signal": {"nominal": 1.0}, "backgrounds": [{"name": "a", "nominal": 1.0}, {"name": "b", "nominal": -2}],
                  "n_obs": 1},
-                r"backgrounds\[1\]",
+                r"backgrounds\[1\]\.nominal: BackgroundProcess\.b_nom",
             ),
         ],
         ids=["signal", "background", "second background"],
     )
     def test_negative_nominal_yield_is_a_path_qualified_config_error(self, doc, path):
-        with pytest.raises(ConfigError, match=rf"^{path}\.nominal: must be nonnegative, got -[12]\.0$"):
+        with pytest.raises(ConfigError, match=rf"^{path} must be finite and nonnegative, got -[12]\.0$"):
             parse_model(doc)
 
     def test_negative_nominal_yield_exits_1(self, tmp_path):
-        for doc in ({"signal": {"nominal": -1.0}, "n_obs": 1},
-                    {"signal": {"nominal": 1.0}, "backgrounds": [{"name": "b", "nominal": -1.0}], "n_obs": 1}):
+        for doc, message in (
+            ({"signal": {"nominal": -1.0}, "n_obs": 1}, "signal.nominal: CountingModel.s_nom"),
+            ({"signal": {"nominal": 1.0}, "backgrounds": [{"name": "b", "nominal": -1.0}], "n_obs": 1},
+             "backgrounds[0].nominal: BackgroundProcess.b_nom"),
+        ):
             cfg = tmp_path / "model.json"
             cfg.write_text(json.dumps(doc), encoding="utf-8")
             code, _, err = run_cli(["limit", str(cfg)])
-            assert code == 1 and "nominal: must be nonnegative" in err
+            assert code == 1 and f"{message} must be finite and nonnegative" in err
 
     def test_bad_parameter_values(self):
         doc = json.loads(json.dumps(FULL))
@@ -125,11 +144,12 @@ class TestParse:
         # json.loads accepts NaN and Infinity, and so would the model
         for literal in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
             text = json.dumps(FULL).replace('"nominal": 1.5', f'"nominal": {literal}')
-            with pytest.raises(ConfigError, match=r"backgrounds\[0\].nominal: expected a finite number"):
+            with pytest.raises(ConfigError, match=r"backgrounds\[0\].nominal: BackgroundProcess\.b_nom must be finite"):
                 parse_model(json.loads(text))
         doc = json.loads(json.dumps(FULL))
         doc["correlation"][0][1] = float("nan")
-        with pytest.raises(ConfigError, match=r"correlation\[0\]\[1\]: expected a finite number"):
+        message = r"correlation: SystematicsModel\.correlation\[0\]\[1\] must be a finite real number"
+        with pytest.raises(ConfigError, match=message):
             parse_model(doc)
 
     def test_model_invariants_become_config_errors(self):
@@ -160,8 +180,8 @@ CANONICAL = {
 }
 KIND_CASES = [
     (cls, kind, place)
-    for cls, kinds in _KINDS.items()
-    for kind in kinds
+    for cls in (Response, Prior)
+    for kind in cls.KINDS
     for place in (("signal", "background") if cls is Response else ("nuisance",))
 ]
 
@@ -224,6 +244,170 @@ class TestRoundTrip:
         model = parse_model(FULL)
         doc = emit_config(model)
         assert np.array_equal(np.asarray(doc["correlation"]), model.systematics.correlation)
+
+
+# values no field takes, or only some do, and keys no mapping of responses
+# takes ("z" names no nuisance): each value or key drawn below is one of
+# them one time in ODD_ONE_IN
+ODD = st.sampled_from([None, True, np.bool_(True), "1.5", [1.0], {}, math.nan, math.inf, -math.inf, 10**400,
+                       -(10**400), -1, 0, np.float32(1.5), np.int64(2), "log_normal", "cauchy"])
+ODD_KEYS = st.sampled_from([None, 1, "z"])
+ODD_ONE_IN = 40
+NAMES = ("a", "b", "c")
+RESPONSE_PARAMS = {"kappa": st.floats(0.5, 2.0), "delta": st.floats(-0.3, 0.3)}
+PRIOR_PARAMS = {"loc": st.floats(-1.0, 1.0), "scale": st.floats(0.1, 2.0)}
+
+
+def odd(draw) -> bool:
+    return draw(st.integers(0, ODD_ONE_IN - 1)) == 0
+
+
+def some(draw, make, odd_values=ODD):
+    """``make()``, or one time in ``ODD_ONE_IN`` a draw of ``odd_values``."""
+    return draw(odd_values) if odd(draw) else make()
+
+
+def correlation_rows(draw, k):
+    """A k x k matrix as lists, symmetric with a unit diagonal, at times of
+    a size off by one, with a ragged last row or with odd entries."""
+    k = max(k + draw(st.sampled_from([0] * 6 + [-1, 1])), 0)
+    rho = {(i, j): some(draw, lambda: draw(st.floats(-0.6, 0.6))) for i in range(k) for j in range(i)}
+    rows = [[1.0 if i == j else rho[max(i, j), min(i, j)] for j in range(k)] for i in range(k)]
+    if rows and odd(draw):
+        rows[-1].pop()
+    return rows
+
+
+@st.composite
+def constructed(draw):
+    """A model built by its constructors from drawn arguments, or the error refusing them."""
+    def value(strategy):
+        return some(draw, lambda: draw(strategy))
+
+    def kinded(cls, params):
+        kind = value(st.sampled_from(list(cls.KINDS)))
+        taken = cls.KINDS.get(kind, {}).values() if isinstance(kind, str) else ()
+        # a parameter the kind does not take is passed one time in ODD_ONE_IN
+        return cls(kind, **{attr: value(valid) for attr, valid in params.items() if attr in taken or odd(draw)})
+
+    def responses():
+        count = draw(st.integers(0, min(2, len(names))))
+        return {some(draw, lambda: draw(st.sampled_from(names)), ODD_KEYS):
+                some(draw, lambda: kinded(Response, RESPONSE_PARAMS)) for _ in range(count)}
+
+    names = NAMES[: draw(st.integers(0, 3))]
+    try:
+        prior = lambda: kinded(Prior, PRIOR_PARAMS)  # noqa: E731
+        nuisances = tuple(Nuisance(value(st.just(name)), some(draw, prior)) for name in names)
+        correlation = None
+        if draw(st.integers(0, 2)) == 0:
+            correlation = correlation_rows(draw, sum(nu.prior.is_normal_family for nu in nuisances))
+            if draw(st.booleans()):
+                correlation = np.array(correlation, dtype=object)  # of lists, where a row is ragged
+        systematics = SystematicsModel(value(st.just(nuisances)), responses(), correlation)
+        backgrounds = tuple(BackgroundProcess(value(st.just(f"b{i}")), value(st.floats(0.0, 50.0)), responses())
+                            for i in range(draw(st.integers(0, 2))))
+        return CountingModel(value(st.floats(0.0, 10.0)), value(st.just(backgrounds)), value(st.integers(0, 50)),
+                             value(st.just(systematics)))
+    except ModelError as err:
+        return err
+
+
+@st.composite
+def documents(draw):
+    """A config document, at times with odd values, an unknown kind, a
+    misshapen correlation or optional keys left out."""
+    def value(strategy):
+        return some(draw, lambda: draw(strategy))
+
+    def kinded(kinds, params):
+        kind = value(st.sampled_from(list(kinds)))
+        keys = kinds.get(kind, {}) if isinstance(kind, str) else {}
+        return {"kind": kind, **{key: value(params[attr]) for key, attr in keys.items()}}
+
+    def responses():
+        count = draw(st.integers(0, min(2, len(names))))
+        return {some(draw, lambda: draw(st.sampled_from(names)), st.just("z")): kinded(Response.KINDS, RESPONSE_PARAMS)
+                for _ in range(count)}
+
+    names = NAMES[: draw(st.integers(0, 3))]
+    doc = {
+        "signal": {"nominal": value(st.floats(0.0, 10.0)), "responses": responses()},
+        "backgrounds": [{"name": value(st.just(f"b{i}")), "nominal": value(st.floats(0.0, 50.0)),
+                         "responses": responses()} for i in range(draw(st.integers(0, 2)))],
+        "nuisances": [{"name": value(st.just(name)), "prior": kinded(Prior.KINDS, PRIOR_PARAMS)} for name in names],
+        "n_obs": value(st.integers(0, 50)),
+    }
+    if draw(st.integers(0, 2)) == 0:
+        gaussian = sum(nu["prior"]["kind"] in ("standard_normal", "normal") for nu in doc["nuisances"])
+        doc["correlation"] = correlation_rows(draw, gaussian)
+    for node, key in [(doc["signal"], "responses"), (doc, "backgrounds"), (doc, "nuisances"),
+                      *((bkg, "responses") for bkg in doc["backgrounds"])]:
+        if not node[key] and draw(st.booleans()):
+            del node[key]
+    return doc
+
+
+def with_defaults(doc):
+    """``doc`` with the optional keys it leaves out set to their defaults, as ``emit_config`` writes them."""
+    doc = copy.deepcopy(doc)
+    doc["signal"].setdefault("responses", {})
+    for key in ("backgrounds", "nuisances"):
+        doc.setdefault(key, [])
+    for bkg in doc["backgrounds"]:
+        bkg.setdefault("responses", {})
+    return doc
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(model=constructed())
+    def test_every_model_the_constructors_accept_round_trips(self, model):
+        # a model of untyped fields once constructed, and failed to parse back
+        event(f"refused at {str(model).split()[0]}" if isinstance(model, ModelError) else "accepted")
+        if isinstance(model, ModelError):
+            return
+        assert parse_model(emit_config(model)) == model
+        assert parse_model(json.loads(json.dumps(emit_config(model)))) == model
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(doc=documents())
+    def test_every_document_parse_model_accepts_re_emits_to_itself(self, doc):
+        # a ragged correlation once raised numpy's ValueError: every refusal is a ConfigError
+        try:
+            model = parse_model(doc)
+        except ConfigError as err:
+            event(f"refused at {str(err).split(':')[0]}")
+            return
+        event("accepted")
+        emitted = emit_config(model)
+        assert emitted == with_defaults(doc)
+        text = json.dumps(emitted)
+        assert json.dumps(emit_config(parse_model(json.loads(text)))) == text
+
+
+def leaves(node, path=""):
+    """The config path of each value in ``node`` that is no object or list, with a setter for it."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        where = f"{path}[{key}]" if isinstance(node, list) else f"{path}.{key}" if path else key
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, where)
+        else:
+            yield where, lambda new, node=node, key=key: node.__setitem__(key, new)
+
+
+class TestInnermostNode:
+    LEAVES = [where for where, _ in leaves(json.loads(json.dumps(FULL)))]
+
+    @pytest.mark.parametrize("value", [None, math.nan, [1.0]], ids=["None", "nan", "list"])
+    @pytest.mark.parametrize("where", LEAVES)
+    def test_a_bad_value_is_refused_at_its_own_node(self, where, value):
+        doc = json.loads(json.dumps(FULL))
+        dict(leaves(doc))[where](value)
+        # the model refuses a correlation entry: the message names it after the node
+        prefix = f"correlation: SystematicsModel.{where} " if where.startswith("correlation") else f"{where}: "
+        with pytest.raises(ConfigError, match="^" + re.escape(prefix)):
+            parse_model(doc)
 
 
 class TestLoadModel:

@@ -444,3 +444,81 @@ class TestValidation:
                 ],
                 correlation=[[1.0, 0.0], [0.0, 1.0]],
             )
+
+
+GAUSSIAN_PAIR = (Nuisance("a", Prior.standard_normal()), Nuisance("b", Prior.normal(0.0, 2.0)))
+
+
+class TestTypedFields:
+    """Every constructor refuses a field of the wrong type or range with a
+    ModelError naming the class and the field."""
+
+    # each of these was once accepted, or raised a bare AttributeError
+    WRONG = [
+        ("BackgroundProcess.name", lambda: BackgroundProcess(None, 1.0)),
+        ("CountingModel.backgrounds", lambda: CountingModel(s_nom=1.0, backgrounds=(1.5,), n_obs=0)),
+        ("SystematicsModel.nuisances", lambda: SystematicsModel(nuisances=("a",))),
+        ("SystematicsModel.signal_responses", lambda: SystematicsModel(GAUSSIAN_PAIR, {"a": "log_normal"})),
+        ("BackgroundProcess.responses", lambda: BackgroundProcess("b", 1.0, {"a": "linear"})),
+        ("Nuisance.prior", lambda: Nuisance("a", "p")),
+        ("Nuisance.name", lambda: Nuisance(1, Prior.standard_normal())),
+        ("BackgroundProcess.responses", lambda: BackgroundProcess("b", 1.0, ["x"])),
+        ("CountingModel.systematics", lambda: CountingModel(1.0, (BackgroundProcess("b", 1.0),), 0, systematics=None)),
+        ("Response.kind", lambda: Response(["identity"])),
+        ("Prior.kind", lambda: Prior(None)),
+    ]
+
+    @pytest.mark.parametrize(("where", "make"), WRONG, ids=[f"{w}-{i}" for i, (w, _) in enumerate(WRONG)])
+    def test_a_field_of_the_wrong_type_is_refused(self, where, make):
+        owner, name = where.split(".")
+        with pytest.raises(ModelError, match=rf"^{owner}\.{name} must ") as err:
+            make()
+        assert err.value.field == name
+
+    @pytest.mark.parametrize("make", [
+        lambda: Response("identity", kappa=2.0),
+        lambda: Response("linear", kappa=2.0, delta=0.1),
+        lambda: Response("log_normal", kappa=1.2, delta=0.1),
+        lambda: Prior("standard_normal", loc=1.0),
+        lambda: Prior("standard_normal", scale=2.0),
+    ], ids=["identity kappa", "linear kappa", "log_normal delta", "standard_normal loc", "standard_normal scale"])
+    def test_a_parameter_its_kind_does_not_take_is_refused(self, make):
+        # emit_config once dropped it, so the model did not round-trip
+        message = r"^(Response|Prior)\.(kappa|delta|loc|scale) must be [01]\.0 for kind \w+, got "
+        with pytest.raises(ModelError, match=message):
+            make()
+
+    def test_a_parameter_its_kind_does_not_take_may_keep_its_default(self):
+        assert Response("identity", kappa=1, delta=0.0) == Response.identity()
+        assert Prior("standard_normal", loc=np.float64(0.0), scale=1) == Prior.standard_normal()
+
+    @pytest.mark.parametrize("nuisances", [(), (Nuisance("a", Prior.log_normal(0.0, 0.3)),)], ids=["none", "log-normal"])
+    @pytest.mark.parametrize("correlation", [np.zeros((0, 0)), [], [[1.0]]], ids=["0x0", "empty", "1x1"])
+    def test_a_correlation_without_a_gaussian_nuisance_is_refused(self, nuisances, correlation):
+        # a 0 x 0 matrix once constructed, and emitted "correlation": [], which parse_model refused
+        with pytest.raises(ModelError, match="^SystematicsModel.correlation must be None without a Gaussian-prior"):
+            SystematicsModel(nuisances, correlation=correlation)
+
+    @pytest.mark.parametrize("correlation", [
+        [[1.0], [0.0, 1.0]], [[1.0, 0.0], [0.0]], [[1.0, 0.0]], [1.0, 0.0], 1.0, [[[1.0]], [[1.0]]], np.eye(3),
+    ], ids=["ragged first", "ragged second", "one row", "flat", "scalar", "3-d", "3x3"])
+    def test_a_correlation_of_the_wrong_shape_is_refused(self, correlation):
+        # a ragged one once raised numpy's ValueError, a traceback from the CLI
+        with pytest.raises(ModelError, match=r"^SystematicsModel.correlation must be a 2 x 2 matrix, a row and a column"):
+            SystematicsModel(GAUSSIAN_PAIR, correlation=correlation)
+
+    @pytest.mark.parametrize(("entry", "got"), [
+        (math.nan, "nan"), (math.inf, "inf"), (10**400, "1" + "0" * 400), (True, "True"), (np.bool_(False), "np.False_"),
+        ("0.5", "'0.5'"), (None, "None"), ([0.5], r"\[0.5\]"),
+    ], ids=["nan", "inf", "int above", "True", "np.False_", "str", "None", "list"])
+    def test_a_correlation_entry_that_is_no_finite_real_is_refused(self, entry, got):
+        # NaN once read "must be symmetric", and a bool was taken as 0 or 1
+        message = rf"^SystematicsModel.correlation\[0\]\[1\] must be a finite real number, got {got}$"
+        with pytest.raises(ModelError, match=message):
+            SystematicsModel(GAUSSIAN_PAIR, correlation=[[1.0, entry], [0.0, 1.0]])
+
+    def test_a_correlation_is_stored_as_a_float_array(self):
+        for correlation in ([[1, 0], [0, 1]], np.eye(2, dtype=np.float32), ((1.0, 0.5), (0.5, np.int64(1)))):
+            stored = SystematicsModel(GAUSSIAN_PAIR, correlation=correlation).correlation
+            assert stored.dtype == np.float64 and stored.shape == (2, 2)
+            assert stored.tolist() == np.asarray(correlation, dtype=float).tolist()

@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from countlim import marginal, special
+from countlim import ConfigError, config, marginal, special
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -112,6 +113,41 @@ def test_result_hash_of_kernels_repeats_and_sees_one_temme_coefficient(monkeypat
 
     monkeypatch.setattr(special, "_temme_poly", perturbed)
     assert tool.kernel_hash(1, 40) != lines[0].split()[2]
+
+
+def test_result_hash_of_configs_repeats_and_sees_each_decision(monkeypatch, capsys):
+    pytest.importorskip("mpmath")  # the tool imports the benchmark's streams
+    tool = load_tool(monkeypatch, "result_hash")
+    for _ in range(2):
+        tool.main(["--workloads", "configs", "--ops", "2", "--seeds", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert lines[0].split()[:2] == ["configs", "1"] and len(lines[0].split()[2]) == 64
+    # the corpus holds accepted and refused documents alike, ragged correlations among them
+    rng = np.random.default_rng(1)  # as config_hash(1, 2) draws them
+    docs = [doc for _ in range(2) for doc in tool.config_mutations(tool.config_draw(rng))]
+    accepted = 0
+    for doc in docs:
+        try:
+            config.parse_model(doc)
+            accepted += 1
+        except ConfigError:
+            pass
+    assert 0 < accepted < len(docs)
+    assert any(doc.get("correlation") == [[1.0], [0.0, 1.0]] for doc in docs)
+    # a document refused where it was accepted, or emitted otherwise, changes the hash
+    parse, emit = config.parse_model, config.emit_config
+
+    def refuse_zero_count(doc):
+        if isinstance(doc, dict) and doc.get("n_obs") == 0:
+            raise ConfigError("n_obs is 0")
+        return parse(doc)
+
+    monkeypatch.setattr(config, "parse_model", refuse_zero_count)
+    assert tool.config_hash(1, 2) != lines[0].split()[2]
+    monkeypatch.setattr(config, "parse_model", parse)
+    monkeypatch.setattr(config, "emit_config", lambda model: {**emit(model), "n_obs": model.n_obs + 1})
+    assert tool.config_hash(1, 2) != lines[0].split()[2]
 
 
 def test_result_hash_against_a_revision(monkeypatch, capsys):

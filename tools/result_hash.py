@@ -14,6 +14,13 @@ directory, and hashes each call's exit code and stdout bytes. The
 ``poisson_cdf``, ``gamma_q``, ``log_poisson_pmf`` or
 ``special._poisson_cdf_and_pmf`` on seeded draws (``kernel_hash``), and
 hashes each call's float outputs by ``repr`` and its arrays by their bytes.
+The ``configs`` workload, also named only on request, runs ``parse_model``
+on a seeded corpus of config documents (``config_hash``) and hashes, per
+document, ``"ok "`` and the JSON of its ``emit_config``, or ``"refused"``:
+the accept-or-refuse decisions and the emitted configs, not the error
+texts. A refusal is a ``CountLimError``, or the ``ValueError`` numpy
+raised on a ragged correlation before the model refused one; any other
+exception stops the tool.
 
 ``--against REV`` hashes git revision REV's ``src/`` too, extracted by
 ``git archive`` into a temporary directory and run in a child interpreter
@@ -25,6 +32,7 @@ written into the repository or its ``.git``. Run from the repository root:
     python3 tools/result_hash.py [--ops 200] [--seeds 1,7] [--workloads exact_small,toys_small,large_count]
     python3 tools/result_hash.py --workloads cli_mix --ops 40
     python3 tools/result_hash.py --workloads kernels --against HEAD
+    python3 tools/result_hash.py --workloads configs --ops 20 --against HEAD
     python3 tools/result_hash.py --against HEAD
 
 The streams need mpmath (a test dependency) to import, though no
@@ -32,8 +40,11 @@ operation's check is run here.
 """
 
 import argparse
+import copy
 import hashlib
 import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -48,11 +59,17 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 
-from countlim import marginal, special  # noqa: E402
+from countlim import CountLimError, config, marginal, special  # noqa: E402
 
 WORKLOADS = ("exact_small", "toys_small", "large_count")
 KERNELS = ("poisson_cdf", "gamma_q", "log_poisson_pmf", "_poisson_cdf_and_pmf")
 WIDTHS = (None, 16, 21, 2000)  # a float, or the lanes of an array: narrow, just wide and wide
+# what ``configs`` sets each value of a document to, one at a time, and each correlation it tries
+ODD_VALUES = ("x", True, None, 0, -1, math.inf, math.nan, 10**400, [1.0], "log_normal")
+ODD_CORRELATIONS = ([], [[]], [1.0], [[1.0]], [[[1.0]]], [[1.0, 0.0]], [[1.0], [0.0, 1.0]], [[1.0, 0.0], [0.0]],
+                    [[1.0, 0.0], [0.0, 1.0]], [[1, 0], [0, 1]], [[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.5], [0.4, 1.0]],
+                    [[True, 0.0], [0.0, True]], [["1.0", 0.0], [0.0, 1.0]], [[1.0, math.nan], [math.nan, 1.0]],
+                    [[1.0, 10**400], [10**400, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "x", {})
 
 # The child of --against: countlim is imported from the extracted src/ before
 # this tool runs, so the tool's own path entries find the package loaded, and
@@ -101,6 +118,85 @@ def kernel_hash(seed: int, ops: int) -> str:
     return digest.hexdigest()
 
 
+def config_draw(rng) -> dict:
+    """A config document as the CLI fuzz test draws one: up to three
+    nuisances of every prior kind, responses of every kind on the signal and
+    up to two backgrounds, and at times a correlation over the first two
+    nuisances, whatever their priors."""
+    names = ["p0", "p1", "p2"][: rng.integers(4)]
+
+    def pick(*nodes):
+        return nodes[rng.integers(len(nodes))]
+
+    def responses():
+        return {name: pick({"kind": "identity"}, {"kind": "log_normal", "kappa": float(rng.uniform(0.5, 2.0))},
+                           {"kind": "linear", "delta": float(rng.uniform(-0.3, 0.3))})
+                for name in names if rng.random() < 0.5}
+
+    doc = {
+        "signal": {"nominal": float(rng.uniform(0.0, 20.0)), "responses": responses()},
+        "backgrounds": [{"name": f"b{i}", "nominal": float(rng.uniform(0.0, 300.0)), "responses": responses()}
+                        for i in range(rng.integers(3))],
+        "nuisances": [{"name": name, "prior": pick(
+            {"kind": "standard_normal"},
+            {"kind": "normal", "mean": float(rng.uniform(-1.0, 1.0)), "sd": float(rng.uniform(0.1, 2.0))},
+            {"kind": "log_normal", "mu": float(rng.uniform(-0.5, 0.5)), "sigma": float(rng.uniform(0.05, 0.5))},
+        )} for name in names],
+        "n_obs": int(rng.integers(200)),
+    }
+    if len(names) >= 2 and rng.random() < 0.5:
+        rho = float(rng.uniform(-0.9, 0.9))
+        doc["correlation"] = [[1.0, rho], [rho, 1.0]]
+    return doc
+
+
+def config_mutations(doc):
+    """``doc``, then one document per change to it: each key dropped, an
+    unknown key added to each object, each value (lists' entries included)
+    set to each of ``ODD_VALUES``, and the correlation set to each of
+    ``ODD_CORRELATIONS``."""
+    yield doc
+    nodes = [((), doc)]
+    for path, node in nodes:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        if isinstance(node, dict):
+            yield _changed(doc, path, lambda n: n.update(extra=1))
+            for key in keys:
+                yield _changed(doc, path, lambda n, key=key: n.pop(key))
+        for key in keys:
+            for value in ODD_VALUES:
+                yield _changed(doc, path, lambda n, key=key, value=value: n.__setitem__(key, value))
+            if isinstance(node[key], (dict, list)):
+                nodes.append(((*path, key), node[key]))
+    for corr in ODD_CORRELATIONS:
+        yield _changed(doc, (), lambda n, corr=corr: n.__setitem__("correlation", copy.deepcopy(corr)))
+
+
+def _changed(doc, path, change):
+    """A copy of ``doc`` with ``change`` applied to its node at ``path``."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path:
+        node = node[key]
+    change(node)
+    return doc
+
+
+def config_hash(seed: int, ops: int) -> str:
+    """The hash of the decisions on ``ops`` drawn documents at ``seed`` and
+    on every mutation of each (``config_mutations``)."""
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for _ in range(ops):
+        for doc in config_mutations(config_draw(rng)):
+            try:
+                line = "ok " + json.dumps(config.emit_config(config.parse_model(doc)))
+            except (CountLimError, ValueError):
+                line = "refused"
+            digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
 def result_hash(workload: str, seed: int, ops: int) -> str:
     """The hash of the first ``ops`` operations of ``workload`` at ``seed``.
     Every countlim module's name for ``marginal._solve``, the one function
@@ -108,6 +204,8 @@ def result_hash(workload: str, seed: int, ops: int) -> str:
     restored after it."""
     if workload == "kernels":
         return kernel_hash(seed, ops)
+    if workload == "configs":
+        return config_hash(seed, ops)
     digest = hashlib.sha256()
     solve = marginal._solve
 
