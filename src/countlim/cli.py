@@ -23,10 +23,11 @@ import sys
 from pathlib import Path
 
 from .config import _parse_file, load_model
-from .equivalence import VERDICT_UNEXPECTED, _paired_limits, compare_limits
+from .equivalence import _DEFAULT_TOL, VERDICT_UNEXPECTED, _paired_limits, compare_limits
 from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError
 from .marginal import (
     _SCAN_MAX_POINTS,
+    _SCAN_QUANTITIES,
     Integrator,
     bayesian_marginal_upper_limit,
     draw_samples,
@@ -91,13 +92,10 @@ def _load(config_path: str):
 
 
 def _request(cl: float, rel_tol: float) -> LimitRequest:
-    """The request for ``--cl`` and a solver tolerance, checked in that order."""
+    """The request for ``--cl``, checked here as only the CLI has a cl, and a solver tolerance."""
     if not 0.0 < cl < 1.0:
         raise ConfigError(f"--cl must be in (0, 1), got {cl}")
-    try:
-        return LimitRequest(alpha=1.0 - cl, rel_tol=rel_tol)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return LimitRequest(alpha=1.0 - cl, rel_tol=rel_tol)
 
 
 def _build_integrator(model, kind: str, samples: int, seed: int, nodes: int) -> Integrator | None:
@@ -160,8 +158,6 @@ def cmd_equivalence(config_path, cl, integrator_kind, samples, seed, nodes, tol,
     identity (which shared samples should make impossible)."""
     model, config_sha256 = _load(config_path)
     req = _request(cl, solver_tol)
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"--tol must be a positive finite number, got {tol}")
     integrator = _build_integrator(model, integrator_kind, samples, seed, nodes)
     bayes_samples = None
     if debug_seed_offset:
@@ -214,7 +210,7 @@ def _parser() -> argparse.ArgumentParser:
     sub["scan"].add_argument("--mu-max", type=float, required=True, default=argparse.SUPPRESS,
                              help="Highest signal strength of the grid (required).")
     sub["scan"].add_argument("--points", type=int, default=101, help="Grid points, both ends included.")
-    sub["scan"].add_argument("--quantity", choices=["cls", "clsb", "clb", "posterior"], default="cls",
+    sub["scan"].add_argument("--quantity", choices=_SCAN_QUANTITIES, default="cls",
                              help="CLs, its CLs+b and CLb terms, or the posterior density of mu.")
     for name in ("limit", "equivalence"):
         sub[name].add_argument("--cl", type=float, default=0.95, help="Confidence (or credibility) level; the solver "
@@ -222,13 +218,16 @@ def _parser() -> argparse.ArgumentParser:
     for command in sub.values():
         command.add_argument("--integrator", dest="integrator_kind", choices=["mc", "gh"], default="mc",
                              help="Marginalisation rule for models with nuisances: Monte Carlo or Gauss-Hermite.")
-        command.add_argument("--samples", type=int, default=10000, help="Monte Carlo sample count.")
-        command.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (never read from the environment).")
-        command.add_argument("--nodes", type=int, default=16, help="Gauss-Hermite nodes per nuisance dimension.")
-    sub["limit"].add_argument("--tol", type=float, default=1e-9, help="Root-solver relative tolerance.")
-    sub["equivalence"].add_argument("--tol", type=float, default=1e-6,
+        command.add_argument("--samples", type=int, default=Integrator.n_samples, help="Monte Carlo sample count.")
+        command.add_argument("--seed", type=int, default=Integrator.seed,
+                             help="Monte Carlo seed (never read from the environment).")
+        command.add_argument("--nodes", type=int, default=Integrator.nodes_per_dim,
+                             help="Gauss-Hermite nodes per nuisance dimension.")
+    sub["limit"].add_argument("--tol", type=float, default=LimitRequest.rel_tol, help="Root-solver relative tolerance.")
+    sub["equivalence"].add_argument("--tol", type=float, default=_DEFAULT_TOL,
                                     help="Relative tolerance for declaring the limits equivalent.")
-    sub["equivalence"].add_argument("--solver-tol", type=float, default=1e-9, help="Root-solver relative tolerance.")
+    sub["equivalence"].add_argument("--solver-tol", type=float, default=LimitRequest.rel_tol,
+                                    help="Root-solver relative tolerance.")
     for command in sub.values():
         command.add_argument("--out", default="-", help="Output path, '-' for stdout.")
     # offsets the Bayesian method's Monte Carlo seed, deliberately breaking the shared-sample contract

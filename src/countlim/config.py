@@ -39,6 +39,7 @@ from .model import (
     Prior,
     Response,
     SystematicsModel,
+    _kind_dict,
 )
 
 __all__ = ["load_model", "parse_model", "emit_config"]
@@ -148,19 +149,13 @@ def _parse_file(data: bytes, path) -> CountingModel:
     return parse_model(doc)
 
 
-def _emit_kind(obj) -> dict:
-    """The config node of a :class:`Response` or :class:`Prior`, by its class's ``KINDS``."""
-    keys = type(obj).KINDS[obj.kind]
-    return {"kind": obj.kind, **{key: getattr(obj, attr) for key, attr in keys.items()}}
-
-
 def emit_config(model: CountingModel) -> dict:
     """Configuration document for ``model``; parses back to an equal model."""
     doc = {
         "signal": {
             "nominal": model.s_nom,
             "responses": {
-                name: _emit_kind(resp)
+                name: _kind_dict(resp)
                 for name, resp in model.systematics.signal_responses.items()
             },
         },
@@ -168,12 +163,12 @@ def emit_config(model: CountingModel) -> dict:
             {
                 "name": bkg.name,
                 "nominal": bkg.b_nom,
-                "responses": {name: _emit_kind(resp) for name, resp in bkg.responses.items()},
+                "responses": {name: _kind_dict(resp) for name, resp in bkg.responses.items()},
             }
             for bkg in model.backgrounds
         ],
         "nuisances": [
-            {"name": nu.name, "prior": _emit_kind(nu.prior)}
+            {"name": nu.name, "prior": _kind_dict(nu.prior)}
             for nu in model.systematics.nuisances
         ],
         "n_obs": model.n_obs,

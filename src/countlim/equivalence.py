@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .marginal import _BAYES, _CLS, Integrator, SampleSet, _Criterion, _criterion, _limit, _solve, _takes_mc_error
-from .model import CountingModel
+from .model import CountingModel, _float, _require
 from .solver import LimitRequest
 
 __all__ = ["EquivalenceReport", "compare_limits"]
@@ -23,6 +23,7 @@ __all__ = ["EquivalenceReport", "compare_limits"]
 VERDICT_EQUIVALENT = "equivalent_within_tol"
 VERDICT_EXPECTED = "divergent_as_expected"
 VERDICT_UNEXPECTED = "unexpected_divergence"
+_DEFAULT_TOL = 1e-6  # compare_limits' tol, and the CLI's equivalence --tol
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def compare_limits(
     model: CountingModel,
     req: LimitRequest,
     integrator: Integrator,
-    tol: float = 1e-6,
+    tol: float = _DEFAULT_TOL,
     *,
     bayes_samples: SampleSet | None = None,
 ) -> EquivalenceReport:
@@ -90,12 +91,13 @@ def compare_limits(
     to let tests and the CLI's debug path demonstrate what a broken
     shared-sample contract looks like; its solve takes that set's own
     yields, starts at the CLs root too, and finds its own root from there.
+    A ``tol`` that is no positive finite real is refused with ``ConfigError``.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    value = _float(tol)
+    _require(compare_limits, "tol", value is not None and 0.0 < value < math.inf, "be a positive finite number", tol)
     res_cls, res_bayes, rel_diff = _paired_limits(model, req, integrator, bayes_samples)
     signal_uncertain = not model.signal_is_certain
-    if rel_diff <= tol:
+    if rel_diff <= value:
         verdict = VERDICT_EQUIVALENT
     elif signal_uncertain:
         verdict = VERDICT_EXPECTED
@@ -107,6 +109,6 @@ def compare_limits(
         rel_diff=rel_diff,
         signal_uncertain=signal_uncertain,
         verdict=verdict,
-        tol=tol,
+        tol=value,
         mc_stderr=res_cls.mu_up_stderr,
     )

@@ -6,11 +6,16 @@ exit 1, numerical failures during a solve are exit 2.
 
 
 class CountLimError(Exception):
-    """Base class for all countlim errors."""
+    """Base class for all countlim errors; ``field`` names the constructor field or argument refused, if any."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
-class ConfigError(CountLimError):
-    """Invalid configuration file or invalid option combination."""
+class ConfigError(CountLimError, ValueError):
+    """Invalid configuration file, option combination or run setting (``LimitRequest``, ``Integrator``,
+    ``compare_limits``' ``tol``); also a :class:`ValueError`."""
 
 
 class ModelError(CountLimError):
@@ -20,14 +25,7 @@ class ModelError(CountLimError):
     range, naming the class and the field; also for degenerate models (zero
     signal yield, so the strength parameter is unidentified) and for exact
     limits of models that carry non-identity response functions.
-
-    Attributes:
-        field: name of the constructor field refused, None otherwise.
     """
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
 
 
 class YieldError(CountLimError):

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import operator
 import types
 from dataclasses import dataclass
 
 from .exceptions import ConfigError, ConvergenceError, ModelError
-from .model import CountingModel, SystematicsModel, yields_on_samples
+from .model import CountingModel, SystematicsModel, _float, _integer, _kind, _kind_dict, _require, _shown
+from .model import yields_on_samples
 from .special import _MATH, _gamma_q_scalar, _log_pmf, _log_pmf_limit, _numpy, _poisson_cdf_and_pmf, _poisson_cdf_scalar
 from .special import gamma_q, log_poisson_pmf
 from .solver import LimitRequest, LimitResult, solve_decreasing
@@ -72,6 +71,7 @@ _GH_MAX_POINTS = 2**20  # largest Gauss-Hermite tensor grid draw_samples builds
 _GH_CACHED_VALUES = 2**16
 _MC_MAX_VALUES = 2**22  # largest Monte Carlo set, samples x nuisances
 _SCAN_MAX_POINTS = 2**20  # longest strength grid the scan command tabulates
+_SCAN_QUANTITIES = ("cls", "clsb", "clb", "posterior")  # what scan_quantity tabulates
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,8 @@ class Integrator:
     builds a tensor-product rule, is valid only when every prior is in
     the normal family, and is refused above ``2**20`` grid points. The
     Monte Carlo budget, ``2**22`` samples times nuisances, is checked by
-    :func:`draw_samples`, where a set is built. ``n_samples``, ``seed``
-    and ``nodes_per_dim`` must be integers (numpy's included, kept as
-    ``int``); a float or a bool is refused with :class:`ConfigError`.
+    :func:`draw_samples`, where a set is built. Each count is an integer
+    (numpy's kept as ``int``), at its default unless the kind takes it.
     """
 
     kind: str
@@ -93,24 +92,15 @@ class Integrator:
     seed: int = 0
     nodes_per_dim: int = 16
 
+    # each kind's fields, to_dict key -> field, as Response.KINDS
+    KINDS = {"monte_carlo": {"n_samples": "n_samples", "seed": "seed"},
+             "gauss_hermite": {"nodes_per_dim": "nodes_per_dim"}}
+
     def __post_init__(self):
-        if self.kind not in ("monte_carlo", "gauss_hermite"):
-            raise ConfigError(f"unknown integrator kind {self.kind!r}")
-        for name in ("n_samples", "seed", "nodes_per_dim"):
-            value = getattr(self, name)
-            # numpy's integers are registered as Integral, and become int so
-            # that to_dict stays serialisable; a bool or a float is not a count
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
-        if self.kind == "monte_carlo":
-            if self.n_samples < 1:
-                raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-            if not 0 <= self.seed < 2**64:
-                raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        else:
-            if not 2 <= self.nodes_per_dim <= 64:
-                raise ConfigError(f"nodes_per_dim must be in [2, 64], got {self.nodes_per_dim}")
+        _kind(self, _integer)
+        _require(self, "n_samples", self.n_samples >= 1, "be at least 1")
+        _require(self, "seed", 0 <= self.seed < 2**64, "be an unsigned 64-bit integer")
+        _require(self, "nodes_per_dim", 2 <= self.nodes_per_dim <= 64, "be in [2, 64]")
 
     @classmethod
     def monte_carlo(cls, n_samples: int, seed: int) -> "Integrator":
@@ -121,9 +111,7 @@ class Integrator:
         return cls("gauss_hermite", nodes_per_dim=nodes_per_dim)
 
     def to_dict(self) -> dict:
-        if self.kind == "monte_carlo":
-            return {"kind": self.kind, "n_samples": self.n_samples, "seed": self.seed}
-        return {"kind": self.kind, "nodes_per_dim": self.nodes_per_dim}
+        return _kind_dict(self)
 
 
 class SampleSet:
@@ -172,7 +160,7 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
         k = integrator.n_samples
         if k * n_nuis > _MC_MAX_VALUES:
             raise ConfigError(
-                f"monte_carlo set of samples x nuisances = {k} x {n_nuis} = {k * n_nuis} values "
+                f"monte_carlo set of samples x nuisances = {_shown(k)} x {n_nuis} = {_shown(k * n_nuis)} values "
                 f"exceeds the budget of {_MC_MAX_VALUES}; use fewer samples"
             )
         z = np.empty((k, n_nuis))
@@ -229,10 +217,10 @@ _kept_hermite_grid = functools.lru_cache(maxsize=None)(_hermite_grid)
 
 
 def _check_mu(mu) -> float:
-    mu = float(mu)
-    if not 0.0 <= mu < math.inf:
-        raise ValueError(f"mu must be finite and nonnegative, got {mu}")
-    return mu
+    value = _float(mu)  # None for a string or a bool, which is no strength
+    if value is None or not 0.0 <= value < math.inf:
+        raise ValueError(f"mu must be finite and nonnegative, got {_shown(mu)}")
+    return value
 
 
 def marginal_likelihood(model: CountingModel, mu: float, n, samples: SampleSet) -> float:
@@ -564,7 +552,7 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet):
     Gauss-Hermite grid (whose weights may all be equal).
     """
     import numpy as np
-    if quantity not in ("cls", "clsb", "clb", "posterior"):
+    if quantity not in _SCAN_QUANTITIES:
         raise ValueError(f"unknown scan quantity {quantity!r}")
     # CLs = 1 at every mu without a signal, on any sample set: refused as by the limits
     crit = _criterion(model, _BAYES if quantity == "posterior" else _CLS, samples, quantity in ("clsb", "clb"))

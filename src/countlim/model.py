@@ -8,9 +8,8 @@ Yields respond multiplicatively to nuisance parameters through
 the model's identity, since eta vectors are positional.
 
 Each constructor refuses a field of the wrong type or range with a
-:class:`ModelError` naming the class and the field. All model values are
-immutable after construction and every operation here is pure, so models
-can be shared freely across threads.
+:class:`ModelError` naming the class and the field. Models, their arrays
+and mappings included, are immutable and every operation here is pure.
 """
 
 from __future__ import annotations
@@ -18,10 +17,11 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 
-from .exceptions import ModelError, YieldError
+from .exceptions import ConfigError, ModelError, YieldError
 
 __all__ = [
     "Response",
@@ -34,12 +34,24 @@ __all__ = [
 ]
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or its size where that is an int too long for Python to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        held = "" if isinstance(value, int) else f"a {type(value).__name__} holding "
+        return f"{held}an int of more than {sys.get_int_max_str_digits()} digits"
+
+
 def _require(owner, name: str, holds: bool, rule: str, got=None) -> None:
-    """Refuse field ``name`` of ``owner`` unless ``holds``: the error names
-    the class, the field, the ``rule`` and the field's value (or ``got``)."""
+    """Refuse field ``name`` of ``owner`` unless ``holds``: a :class:`ModelError` for this module's classes,
+    else a run setting's :class:`ConfigError`, naming the class (or the function refusing an argument),
+    the field, the ``rule`` and ``got``, by default the field's value."""
     if not holds:
-        got = getattr(owner, name) if got is None else got
-        raise ModelError(f"{type(owner).__name__}.{name} must {rule}, got {got!r}", field=name)
+        got = getattr(owner, name, None) if got is None else got
+        label = getattr(owner, "__name__", type(owner).__name__)  # a function's, or an instance's class's
+        error = ModelError if type(owner).__module__ == __name__ else ConfigError
+        raise error(f"{label}.{name} must {rule}, got {_shown(got)}", field=name)
 
 
 def _float(value) -> float | None:
@@ -60,6 +72,16 @@ def _real(owner, name: str) -> float:
     return value
 
 
+def _integer(owner, name: str, rule: str = "be an integer", least: float = -math.inf) -> int:
+    """Field ``name`` of ``owner``, refused by ``rule`` unless an integer (no bool) of at least ``least``, as an int."""
+    value = getattr(owner, name)
+    valid = not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
+    _require(owner, name, valid, rule)
+    value = operator.index(value)
+    object.__setattr__(owner, name, value)
+    return value
+
+
 def _named(owner, name: str, cls) -> tuple:
     """Field ``name`` of ``owner``, refused unless an iterable of ``cls`` of unique names, stored as a tuple."""
     value = getattr(owner, name)
@@ -73,21 +95,26 @@ def _named(owner, name: str, cls) -> tuple:
 
 
 def _responses(owner, name: str) -> None:
-    """Refuse field ``name`` of ``owner`` unless a mapping of nuisance names to :class:`Response`."""
+    """Field ``name`` of ``owner``, refused unless a mapping of nuisance names to Responses, stored as a dict."""
     value = getattr(owner, name)
     valid = isinstance(value, Mapping) and all(
         isinstance(key, str) and isinstance(resp, Response) for key, resp in value.items())
     _require(owner, name, valid, "map nuisance names to Responses")
+    object.__setattr__(owner, name, dict(value))
 
 
-def _kind(owner) -> None:
-    """Check ``owner``'s kind by its class's ``KINDS``: each parameter is made
-    a float, and one the kind does not take must keep its default."""
+def _kind(owner, typed) -> None:
+    """Check ``owner``'s kind by ``KINDS``: each parameter, stored by ``typed``, is at its default unless taken."""
     kinds = type(owner).KINDS
     _require(owner, "kind", isinstance(owner.kind, str) and owner.kind in kinds, f"be one of {', '.join(kinds)}")
     for param in fields(owner)[1:]:
-        allowed = _real(owner, param.name) == param.default or param.name in kinds[owner.kind].values()
+        allowed = typed(owner, param.name) == param.default or param.name in kinds[owner.kind].values()
         _require(owner, param.name, allowed, f"be {param.default} for kind {owner.kind}")
+
+
+def _kind_dict(obj) -> dict:
+    """``obj``'s kind and the parameters it takes, keyed by its class's ``KINDS``."""
+    return {"kind": obj.kind, **{key: getattr(obj, attr) for key, attr in type(obj).KINDS[obj.kind].items()}}
 
 
 def _correlation(owner, name: str, k: int):
@@ -107,8 +134,9 @@ def _correlation(owner, name: str, k: int):
             row[j] = _float(entry)
             if row[j] is None or not math.isfinite(row[j]):
                 where = f"{type(owner).__name__}.{name}[{i}][{j}]"
-                raise ModelError(f"{where} must be a finite real number, got {entry!r}", field=name)
+                raise ModelError(f"{where} must be a finite real number, got {_shown(entry)}", field=name)
     corr = np.array(rows)
+    corr.setflags(write=False)  # the model's: a write would bypass these checks and the Cholesky factor
     object.__setattr__(owner, name, corr)
     _require(owner, name, np.allclose(corr, corr.T, atol=1e-12), "be symmetric", rows)
     _require(owner, name, np.allclose(np.diag(corr), 1.0, atol=1e-12), "have a unit diagonal", rows)
@@ -137,7 +165,7 @@ class Response:
     KINDS = {"identity": {}, "log_normal": {"kappa": "kappa"}, "linear": {"delta": "delta"}}
 
     def __post_init__(self):
-        _kind(self)
+        _kind(self, _real)
         _require(self, "kappa", 0.0 < self.kappa < math.inf, "be positive and finite")
         _require(self, "delta", math.isfinite(self.delta), "be finite")
 
@@ -184,7 +212,7 @@ class Prior:
              "log_normal": {"mu": "loc", "sigma": "scale"}}
 
     def __post_init__(self):
-        _kind(self)
+        _kind(self, _real)
         _require(self, "loc", math.isfinite(self.loc), "be finite")
         _require(self, "scale", 0.0 < self.scale < math.inf, "be positive and finite")
 
@@ -253,9 +281,9 @@ class SystematicsModel:
         return self._key() == other._key()
 
     def _key(self) -> tuple:
-        """What equality compares: the correlation's finite entries, as nested lists, and each mapping as a dict."""
+        """What equality compares: the fields, with the correlation's finite entries as nested lists."""
         corr = None if self.correlation is None else self.correlation.tolist()
-        return self.nuisances, dict(self.signal_responses), corr
+        return self.nuisances, self.signal_responses, corr
 
     def __post_init__(self):
         _named(self, "nuisances", Nuisance)
@@ -305,16 +333,15 @@ class CountingModel:
     def __post_init__(self):
         _require(self, "s_nom", 0.0 <= _real(self, "s_nom") < math.inf, "be finite and nonnegative")
         backgrounds = _named(self, "backgrounds", BackgroundProcess)
-        # numpy's integers are registered as Integral; a bool is not a count
-        count = not isinstance(self.n_obs, bool) and isinstance(self.n_obs, numbers.Integral) and self.n_obs >= 0
-        _require(self, "n_obs", count, "be a nonnegative integer")
-        object.__setattr__(self, "n_obs", operator.index(self.n_obs))  # a Python int, as for the floats
+        _integer(self, "n_obs", "be a nonnegative integer", 0)
         _require(self, "systematics", isinstance(self.systematics, SystematicsModel), "be a SystematicsModel")
         for bkg in backgrounds:
             for key in bkg.responses:
                 _require(self, "backgrounds", key in self.systematics.names, "respond to declared nuisances only", key)
         # derived once, the model being immutable, rather than on every limit
-        object.__setattr__(self, "b_nom_total", float(sum(bkg.b_nom for bkg in self.backgrounds)))
+        total = float(sum(bkg.b_nom for bkg in backgrounds))
+        _require(self, "backgrounds", total < math.inf, "sum to a finite nominal yield", total)
+        object.__setattr__(self, "b_nom_total", total)
         if self.s_nom == 0.0 and self.b_nom_total == 0.0:
             raise ModelError("CountingModel must have a positive signal or background yield")
         object.__setattr__(self, "has_systematics", len(self.systematics.nuisances) > 0)

@@ -53,10 +53,10 @@ solve still ends on the criterion's own value and slope.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .exceptions import ConvergenceError
+from .model import _integer, _real, _require
 
 __all__ = ["LimitRequest", "LimitResult", "solve_decreasing"]
 
@@ -75,7 +75,7 @@ class LimitRequest:
     (credibility 1 - alpha below the limit). Only the uniform prior on the
     signal strength is supported. ``rel_tol``, in (0, 1), is the solver's
     relative tolerance; ``max_iter``, a positive integer, caps the
-    criterion evaluations of one solve.
+    criterion evaluations of one solve. Any other value is a ConfigError.
     """
 
     alpha: float
@@ -83,12 +83,9 @@ class LimitRequest:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter > 0):
-            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
+        _require(self, "alpha", 0.0 < _real(self, "alpha") < 1.0, "be in (0, 1)")
+        _require(self, "rel_tol", 0.0 < _real(self, "rel_tol") < 1.0, "be in (0, 1)")
+        _integer(self, "max_iter", "be a positive integer", 1)
 
 
 @dataclass(frozen=True)
@@ -122,14 +119,7 @@ class LimitResult:
     criterion_stderr: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "mu_up": self.mu_up,
-            "criterion_at_solution": self.criterion_at_solution,
-            "iterations": self.iterations,
-            "bracket": [self.bracket[0], self.bracket[1]],
-            "mu_up_stderr": self.mu_up_stderr,
-            "criterion_stderr": self.criterion_stderr,
-        }
+        return {**asdict(self), "bracket": list(self.bracket)}
 
 
 def _fail(message, bracket, history):

@@ -524,8 +524,8 @@ class TestRefusals:
             (MINIMAL, ["limit", "--tol", "inf"], r"rel_tol must be in (0, 1), got inf"),
             (MINIMAL, ["limit", "--tol", "1"], r"rel_tol must be in (0, 1), got 1.0"),
             (MINIMAL, ["equivalence", "--solver-tol", "inf"], r"rel_tol must be in (0, 1), got inf"),
-            (MINIMAL, ["equivalence", "--tol", "inf"], "--tol must be a positive finite number, got inf"),
-            (MINIMAL, ["equivalence", "--tol", "0"], "--tol must be a positive finite number, got 0.0"),
+            (MINIMAL, ["equivalence", "--tol", "inf"], "compare_limits.tol must be a positive finite number, got inf"),
+            (MINIMAL, ["equivalence", "--tol", "0"], "compare_limits.tol must be a positive finite number, got 0.0"),
             (MINIMAL, ["scan", "--mu-max", "inf", "--points", "3"], "need finite 0 <= mu-min < mu-max, got [0.0, inf]"),
             (MINIMAL, ["scan", "--mu-min", "inf", "--mu-max", "inf"], "need finite 0 <= mu-min < mu-max"),
             (MINIMAL, ["scan", "--mu-max", "nan"], "need finite 0 <= mu-min < mu-max"),
@@ -543,6 +543,9 @@ class TestRefusals:
              "nominal signal yield is zero; the posterior for mu is improper"),
             ({**PLAIN, "signal": {"nominal": 0.0}}, ["scan", "--mu-max", "5", "--quantity", "posterior"],
              "nominal signal yield is zero; the posterior for mu is improper"),
+            # backgrounds summing past the float range once reached the solver, which exited 2
+            ({**PLAIN, "backgrounds": [{"name": "a", "nominal": 1e308}, {"name": "b", "nominal": 1e308}]}, ["limit"],
+             "backgrounds: CountingModel.backgrounds must sum to a finite nominal yield, got inf"),
             # a ragged correlation once left numpy's ValueError as a traceback
             ({**PLAIN, "nuisances": [{"name": "a", "prior": {"kind": "standard_normal"}}], "correlation": [[1.0, 0.0]]},
              ["limit"], "correlation: SystematicsModel.correlation must be a 1 x 1 matrix, a row and a column"),

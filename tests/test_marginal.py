@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+import sys
 import types
 import warnings
 from fractions import Fraction
@@ -275,6 +276,13 @@ class TestDrawSamples:
         plain = draw_samples(plain_model().systematics, Integrator.monte_carlo(100 * _MC_MAX_VALUES, 1))
         assert plain.etas.shape == (1, 0)
 
+    def test_monte_carlo_budget_of_an_int_too_long_to_print(self):
+        # formatting the count once raised Python's bare ValueError past 4,300 digits
+        m = identity_systematic_model(n_nuisances=2)
+        digits = sys.get_int_max_str_digits()
+        with pytest.raises(ConfigError, match=f"= an int of more than {digits} digits values exceeds the budget"):
+            draw_samples(m.systematics, Integrator.monte_carlo(10**5000, 0))
+
     def test_hermgauss_runs_once_per_kept_grid(self, monkeypatch):
         solved = []
         hermgauss = np.polynomial.hermite.hermgauss
@@ -437,6 +445,15 @@ class TestHybridCls:
             a = hybrid_cls(m, mu, samples)
             b = hybrid_cls(m, mu, doubled)
             assert a == pytest.approx(b, rel=1e-13)
+
+    @pytest.mark.parametrize("mu", ["3", True, None, [1.0]])
+    @pytest.mark.parametrize("quantity", [hybrid_cls, marginal_posterior_density])
+    def test_a_strength_that_is_no_real_number_is_refused(self, quantity, mu):
+        # float("3") once made hybrid_cls(model, "3", samples) return CLs at mu = 3
+        m = bg_systematic_model()
+        samples = draw_samples(m.systematics, Integrator.gauss_hermite(4))
+        with pytest.raises(ValueError, match=r"^mu must be finite and nonnegative, got "):
+            quantity(m, mu, samples)
 
 
 class TestStructuralEquivalence:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -522,3 +523,42 @@ class TestTypedFields:
             stored = SystematicsModel(GAUSSIAN_PAIR, correlation=correlation).correlation
             assert stored.dtype == np.float64 and stored.shape == (2, 2)
             assert stored.tolist() == np.asarray(correlation, dtype=float).tolist()
+
+
+class TestFrozenAfterConstruction:
+    """A model cannot change after it is built, nor be changed through the
+    values its caller passed in."""
+
+    def test_the_correlation_is_read_only(self):
+        # a write once changed what emit_config emitted, while sampling kept the old Cholesky factor
+        sm = SystematicsModel(GAUSSIAN_PAIR, correlation=[[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            sm.correlation[0, 1] = 5.0
+        assert sm == SystematicsModel(GAUSSIAN_PAIR, correlation=[[1.0, 0.5], [0.5, 1.0]])
+
+    def test_each_response_mapping_is_the_models_own(self):
+        # a key the caller added later once bypassed the declared-nuisance check
+        signal, background = {"a": Response.log_normal(1.2)}, {"b": Response.linear(0.1)}
+        model = model_with(signal_responses=signal, bkg_responses={"bkg": background}, nuisances=GAUSSIAN_PAIR)
+        signal["ghost"] = background["ghost"] = Response.log_normal(2.0)
+        assert list(model.systematics.signal_responses) == ["a"]
+        assert list(model.backgrounds[0].responses) == ["b"]
+
+
+class TestRefusedWhereTheModelIsMade:
+    def test_backgrounds_that_sum_past_the_float_range(self):
+        # once a model of b_nom_total = inf, which the solver refused with exit 2
+        bkgs = (("a", 1e308), ("b", 1e308))
+        with pytest.raises(ModelError, match=r"^CountingModel\.backgrounds must sum to a finite nominal yield, got inf$") as err:
+            model_with(bkgs=bkgs)
+        assert err.value.field == "backgrounds"
+
+    @pytest.mark.parametrize(("make", "got"), [
+        (lambda: CountingModel(s_nom=1.0, backgrounds=(10**5000,)), "a tuple holding an int"),
+        (lambda: CountingModel(s_nom=1.0, n_obs=-10**5000), "an int"),
+        (lambda: SystematicsModel(GAUSSIAN_PAIR, correlation=[[1.0, 10**5000], [0.0, 1.0]]), "an int"),
+    ], ids=["in a sequence", "a count", "a correlation entry"])
+    def test_an_int_too_long_to_print(self, make, got):
+        # Python's repr refuses an int past 4,300 digits: once a bare ValueError in place of the refusal
+        with pytest.raises(ModelError, match=f"got {got} of more than {sys.get_int_max_str_digits()} digits$"):
+            make()
