@@ -98,9 +98,8 @@ def _request(cl: float, rel_tol: float) -> LimitRequest:
     return LimitRequest(alpha=1.0 - cl, rel_tol=rel_tol)
 
 
-def _build_integrator(model, kind: str, samples: int, seed: int, nodes: int) -> Integrator | None:
-    if not model.has_systematics:  # solved on its nominal floats: no integrator, sample set or numpy
-        return None
+def _build_integrator(kind: str, samples: int, seed: int, nodes: int) -> Integrator:
+    """The integrator the options name, built, and so checked, for every model."""
     if kind == "mc":
         return Integrator.monte_carlo(samples, seed)
     return Integrator.gauss_hermite(nodes)
@@ -110,7 +109,7 @@ def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, to
     """Solve the upper limit on the signal strength for a model config."""
     model, config_sha256 = _load(config_path)
     req = _request(cl, tol)
-    integrator = _build_integrator(model, integrator_kind, samples, seed, nodes)
+    integrator = _build_integrator(integrator_kind, samples, seed, nodes)
     if method == "both":  # the paired solve of compare_limits, keeping the Bayes Monte Carlo error
         res_cls, res_bayes, rel_diff = _paired_limits(model, req, integrator, bayes_error=True)
         results = {"cls": res_cls, "bayes": res_bayes}
@@ -122,7 +121,7 @@ def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, to
         "cl": cl,
         "alpha": req.alpha,
         "method": method,
-        "integrator": integrator.to_dict() if integrator is not None else None,
+        "integrator": integrator.to_dict() if model.has_systematics else None,
         "results": {name: res.to_dict() for name, res in results.items()},
     }
     if method == "both":
@@ -140,7 +139,7 @@ def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, sam
     import numpy as np
     model = load_model(config_path)
     grid = np.linspace(mu_min, mu_max, points)
-    sample_set = draw_samples(model.systematics, _build_integrator(model, integrator_kind, samples, seed, nodes))
+    sample_set = draw_samples(model.systematics, _build_integrator(integrator_kind, samples, seed, nodes))
     values, stderrs = scan_quantity(model, quantity, grid, sample_set)
     lines = ["mu,value,stderr" if stderrs is not None else "mu,value"]
     for i, mu in enumerate(grid):
@@ -158,10 +157,10 @@ def cmd_equivalence(config_path, cl, integrator_kind, samples, seed, nodes, tol,
     identity (which shared samples should make impossible)."""
     model, config_sha256 = _load(config_path)
     req = _request(cl, solver_tol)
-    integrator = _build_integrator(model, integrator_kind, samples, seed, nodes)
+    integrator = _build_integrator(integrator_kind, samples, seed, nodes)
     bayes_samples = None
     if debug_seed_offset:
-        if integrator is None or integrator.kind != "monte_carlo":
+        if not model.has_systematics or integrator.kind != "monte_carlo":
             raise ConfigError("--debug-seed-offset requires the Monte Carlo integrator and a model with nuisances")
         shifted = Integrator.monte_carlo(integrator.n_samples, integrator.seed + debug_seed_offset)
         bayes_samples = draw_samples(model.systematics, shifted)
@@ -170,7 +169,7 @@ def cmd_equivalence(config_path, cl, integrator_kind, samples, seed, nodes, tol,
         "config_sha256": config_sha256,
         "cl": cl,
         "alpha": req.alpha,
-        "integrator": integrator.to_dict() if integrator is not None else None,
+        "integrator": integrator.to_dict() if model.has_systematics else None,
         "report": report.to_dict(),
     }
     _write_output(out, _json_text(payload) + "\n")

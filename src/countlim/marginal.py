@@ -260,8 +260,9 @@ class _Criterion:
     ``w``, or plain floats with ``w = None`` for the nominal point, where
     the weighted mean is the term itself and the kernel runs as its scalar
     twin, with no dispatch. The Bayesian criterion is refused with
-    :class:`ModelError` where a signal yield is 0, which leaves the strength
-    unidentified. The denominator is computed once, here, and refused with
+    :class:`ModelError` where a sample's signal yield is 0, which leaves the
+    strength unidentified (``_criterion`` refuses a zero nominal one). The
+    denominator is computed once, here, and refused with
     :class:`ConvergenceError` when it underflows: every quantity built on
     the set is then below the float64 range too.
 
@@ -288,10 +289,10 @@ class _Criterion:
 
     def __init__(self, method, n: int, s, b, w):
         self.bayes = method is _BAYES
-        if self.bayes and not (s != 0.0 if w is None else (s != 0.0).all()):
+        if self.bayes and w is not None and not (s != 0.0).all():
             # a vanishing signal yield leaves the strength unidentified there
-            where = "" if w is None else f" at sample {int((s == 0.0).argmax())}"
-            raise ModelError(f"signal yield is zero{where}; the posterior for mu is degenerate")
+            k = int((s == 0.0).argmax())
+            raise ModelError(f"signal yield is zero at sample {k}; the posterior for mu is degenerate")
         self.kernel = method.wide if w is not None else method.one_point
         self.n = n
         self.s = s
@@ -441,8 +442,16 @@ class _Criterion:
 def _criterion(model: CountingModel, method, samples: SampleSet | None = None, zero_signal_ok=False) -> _Criterion:
     """The engine over ``samples``; with no set, or the one-point set of a
     model without nuisances, the engine on the nominal yields, as floats.
-    A zero nominal signal is refused with the method's message, unless
+    This is the one place a model runs on its nominal yields: with no set,
+    a model whose responses are not all identity is refused first, with
+    :class:`ModelError`, as its nominal yields are no sample's. A zero
+    nominal signal is refused next, with the method's message, unless
     ``zero_signal_ok`` (the CLs+b and CLb scans)."""
+    if samples is None and not model.all_responses_identity:
+        raise ModelError(
+            "a model runs on its nominal yields only with identity responses everywhere; "
+            "give the marginalised routines a sample set for a model with systematics"
+        )
     if model.s_nom == 0.0 and not zero_signal_ok:
         raise ModelError(method.zero_signal)
     # a model with nuisances refuses the one-point set, as any set of the wrong shape

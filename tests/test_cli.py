@@ -242,12 +242,34 @@ class TestLimitCommand:
         [line] = proc.stderr.splitlines()
         assert line.startswith(f"error: {cfg} is not UTF-8 text: ")
 
-    def test_integrator_options_ignored_without_nuisances(self, tmp_path):
-        cfg = write_config(tmp_path, MINIMAL)
-        _, plain, _ = run_cli(["limit", cfg, "--method", "both"])
-        code, invalid, _ = run_cli(["limit", cfg, "--method", "both", "--samples", "0", "--nodes", "1"])
-        assert code == 0
-        assert invalid == plain
+    # each command on PLAIN, and the SHA-256 of the stdout it printed before
+    # the integrator was built for a model without nuisances
+    PLAIN_RUNS = {
+        "limit": (["--method", "both"], "6826ce34cc002746433662bc0d68cbeec2be287636301b67428e30e59b074878"),
+        "scan": (["--mu-max", "5", "--points", "3"], "bad428ae5944ba68950124604469f9323b67f5399213302305dc66e2b7f620b8"),
+        "equivalence": ([], "8c3f5374f9931014e0d4617213526621ca643f02ce55f9e4edb9e5498b0ad3fe"),
+    }
+
+    @pytest.mark.parametrize("command", PLAIN_RUNS)
+    @pytest.mark.parametrize("options", [["--samples", "0"], ["--seed", "-1"], ["--integrator", "gh", "--nodes", "1"]])
+    def test_integrator_options_refused_without_nuisances(self, tmp_path, command, options):
+        # these options once went unchecked, and exited 0, on a model without nuisances
+        args = self.PLAIN_RUNS[command][0] + options
+        runs = [run_cli([command, write_config(tmp_path, doc, name), *args])
+                for doc, name in ((PLAIN, "plain.json"), (BG_SYST, "syst.json"))]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: Integrator.")
+
+    @pytest.mark.parametrize("command", PLAIN_RUNS)
+    @pytest.mark.parametrize("options", [[], ["--samples", "7", "--seed", "3"], ["--integrator", "gh", "--nodes", "5"]])
+    def test_valid_integrator_options_change_nothing_without_nuisances(self, tmp_path, command, options):
+        args, sha256 = self.PLAIN_RUNS[command]
+        code, out, err = run_cli([command, write_config(tmp_path, PLAIN), *args, *options])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_negative_yield_exits_two(self, tmp_path):
         doc = json.loads(json.dumps(BG_SYST))

@@ -85,9 +85,9 @@ integrator_options = st.one_of(
 levels = st.sampled_from(["0.95", "0.9", "0.68", "0.999", "0", "1"])
 tolerances = st.sampled_from(["1e-9", "1e-12", "1e-4", "0", "inf"])
 
-# option values refused whatever the config; the integrator's are read only
-# for a model with nuisances, or by the equivalence command; the Monte Carlo
-# budget is checked only where a set is drawn, for a model with nuisances
+# option values refused whatever the config, the integrator's included; the
+# Monte Carlo budget is checked only where a set is drawn, for a model with
+# nuisances
 REFUSED = {("--cl", "0"), ("--cl", "1"), ("--tol", "0"), ("--tol", "inf"), ("--solver-tol", "0"),
            ("--solver-tol", "inf"), ("--mu-max", "0"), ("--mu-max", "inf"), ("--points", "1"),
            ("--points", OVER_BUDGET)}
@@ -125,8 +125,7 @@ def test_cli_exits_with_a_documented_code(doc, invocation):
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
     options = set(zip(args, args[1:]))
-    if (options & REFUSED or (options & REFUSED_INTEGRATOR and (command == "equivalence" or doc["nuisances"]))
-            or (options & REFUSED_SAMPLE_SET and doc["nuisances"])):
+    if options & (REFUSED | REFUSED_INTEGRATOR) or (options & REFUSED_SAMPLE_SET and doc["nuisances"]):
         assert code == 1, err
     if code == 0 and command != "scan":
         payload = json.loads(out)

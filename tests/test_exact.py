@@ -97,9 +97,11 @@ class TestClsValue:
 
 class TestClsUpperLimit:
     def test_rejects_systematics(self):
+        # with a zero signal too: the identity check comes first
         for route in (cls_upper_limit, bayesian_upper_limit_closed_form):
-            with pytest.raises(ModelError, match="identity responses"):
-                route(bg_systematic_model(), LimitRequest(alpha=0.05))
+            for model in (bg_systematic_model(), bg_systematic_model(s=0.0)):
+                with pytest.raises(ModelError, match="identity responses"):
+                    route(model, LimitRequest(alpha=0.05))
 
     def test_background_free_closed_form(self):
         m = plain_model(s=1.0, b=0.0, n_obs=0)

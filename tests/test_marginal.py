@@ -1002,6 +1002,44 @@ class TestZeroNominalSignal:
             assert clsb.tolist() == clb.tolist() == [clb[0]] * 2 and 0.0 < clb[0] < 1.0
 
 
+class TestNominalYields:
+    # with no sample set, the entries once ran a model with systematics on
+    # its nominal yields and returned its no-systematics value: hybrid_cls
+    # read 0.36634 at mu = 3 with a 1.5 log-normal background, 0.37256 on GH16
+    ENTRIES = {
+        "cls": lambda m, samples: hybrid_cls(m, 3.0, samples),
+        "tail": lambda m, samples: marginal_posterior_tail(m, 3.0, samples),
+        "density": lambda m, samples: marginal_posterior_density(m, 3.0, samples),
+        **{f"scan_{q}": lambda m, samples, q=q: scan_quantity(m, q, [0.0, 3.0], samples)[0].tolist()
+           for q in ("cls", "clsb", "clb", "posterior")},
+    }
+    # the nominal values at s = 1, b = 1.5, n_obs = 3, pinned by repr
+    PLAIN = {
+        "cls": 0.36634365231875987,
+        "tail": 0.36634365231876004,
+        "density": 0.18057100915508853,
+        "scan_cls": [1.0, 0.36634365231875987],
+        "scan_clsb": [0.9343575456215498, 0.3422959558345909],
+        "scan_clb": [0.9343575456215498, 0.9343575456215498],
+        "scan_posterior": [0.13432835820895514, 0.18057100915508853],
+    }
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    @pytest.mark.parametrize("model", [bg_systematic_model(kappa=1.5), signal_systematic_model(kappa=1.5)],
+                             ids=["background", "signal"])
+    def test_no_set_refuses_a_model_with_systematics(self, name, model):
+        with pytest.raises(ModelError, match="identity responses"):
+            self.ENTRIES[name](model, None)
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_no_set_and_the_one_point_set_keep_the_nominal_bits(self, name):
+        m = plain_model()
+        entry = self.ENTRIES[name]
+        assert entry(m, None) == entry(m, draw_samples(m.systematics, None)) == self.PLAIN[name]
+        # nuisances that move no yield leave the nominal yields every sample's
+        assert entry(identity_systematic_model(), None) == self.PLAIN[name]
+
+
 class TestMarginalPosterior:
     def test_identity_matches_exact_density(self):
         # the closed form pmf(n_obs; mu*s + b) * s / Q(n_obs + 1, b), at s = 1
