@@ -98,18 +98,14 @@ def _request(cl: float, rel_tol: float) -> LimitRequest:
     return LimitRequest(alpha=1.0 - cl, rel_tol=rel_tol)
 
 
-def _build_integrator(kind: str, samples: int, seed: int, nodes: int) -> Integrator:
-    """The integrator the options name, built, and so checked, for every model."""
-    if kind == "mc":
-        return Integrator.monte_carlo(samples, seed)
-    return Integrator.gauss_hermite(nodes)
+# the --integrator choices, as the library's kinds
+_INTEGRATOR_KINDS = {"mc": "monte_carlo", "gh": "gauss_hermite"}
 
 
-def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, tol, out):
+def cmd_limit(config_path, method, cl, integrator, tol, out):
     """Solve the upper limit on the signal strength for a model config."""
     model, config_sha256 = _load(config_path)
     req = _request(cl, tol)
-    integrator = _build_integrator(integrator_kind, samples, seed, nodes)
     if method == "both":  # the paired solve of compare_limits, keeping the Bayes Monte Carlo error
         res_cls, res_bayes, rel_diff = _paired_limits(model, req, integrator, bayes_error=True)
         results = {"cls": res_cls, "bayes": res_bayes}
@@ -129,7 +125,7 @@ def cmd_limit(config_path, method, cl, integrator_kind, samples, seed, nodes, to
     _write_output(out, _json_text(payload) + "\n")
 
 
-def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, samples, seed, nodes, out):
+def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator, out):
     """Tabulate a quantity on a strength grid as CSV: columns mu,value, and
     stderr on a set drawn by Monte Carlo with 2 or more samples."""
     if not (0.0 <= mu_min < mu_max < math.inf):
@@ -139,7 +135,7 @@ def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, sam
     import numpy as np
     model = load_model(config_path)
     grid = np.linspace(mu_min, mu_max, points)
-    sample_set = draw_samples(model.systematics, _build_integrator(integrator_kind, samples, seed, nodes))
+    sample_set = draw_samples(model.systematics, integrator)
     values, stderrs = scan_quantity(model, quantity, grid, sample_set)
     lines = ["mu,value,stderr" if stderrs is not None else "mu,value"]
     for i, mu in enumerate(grid):
@@ -150,14 +146,13 @@ def cmd_scan(config_path, mu_min, mu_max, points, quantity, integrator_kind, sam
     _write_output(out, "\n".join(lines) + "\n")
 
 
-def cmd_equivalence(config_path, cl, integrator_kind, samples, seed, nodes, tol, solver_tol, out, debug_seed_offset):
+def cmd_equivalence(config_path, cl, integrator, tol, solver_tol, out, debug_seed_offset):
     """Compare the two limit methods on one shared sample set.
 
     Exits 3 when the methods diverge although every signal response is the
     identity (which shared samples should make impossible)."""
     model, config_sha256 = _load(config_path)
     req = _request(cl, solver_tol)
-    integrator = _build_integrator(integrator_kind, samples, seed, nodes)
     bayes_samples = None
     if debug_seed_offset:
         if not model.has_systematics or integrator.kind != "monte_carlo":
@@ -215,7 +210,7 @@ def _parser() -> argparse.ArgumentParser:
         sub[name].add_argument("--cl", type=float, default=0.95, help="Confidence (or credibility) level; the solver "
                                "targets alpha = 1 - CL, the CLs exclusion threshold and Bayesian upper tail mass.")
     for command in sub.values():
-        command.add_argument("--integrator", dest="integrator_kind", choices=["mc", "gh"], default="mc",
+        command.add_argument("--integrator", dest="integrator_kind", choices=_INTEGRATOR_KINDS, default="mc",
                              help="Marginalisation rule for models with nuisances: Monte Carlo or Gauss-Hermite.")
         command.add_argument("--samples", type=int, default=Integrator.n_samples, help="Monte Carlo sample count.")
         command.add_argument("--seed", type=int, default=Integrator.seed,
@@ -239,6 +234,10 @@ def main(args=None, standalone_mode=True) -> None:
     a failure raises ``SystemExit``. ``standalone_mode`` is ignored, kept for click's spelling (perfbench)."""
     options = vars(_parser().parse_args(args))
     try:
+        # built, and so checked, from every option for every model: one the kind does not take must keep its default
+        kind = _INTEGRATOR_KINDS[options.pop("integrator_kind")]
+        options["integrator"] = Integrator(kind, n_samples=options.pop("samples"), seed=options.pop("seed"),
+                                           nodes_per_dim=options.pop("nodes"))
         _COMMANDS[options.pop("command")](**options)
     except (ConfigError, ModelError, YieldError, ConvergenceError) as err:  # one error line, then its exit code
         print(f"error: {err}", file=sys.stderr)

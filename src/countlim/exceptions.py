@@ -29,7 +29,8 @@ class ModelError(CountLimError):
 
 
 class YieldError(CountLimError):
-    """A response function drove a yield negative or past the float64 range.
+    """A response function drove a yield negative or past the float64 range,
+    or a prior drove a drawn nuisance past it.
 
     Attributes:
         eta: nuisance vector that produced the yield.

@@ -34,7 +34,7 @@ import math
 import types
 from dataclasses import dataclass
 
-from .exceptions import ConfigError, ConvergenceError, ModelError
+from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError
 from .model import CountingModel, SystematicsModel, _float, _integer, _kind, _kind_dict, _require, _shown
 from .model import yields_on_samples
 from .special import _MATH, _gamma_q_scalar, _log_pmf, _log_pmf_limit, _numpy, _poisson_cdf_and_pmf, _poisson_cdf_scalar
@@ -72,6 +72,10 @@ _GH_CACHED_VALUES = 2**16
 _MC_MAX_VALUES = 2**22  # largest Monte Carlo set, samples x nuisances
 _SCAN_MAX_POINTS = 2**20  # longest strength grid the scan command tabulates
 _SCAN_QUANTITIES = ("cls", "clsb", "clb", "posterior")  # what scan_quantity tabulates
+# How far from 1 a set's weights may sum: draw_samples' sets sum within
+# 7.8e-16 of it (Monte Carlo sets of 1 to 2**22 samples, Gauss-Hermite
+# grids up to 2**20 points), and hand-built weights of 1/K within a few ulp.
+_WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,10 @@ class SampleSet:
     """Weighted nuisance samples: a (K, J) matrix of nuisance vectors,
     one row per sample, and K weights; ``len`` is K. The constraint
     densities are absorbed into the sampling measure, so weights sum to
-    one and no prior factor is ever multiplied in again.
+    one and no prior factor is ever multiplied in again. A set of another
+    shape, with an eta that is not finite, or with a weight that is
+    negative or NaN or weights that miss a sum of 1 by more than
+    ``_WEIGHT_SUM_TOL``, is refused with a ``ValueError``.
     """
 
     monte_carlo = False  # True on a set draw_samples drew by Monte Carlo; read by _takes_mc_error alone
@@ -129,6 +136,12 @@ class SampleSet:
         weights = np.asarray(weights, dtype=float)
         if etas.ndim != 2 or weights.ndim != 1 or not 0 < etas.shape[0] == weights.shape[0]:
             raise ValueError(f"inconsistent or empty sample shapes {etas.shape}, {weights.shape}")
+        if not np.isfinite(etas).all():
+            raise ValueError("sample etas must all be finite")
+        least, total = float(weights.min()), float(weights.sum())
+        if not (least >= 0.0 and abs(total - 1.0) <= _WEIGHT_SUM_TOL):
+            raise ValueError(f"sample weights must be nonnegative and sum to 1 within {_WEIGHT_SUM_TOL}, "
+                             f"got a least weight of {least} and a sum of {total}")
         self.etas = etas
         self.weights = weights
 
@@ -189,7 +202,12 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
     etas = np.empty_like(z)
     for j, nu in enumerate(systematics.nuisances):
         etas[:, j] = nu.prior.from_standard_normal(z[:, j])
-    samples = SampleSet(etas, weights)
+    try:
+        samples = SampleSet(etas, weights)
+    except ValueError:  # the weights hold as drawn, so a prior wide enough to overflow an eta
+        k, j = np.argwhere(~np.isfinite(etas))[0]
+        raise YieldError(f"nuisance {systematics.names[j]!r} overflowed to {etas[k, j]} at sample {k}",
+                         eta=etas[k].copy(), sample_index=int(k)) from None
     samples.monte_carlo = integrator.kind == "monte_carlo"
     return samples
 

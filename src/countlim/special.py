@@ -10,7 +10,7 @@ sum or one fraction. Its log, k ln x - x - ln k! (ln Gamma(a) at k = a
 in ``gamma_q``), is one body, ``_log_pmf``, shared by the kernels,
 :func:`log_poisson_pmf` and :mod:`countlim.marginal`'s criterion; the
 pmf's limits at x = 0 and inf are in ``_log_pmf_limit``, the kernels'
-(1 and 0) in ``_on_lanes``.
+(1 and 0) in ``_at_ends``.
 
 Three of ``gamma_q``'s routes, the continued fraction, eta^2/2 and
 Temme's expansion, have one body each, run on the ``math`` module's
@@ -33,15 +33,14 @@ lower series one polynomial in x, by baby steps and giant steps
 scalar loop's products, cut at a degree set by the count: where the
 route's edge ends the series. ``gamma_q``'s continued fraction is evaluated
 backward, by one body, from a depth set by a. So each wide lane's bits
-depend on (count, x) alone. A call whose lanes all take one route (one
-tail, or one of ``gamma_q``'s three) runs it on the whole array, with no
-masks, gathers or scatters, and the same bits. Otherwise each route
-runs on its own lanes, gathered in order by one mask (``gamma_q``'s
-Temme lanes by two), once any lanes at 0 or inf are set apart. On the
-series the twins round differently (forms, and numpy's ``log`` and
-``exp`` against the ``math`` module's): by up to ~24 ulp at n <= 150
-and 84 at n = 1e4 on random lanes (README), the ``gamma_q`` array forms
-being nearer mpmath.
+depend on (count, x) alone. Each kernel states its wide routes once per
+count, as ascending cuts in x (``_poisson_routes``, ``_gamma_routes``;
+x = 0 and inf are routes too), and ``_on_lanes`` runs every wide call
+from that table: the whole array on one route, with no masks, else each
+route with lanes on them, gathered in order. On the series the twins
+round differently (forms, and numpy's ``log`` and ``exp`` against the
+``math`` module's): by up to ~24 ulp at n <= 150 and 84 at n = 1e4 on
+random lanes (README), the ``gamma_q`` array forms being nearer mpmath.
 On the fraction and Temme's route, one body each, a float and a lane
 differ only where numpy rounds a ``log`` or ``exp`` differently.
 
@@ -78,6 +77,7 @@ into the other.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -156,7 +156,7 @@ def poisson_cdf(n, nu):
     1e-14 * (n + nu + 1) for n <= 1e4. Independent of :func:`gamma_q` by
     design.
     """
-    return _on_lanes(_poisson_cdf_scalar, _poisson_cdf_array, _check_count(n), nu, "nu")
+    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, _check_count(n), nu, "nu")
 
 
 def _is_array(x) -> bool:
@@ -170,35 +170,59 @@ def _is_array(x) -> bool:
 _NARROW_LANES = 20
 
 
-def _on_lanes(scalar, array, first, x, name: str):
+def _on_lanes(scalar, routes, first, x, name: str):
     """``scalar(first, x)`` on a float or on each lane of a narrow array,
-    else ``array(first, x, min, max)``, once ``x`` is checked to be
-    nonnegative: NaN too (``x.min()`` returns it; ``min`` may skip it,
-    ``sum`` does not). ``array`` sees no lane at 0 or inf: both kernels
-    are 1 at x = 0 and take the limit 0 at x = inf, and the other lanes,
-    gathered, make a call with neither."""
+    once ``x`` is checked to be nonnegative: NaN too (``x.min()`` returns
+    it; ``min`` may skip it, ``sum`` does not). A wide array takes the
+    table ``routes(first)``: cuts in x, ascending, and a body more, body i
+    running as ``body(first, lanes, _numpy())`` on the lanes with
+    cuts[i - 1] <= x < cuts[i]. One route runs on the whole array, with
+    no masks; else each route with lanes runs on them, gathered in order."""
     if not _is_array(x):
         if not (x := float(x)) >= 0.0:
             raise ValueError(f"{name} must be nonnegative, got {x}")
         return scalar(first, x)
     import numpy as np
     x = np.asarray(x, dtype=float)
-    if x.size > _NARROW_LANES:
-        lo, hi = float(x.min()), float(x.max())
-        if not lo >= 0.0:
+    if x.size <= _NARROW_LANES:
+        lanes = x.ravel().tolist()
+        if lanes and not (min(lanes) >= 0.0 and sum(lanes) >= 0.0):
             raise ValueError(f"{name} must be nonnegative")
-        if 0.0 < lo and hi < math.inf:
-            return array(first, x, lo, hi)
-        out = (x == 0.0).astype(float)
-        rest = (x > 0.0) & (x < math.inf)
-        if rest.any():
-            out[rest] = array(first, sub := x[rest], float(sub.min()), float(sub.max()))
-        return out
-    lanes = x.ravel().tolist()
-    if lanes and not (min(lanes) >= 0.0 and sum(lanes) >= 0.0):
+        out = np.fromiter(map(scalar, itertools.repeat(first, len(lanes)), lanes), float, len(lanes))
+        return out.reshape(x.shape)
+    lo, hi = float(x.min()), float(x.max())
+    if not lo >= 0.0:
         raise ValueError(f"{name} must be nonnegative")
-    out = np.fromiter(map(scalar, itertools.repeat(first, len(lanes)), lanes), float, len(lanes))
-    return out.reshape(x.shape)
+    (cuts, bodies), ns = routes(first), _numpy()
+    i, last = bisect.bisect_right(cuts, lo), bisect.bisect_right(cuts, hi)
+    if i == last:
+        return bodies[i](first, x, ns)
+    out = np.empty_like(x)
+    below = x < cuts[i]
+    out[below] = bodies[i](first, x[below], ns)
+    for i in range(i + 1, last):  # the routes between lo's and hi's may have no lanes
+        on = below ^ (below := x < cuts[i])  # under this cut and not under the one before
+        if on.any():
+            out[on] = bodies[i](first, x[on], ns)
+    on = ~below
+    out[on] = bodies[last](first, x[on], ns)
+    return out
+
+
+_TINY = math.ulp(0.0)  # the smallest positive float: x = 0 is a route of its own
+
+
+def _at_ends(first, x, ns):  # both kernels are 1 at x = 0 and take the limit 0 at x = inf
+    return (x == 0.0).astype(float)
+
+
+@functools.lru_cache(maxsize=256)
+def _poisson_routes(n: int) -> tuple[tuple[float, ...], tuple]:
+    """``poisson_cdf``'s wide routes at count n for ``_on_lanes``: the upper
+    tail below x = n, then the lower tail, with x = 0 and inf apart."""
+    if n == 0:  # no lane is below 0: the lower tail takes every other one
+        return (_TINY, math.inf), (_at_ends, _lower_tail_cdf, _at_ends)
+    return (_TINY, float(n), math.inf), (_at_ends, _upper_tail_array, _lower_tail_cdf, _at_ends)
 
 
 # A term at most this fraction of its lane's sum is below half an ulp of
@@ -228,26 +252,15 @@ def _poisson_cdf_scalar(n: int, nu: float) -> float:
     return 1.0 - math.exp(_log_pmf(n + 1, nu, math.lgamma(n + 2), _MATH)) * total
 
 
-def _poisson_cdf_array(n: int, nu: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    import numpy as np
-    if lo >= n:  # every lane in one tail: no masks
-        return np.multiply(*_lower_tail_array(n, nu))
-    if hi < n:
-        return _upper_tail_array(n, nu)
-    # lanes in both tails: each tail's lanes, gathered by one mask, in order
-    upper = nu < n
-    out = np.empty_like(nu)
-    out[upper] = _upper_tail_array(n, nu[upper])
-    lower = ~upper
-    out[lower] = np.multiply(*_lower_tail_array(n, nu[lower]))
-    return out
-
-
-def _upper_tail_array(n: int, nu: np.ndarray) -> np.ndarray:
+def _upper_tail_array(n: int, nu: np.ndarray, ns) -> np.ndarray:
     # P(N > n) from k = n + 1: H_j z^j, z = x/(n + 1) < 1, H_j = prod_{i<=j} (n + 1)/(n + 1 + i)
-    import numpy as np
     sums = _series_sum(_series_blocks("upper", n), nu / (n + 1))
-    return 1.0 - np.exp(_log_pmf(n + 1, nu, math.lgamma(n + 2), _numpy())) * sums
+    return 1.0 - ns.exp(_log_pmf(n + 1, nu, math.lgamma(n + 2), ns)) * sums
+
+
+def _lower_tail_cdf(n: int, x: np.ndarray, ns) -> np.ndarray:
+    pmf, sums = _lower_tail_array(n, x)
+    return pmf * sums
 
 
 def _poisson_cdf_and_pmf(n: int, nu):
@@ -418,7 +431,7 @@ def gamma_q(a, x):
         raise ValueError(f"a must be positive and finite, got {a}")
     if not (real and a.is_integer()):
         raise ValueError(f"a must be an integer, got {a!r}")
-    return _on_lanes(_gamma_q_scalar, _gamma_q_array, a, x, "x")
+    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, x, "x")
 
 
 def _gamma_q_scalar(a: float, x: float) -> float:
@@ -486,39 +499,25 @@ def _upper_cf(a: float, x, ns):
     return ns.min(1.0, pref / t)
 
 
-def _gamma_q_array(a: float, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    import numpy as np
-    expands = a > _TEMME_MIN_A  # Temme's route takes 0.1 a <= x <= 2 a
-    edge = _series_bound(a)[0]  # the series takes x < edge, the fraction the rest
-    top = _TEMME_HI * a
-    # every lane on one route: no masks
-    if hi < edge:
-        return _lower_series_array(a, x)
-    if (lo > top) if expands else (lo >= edge):
-        return _upper_cf(a, x, _numpy())
-    if expands and edge <= lo and hi <= top:
-        return _temme(a, x, _numpy())
-    # lanes on more than one route: each route's lanes, gathered, in order;
-    # lo and hi tell whether the series and the fraction have any
-    series = x < edge
-    fraction = x > top if expands else ~series
-    out = np.empty_like(x)
-    if lo < edge:
-        out[series] = _lower_series_array(a, x[series])
-    if hi > top if expands else hi >= edge:
-        out[fraction] = _upper_cf(a, x[fraction], _numpy())
-    if expands and (temme := ~(series | fraction)).any():
-        out[temme] = _temme(a, x[temme], _numpy())
-    return out
+@functools.lru_cache(maxsize=256)
+def _gamma_routes(a: float) -> tuple[tuple[float, ...], tuple]:
+    """``gamma_q``'s wide routes at a for ``_on_lanes``: the series below
+    ``_series_bound(a)[0]``; for a > 20, Temme's route up to and including
+    x = 2 a; then the fraction; with x = 0 and inf apart."""
+    edge = _series_bound(a)[0]
+    if a <= _TEMME_MIN_A:
+        return (_TINY, edge, math.inf), (_at_ends, _lower_series_array, _upper_cf, _at_ends)
+    top = math.nextafter(_TEMME_HI * a, math.inf)  # the fraction's lowest x
+    return (_TINY, edge, top, math.inf), (_at_ends, _lower_series_array, _temme, _upper_cf, _at_ends)
 
 
-def _lower_series_array(a: float, x: np.ndarray) -> np.ndarray:
+def _lower_series_array(a: float, x: np.ndarray, ns) -> np.ndarray:
     # Q = 1 - the walk's terms x^j / ((a + 1)...(a + j)), a polynomial in
     # x / s with factors s / (a + j): the coefficients, the cut and the
     # sum are those in x
     import numpy as np
     sums = _series_sum(_series_blocks("gamma", a), x / _series_bound(a)[1])
-    return np.maximum(0.0, 1.0 - np.exp(_log_pmf(a, x, math.lgamma(a), _numpy())) * sums / a)
+    return np.maximum(0.0, 1.0 - ns.exp(_log_pmf(a, x, math.lgamma(a), ns)) * sums / a)
 
 
 # Temme's uniform expansion (Temme 1979, SIAM J. Math. Anal. 10:757):

@@ -251,9 +251,11 @@ class TestLimitCommand:
     }
 
     @pytest.mark.parametrize("command", PLAIN_RUNS)
-    @pytest.mark.parametrize("options", [["--samples", "0"], ["--seed", "-1"], ["--integrator", "gh", "--nodes", "1"]])
+    @pytest.mark.parametrize("options", [["--samples", "0"], ["--seed", "-1"], ["--integrator", "gh", "--nodes", "1"],
+                                         ["--nodes", "1", "--samples", "100"], ["--integrator", "gh", "--samples", "0"]])
     def test_integrator_options_refused_without_nuisances(self, tmp_path, command, options):
-        # these options once went unchecked, and exited 0, on a model without nuisances
+        # these options once went unchecked, and exited 0, on a model without nuisances; the last
+        # two, an option the kind does not take away from its default, also on a model with them
         args = self.PLAIN_RUNS[command][0] + options
         runs = [run_cli([command, write_config(tmp_path, doc, name), *args])
                 for doc, name in ((PLAIN, "plain.json"), (BG_SYST, "syst.json"))]

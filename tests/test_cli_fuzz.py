@@ -80,7 +80,7 @@ integrator_options = st.one_of(
               st.integers(2, 200), st.integers(0, 3)),
     st.builds(lambda n: ["--integrator", "gh", "--nodes", str(n)], st.integers(2, 8)),
     st.sampled_from([["--samples", "0"], ["--seed", "-1"], ["--integrator", "gh", "--nodes", "1"],
-                     ["--samples", OVER_BUDGET]]),
+                     ["--nodes", "1"], ["--integrator", "gh", "--samples", "0"], ["--samples", OVER_BUDGET]]),
 )
 levels = st.sampled_from(["0.95", "0.9", "0.68", "0.999", "0", "1"])
 tolerances = st.sampled_from(["1e-9", "1e-12", "1e-4", "0", "inf"])

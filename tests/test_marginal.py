@@ -22,6 +22,7 @@ from countlim import (
     Response,
     SampleSet,
     SystematicsModel,
+    YieldError,
     bayesian_marginal_upper_limit,
     bayesian_upper_limit_closed_form,
     cls_upper_limit,
@@ -187,6 +188,44 @@ class TestDrawSamples:
         # criterion on numpy's "zero-size array to reduction operation minimum"
         with pytest.raises(ValueError, match=rf"empty sample shapes \({etas[0]}, {etas[1]}\), \(0,\)"):
             SampleSet(np.zeros(etas), np.ones(weights))
+
+    # (etas, weights, a piece of the refusal) of hand-built sets that once
+    # passed: on s = 1, b = 1.5 with a kappa = 1.5 log-normal background,
+    # n_obs = 3 and etas (0, 1), weights (2, 2) read a CLb of 3.49 and four
+    # times the marginal likelihood, (-1, 2) a CLs limit of 4.71, (nan, 1)
+    # a NaN likelihood, and a NaN eta a background yield of "0 x inf"
+    REFUSED_SETS = {
+        "weights summing to 4": ([[0.0], [1.0]], [2.0, 2.0], "sum of 4.0"),
+        "a negative weight": ([[0.0], [1.0]], [-1.0, 2.0], "least weight of -1.0"),
+        "a NaN weight": ([[0.0], [1.0]], [math.nan, 1.0], "least weight of nan"),
+        "an infinite weight": ([[0.0], [1.0]], [math.inf, 0.0], "sum of inf"),
+        "no weight at all": ([[0.0], [1.0]], [0.0, 0.0], "sum of 0.0"),
+        "weights 2e-12 over 1": ([[0.0], [1.0]], [0.5, 0.5 + 2e-12], "sum of 1.000000000002"),
+        "a NaN eta": ([[math.nan], [1.0]], [0.5, 0.5], "etas must all be finite"),
+        "an infinite eta": ([[0.0, 1.0], [-math.inf, 1.0]], [0.5, 0.5], "etas must all be finite"),
+    }
+
+    @pytest.mark.parametrize("case", REFUSED_SETS)
+    def test_a_set_breaking_its_rules_is_refused(self, case):
+        etas, weights, text = self.REFUSED_SETS[case]
+        with pytest.raises(ValueError, match=f"sample {text}" if "etas" in text else text):
+            SampleSet(np.array(etas), np.array(weights))
+
+    def test_weights_within_the_tolerance_are_accepted(self):
+        for weights in ([0.5, 0.5 + 5e-13], [0.5, 0.5 - 5e-13], [1.0, 0.0], np.full(10, 0.1)):
+            samples = SampleSet(np.zeros((len(weights), 1)), np.array(weights))
+            assert samples.weights.tolist() == list(weights)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_prior_that_overflows_a_drawn_nuisance_is_refused_by_name(self):
+        # normal(0, 1e308) gives etas of -inf and +inf, once refused only
+        # by the yields, as a response's factor; the set refuses them, and
+        # the draw names the nuisance, typed like a yield
+        m = bg_systematic_model(prior=Prior.normal(0.0, 1e308))
+        with pytest.raises(YieldError, match=r"nuisance 'bscale' overflowed to -?inf at sample \d+$") as err:
+            draw_samples(m.systematics, Integrator.monte_carlo(100, 0))
+        assert not math.isfinite(err.value.eta[0])
+        assert err.value.sample_index >= 0
 
     def test_nuisances_need_an_integrator(self):
         # once a bare AttributeError on None.kind, from each of these routes

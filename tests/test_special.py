@@ -951,8 +951,8 @@ def _mixed_call(rng, lanes, others):
 def test_one_route_call_is_the_same_lanes_of_a_mixed_call(route, ends):
     # a wide call whose lanes all take one route runs it on the whole array,
     # with no masks; a mixed call gathers the same lanes, in the same order,
-    # beside lanes of the other routes (and 0 and inf, whose lanes it
-    # gathers out first), and must give their bits
+    # beside lanes of the other routes (and 0 and inf, routes of their
+    # own), and must give their bits
     kernel, first, lo, hi = _ONE_ROUTE[route]
     rng = np.random.default_rng(len(route))
     lanes = np.append(rng.uniform(lo, hi, 300), [lo, hi])
@@ -985,6 +985,76 @@ def test_one_route_call_is_the_same_lanes_of_a_two_route_call(route, other):
     mixed, at = _mixed_call(rng, lanes, rng.uniform(other_lo, other_hi, 60).tolist() + [other_lo, other_hi])
     assert 0.0 < mixed.min() and mixed.max() < math.inf
     assert kernel(first, lanes).tolist() == kernel(first, mixed)[at].tolist()
+
+
+# (kernel, first argument, the cuts between its routes in x): n on the
+# Poisson tails; a + 1 for gamma_q at a <= 20, and 0.1 a and 2 a above
+_CUTS = {
+    "poisson_cdf, n = 0": (poisson_cdf, 0, []),
+    **{f"poisson_cdf, n = {n}": (poisson_cdf, n, [float(n)]) for n in (1, 150)},
+    **{f"gamma_q, a = {a:g}": (gamma_q, a, [a + 1.0]) for a in (1.0, 20.0)},
+    **{f"gamma_q, a = {a:g}": (gamma_q, a, [0.1 * a, 2.0 * a]) for a in (21.0, 151.0)},
+}
+# what each route's body is named: the scalar twin's, or the wide table's
+_ROUTE_OF = {"_lower_series_scalar": "series", "_lower_series_array": "series", "_temme": "Temme",
+             "_upper_cf": "fraction", "_upper_tail_array": "upper tail", "_lower_tail_cdf": "lower tail",
+             "_at_ends": "0 or inf"}
+
+
+def _scalar_route(monkeypatch, kernel, first, x: float) -> str:
+    # the route of the scalar twin at x, from the bodies it calls; the
+    # Poisson walks are inline, so their prefactor's count names the tail
+    taken = []
+    with monkeypatch.context() as patch:
+        if kernel is poisson_cdf:
+            log_pmf = special._log_pmf
+            tails = {first: "lower tail", first + 1: "upper tail"}
+            patch.setattr(special, "_log_pmf", lambda k, *rest: taken.append(tails[k]) or log_pmf(k, *rest))
+        else:
+            for name in ("_lower_series_scalar", "_temme", "_upper_cf"):
+                body = getattr(special, name)
+                patch.setattr(special, name, lambda *args, body=body: taken.append(_ROUTE_OF[body.__name__]) or body(*args))
+        kernel(first, x)
+    assert len(taken) <= 1
+    return taken[0] if taken else "0 or inf"
+
+
+def _wide_routes(monkeypatch, kernel, first, x: np.ndarray) -> list[str]:
+    # the route each lane of a wide call takes, from the lanes each body of
+    # the kernel's table is handed
+    handed = []
+
+    def spy(body):
+        return lambda first, lanes, ns: handed.append((_ROUTE_OF[body.__name__], lanes.copy())) or body(first, lanes, ns)
+
+    table = "_poisson_routes" if kernel is poisson_cdf else "_gamma_routes"
+    routes = getattr(special, table)
+    with monkeypatch.context() as patch:
+        patch.setattr(special, table, lambda first: (routes(first)[0], tuple(map(spy, routes(first)[1]))))
+        kernel(first, x)
+    assert sum(lanes.size for _, lanes in handed) == x.size
+    taken = {}
+    for route, lanes in handed:
+        for lane in lanes.tolist():
+            assert taken.setdefault(lane, route) == route
+    return [taken[lane] for lane in x.tolist()]
+
+
+@pytest.mark.parametrize("case", _CUTS)
+def test_wide_lanes_take_the_scalar_twins_route(monkeypatch, case):
+    # at every cut and the float either side of it, and at 0, the least
+    # positive float and inf: alone, as a one-route call, and all in one
+    # mixed call, each lane of a wide call takes the twin's route
+    kernel, first, cuts = _CUTS[case]
+    xs = [0.0, math.ulp(0.0), 1e-3, math.inf]
+    xs += [y for c in cuts for y in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))]
+    want = [_scalar_route(monkeypatch, kernel, first, x) for x in xs]
+    assert len(set(want)) == 2 + len(cuts)  # every route, 0 and inf's included
+    for x, route in zip(xs, want):
+        assert _wide_routes(monkeypatch, kernel, first, np.full(WIDE, x)) == [route] * WIDE
+    rng = np.random.default_rng(len(case))
+    order = rng.permutation(np.repeat(np.arange(len(xs)), -(-WIDE // len(xs))))
+    assert _wide_routes(monkeypatch, kernel, first, np.array(xs)[order]) == [want[i] for i in order]
 
 
 # (kernel, first argument, the route's edge, a lane further in)

@@ -63,7 +63,7 @@ from countlim import CountLimError, config, marginal, special  # noqa: E402
 
 WORKLOADS = ("exact_small", "toys_small", "large_count")
 KERNELS = ("poisson_cdf", "gamma_q", "log_poisson_pmf", "_poisson_cdf_and_pmf")
-WIDTHS = (None, 16, 21, 2000)  # a float, or the lanes of an array: narrow, just wide and wide
+WIDTHS = (None, 16, 21, 2000, 9000)  # a float, or lanes: narrow, just wide, wide, over one special._LANE_BLOCK
 # what ``configs`` sets each value of a document to, one at a time, and each correlation it tries
 ODD_VALUES = ("x", True, None, 0, -1, math.inf, math.nan, 10**400, [1.0], "log_normal")
 ODD_CORRELATIONS = ([], [[]], [1.0], [[1.0]], [[[1.0]]], [[1.0, 0.0]], [[1.0], [0.0, 1.0]], [[1.0, 0.0], [0.0]],
