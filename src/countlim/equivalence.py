@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from .exceptions import _float, _require
 from .marginal import _BAYES, _CLS, Integrator, SampleSet, _Criterion, _criterion, _limit, _solve, _takes_mc_error
-from .model import CountingModel, _float, _require
+from .model import CountingModel
 from .solver import LimitRequest
 
 __all__ = ["EquivalenceReport", "compare_limits"]

@@ -32,11 +32,11 @@ from __future__ import annotations
 import functools
 import math
 import types
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError
-from .model import CountingModel, SystematicsModel, _float, _integer, _kind, _kind_dict, _require, _shown
-from .model import yields_on_samples
+from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError, _float, _require, _shown
+from .model import CountingModel, SystematicsModel, _integer, _kind, _kind_dict, yields_on_samples
 from .special import _MATH, _gamma_q_scalar, _log_pmf, _log_pmf_limit, _numpy, _poisson_cdf_and_pmf, _poisson_cdf_scalar
 from .special import gamma_q, log_poisson_pmf
 from .solver import LimitRequest, LimitResult, solve_decreasing
@@ -119,29 +119,32 @@ class Integrator:
 
 
 class SampleSet:
-    """Weighted nuisance samples: a (K, J) matrix of nuisance vectors,
-    one row per sample, and K weights; ``len`` is K. The constraint
-    densities are absorbed into the sampling measure, so weights sum to
-    one and no prior factor is ever multiplied in again. A set of another
-    shape, with an eta that is not finite, or with a weight that is
-    negative or NaN or weights that miss a sum of 1 by more than
-    ``_WEIGHT_SUM_TOL``, is refused with a ``ValueError``.
+    """Weighted nuisance samples: a (K, J) matrix of finite nuisance vectors,
+    one row per sample, and K nonnegative weights; ``len`` is K. The constraint
+    densities are absorbed into the sampling measure, so weights sum to one,
+    within ``_WEIGHT_SUM_TOL``, and no prior factor is ever multiplied in
+    again. Any other set is refused with a :class:`ConfigError`.
     """
 
     monte_carlo = False  # True on a set draw_samples drew by Monte Carlo; read by _takes_mc_error alone
 
     def __init__(self, etas: np.ndarray, weights: np.ndarray):
         import numpy as np
-        etas = np.asarray(etas, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if etas.ndim != 2 or weights.ndim != 1 or not 0 < etas.shape[0] == weights.shape[0]:
-            raise ValueError(f"inconsistent or empty sample shapes {etas.shape}, {weights.shape}")
-        if not np.isfinite(etas).all():
-            raise ValueError("sample etas must all be finite")
-        least, total = float(weights.min()), float(weights.sum())
-        if not (least >= 0.0 and abs(total - 1.0) <= _WEIGHT_SUM_TOL):
-            raise ValueError(f"sample weights must be nonnegative and sum to 1 within {_WEIGHT_SUM_TOL}, "
-                             f"got a least weight of {least} and a sum of {total}")
+        given = etas, weights
+        try:
+            etas = np.asarray(etas, dtype=float)
+            weights = np.asarray(weights, dtype=float)
+        except (TypeError, ValueError):  # ragged, or holding what is no number: refused below, by shape
+            # etas that converted are kept, so that weights that did not are refused as the weights
+            etas, weights = etas if getattr(etas, "dtype", None) == float else np.empty(0), np.empty(0)
+        if etas.ndim != 2 or not etas.shape[0] or not np.logical_and.reduce(np.isfinite(etas), axis=None):
+            _require(self, "etas", False, "be a nonempty (K, J) matrix of finite numbers", given[0])
+        if weights.shape != etas.shape[:1]:
+            _require(self, "weights", False, f"be a vector of {len(etas)} weights, one per row of etas", given[1])
+        if not (least := float(np.minimum.reduce(weights))) >= 0.0:
+            _require(self, "weights", False, "be nonnegative", least)
+        if not abs((total := float(np.add.reduce(weights))) - 1.0) <= _WEIGHT_SUM_TOL:
+            _require(self, "weights", False, f"sum to 1 within {_WEIGHT_SUM_TOL}", total)
         self.etas = etas
         self.weights = weights
 
@@ -181,7 +184,7 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
             key = np.array([integrator.seed, j], dtype=np.uint64)
             z[:, j] = np.random.Generator(np.random.Philox(key=key)).standard_normal(k)
         weights = np.full(k, 1.0 / k)
-        weights /= np.sum(weights)
+        weights /= np.add.reduce(weights)
     else:
         points = integrator.nodes_per_dim**n_nuis
         if points > _GH_MAX_POINTS:
@@ -200,11 +203,12 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
         weights = weights.copy()  # the set's own: the grid's is read-only, and a kept one shared
     z = systematics.correlate(z)
     etas = np.empty_like(z)
-    for j, nu in enumerate(systematics.nuisances):
-        etas[:, j] = nu.prior.from_standard_normal(z[:, j])
+    with np.errstate(over="ignore"):  # an eta that overflows is refused below, by name
+        for j, nu in enumerate(systematics.nuisances):
+            etas[:, j] = nu.prior.from_standard_normal(z[:, j])
     try:
         samples = SampleSet(etas, weights)
-    except ValueError:  # the weights hold as drawn, so a prior wide enough to overflow an eta
+    except ConfigError:  # the weights hold as drawn, so a prior wide enough to overflow an eta
         k, j = np.argwhere(~np.isfinite(etas))[0]
         raise YieldError(f"nuisance {systematics.names[j]!r} overflowed to {etas[k, j]} at sample {k}",
                          eta=etas[k].copy(), sample_index=int(k)) from None
@@ -223,7 +227,7 @@ def _hermite_grid(nodes_per_dim: int, n_nuis: int) -> tuple[np.ndarray, np.ndarr
     weights = np.ones(z.shape[0])
     for g in np.meshgrid(*([w / math.sqrt(math.pi)] * n_nuis), indexing="ij"):
         weights *= g.ravel()
-    weights /= np.sum(weights)
+    weights /= np.add.reduce(weights)
     z.setflags(write=False)
     weights.setflags(write=False)
     return z, weights
@@ -234,10 +238,12 @@ def _hermite_grid(nodes_per_dim: int, n_nuis: int) -> tuple[np.ndarray, np.ndarr
 _kept_hermite_grid = functools.lru_cache(maxsize=None)(_hermite_grid)
 
 
-def _check_mu(mu) -> float:
-    value = _float(mu)  # None for a string or a bool, which is no strength
+def _strength(owner, name: str, mu, grid: bool = False, got=None) -> float:
+    """``mu`` as a float, refused unless finite, nonnegative and real: ``owner``'s ``name``, or in ``got``, a grid."""
+    value = _float(mu)
     if value is None or not 0.0 <= value < math.inf:
-        raise ValueError(f"mu must be finite and nonnegative, got {_shown(mu)}")
+        rule = "a 1-d grid of finite and nonnegative reals" if grid else "a finite and nonnegative real number"
+        _require(owner, name, False, f"be {rule}", got if grid else mu)
     return value
 
 
@@ -245,11 +251,11 @@ def marginal_likelihood(model: CountingModel, mu: float, n, samples: SampleSet) 
     """Prior-weighted average of Poisson(n; mu*s(eta) + b(eta)), 0 on a
     sample whose mean overflows, as in ``_Criterion.x_at``."""
     import numpy as np
-    mu = _check_mu(mu)
+    mu = _strength(marginal_likelihood, "mu", mu)
     s, b = yields_on_samples(model, samples.etas)
     with np.errstate(over="ignore"):  # a mean that overflows is inf, where the pmf is 0
         pmf = np.exp(log_poisson_pmf(n, mu * s + b))
-    return float(np.sum(samples.weights * pmf))
+    return float(np.add.reduce(samples.weights * pmf))
 
 
 # The two methods. ``wide``: a set's per-sample terms, and the pmf where the kernel
@@ -550,21 +556,21 @@ def hybrid_cls(model: CountingModel, mu: float, samples: SampleSet) -> float:
     """Marginalised CLs: averaged tail sums, one sample set for both the
     signal-plus-background numerator and the background-only denominator.
     On the one-point set of a model without nuisances, the exact CLs."""
-    mu = _check_mu(mu)
+    mu = _strength(hybrid_cls, "mu", mu)
     return _criterion(model, _CLS, samples).criterion(mu)
 
 
 def marginal_posterior_tail(model: CountingModel, mu: float, samples: SampleSet) -> float:
     """Posterior mass above ``mu`` under the uniform strength prior, with
     nuisances marginalised: the Bayesian counterpart of :func:`hybrid_cls`."""
-    mu = _check_mu(mu)
+    mu = _strength(marginal_posterior_tail, "mu", mu)
     return _criterion(model, _BAYES, samples).criterion(mu)
 
 
 def marginal_posterior_density(model: CountingModel, mu: float, samples: SampleSet) -> float:
     """Marginal posterior density of mu; reduces to the exact posterior,
     pmf(n_obs; mu*s + b) * s / Q(n_obs + 1, b), when responses are identity."""
-    mu = _check_mu(mu)
+    mu = _strength(marginal_posterior_density, "mu", mu)
     crit = _criterion(model, _BAYES, samples)
     return float(crit.ratio(crit.pmf_terms(mu)))
 
@@ -579,19 +585,20 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet):
     Gauss-Hermite grid (whose weights may all be equal).
     """
     import numpy as np
-    if quantity not in _SCAN_QUANTITIES:
-        raise ValueError(f"unknown scan quantity {quantity!r}")
+    if not (isinstance(quantity, str) and quantity in _SCAN_QUANTITIES):
+        _require(scan_quantity, "quantity", False, f"be one of {', '.join(_SCAN_QUANTITIES)}", quantity)
     # CLs = 1 at every mu without a signal, on any sample set: refused as by the limits
     crit = _criterion(model, _BAYES if quantity == "posterior" else _CLS, samples, quantity in ("clsb", "clb"))
-    mus = np.asarray(mus, dtype=float)
-    if mus.size and not (float(np.min(mus)) >= 0.0 and float(np.max(mus)) < math.inf):
-        raise ValueError("mu grid must be finite and nonnegative")
+    entries = mus.tolist() if isinstance(mus, np.ndarray) else mus
+    # each entry a strength; a 0-d array or another value that is no sequence refuses as one entry of None
+    entries = entries if isinstance(entries, Iterable) else [None]
+    grid = [_strength(scan_quantity, "mus", mu, True, mus) for mu in entries]
     terms_at = {"clb": lambda mu: crit.den_terms, "posterior": crit.pmf_terms}.get(quantity, crit.terms)
     ratio = quantity in ("cls", "posterior")
     value, stderr = (crit.ratio, crit.ratio_stderr) if ratio else (crit.mean, crit.mean_stderr)
-    values = np.empty(mus.shape)
-    stderrs = np.empty(mus.shape) if _takes_mc_error(samples) else None
-    for i, mu in enumerate(mus.tolist()):
+    values = np.empty(len(grid))
+    stderrs = np.empty(len(grid)) if _takes_mc_error(samples) else None
+    for i, mu in enumerate(grid):
         terms = terms_at(mu)
         values[i] = value(terms)
         if stderrs is not None:

@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 
-from .exceptions import ConfigError, ModelError, YieldError
+from .exceptions import ModelError, YieldError, _float, _require, _shown
 
 __all__ = [
     "Response",
@@ -32,36 +31,6 @@ __all__ = [
     "CountingModel",
     "yields_on_samples",
 ]
-
-
-def _shown(value) -> str:
-    """``repr(value)``, or its size where that is an int too long for Python to print."""
-    try:
-        return repr(value)
-    except ValueError:
-        held = "" if isinstance(value, int) else f"a {type(value).__name__} holding "
-        return f"{held}an int of more than {sys.get_int_max_str_digits()} digits"
-
-
-def _require(owner, name: str, holds: bool, rule: str, got=None) -> None:
-    """Refuse field ``name`` of ``owner`` unless ``holds``: a :class:`ModelError` for this module's classes,
-    else a run setting's :class:`ConfigError`, naming the class (or the function refusing an argument),
-    the field, the ``rule`` and ``got``, by default the field's value."""
-    if not holds:
-        got = getattr(owner, name, None) if got is None else got
-        label = getattr(owner, "__name__", type(owner).__name__)  # a function's, or an instance's class's
-        error = ModelError if type(owner).__module__ == __name__ else ConfigError
-        raise error(f"{label}.{name} must {rule}, got {_shown(got)}", field=name)
-
-
-def _float(value) -> float | None:
-    """``value`` as a Python float (+-inf beyond the float range), None unless a real number and no bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def _real(owner, name: str) -> float:
@@ -387,7 +356,7 @@ def yields_on_samples(model: CountingModel, etas: np.ndarray):
     etas = np.asarray(etas, dtype=float)
     n_nuis = len(model.systematics.nuisances)
     if etas.ndim != 2 or etas.shape[1] != n_nuis:
-        raise ValueError(f"etas has shape {etas.shape}, expected (K, {n_nuis})")
+        _require(yields_on_samples, "etas", False, f"have shape (K, {n_nuis})", etas.shape)
     names = model.systematics.names
     # an overflow is refused below, by sample, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):

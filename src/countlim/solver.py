@@ -55,8 +55,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .exceptions import ConvergenceError
-from .model import _integer, _real, _require
+from .exceptions import ConvergenceError, _require
+from .model import _integer, _real
 
 __all__ = ["LimitRequest", "LimitResult", "solve_decreasing"]
 

@@ -1,9 +1,9 @@
 """Numerically stable Poisson probabilities and regularized incomplete gamma.
 
-All three public functions accept a scalar or a 1-d numpy array for the
-continuous argument; scalars take a fast ``math``-module path, which never
-imports numpy, while arrays are evaluated vectorised so the marginalisation
-code can process thousands of nuisance samples per call.
+The three public functions take a count (``gamma_q``'s a at least 1) and a
+mean: a real number, on a ``math``-module path that never imports numpy,
+or a 1-d integer or float array, vectorised. ``_count`` and ``_mean``
+refuse other types, and a negative or NaN mean, with a ``ConfigError``.
 
 Every route but Temme's is a Poisson prefactor e^-x x^k / k! times one
 sum or one fraction. Its log, k ln x - x - ln k! (ln Gamma(a) at k = a
@@ -51,17 +51,17 @@ Each lane takes one ``log``, one ``exp`` and O(sqrt(mean)) multiply-adds.
 It matches mpmath to a relative 1e-14 * (n + mean + 1) on a frozen grid
 out to n = 1e4.
 
-``gamma_q`` takes an integer a, the calculator's a = n + 1, and refuses
-any other. It runs Temme's uniform asymptotic expansion for ``a > 20``
-and ``0.1 a <= x <= 2 a``: one polynomial in eta, one ``exp`` and one
-erfcx(z) = exp(z^2) erfc(z) per lane, with both coefficient tables
-frozen below. Every other lane takes the lower series (``x < a + 1``)
-or the continued fraction, which for integer a ends at level a; for
-``a > 20`` both converge in few steps outside the expansion's region.
-In that region one body computes eta and erfcx for floats and arrays
-from + - * / alone, so the two differ by at most 2 ulp (where ``exp``
-rounds differently). It matches mpmath to a relative 1e-14 * (a + x + 1)
-on a frozen grid of integer a from 1 out to 1e5 + 1.
+``gamma_q``, at the calculator's a = n + 1, runs Temme's uniform
+asymptotic expansion for ``a > 20`` and ``0.1 a <= x <= 2 a``: one
+polynomial in eta, one ``exp`` and one erfcx(z) = exp(z^2) erfc(z) per
+lane, with both coefficient tables frozen below. Every other lane takes
+the lower series (``x < a + 1``) or the continued fraction, which for
+integer a ends at level a; for ``a > 20`` both converge in few steps
+outside the expansion's region. In that region one body computes eta and
+erfcx for floats and arrays from + - * / alone, so the two differ by at
+most 2 ulp (where ``exp`` rounds differently). It matches mpmath to a
+relative 1e-14 * (a + x + 1) on a frozen grid of integer a from 1 out to
+1e5 + 1.
 
 ``poisson_cdf`` is deliberately *not* implemented through ``gamma_q``:
 the two are independent routes to the same quantity, and their agreement
@@ -81,23 +81,43 @@ import bisect
 import functools
 import itertools
 import math
-import numbers
 import sys
 import types
+
+from .exceptions import _float, _require
 
 __all__ = ["log_poisson_pmf", "poisson_cdf", "gamma_q"]
 
 _REL_EPS = 1e-15  # relative-term convergence target for the scalar lower series
 
 
-def _check_count(n) -> int:
-    # int() would take a bool or a string, and truncate a fraction; an int skips the slower ABC checks
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Real) or not float(n).is_integer()):
-        raise ValueError(f"count must be an integer, got {n!r}")
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"count must be nonnegative, got {n}")
-    return n
+def _count(owner, name: str, n, least: int = 0) -> int:
+    """Argument ``name`` of ``owner`` as an int, refused unless an integer of at least ``least`` (by ``_float``)."""
+    if not (type(n) is int or (value := _float(n)) is not None and value.is_integer()) or n < least:
+        _require(owner, name, False, f"be an integer of at least {least}", n)
+    return int(n)
+
+
+_NARROW_LANES = 20  # arrays of at most this many lanes run the float path lane by lane (see above)
+
+
+def _mean(owner, name: str, x):
+    """Argument ``name`` of ``owner`` as a float or float array, with a narrow array's lanes as a list
+    and a wide one's least lane, refused unless a real number by ``_float``'s rule or an integer or float
+    array, with no lane negative or NaN: ``x.min()`` returns NaN, ``min`` may skip it, ``sum`` does not."""
+    # a float skips the array test, which imports nothing: before numpy is loaded, no argument is its array
+    if type(x) is float or not isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ())):
+        value = x if type(x) is float else _float(x)
+        if value is not None and value >= 0.0:
+            return value, None, None
+    elif x.dtype.kind in "iuf":
+        y = x.astype(float, copy=False)
+        if y.size > _NARROW_LANES:
+            if (lo := float(y.min())) >= 0.0:
+                return y, None, lo
+        elif not (lanes := y.ravel().tolist()) or min(lanes) >= 0.0 and sum(lanes) >= 0.0:
+            return y, lanes, None
+    _require(owner, name, False, "be a nonnegative real number or an integer or float array of them", x)
 
 
 def _log_pmf(k, x, log_norm: float, ns):
@@ -130,14 +150,9 @@ def log_poisson_pmf(n, nu):
     and probability zero (``-inf``) otherwise; ``nu == inf`` gives the
     limit ``-inf``.
     """
-    n = _check_count(n)
-    if _is_array(nu):
-        ns, lo = _numpy(), float(nu.min()) if nu.size else 0.0
-    else:
-        ns, lo = _MATH, (nu := float(nu))
-    if not lo >= 0.0:
-        raise ValueError(f"nu must be nonnegative, got {lo}")
-    return _log_pmf_limit(n, nu, math.lgamma(n + 1), ns)
+    n = _count(log_poisson_pmf, "n", n)
+    nu = _mean(log_poisson_pmf, "nu", nu)[0]
+    return _log_pmf_limit(n, nu, math.lgamma(n + 1), _MATH if type(nu) is float else _numpy())
 
 
 def poisson_cdf(n, nu):
@@ -156,51 +171,30 @@ def poisson_cdf(n, nu):
     1e-14 * (n + nu + 1) for n <= 1e4. Independent of :func:`gamma_q` by
     design.
     """
-    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, _check_count(n), nu, "nu")
+    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, _count(poisson_cdf, "n", n), _mean(poisson_cdf, "nu", nu))
 
 
-def _is_array(x) -> bool:
-    # imports nothing: before numpy is loaded, no argument can be its array
-    return isinstance(x, getattr(sys.modules.get("numpy"), "ndarray", ()))
-
-
-# Arrays of at most this many lanes run the float path lane by lane: the
-# width at which the median cost ratio of README's table crosses 1, where
-# an array call and its lanes as floats cost the same.
-_NARROW_LANES = 20
-
-
-def _on_lanes(scalar, routes, first, x, name: str):
+def _on_lanes(scalar, routes, first, checked):
     """``scalar(first, x)`` on a float or on each lane of a narrow array,
-    once ``x`` is checked to be nonnegative: NaN too (``x.min()`` returns
-    it; ``min`` may skip it, ``sum`` does not). A wide array takes the
-    table ``routes(first)``: cuts in x, ascending, and a body more, body i
-    running as ``body(first, lanes, _numpy())`` on the lanes with
-    cuts[i - 1] <= x < cuts[i]. One route runs on the whole array, with
-    no masks; else each route with lanes runs on them, gathered in order."""
-    if not _is_array(x):
-        if not (x := float(x)) >= 0.0:
-            raise ValueError(f"{name} must be nonnegative, got {x}")
+    for ``x``, ``lanes`` and ``lo`` as ``_mean`` returns them. A wide
+    array takes the table ``routes(first)``: cuts in x, ascending, and a
+    body more, body i running as ``body(first, lanes, _numpy())`` on the
+    lanes with cuts[i - 1] <= x < cuts[i]. One route runs on the whole
+    array, with no masks; else each route with lanes runs on them, gathered in order."""
+    x, lanes, lo = checked
+    if type(x) is float:
         return scalar(first, x)
     import numpy as np
-    x = np.asarray(x, dtype=float)
-    if x.size <= _NARROW_LANES:
-        lanes = x.ravel().tolist()
-        if lanes and not (min(lanes) >= 0.0 and sum(lanes) >= 0.0):
-            raise ValueError(f"{name} must be nonnegative")
-        out = np.fromiter(map(scalar, itertools.repeat(first, len(lanes)), lanes), float, len(lanes))
-        return out.reshape(x.shape)
-    lo, hi = float(x.min()), float(x.max())
-    if not lo >= 0.0:
-        raise ValueError(f"{name} must be nonnegative")
+    if lanes is not None:
+        return np.fromiter(map(scalar, itertools.repeat(first, len(lanes)), lanes), float, len(lanes)).reshape(x.shape)
     (cuts, bodies), ns = routes(first), _numpy()
-    i, last = bisect.bisect_right(cuts, lo), bisect.bisect_right(cuts, hi)
+    i, last = bisect.bisect_right(cuts, lo), bisect.bisect_right(cuts, float(x.max()))
     if i == last:
         return bodies[i](first, x, ns)
     out = np.empty_like(x)
     below = x < cuts[i]
     out[below] = bodies[i](first, x[below], ns)
-    for i in range(i + 1, last):  # the routes between lo's and hi's may have no lanes
+    for i in range(i + 1, last):  # the routes between the least and greatest lane's may have none
         on = below ^ (below := x < cuts[i])  # under this cut and not under the one before
         if on.any():
             out[on] = bodies[i](first, x[on], ns)
@@ -266,12 +260,11 @@ def _lower_tail_cdf(n: int, x: np.ndarray, ns) -> np.ndarray:
 def _poisson_cdf_and_pmf(n: int, nu):
     """``poisson_cdf(n, nu)`` and, on a wide array whose lanes all take the
     lower tail, its prefactor: pmf(n; nu), with the same bits. Else None."""
-    if _is_array(nu) and nu.size > _NARROW_LANES:
-        lo = float(nu.min())
-        if 0.0 < lo and n <= lo and float(nu.max()) < math.inf:
-            pmf, sums = _lower_tail_array(n, nu)
-            return pmf * sums, pmf
-    return poisson_cdf(n, nu), None
+    x, lanes, lo = checked = _mean(poisson_cdf, "nu", nu)
+    if lo is not None and 0.0 < lo and n <= lo and float(x.max()) < math.inf:
+        pmf, sums = _lower_tail_array(n, x)
+        return pmf * sums, pmf
+    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, n, checked), None
 
 
 # Wide arrays sum the scalar walks' truncated series as polynomials, with
@@ -422,16 +415,12 @@ def gamma_q(a, x):
     arrays alike, from a depth set by ``a``: a - 1 (where it ends) to
     a = 20, 16 above.
     Checked against mpmath to a relative 1e-14 * (a + x + 1) on a frozen
-    grid for integer a from 1 to 1e5 + 1. ``a`` must be a positive
-    integer (an integral float passes); ``x`` nonnegative, scalar or
-    array, where ``x == inf`` gives the limit 0.
+    grid for integer a from 1 to 1e5 + 1. ``a`` is a count of at least 1
+    and ``x`` a mean, where ``x == inf`` gives the limit 0.
     """
-    real = type(a) is float or isinstance(a, numbers.Real) and not isinstance(a, bool)  # float() takes a bool or str
-    if real and not 0.0 < (a := float(a)) < math.inf:
-        raise ValueError(f"a must be positive and finite, got {a}")
-    if not (real and a.is_integer()):
-        raise ValueError(f"a must be an integer, got {a!r}")
-    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, x, "x")
+    if not (type(a) is float and a >= 1.0 and a.is_integer()):  # the calculator's a = n + 1.0 skips _count
+        a = float(_count(gamma_q, "a", a, 1))
+    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, _mean(gamma_q, "x", x))
 
 
 def _gamma_q_scalar(a: float, x: float) -> float:

@@ -319,6 +319,23 @@ class TestLimitCommand:
         [line] = proc.stderr.splitlines()
         assert line.startswith(f"error: background yield {what} at sample ")
 
+    @pytest.mark.parametrize("command", [["limit"], ["scan", "--mu-max", "5"], ["equivalence"]], ids=lambda c: c[0])
+    def test_overflowed_nuisance_is_one_stderr_line(self, tmp_path, command):
+        # a normal prior of sd 1e308 overflows a drawn eta to +-inf: numpy's
+        # overflow warning, with its source line, once came before the error
+        doc = json.loads(json.dumps(BG_SYST))
+        doc["nuisances"][0]["prior"] = {"kind": "normal", "mean": 0.0, "sd": 1e308}
+        cfg = write_config(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "countlim.cli", command[0], cfg, *command[1:], "--samples", "50"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: nuisance 'bscale' overflowed to ") and " at sample " in line
+
     def test_huge_signal_yield_leaves_stderr_empty(self, tmp_path):
         # s^2 overflows above s ~ 1.3e154: numpy's overflow warning, with its
         # source line, once reached stderr beside a valid result

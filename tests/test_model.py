@@ -7,6 +7,7 @@ import pytest
 
 from countlim import (
     BackgroundProcess,
+    ConfigError,
     CountingModel,
     ModelError,
     Nuisance,
@@ -114,7 +115,7 @@ class TestYields:
 
     def test_eta_dimension_mismatch(self):
         m = model_with(nuisances=[Nuisance("a", Prior.standard_normal())])
-        with pytest.raises(ValueError, match=r"expected \(K, 1\)"):
+        with pytest.raises(ConfigError, match=r"^yields_on_samples\.etas must have shape \(K, 1\), got \(1, 2\)$"):
             signal_yield(m, [0.0, 1.0])
 
 

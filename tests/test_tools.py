@@ -150,6 +150,20 @@ def test_result_hash_of_configs_repeats_and_sees_each_decision(monkeypatch, caps
     assert tool.config_hash(1, 2) != lines[0].split()[2]
 
 
+def test_result_hash_of_pointwise_repeats_and_sees_each_strength(monkeypatch, capsys):
+    pytest.importorskip("mpmath")  # the tool imports the benchmark's streams
+    tool = load_tool(monkeypatch, "result_hash")
+    for _ in range(2):
+        tool.main(["--workloads", "pointwise", "--ops", "3", "--seeds", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert lines[0].split()[:2] == ["pointwise", "1"] and len(lines[0].split()[2]) == 64
+    # the entries read each strength through marginal._strength: one read 1e-9 off changes the hash
+    strength = marginal._strength
+    monkeypatch.setattr(marginal, "_strength", lambda *args: strength(*args) * (1.0 + 1e-9))
+    assert tool.pointwise_hash(1, 3) != lines[0].split()[2]
+
+
 def test_result_hash_against_a_revision(monkeypatch, capsys):
     pytest.importorskip("mpmath")  # the benchmark's streams import it
     tool = load_tool(monkeypatch, "result_hash")

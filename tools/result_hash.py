@@ -20,7 +20,14 @@ document, ``"ok "`` and the JSON of its ``emit_config``, or ``"refused"``:
 the accept-or-refuse decisions and the emitted configs, not the error
 texts. A refusal is a ``CountLimError``, or the ``ValueError`` numpy
 raised on a ragged correlation before the model refused one; any other
-exception stops the tool.
+exception stops the tool. The ``pointwise`` workload, also named only on
+request, calls the pointwise entries (``hybrid_cls``,
+``marginal_posterior_tail``, ``marginal_posterior_density``,
+``marginal_likelihood``, ``yields_on_samples`` and ``scan_quantity`` for
+each quantity) on ``--ops`` models drawn as the ``configs`` corpus draws
+them (``pointwise_hash``), and hashes each float by ``repr``, each array
+by its bytes and each refusal by its type; any exception that is no
+``CountLimError`` stops the tool.
 
 ``--against REV`` hashes git revision REV's ``src/`` too, extracted by
 ``git archive`` into a temporary directory and run in a child interpreter
@@ -33,6 +40,7 @@ written into the repository or its ``.git``. Run from the repository root:
     python3 tools/result_hash.py --workloads cli_mix --ops 40
     python3 tools/result_hash.py --workloads kernels --against HEAD
     python3 tools/result_hash.py --workloads configs --ops 20 --against HEAD
+    python3 tools/result_hash.py --workloads pointwise --against HEAD
     python3 tools/result_hash.py --against HEAD
 
 The streams need mpmath (a test dependency) to import, though no
@@ -59,10 +67,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 
-from countlim import CountLimError, config, marginal, special  # noqa: E402
+from countlim import CountLimError, Integrator, config, marginal, special, yields_on_samples  # noqa: E402
 
 WORKLOADS = ("exact_small", "toys_small", "large_count")
 KERNELS = ("poisson_cdf", "gamma_q", "log_poisson_pmf", "_poisson_cdf_and_pmf")
+QUANTITIES = ("cls", "clsb", "clb", "posterior")  # what ``pointwise`` scans
 WIDTHS = (None, 16, 21, 2000, 9000)  # a float, or lanes: narrow, just wide, wide, over one special._LANE_BLOCK
 # what ``configs`` sets each value of a document to, one at a time, and each correlation it tries
 ODD_VALUES = ("x", True, None, 0, -1, math.inf, math.nan, 10**400, [1.0], "log_normal")
@@ -197,6 +206,48 @@ def config_hash(seed: int, ops: int) -> str:
     return digest.hexdigest()
 
 
+def pointwise_hash(seed: int, ops: int) -> str:
+    """The hash of the pointwise entries on ``ops`` models drawn at
+    ``seed`` (``config_draw``). Each model is taken on a Monte Carlo set
+    and a Gauss-Hermite grid of drawn sizes, and its nominal yields (no
+    nuisances, no responses) on the one-point set; on each, every entry
+    runs at mu = 0 and two drawn strengths, ``scan_quantity`` on a grid
+    of those three, and ``yields_on_samples`` on the set's etas."""
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+
+    def record(call, *args):
+        try:
+            out = call(*args)
+        except CountLimError as err:  # a zero signal, a negative yield, a non-normal prior on a grid, ...
+            out = f"refused {type(err).__name__}"
+        for value in out if isinstance(out, tuple) else (out,):
+            digest.update(value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode())
+
+    for _ in range(ops):
+        doc = config_draw(rng)
+        nominal = {"signal": {"nominal": doc["signal"]["nominal"]}, "n_obs": doc["n_obs"],
+                   "backgrounds": [{"name": b["name"], "nominal": b["nominal"]} for b in doc["backgrounds"]]}
+        mus = [0.0, *rng.uniform(0.0, 5.0, 2).tolist()]
+        integrators = (Integrator.monte_carlo(int(rng.integers(2, 300)), int(rng.integers(2**32))),
+                       Integrator.gauss_hermite(int(rng.integers(2, 9))))
+        for node, integrator in [*((doc, i) for i in integrators), (nominal, None)]:
+            try:
+                model = config.parse_model(node)
+                samples = marginal.draw_samples(model.systematics, integrator)
+            except CountLimError as err:
+                digest.update(f"refused {type(err).__name__}".encode())
+                continue
+            for mu in mus:
+                for entry in (marginal.hybrid_cls, marginal.marginal_posterior_tail, marginal.marginal_posterior_density):
+                    record(entry, model, mu, samples)
+                record(marginal.marginal_likelihood, model, mu, model.n_obs, samples)
+            for quantity in QUANTITIES:
+                record(marginal.scan_quantity, model, quantity, np.array(mus), samples)
+            record(yields_on_samples, model, samples.etas)
+    return digest.hexdigest()
+
+
 def result_hash(workload: str, seed: int, ops: int) -> str:
     """The hash of the first ``ops`` operations of ``workload`` at ``seed``.
     Every countlim module's name for ``marginal._solve``, the one function
@@ -206,6 +257,8 @@ def result_hash(workload: str, seed: int, ops: int) -> str:
         return kernel_hash(seed, ops)
     if workload == "configs":
         return config_hash(seed, ops)
+    if workload == "pointwise":
+        return pointwise_hash(seed, ops)
     digest = hashlib.sha256()
     solve = marginal._solve
 
