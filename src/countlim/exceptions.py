@@ -83,6 +83,9 @@ def _require(owner, name: str, holds: bool, rule: str, got=None) -> None:
         raise error(f"{label}.{name} must {rule}, got {_shown(got)}", field=name)
 
 
+_INT_PAST_FLOAT = 2**1024 - 2**970  # the least positive int that float() overflows on
+
+
 def _float(value) -> float | None:
     """``value`` as a Python float (+-inf beyond the float range), None unless a real number and no bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

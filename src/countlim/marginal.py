@@ -56,13 +56,13 @@ __all__ = [
 # Size budgets, checked before anything is allocated. A Gauss-Hermite grid
 # or a scan grid of 2**20 points is 8 MiB per float64 column. A solve on a
 # one-nuisance Monte Carlo set peaks at under ~200 bytes per sample, the
-# two numerator arrays the criterion keeps included (ru_maxrss above the
-# import, at 2**20 samples, one log-normal background nuisance: 119 and
-# 119 bytes for the CLs and Bayes limits at n_obs = 3, b = 1.5, and 125 and
-# 167 at n_obs = 160, b = 150). The wide series sums and erfcx's gather take
-# their buffers per block of special._LANE_BLOCK lanes (unblocked, 299 and
-# 239 at n_obs = 160). So the budget of 2**22 values (samples x
-# nuisances) keeps a limit under ~1 GB.
+# numerator arrays the solve keeps at its bracket's ends included (ru_maxrss
+# above the import, at 2**20 samples, one log-normal background nuisance:
+# 119 and 119 bytes for the CLs and Bayes limits at n_obs = 3, b = 1.5, and
+# 125 and 167 at n_obs = 160, b = 150). The wide series sums and erfcx's
+# gather take their buffers per block of special._LANE_BLOCK lanes
+# (unblocked, 299 and 239 at n_obs = 160). So the budget of 2**22 values
+# (samples x nuisances) keeps a limit under ~1 GB.
 _GH_MAX_POINTS = 2**20  # largest Gauss-Hermite tensor grid draw_samples builds
 # Largest grid draw_samples keeps for the life of the process, in values:
 # K x J nodes plus K weights, at most 512 KiB a grid. Node counts are in
@@ -294,12 +294,13 @@ class _Criterion:
     x = mu*s + b and its x-derivative pmf * (n/x - 1): the slope is
     -s * pmf for CLs and -pmf for Bayes, the curvature -s^2 * pmf *
     (n/x - 1) and -s * pmf * (n/x - 1). So calling the criterion gives
-    its value, slope and curvature for the price of one kernel call and
-    one pmf, the exp of the kernels' one log-pmf body (``special._log_pmf``),
-    or of its limits at x = 0 and inf (``_log_pmf_limit``) where a lane
-    may reach them (``x_at``). A kernel returns its terms and the pmf where
-    it has one: a wide CLs call whose lanes all take ``poisson_cdf``'s
-    lower tail, where the pmf is the tail's prefactor, bit for bit.
+    its value, slope, curvature and numerator terms for the price of one
+    kernel call and one pmf, the exp of the kernels' one log-pmf body
+    (``special._log_pmf``), or of its limits at x = 0 and inf
+    (``_log_pmf_limit``) where a lane may reach them (``x_at``). A kernel
+    returns its terms and the pmf where it has one: a wide CLs call whose
+    lanes all take ``poisson_cdf``'s lower tail, where the pmf is the
+    tail's prefactor, bit for bit.
 
     At mu = 0 the numerator is the denominator, and the criterion is
     exactly ``value_at_zero`` = 1: den / den, den a positive finite float,
@@ -350,14 +351,10 @@ class _Criterion:
         self.x_positive = w is None or float(b.min()) > 0.0
         self.log_factorial = math.lgamma(n + 1.0)
         self.ns = _MATH if w is None else _numpy()
-        # (mu, numerator terms, slope) of the last two calls, latest last: a
-        # solve ends on one of its bracket's ends, which is most often the
-        # last point evaluated or the one before it
-        self.recent = (None, None)
 
     def __call__(self, mu: float):
-        """``(criterion, slope, curvature)`` at ``mu``: the solver's inner
-        loop. At mu = 0 the numerator is the denominator, so no kernel runs."""
+        """``(criterion, slope, curvature, numerator terms)`` at ``mu``: the
+        solver's inner loop. At mu = 0 the numerator is the denominator, so no kernel runs."""
         n = self.n
         x, edges = self.x_at(mu)
         terms, pmf = (self.den_terms, self.den_pmf) if mu == 0.0 else self.kernel(n, self.s, x)
@@ -376,17 +373,7 @@ class _Criterion:
         else:
             value, slope = self.mean(terms) / den, self.mean(d1) / den
             curvature = self.mean(d2) / den if self.curved else math.inf
-        self.recent = self.recent[1], (mu, terms, slope)
-        return value, slope, curvature
-
-    def terms_and_slope(self, mu: float):
-        """Numerator terms and slope at ``mu``, from one of the last two
-        calls when either was at ``mu``, else from a new call."""
-        for entry in self.recent:
-            if entry is not None and entry[0] == mu:
-                return entry[1:]
-        self(mu)
-        return self.recent[1][1:]
+        return value, slope, curvature, terms
 
     def x_at(self, mu: float):
         """x = mu*s + b, and whether a lane may be at x = 0 or inf. With s,
@@ -540,16 +527,16 @@ def _solve(
     Wilson-Hilferty guess of :func:`_wilson_hilferty_start`, on one point
     and on a sample set alike; ``with_stderr`` adds the Monte Carlo error
     of the criterion at the root and its propagation, through the
-    analytic slope, onto the limit."""
+    analytic slope, onto the limit, from the evaluation the solve ended on."""
     if start is None:
         start = _wilson_hilferty_start(crit, req.alpha)
-    solution = solve_decreasing(crit, req.alpha, req.rel_tol, req.max_iter, start)
+    mu, (value, slope, _, terms), evaluations, bracket = solve_decreasing(
+        crit, req.alpha, req.rel_tol, req.max_iter, start)
     if not with_stderr:
-        return LimitResult(*solution)
-    terms, slope = crit.terms_and_slope(solution[0])
+        return LimitResult(mu, value, evaluations, bracket)
     crit_stderr = crit.ratio_stderr(terms)
     mu_stderr = crit_stderr / abs(slope) if slope != 0.0 else math.inf
-    return LimitResult(*solution, mu_up_stderr=mu_stderr, criterion_stderr=crit_stderr)
+    return LimitResult(mu, value, evaluations, bracket, mu_up_stderr=mu_stderr, criterion_stderr=crit_stderr)
 
 
 def hybrid_cls(model: CountingModel, mu: float, samples: SampleSet) -> float:

@@ -20,7 +20,7 @@ import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields
 
-from .exceptions import ModelError, YieldError, _float, _require, _shown
+from .exceptions import _INT_PAST_FLOAT, ModelError, YieldError, _float, _require, _shown
 
 __all__ = [
     "Response",
@@ -41,10 +41,10 @@ def _real(owner, name: str) -> float:
     return value
 
 
-def _integer(owner, name: str, rule: str = "be an integer", least: float = -math.inf) -> int:
-    """Field ``name`` of ``owner``, refused by ``rule`` unless an integer (no bool) of at least ``least``, as an int."""
+def _integer(owner, name: str, rule: str = "be an integer", least: float = -math.inf, below: float = math.inf) -> int:
+    """Field ``name`` of ``owner``, refused by ``rule`` unless an integer (no bool) in [least, below), as an int."""
     value = getattr(owner, name)
-    valid = not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
+    valid = not isinstance(value, bool) and isinstance(value, numbers.Integral) and least <= value < below
     _require(owner, name, valid, rule)
     value = operator.index(value)
     object.__setattr__(owner, name, value)
@@ -155,11 +155,10 @@ class Response:
         return self.kind == "identity"
 
     def factor(self, eta: np.ndarray) -> np.ndarray:
-        """Scale factors at an array of nuisance values."""
-        import numpy as np
-        if self.kind == "identity":
-            return np.ones_like(eta, dtype=float)
+        """Scale factors at an array of nuisance values. An identity response
+        is linear with delta = 0: 1.0 on every finite eta, NaN on a non-finite one."""
         if self.kind == "log_normal":
+            import numpy as np
             return np.exp(math.log(self.kappa) * eta)
         return 1.0 + self.delta * eta
 
@@ -302,7 +301,7 @@ class CountingModel:
     def __post_init__(self):
         _require(self, "s_nom", 0.0 <= _real(self, "s_nom") < math.inf, "be finite and nonnegative")
         backgrounds = _named(self, "backgrounds", BackgroundProcess)
-        _integer(self, "n_obs", "be a nonnegative integer", 0)
+        _integer(self, "n_obs", "be a nonnegative integer within the float range", 0, _INT_PAST_FLOAT)
         _require(self, "systematics", isinstance(self.systematics, SystematicsModel), "be a SystematicsModel")
         for bkg in backgrounds:
             for key in bkg.responses:
@@ -353,10 +352,14 @@ def _yield_columns(nominal: float, responses: Mapping[str, Response], names, eta
 def yields_on_samples(model: CountingModel, etas: np.ndarray):
     """Vectorised (signal, background) yields over a (K, J) eta matrix."""
     import numpy as np
-    etas = np.asarray(etas, dtype=float)
     n_nuis = len(model.systematics.nuisances)
-    if etas.ndim != 2 or etas.shape[1] != n_nuis:
-        _require(yields_on_samples, "etas", False, f"have shape (K, {n_nuis})", etas.shape)
+    try:
+        etas = np.asarray(etas, dtype=float)
+        shape = etas.shape
+    except (TypeError, ValueError):  # ragged, or holding what is no number: no shape, so shown as given
+        shape = None
+    if shape is None or len(shape) != 2 or shape[1] != n_nuis:
+        _require(yields_on_samples, "etas", False, f"have shape (K, {n_nuis})", etas if shape is None else shape)
     names = model.systematics.names
     # an overflow is refused below, by sample, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):

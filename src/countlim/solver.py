@@ -48,6 +48,9 @@ a solve ends when the value is within ``10 * rel_tol * target`` of the
 target and the projected step is at most ``rel_tol * mu`` (or below the
 float64 resolution). The bracket is not shrunk to ``rel_tol``. A starting point is only a first guess: the
 solve still ends on the criterion's own value and slope.
+Each bracket end keeps the criterion's whole return there, unread past
+(c, c', c''), and the solve returns it with the end it chose: what else a
+criterion returns (``marginal._Criterion``'s terms) is at hand at the root.
 """
 
 from __future__ import annotations
@@ -92,7 +95,8 @@ class LimitRequest:
 class LimitResult:
     """Solved upper limit plus solver and integration diagnostics.
 
-    ``criterion_at_solution`` is the criterion evaluated at ``mu_up``;
+    ``criterion_at_solution`` is the criterion's value from the evaluation
+    the solve ended on, at ``mu_up``;
     ``iterations`` the number of criterion evaluations, mu = 0 included
     where a started solve records c(0) = 1 without computing it; ``bracket`` the
     tightest sign-checked (lo, hi) interval containing ``mu_up``, with
@@ -105,10 +109,10 @@ class LimitResult:
     much, when the solve converged short of the root and a probe signed
     the bracket. The bracket may be wider than ``rel_tol``, because the
     solver stops on the projected step, not on the bracket width. The
-    stderr fields are filled for Monte Carlo marginalisation only:
-    ``criterion_stderr`` is the delta-method error of the criterion at
-    the solution and ``mu_up_stderr`` its propagation through the
-    criterion slope onto the limit itself.
+    stderr fields are filled for Monte Carlo marginalisation only, from
+    that same evaluation: ``criterion_stderr`` is the delta-method error
+    of the criterion at the solution and ``mu_up_stderr`` its propagation
+    through the criterion slope onto the limit itself.
     """
 
     mu_up: float
@@ -129,7 +133,8 @@ def _fail(message, bracket, history):
 def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, start: float = 0.0):
     """Solve c(mu) = target for a strictly decreasing criterion with c(0) > target.
 
-    ``criterion(mu)`` returns ``(c(mu), c'(mu), c''(mu))``; the step is
+    ``criterion(mu)`` returns ``(c(mu), c'(mu), c''(mu))``, and may add
+    entries after them, kept unread; the step is
     Newton's on log c, times the Halley factor where that lies in (0.5, 2)
     and neither the curvature of log c is rounding noise nor g' = c'/c
     has rounded to 0. A Halley step is aimed past the root by
@@ -138,9 +143,10 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, st
     solve ends there; a Newton step is not aimed. Only a solve that
     converges below the root, with no point past it yet, evaluates one
     probe past it, which signs the bracket and is not returned. Returns
-    ``(mu, c(mu), evaluations, (lo, hi))``, where (lo, hi) is the
-    tightest sign-checked bracket around ``mu`` and ``mu`` is one of its
-    ends. A ``start`` in (0, 2**64] is evaluated second, right after
+    ``(mu, criterion(mu), evaluations, (lo, hi))``, the criterion's return
+    from the evaluation made at ``mu``, where (lo, hi) is the tightest
+    sign-checked bracket around ``mu`` and ``mu`` is one of its ends. A
+    ``start`` in (0, 2**64] is evaluated second, right after
     mu = 0, whether it lies below the root or past it; the jump counts
     against ``max_iter``, and the 8 * max(mu, 1) cap on a step applies
     only after it. Where ``criterion`` has a ``value_at_zero`` attribute
@@ -158,19 +164,20 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, st
     log_target = math.log(target)
     crit_tol = 10.0 * rel_tol * target
     jump = 0.0 < start <= _BRACKET_CAP
-    lo = hi = None  # (mu, c(mu), converged) at the ends of the bracket
+    lo = hi = None  # (mu, c(mu), converged, criterion(mu)) at the ends of the bracket
     # a criterion that declares c(0) needs no arithmetic there when the
     # solve jumps on from 0: only the step from 0 would need its slope
     value = getattr(criterion, "value_at_zero", None) if jump and max_iter > 1 else None
     if value is not None and value > target:
         history = [(0.0, value)]
-        lo = 0.0, value, False
+        lo = 0.0, value, False, None
         mu = start
     else:
         history = []
         mu = 0.0
     while True:
-        value, slope, curvature = criterion(mu)
+        out = criterion(mu)
+        value, slope, curvature = out[0], out[1], out[2]
         history.append((mu, value))
         if math.isnan(value):
             raise _fail(f"criterion at mu={mu} is NaN", None, history)
@@ -195,11 +202,11 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, st
             abs(value - target) <= crit_tol or abs(step) <= _WIDTH_FLOOR * mu
         )
         if value > target:
-            lo = mu, value, converged
+            lo = mu, value, converged, out
         elif lo is None:
             raise _fail(f"criterion at mu=0 is {value}, not above the target {target}", (0.0, 0.0), history)
         else:
-            hi = mu, value, converged
+            hi = mu, value, converged, out
         # a converged end, or a bracket at the float64 resolution, ends the solve
         if hi is not None and (lo[2] or hi[2] or hi[0] - lo[0] <= _WIDTH_FLOOR * hi[0]):
             # both ends converge only when a probe signed the bracket for a
@@ -213,8 +220,8 @@ def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, st
                     (lo[0], hi[0]),
                     history,
                 )
-            mu, value, _ = end or min((lo, hi), key=lambda end: abs(end[1] - target))
-            return mu, value, len(history), (lo[0], hi[0])
+            mu, _, _, out = end or min((lo, hi), key=lambda end: abs(end[1] - target))
+            return mu, out, len(history), (lo[0], hi[0])
         if len(history) == max_iter:
             raise _fail(
                 f"root refinement did not converge within {max_iter} iterations",

@@ -2,8 +2,9 @@
 
 The three public functions take a count (``gamma_q``'s a at least 1) and a
 mean: a real number, on a ``math``-module path that never imports numpy,
-or a 1-d integer or float array, vectorised. ``_count`` and ``_mean``
-refuse other types, and a negative or NaN mean, with a ``ConfigError``.
+or an integer or float array of any shape, vectorised, whose shape the
+result takes. ``_count`` and ``_mean`` refuse other types, a count past
+the float range, and a negative or NaN mean, with a ``ConfigError``.
 
 Every route but Temme's is a Poisson prefactor e^-x x^k / k! times one
 sum or one fraction. Its log, k ln x - x - ln k! (ln Gamma(a) at k = a
@@ -84,7 +85,7 @@ import math
 import sys
 import types
 
-from .exceptions import _float, _require
+from .exceptions import _INT_PAST_FLOAT, _float, _require
 
 __all__ = ["log_poisson_pmf", "poisson_cdf", "gamma_q"]
 
@@ -92,9 +93,11 @@ _REL_EPS = 1e-15  # relative-term convergence target for the scalar lower series
 
 
 def _count(owner, name: str, n, least: int = 0) -> int:
-    """Argument ``name`` of ``owner`` as an int, refused unless an integer of at least ``least`` (by ``_float``)."""
-    if not (type(n) is int or (value := _float(n)) is not None and value.is_integer()) or n < least:
-        _require(owner, name, False, f"be an integer of at least {least}", n)
+    """Argument ``name`` of ``owner`` as an int, refused unless an integer of at least ``least`` (by ``_float``)
+    that converts to a finite float: ``_float`` reads one past the float range as inf."""
+    integral = type(n) is int and n < _INT_PAST_FLOAT or (value := _float(n)) is not None and value.is_integer()
+    if not integral or n < least:
+        _require(owner, name, False, f"be an integer of at least {least} within the float range", n)
     return int(n)
 
 
@@ -180,7 +183,8 @@ def _on_lanes(scalar, routes, first, checked):
     array takes the table ``routes(first)``: cuts in x, ascending, and a
     body more, body i running as ``body(first, lanes, _numpy())`` on the
     lanes with cuts[i - 1] <= x < cuts[i]. One route runs on the whole
-    array, with no masks; else each route with lanes runs on them, gathered in order."""
+    array, flat, with no masks, and its result takes the array's shape; else
+    each route with lanes runs on them, gathered in order."""
     x, lanes, lo = checked
     if type(x) is float:
         return scalar(first, x)
@@ -190,7 +194,7 @@ def _on_lanes(scalar, routes, first, checked):
     (cuts, bodies), ns = routes(first), _numpy()
     i, last = bisect.bisect_right(cuts, lo), bisect.bisect_right(cuts, float(x.max()))
     if i == last:
-        return bodies[i](first, x, ns)
+        return bodies[i](first, x.ravel(), ns).reshape(x.shape)
     out = np.empty_like(x)
     below = x < cuts[i]
     out[below] = bodies[i](first, x[below], ns)

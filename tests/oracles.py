@@ -54,7 +54,7 @@ def bayesian_upper_limit_quadrature(model: CountingModel, req: LimitRequest) -> 
         mass = quad(like, 0.0, mu, epsabs=0.0, epsrel=1e-11, limit=200, points=interior)[0]
         return 1.0 - mass / norm, slope, curvature
 
-    mu_up, crit, evals, bracket = solve_decreasing(criterion, req.alpha, req.rel_tol, req.max_iter)
+    mu_up, (crit, *_), evals, bracket = solve_decreasing(criterion, req.alpha, req.rel_tol, req.max_iter)
     return LimitResult(mu_up, crit, evals, bracket)
 
 

@@ -587,6 +587,9 @@ class TestRefusals:
             # backgrounds summing past the float range once reached the solver, which exited 2
             ({**PLAIN, "backgrounds": [{"name": "a", "nominal": 1e308}, {"name": "b", "nominal": 1e308}]}, ["limit"],
              "backgrounds: CountingModel.backgrounds must sum to a finite nominal yield, got inf"),
+            # a count past the float range, written out in full, once raised a bare OverflowError
+            *[({**PLAIN, "n_obs": 10**400}, args, "n_obs: CountingModel.n_obs must be a nonnegative integer "
+              "within the float range, got 1000") for args in (["limit"], ["equivalence"], ["scan", "--mu-max", "5"])],
             # a ragged correlation once left numpy's ValueError as a traceback
             ({**PLAIN, "nuisances": [{"name": "a", "prior": {"kind": "standard_normal"}}], "correlation": [[1.0, 0.0]]},
              ["limit"], "correlation: SystematicsModel.correlation must be a 1 x 1 matrix, a row and a column"),

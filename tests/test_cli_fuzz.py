@@ -47,6 +47,8 @@ DEFECTS = (
     lambda doc: doc["backgrounds"].append({"name": "neg", "nominal": -2.0}),
     lambda doc: doc["backgrounds"].append({"name": "huge", "nominal": 1e300}),
     lambda doc: doc.update(n_obs=400),
+    # written out in full: a count past the float range once raised a bare OverflowError
+    lambda doc: doc.update(n_obs=10**400),
     lambda doc: doc.update(correlation=[[1.0, 2.0], [2.0, 1.0]]),
     # a ragged row once raised numpy's ValueError, a traceback
     lambda doc: doc.update(correlation=[[1.0], [0.0, 1.0]]),

@@ -37,7 +37,7 @@ from countlim import (
     marginal_posterior_tail,
     poisson_cdf,
 )
-from countlim import marginal, special
+from countlim import equivalence, marginal, special
 from countlim.marginal import (
     _BAYES,
     _CLS,
@@ -558,7 +558,7 @@ class TestCriterionSlope:
         for mu in (0.3, 1.0, 4.0):
             h = 1e-5 * mu
             central = (crit.criterion(mu + h) - crit.criterion(mu - h)) / (2.0 * h)
-            value, slope, _ = crit(mu)
+            value, slope, _, _ = crit(mu)
             assert value == crit.criterion(mu)
             assert slope == pytest.approx(central, rel=1e-6)
 
@@ -569,13 +569,13 @@ class TestCriterionSlope:
         h = 1e-6
         forward = (crit.criterion(h) - 1.0) / h
         crit.kernel = None  # any kernel call now fails
-        value, slope, _ = crit(0.0)
+        value, slope, _, _ = crit(0.0)
         assert value == 1.0
         assert slope == pytest.approx(forward, rel=1e-4)
 
     def test_zero_slope_at_zero_without_background(self):
         crit = _criterion(plain_model(s=1.0, b=0.0, n_obs=50), _CLS, draw_samples(plain_model().systematics, None))
-        assert crit(0.0) == (1.0, 0.0, 0.0)
+        assert crit(0.0)[:3] == (1.0, 0.0, 0.0)
 
 
 class TestCriterionCurvature:
@@ -609,7 +609,7 @@ class TestCriterionCurvature:
         # at n_obs = 0 the criterion is exp(-mu s): c' = -s c and c'' = s^2 c
         crit = _criterion_on(0.7, 23.0, 0, method, False)
         for mu in (0.0, 1.0, 600.0):
-            value, slope, curvature = crit(mu)
+            value, slope, curvature, _ = crit(mu)
             assert slope == pytest.approx(-0.7 * value, rel=1e-15)
             assert curvature == pytest.approx(0.49 * value, rel=1e-15)
 
@@ -656,7 +656,7 @@ class TestPmfFromTheKernel:
         plain.den_pmf = None
         seen = []
         for mu in (0.0, 0.5, 2.0, 5.0, 20.0):
-            assert crit(mu) == plain(mu)
+            assert crit(mu)[:3] == plain(mu)[:3]
             x = mu * crit.s + crit.b
             terms, pmf = _CLS.wide(n_obs, crit.s, x)
             assert terms.tolist() == crit.terms(mu).tolist()
@@ -726,7 +726,7 @@ class TestPmfWithoutMasks:
         assert (pmf[0], dpmf[0]) == (float(n_obs == 0), float(n_obs == 1) - float(n_obs == 0))
         rest = crit.b[1:]
         assert pmf[1:].tolist() == np.exp(n_obs * np.log(rest) - rest - math.lgamma(n_obs + 1.0)).tolist()
-        value, slope, curvature = crit(0.0)
+        value, slope, curvature, _ = crit(0.0)
         assert value == 1.0 and math.isfinite(slope) and math.isfinite(curvature)
         # the masked path is the one-point formula on every lane
         for k in (0, 17, 63):
@@ -890,7 +890,7 @@ class TestUpperLimits:
         assert 0.0 <= res.mu_up_stderr <= 1e-9
         # the slope divides by the same denormal CLb, and is still -s * CLs
         crit = _criterion(m, _CLS, draw_samples(m.systematics, Integrator.monte_carlo(100, 1)))
-        value, slope, _ = crit(res.mu_up)
+        value, slope, _, _ = crit(res.mu_up)
         assert slope == pytest.approx(-value, rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -907,22 +907,41 @@ class TestUpperLimits:
         assert math.isfinite(res.mu_up_stderr)
         assert res.mu_up_stderr == pytest.approx(res.criterion_stderr / abs(slope), rel=1e-5)
 
-    def test_stderr_reuses_the_evaluation_at_the_lower_end(self):
-        # the last Halley step, aimed past the root, lands just short of it
-        # here, so the solve ends on its converged lower end after a probe
-        # signs the bracket just past it: the stderr takes that end's terms
-        # and slope from the last two evaluations, where it once ran the
-        # kernel there again
-        m = bg_systematic_model(s=1.0, b=1.5, n_obs=1, kappa=1.05)
-        samples = draw_samples(m.systematics, Integrator.monte_carlo(200, 0))
-        crit = _criterion(m, _CLS, samples)
-        kernel, calls = crit.kernel, []
-        crit.kernel = lambda n, s, x: calls.append(x) or kernel(n, s, x)
-        res = marginal._solve(crit, LimitRequest(alpha=0.05), with_stderr=True)
-        assert len(calls) == res.iterations - 1  # each evaluation but mu = 0's, and no more
-        assert res.mu_up == res.bracket[0] and crit.recent[1][0] == res.bracket[1]
-        fresh = _criterion(m, _CLS, samples)
-        _, slope, _ = fresh(res.mu_up)
+    @pytest.mark.parametrize(("n_obs", "end"), [(1, 0), (5, 1)], ids=["lower_end", "upper_end"])
+    @pytest.mark.parametrize(
+        ("limit", "method"),
+        [
+            (hybrid_cls_upper_limit, _CLS),
+            (bayesian_marginal_upper_limit, _BAYES),
+            (lambda *args: equivalence._paired_limits(*args, bayes_error=True)[1], _BAYES),
+        ],
+        ids=["cls", "bayes", "paired_bayes"],
+    )
+    def test_stderr_comes_from_the_evaluation_the_solve_ended_on(self, limit, method, n_obs, end, monkeypatch):
+        # at n_obs = 1 the last Halley step lands just short of the root, so
+        # the solve ends on its converged lower end after a probe signs the
+        # bracket just past it; at n_obs = 5 it ends on its last point, the
+        # upper end. The paired Bayesian solve starts at the CLs root and ends
+        # as the CLs one did. Either way the stderr takes the terms and slope
+        # of the returned end's own evaluation, with no kernel call after it
+        m = bg_systematic_model(s=1.0, b=1.5, n_obs=n_obs, kappa=1.05)
+        integ = Integrator.monte_carlo(200, 0)
+        solve, solves = marginal._solve, []
+
+        def spied(crit, *args, **kwargs):
+            kernel, calls = crit.kernel, []
+            crit.kernel = lambda n, s, x: calls.append(x) or kernel(n, s, x)
+            solves.append((solve(crit, *args, **kwargs), calls))
+            return solves[-1][0]
+
+        monkeypatch.setattr(marginal, "_solve", spied)
+        monkeypatch.setattr(equivalence, "_solve", spied)
+        res = limit(m, LimitRequest(alpha=0.05), integ)
+        for solved, calls in solves:
+            assert len(calls) == solved.iterations - 1  # each evaluation but mu = 0's, and no more
+        assert solves[-1][0] is res and res.mu_up == res.bracket[end]
+        fresh = _criterion(m, method, draw_samples(m.systematics, integ))
+        _, slope, _, _ = fresh(res.mu_up)
         assert res.criterion_stderr == fresh.ratio_stderr(fresh.terms(res.mu_up))
         assert res.mu_up_stderr == res.criterion_stderr / abs(slope)
 
@@ -1148,7 +1167,7 @@ class TestOverflowedMean:
             warnings.simplefilter("error")
             x, edges = crit.x_at(1e10)
             pmf, dpmf = crit.pmf_and_derivative(x, edges)
-            value, slope, curvature = crit(1e10)
+            value, slope, curvature, _ = crit(1e10)
         assert edges and x[1] == math.inf
         assert pmf.tolist() == [math.exp(log_poisson_pmf(3, float(x[0]))), 0.0] and dpmf[1] == 0.0
         assert slope == -0.5 * pmf[0] / crit.den

@@ -57,6 +57,13 @@ def likelihood(model, mu, n):
 
 
 class TestYields:
+    def test_identity_factor_is_one_on_every_finite_eta(self):
+        # 1.0 + 0.0 * eta, as a linear response of delta = 0, bit for bit
+        etas = np.array([0.0, -0.0, 1.0, -3.5, 5e-324, -1e308, 1.7976931348623157e308])
+        assert Response.identity().factor(etas).tobytes() == np.ones(etas.size).tobytes()
+        with np.errstate(invalid="ignore"):  # 0.0 * inf
+            assert np.isnan(Response.identity().factor(np.array([math.inf, -math.inf, math.nan]))).all()
+
     def test_signal_empty_product(self):
         m = model_with(s=2.0)
         assert signal_yield(m, []) == 2.0

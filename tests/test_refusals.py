@@ -9,7 +9,9 @@ import pytest
 
 from countlim import (
     ConfigError,
+    CountingModel,
     Integrator,
+    ModelError,
     SampleSet,
     draw_samples,
     gamma_q,
@@ -21,6 +23,7 @@ from countlim import (
     poisson_cdf,
     yields_on_samples,
 )
+from countlim import special
 from countlim.marginal import scan_quantity
 from helpers import bg_systematic_model
 
@@ -44,7 +47,9 @@ NOT_MEANS = {
     "a wide array with NaN": np.append(WIDE, math.nan),
     "a wide array with -1": np.append(WIDE, -1.0),
 }
-NOT_COUNTS = {**ODD, "inf": math.inf, "a fraction": 2.5, "a numeric string": "3", "a numpy bool": np.True_}
+# 10**400 once passed the int fast path and escaped as a bare OverflowError
+NOT_COUNTS = {**ODD, "inf": math.inf, "a fraction": 2.5, "a numeric string": "3", "a numpy bool": np.True_,
+              "an int past the float range": 10**400}
 NOT_STRENGTHS = {**ODD, "inf": math.inf, "a numeric string": "3", "a 0-d array": np.array(1.0)}
 NOT_GRIDS = {
     **{f"{what} grid": grid for what, grid in NOT_STRENGTHS.items() if what != "a list"},
@@ -94,7 +99,7 @@ TABLE = {
     **{f"SampleSet {k}": (lambda e=e, w=w: SampleSet(e, w), f"SampleSet.{name}") for k, (e, w, name) in NOT_SETS.items()},
     **{f"yields_on_samples etas {k}": (lambda v=v: yields_on_samples(MODEL, v), "yields_on_samples.etas")
        for k, v in {"of width 2": np.zeros((3, 2)), "of width 0": np.zeros((3, 0)), "1-d": np.zeros(3),
-                    "None": None}.items()},
+                    "None": None, "ragged": [[0.0], [0.0, 1.0]], "holding a string": [["x"]]}.items()},
 }
 
 
@@ -106,6 +111,24 @@ def test_each_bad_argument_is_refused_by_name(case):
     assert str(err.value).startswith(f"{where} must ")
     assert err.value.field == where.split(".")[1]
     assert isinstance(err.value, ValueError)
+
+
+INT_PAST_FLOAT = 2**1024 - 2**970  # the least int that float() overflows on
+
+
+@pytest.mark.parametrize("n", [10**400, INT_PAST_FLOAT])
+def test_count_past_the_float_range_is_refused_in_one_line(n):
+    # once a bare OverflowError from a kernel, or from a limit on the model
+    for call, where in ((lambda: poisson_cdf(n, 2.5), "poisson_cdf.n"), (lambda: gamma_q(n, 2.5), "gamma_q.a")):
+        with pytest.raises(ConfigError, match=rf"^{where} must be an integer of at least \d within the float range, got \d+$"):
+            call()
+    with pytest.raises(ModelError, match=r"^CountingModel.n_obs must be a nonnegative integer within the float range, got \d+$"):
+        CountingModel(s_nom=1.0, n_obs=n)
+
+
+def test_greatest_count_within_the_float_range_is_a_count():
+    n = INT_PAST_FLOAT - 1
+    assert CountingModel(s_nom=1.0, n_obs=n).n_obs == special._count(poisson_cdf, "n", n) == n
 
 
 @pytest.mark.parametrize(

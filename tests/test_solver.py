@@ -92,7 +92,7 @@ def assert_brackets_signed(solves):
 
 class TestSolveDecreasing:
     def test_closed_form_exponential(self):
-        root, crit, evals, bracket = solve_decreasing(exponential(1.0), 0.05, 1e-9, 200)
+        root, (crit, *_), evals, bracket = solve_decreasing(exponential(1.0), 0.05, 1e-9, 200)
         assert root == pytest.approx(math.log(20.0), rel=1e-9)
         assert crit == pytest.approx(0.05, rel=1e-8)
         assert bracket[0] <= root <= bracket[1]
@@ -111,7 +111,7 @@ class TestSolveDecreasing:
         # steep criterion: large count makes the curve highly elastic
         target = 0.05
         criterion = poisson_ratio(50, 30.0)
-        root, crit, _, bracket = solve_decreasing(criterion, target, rel_tol, 200)
+        root, (crit, *_), _, bracket = solve_decreasing(criterion, target, rel_tol, 200)
         assert abs(crit - target) <= 10.0 * rel_tol * target
         assert criterion(root)[0] == crit
         assert bracket[0] <= root <= bracket[1]
@@ -126,7 +126,7 @@ class TestSolveDecreasing:
         # b = 0, n_obs = 50: pmf(50; 0) = 0, so the slope at mu = 0 is 0
         criterion = poisson_ratio(50, 0.0)
         assert criterion(0.0) == (1.0, 0.0, 0.0)
-        root, crit, evals, (lo, hi) = solve_decreasing(criterion, 0.05, 1e-9, 200)
+        root, (crit, *_), evals, (lo, hi) = solve_decreasing(criterion, 0.05, 1e-9, 200)
         assert abs(crit - 0.05) <= 1e-9 * 0.05
         assert criterion(root)[0] == crit
         assert lo <= root <= hi
@@ -145,7 +145,7 @@ class TestSolveDecreasing:
     def test_tiny_target(self):
         # alpha = 1e-300: the Newton step works on log c, so nothing underflows
         criterion = poisson_ratio(1, 0.0)
-        root, crit, _, (lo, hi) = solve_decreasing(criterion, 1e-300, 1e-9, 200)
+        root, (crit, *_), _, (lo, hi) = solve_decreasing(criterion, 1e-300, 1e-9, 200)
         assert abs(crit - 1e-300) <= 10.0 * 1e-9 * 1e-300
         assert lo <= root <= hi
         # exp(-mu) * (1 + mu) = 1e-300
@@ -178,7 +178,7 @@ class TestSolveDecreasing:
         with pytest.raises(ConvergenceError) as err:
             solve_decreasing(criterion, 0.05, 1e-9, 2)
         assert err.value.history[-1] == (8.0, 0.0)
-        root, crit, _, (lo, hi) = solve_decreasing(criterion, 0.05, 1e-9, 200)
+        root, (crit, *_), _, (lo, hi) = solve_decreasing(criterion, 0.05, 1e-9, 200)
         assert root - math.log1p(root) == pytest.approx(math.log(20.0), rel=1e-9)
         assert abs(crit - 0.05) <= 10.0 * 1e-9 * 0.05
         assert lo <= root <= hi
@@ -270,7 +270,7 @@ class TestSolveDecreasing:
         # b = 4.7e-138, n = 2: at mu = 0, g' = c'/c ~ -1e-275, and g'^2
         # underflows to 0; the Halley factor must not divide by it
         criterion = poisson_ratio(2, 4.7e-138)
-        root, crit, _, (lo, hi) = solve_decreasing(criterion, 0.05, 1e-9, 200)
+        root, (crit, *_), _, (lo, hi) = solve_decreasing(criterion, 0.05, 1e-9, 200)
         assert lo <= root <= hi
         assert abs(crit - 0.05) <= 10.0 * 1e-9 * 0.05
 
@@ -332,7 +332,7 @@ class TestSolveDecreasing:
             value, slope, curvature = criterion(mu)
             return (mirrored if mu == probe else value), slope, curvature
 
-        root, crit, evals_nudged, bracket = solve_decreasing(nudged, target, 1e-9, 200)
+        root, (crit, *_), evals_nudged, bracket = solve_decreasing(nudged, target, 1e-9, 200)
         assert (root, crit, evals_nudged, bracket) == (lo, lo_value, evals, (lo, probe))
 
     @pytest.mark.parametrize(
@@ -348,7 +348,7 @@ class TestSolveDecreasing:
             history.append(mu)
             return criterion(mu)
 
-        mu, value, evals, (lo, hi) = solve_decreasing(recorded, target, 1e-9, 200)
+        mu, (value, *_), evals, (lo, hi) = solve_decreasing(recorded, target, 1e-9, 200)
         assert mu == hi == history[-1] and evals == len(history)
         assert criterion(lo)[0] > target >= value
         with mpmath.workdps(30):
@@ -382,7 +382,7 @@ class TestStart:
     def test_any_start_finds_the_root(self, criterion, target, factor):
         # below the root, at it and past it, even where c has underflowed to 0
         root = solve_decreasing(criterion, target, 1e-14, 200)[0]
-        mu, value, _, (lo, hi) = solve_decreasing(criterion, target, 1e-9, 200, start=factor * root)
+        mu, (value, *_), _, (lo, hi) = solve_decreasing(criterion, target, 1e-9, 200, start=factor * root)
         assert mu == pytest.approx(root, rel=1e-9)
         assert abs(value - target) <= 10.0 * 1e-9 * target
         assert lo <= mu <= hi
@@ -509,7 +509,10 @@ class TestShortcutAgainstTheFullPath:
             direct_points = criterion_points[:]
             del criterion_points[:]
             full = solve_decreasing(lambda mu: crit(mu), alpha, 1e-9, 200, start)
-            assert direct == full
+            # the same point, value, slope, curvature, numerator terms, count and bracket
+            (mu, (*derivatives, terms), *rest), (full_mu, (*full_derivatives, full_terms), *full_rest) = direct, full
+            assert (mu, derivatives, rest) == (full_mu, full_derivatives, full_rest)
+            assert np.array_equal(terms, full_terms)
             assert criterion_points[0] == 0.0
             if start > 0.0:
                 started += 1

@@ -181,7 +181,7 @@ class TestLogPoissonPmf:
     @pytest.mark.parametrize("kernel", [log_poisson_pmf, poisson_cdf])
     def test_non_integer_counts_are_refused(self, kernel, n):
         for nu in (2.5, np.linspace(0.0, 9.0, 3), np.linspace(0.0, 9.0, 30)):
-            with pytest.raises(ConfigError, match=rf"^{kernel.__name__}\.n must be an integer of at least 0, got "):
+            with pytest.raises(ConfigError, match=rf"^{kernel.__name__}\.n must be an integer of at least 0 within the float range, got "):
                 kernel(n, nu)
 
     @pytest.mark.parametrize("n", [2, np.int64(2), np.uint8(2), 2.0, np.float32(2.0), Fraction(4, 2)], ids=repr)
@@ -884,7 +884,7 @@ def test_each_input_takes_its_branch(kernel, first, at_2, at_2_5):
 
 
 def test_nan_shape_parameter_is_refused():
-    with pytest.raises(ConfigError, match="^gamma_q.a must be an integer of at least 1, got nan$"):
+    with pytest.raises(ConfigError, match="^gamma_q.a must be an integer of at least 1 within the float range, got nan$"):
         gamma_q(math.nan, 1.0)
 
 
@@ -899,7 +899,7 @@ _FINITE_INPUTS = {
 def test_infinite_shape_parameter_is_refused(x):
     # gamma_q(inf, 1.0) was 0.0 on the scalar path and NaN on a wide array,
     # where the limit is 1
-    with pytest.raises(ConfigError, match="^gamma_q.a must be an integer of at least 1, got inf$"):
+    with pytest.raises(ConfigError, match="^gamma_q.a must be an integer of at least 1 within the float range, got inf$"):
         gamma_q(math.inf, x)
 
 
@@ -963,6 +963,21 @@ def test_one_route_call_is_the_same_lanes_of_a_mixed_call(route, ends):
             others.extend(rng.uniform(l, h, 50).tolist())
     mixed, at = _mixed_call(rng, lanes, others)
     assert kernel(first, lanes).tolist() == kernel(first, mixed)[at].tolist()
+
+
+@pytest.mark.parametrize("route", sorted(_ONE_ROUTE))
+def test_wide_array_of_any_shape_takes_the_bits_of_its_flat_lanes(route):
+    # a wide n-d array on one route once reached the series sums unflattened
+    # and raised numpy's broadcast ValueError; on one route, or beside 0 and
+    # inf, each lane keeps its bits flat and the result takes the shape
+    kernel, first, lo, hi = _ONE_ROUTE[route]
+    lanes = np.random.default_rng(len(route)).uniform(lo, hi, 60)
+    for flat in (lanes, np.append(lanes[:-2], [0.0, math.inf])):
+        want = kernel(first, flat).tolist()
+        for x in (flat.reshape(5, 12), flat.reshape(3, 4, 5), flat.reshape(12, 5).T):
+            got = kernel(first, x)
+            assert got.shape == x.shape and got.ravel().tolist() == kernel(first, x.ravel()).tolist()
+        assert kernel(first, flat.reshape(3, 4, 5)).ravel().tolist() == want
 
 
 _ROUTE_PAIRS = [
@@ -1078,7 +1093,7 @@ def test_series_lanes_are_independent_of_the_call(route):
 
 def test_series_tables_stay_bounded(monkeypatch):
     # every count 0..2000 on both Poisson tails and gamma_q's series: the
-    # block-matrix cache keeps its maxsize = 256 most recent tables, each
+    # block-matrix cache keeps the 256 tables last used, each
     # cut where its route's edge ends it, so at most 9.2 sqrt(2000) + 30
     # floats a table, and with each matrix's zero padding no more in all
     # (0.9 MB for the cache) however long the run
@@ -1100,7 +1115,7 @@ def test_series_tables_stay_bounded(monkeypatch):
 
 def test_series_block_matrices_stay_bounded():
     # each table's block matrix for _series_sum, cached beside the tables:
-    # the cache keeps its maxsize most recent, every one read-only, and
+    # the cache keeps the maxsize last used, every one read-only, and
     # one rebuilt after cache_clear has the same bits
     blocks = special._series_blocks
     keys = [(route, n) for n in range(200) for route in ("lower", "upper")] + [("gamma", n + 1.0) for n in range(200)]
