@@ -493,15 +493,14 @@ def _wilson_hilferty_start(crit: _Criterion, alpha: float) -> float:
     z/(3 sqrt(a)))^3 for z the normal p-quantile; DiDonato and Morris
     (1986) start their inversion of the incomplete gamma ratio the same
     way. Q(a, b) is the criterion's denominator, times s for Bayes, so no
-    kernel runs. On a sample set the guess takes the same form on the
-    weighted means of the yields, with p = alpha * CLb for CLs and
-    alpha * E_w[Q(a, b) / s] * E_w[s] for Bayes; on the Monte Carlo and
-    Gauss-Hermite toys of the test suite it falls 0.5% to 10% short of
-    the root. On the benchmark's sets (``perfbench``, the first 200
-    compares at seed 1, both criteria) it falls further short: 5% to 46%
-    on ``large_count``, where every CLs solve then takes 3 kernel
-    evaluations after the jump, and up to 77% on ``toys_small``. At n = 0
-    the Newton step from 0 is already exact, and an
+    kernel runs. On a sample set of two or more points whose signal yield
+    is one s on every sample, at n >= 14, the guess is the quantile of
+    X - B that ``_cumulant_start`` expands, where it holds. On any other
+    set, or where that gives no positive finite start, it takes the
+    one-point form on the weighted means of the yields, with p = alpha *
+    CLb for CLs and alpha * E_w[Q(a, b) / s] * E_w[s] for Bayes, which
+    ignores the yields' spread and falls further short of the root as it
+    grows. At n = 0 the Newton step from 0 is already exact, and an
     underflowed p, a mean signal yield of 0, an x0 at or below b or a
     start that is not finite fall back to 0.
     """
@@ -514,9 +513,78 @@ def _wilson_hilferty_start(crit: _Criterion, alpha: float) -> float:
     if not (0.0 < p < 1.0 and s > 0.0):
         return 0.0
     z = _standard_normal().inv_cdf(p)
+    if n >= _CUMULANT_MIN_COUNT and crit.w is not None and crit.w.size > 1 and crit.s_max == float(crit.s.min()):
+        start = _cumulant_start(crit, a, b, -z)
+        if 0.0 < start < math.inf:
+            return start
     x0 = a * (1.0 - 1.0 / (9.0 * a) - z / (3.0 * math.sqrt(a))) ** 3
     start = (x0 - b) / s
     return start if x0 > b and math.isfinite(start) else 0.0
+
+
+# Where a certain-signal set starts from the cumulants (``_cumulant_start``),
+# each bound measured against solves from the mean yields, on seeded grids of
+# 2000-sample Monte Carlo and 16-node Gauss-Hermite sets and on the
+# benchmark's ``toys_small`` compares. Below a count of 14 the expansion can
+# miss by 0.3-1% on the toys' Gauss-Hermite grids at b = 20, where the CLs solve
+# then ends a hair short of its root and the paired Bayesian solve pays a
+# probe (15 of 701 compares at n_obs 10-13 over nine seeds, none above), and
+# by 25-75% where b is several times n_obs. Past an upper p-quantile of 3.5
+# (p < 2.3e-4, mostly n_obs well below b) it misses by up to 100 times the
+# root, and 32 of 62 such solves took more evaluations.
+_CUMULANT_MIN_COUNT = 14
+_CUMULANT_MAX_Z = 3.5
+# below this background yield no sixth power of a deviation overflows
+_CUMULANT_MAX_YIELD = 1e50
+# the start is aimed this far past the quantile, relatively: a start a few
+# rel_tol short of the root converges on the lower end of its bracket, and pays
+# a probe, where one as far past it ends on the upper end, as the solver aims
+_CUMULANT_AIM = 1e-7
+
+
+def _cumulant_start(crit: _Criterion, a: float, m: float, z: float) -> float:
+    """The root of a criterion whose signal yield is one s on every
+    sample, from the cumulants of D = X - B, for z the normal upper
+    p-quantile and B the background yield of mean ``m`` over the set.
+
+    P(N <= n; x) = Pr(X > x) for X ~ Gamma(a), a = n + 1, so both criteria
+    are Pr(D > mu*s) / Pr(D > 0), and the root is D's upper p-quantile
+    over s, p = alpha * Pr(D > 0) as the one-point start takes it. The set
+    gives D's cumulants exactly, with no kernel call: X's are (r - 1)! a,
+    and B's, signed (-1)^r, come from five weighted sums of its central
+    powers. Cornish and Fisher (1937) expand the quantile in them; the
+    expansion is taken to fourth order, the terms in the standardised
+    cumulants g1 to g4 of Abramowitz and Stegun 26.2.51, with Hermite
+    polynomials He_k(z). It holds for either sign of D's skew, up to
+    z = 3.5; past it, or where a background yield reaches 1e50, the start
+    is NaN. On the benchmark's ``large_count`` sets it lies a median 2e-5
+    from the root.
+    """
+    if not (z <= _CUMULANT_MAX_Z and crit.b_max < _CUMULANT_MAX_YIELD):
+        return math.nan
+    import numpy as np
+    w = crit.w
+    d = crit.b - m
+    d2 = d * d
+    d3 = d2 * d
+    wd2 = w * d2
+    c2, c3, c4, c5, c6 = (float(np.add.reduce(t)) for t in (wd2, wd2 * d, wd2 * d2, wd2 * d3, w * d3 * d3))
+    k2 = a + c2
+    sd = math.sqrt(k2)
+    g1 = (2.0 * a - c3) / (sd * k2)
+    g2 = (6.0 * a + c4 - 3.0 * c2 * c2) / (k2 * k2)
+    g3 = (24.0 * a - c5 + 10.0 * c3 * c2) / (sd * k2 * k2)
+    g4 = (120.0 * a + c6 - 15.0 * c4 * c2 - 10.0 * c3 * c3 + 30.0 * c2 * c2 * c2) / (k2 * k2 * k2)
+    z2 = z * z
+    he2, he3 = z2 - 1.0, z * (z2 - 3.0)
+    he4, he5 = z2 * (z2 - 6.0) + 3.0, z * (z2 * (z2 - 10.0) + 15.0)
+    q = (z + g1 * he2 / 6.0
+         + g2 * he3 / 24.0 - g1 * g1 * (2.0 * he3 + z) / 36.0
+         + g3 * he4 / 120.0 - g1 * g2 * (he4 + he2) / 24.0 + g1**3 * (12.0 * he4 + 19.0 * he2) / 324.0
+         + g4 * he5 / 720.0 - g2 * g2 * (3.0 * he5 + 6.0 * he3 + 2.0 * z) / 384.0
+         - g1 * g3 * (2.0 * he5 + 3.0 * he3) / 180.0 + g1 * g1 * g2 * (14.0 * he5 + 37.0 * he3 + 8.0 * z) / 288.0
+         - g1**4 * (252.0 * he5 + 832.0 * he3 + 227.0 * z) / 7776.0)
+    return (a - m + sd * q) / crit.s_max * (1.0 + _CUMULANT_AIM)
 
 
 def _solve(

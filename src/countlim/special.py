@@ -263,11 +263,13 @@ def _lower_tail_cdf(n: int, x: np.ndarray, ns) -> np.ndarray:
 
 def _poisson_cdf_and_pmf(n: int, nu):
     """``poisson_cdf(n, nu)`` and, on a wide array whose lanes all take the
-    lower tail, its prefactor: pmf(n; nu), with the same bits. Else None."""
+    lower tail, its prefactor: pmf(n; nu), with the same bits. Else None.
+    The one route runs on the lanes flat, as ``_on_lanes``' does, and both
+    results take the array's shape."""
     x, lanes, lo = checked = _mean(poisson_cdf, "nu", nu)
     if lo is not None and 0.0 < lo and n <= lo and float(x.max()) < math.inf:
-        pmf, sums = _lower_tail_array(n, x)
-        return pmf * sums, pmf
+        pmf, sums = _lower_tail_array(n, x.ravel())
+        return (pmf * sums).reshape(x.shape), pmf.reshape(x.shape)
     return _on_lanes(_poisson_cdf_scalar, _poisson_routes, n, checked), None
 
 

@@ -980,6 +980,23 @@ def test_wide_array_of_any_shape_takes_the_bits_of_its_flat_lanes(route):
         assert kernel(first, flat.reshape(3, 4, 5)).ravel().tolist() == want
 
 
+
+def test_wide_array_of_any_shape_takes_the_bits_of_its_flat_lanes_with_its_pmf():
+    # the CLs criterion's direct route, on lanes that all take the lower
+    # tail, once handed an n-d array on unflattened and raised numpy's
+    # broadcast ValueError; the value and the pmf now take the shape, with
+    # the bits of the flat lanes and of poisson_cdf
+    lanes = np.random.default_rng(3).uniform(150.0, 400.0, 60)
+    value, pmf = special._poisson_cdf_and_pmf(150, lanes)
+    assert value.tolist() == poisson_cdf(150, lanes).tolist()
+    for n, x in [(150, lanes.reshape(5, 12)), (150, lanes.reshape(3, 4, 5)), (150, lanes.reshape(12, 5).T),
+                 (3, np.full((5, 5), 20.0))]:
+        got, got_pmf = special._poisson_cdf_and_pmf(n, x)
+        flat, flat_pmf = special._poisson_cdf_and_pmf(n, x.ravel())
+        assert got.shape == got_pmf.shape == x.shape
+        assert got.ravel().tolist() == flat.tolist() and got_pmf.ravel().tolist() == flat_pmf.tolist()
+        assert got.tolist() == poisson_cdf(n, x).tolist()
+
 _ROUTE_PAIRS = [
     (route, other)
     for route, (kernel, first, _, _) in sorted(_ONE_ROUTE.items())

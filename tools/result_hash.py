@@ -33,8 +33,12 @@ by its bytes and each refusal by its type; any exception that is no
 ``git archive`` into a temporary directory and run in a child interpreter
 with that ``src/`` first on its path and this tree's ``perfbench/``. Each
 line then reads workload, seed, REV's hash, this tree's hash and ``same``
-or ``differs``, and the tool exits 1 if any line differs. Nothing is
-written into the repository or its ``.git``. Run from the repository root:
+or ``differs``, and the tool exits 1 if any line differs. A differing line
+of a workload that solves limits also says how far they moved (``moved``):
+``max|dmu|/mu=`` the largest |mu_up - mu_up of REV| / mu_up of REV over its
+limits, in order, and ``iterations=`` REV's summed ``iterations``, ``->``,
+this tree's. Nothing is written into the repository or its ``.git``. Run
+from the repository root:
 
     python3 tools/result_hash.py [--ops 200] [--seeds 1,7] [--workloads exact_small,toys_small,large_count]
     python3 tools/result_hash.py --workloads cli_mix --ops 40
@@ -248,11 +252,12 @@ def pointwise_hash(seed: int, ops: int) -> str:
     return digest.hexdigest()
 
 
-def result_hash(workload: str, seed: int, ops: int) -> str:
+def result_hash(workload: str, seed: int, ops: int, limits: list | None = None) -> str:
     """The hash of the first ``ops`` operations of ``workload`` at ``seed``.
     Every countlim module's name for ``marginal._solve``, the one function
     that returns a solve's ``LimitResult``, is wrapped for the run, and
-    restored after it."""
+    restored after it; each result's ``(mu_up, iterations)`` is appended to
+    ``limits`` where one is given."""
     if workload == "kernels":
         return kernel_hash(seed, ops)
     if workload == "configs":
@@ -265,6 +270,8 @@ def result_hash(workload: str, seed: int, ops: int) -> str:
     def spy(*args, **kwargs):
         res = solve(*args, **kwargs)
         digest.update(solve_record(res).encode())
+        if limits is not None:
+            limits.append((res.mu_up, res.iterations))
         return res
 
     patched = [m for name, m in sys.modules.items() if name.split(".")[0] == "countlim" and getattr(m, "_solve", None) is solve]
@@ -282,10 +289,11 @@ def result_hash(workload: str, seed: int, ops: int) -> str:
     return digest.hexdigest()
 
 
-def revision_hashes(rev: str, argv: list[str]) -> dict[tuple[str, int], str]:
-    """This tool's hashes for ``argv`` on ``rev``'s ``src/``, by (workload,
-    seed): the source is extracted into a temporary directory and hashed in
-    a child interpreter (see ``CHILD``) that writes no bytecode."""
+def revision_hashes(rev: str, argv: list[str]) -> dict[tuple[str, int], tuple[str, list]]:
+    """This tool's hashes and limits for ``argv`` on ``rev``'s ``src/``, by
+    (workload, seed): the source is extracted into a temporary directory and
+    hashed in a child interpreter (see ``CHILD``) that writes no bytecode,
+    and prints one ``--records`` line per hash."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True)
     if archive.returncode:
         raise SystemExit(f"error: git archive {rev}: {archive.stderr.decode().strip()}")
@@ -294,10 +302,23 @@ def revision_hashes(rev: str, argv: list[str]) -> dict[tuple[str, int], str]:
             tar.extractall(workdir, filter="data")
         src = str(Path(workdir, "src"))
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-        child = subprocess.run([sys.executable, "-c", CHILD, src, __file__, *argv],
+        child = subprocess.run([sys.executable, "-c", CHILD, src, __file__, *argv, "--records"],
                                stdout=subprocess.PIPE, text=True, check=True, env=env)
-    lines = [line.split() for line in child.stdout.splitlines()]
-    return {(workload, int(seed)): digest for workload, seed, digest in lines}
+    records = [json.loads(line) for line in child.stdout.splitlines()]
+    return {(r["workload"], r["seed"]): (r["hash"], r["limits"]) for r in records}
+
+
+def moved(theirs: list, ours: list) -> str:
+    """How far the limits of a differing workload moved, from ``theirs`` to
+    ``ours``, each a list of ``(mu_up, iterations)`` in solve order: the
+    largest |d mu_up| / mu_up, over ``theirs``' mu_up, and each side's
+    summed iterations. Where the two solved a different number of limits,
+    that number stands in for the largest move."""
+    if len(theirs) == len(ours):
+        shift = f"max|dmu|/mu={max(abs(b - a) / a for (a, _), (b, _) in zip(theirs, ours)):.1e}"
+    else:
+        shift = f"limits={len(theirs)}->{len(ours)}"
+    return f"{shift} iterations={sum(i for _, i in theirs)}->{sum(i for _, i in ours)}"
 
 
 def main(argv=None) -> int:
@@ -307,19 +328,24 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="1,7")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--against", metavar="REV", help="git revision whose src/ to hash beside this tree's")
+    parser.add_argument("--records", action="store_true", help=argparse.SUPPRESS)  # the --against child's output
     args = parser.parse_args(argv)
     shared = ["--ops", str(args.ops), "--seeds", args.seeds, "--workloads", args.workloads]
     theirs = revision_hashes(args.against, shared) if args.against else {}
     differs = False
     for workload in args.workloads.split(","):
         for seed in (int(s) for s in args.seeds.split(",")):
-            ours = result_hash(workload, seed, args.ops)
-            if not args.against:
+            limits = []
+            ours = result_hash(workload, seed, args.ops, limits)
+            if args.records:
+                print(json.dumps({"workload": workload, "seed": seed, "hash": ours, "limits": limits}))
+            elif not args.against:
                 print(f"{workload:<12} {seed:>4} {ours}")
-                continue
-            rev = theirs[workload, seed]
-            differs |= rev != ours
-            print(f"{workload:<12} {seed:>4} {rev} {ours} {'same' if rev == ours else 'differs'}")
+            else:
+                rev, rev_limits = theirs[workload, seed]
+                differs |= rev != ours
+                line = f"{workload:<12} {seed:>4} {rev} {ours} {'same' if rev == ours else 'differs'}"
+                print(f"{line} {moved(rev_limits, limits)}" if rev != ours and (limits or rev_limits) else line)
     return int(differs)
 
 
