@@ -75,7 +75,7 @@ def compare_limits(
     """Run both methods on one shared sample set and classify the outcome.
 
     Both criteria are built on one computation of the set's yields. The
-    hybrid CLs limit is solved first, from the Wilson-Hilferty guess. The
+    hybrid CLs limit is solved first, from the Cornish-Fisher start. The
     Bayesian solve then starts at the CLs root: with a certain signal the
     two criteria are the same function of mu, so that is its root too.
     The start is only a first guess; the Bayesian criterion must still

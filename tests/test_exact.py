@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from countlim import (
     marginal_posterior_density,
 )
 from countlim import marginal
-from countlim.marginal import _BAYES, _CLS, _criterion, _wilson_hilferty_start, scan_quantity
+from countlim.marginal import _BAYES, _CLS, _criterion, _start, scan_quantity
 from helpers import bg_systematic_model, identity_systematic_model, plain_model
 from oracles import bayesian_upper_limit_quadrature
 
@@ -302,24 +303,24 @@ def _outcome(route, model, req):
 
 @pytest.fixture
 def from_zero(monkeypatch):
-    """``_outcome`` with the Wilson-Hilferty start switched off, so that
+    """``_outcome`` with the Cornish-Fisher start switched off, so that
     every solve starts from mu = 0 alone."""
 
     def outcome(route, model, req):
         with monkeypatch.context() as patched:
-            patched.setattr(marginal, "_wilson_hilferty_start", lambda crit, alpha: 0.0)
+            patched.setattr(marginal, "_start", lambda crit, alpha: 0.0)
             return _outcome(route, model, req)
 
     return outcome
 
 
-class TestWilsonHilfertyStart:
+class TestCornishFisherStart:
     @pytest.mark.parametrize(
         ("s", "b", "n_obs", "alpha"),
         [
             (1.0, 69.0, 3, 1e-300),  # p = alpha * Q(4, 69) underflows to 0
-            (1.0, 1.0, 3, 0.999),  # x0 <= b
-            (1.0, 5.0, 1, 0.99),  # x0 <= b
+            (1.0, 1.5, 1, 0.999),  # the quantile lies at or below b: the start is not positive
+            (1.0, 5.0, 2, 0.9999),  # the same
             (1e-300, 1.5, 3, 0.05),  # start ~6e300, beyond the solver's 2**64 cap
             (1e-310, 1.5, 3, 0.05),  # start overflows to inf (the Bayes denominator to inf)
         ],
@@ -334,16 +335,40 @@ class TestWilsonHilfertyStart:
         except ConvergenceError:
             pass
         else:
-            start = _wilson_hilferty_start(crit, alpha)
+            start = _start(crit, alpha)
             assert start == 0.0 or start > 2.0**64
         req = LimitRequest(alpha=alpha)
         assert _outcome(route, model, req) == from_zero(route, model, req)
 
     def test_start_is_near_the_root(self):
-        # the guess alone is within 2% of the limit at n_obs = 3
+        # the guess alone is within 1e-4 of the limit at n_obs = 3
         model = plain_model(s=1.0, b=1.5, n_obs=3)
         crit = _criterion(model, _CLS, draw_samples(model.systematics, None))
-        assert _wilson_hilferty_start(crit, 0.05) == pytest.approx(ORACLE_MU_UP_CLS, rel=0.02)
+        assert _start(crit, 0.05) == pytest.approx(ORACLE_MU_UP_CLS, rel=1e-4)
+
+    def test_exact_small_solves_end_after_two_kernel_calls(self, monkeypatch, tmp_path):
+        # the first 4,000 operations of the benchmark's exact_small stream at
+        # seed 1: a start within ~1e-3 of the root lets at least 95% of the
+        # solves with n_obs >= 1 end after two kernel calls past the
+        # denominator's, at the start and at the one step from it
+        pytest.importorskip("mpmath")  # the benchmark's streams import it
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        calls = []
+        for method in (_CLS, _BAYES):
+            kernel = method.one_point
+            monkeypatch.setattr(method, "one_point", lambda n, s, x, kernel=kernel: calls.append(x) or kernel(n, s, x))
+        stream = workloads.exact_small(1, workloads.Context(workloads.Oracle(), tmp_path, None))
+        ends = []
+        for _ in range(4000):
+            op = next(stream)
+            del calls[:]
+            res = op.call()
+            assert len(calls) == res.iterations  # the denominator, and each evaluation but mu = 0's
+            if op.n_obs >= 1:
+                ends.append(len(calls) - 1)
+        assert sum(end == 2 for end in ends) >= 0.95 * len(ends)
 
     def test_no_solve_is_won_or_lost(self, from_zero):
         # every configuration solved from mu = 0 still solves, to the same

@@ -625,7 +625,7 @@ class TestCriterionCurvature:
     @pytest.mark.parametrize(
         "model, integrator, limits",
         [
-            (bg_systematic_model(s=1e200, b=2.0, n_obs=3), Integrator.monte_carlo(100, 1), ["0x1.256cff7e377cbp-662"] * 2),
+            (bg_systematic_model(s=1e200, b=2.0, n_obs=3), Integrator.monte_carlo(100, 1), ["0x1.256cff7e69bfep-662"] * 2),
             # kappa^eta spreads s over the nodes: pmf' takes both signs, once inf - inf in the mean
             (
                 signal_systematic_model(s=1e200, b=2.0, n_obs=3),
@@ -636,7 +636,7 @@ class TestCriterionCurvature:
     )
     def test_cls_at_a_huge_signal_yield(self, model, integrator, limits):
         # for CLs at n >= 1 the curvature holds s^2 too (for Bayes, s): the
-        # limits keep the bits they had when the warning was let through
+        # limits are pinned to the bit, and the solves raise no warning
         rep = compare_limits(model, LimitRequest(alpha=0.05), integrator)
         assert [rep.mu_up_cls.hex(), rep.mu_up_bayes.hex()] == limits
 
@@ -832,7 +832,7 @@ class TestUpperLimits:
             for integrator in (Integrator.gauss_hermite(16), None):
                 res = limit(m, req, integrator, samples=mc)
                 assert (res.mu_up_stderr, res.criterion_stderr) == (want.mu_up_stderr, want.criterion_stderr)
-        assert hybrid_cls_upper_limit(m, req, None, samples=mc).mu_up_stderr == 0.004772952055779573
+        assert hybrid_cls_upper_limit(m, req, None, samples=mc).mu_up_stderr == 0.004772952055874471
 
     @pytest.mark.parametrize(
         ("model", "limit", "n_samples"),
@@ -907,7 +907,8 @@ class TestUpperLimits:
         assert math.isfinite(res.mu_up_stderr)
         assert res.mu_up_stderr == pytest.approx(res.criterion_stderr / abs(slope), rel=1e-5)
 
-    @pytest.mark.parametrize(("n_obs", "end"), [(1, 0), (5, 1)], ids=["lower_end", "upper_end"])
+    @pytest.mark.parametrize(("b", "n_obs", "seed", "end"), [(5.0, 1, 1, 0), (1.5, 5, 0, 1)],
+                             ids=["lower_end", "upper_end"])
     @pytest.mark.parametrize(
         ("limit", "method"),
         [
@@ -917,15 +918,17 @@ class TestUpperLimits:
         ],
         ids=["cls", "bayes", "paired_bayes"],
     )
-    def test_stderr_comes_from_the_evaluation_the_solve_ended_on(self, limit, method, n_obs, end, monkeypatch):
-        # at n_obs = 1 the last Halley step lands just short of the root, so
-        # the solve ends on its converged lower end after a probe signs the
-        # bracket just past it; at n_obs = 5 it ends on its last point, the
-        # upper end. The paired Bayesian solve starts at the CLs root and ends
-        # as the CLs one did. Either way the stderr takes the terms and slope
-        # of the returned end's own evaluation, with no kernel call after it
-        m = bg_systematic_model(s=1.0, b=1.5, n_obs=n_obs, kappa=1.05)
-        integ = Integrator.monte_carlo(200, 0)
+    def test_stderr_comes_from_the_evaluation_the_solve_ended_on(self, limit, method, b, n_obs, seed, end,
+                                                                 monkeypatch):
+        # at n_obs = 1, b = 5 on this set the last Halley step lands just
+        # short of the root, so the solve ends on its converged lower end
+        # after a probe signs the bracket just past it; at n_obs = 5, b = 1.5
+        # it ends on its last point, the upper end. The paired Bayesian solve
+        # starts at the CLs root and ends as the CLs one did. Either way the
+        # stderr takes the terms and slope of the returned end's own
+        # evaluation, with no kernel call after it
+        m = bg_systematic_model(s=1.0, b=b, n_obs=n_obs, kappa=1.05)
+        integ = Integrator.monte_carlo(200, seed)
         solve, solves = marginal._solve, []
 
         def spied(crit, *args, **kwargs):
@@ -953,12 +956,12 @@ class TestUpperLimits:
         ],
     )
     @pytest.mark.parametrize("method", [_CLS, _BAYES])
-    def test_sample_set_solve_starts_at_wilson_hilferty(self, model, integrator, rel, method):
+    def test_sample_set_solve_starts_at_the_quantile(self, model, integrator, rel, method):
         # the guess is the second point evaluated: on the large-count set,
-        # from the cumulants of X - B, within 1e-3 of the root; on the
-        # uncertain-signal one, on the weighted-mean yields, within 11%
+        # the quantile of X - B, within 1e-3 of the root; on the
+        # uncertain-signal one, at the mean signal yield, within 11%
         crit = _criterion(model, method, draw_samples(model.systematics, integrator))
-        start = marginal._wilson_hilferty_start(crit, 0.05)
+        start = marginal._start(crit, 0.05)
         mus = []
         solve = marginal.solve_decreasing
 
@@ -974,7 +977,7 @@ class TestUpperLimits:
     def test_no_start_on_a_vanishing_mean_signal(self):
         # every sample's signal yield is 0: the guess would divide by it
         crit = _Criterion(_CLS, 3, np.zeros(4), np.full(4, 1.5), np.full(4, 0.25))
-        assert marginal._wilson_hilferty_start(crit, 0.05) == 0.0
+        assert marginal._start(crit, 0.05) == 0.0
 
     def test_ratio_stderr_where_the_numerator_tracks_the_denominator(self):
         # numerator = denominator * (1 + ~1e-9 eps): var(u) + var(v) - 2 cov(u, v)
@@ -1028,7 +1031,7 @@ class TestUpperLimits:
 
 def mean_yield_start(crit, alpha):
     """The Wilson-Hilferty start on the weighted means of the yields: the
-    reference for every set that does not start from the cumulants."""
+    reference the quantile of X - B is measured against."""
     n = crit.n
     if n == 0:
         return 0.0
@@ -1078,15 +1081,15 @@ def grid_solves():
         for method in (_CLS, _BAYES):
             crit = _criterion(model, method, samples)
             with_stderr = marginal._takes_mc_error(samples)
-            start = marginal._wilson_hilferty_start(crit, req.alpha)
+            start = marginal._start(crit, req.alpha)
             solves.append((integrator, start, marginal._solve(crit, req, with_stderr),
                            marginal._solve(crit, req, with_stderr, start=mean_yield_start(crit, req.alpha))))
     return solves
 
 
 class TestCumulantStart:
-    # on a set whose signal yield is one s on every sample, at n_obs >= 14,
-    # the start is the quantile of X - B that the set's cumulants give
+    # the start is the quantile of X - B that the set's cumulants give, and
+    # on a set whose signal yield is one s on every sample it is the root's
 
     def test_start_lies_within_1e3_of_the_root_on_gauss_hermite_grids(self, grid_solves):
         misses = [abs(start - res.mu_up) / res.mu_up for integ, start, res, _ in grid_solves
@@ -1112,6 +1115,18 @@ class TestCumulantStart:
         # and both starts find the same root, within the solver's tolerance
         assert all(res.mu_up == pytest.approx(old.mu_up, rel=2e-9) for _, _, res, old in grid_solves)
 
+    @pytest.mark.parametrize("n_obs", [3, 20, 150])
+    @pytest.mark.parametrize("method", [_CLS, _BAYES])
+    def test_one_formula_on_the_nominal_point_and_on_a_set(self, method, n_obs):
+        # a set whose yields are the nominal ones on every sample gives B no
+        # spread, so its start is the nominal point's, to rounding
+        model = identity_systematic_model(s=2.0, b=float(n_obs), n_obs=n_obs)
+        one_point = _criterion(model, method)
+        on_set = _criterion(model, method, draw_samples(model.systematics, Integrator.gauss_hermite(16)))
+        assert one_point.w is None and len(on_set.w) == 16
+        start = marginal._start(one_point, 0.05)
+        assert start > 0.0 and marginal._start(on_set, 0.05) == pytest.approx(start, rel=1e-12)
+
     @pytest.mark.parametrize(("b", "kappa", "skew"), [(20.0, 1.05, 1.0), (150.0, 1.2, -1.0)])
     @pytest.mark.parametrize("method", [_CLS, _BAYES])
     def test_start_at_either_sign_of_the_skew(self, b, kappa, skew, method):
@@ -1121,7 +1136,7 @@ class TestCumulantStart:
         crit = _criterion(model, method, draw_samples(model.systematics, Integrator.gauss_hermite(16)))
         d = crit.b - crit.mean(crit.b)
         assert math.copysign(1.0, 2.0 * (model.n_obs + 1) - float(np.add.reduce(crit.w * d**3))) == skew
-        start = marginal._wilson_hilferty_start(crit, 0.05)
+        start = marginal._start(crit, 0.05)
         res = marginal._solve(crit, LimitRequest(alpha=0.05))
         assert start == pytest.approx(res.mu_up, rel=1e-3)
         assert mean_yield_start(crit, 0.05) != pytest.approx(res.mu_up, rel=1e-2)
@@ -1142,32 +1157,46 @@ class TestCumulantStart:
     )
     @pytest.mark.parametrize("method", [_CLS, _BAYES])
     @pytest.mark.parametrize("alpha", [0.05, 0.32])
-    def test_other_sets_keep_the_mean_yield_start_bit_for_bit(self, model, integrator, method, alpha):
+    def test_other_sets_start_from_the_quantile(self, model, integrator, method, alpha):
+        # one point, one sample, small counts and an uncertain signal take
+        # the same start: with a certain signal within 1e-3 of the root, and
+        # with no more evaluations than from the mean yields; with an
+        # uncertain one, at the mean signal yield, no further from the root
+        # than the mean-yield start
         samples = draw_samples(model.systematics, integrator) if integrator else None
         crit = _criterion(model, method, samples)
-        start = marginal._wilson_hilferty_start(crit, alpha)
-        assert start > 0.0 and start == mean_yield_start(crit, alpha)
+        req = LimitRequest(alpha=alpha)
+        start, old = marginal._start(crit, alpha), mean_yield_start(crit, alpha)
+        res = marginal._solve(crit, req)
+        assert start > 0.0
+        if model.signal_is_certain:
+            assert start == pytest.approx(res.mu_up, rel=1e-3)
+            assert res.iterations <= marginal._solve(crit, req, start=old).iterations
+        else:
+            assert abs(start - res.mu_up) <= abs(old - res.mu_up)
 
     @pytest.mark.parametrize(
-        ("model", "integrator"),
+        ("model", "integrator", "rel"),
         [
             # CLb ~ 4e-4, so that p = alpha CLb lies past the normal's upper
-            # 3.5 quantile, where the expansion no longer holds
-            (bg_systematic_model(s=2.0, b=40.0, n_obs=18, kappa=1.1), Integrator.gauss_hermite(16)),
+            # 3.5 quantile: the expansion still lands within 1% of the root
+            (bg_systematic_model(s=2.0, b=40.0, n_obs=18, kappa=1.1), Integrator.gauss_hermite(16), 0.01),
             # background yields up to ~4e53 on a set whose CLb is ~0.5: their
             # sixth powers would overflow, with numpy's RuntimeWarning (an
-            # error in this suite)
-            (bg_systematic_model(s=1.0, b=5.0, n_obs=12, kappa=1e15), Integrator.monte_carlo(2000, 1)),
+            # error in this suite), so the solve starts from 0
+            (bg_systematic_model(s=1.0, b=5.0, n_obs=12, kappa=1e15), Integrator.monte_carlo(2000, 1), None),
         ],
         ids=["far tail", "wild spread"],
     )
     @pytest.mark.parametrize("method", [_CLS, _BAYES])
-    def test_sets_past_the_expansion_keep_the_mean_yield_start(self, model, integrator, method):
+    def test_far_tail_and_wild_spread(self, model, integrator, rel, method):
         crit = _criterion(model, method, draw_samples(model.systematics, integrator))
         clb = crit.den * crit.s_max if crit.bayes else crit.den
         assert -statistics.NormalDist().inv_cdf(0.05 * clb) > 3.5 or crit.b_max > 1e52
-        assert marginal._wilson_hilferty_start(crit, 0.05) == mean_yield_start(crit, 0.05)
-        assert marginal._solve(crit, LimitRequest(alpha=0.05)).mu_up > 0.0
+        start = marginal._start(crit, 0.05)
+        res = marginal._solve(crit, LimitRequest(alpha=0.05))
+        assert res.mu_up > 0.0
+        assert start == (0.0 if rel is None else pytest.approx(res.mu_up, rel=rel))
 
 
 class TestZeroNominalSignal:

@@ -229,12 +229,12 @@ class TestSolveDecreasing:
             evals += pair
             if n_obs == 0:
                 zero_count_evals += pair
-        # the Wilson-Hilferty start and the step aimed past the root take
-        # the median to 3 and keep the maximum at 5; n_obs = 0 starts from
+        # the Cornish-Fisher start and the step aimed past the root take
+        # the median to 3 and keep the maximum at 4; n_obs = 0 starts from
         # mu = 0, where one Newton step is exact, and a start there would
         # cost a fourth
         assert statistics.median(evals) <= 3
-        assert max(evals) <= 5
+        assert max(evals) <= 4
         assert max(zero_count_evals) <= 3
         assert len(recorded_solves) == len(evals)
         assert_brackets_signed(recorded_solves)
@@ -458,15 +458,15 @@ class TestDeclaredValueAtZero:
 
 def exact_grid_criteria():
     """(criterion, alpha, start) on criterion 2's 225 configurations: both
-    exact routes from their Wilson-Hilferty starts, and the Bayes route
+    exact routes from their Cornish-Fisher starts, and the Bayes route
     again from the CLs root, as ``compare_limits`` starts it."""
     for s, b, n_obs, alpha in itertools.product(
         (0.5, 1.0, 2.0), (0.0, 0.5, 1.5, 5.0, 20.0), (0, 1, 3, 10, 50), (0.05, 0.1, 0.32)
     ):
         model = plain_model(s=s, b=b, n_obs=n_obs)
         cls, bayes = (marginal._criterion(model, method) for method in (marginal._CLS, marginal._BAYES))
-        yield cls, alpha, marginal._wilson_hilferty_start(cls, alpha)
-        yield bayes, alpha, marginal._wilson_hilferty_start(bayes, alpha)
+        yield cls, alpha, marginal._start(cls, alpha)
+        yield bayes, alpha, marginal._start(bayes, alpha)
         yield bayes, alpha, cls_upper_limit(model, LimitRequest(alpha=alpha)).mu_up
 
 
@@ -479,7 +479,7 @@ def sample_set_criteria():
             samples = marginal.draw_samples(model.systematics, integrator)
             for method in (marginal._CLS, marginal._BAYES):
                 crit = marginal._criterion(model, method, samples)
-                yield crit, alpha, marginal._wilson_hilferty_start(crit, alpha)
+                yield crit, alpha, marginal._start(crit, alpha)
 
 
 @pytest.fixture
@@ -533,7 +533,7 @@ class TestShortcutAgainstTheFullPath:
         kernel_call, pmf_call = crit.kernel, crit.pmf_and_derivative
         crit.kernel = lambda n, s, x: kernel_x.append(x) or kernel_call(n, s, x)
         crit.pmf_and_derivative = lambda x, *edges: pmf_x.append(x) or pmf_call(x, *edges)
-        start = marginal._wilson_hilferty_start(crit, 0.05)
+        start = marginal._start(crit, 0.05)
         assert start > 0.0
         _, _, evals, _ = solve_decreasing(crit, 0.05, 1e-9, 200, start)
         # every call is at a mu > 0, where x = mu*s + b is not b
@@ -548,7 +548,7 @@ class TestShortcutAgainstTheFullPath:
     def test_one_evaluation_with_a_start(self, method):
         crit = marginal._criterion(plain_model(s=1.0, b=1.5, n_obs=3), method)
         with pytest.raises(ConvergenceError, match="within 1 iterations") as err:
-            solve_decreasing(crit, 0.05, 1e-9, 1, marginal._wilson_hilferty_start(crit, 0.05))
+            solve_decreasing(crit, 0.05, 1e-9, 1, marginal._start(crit, 0.05))
         assert err.value.history == [(0.0, 1.0)] and err.value.iterations == 1
 
 

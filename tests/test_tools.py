@@ -70,9 +70,9 @@ def test_result_hash_prints_one_repeatable_hash_per_workload_and_seed(monkeypatc
     assert all(len(line.split()[2]) == 64 for line in lines)
     assert lines[:3] == lines[3:]
     assert marginal._solve is solve  # the spy is taken off after each run
-    # solves that start from 0, not the Wilson-Hilferty guess, end on
+    # solves that start from 0, not the Cornish-Fisher guess, end on
     # other iterations and brackets: the hash sees them
-    monkeypatch.setattr(marginal, "_wilson_hilferty_start", lambda crit, alpha: 0.0)
+    monkeypatch.setattr(marginal, "_start", lambda crit, alpha: 0.0)
     assert tool.result_hash("exact_small", 1, 3) != lines[0].split()[2]
 
 
@@ -176,7 +176,7 @@ def test_result_hash_against_a_revision(monkeypatch, capsys):
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[:2] for line in lines] == [[w, "1"] for w in ("exact_small", "toys_small", "large_count")] * 2
     # a differing line also says how far the limits moved (see the test below)
-    assert all(len(line) == (5 if line[4] == "same" else 7) and len(line[2]) == len(line[3]) == 64 for line in lines)
+    assert all(len(line) == (5 if line[4] == "same" else 8) and len(line[2]) == len(line[3]) == 64 for line in lines)
     assert [line[2] for line in lines[:3]] == [line[2] for line in lines[3:]]  # HEAD's side repeats
     for code, run in zip(codes, (lines[:3], lines[3:])):
         verdicts = [line[4] for line in run]
@@ -188,8 +188,12 @@ def test_result_hash_against_a_revision(monkeypatch, capsys):
 def test_result_hash_says_how_far_a_differing_workload_moved(monkeypatch, capsys):
     pytest.importorskip("mpmath")  # the benchmark's streams import it
     tool = load_tool(monkeypatch, "result_hash")
-    assert tool.moved([(1.0, 3), (2.0, 4)], [(1.0, 3), (2.0 + 4e-9, 2)]) == "max|dmu|/mu=2.0e-09 iterations=7->5"
-    assert tool.moved([(1.0, 3)], [(1.0, 3), (2.0, 2)]) == "limits=1->2 iterations=3->5"
+    assert tool.moved([(1.0, 3), (2.0, 4)], [(1.0, 3), (2.0 + 4e-9, 2)]) == (
+        "max|dmu|/mu=2.0e-09 iterations=7->5 more/fewer=0/1")
+    assert tool.moved([(1.0, 3), (2.0, 4), (3.0, 2), (4.0, 3)], [(1.0, 4), (2.0, 5), (3.0, 2), (4.0, 2)]) == (
+        "max|dmu|/mu=0.0e+00 iterations=12->13 more/fewer=2/1")
+    # solves are paired in order, as far as both sides go
+    assert tool.moved([(1.0, 3)], [(1.0, 3), (2.0, 2)]) == "limits=1->2 iterations=3->5 more/fewer=0/0"
     if shutil.which("git") is None or subprocess.run(
         ["git", "-C", str(tool.ROOT), "rev-parse", "--verify", "HEAD"], capture_output=True
     ).returncode:
@@ -197,7 +201,7 @@ def test_result_hash_says_how_far_a_differing_workload_moved(monkeypatch, capsys
     # this tree's solves start from 0, HEAD's from their guesses: each limit
     # moves within the solver's tolerance, and this tree's solves take more
     # evaluations; a workload with no limits adds nothing to its line
-    monkeypatch.setattr(marginal, "_wilson_hilferty_start", lambda crit, alpha: 0.0)
+    monkeypatch.setattr(marginal, "_start", lambda crit, alpha: 0.0)
     gamma_q = special.gamma_q
     monkeypatch.setattr(special, "gamma_q", lambda a, x: gamma_q(a, x) * (1.0 + 1e-9))
     code = tool.main(["--against", "HEAD", "--ops", "3", "--seeds", "1", "--workloads", "exact_small,large_count,kernels"])
@@ -205,8 +209,10 @@ def test_result_hash_says_how_far_a_differing_workload_moved(monkeypatch, capsys
     assert code == 1 and [line[:2] + line[4:5] for line in lines] == [
         ["exact_small", "1", "differs"], ["large_count", "1", "differs"], ["kernels", "1", "differs"]]
     for line in lines[:2]:
-        shift, iterations = line[5:]
+        shift, iterations, paired = line[5:]
         assert shift.startswith("max|dmu|/mu=") and 0.0 < float(shift.split("=")[1]) <= 2e-9
         theirs, ours = map(int, iterations.removeprefix("iterations=").split("->"))
         assert 0 < theirs < ours
+        more, fewer = map(int, paired.removeprefix("more/fewer=").split("/"))
+        assert more > fewer >= 0
     assert len(lines[2]) == 5

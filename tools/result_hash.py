@@ -36,9 +36,10 @@ line then reads workload, seed, REV's hash, this tree's hash and ``same``
 or ``differs``, and the tool exits 1 if any line differs. A differing line
 of a workload that solves limits also says how far they moved (``moved``):
 ``max|dmu|/mu=`` the largest |mu_up - mu_up of REV| / mu_up of REV over its
-limits, in order, and ``iterations=`` REV's summed ``iterations``, ``->``,
-this tree's. Nothing is written into the repository or its ``.git``. Run
-from the repository root:
+limits, in order, ``iterations=`` REV's summed ``iterations``, ``->``,
+this tree's, and ``more/fewer=`` how many solves, paired in order, took
+more and how many fewer iterations than REV's. Nothing is written into
+the repository or its ``.git``. Run from the repository root:
 
     python3 tools/result_hash.py [--ops 200] [--seeds 1,7] [--workloads exact_small,toys_small,large_count]
     python3 tools/result_hash.py --workloads cli_mix --ops 40
@@ -311,14 +312,17 @@ def revision_hashes(rev: str, argv: list[str]) -> dict[tuple[str, int], tuple[st
 def moved(theirs: list, ours: list) -> str:
     """How far the limits of a differing workload moved, from ``theirs`` to
     ``ours``, each a list of ``(mu_up, iterations)`` in solve order: the
-    largest |d mu_up| / mu_up, over ``theirs``' mu_up, and each side's
-    summed iterations. Where the two solved a different number of limits,
-    that number stands in for the largest move."""
+    largest |d mu_up| / mu_up, over ``theirs``' mu_up, each side's summed
+    iterations, and the number of solves, paired in order, that took more
+    and fewer iterations in ``ours``. Where the two solved a different
+    number of limits, that number stands in for the largest move."""
     if len(theirs) == len(ours):
         shift = f"max|dmu|/mu={max(abs(b - a) / a for (a, _), (b, _) in zip(theirs, ours)):.1e}"
     else:
         shift = f"limits={len(theirs)}->{len(ours)}"
-    return f"{shift} iterations={sum(i for _, i in theirs)}->{sum(i for _, i in ours)}"
+    pairs = [(a, b) for (_, a), (_, b) in zip(theirs, ours)]
+    more, fewer = sum(b > a for a, b in pairs), sum(b < a for a, b in pairs)
+    return f"{shift} iterations={sum(i for _, i in theirs)}->{sum(i for _, i in ours)} more/fewer={more}/{fewer}"
 
 
 def main(argv=None) -> int:
