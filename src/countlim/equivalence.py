@@ -12,11 +12,10 @@ is reported, never thresholded. :func:`compare_limits` and the CLI's
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 from .exceptions import _float, _require
 from .marginal import _BAYES, _CLS, Integrator, SampleSet, _Criterion, _criterion, _limit, _solve, _takes_mc_error
-from .model import CountingModel
+from .model import CountingModel, _Record
 from .solver import LimitRequest
 
 __all__ = ["EquivalenceReport", "compare_limits"]
@@ -27,8 +26,7 @@ VERDICT_UNEXPECTED = "unexpected_divergence"
 _DEFAULT_TOL = 1e-6  # compare_limits' tol, and the CLI's equivalence --tol
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Record):
     """Outcome of one comparison.
 
     ``signal_uncertain`` is decided syntactically (any non-identity signal
@@ -37,16 +35,12 @@ class EquivalenceReport:
     error when applicable.
     """
 
-    mu_up_cls: float
-    mu_up_bayes: float
-    rel_diff: float
-    signal_uncertain: bool
-    verdict: str
-    tol: float
-    mc_stderr: float | None = None
+    def __init__(self, mu_up_cls: float, mu_up_bayes: float, rel_diff: float, signal_uncertain: bool,
+                 verdict: str, tol: float, mc_stderr: float | None = None):
+        self._fill(mu_up_cls, mu_up_bayes, rel_diff, signal_uncertain, verdict, tol, mc_stderr)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 def _paired_limits(model, req, integrator, bayes_samples=None, bayes_error=False):

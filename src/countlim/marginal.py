@@ -33,10 +33,9 @@ import functools
 import math
 import types
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError, _float, _require, _shown
-from .model import CountingModel, SystematicsModel, _integer, _kind, _kind_dict, yields_on_samples
+from .model import CountingModel, SystematicsModel, _integer, _kind, _kind_dict, _Record, yields_on_samples
 from .special import _MATH, _gamma_q_scalar, _log_pmf, _log_pmf_limit, _numpy, _poisson_cdf_and_pmf, _poisson_cdf_scalar
 from .special import gamma_q, log_poisson_pmf
 from .solver import LimitRequest, LimitResult, solve_decreasing
@@ -78,8 +77,7 @@ _SCAN_QUANTITIES = ("cls", "clsb", "clb", "posterior")  # what scan_quantity tab
 _WEIGHT_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Integrator:
+class Integrator(_Record):
     """Strategy for discretising the nuisance-prior integrals.
 
     ``monte_carlo`` draws from the priors with a counter-based Philox
@@ -91,16 +89,12 @@ class Integrator:
     (numpy's kept as ``int``), at its default unless the kind takes it.
     """
 
-    kind: str
-    n_samples: int = 10000
-    seed: int = 0
-    nodes_per_dim: int = 16
-
     # each kind's fields, to_dict key -> field, as Response.KINDS
     KINDS = {"monte_carlo": {"n_samples": "n_samples", "seed": "seed"},
              "gauss_hermite": {"nodes_per_dim": "nodes_per_dim"}}
 
-    def __post_init__(self):
+    def __init__(self, kind: str, n_samples: int = 10000, seed: int = 0, nodes_per_dim: int = 16):
+        self._fill(kind, n_samples, seed, nodes_per_dim)
         _kind(self, _integer)
         _require(self, "n_samples", self.n_samples >= 1, "be at least 1")
         _require(self, "seed", 0 <= self.seed < 2**64, "be an unsigned 64-bit integer")

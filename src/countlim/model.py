@@ -10,6 +10,11 @@ the model's identity, since eta vectors are positional.
 Each constructor refuses a field of the wrong type or range with a
 :class:`ModelError` naming the class and the field. Models, their arrays
 and mappings included, are immutable and every operation here is pure.
+The model's classes and the run's records (``LimitRequest``,
+``LimitResult``, ``Integrator``, ``EquivalenceReport``) are plain classes
+on one small base, ``_Record``, rather than generated ones: the standard
+library's class generator, and the ``inspect`` it imports, took ~10 ms of
+every ``import countlim``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 import numbers
 import operator
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 from .exceptions import _INT_PAST_FLOAT, ModelError, YieldError, _float, _require, _shown
 
@@ -31,6 +36,52 @@ __all__ = [
     "CountingModel",
     "yields_on_samples",
 ]
+
+
+class _Record:
+    """An immutable record. Its fields are its ``__init__``'s parameters, in
+    order; ``__init__`` sets them (by ``_fill``) and then checks them. Each
+    default is also the class's attribute of that name (``Integrator.seed``).
+    Equality, hashing and ``repr`` read that one list: a record equals only
+    a record of its own class with equal fields, hashes as the tuple of its
+    fields, and refuses the assignment or deletion of any attribute with an
+    ``AttributeError``. Pickling and copying are Python's own, by the
+    instance's ``__dict__``.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        code, defaults = cls.__init__.__code__, cls.__init__.__defaults__ or ()
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        for name, default in zip(cls._fields[len(cls._fields) - len(defaults):], defaults):
+            setattr(cls, name, default)
+
+    def _fill(self, *values) -> None:
+        """Set the fields, in order, to ``values``."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _real(owner, name: str) -> float:
@@ -74,11 +125,13 @@ def _responses(owner, name: str) -> None:
 
 def _kind(owner, typed) -> None:
     """Check ``owner``'s kind by ``KINDS``: each parameter, stored by ``typed``, is at its default unless taken."""
-    kinds = type(owner).KINDS
+    cls = type(owner)
+    kinds = cls.KINDS
     _require(owner, "kind", isinstance(owner.kind, str) and owner.kind in kinds, f"be one of {', '.join(kinds)}")
-    for param in fields(owner)[1:]:
-        allowed = typed(owner, param.name) == param.default or param.name in kinds[owner.kind].values()
-        _require(owner, param.name, allowed, f"be {param.default} for kind {owner.kind}")
+    for name in cls._fields[1:]:
+        default = getattr(cls, name)
+        allowed = typed(owner, name) == default or name in kinds[owner.kind].values()
+        _require(owner, name, allowed, f"be {default} for kind {owner.kind}")
 
 
 def _kind_dict(obj) -> dict:
@@ -116,8 +169,7 @@ def _correlation(owner, name: str, k: int):
     _require(owner, name, False, "be positive definite", rows)
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(_Record):
     """Multiplicative yield response to one nuisance parameter.
 
     Kinds: ``identity`` (factor 1), ``log_normal`` (factor kappa**eta,
@@ -125,15 +177,12 @@ class Response:
     cross zero).
     """
 
-    kind: str
-    kappa: float = 1.0
-    delta: float = 0.0
-
     # each kind's parameters, config key -> field: the one table of them,
     # read by the kind check, config parsing and emitting
     KINDS = {"identity": {}, "log_normal": {"kappa": "kappa"}, "linear": {"delta": "delta"}}
 
-    def __post_init__(self):
+    def __init__(self, kind: str, kappa: float = 1.0, delta: float = 0.0):
+        self._fill(kind, kappa, delta)
         _kind(self, _real)
         _require(self, "kappa", 0.0 < self.kappa < math.inf, "be positive and finite")
         _require(self, "delta", math.isfinite(self.delta), "be finite")
@@ -163,23 +212,19 @@ class Response:
         return 1.0 + self.delta * eta
 
 
-@dataclass(frozen=True)
-class Prior:
+class Prior(_Record):
     """Constraint density on one nuisance parameter.
 
     ``loc``/``scale`` are the mean/sd for the normal kinds and the
     log-space location/scale for ``log_normal``.
     """
 
-    kind: str
-    loc: float = 0.0
-    scale: float = 1.0
-
     # as Response.KINDS
     KINDS = {"standard_normal": {}, "normal": {"mean": "loc", "sd": "scale"},
              "log_normal": {"mu": "loc", "sigma": "scale"}}
 
-    def __post_init__(self):
+    def __init__(self, kind: str, loc: float = 0.0, scale: float = 1.0):
+        self._fill(kind, loc, scale)
         _kind(self, _real)
         _require(self, "loc", math.isfinite(self.loc), "be finite")
         _require(self, "scale", 0.0 < self.scale < math.inf, "be positive and finite")
@@ -208,40 +253,43 @@ class Prior:
         return self.loc + self.scale * z
 
 
-@dataclass(frozen=True)
-class Nuisance:
-    name: str
-    prior: Prior
-
-    def __post_init__(self):
+class Nuisance(_Record):
+    def __init__(self, name: str, prior: Prior):
+        self._fill(name, prior)
         _require(self, "name", isinstance(self.name, str), "be a str")
         _require(self, "prior", isinstance(self.prior, Prior), "be a Prior")
 
 
-@dataclass(frozen=True)
-class BackgroundProcess:
+# the default responses of a background and of the signal: read, never stored
+_NO_RESPONSES = MappingProxyType({})
+
+
+class BackgroundProcess(_Record):
     """One background component: nominal yield plus its responses."""
 
-    name: str
-    b_nom: float
-    responses: Mapping[str, Response] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, name: str, b_nom: float, responses: Mapping[str, Response] = _NO_RESPONSES):
+        self._fill(name, b_nom, responses)
         _require(self, "name", isinstance(self.name, str), "be a str")
         _require(self, "b_nom", 0.0 <= _real(self, "b_nom") < math.inf, "be finite and nonnegative")
         object.__setattr__(self, "b_nom", self.b_nom + 0.0)  # -0.0 made 0.0
         _responses(self, "responses")
 
 
-@dataclass(frozen=True, eq=False)
-class SystematicsModel:
+class SystematicsModel(_Record):
     """Nuisance parameters, their priors, signal responses and an optional
     correlation matrix over the Gaussian-prior subset (declaration order).
+    It is not hashable.
     """
 
-    nuisances: tuple = ()
-    signal_responses: Mapping[str, Response] = field(default_factory=dict)
-    correlation: np.ndarray | None = None
+    def __init__(self, nuisances: tuple = (), signal_responses: Mapping[str, Response] = _NO_RESPONSES,
+                 correlation: np.ndarray | None = None):
+        self._fill(nuisances, signal_responses, correlation)
+        _named(self, "nuisances", Nuisance)
+        _responses(self, "signal_responses")
+        for key in self.signal_responses:
+            _require(self, "signal_responses", key in self.names, "name declared nuisances only", key)
+        chol = None if self.correlation is None else _correlation(self, "correlation", len(self.gaussian_indices))
+        object.__setattr__(self, "_chol", chol)
 
     def __eq__(self, other):
         if not isinstance(other, SystematicsModel):
@@ -252,14 +300,6 @@ class SystematicsModel:
         """What equality compares: the fields, with the correlation's finite entries as nested lists."""
         corr = None if self.correlation is None else self.correlation.tolist()
         return self.nuisances, self.signal_responses, corr
-
-    def __post_init__(self):
-        _named(self, "nuisances", Nuisance)
-        _responses(self, "signal_responses")
-        for key in self.signal_responses:
-            _require(self, "signal_responses", key in self.names, "name declared nuisances only", key)
-        chol = None if self.correlation is None else _correlation(self, "correlation", len(self.gaussian_indices))
-        object.__setattr__(self, "_chol", chol)
 
     @property
     def names(self) -> tuple:
@@ -283,8 +323,10 @@ class SystematicsModel:
         return out
 
 
-@dataclass(frozen=True)
-class CountingModel:
+_NO_SYSTEMATICS = object()  # CountingModel's default: a SystematicsModel of its own
+
+
+class CountingModel(_Record):
     """Nominal yields, observed count and systematics of one channel.
 
     Derived on construction: ``b_nom_total``, the sum of the nominal
@@ -293,12 +335,9 @@ class CountingModel:
     and ``all_responses_identity``, whether every response is.
     """
 
-    s_nom: float
-    backgrounds: tuple = ()
-    n_obs: int = 0
-    systematics: SystematicsModel = field(default_factory=SystematicsModel)
-
-    def __post_init__(self):
+    def __init__(self, s_nom: float, backgrounds: tuple = (), n_obs: int = 0,
+                 systematics: SystematicsModel = _NO_SYSTEMATICS):
+        self._fill(s_nom, backgrounds, n_obs, SystematicsModel() if systematics is _NO_SYSTEMATICS else systematics)
         _require(self, "s_nom", 0.0 <= _real(self, "s_nom") < math.inf, "be finite and nonnegative")
         backgrounds = _named(self, "backgrounds", BackgroundProcess)
         _integer(self, "n_obs", "be a nonnegative integer within the float range", 0, _INT_PAST_FLOAT)

@@ -78,6 +78,20 @@ def test_one_point_path_loads_no_numpy(configs, code, argv, exit_code):
     assert not loaded
 
 
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+@pytest.mark.parametrize(
+    ("code", "argv"),
+    [("import countlim", None), ("import countlim.cli", None), ("", ["limit", "plain.json", "--method", "both"])],
+    ids=["import", "import cli", "plain limit"],
+)
+def test_records_load_no_dataclasses(configs, module, code, argv):
+    # the records are plain classes on model._Record: dataclasses, and the
+    # inspect it imports, were ~10 ms of every call's import
+    loaded, proc = loaded_in_child(module, code, argv, cwd=configs)
+    assert proc.returncode == 0, proc.stderr
+    assert not loaded
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from countlim import ConfigError, config, marginal, special
+from countlim import ConfigError, CountingModel, config, marginal, special
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -147,6 +147,15 @@ def test_result_hash_of_configs_repeats_and_sees_each_decision(monkeypatch, caps
     assert tool.config_hash(1, 2) != lines[0].split()[2]
     monkeypatch.setattr(config, "parse_model", parse)
     monkeypatch.setattr(config, "emit_config", lambda model: {**emit(model), "n_obs": model.n_obs + 1})
+    assert tool.config_hash(1, 2) != lines[0].split()[2]
+    monkeypatch.setattr(config, "emit_config", emit)
+    # so do an accepted model's repr and its equality with its emitted config's model
+    text = CountingModel.__repr__
+    monkeypatch.setattr(CountingModel, "__repr__", lambda model: text(model).replace("=", ": "))
+    assert tool.config_hash(1, 2) != lines[0].split()[2]
+    monkeypatch.setattr(CountingModel, "__repr__", text)
+    assert tool.config_hash(1, 2) == lines[0].split()[2]
+    monkeypatch.setattr(CountingModel, "__eq__", lambda model, other: False)
     assert tool.config_hash(1, 2) != lines[0].split()[2]
 
 

@@ -16,9 +16,10 @@ directory, and hashes each call's exit code and stdout bytes. The
 hashes each call's float outputs by ``repr`` and its arrays by their bytes.
 The ``configs`` workload, also named only on request, runs ``parse_model``
 on a seeded corpus of config documents (``config_hash``) and hashes, per
-document, ``"ok "`` and the JSON of its ``emit_config``, or ``"refused"``:
-the accept-or-refuse decisions and the emitted configs, not the error
-texts. A refusal is a ``CountLimError``, or the ``ValueError`` numpy
+document, ``"ok "``, the JSON of its ``emit_config``, the model's ``repr``
+and whether the model equals ``parse_model`` of that JSON, or
+``"refused"``: the accept-or-refuse decisions, the emitted configs and the
+models' ``repr`` and equality, not the error texts. A refusal is a ``CountLimError``, or the ``ValueError`` numpy
 raised on a ragged correlation before the model refused one; any other
 exception stops the tool. The ``pointwise`` workload, also named only on
 request, calls the pointwise entries (``hybrid_cls``,
@@ -198,13 +199,17 @@ def _changed(doc, path, change):
 
 def config_hash(seed: int, ops: int) -> str:
     """The hash of the decisions on ``ops`` drawn documents at ``seed`` and
-    on every mutation of each (``config_mutations``)."""
+    on every mutation of each (``config_mutations``), and of each accepted
+    model's ``repr`` and its equality with the model its emitted config
+    parses to."""
     rng = np.random.default_rng(seed)
     digest = hashlib.sha256()
     for _ in range(ops):
         for doc in config_mutations(config_draw(rng)):
             try:
-                line = "ok " + json.dumps(config.emit_config(config.parse_model(doc)))
+                model = config.parse_model(doc)
+                emitted = config.emit_config(model)
+                line = f"ok {json.dumps(emitted)} {model!r} {model == config.parse_model(emitted)}"
             except (CountLimError, ValueError):
                 line = "refused"
             digest.update(line.encode() + b"\n")
