@@ -36,8 +36,8 @@ from collections.abc import Iterable
 
 from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError, _float, _require, _shown
 from .model import CountingModel, SystematicsModel, _integer, _kind, _kind_dict, _Record, yields_on_samples
-from .special import _MATH, _gamma_q_scalar, _log_pmf, _log_pmf_limit, _numpy, _poisson_cdf_and_pmf, _poisson_cdf_scalar
-from .special import gamma_q, log_poisson_pmf
+from .special import _MATH, _gamma_q_pmf, _gamma_q_scalar, _log_pmf, _log_pmf_limit, _numpy, _poisson_cdf_pmf
+from .special import _poisson_cdf_scalar, log_poisson_pmf
 from .solver import LimitRequest, LimitResult, solve_decreasing
 
 __all__ = [
@@ -252,18 +252,29 @@ def marginal_likelihood(model: CountingModel, mu: float, n, samples: SampleSet) 
     return float(np.add.reduce(samples.weights * pmf))
 
 
-# The two methods. ``wide``: a set's per-sample terms, and the pmf where the kernel
-# has it, else None; ``one_point``: the nominal point's, as floats. CLs: P(N <= n; x);
-# Bayes: Q(n + 1, x) / s, the integral of Poisson(n; m*s + b) over m >= (x - b) / s.
+def _bayes_wide(n: int, s, x):
+    q, pmf = _gamma_q_pmf(n + 1.0, x)
+    return q / s, pmf
+
+
+def _bayes_one_point(n: int, s: float, x: float):
+    q, pmf = _gamma_q_scalar(n + 1.0, x)
+    return q / s, pmf
+
+
+# The two methods. ``wide``: a set's per-sample terms; ``one_point``: the nominal
+# point's, as floats; each with pmf(n; x), which the kernel's route builds from its
+# prefactor. CLs: P(N <= n; x); Bayes: Q(n + 1, x) / s, the integral of
+# Poisson(n; m*s + b) over m >= (x - b) / s.
 _CLS = types.SimpleNamespace(
-    wide=lambda n, s, x: _poisson_cdf_and_pmf(n, x),
-    one_point=lambda n, s, x: (_poisson_cdf_scalar(n, x), None),
+    wide=lambda n, s, x: _poisson_cdf_pmf(n, x),
+    one_point=lambda n, s, x: _poisson_cdf_scalar(n, x),
     denominator="CLb",
     zero_signal="nominal signal yield is zero; the CLs limit is undefined",
 )
 _BAYES = types.SimpleNamespace(
-    wide=lambda n, s, x: (gamma_q(n + 1.0, x) / s, None),
-    one_point=lambda n, s, x: (_gamma_q_scalar(n + 1.0, x) / s, None),
+    wide=_bayes_wide,
+    one_point=_bayes_one_point,
     denominator="Q(n_obs + 1, b)",
     zero_signal="nominal signal yield is zero; the posterior for mu is improper",
 )
@@ -289,12 +300,12 @@ class _Criterion:
     -s * pmf for CLs and -pmf for Bayes, the curvature -s^2 * pmf *
     (n/x - 1) and -s * pmf * (n/x - 1). So calling the criterion gives
     its value, slope, curvature and numerator terms for the price of one
-    kernel call and one pmf, the exp of the kernels' one log-pmf body
-    (``special._log_pmf``), or of its limits at x = 0 and inf
-    (``_log_pmf_limit``) where a lane may reach them (``x_at``). A kernel
-    returns its terms and the pmf where it has one: a wide CLs call whose
-    lanes all take ``poisson_cdf``'s lower tail, where the pmf is the
-    tail's prefactor, bit for bit.
+    kernel call: every route of either kernel returns the pmf beside its
+    terms, built from the prefactor it computes anyway (see
+    :mod:`countlim.special`). The criterion computes a pmf of its own,
+    the exp of the kernels' log-pmf limits (``special._log_pmf_limit``),
+    only where a lane may sit at x = 0 or inf (``x_at``'s ``edges``),
+    and for the posterior density (``pmf_terms``).
 
     At mu = 0 the numerator is the denominator, and the criterion is
     exactly ``value_at_zero`` = 1: den / den, den a positive finite float,
@@ -357,8 +368,8 @@ class _Criterion:
             # the derivatives are -s and s^2 times the terms, and log c is
             # linear on a one-point set, with no second route to disagree
             d1, d2 = self.d1_scale * terms, self.d2_scale * terms
-        else:  # a kernel gives a pmf only where x > 0 on every lane
-            pmf, dpmf = self.pmf_and_derivative(x, edges) if pmf is None else (pmf, n * (pmf / x) - pmf)
+        else:  # the kernel's pmf, or its limits where a lane may be at x = 0 or inf
+            pmf, dpmf = self.pmf_and_derivative(x) if edges else (pmf, n * (pmf / x) - pmf)
             d1 = self.d1_scale * pmf
             d2 = self.d2_scale * dpmf
         den = self.den
@@ -499,8 +510,10 @@ def _start(crit: _Criterion, alpha: float) -> float:
     quantile in them; the expansion is taken to fourth order, the terms in
     the standardised cumulants g1 to g4 of Abramowitz and Stegun 26.2.51,
     collected by Hermite polynomial He_k(z), for z the normal upper
-    p-quantile. It holds for either sign of D's skew, and is aimed
-    ``_CUMULANT_AIM`` past the quantile. An uncertain signal takes its
+    p-quantile (``_expansion``). On the nominal point those factors are
+    a's alone, and are kept per count (``_nominal_expansion``). It holds
+    for either sign of D's skew, and is aimed ``_CUMULANT_AIM`` past the
+    quantile. An uncertain signal takes its
     weighted mean s, and p = alpha * CLb for CLs and alpha * E_w[Q(a, b) /
     s] * E_w[s] for Bayes, which ignores the signal's spread. At n = 0 the
     Newton step from 0 is already exact; an underflowed p, a mean signal
@@ -511,12 +524,12 @@ def _start(crit: _Criterion, alpha: float) -> float:
     if n == 0 or not crit.b_max < _CUMULANT_MAX_YIELD:
         return 0.0
     a = n + 1.0
-    s, m = crit.s, crit.b
-    k2 = k3 = k4 = k5 = k6 = 0.0  # B's cumulants: none on the nominal point
-    if crit.w is not None:
+    if crit.w is None:  # B is fixed: no cumulants of its own
+        s, m = crit.s, crit.b
+    else:
         import numpy as np
         w = crit.w
-        s, m = crit.mean(s), crit.mean(m)
+        s, m = crit.mean(crit.s), crit.mean(crit.b)
         d = crit.b - m
         d2 = d * d
         d3 = d2 * d
@@ -527,6 +540,20 @@ def _start(crit: _Criterion, alpha: float) -> float:
     p = alpha * (crit.den * s if crit.bayes else crit.den)
     if not (0.0 < p < 1.0 and s > 0.0):
         return 0.0
+    sd, h1, g1, h2, h3, h4, h5 = _nominal_expansion(a) if crit.w is None else _expansion(a, k2, k3, k4, k5, k6)
+    z = -_standard_normal().inv_cdf(p)
+    z2 = z * z
+    q = (z * h1 + (z2 - 1.0) * g1 * h2 + z * (z2 - 3.0) * h3 + (z2 * (z2 - 6.0) + 3.0) * h4
+         + z * (z2 * (z2 - 10.0) + 15.0) * h5)
+    start = (a - m + sd * q) / s * (1.0 + _CUMULANT_AIM)
+    return start if 0.0 < start < math.inf else 0.0
+
+
+def _expansion(a: float, k2: float, k3: float, k4: float, k5: float, k6: float) -> tuple:
+    """D's standard deviation and the Cornish-Fisher factors of :func:`_start`,
+    from a and B's cumulants k2 to k6: with He_k(z) the Hermite polynomials,
+    the quantile's terms are He_1 h1 + He_2 g1 h2 + He_3 h3 + He_4 h4 + He_5 h5,
+    in that grouping and order (``_start``)."""
     # D's cumulants, X's (r - 1)! a plus B's signed (-1)^r, standardised
     k2 += a
     sd = math.sqrt(k2)
@@ -537,17 +564,18 @@ def _start(crit: _Criterion, alpha: float) -> float:
     g3 = (24.0 * a - k5) * v * r
     g4 = (120.0 * a + k6) * v * v * v
     g11, g13, g22 = g1 * g1, g1 * g3, g2 * g2
-    z = -_standard_normal().inv_cdf(p)
-    z2 = z * z
-    q = (z * (1.0 + g11 * ((g2 - 1.0) / 36.0 - 227.0 / 7776.0 * g11) - g22 / 192.0)
-         + (z2 - 1.0) * g1 * (1.0 / 6.0 - g2 / 24.0 + 19.0 / 324.0 * g11)
-         + z * (z2 - 3.0) * (g2 * (1.0 / 24.0 - g2 / 64.0 + 37.0 / 288.0 * g11)
-                             - g11 * (1.0 / 18.0 + 26.0 / 243.0 * g11) - g13 / 60.0)
-         + (z2 * (z2 - 6.0) + 3.0) * (g3 / 120.0 + g1 * (g11 / 27.0 - g2 / 24.0))
-         + z * (z2 * (z2 - 10.0) + 15.0) * (g4 / 720.0 - g22 / 128.0 - g13 / 90.0
-                                           + g11 * (7.0 / 144.0 * g2 - 7.0 / 216.0 * g11)))
-    start = (a - m + sd * q) / s * (1.0 + _CUMULANT_AIM)
-    return start if 0.0 < start < math.inf else 0.0
+    return (sd, 1.0 + g11 * ((g2 - 1.0) / 36.0 - 227.0 / 7776.0 * g11) - g22 / 192.0,
+            g1, 1.0 / 6.0 - g2 / 24.0 + 19.0 / 324.0 * g11,
+            g2 * (1.0 / 24.0 - g2 / 64.0 + 37.0 / 288.0 * g11) - g11 * (1.0 / 18.0 + 26.0 / 243.0 * g11) - g13 / 60.0,
+            g3 / 120.0 + g1 * (g11 / 27.0 - g2 / 24.0),
+            g4 / 720.0 - g22 / 128.0 - g13 / 90.0 + g11 * (7.0 / 144.0 * g2 - 7.0 / 216.0 * g11))
+
+
+@functools.lru_cache(maxsize=256)
+def _nominal_expansion(a: float) -> tuple:
+    """``_expansion`` on the nominal point, where B has no cumulants: a
+    function of a alone, kept per count."""
+    return _expansion(a, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _solve(

@@ -25,7 +25,8 @@ import operator
 from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
-from .exceptions import _INT_PAST_FLOAT, ModelError, YieldError, _float, _require, _shown
+from .exceptions import ModelError, YieldError, _float, _require, _shown
+from .special import _COUNT_MAX, _COUNT_RULE
 
 __all__ = [
     "Response",
@@ -340,7 +341,7 @@ class CountingModel(_Record):
         self._fill(s_nom, backgrounds, n_obs, SystematicsModel() if systematics is _NO_SYSTEMATICS else systematics)
         _require(self, "s_nom", 0.0 <= _real(self, "s_nom") < math.inf, "be finite and nonnegative")
         backgrounds = _named(self, "backgrounds", BackgroundProcess)
-        _integer(self, "n_obs", "be a nonnegative integer within the float range", 0, _INT_PAST_FLOAT)
+        _integer(self, "n_obs", f"be a nonnegative integer {_COUNT_RULE}", 0, _COUNT_MAX + 1)
         _require(self, "systematics", isinstance(self.systematics, SystematicsModel), "be a SystematicsModel")
         for bkg in backgrounds:
             for key in bkg.responses:

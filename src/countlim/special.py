@@ -3,15 +3,27 @@
 The three public functions take a count (``gamma_q``'s a at least 1) and a
 mean: a real number, on a ``math``-module path that never imports numpy,
 or an integer or float array of any shape, vectorised, whose shape the
-result takes. ``_count`` and ``_mean`` refuse other types, a count past
-the float range, and a negative or NaN mean, with a ``ConfigError``.
+result takes. ``_count`` and ``_mean`` refuse other types, a count
+above ``_COUNT_MAX`` (~2.56e305, the greatest whose ln (n + 1)! is a
+finite float), and a negative or NaN mean, with a ``ConfigError``.
 
 Every route but Temme's is a Poisson prefactor e^-x x^k / k! times one
 sum or one fraction. Its log, k ln x - x - ln k! (ln Gamma(a) at k = a
 in ``gamma_q``), is one body, ``_log_pmf``, shared by the kernels,
 :func:`log_poisson_pmf` and :mod:`countlim.marginal`'s criterion; the
 pmf's limits at x = 0 and inf are in ``_log_pmf_limit``, the kernels'
-(1 and 0) in ``_at_ends``.
+(1 and 0) in ``_at_ends``. Every route, on a float and on wide lanes
+alike, hands back pmf(n; x) beside its value, built from the prefactor
+it computes anyway, for the criteria's slopes: ``poisson_cdf``'s lower
+tail returns its prefactor, pmf(n; x) itself; its upper tail prefactor
+(n + 1) / x; ``gamma_q``'s series and fraction, at a = n + 1, prefactor
+/ x; and Temme's route K(a) e^(-a eta^2/2) / x, with K(a) = exp(a ln a
+- a - ln Gamma(a)) cached per a (``_temme_pmf_scale``). So no route takes
+a second ``log`` or ``exp`` for it. The pmf is within a few ulp of the
+log's terms of exp(``log_poisson_pmf``), and the lower tail's is that,
+bit for bit; where the prefactor underflows, the pmf goes with it. The
+public kernels drop it (``_poisson_cdf_pmf`` and ``_gamma_q_pmf`` keep
+it), and ``_on_lanes`` gathers it as it does the value.
 
 Three of ``gamma_q``'s routes, the continued fraction, eta^2/2 and
 Temme's expansion, have one body each, run on the ``math`` module's
@@ -21,11 +33,12 @@ float and an array form by design. Exact limits solve on the float
 paths, and narrow arrays run them lane by lane. An array call pays a
 fixed cost in numpy calls whatever its width, where a float path pays
 per lane. README tabulates the cost of an array call over the float
-path's on its lanes, by kernel, count and width (``tools/kernel_crossover.py``).
-Its median crosses 1 at 20 lanes (0.98 to 1.03 over four runs): arrays
-of at most ``_NARROW_LANES`` = 20 lanes take the float paths, bit for
-bit. ``gamma_q`` above a = 20, where Temme's route takes most lanes, is
-the exception: its float path still wins at 32 lanes.
+path's on its lanes, by kernel, count and width, each call with its pmf
+(``tools/kernel_crossover.py``). Its median crosses 1 at 20 lanes (1.04
+to 1.07 over five runs): arrays of at most ``_NARROW_LANES`` = 20 lanes
+take the float paths, bit for bit. ``gamma_q`` above a = 20, where
+Temme's route takes most lanes, is the exception: its float path still
+wins at 40 lanes.
 
 Wider arrays take no convergence test. ``poisson_cdf`` sums the scalar
 walk's series as one polynomial in n/x or x/(n + 1), and ``gamma_q``'s
@@ -85,19 +98,26 @@ import math
 import sys
 import types
 
-from .exceptions import _INT_PAST_FLOAT, _float, _require
+from .exceptions import _float, _require
 
 __all__ = ["log_poisson_pmf", "poisson_cdf", "gamma_q"]
 
 _REL_EPS = 1e-15  # relative-term convergence target for the scalar lower series
 
 
+# The greatest count n whose ln (n + 1)! = lgamma(n + 2) is a finite float:
+# past it lgamma raises OverflowError, so the kernels and the model refuse
+# greater counts (a float holds them up to ~1.8e308).
+_COUNT_MAX = int(2.5599833278516383e305)
+_COUNT_RULE = f"at most {float(_COUNT_MAX)!r}"
+
+
 def _count(owner, name: str, n, least: int = 0) -> int:
-    """Argument ``name`` of ``owner`` as an int, refused unless an integer of at least ``least`` (by ``_float``)
-    that converts to a finite float: ``_float`` reads one past the float range as inf."""
-    integral = type(n) is int and n < _INT_PAST_FLOAT or (value := _float(n)) is not None and value.is_integer()
-    if not integral or n < least:
-        _require(owner, name, False, f"be an integer of at least {least} within the float range", n)
+    """Argument ``name`` of ``owner`` as an int, refused unless an integer (by ``_float``) from ``least``
+    to ``_COUNT_MAX``: ``_float`` reads one past the float range as inf, which is no integer."""
+    value = n if type(n) is int else _float(n)  # compared as a Python number, with no numpy cast
+    if not (value is not None and (type(n) is int or value.is_integer()) and least <= value <= _COUNT_MAX):
+        _require(owner, name, False, f"be an integer of at least {least} and {_COUNT_RULE}", n)
     return int(n)
 
 
@@ -174,44 +194,66 @@ def poisson_cdf(n, nu):
     1e-14 * (n + nu + 1) for n <= 1e4. Independent of :func:`gamma_q` by
     design.
     """
-    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, _count(poisson_cdf, "n", n), _mean(poisson_cdf, "nu", nu))
+    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, _count(poisson_cdf, "n", n), _mean(poisson_cdf, "nu", nu))[0]
+
+
+def _poisson_cdf_pmf(n: int, nu):
+    """``poisson_cdf(n, nu)`` at a count ``n`` already checked, and
+    pmf(n; nu) from each lane's prefactor (``_on_lanes``)."""
+    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, n, _mean(poisson_cdf, "nu", nu))
 
 
 def _on_lanes(scalar, routes, first, checked):
-    """``scalar(first, x)`` on a float or on each lane of a narrow array,
-    for ``x``, ``lanes`` and ``lo`` as ``_mean`` returns them. A wide
-    array takes the table ``routes(first)``: cuts in x, ascending, and a
-    body more, body i running as ``body(first, lanes, _numpy())`` on the
-    lanes with cuts[i - 1] <= x < cuts[i]. One route runs on the whole
-    array, flat, with no masks, and its result takes the array's shape; else
-    each route with lanes runs on them, gathered in order."""
+    """A kernel's value and pmf, each of the shape of ``x``, for ``x``,
+    ``lanes`` and ``lo`` as ``_mean`` returns them: ``scalar(first, x)``
+    on a float or on each lane of a narrow array. A wide array takes the
+    table ``routes(first)``: cuts in x, ascending, and a body more, body i
+    running as ``body(first, lanes, _numpy())`` on the lanes with
+    cuts[i - 1] <= x < cuts[i]. One route runs on the whole array, flat,
+    with no masks; else each route with lanes runs on them, gathered in
+    order. Every route, scalar or wide, returns its value and the pmf it
+    builds from its prefactor (see the module docstring)."""
     x, lanes, lo = checked
     if type(x) is float:
         return scalar(first, x)
     import numpy as np
-    if lanes is not None:
-        return np.fromiter(map(scalar, itertools.repeat(first, len(lanes)), lanes), float, len(lanes)).reshape(x.shape)
+    if lanes is not None:  # each lane's pair, interleaved in one buffer
+        pairs = itertools.chain.from_iterable(map(scalar, itertools.repeat(first, len(lanes)), lanes))
+        both = np.fromiter(pairs, float, 2 * len(lanes))
+        return both[0::2].reshape(x.shape), both[1::2].reshape(x.shape)
     (cuts, bodies), ns = routes(first), _numpy()
     i, last = bisect.bisect_right(cuts, lo), bisect.bisect_right(cuts, float(x.max()))
+    flat = x.ravel()
     if i == last:
-        return bodies[i](first, x.ravel(), ns).reshape(x.shape)
-    out = np.empty_like(x)
-    below = x < cuts[i]
-    out[below] = bodies[i](first, x[below], ns)
+        value, pmf = bodies[i](first, flat, ns)
+        return value.reshape(x.shape), pmf.reshape(x.shape)
+    # each route's lanes by index, in order: one gather of x and two
+    # scatters, where a boolean mask would pay a search for each
+    out, pmf = np.empty_like(flat), np.empty_like(flat)
+    below = flat < cuts[i]
+    at = below.nonzero()[0]
+    out[at], pmf[at] = bodies[i](first, flat[at], ns)
     for i in range(i + 1, last):  # the routes between the least and greatest lane's may have none
-        on = below ^ (below := x < cuts[i])  # under this cut and not under the one before
-        if on.any():
-            out[on] = bodies[i](first, x[on], ns)
-    on = ~below
-    out[on] = bodies[last](first, x[on], ns)
-    return out
+        at = (below ^ (below := flat < cuts[i])).nonzero()[0]  # under this cut and not under the one before
+        if at.size:
+            out[at], pmf[at] = bodies[i](first, flat[at], ns)
+    at = (~below).nonzero()[0]
+    out[at], pmf[at] = bodies[last](first, flat[at], ns)
+    return out.reshape(x.shape), pmf.reshape(x.shape)
 
 
 _TINY = math.ulp(0.0)  # the smallest positive float: x = 0 is a route of its own
 
 
-def _at_ends(first, x, ns):  # both kernels are 1 at x = 0 and take the limit 0 at x = inf
-    return (x == 0.0).astype(float)
+def _at_ends(k, x, ns):
+    """Either kernel at x = 0, where it is 1, and at x = inf, where it takes
+    the limit 0, with pmf(k; x)'s limits there: 1 at x = 0 for k = 0, else 0."""
+    value = (x == 0.0).astype(float)
+    return value, value * (k == 0)
+
+
+def _gamma_at_ends(a, x, ns):  # gamma_q's pmf is pmf(a - 1; x)
+    return _at_ends(a - 1.0, x, ns)
 
 
 @functools.lru_cache(maxsize=256)
@@ -219,8 +261,8 @@ def _poisson_routes(n: int) -> tuple[tuple[float, ...], tuple]:
     """``poisson_cdf``'s wide routes at count n for ``_on_lanes``: the upper
     tail below x = n, then the lower tail, with x = 0 and inf apart."""
     if n == 0:  # no lane is below 0: the lower tail takes every other one
-        return (_TINY, math.inf), (_at_ends, _lower_tail_cdf, _at_ends)
-    return (_TINY, float(n), math.inf), (_at_ends, _upper_tail_array, _lower_tail_cdf, _at_ends)
+        return (_TINY, math.inf), (_at_ends, _lower_tail_array, _at_ends)
+    return (_TINY, float(n), math.inf), (_at_ends, _upper_tail_array, _lower_tail_array, _at_ends)
 
 
 # A term at most this fraction of its lane's sum is below half an ulp of
@@ -228,49 +270,46 @@ def _poisson_routes(n: int) -> tuple[tuple[float, ...], tuple]:
 _TAIL_EPS = 1e-17
 
 
-def _poisson_cdf_scalar(n: int, nu: float) -> float:
+def _poisson_cdf_scalar(n: int, nu: float) -> tuple[float, float]:
     if not nu > 0.0:
-        return 1.0
+        return 1.0, float(n == 0)
     t = total = 1.0
     if nu >= n:
         if nu == math.inf:
-            return 0.0
+            return 0.0, 0.0
         inv = 1.0 / nu
         for k in range(n, 0, -1):
             t *= k * inv
             total += t
             if t <= _TAIL_EPS * total:
                 break
-        return math.exp(_log_pmf(n, nu, math.lgamma(n + 1), _MATH)) * total
+        pmf = math.exp(_log_pmf(n, nu, math.lgamma(n + 1), _MATH))
+        return pmf * total, pmf
     k = n + 1
     while t > _TAIL_EPS * total:
         k += 1
         t *= nu / k
         total += t
-    return 1.0 - math.exp(_log_pmf(n + 1, nu, math.lgamma(n + 2), _MATH)) * total
+    pref = math.exp(_log_pmf(n + 1, nu, math.lgamma(n + 2), _MATH))
+    return 1.0 - pref * total, pref * (n + 1) / nu
 
 
-def _upper_tail_array(n: int, nu: np.ndarray, ns) -> np.ndarray:
+def _upper_tail_array(n: int, nu: np.ndarray, ns) -> tuple[np.ndarray, np.ndarray]:
     # P(N > n) from k = n + 1: H_j z^j, z = x/(n + 1) < 1, H_j = prod_{i<=j} (n + 1)/(n + 1 + i)
     sums = _series_sum(_series_blocks("upper", n), nu / (n + 1))
-    return 1.0 - ns.exp(_log_pmf(n + 1, nu, math.lgamma(n + 2), ns)) * sums
+    pref = ns.exp(_log_pmf(n + 1, nu, math.lgamma(n + 2), ns))
+    value = 1.0 - pref * sums
+    pref *= n + 1
+    pref /= nu
+    return value, pref
 
 
-def _lower_tail_cdf(n: int, x: np.ndarray, ns) -> np.ndarray:
-    pmf, sums = _lower_tail_array(n, x)
-    return pmf * sums
-
-
-def _poisson_cdf_and_pmf(n: int, nu):
-    """``poisson_cdf(n, nu)`` and, on a wide array whose lanes all take the
-    lower tail, its prefactor: pmf(n; nu), with the same bits. Else None.
-    The one route runs on the lanes flat, as ``_on_lanes``' does, and both
-    results take the array's shape."""
-    x, lanes, lo = checked = _mean(poisson_cdf, "nu", nu)
-    if lo is not None and 0.0 < lo and n <= lo and float(x.max()) < math.inf:
-        pmf, sums = _lower_tail_array(n, x.ravel())
-        return (pmf * sums).reshape(x.shape), pmf.reshape(x.shape)
-    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, n, checked), None
+def _lower_tail_array(n: int, x: np.ndarray, ns) -> tuple[np.ndarray, np.ndarray]:
+    # P(N <= n) for x >= n, the prefactor pmf(n; x) times the sum: the terms
+    # k = n down to 0, relative to the k = n one, are G_j y^j with
+    # y = n/x <= 1 and G_j = prod_{i<j} (n - i)/n
+    pmf = ns.exp(_log_pmf(n, x, math.lgamma(n + 1), ns))
+    return pmf * _series_sum(_series_blocks("lower", n), n / x), pmf
 
 
 # Wide arrays sum the scalar walks' truncated series as polynomials, with
@@ -323,8 +362,15 @@ def _series_table(route: str, a) -> np.ndarray:
 
 def _horner(coeffs, y):
     """The polynomial with ``coeffs``, highest power first, at a finite
-    float ``y`` or at each lane of an array, in place on one fresh buffer:
-    c_0 + 0 y, then p y + c_j for each next c_j, the order of a scalar loop."""
+    float ``y``, from c_0, or at each lane of an array, in place on one
+    fresh buffer from c_0 + 0 y; then p y + c_j for each next c_j, the
+    order of a scalar loop. c_0 + 0 y is c_0 on a finite y: the same bits."""
+    if type(y) is float:
+        terms = iter(coeffs)
+        p = next(terms)
+        for c in terms:
+            p = p * y + c
+        return p
     p = y * 0.0
     p += coeffs[0]
     for c in coeffs[1:]:
@@ -401,14 +447,6 @@ def _block_sum(c: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     return p
 
 
-def _lower_tail_array(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # P(N <= n) for x >= n, as the prefactor pmf(n; x) and the sum: the terms
-    # k = n down to 0, relative to the k = n one, are G_j y^j with
-    # y = n/x <= 1 and G_j = prod_{i<j} (n - i)/n
-    import numpy as np
-    return np.exp(_log_pmf(n, x, math.lgamma(n + 1), _numpy())), _series_sum(_series_blocks("lower", n), n / x)
-
-
 def gamma_q(a, x):
     """Regularized upper incomplete gamma Q(a, x) = Gamma(a; x) / Gamma(a).
 
@@ -426,25 +464,32 @@ def gamma_q(a, x):
     """
     if not (type(a) is float and a >= 1.0 and a.is_integer()):  # the calculator's a = n + 1.0 skips _count
         a = float(_count(gamma_q, "a", a, 1))
+    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, _mean(gamma_q, "x", x))[0]
+
+
+def _gamma_q_pmf(a: float, x):
+    """``gamma_q(a, x)`` at an integer float ``a >= 1`` already checked, and
+    pmf(a - 1; x) from each lane's prefactor (``_on_lanes``)."""
     return _on_lanes(_gamma_q_scalar, _gamma_routes, a, _mean(gamma_q, "x", x))
 
 
-def _gamma_q_scalar(a: float, x: float) -> float:
+def _gamma_q_scalar(a: float, x: float) -> tuple[float, float]:
     if x == 0.0:
-        return 1.0
+        return 1.0, float(a == 1.0)
     if a > _TEMME_MIN_A and _TEMME_LO * a <= x <= _TEMME_HI * a:
         return _temme(a, x, _MATH)
     if x < a + 1.0:
-        return max(0.0, 1.0 - _lower_series_scalar(a, x))
+        return _lower_series_scalar(a, x)
     if x == math.inf:
-        return 0.0
+        return 0.0, 0.0
     return _upper_cf(a, x, _MATH)
 
 
-def _lower_series_scalar(a: float, x: float) -> float:
+def _lower_series_scalar(a: float, x: float) -> tuple[float, float]:
+    # Q(a, x) = 1 - the lower series, walked, and pmf(a - 1; x)
     pref = math.exp(_log_pmf(a, x, math.lgamma(a), _MATH))
     if pref == 0.0:
-        return 0.0  # x far below a; the lower function underflows
+        return 1.0, 0.0  # x far below a; the lower function underflows
     # on the route, x < a + 1, every ratio x / r is below 1 and falling: the
     # terms fall from the first, and the walk ends (see _TEMME_MIN_A)
     r = a
@@ -454,7 +499,7 @@ def _lower_series_scalar(a: float, x: float) -> float:
         r += 1.0
         c *= x / r
         total += c
-    return pref * total / a
+    return max(0.0, 1.0 - pref * total / a), pref / x
 
 
 # Q(a, x) over its prefactor is 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))),
@@ -478,11 +523,11 @@ def _cf_levels(a: float) -> tuple[tuple[float, float], ...]:
 
 
 def _upper_cf(a: float, x, ns):
-    """Q(a, x) on the fraction's route, on a float with ``ns`` the ``math``
-    namespace or on an array with numpy's, each level's two sums in place.
-    t holds the next level's denominator: b + 2 depth at the deepest, then
-    (t_k + b) + 2 (k - 1) below level k, and t_1 + b after the last. A
-    prefactor that underflows gives 0 / t = 0."""
+    """Q(a, x) and pmf(a - 1; x) on the fraction's route, on a float with
+    ``ns`` the ``math`` namespace or on an array with numpy's, each level's
+    two sums in place. t holds the next level's denominator: b + 2 depth at
+    the deepest, then (t_k + b) + 2 (k - 1) below level k, and t_1 + b
+    after the last. A prefactor that underflows gives 0 / t = 0."""
     pref = ns.exp(_log_pmf(a, x, math.lgamma(a), ns))
     b = x + 1.0 - a
     levels = _cf_levels(a)
@@ -491,7 +536,7 @@ def _upper_cf(a: float, x, ns):
         t = c / t
         t += b
         t += d
-    return ns.min(1.0, pref / t)
+    return ns.min(1.0, pref / t), pref / x
 
 
 @functools.lru_cache(maxsize=256)
@@ -501,18 +546,21 @@ def _gamma_routes(a: float) -> tuple[tuple[float, ...], tuple]:
     x = 2 a; then the fraction; with x = 0 and inf apart."""
     edge = _series_bound(a)[0]
     if a <= _TEMME_MIN_A:
-        return (_TINY, edge, math.inf), (_at_ends, _lower_series_array, _upper_cf, _at_ends)
+        return (_TINY, edge, math.inf), (_gamma_at_ends, _lower_series_array, _upper_cf, _gamma_at_ends)
     top = math.nextafter(_TEMME_HI * a, math.inf)  # the fraction's lowest x
-    return (_TINY, edge, top, math.inf), (_at_ends, _lower_series_array, _temme, _upper_cf, _at_ends)
+    return (_TINY, edge, top, math.inf), (_gamma_at_ends, _lower_series_array, _temme, _upper_cf, _gamma_at_ends)
 
 
-def _lower_series_array(a: float, x: np.ndarray, ns) -> np.ndarray:
+def _lower_series_array(a: float, x: np.ndarray, ns) -> tuple[np.ndarray, np.ndarray]:
     # Q = 1 - the walk's terms x^j / ((a + 1)...(a + j)), a polynomial in
     # x / s with factors s / (a + j): the coefficients, the cut and the
-    # sum are those in x
+    # sum are those in x; and pmf(a - 1; x)
     import numpy as np
     sums = _series_sum(_series_blocks("gamma", a), x / _series_bound(a)[1])
-    return np.maximum(0.0, 1.0 - ns.exp(_log_pmf(a, x, math.lgamma(a), ns)) * sums / a)
+    pref = ns.exp(_log_pmf(a, x, math.lgamma(a), ns))
+    value = np.maximum(0.0, 1.0 - pref * sums / a)
+    pref /= x
+    return value, pref
 
 
 # Temme's uniform expansion (Temme 1979, SIAM J. Math. Anal. 10:757):
@@ -692,6 +740,21 @@ def _temme_poly(a: float) -> tuple[tuple[float, ...], float]:
     return tuple(coeffs), 1.0 / math.sqrt(2.0 * math.pi * a)
 
 
+# B_2k / (2k (2k - 1)) for k = 6 down to 1: ln Gamma(a) - (a - 1/2) ln a + a
+# - ln(2 pi) / 2 is their polynomial in 1/a^2, over a (Stirling's series,
+# A&S 6.1.40). At a > 20 the next term is below 5e-20.
+_STIRLING = (-691.0 / 360360.0, 1.0 / 1188.0, -1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0, 1.0 / 12.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _temme_pmf_scale(a: float) -> float:
+    """K(a) = exp(a ln a - a - ln Gamma(a)), by which Temme's route gives
+    pmf(a - 1; x) = K(a) exp(-a eta^2 / 2) / x. It is taken as sqrt(a / 2 pi)
+    exp(-S), S Stirling's series above, which neither overflows nor loses
+    the ~a ln a ulp that the difference of the logs would at large a."""
+    return math.sqrt(a / (2.0 * math.pi)) * math.exp(-_horner(_STIRLING, 1.0 / (a * a)) / a)
+
+
 # _half_eta_sq takes eta^2 / 2 = s - ln(1 + s), s = (x - a) / a, from the
 # exact frexp and ldexp and + - * / alone, rather than from log1p, which
 # numpy and math round differently and whose cancellation near s = 0 would
@@ -715,11 +778,13 @@ def _half_eta_sq(s, ns):
 
 
 def _temme(a: float, x, ns):
-    """Q(a, x) on Temme's route, on a float with ``ns`` the ``math``
-    namespace or on an array with numpy's. The expansion's two cases are
-    one formula: with sign = 1 from x = a up and -1 below, Q = sign e
-    (erfcx(z) / 2 + sign P) + (1 - sign) / 2, whose products with sign
-    and sum with 0 are exact, so each case keeps its bits."""
+    """Q(a, x) and pmf(a - 1; x) = K(a) e / x on Temme's route, on a float
+    with ``ns`` the ``math`` namespace or on an array with numpy's. On an
+    array the expansion's two cases are one formula: with sign = 1 from
+    x = a up and -1 below, Q = sign e (erfcx(z) / 2 + sign P) + (1 - sign)
+    / 2, whose products with sign and sum with 0 are exact, so each case
+    keeps its bits. A float takes its case by one test, to the same bits:
+    e (erfcx(z) / 2 + P), or 1 - e (erfcx(z) / 2 - P)."""
     s = (x - a) / a
     h = _half_eta_sq(s, ns)
     ah = a * h
@@ -728,13 +793,19 @@ def _temme(a: float, x, ns):
     h += h
     coeffs, norm = _temme_poly(a)
     poly = _horner(coeffs, ns.copysign(ns.sqrt(h), s))
+    e = ns.exp(-ah)
+    pmf = _temme_pmf_scale(a) * e
+    pmf /= x
+    if ns is _MATH:
+        poly *= norm
+        return ((q + poly) * e if s >= 0.0 else 1.0 - (q - poly) * e), pmf
     sign = ns.copysign(1.0, s)
     poly *= sign * norm
     q += poly
-    q *= ns.exp(-ah)
+    q *= e
     q *= sign
     q += 0.5 - 0.5 * sign
-    return q
+    return q, pmf
 
 
 # erfcx(z) = exp(z^2) erfc(z) for z >= 0, from + - * / alone, so that the

@@ -118,7 +118,7 @@ def bayes_solve_kernel_calls(monkeypatch):
         finally:
             solving = False
 
-    monkeypatch.setattr(marginal, "gamma_q", counted(marginal.gamma_q))
+    monkeypatch.setattr(marginal, "_gamma_q_pmf", counted(marginal._gamma_q_pmf))
     monkeypatch.setattr(marginal, "_gamma_q_scalar", counted(marginal._gamma_q_scalar))
     monkeypatch.setattr(marginal, "solve_decreasing", counted_solve)
     return counts

@@ -48,7 +48,7 @@ from countlim.marginal import (
     _criterion,
     scan_quantity,
 )
-from helpers import bg_systematic_model, identity_systematic_model, plain_model, signal_systematic_model
+from helpers import bg_systematic_model, identity_systematic_model, plain_model, pmf_bound, signal_systematic_model
 
 # Regression pin: hybrid CLs limit for s=1, b=1.5 with a 20% log-normal
 # background systematic (standard normal prior), n_obs=3, alpha=0.05,
@@ -641,43 +641,113 @@ class TestCriterionCurvature:
         assert [rep.mu_up_cls.hex(), rep.mu_up_bayes.hex()] == limits
 
 
-class TestPmfFromTheKernel:
-    @pytest.mark.parametrize("n_obs, kept", [(160, [False, False, False, True, True]), (100, [True] * 5)])
-    def test_prefactor_pmf_is_pmf_and_derivative(self, n_obs, kept):
-        # the CLs kernel returns poisson_cdf's lower-tail prefactor as its
-        # pmf when every lane of a wide call takes that tail, and the
-        # criterion takes it, at mu = 0 the denominator's: its values,
-        # slopes and curvatures are those of the same criterion with
-        # pmf_and_derivative, bit for bit, whichever route each call took
-        model = bg_systematic_model(s=10.0, b=150.0, n_obs=n_obs, kappa=1.05)
-        samples = draw_samples(model.systematics, Integrator.monte_carlo(2000, 1))
-        crit, plain = (_criterion(model, _CLS, samples) for _ in range(2))
-        plain.kernel = lambda n, s, x: (_CLS.wide(n, s, x)[0], None)
-        plain.den_pmf = None
-        seen = []
-        for mu in (0.0, 0.5, 2.0, 5.0, 20.0):
-            assert crit(mu)[:3] == plain(mu)[:3]
-            x = mu * crit.s + crit.b
-            terms, pmf = _CLS.wide(n_obs, crit.s, x)
-            assert terms.tolist() == crit.terms(mu).tolist()
-            seen.append(pmf is not None)
-            assert seen[-1] == (float(x.min()) >= n_obs)
-            if pmf is not None:
-                assert pmf.tolist() == crit.pmf_and_derivative(x)[0].tolist()
-        assert seen == kept
-        assert (crit.den_pmf is not None) == kept[0]
+# (model, integrator): a wide Monte Carlo set straddling n_obs = 160 or above
+# n_obs = 100, a narrow Gauss-Hermite grid, and the nominal point
+_HAND_OFF_SETS = {
+    "wide, both tails": (bg_systematic_model(s=10.0, b=150.0, n_obs=160, kappa=1.05), Integrator.monte_carlo(2000, 1)),
+    "wide, lower tail": (bg_systematic_model(s=10.0, b=150.0, n_obs=100, kappa=1.05), Integrator.monte_carlo(2000, 1)),
+    "narrow": (bg_systematic_model(s=1.0, b=1.5, n_obs=3), Integrator.gauss_hermite(16)),
+    "one point": (plain_model(s=10.0, b=150.0, n_obs=160), None),
+}
 
-    def test_other_calls_return_no_pmf(self):
-        # the Bayes kernel has none to give, a narrow array or a float runs
-        # the scalar twin, and a wide call with a lane in the upper tail
-        # gathers each tail's lanes
+
+def _hand_off_criterion(method, case):
+    model, integrator = _HAND_OFF_SETS[case]
+    return _criterion(model, method, draw_samples(model.systematics, integrator) if integrator else None)
+
+
+class TestPmfFromTheKernel:
+    @pytest.mark.parametrize("case", sorted(_HAND_OFF_SETS))
+    @pytest.mark.parametrize("method", [_CLS, _BAYES])
+    def test_kernel_pmf_is_pmf_and_derivative(self, method, case):
+        # every kernel call hands back pmf(n; x) built from its route's
+        # prefactor, and the criterion takes it, at mu = 0 the denominator's:
+        # on poisson_cdf's lower tail, where the prefactor is that pmf, the
+        # bits of pmf_and_derivative's (on a narrow set, the scalar walk's
+        # math against numpy's, within an ulp), and elsewhere within the
+        # hand-off's few ulp (tests/test_special.py). So against the same criterion
+        # with pmf_and_derivative's pmf on every lane, its values and terms
+        # keep their bits and its slopes and curvatures agree closely
+        crit, plain = _hand_off_criterion(method, case), _hand_off_criterion(method, case)
+        plain.x_at = lambda mu: (crit.x_at(mu)[0], True)  # every lane as if at x = 0 or inf
+        n = crit.n
+        for mu in (0.0, 0.5, 2.0, 5.0, 20.0):
+            x = mu * crit.s + crit.b
+            terms, pmf = crit.kernel(n, crit.s, x)
+            want = crit.pmf_and_derivative(x)[0]
+            assert np.array_equal(terms, crit.terms(mu))
+            # numpy's log and exp on a wide set, the math module's on the nominal point
+            same_form = case != "narrow" and method is _CLS
+            lower = np.asarray(x >= n) if same_form else np.zeros(np.shape(x), bool)
+            assert np.asarray(pmf)[lower].tolist() == np.asarray(want)[lower].tolist()
+            bound = pmf_bound(n, x)
+            assert np.all(np.abs(pmf / want - 1.0) <= bound)
+            bound = float(np.max(bound))
+            got, full = crit(mu), plain(mu)
+            assert got[0] == full[0] and np.array_equal(got[3], full[3])
+            assert got[1] == pytest.approx(full[1], rel=bound, abs=0.0)
+            # the curvature's pmf (n/x - 1) may cancel over the lanes: each
+            # term moves by its pmf's error and the rounding of n pmf/x
+            spread = crit.mean(np.abs(crit.d2_scale) * want * (n / x + 1.0)) / crit.den
+            assert abs(got[2] - full[2]) <= bound * spread
+
+    def test_every_call_returns_its_pmf(self):
+        # either method, on a float, a narrow array and wide ones on one route,
+        # gathered over both tails, or n-d: the terms are the public kernel's,
+        # bit for bit, and the pmf takes their shape, near exp(log_poisson_pmf)
         wide = np.linspace(170.0, 250.0, 2000)
-        assert _CLS.wide(160, 10.0, wide)[1] is not None
-        assert _BAYES.wide(160, 10.0, wide)[1] is None
-        for x in (wide[: special._NARROW_LANES], 170.0, np.append(wide, 150.0)):
-            terms, pmf = _CLS.wide(160, 10.0, x)
-            assert pmf is None
-            assert np.array_equal(terms, poisson_cdf(160, x))
+        both = np.append(wide, [150.0, 20.0, 1700.0, 90.0])
+        kernels = {"cls": (_CLS, lambda x: poisson_cdf(160, x)), "bayes": (_BAYES, lambda x: gamma_q(161.0, x) / 10.0)}
+        for x in (170.0, wide[: special._NARROW_LANES], wide, both, both.reshape(3, -1)):
+            for method, kernel in kernels.values():
+                terms, pmf = method.wide(160, 10.0, x) if isinstance(x, np.ndarray) else method.one_point(160, 10.0, x)
+                assert np.shape(terms) == np.shape(pmf) == np.shape(x)
+                assert np.array_equal(terms, kernel(x))
+                got, lanes = np.asarray(pmf), np.asarray(x)
+                want = np.exp(log_poisson_pmf(160, lanes))
+                kept = want > 0.0  # at x = 1700 both underflow
+                assert np.all(np.abs(got[kept] / want[kept] - 1.0) <= pmf_bound(160, lanes[kept]))
+                assert not np.any(got[~kept])
+
+    @pytest.mark.parametrize("case", sorted(_HAND_OFF_SETS))
+    @pytest.mark.parametrize("method", [_CLS, _BAYES])
+    def test_one_kernel_call_and_no_pmf_of_its_own_per_evaluation(self, monkeypatch, method, case):
+        # off the edges an evaluation makes exactly one kernel call, none at
+        # mu = 0, and the criterion takes no log-pmf of its own: every
+        # _log_pmf call is the kernel route's, in special
+        crit = _hand_off_criterion(method, case)
+        assert crit.x_positive
+        calls = {"kernel": 0, "pmf_and_derivative": 0, "_log_pmf": 0, "_log_pmf_limit": 0}
+
+        def counted(name, body):
+            return lambda *args: calls.__setitem__(name, calls[name] + 1) or body(*args)
+
+        kernel = crit.kernel
+        crit.kernel = counted("kernel", kernel)
+        crit.pmf_and_derivative = counted("pmf_and_derivative", crit.pmf_and_derivative)
+        for name in ("_log_pmf", "_log_pmf_limit"):
+            monkeypatch.setattr(marginal, name, counted(name, getattr(marginal, name)))
+        for evaluations, mu in enumerate((0.0, 0.5, 2.0, 5.0, 20.0)):
+            crit(mu)
+            assert calls == {"kernel": evaluations, "pmf_and_derivative": 0, "_log_pmf": 0, "_log_pmf_limit": 0}
+
+    @pytest.mark.parametrize("method", [_CLS, _BAYES])
+    def test_a_lane_at_zero_takes_the_pmf_of_its_own(self, monkeypatch, method):
+        # a background that reaches 0 on a lane: there, and only there, the
+        # criterion takes pmf_and_derivative's limits beside the one kernel call
+        m = CountingModel(
+            s_nom=1.0,
+            backgrounds=(BackgroundProcess("b", 1.5, {"a": Response.linear(0.5)}),),
+            n_obs=2,
+            systematics=SystematicsModel(nuisances=(Nuisance("a", Prior.standard_normal()),)),
+        )
+        crit = _criterion(m, method, SampleSet(np.linspace(-2.0, 2.0, 64)[:, None], np.full(64, 1.0 / 64)))
+        kernel, pmf_call, calls = crit.kernel, crit.pmf_and_derivative, []
+        crit.kernel = lambda *args: calls.append("kernel") or kernel(*args)
+        crit.pmf_and_derivative = lambda *args: calls.append("pmf") or pmf_call(*args)
+        crit(0.0)
+        crit(1.5)
+        assert calls == ["pmf", "kernel", "pmf"]
 
 
 class TestPmfWithoutMasks:

@@ -114,21 +114,30 @@ def test_each_bad_argument_is_refused_by_name(case):
 
 
 INT_PAST_FLOAT = 2**1024 - 2**970  # the least int that float() overflows on
+COUNT_RULE = r"at most 2\.5599833278516383e\+305, got \d+$"
 
 
-@pytest.mark.parametrize("n", [10**400, INT_PAST_FLOAT])
-def test_count_past_the_float_range_is_refused_in_one_line(n):
-    # once a bare OverflowError from a kernel, or from a limit on the model
+@pytest.mark.parametrize("n", [10**400, INT_PAST_FLOAT, 2**1023, special._COUNT_MAX + 1])
+def test_count_past_the_greatest_is_refused_in_one_line(n):
+    # past the float range, once a bare OverflowError from a kernel, or from
+    # a limit on the model; below it, 2**1023 too, from lgamma(n + 2)
     for call, where in ((lambda: poisson_cdf(n, 2.5), "poisson_cdf.n"), (lambda: gamma_q(n, 2.5), "gamma_q.a")):
-        with pytest.raises(ConfigError, match=rf"^{where} must be an integer of at least \d within the float range, got \d+$"):
+        with pytest.raises(ConfigError, match=rf"^{where} must be an integer of at least \d and {COUNT_RULE}"):
             call()
-    with pytest.raises(ModelError, match=r"^CountingModel.n_obs must be a nonnegative integer within the float range, got \d+$"):
+    with pytest.raises(ModelError, match=rf"^CountingModel.n_obs must be a nonnegative integer {COUNT_RULE}"):
         CountingModel(s_nom=1.0, n_obs=n)
 
 
-def test_greatest_count_within_the_float_range_is_a_count():
-    n = INT_PAST_FLOAT - 1
+def test_greatest_count_is_a_count():
+    # the greatest n whose ln (n + 1)! = lgamma(n + 2) is finite, as an int
+    # and as a float, and the kernels run at it
+    n = special._COUNT_MAX
+    assert math.isfinite(math.lgamma(n + 2)) and float(n) == n
+    with pytest.raises(OverflowError):
+        math.lgamma(math.nextafter(float(n), math.inf) + 2.0)
     assert CountingModel(s_nom=1.0, n_obs=n).n_obs == special._count(poisson_cdf, "n", n) == n
+    assert special._count(poisson_cdf, "n", float(n)) == n
+    assert poisson_cdf(n, 2.5) == gamma_q(n, 2.5) == 1.0
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +9,7 @@ import pytest
 
 from countlim import ConfigError, ConvergenceError, gamma_q, log_poisson_pmf, poisson_cdf
 from countlim import special
+from helpers import pmf_bound
 from oracles import erfcx_mp, erfcx_table
 
 # Reference values computed with mpmath at 50 digits:
@@ -181,7 +183,7 @@ class TestLogPoissonPmf:
     @pytest.mark.parametrize("kernel", [log_poisson_pmf, poisson_cdf])
     def test_non_integer_counts_are_refused(self, kernel, n):
         for nu in (2.5, np.linspace(0.0, 9.0, 3), np.linspace(0.0, 9.0, 30)):
-            with pytest.raises(ConfigError, match=rf"^{kernel.__name__}\.n must be an integer of at least 0 within the float range, got "):
+            with pytest.raises(ConfigError, match=rf"^{kernel.__name__}\.n must be an integer of at least 0 and at most 2\.5599833278516383e\+305, got "):
                 kernel(n, nu)
 
     @pytest.mark.parametrize("n", [2, np.int64(2), np.uint8(2), 2.0, np.float32(2.0), Fraction(4, 2)], ids=repr)
@@ -884,7 +886,7 @@ def test_each_input_takes_its_branch(kernel, first, at_2, at_2_5):
 
 
 def test_nan_shape_parameter_is_refused():
-    with pytest.raises(ConfigError, match="^gamma_q.a must be an integer of at least 1 within the float range, got nan$"):
+    with pytest.raises(ConfigError, match=r"^gamma_q.a must be an integer of at least 1 and at most 2\.5599833278516383e\+305, got nan$"):
         gamma_q(math.nan, 1.0)
 
 
@@ -899,7 +901,7 @@ _FINITE_INPUTS = {
 def test_infinite_shape_parameter_is_refused(x):
     # gamma_q(inf, 1.0) was 0.0 on the scalar path and NaN on a wide array,
     # where the limit is 1
-    with pytest.raises(ConfigError, match="^gamma_q.a must be an integer of at least 1 within the float range, got inf$"):
+    with pytest.raises(ConfigError, match=r"^gamma_q.a must be an integer of at least 1 and at most 2\.5599833278516383e\+305, got inf$"):
         gamma_q(math.inf, x)
 
 
@@ -938,6 +940,10 @@ _ONE_ROUTE = {
 }
 
 
+# the kernels' own entries, each value with its pmf beside it
+_WITH_PMF = {poisson_cdf: special._poisson_cdf_pmf, gamma_q: special._gamma_q_pmf}
+
+
 def _mixed_call(rng, lanes, others):
     # lanes and others in one array, the lanes at sorted random places
     mixed = np.empty(lanes.size + len(others))
@@ -965,6 +971,61 @@ def test_one_route_call_is_the_same_lanes_of_a_mixed_call(route, ends):
     assert kernel(first, lanes).tolist() == kernel(first, mixed)[at].tolist()
 
 
+@pytest.mark.parametrize("form", ["float", "narrow", "wide", "mixed"])
+@pytest.mark.parametrize("route", sorted(_ONE_ROUTE))
+def test_each_route_hands_back_its_pmf(route, form):
+    # pmf(n; x), n = a - 1 for gamma_q, as each route builds it from its
+    # prefactor: on poisson_cdf's lower tail the prefactor itself, with the
+    # bits of exp(log_poisson_pmf) (of its math form on floats and narrow
+    # lanes), elsewhere within pmf_bound of it. Floats, a narrow array, a
+    # wide one on the route, and the same lanes gathered from a call beside
+    # the kernel's other routes, 0 and inf. Where the prefactor underflows
+    # the pmf goes with it, so lanes whose prefactor is below the normal
+    # range (x < 0.55 on gamma_q's series at a = 151) are left out
+    kernel, first, lo, hi = _ONE_ROUTE[route]
+    with_pmf = _WITH_PMF[kernel]
+    n = first if kernel is poisson_cdf else int(first) - 1
+    rng = np.random.default_rng(len(route))
+    x = np.append(rng.uniform(lo, hi, 300), [lo, hi])
+    if form == "narrow":
+        x = x[: special._NARROW_LANES]
+    if form == "float":
+        got = np.array([with_pmf(first, v)[1] for v in x.tolist()])
+    elif form == "mixed":
+        others = [0.0, math.inf]
+        for k, f, l, h in _ONE_ROUTE.values():
+            if k is kernel and f == first and (l, h) != (lo, hi):
+                others.extend(rng.uniform(l, h, 50).tolist())
+        mixed, at = _mixed_call(rng, x, others)
+        got = with_pmf(first, mixed)[1][at]
+    else:
+        got = with_pmf(first, x)[1]
+    if form in ("float", "narrow"):
+        want = np.array([math.exp(log_poisson_pmf(n, v)) for v in x.tolist()])
+    else:
+        want = np.exp(log_poisson_pmf(n, x))
+    prefactor = got if "lower tail" in route else got * x / (n + 1) if kernel is poisson_cdf else got * x
+    kept = prefactor >= sys.float_info.min
+    assert kept.sum() >= 0.9 * x.size
+    if "lower tail" in route:
+        assert got.tolist() == want.tolist()
+    assert np.all(np.abs(got[kept] / want[kept] - 1.0) <= pmf_bound(n, x[kept]))
+
+
+@pytest.mark.parametrize("first", [0, 1, 150, 1.0, 2.0, 151.0], ids=repr)
+def test_pmf_at_zero_and_inf_takes_its_limits(first):
+    # 1 at x = 0 for a count of 0 (a = 1), else 0, and 0 at x = inf: on
+    # floats, narrow lanes and the wide routes of their own
+    kernel = poisson_cdf if type(first) is int else gamma_q
+    n = first if kernel is poisson_cdf else int(first) - 1
+    for x in (np.array([0.0, math.inf] * 4), np.array([0.0, math.inf] * 20), np.array([0.0, 3.0, math.inf] * 10)):
+        got = _WITH_PMF[kernel](first, x)[1]
+        assert got.shape == x.shape
+        assert got[x == 0.0].tolist() == [float(n == 0)] * int((x == 0.0).sum())
+        assert got[x == math.inf].tolist() == [0.0] * int((x == math.inf).sum())
+        assert [_WITH_PMF[kernel](first, v)[1] for v in (0.0, math.inf)] == [float(n == 0), 0.0]
+
+
 @pytest.mark.parametrize("route", sorted(_ONE_ROUTE))
 def test_wide_array_of_any_shape_takes_the_bits_of_its_flat_lanes(route):
     # a wide n-d array on one route once reached the series sums unflattened
@@ -981,21 +1042,22 @@ def test_wide_array_of_any_shape_takes_the_bits_of_its_flat_lanes(route):
 
 
 
-def test_wide_array_of_any_shape_takes_the_bits_of_its_flat_lanes_with_its_pmf():
-    # the CLs criterion's direct route, on lanes that all take the lower
-    # tail, once handed an n-d array on unflattened and raised numpy's
-    # broadcast ValueError; the value and the pmf now take the shape, with
-    # the bits of the flat lanes and of poisson_cdf
-    lanes = np.random.default_rng(3).uniform(150.0, 400.0, 60)
-    value, pmf = special._poisson_cdf_and_pmf(150, lanes)
-    assert value.tolist() == poisson_cdf(150, lanes).tolist()
-    for n, x in [(150, lanes.reshape(5, 12)), (150, lanes.reshape(3, 4, 5)), (150, lanes.reshape(12, 5).T),
-                 (3, np.full((5, 5), 20.0))]:
-        got, got_pmf = special._poisson_cdf_and_pmf(n, x)
-        flat, flat_pmf = special._poisson_cdf_and_pmf(n, x.ravel())
+@pytest.mark.parametrize("route", sorted(_ONE_ROUTE))
+def test_wide_array_of_any_shape_takes_the_bits_of_its_flat_lanes_with_its_pmf(route):
+    # the CLs criterion's lower-tail call, once a route of its own, was once
+    # handed an n-d array unflattened and raised numpy's broadcast
+    # ValueError; now every route hands back its pmf, and the value and the
+    # pmf take the shape, with the bits of the flat lanes and of the kernel
+    kernel, first, lo, hi = _ONE_ROUTE[route]
+    with_pmf = _WITH_PMF[kernel]
+    lanes = np.random.default_rng(3).uniform(lo, hi, 60)
+    for x in (lanes.reshape(5, 12), lanes.reshape(3, 4, 5), lanes.reshape(12, 5).T, np.full((5, 5), 0.5 * (lo + hi))):
+        got, got_pmf = with_pmf(first, x)
+        flat, flat_pmf = with_pmf(first, x.ravel())
         assert got.shape == got_pmf.shape == x.shape
         assert got.ravel().tolist() == flat.tolist() and got_pmf.ravel().tolist() == flat_pmf.tolist()
-        assert got.tolist() == poisson_cdf(n, x).tolist()
+        assert got.tolist() == kernel(first, x).tolist()
+
 
 _ROUTE_PAIRS = [
     (route, other)
@@ -1030,8 +1092,8 @@ _CUTS = {
 }
 # what each route's body is named: the scalar twin's, or the wide table's
 _ROUTE_OF = {"_lower_series_scalar": "series", "_lower_series_array": "series", "_temme": "Temme",
-             "_upper_cf": "fraction", "_upper_tail_array": "upper tail", "_lower_tail_cdf": "lower tail",
-             "_at_ends": "0 or inf"}
+             "_upper_cf": "fraction", "_upper_tail_array": "upper tail", "_lower_tail_array": "lower tail",
+             "_at_ends": "0 or inf", "_gamma_at_ends": "0 or inf"}
 
 
 def _scalar_route(monkeypatch, kernel, first, x: float) -> str:

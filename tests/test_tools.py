@@ -101,10 +101,13 @@ def test_result_hash_of_kernels_repeats_and_sees_one_temme_coefficient(monkeypat
     for _ in range(2):
         tool.main(["--workloads", "kernels", "--ops", "40", "--seeds", "1"])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 and lines[0] == lines[1]
-    assert lines[0].split()[:2] == ["kernels", "1"] and len(lines[0].split()[2]) == 64
+    assert len(lines) == 8 and lines[:4] == lines[4:]
+    assert [line.split()[:2] for line in lines[:4]] == [[f"kernels.{k}", "1"] for k in tool.KERNELS]
+    assert all(len(line.split()[2]) == 64 for line in lines)
+    assert len({line.split()[2] for line in lines[:4]}) == 4
     assert repository_files(tool.ROOT) == before
-    # the constant coefficient of Temme's folded polynomial, 1e-9 off
+    # the constant coefficient of Temme's folded polynomial, 1e-9 off,
+    # changes the lines of the calls that run it, and no other
     fold = special._temme_poly
 
     def perturbed(a):
@@ -112,7 +115,14 @@ def test_result_hash_of_kernels_repeats_and_sees_one_temme_coefficient(monkeypat
         return (*coeffs[:-1], coeffs[-1] * (1.0 + 1e-9)), norm
 
     monkeypatch.setattr(special, "_temme_poly", perturbed)
-    assert tool.kernel_hash(1, 40) != lines[0].split()[2]
+    assert [tool.kernel_hash(1, 40, k) != line.split()[2] for k, line in zip(tool.KERNELS, lines)] == [
+        False, True, False, True]
+    # and so does one handed-back pmf off by 1e-9, on the pmf line alone
+    monkeypatch.undo()
+    with_pmf = special._poisson_cdf_pmf
+    monkeypatch.setattr(special, "_poisson_cdf_pmf", lambda n, x: (with_pmf(n, x)[0], with_pmf(n, x)[1] * (1.0 + 1e-9)))
+    assert [tool.kernel_hash(1, 40, k) != line.split()[2] for k, line in zip(tool.KERNELS, lines)] == [
+        False, False, False, True]
 
 
 def test_result_hash_of_configs_repeats_and_sees_each_decision(monkeypatch, capsys):
@@ -215,8 +225,11 @@ def test_result_hash_says_how_far_a_differing_workload_moved(monkeypatch, capsys
     monkeypatch.setattr(special, "gamma_q", lambda a, x: gamma_q(a, x) * (1.0 + 1e-9))
     code = tool.main(["--against", "HEAD", "--ops", "3", "--seeds", "1", "--workloads", "exact_small,large_count,kernels"])
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert code == 1 and [line[:2] + line[4:5] for line in lines] == [
-        ["exact_small", "1", "differs"], ["large_count", "1", "differs"], ["kernels", "1", "differs"]]
+    assert code == 1 and [line[:2] + line[4:5] for line in lines[:4]] == [
+        ["exact_small", "1", "differs"], ["large_count", "1", "differs"], ["kernels.poisson_cdf", "1", "same"],
+        ["kernels.gamma_q", "1", "differs"]]
+    assert [line[:2] for line in lines[4:]] == [["kernels.log_poisson_pmf", "1"], ["kernels.pmf", "1"]]
+    assert lines[4][4] == "same"
     for line in lines[:2]:
         shift, iterations, paired = line[5:]
         assert shift.startswith("max|dmu|/mu=") and 0.0 < float(shift.split("=")[1]) <= 2e-9
@@ -224,4 +237,4 @@ def test_result_hash_says_how_far_a_differing_workload_moved(monkeypatch, capsys
         assert 0 < theirs < ours
         more, fewer = map(int, paired.removeprefix("more/fewer=").split("/"))
         assert more > fewer >= 0
-    assert len(lines[2]) == 5
+    assert all(len(line) == 5 for line in lines[2:])

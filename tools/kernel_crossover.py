@@ -2,7 +2,8 @@
 
 For each kernel, count n and width w, times one call on w Gauss-Hermite-like
 lanes, x_i = c 1.2^eta_i with eta_i the nodes of the w-point rule and c =
-n + 1 + 2 sqrt(n + 1), near where a limit's solve evaluates, once through
+n + 1 + 2 sqrt(n + 1), near where a limit's solve evaluates, as the
+criteria call it (the value with the pmf its route hands back), once through
 the array route and once lane by lane through the scalar twin, and prints
 the ratio of the two times (best of ``--rounds`` rounds of ``--calls``
 calls each): below 1 the array route is cheaper. Then the median of each
@@ -26,7 +27,7 @@ import numpy as np  # noqa: E402
 
 from countlim import special  # noqa: E402
 
-KERNELS = {"poisson_cdf": special.poisson_cdf, "gamma_q": lambda n, x: special.gamma_q(n + 1.0, x)}
+KERNELS = {"poisson_cdf": special._poisson_cdf_pmf, "gamma_q": lambda n, x: special._gamma_q_pmf(n + 1.0, x)}
 
 
 def lanes(n: int, width: int) -> np.ndarray:

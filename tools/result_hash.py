@@ -10,10 +10,14 @@ same limits, brackets, iteration counts and errors to the bit. The
 ``cli_mix`` workload, named only on request, makes its CLI calls in this
 process (``workloads.cli_in_process``) on configs in a temporary
 directory, and hashes each call's exit code and stdout bytes. The
-``kernels`` workload, also named only on request, makes ``--ops`` calls of
-``poisson_cdf``, ``gamma_q``, ``log_poisson_pmf`` or
-``special._poisson_cdf_and_pmf`` on seeded draws (``kernel_hash``), and
-hashes each call's float outputs by ``repr`` and its arrays by their bytes.
+``kernels`` workload, also named only on request, draws ``--ops`` calls of
+``poisson_cdf``, ``gamma_q``, ``log_poisson_pmf`` or ``pmf`` on seeded
+draws (``kernel_hash``), where ``pmf`` calls ``special._poisson_cdf_pmf``
+and ``special._gamma_q_pmf``, each value with the pmf its route hands
+back. It prints one line per kernel, ``kernels.<kernel>``, over that
+kernel's calls, hashing their float outputs by ``repr`` and their arrays
+by their bytes; so one kernel's line keeps its hash whatever another's
+calls return (a revision without the ``pmf`` entries hashes ``absent``).
 The ``configs`` workload, also named only on request, runs ``parse_model``
 on a seeded corpus of config documents (``config_hash``) and hashes, per
 document, ``"ok "``, the JSON of its ``emit_config``, the model's ``repr``
@@ -76,7 +80,9 @@ import workloads  # noqa: E402
 from countlim import CountLimError, Integrator, config, marginal, special, yields_on_samples  # noqa: E402
 
 WORKLOADS = ("exact_small", "toys_small", "large_count")
-KERNELS = ("poisson_cdf", "gamma_q", "log_poisson_pmf", "_poisson_cdf_and_pmf")
+KERNELS = ("poisson_cdf", "gamma_q", "log_poisson_pmf", "pmf")  # the kernels workload's lines, in order
+PMF_ENTRIES = ("_poisson_cdf_pmf", "_gamma_q_pmf")  # what ``pmf`` calls, each at its count: n and a = n + 1
+KERNEL_LINES = [f"kernels.{kernel}" for kernel in KERNELS]
 QUANTITIES = ("cls", "clsb", "clb", "posterior")  # what ``pointwise`` scans
 WIDTHS = (None, 16, 21, 2000, 9000)  # a float, or lanes: narrow, just wide, wide, over one special._LANE_BLOCK
 # what ``configs`` sets each value of a document to, one at a time, and each correlation it tries
@@ -105,14 +111,15 @@ def solve_record(res) -> str:
     return repr(fields)
 
 
-def kernel_hash(seed: int, ops: int) -> str:
-    """The hash of ``ops`` kernel calls at ``seed``. Each call draws its
-    kernel, a count n from 0-60 or log-uniform up to 1e4 (``gamma_q`` takes
-    a = n + 1, so Temme's route from a = 21) and a float or an array of a
-    width in ``WIDTHS``. A quarter of the calls take lanes uniform in
-    [n, 2.5 n + 10], where ``_poisson_cdf_and_pmf`` returns its pmf on a
-    wide array; the rest take lanes uniform in [0, 2.5 n + 10] with the
-    edges 0.1 a, 2 a, n, 0 and inf among them, or a float from either."""
+def kernel_hash(seed: int, ops: int, kernel: str) -> str:
+    """The hash of the calls of ``kernel`` among ``ops`` kernel calls drawn
+    at ``seed``. Each call draws its kernel, a count n from 0-60 or
+    log-uniform up to 1e4 (``gamma_q`` takes a = n + 1, so Temme's route
+    from a = 21) and a float or an array of a width in ``WIDTHS``. A quarter
+    of the calls take lanes uniform in [n, 2.5 n + 10], poisson_cdf's lower
+    tail; the rest take lanes uniform in [0, 2.5 n + 10] with the edges
+    0.1 a, 2 a, n, 0 and inf among them, or a float from either. Every
+    call's draws are made, whichever kernel is hashed."""
     rng = np.random.default_rng(seed)
     digest = hashlib.sha256()
     for _ in range(ops):
@@ -127,9 +134,16 @@ def kernel_hash(seed: int, ops: int) -> str:
             x = float(x[0] if lower_tail or rng.random() < 0.5 else rng.choice(edges))
         elif not lower_tail:
             x[rng.choice(width, edges.size, replace=False)] = edges
-        out = getattr(special, name)(a if name == "gamma_q" else n, x)
-        for value in out if isinstance(out, tuple) else (out,):
-            digest.update(value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode())
+        if name != kernel:
+            continue
+        if name == "pmf":
+            entries = [getattr(special, entry, None) for entry in PMF_ENTRIES]
+            outs = [entry(first, x) if entry else "absent" for entry, first in zip(entries, (n, a))]
+        else:
+            outs = [getattr(special, name)(a if name == "gamma_q" else n, x)]
+        for out in outs:
+            for value in out if isinstance(out, tuple) else (out,):
+                digest.update(value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode())
     return digest.hexdigest()
 
 
@@ -264,8 +278,8 @@ def result_hash(workload: str, seed: int, ops: int, limits: list | None = None) 
     that returns a solve's ``LimitResult``, is wrapped for the run, and
     restored after it; each result's ``(mu_up, iterations)`` is appended to
     ``limits`` where one is given."""
-    if workload == "kernels":
-        return kernel_hash(seed, ops)
+    if workload.startswith("kernels."):
+        return kernel_hash(seed, ops, workload.removeprefix("kernels."))
     if workload == "configs":
         return config_hash(seed, ops)
     if workload == "pointwise":
@@ -342,7 +356,9 @@ def main(argv=None) -> int:
     shared = ["--ops", str(args.ops), "--seeds", args.seeds, "--workloads", args.workloads]
     theirs = revision_hashes(args.against, shared) if args.against else {}
     differs = False
-    for workload in args.workloads.split(","):
+    # the kernels workload prints one line per kernel
+    runs = [w for name in args.workloads.split(",") for w in (KERNEL_LINES if name == "kernels" else [name])]
+    for workload in runs:
         for seed in (int(s) for s in args.seeds.split(",")):
             limits = []
             ours = result_hash(workload, seed, args.ops, limits)
