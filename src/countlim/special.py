@@ -95,6 +95,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import sys
 import types
 
@@ -194,16 +195,17 @@ def poisson_cdf(n, nu):
     1e-14 * (n + nu + 1) for n <= 1e4. Independent of :func:`gamma_q` by
     design.
     """
-    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, _count(poisson_cdf, "n", n), _mean(poisson_cdf, "nu", nu))[0]
+    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, _count(poisson_cdf, "n", n), _mean(poisson_cdf, "nu", nu),
+                     False)[0]
 
 
-def _poisson_cdf_pmf(n: int, nu):
+def _poisson_cdf_pmf(n: int, nu, keep: bool = True):
     """``poisson_cdf(n, nu)`` at a count ``n`` already checked, and
-    pmf(n; nu) from each lane's prefactor (``_on_lanes``)."""
-    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, n, _mean(poisson_cdf, "nu", nu))
+    pmf(n; nu) from each lane's prefactor, or None unless ``keep`` (``_on_lanes``)."""
+    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, n, _mean(poisson_cdf, "nu", nu), keep)
 
 
-def _on_lanes(scalar, routes, first, checked):
+def _on_lanes(scalar, routes, first, checked, keep: bool):
     """A kernel's value and pmf, each of the shape of ``x``, for ``x``,
     ``lanes`` and ``lo`` as ``_mean`` returns them: ``scalar(first, x)``
     on a float or on each lane of a narrow array. A wide array takes the
@@ -212,34 +214,42 @@ def _on_lanes(scalar, routes, first, checked):
     cuts[i - 1] <= x < cuts[i]. One route runs on the whole array, flat,
     with no masks; else each route with lanes runs on them, gathered in
     order. Every route, scalar or wide, returns its value and the pmf it
-    builds from its prefactor (see the module docstring)."""
+    builds from its prefactor (see the module docstring). Unless ``keep``,
+    an array's pmf is neither gathered nor returned: None in its place."""
     x, lanes, lo = checked
     if type(x) is float:
         return scalar(first, x)
     import numpy as np
-    if lanes is not None:  # each lane's pair, interleaved in one buffer
-        pairs = itertools.chain.from_iterable(map(scalar, itertools.repeat(first, len(lanes)), lanes))
-        both = np.fromiter(pairs, float, 2 * len(lanes))
+    if lanes is not None:
+        pairs = map(scalar, itertools.repeat(first, len(lanes)), lanes)
+        if not keep:
+            return np.fromiter(map(operator.itemgetter(0), pairs), float, len(lanes)).reshape(x.shape), None
+        both = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(lanes))  # each lane's pair in turn
         return both[0::2].reshape(x.shape), both[1::2].reshape(x.shape)
     (cuts, bodies), ns = routes(first), _numpy()
     i, last = bisect.bisect_right(cuts, lo), bisect.bisect_right(cuts, float(x.max()))
     flat = x.ravel()
     if i == last:
         value, pmf = bodies[i](first, flat, ns)
-        return value.reshape(x.shape), pmf.reshape(x.shape)
-    # each route's lanes by index, in order: one gather of x and two
-    # scatters, where a boolean mask would pay a search for each
-    out, pmf = np.empty_like(flat), np.empty_like(flat)
+        return value.reshape(x.shape), pmf.reshape(x.shape) if keep else None
+    # each route's lanes by index, in order: one gather of x and a scatter
+    # of each output, where a boolean mask would pay a search for each
+    out = np.empty_like(flat)
+    pmf = np.empty_like(flat) if keep else None
+
+    def run(body, at):
+        out[at], route_pmf = body(first, flat[at], ns)
+        if keep:
+            pmf[at] = route_pmf
+
     below = flat < cuts[i]
-    at = below.nonzero()[0]
-    out[at], pmf[at] = bodies[i](first, flat[at], ns)
+    run(bodies[i], below.nonzero()[0])
     for i in range(i + 1, last):  # the routes between the least and greatest lane's may have none
         at = (below ^ (below := flat < cuts[i])).nonzero()[0]  # under this cut and not under the one before
         if at.size:
-            out[at], pmf[at] = bodies[i](first, flat[at], ns)
-    at = (~below).nonzero()[0]
-    out[at], pmf[at] = bodies[last](first, flat[at], ns)
-    return out.reshape(x.shape), pmf.reshape(x.shape)
+            run(bodies[i], at)
+    run(bodies[last], (~below).nonzero()[0])
+    return out.reshape(x.shape), pmf.reshape(x.shape) if keep else None
 
 
 _TINY = math.ulp(0.0)  # the smallest positive float: x = 0 is a route of its own
@@ -362,15 +372,8 @@ def _series_table(route: str, a) -> np.ndarray:
 
 def _horner(coeffs, y):
     """The polynomial with ``coeffs``, highest power first, at a finite
-    float ``y``, from c_0, or at each lane of an array, in place on one
-    fresh buffer from c_0 + 0 y; then p y + c_j for each next c_j, the
-    order of a scalar loop. c_0 + 0 y is c_0 on a finite y: the same bits."""
-    if type(y) is float:
-        terms = iter(coeffs)
-        p = next(terms)
-        for c in terms:
-            p = p * y + c
-        return p
+    float ``y`` or at each lane of an array, in place on one fresh buffer:
+    c_0 + 0 y, then p y + c_j for each next c_j, the order of a scalar loop."""
     p = y * 0.0
     p += coeffs[0]
     for c in coeffs[1:]:
@@ -462,15 +465,15 @@ def gamma_q(a, x):
     grid for integer a from 1 to 1e5 + 1. ``a`` is a count of at least 1
     and ``x`` a mean, where ``x == inf`` gives the limit 0.
     """
-    if not (type(a) is float and a >= 1.0 and a.is_integer()):  # the calculator's a = n + 1.0 skips _count
+    if not (type(a) is float and 1.0 <= a <= _COUNT_MAX and a.is_integer()):  # the calculator's a = n + 1.0 skips _count
         a = float(_count(gamma_q, "a", a, 1))
-    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, _mean(gamma_q, "x", x))[0]
+    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, _mean(gamma_q, "x", x), False)[0]
 
 
-def _gamma_q_pmf(a: float, x):
+def _gamma_q_pmf(a: float, x, keep: bool = True):
     """``gamma_q(a, x)`` at an integer float ``a >= 1`` already checked, and
-    pmf(a - 1; x) from each lane's prefactor (``_on_lanes``)."""
-    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, _mean(gamma_q, "x", x))
+    pmf(a - 1; x) from each lane's prefactor, or None unless ``keep`` (``_on_lanes``)."""
+    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, _mean(gamma_q, "x", x), keep)
 
 
 def _gamma_q_scalar(a: float, x: float) -> tuple[float, float]:
@@ -778,13 +781,12 @@ def _half_eta_sq(s, ns):
 
 
 def _temme(a: float, x, ns):
-    """Q(a, x) and pmf(a - 1; x) = K(a) e / x on Temme's route, on a float
-    with ``ns`` the ``math`` namespace or on an array with numpy's. On an
-    array the expansion's two cases are one formula: with sign = 1 from
-    x = a up and -1 below, Q = sign e (erfcx(z) / 2 + sign P) + (1 - sign)
-    / 2, whose products with sign and sum with 0 are exact, so each case
-    keeps its bits. A float takes its case by one test, to the same bits:
-    e (erfcx(z) / 2 + P), or 1 - e (erfcx(z) / 2 - P)."""
+    """Q(a, x) and pmf(a - 1; x) = K(a) e / x on Temme's route, e =
+    exp(-a eta^2 / 2), on a float with ``ns`` the ``math`` namespace or on
+    an array with numpy's. The expansion's two cases are one formula: with
+    sign = 1 from x = a up and -1 below, Q = sign e (erfcx(z) / 2 + sign P)
+    + (1 - sign) / 2, whose products with sign and sum with 0 are exact, so
+    each case keeps its bits."""
     s = (x - a) / a
     h = _half_eta_sq(s, ns)
     ah = a * h
@@ -796,9 +798,6 @@ def _temme(a: float, x, ns):
     e = ns.exp(-ah)
     pmf = _temme_pmf_scale(a) * e
     pmf /= x
-    if ns is _MATH:
-        poly *= norm
-        return ((q + poly) * e if s >= 0.0 else 1.0 - (q - poly) * e), pmf
     sign = ns.copysign(1.0, s)
     poly *= sign * norm
     q += poly

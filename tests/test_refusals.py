@@ -3,6 +3,7 @@ refused with a ConfigError (also a ValueError) reading ``function.argument
 must ...``, whichever entry takes it and whatever is wrong with it."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,18 @@ def test_count_past_the_greatest_is_refused_in_one_line(n):
         CountingModel(s_nom=1.0, n_obs=n)
 
 
+@pytest.mark.parametrize("n", [1e306, 2.0**1023, math.nextafter(float(special._COUNT_MAX), math.inf)])
+def test_float_count_past_the_greatest_is_refused_in_one_line(n):
+    # an integral float too, which gamma_q's shortcut for the calculator's
+    # a = n + 1.0 once passed on to lgamma(a) and a bare OverflowError
+    rule = rf"at most 2\.5599833278516383e\+305, got {re.escape(repr(n))}$"
+    for call, where in ((lambda: poisson_cdf(n, 2.5), "poisson_cdf.n"), (lambda: gamma_q(n, 2.5), "gamma_q.a")):
+        with pytest.raises(ConfigError, match=rf"^{where} must be an integer of at least \d and {rule}"):
+            call()
+    with pytest.raises(ModelError, match=rf"^CountingModel.n_obs must be a nonnegative integer {rule}"):
+        CountingModel(s_nom=1.0, n_obs=n)
+
+
 def test_greatest_count_is_a_count():
     # the greatest n whose ln (n + 1)! = lgamma(n + 2) is finite, as an int
     # and as a float, and the kernels run at it
@@ -137,7 +150,7 @@ def test_greatest_count_is_a_count():
         math.lgamma(math.nextafter(float(n), math.inf) + 2.0)
     assert CountingModel(s_nom=1.0, n_obs=n).n_obs == special._count(poisson_cdf, "n", n) == n
     assert special._count(poisson_cdf, "n", float(n)) == n
-    assert poisson_cdf(n, 2.5) == gamma_q(n, 2.5) == 1.0
+    assert poisson_cdf(n, 2.5) == gamma_q(n, 2.5) == gamma_q(float(n), 2.5) == 1.0
 
 
 @pytest.mark.parametrize(
