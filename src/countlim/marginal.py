@@ -252,8 +252,8 @@ def marginal_likelihood(model: CountingModel, mu: float, n, samples: SampleSet) 
     return float(np.add.reduce(samples.weights * pmf))
 
 
-def _bayes_wide(n: int, s, x, keep: bool = False):
-    q, pmf = _gamma_q_pmf(n + 1.0, x, keep)
+def _bayes_wide(n: int, s, x):
+    q, pmf = _gamma_q_pmf(n + 1.0, x)
     return q / s, pmf
 
 
@@ -262,12 +262,12 @@ def _bayes_one_point(n: int, s: float, x: float):
     return q / s, pmf
 
 
-# The two methods. ``wide``: a set's per-sample terms, and with ``keep`` pmf(n; x),
-# which the kernel's route builds from its prefactor, else None; ``one_point``: the
-# nominal point's, as floats, with the pmf. CLs: P(N <= n; x); Bayes: Q(n + 1, x) / s,
-# the integral of Poisson(n; m*s + b) over m >= (x - b) / s.
+# The two methods. ``wide``: a set's per-sample terms; ``one_point``: the nominal
+# point's, as floats; each with pmf(n; x), which the kernel's route builds from its
+# prefactor. CLs: P(N <= n; x); Bayes: Q(n + 1, x) / s, the integral of
+# Poisson(n; m*s + b) over m >= (x - b) / s.
 _CLS = types.SimpleNamespace(
-    wide=lambda n, s, x, keep=False: _poisson_cdf_pmf(n, x, keep),
+    wide=lambda n, s, x: _poisson_cdf_pmf(n, x),
     one_point=lambda n, s, x: _poisson_cdf_scalar(n, x),
     denominator="CLb",
     zero_signal="nominal signal yield is zero; the CLs limit is undefined",
@@ -311,10 +311,7 @@ class _Criterion:
     exactly ``value_at_zero`` = 1: den / den, den a positive finite float,
     the same reduction on both sides of a sample set. So a solve that has
     a start records it there and jumps, calling nothing
-    (:func:`~countlim.solver.solve_decreasing`). On a set the
-    denominator's kernel call keeps no pmf, which only an evaluation at
-    mu = 0 would read: such an evaluation takes one of its own, as at the
-    edges. At n = 0 no call on a set keeps one, as none is read.
+    (:func:`~countlim.solver.solve_decreasing`).
     """
 
     value_at_zero = 1.0
@@ -326,14 +323,12 @@ class _Criterion:
             # a vanishing signal yield leaves the strength unidentified there
             k = int((s == 0.0).argmax())
             raise ModelError(f"signal yield is zero at sample {k}; the posterior for mu is degenerate")
-        # a set's calls keep the pmf only where an evaluation reads it: at
-        # n >= 1, away from mu = 0 (see __call__)
-        self.kernel = method.one_point if w is None else functools.partial(method.wide, keep=n > 0)
+        self.kernel = method.wide if w is not None else method.one_point
         self.n = n
         self.s = s
         self.b = b
         self.w = w
-        self.den_terms, self.den_pmf = (method.one_point if w is None else method.wide)(n, s, b)
+        self.den_terms, self.den_pmf = self.kernel(n, s, b)
         self.den = self.den_terms if w is None else self.mean(self.den_terms)
         if not (self.den > 0.0 and math.isfinite(self.den)):
             where = f"b = {b!r}" if w is None else f"b in [{float(b.min())!r}, {float(b.max())!r}]"
@@ -373,8 +368,8 @@ class _Criterion:
             # the derivatives are -s and s^2 times the terms, and log c is
             # linear on a one-point set, with no second route to disagree
             d1, d2 = self.d1_scale * terms, self.d2_scale * terms
-        else:  # the kernel's pmf; a pmf of its own where a lane may be at x = 0 or inf, or at mu = 0 on a set
-            pmf, dpmf = self.pmf_and_derivative(x, edges) if edges or pmf is None else (pmf, n * (pmf / x) - pmf)
+        else:  # the kernel's pmf, or its limits where a lane may be at x = 0 or inf
+            pmf, dpmf = self.pmf_and_derivative(x) if edges else (pmf, n * (pmf / x) - pmf)
             d1 = self.d1_scale * pmf
             d2 = self.d2_scale * dpmf
         den = self.den

@@ -95,7 +95,6 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 import sys
 import types
 
@@ -195,17 +194,16 @@ def poisson_cdf(n, nu):
     1e-14 * (n + nu + 1) for n <= 1e4. Independent of :func:`gamma_q` by
     design.
     """
-    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, _count(poisson_cdf, "n", n), _mean(poisson_cdf, "nu", nu),
-                     False)[0]
+    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, _count(poisson_cdf, "n", n), _mean(poisson_cdf, "nu", nu))[0]
 
 
-def _poisson_cdf_pmf(n: int, nu, keep: bool = True):
+def _poisson_cdf_pmf(n: int, nu):
     """``poisson_cdf(n, nu)`` at a count ``n`` already checked, and
-    pmf(n; nu) from each lane's prefactor, or None unless ``keep`` (``_on_lanes``)."""
-    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, n, _mean(poisson_cdf, "nu", nu), keep)
+    pmf(n; nu) from each lane's prefactor (``_on_lanes``)."""
+    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, n, _mean(poisson_cdf, "nu", nu))
 
 
-def _on_lanes(scalar, routes, first, checked, keep: bool):
+def _on_lanes(scalar, routes, first, checked):
     """A kernel's value and pmf, each of the shape of ``x``, for ``x``,
     ``lanes`` and ``lo`` as ``_mean`` returns them: ``scalar(first, x)``
     on a float or on each lane of a narrow array. A wide array takes the
@@ -214,42 +212,34 @@ def _on_lanes(scalar, routes, first, checked, keep: bool):
     cuts[i - 1] <= x < cuts[i]. One route runs on the whole array, flat,
     with no masks; else each route with lanes runs on them, gathered in
     order. Every route, scalar or wide, returns its value and the pmf it
-    builds from its prefactor (see the module docstring). Unless ``keep``,
-    an array's pmf is neither gathered nor returned: None in its place."""
+    builds from its prefactor (see the module docstring)."""
     x, lanes, lo = checked
     if type(x) is float:
         return scalar(first, x)
     import numpy as np
-    if lanes is not None:
-        pairs = map(scalar, itertools.repeat(first, len(lanes)), lanes)
-        if not keep:
-            return np.fromiter(map(operator.itemgetter(0), pairs), float, len(lanes)).reshape(x.shape), None
-        both = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(lanes))  # each lane's pair in turn
+    if lanes is not None:  # each lane's pair, interleaved in one buffer
+        pairs = itertools.chain.from_iterable(map(scalar, itertools.repeat(first, len(lanes)), lanes))
+        both = np.fromiter(pairs, float, 2 * len(lanes))
         return both[0::2].reshape(x.shape), both[1::2].reshape(x.shape)
     (cuts, bodies), ns = routes(first), _numpy()
     i, last = bisect.bisect_right(cuts, lo), bisect.bisect_right(cuts, float(x.max()))
     flat = x.ravel()
     if i == last:
         value, pmf = bodies[i](first, flat, ns)
-        return value.reshape(x.shape), pmf.reshape(x.shape) if keep else None
-    # each route's lanes by index, in order: one gather of x and a scatter
-    # of each output, where a boolean mask would pay a search for each
-    out = np.empty_like(flat)
-    pmf = np.empty_like(flat) if keep else None
-
-    def run(body, at):
-        out[at], route_pmf = body(first, flat[at], ns)
-        if keep:
-            pmf[at] = route_pmf
-
+        return value.reshape(x.shape), pmf.reshape(x.shape)
+    # each route's lanes by index, in order: one gather of x and two
+    # scatters, where a boolean mask would pay a search for each
+    out, pmf = np.empty_like(flat), np.empty_like(flat)
     below = flat < cuts[i]
-    run(bodies[i], below.nonzero()[0])
+    at = below.nonzero()[0]
+    out[at], pmf[at] = bodies[i](first, flat[at], ns)
     for i in range(i + 1, last):  # the routes between the least and greatest lane's may have none
         at = (below ^ (below := flat < cuts[i])).nonzero()[0]  # under this cut and not under the one before
         if at.size:
-            run(bodies[i], at)
-    run(bodies[last], (~below).nonzero()[0])
-    return out.reshape(x.shape), pmf.reshape(x.shape) if keep else None
+            out[at], pmf[at] = bodies[i](first, flat[at], ns)
+    at = (~below).nonzero()[0]
+    out[at], pmf[at] = bodies[last](first, flat[at], ns)
+    return out.reshape(x.shape), pmf.reshape(x.shape)
 
 
 _TINY = math.ulp(0.0)  # the smallest positive float: x = 0 is a route of its own
@@ -467,13 +457,13 @@ def gamma_q(a, x):
     """
     if not (type(a) is float and 1.0 <= a <= _COUNT_MAX and a.is_integer()):  # the calculator's a = n + 1.0 skips _count
         a = float(_count(gamma_q, "a", a, 1))
-    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, _mean(gamma_q, "x", x), False)[0]
+    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, _mean(gamma_q, "x", x))[0]
 
 
-def _gamma_q_pmf(a: float, x, keep: bool = True):
+def _gamma_q_pmf(a: float, x):
     """``gamma_q(a, x)`` at an integer float ``a >= 1`` already checked, and
-    pmf(a - 1; x) from each lane's prefactor, or None unless ``keep`` (``_on_lanes``)."""
-    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, _mean(gamma_q, "x", x), keep)
+    pmf(a - 1; x) from each lane's prefactor (``_on_lanes``)."""
+    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, _mean(gamma_q, "x", x))
 
 
 def _gamma_q_scalar(a: float, x: float) -> tuple[float, float]:

@@ -698,19 +698,13 @@ class TestPmfFromTheKernel:
     def test_every_call_returns_its_pmf(self):
         # either method, on a float, a narrow array and wide ones on one route,
         # gathered over both tails, or n-d: the terms are the public kernel's,
-        # bit for bit, and the pmf takes their shape, near exp(log_poisson_pmf);
-        # an array call that does not keep it has the same terms and no pmf
+        # bit for bit, and the pmf takes their shape, near exp(log_poisson_pmf)
         wide = np.linspace(170.0, 250.0, 2000)
         both = np.append(wide, [150.0, 20.0, 1700.0, 90.0])
         kernels = {"cls": (_CLS, lambda x: poisson_cdf(160, x)), "bayes": (_BAYES, lambda x: gamma_q(161.0, x) / 10.0)}
         for x in (170.0, wide[: special._NARROW_LANES], wide, both, both.reshape(3, -1)):
             for method, kernel in kernels.values():
-                if isinstance(x, np.ndarray):
-                    terms, pmf = method.wide(160, 10.0, x, True)
-                    dropped, none = method.wide(160, 10.0, x)
-                    assert np.array_equal(dropped, terms) and none is None
-                else:
-                    terms, pmf = method.one_point(160, 10.0, x)
+                terms, pmf = method.wide(160, 10.0, x) if isinstance(x, np.ndarray) else method.one_point(160, 10.0, x)
                 assert np.shape(terms) == np.shape(pmf) == np.shape(x)
                 assert np.array_equal(terms, kernel(x))
                 got, lanes = np.asarray(pmf), np.asarray(x)
@@ -722,10 +716,9 @@ class TestPmfFromTheKernel:
     @pytest.mark.parametrize("case", sorted(_HAND_OFF_SETS))
     @pytest.mark.parametrize("method", [_CLS, _BAYES])
     def test_one_kernel_call_and_no_pmf_of_its_own_per_evaluation(self, monkeypatch, method, case):
-        # off the edges an evaluation makes exactly one kernel call and the
-        # criterion takes no log-pmf of its own: every _log_pmf call is the
-        # kernel route's, in special. At mu = 0 none: there, on a set, whose
-        # denominator's call kept no pmf, the criterion takes one of its own
+        # off the edges an evaluation makes exactly one kernel call, none at
+        # mu = 0, and the criterion takes no log-pmf of its own: every
+        # _log_pmf call is the kernel route's, in special
         crit = _hand_off_criterion(method, case)
         assert crit.x_positive
         calls = {"kernel": 0, "pmf_and_derivative": 0, "_log_pmf": 0, "_log_pmf_limit": 0}
@@ -738,10 +731,9 @@ class TestPmfFromTheKernel:
         crit.pmf_and_derivative = counted("pmf_and_derivative", crit.pmf_and_derivative)
         for name in ("_log_pmf", "_log_pmf_limit"):
             monkeypatch.setattr(marginal, name, counted(name, getattr(marginal, name)))
-        own = int(crit.w is not None)
         for evaluations, mu in enumerate((0.0, 0.5, 2.0, 5.0, 20.0)):
             crit(mu)
-            assert calls == {"kernel": evaluations, "pmf_and_derivative": own, "_log_pmf": own, "_log_pmf_limit": 0}
+            assert calls == {"kernel": evaluations, "pmf_and_derivative": 0, "_log_pmf": 0, "_log_pmf_limit": 0}
 
     @pytest.mark.parametrize("method", [_CLS, _BAYES])
     def test_a_lane_at_zero_takes_the_pmf_of_its_own(self, monkeypatch, method):
@@ -760,30 +752,6 @@ class TestPmfFromTheKernel:
         crit(0.0)
         crit(1.5)
         assert calls == ["pmf", "kernel", "pmf"]
-
-    @pytest.mark.parametrize("method", [_CLS, _BAYES])
-    def test_a_set_keeps_no_pmf_that_no_evaluation_reads(self, method):
-        # the denominator's call on a set, and every call at n = 0, where the
-        # derivatives come from the terms: none keeps a pmf, and the criterion
-        # is that of the same set with every pmf kept, bit for bit, but at
-        # mu = 0 for n >= 1, whose pmf of its own is the kernel's within the
-        # hand-off's few ulp
-        for n_obs in (0, 3):
-            model = bg_systematic_model(s=1.0, b=1.5, n_obs=n_obs, kappa=1.2)
-            samples = draw_samples(model.systematics, Integrator.gauss_hermite(32))
-            crit, kept = _criterion(model, method, samples), _criterion(model, method, samples)
-            kept.kernel = lambda n, s, x: method.wide(n, s, x, True)
-            kept.den_pmf = method.wide(n_obs, kept.s, kept.b, True)[1]
-            assert crit.den_pmf is None
-            assert (crit.kernel(n_obs, crit.s, crit.b)[1] is None) == (n_obs == 0)
-            for mu in (0.0, 0.5, 4.0):
-                got, want = crit(mu), kept(mu)
-                assert got[0] == want[0] and np.array_equal(got[3], want[3])
-                if mu or not n_obs:
-                    assert got[1:3] == want[1:3]
-                else:
-                    bound = float(np.max(pmf_bound(n_obs, crit.b)))
-                    assert got[1:3] == pytest.approx(want[1:3], rel=4.0 * bound, abs=0.0)
 
 
 class TestPmfWithoutMasks:
