@@ -36,8 +36,7 @@ from collections.abc import Iterable
 
 from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError, _float, _require, _shown
 from .model import CountingModel, SystematicsModel, _integer, _kind, _kind_dict, _Record, yields_on_samples
-from .special import _MATH, _gamma_q_pmf, _gamma_q_scalar, _log_pmf, _log_pmf_limit, _numpy, _poisson_cdf_pmf
-from .special import _poisson_cdf_scalar, log_poisson_pmf
+from .special import _gamma_q_pmf, _gamma_q_scalar, _poisson_cdf_pmf, _poisson_cdf_scalar, log_poisson_pmf
 from .solver import LimitRequest, LimitResult, solve_decreasing
 
 __all__ = [
@@ -243,7 +242,7 @@ def _strength(owner, name: str, mu, grid: bool = False, got=None) -> float:
 
 def marginal_likelihood(model: CountingModel, mu: float, n, samples: SampleSet) -> float:
     """Prior-weighted average of Poisson(n; mu*s(eta) + b(eta)), 0 on a
-    sample whose mean overflows, as in ``_Criterion.x_at``."""
+    sample whose mean overflows, as in ``_Criterion.pmf_terms``."""
     import numpy as np
     mu = _strength(marginal_likelihood, "mu", mu)
     s, b = yields_on_samples(model, samples.etas)
@@ -301,11 +300,10 @@ class _Criterion:
     (n/x - 1) and -s * pmf * (n/x - 1). So calling the criterion gives
     its value, slope, curvature and numerator terms for the price of one
     kernel call: every route of either kernel returns the pmf beside its
-    terms, built from the prefactor it computes anyway (see
-    :mod:`countlim.special`). The criterion computes a pmf of its own,
-    the exp of the kernels' log-pmf limits (``special._log_pmf_limit``),
-    only where a lane may sit at x = 0 or inf (``x_at``'s ``edges``),
-    and for the posterior density (``pmf_terms``).
+    terms, built from the prefactor it computes anyway, with its limits
+    at x = 0 and inf (see :mod:`countlim.special`). The criterion forms
+    no pmf of its own: the posterior density (``pmf_terms``) is the exp
+    of :func:`~countlim.special.log_poisson_pmf`.
 
     At mu = 0 the numerator is the denominator, and the criterion is
     exactly ``value_at_zero`` = 1: den / den, den a positive finite float,
@@ -352,24 +350,32 @@ class _Criterion:
         else:
             self.d1_scale, self.d2_scale = (-s, s * s) if n == 0 else (-pmf_scale, -(s * pmf_scale))
         # with every b > 0, x = mu*s + b > 0 at every mu >= 0: no lane needs
-        # the pmf's limit at x = 0 (see x_at)
-        self.x_positive = w is None or float(b.min()) > 0.0
-        self.log_factorial = math.lgamma(n + 1.0)
-        self.ns = _MATH if w is None else _numpy()
+        # the derivative's limit at x = 0 (see __call__)
+        self.x_positive = (b if w is None else float(b.min())) > 0.0
 
     def __call__(self, mu: float):
         """``(criterion, slope, curvature, numerator terms)`` at ``mu``: the
         solver's inner loop. At mu = 0 the numerator is the denominator, so no kernel runs."""
         n = self.n
-        x, edges = self.x_at(mu)
+        x = self.x_at(mu)
         terms, pmf = (self.den_terms, self.den_pmf) if mu == 0.0 else self.kernel(n, self.s, x)
         if n == 0:
             # pmf(0; x) = exp(-x) is the CLs term and s times the Bayes term:
             # the derivatives are -s and s^2 times the terms, and log c is
             # linear on a one-point set, with no second route to disagree
             d1, d2 = self.d1_scale * terms, self.d2_scale * terms
-        else:  # the kernel's pmf, or its limits where a lane may be at x = 0 or inf
-            pmf, dpmf = self.pmf_and_derivative(x) if edges else (pmf, n * (pmf / x) - pmf)
+        else:
+            # d pmf/dx from the kernel's pmf, n pmf/x - pmf, which cannot
+            # overflow and is 0 at x = inf, where the pmf is. A lane whose b
+            # is 0 may be at x = 0: it divides by x + 1 there and takes the
+            # limit pmf(n - 1; 0) - pmf(n; 0) = [n = 1]
+            if self.x_positive:
+                dpmf = n * (pmf / x) - pmf
+            else:
+                zero = x == 0.0
+                dpmf = n * (pmf / (x + zero)) - pmf
+                if n == 1:
+                    dpmf += zero
             d1 = self.d1_scale * pmf
             d2 = self.d2_scale * dpmf
         den = self.den
@@ -381,40 +387,17 @@ class _Criterion:
         return value, slope, curvature, terms
 
     def x_at(self, mu: float):
-        """x = mu*s + b, and whether a lane may be at x = 0 or inf. With s,
-        b >= 0, mu*s_max + b_max bounds every lane: only where it overflows
-        can one be inf, and only there is numpy's warning silenced, so a
-        solve pays no ``np.errstate``. A lane is 0 only where its b is."""
+        """x = mu*s + b. With s, b >= 0, mu*s_max + b_max bounds every lane:
+        only where it overflows can one be inf, and only there is numpy's
+        warning silenced, so a solve pays no ``np.errstate``."""
         top = mu * self.s_max + self.b_max
         if self.w is None:  # the nominal point's x is its top lane
-            return top, not 0.0 < top < math.inf
+            return top
         if top < math.inf:
-            return mu * self.s + self.b, not self.x_positive
+            return mu * self.s + self.b
         import numpy as np
         with np.errstate(over="ignore"):
-            return mu * self.s + self.b, True
-
-    def pmf_and_derivative(self, x, edges: bool = True):
-        """Per-sample pmf(n; x) and d pmf/dx = pmf * (n/x - 1), for x >= 0,
-        on a float or an array alike: the exp of special's log-pmf body with
-        ln n! cached or, where ``edges`` says a lane may be at x = 0 or inf,
-        of ``_log_pmf_limit``. The derivative is written n * (pmf/x) - pmf,
-        which cannot overflow for n >= 1 and is 0 at x = inf. At x = 0 it
-        divides by x + 1, giving (n - 1) pmf(n; 0), and adds pmf(0; 0) = 1
-        at n = 1: the limit pmf(n - 1; 0) - pmf(n; 0)."""
-        n, ns = self.n, self.ns
-        if edges:
-            pmf = ns.exp(_log_pmf_limit(n, x, self.log_factorial, ns))
-            zero = x == 0.0
-            dpmf = pmf / (x + zero)
-        else:
-            pmf = ns.exp(_log_pmf(n, x, self.log_factorial, ns))
-            dpmf = pmf / x
-        dpmf *= n
-        dpmf -= pmf
-        if edges and n == 1:
-            dpmf += zero
-        return pmf, dpmf
+            return mu * self.s + self.b
 
     def mean(self, terms):
         if self.w is None:
@@ -424,12 +407,16 @@ class _Criterion:
 
     def terms(self, mu: float):
         # at mu = 0 the numerator is the denominator, as in __call__
-        return self.den_terms if mu == 0.0 else self.kernel(self.n, self.s, self.x_at(mu)[0])[0]
+        return self.den_terms if mu == 0.0 else self.kernel(self.n, self.s, self.x_at(mu))[0]
 
     def pmf_terms(self, mu: float):
-        """Per-sample Poisson(n_obs; mu*s + b): over the Bayesian
-        denominator, the posterior density of mu."""
-        return self.pmf_and_derivative(*self.x_at(mu))[0]
+        """Per-sample Poisson(n_obs; mu*s + b), the exp of ``log_poisson_pmf``:
+        over the Bayesian denominator, the posterior density of mu."""
+        log_pmf = log_poisson_pmf(self.n, self.x_at(mu))
+        if self.w is None:
+            return math.exp(log_pmf)
+        import numpy as np
+        return np.exp(log_pmf)
 
     def ratio(self, num_terms) -> float:
         return self.mean(num_terms) / self.den

@@ -9,10 +9,11 @@ finite float), and a negative or NaN mean, with a ``ConfigError``.
 
 Every route but Temme's is a Poisson prefactor e^-x x^k / k! times one
 sum or one fraction. Its log, k ln x - x - ln k! (ln Gamma(a) at k = a
-in ``gamma_q``), is one body, ``_log_pmf``, shared by the kernels,
-:func:`log_poisson_pmf` and :mod:`countlim.marginal`'s criterion; the
-pmf's limits at x = 0 and inf are in ``_log_pmf_limit``, the kernels'
-(1 and 0) in ``_at_ends``. Every route, on a float and on wide lanes
+in ``gamma_q``), is one body, ``_log_pmf``, shared by the kernels and
+:func:`log_poisson_pmf`, which takes the pmf's limits at x = 0 and inf;
+the kernels' (1 and 0) are in ``_at_ends``. No other module forms a
+pmf: :mod:`countlim.marginal`'s criterion takes the kernels' and the
+exp of :func:`log_poisson_pmf`. Every route, on a float and on wide lanes
 alike, hands back pmf(n; x) beside its value, built from the prefactor
 it computes anyway, for the criteria's slopes: ``poisson_cdf``'s lower
 tail returns its prefactor, pmf(n; x) itself; its upper tail prefactor
@@ -28,7 +29,9 @@ it), and ``_on_lanes`` gathers it as it does the value.
 Three of ``gamma_q``'s routes, the continued fraction, eta^2/2 and
 Temme's expansion, have one body each, run on the ``math`` module's
 functions for a float (``_MATH``) or on numpy's for an array
-(``_numpy()``, built on first use). The series walks and erfcx keep a
+(``_numpy()``, built on first use); erfcx's continued fraction, of + and
+/ alone, has one body too. The series walks and erfcx's polynomial
+pieces, whose array form gathers a row of coefficients per lane, keep a
 float and an array form by design. Exact limits solve on the float
 paths, and narrow arrays run them lane by lane. An array call pays a
 fixed cost in numpy calls whatever its width, where a float path pays
@@ -154,16 +157,6 @@ def _log_pmf(k, x, log_norm: float, ns):
     return p
 
 
-def _log_pmf_limit(n: int, x, log_norm: float, ns):
-    """``_log_pmf`` of a count ``n`` at means x >= 0, a float or an array,
-    with its limits where the body has none: at x = 0, 0 for n = 0 and
-    -inf above; at x = inf, -inf. The body sees 1 on those lanes, where
-    ln 1 = 0 raises no warning."""
-    inside = (0.0 < x) & (x < math.inf)
-    p = _log_pmf(n, ns.where(inside, x, 1.0), log_norm, ns)
-    return ns.where(inside, p, -math.inf if n else ns.where(x == 0.0, 0.0, -math.inf))
-
-
 def log_poisson_pmf(n, nu):
     """Log Poisson probability mass, n*ln(nu) - nu - ln(n!).
 
@@ -175,7 +168,12 @@ def log_poisson_pmf(n, nu):
     """
     n = _count(log_poisson_pmf, "n", n)
     nu = _mean(log_poisson_pmf, "nu", nu)[0]
-    return _log_pmf_limit(n, nu, math.lgamma(n + 1), _MATH if type(nu) is float else _numpy())
+    ns = _MATH if type(nu) is float else _numpy()
+    # _log_pmf sees 1 at nu = 0 and inf, where ln 1 = 0 raises no
+    # warning, and those lanes take the limits
+    inside = (0.0 < nu) & (nu < math.inf)
+    p = _log_pmf(n, ns.where(inside, nu, 1.0), math.lgamma(n + 1), ns)
+    return ns.where(inside, p, -math.inf if n else ns.where(nu == 0.0, 0.0, -math.inf))
 
 
 def poisson_cdf(n, nu):
@@ -455,9 +453,7 @@ def gamma_q(a, x):
     grid for integer a from 1 to 1e5 + 1. ``a`` is a count of at least 1
     and ``x`` a mean, where ``x == inf`` gives the limit 0.
     """
-    if not (type(a) is float and 1.0 <= a <= _COUNT_MAX and a.is_integer()):  # the calculator's a = n + 1.0 skips _count
-        a = float(_count(gamma_q, "a", a, 1))
-    return _on_lanes(_gamma_q_scalar, _gamma_routes, a, _mean(gamma_q, "x", x))[0]
+    return _on_lanes(_gamma_q_scalar, _gamma_routes, float(_count(gamma_q, "a", a, 1)), _mean(gamma_q, "x", x))[0]
 
 
 def _gamma_q_pmf(a: float, x):
@@ -854,20 +850,20 @@ def _erfcx_columns():  # the table as one row per power, to gather a coefficient
     return np.array(_ERFCX_TABLE).T.copy()
 
 
+def _erfcx_cf(z):
+    # the continued fraction from z = 14 on, on a float or on an array's far lanes
+    d = z
+    for k in _ERFCX_CF_STEPS:
+        d = z + k / d
+    return _INV_SQRT_PI / d
+
+
 def _erfcx_scalar(z: float) -> float:
     if z >= _ERFCX_CF_FROM:
-        d = z
-        for k in _ERFCX_CF_STEPS:
-            d = z + k / d
-        return _INV_SQRT_PI / d
+        return _erfcx_cf(z)
     u = 16.0 / (2.0 + z)  # 8 y
     j = min(int(u), 7)
-    t = (u + u) - (2 * j + 1)
-    row = _ERFCX_TABLE[j - 1]
-    p = row[0]
-    for c in row[1:]:
-        p = p * t + c
-    return p
+    return _horner(_ERFCX_TABLE[j - 1], (u + u) - (2 * j + 1))
 
 
 def _erfcx_array(z: np.ndarray) -> np.ndarray:
@@ -891,12 +887,7 @@ def _erfcx_array(z: np.ndarray) -> np.ndarray:
             pb += row
     far = z >= _ERFCX_CF_FROM
     if far.any():
-        zf = z[far]
-        d = zf.copy()
-        for k in _ERFCX_CF_STEPS:
-            np.divide(k, d, out=d)
-            d += zf
-        p[far] = _INV_SQRT_PI / d
+        p[far] = _erfcx_cf(z[far])
     return p
 
 

@@ -656,27 +656,34 @@ def _hand_off_criterion(method, case):
     return _criterion(model, method, draw_samples(model.systematics, integrator) if integrator else None)
 
 
+def _derivatives_from(crit, pmf, x):
+    """The criterion's slope and curvature at x from a given pmf(n; x), in
+    the order ``__call__`` forms them, for n >= 1 and x > 0."""
+    dpmf = crit.n * (pmf / x) - pmf
+    return crit.mean(crit.d1_scale * pmf) / crit.den, crit.mean(crit.d2_scale * dpmf) / crit.den
+
+
 class TestPmfFromTheKernel:
     @pytest.mark.parametrize("case", sorted(_HAND_OFF_SETS))
     @pytest.mark.parametrize("method", [_CLS, _BAYES])
-    def test_kernel_pmf_is_pmf_and_derivative(self, method, case):
+    def test_slope_and_curvature_from_the_kernel_pmf(self, method, case):
         # every kernel call hands back pmf(n; x) built from its route's
         # prefactor, and the criterion takes it, at mu = 0 the denominator's:
         # on poisson_cdf's lower tail, where the prefactor is that pmf, the
-        # bits of pmf_and_derivative's (on a narrow set, the scalar walk's
-        # math against numpy's, within an ulp), and elsewhere within the
-        # hand-off's few ulp (tests/test_special.py). So against the same criterion
-        # with pmf_and_derivative's pmf on every lane, its values and terms
-        # keep their bits; where every lane takes the lower tail, so do its
-        # slope and curvature, and elsewhere they agree closely
-        crit, plain = _hand_off_criterion(method, case), _hand_off_criterion(method, case)
-        plain.x_at = lambda mu: (crit.x_at(mu)[0], True)  # every lane as if at x = 0 or inf
+        # bits of exp(log_poisson_pmf) (pmf_terms; on a narrow set, the scalar
+        # walk's math against numpy's, within an ulp), and elsewhere within
+        # the hand-off's few ulp (tests/test_special.py). So against the slope
+        # and curvature formed from pmf_terms, where every lane takes the lower
+        # tail the criterion's keep their bits, and elsewhere they agree closely
+        crit = _hand_off_criterion(method, case)
         n = crit.n
         for mu in (0.0, 0.5, 2.0, 5.0, 20.0):
-            x = mu * crit.s + crit.b
+            x = crit.x_at(mu)
             terms, pmf = crit.kernel(n, crit.s, x)
-            want = crit.pmf_and_derivative(x)[0]
-            assert np.array_equal(terms, crit.terms(mu))
+            want = crit.pmf_terms(mu)
+            got = crit(mu)
+            assert np.array_equal(terms, crit.terms(mu)) and np.array_equal(got[3], terms)
+            assert got[0] == crit.criterion(mu)
             # numpy's log and exp on a wide set, the math module's on the nominal point
             same_form = case != "narrow" and method is _CLS
             lower = np.asarray(x >= n) if same_form else np.zeros(np.shape(x), bool)
@@ -684,16 +691,15 @@ class TestPmfFromTheKernel:
             bound = pmf_bound(n, x)
             assert np.all(np.abs(pmf / want - 1.0) <= bound)
             bound = float(np.max(bound))
-            got, full = crit(mu), plain(mu)
-            assert got[0] == full[0] and np.array_equal(got[3], full[3])
+            full = _derivatives_from(crit, want, x)
             if lower.all():  # the same pmf, and the same n (pmf / x) - pmf from it
-                assert got[1:3] == full[1:3]
+                assert got[1:3] == full
                 continue
-            assert got[1] == pytest.approx(full[1], rel=bound, abs=0.0)
+            assert got[1] == pytest.approx(full[0], rel=bound, abs=0.0)
             # the curvature's pmf (n/x - 1) may cancel over the lanes: each
             # term moves by its pmf's error and the rounding of n pmf/x
             spread = crit.mean(np.abs(crit.d2_scale) * want * (n / x + 1.0)) / crit.den
-            assert abs(got[2] - full[2]) <= bound * spread
+            assert abs(got[2] - full[1]) <= bound * spread
 
     def test_every_call_returns_its_pmf(self):
         # either method, on a float, a narrow array and wide ones on one route,
@@ -716,29 +722,27 @@ class TestPmfFromTheKernel:
     @pytest.mark.parametrize("case", sorted(_HAND_OFF_SETS))
     @pytest.mark.parametrize("method", [_CLS, _BAYES])
     def test_one_kernel_call_and_no_pmf_of_its_own_per_evaluation(self, monkeypatch, method, case):
-        # off the edges an evaluation makes exactly one kernel call, none at
-        # mu = 0, and the criterion takes no log-pmf of its own: every
-        # _log_pmf call is the kernel route's, in special
+        # an evaluation makes exactly one kernel call, none at mu = 0, and
+        # forms no pmf of its own: log_poisson_pmf, the one pmf marginal
+        # takes from special but the kernels', serves the posterior density alone
         crit = _hand_off_criterion(method, case)
         assert crit.x_positive
-        calls = {"kernel": 0, "pmf_and_derivative": 0, "_log_pmf": 0, "_log_pmf_limit": 0}
+        calls = {"kernel": 0, "log_poisson_pmf": 0}
 
         def counted(name, body):
             return lambda *args: calls.__setitem__(name, calls[name] + 1) or body(*args)
 
-        kernel = crit.kernel
-        crit.kernel = counted("kernel", kernel)
-        crit.pmf_and_derivative = counted("pmf_and_derivative", crit.pmf_and_derivative)
-        for name in ("_log_pmf", "_log_pmf_limit"):
-            monkeypatch.setattr(marginal, name, counted(name, getattr(marginal, name)))
+        crit.kernel = counted("kernel", crit.kernel)
+        monkeypatch.setattr(marginal, "log_poisson_pmf", counted("log_poisson_pmf", marginal.log_poisson_pmf))
         for evaluations, mu in enumerate((0.0, 0.5, 2.0, 5.0, 20.0)):
             crit(mu)
-            assert calls == {"kernel": evaluations, "pmf_and_derivative": 0, "_log_pmf": 0, "_log_pmf_limit": 0}
+            assert calls == {"kernel": evaluations, "log_poisson_pmf": 0}
 
     @pytest.mark.parametrize("method", [_CLS, _BAYES])
-    def test_a_lane_at_zero_takes_the_pmf_of_its_own(self, monkeypatch, method):
-        # a background that reaches 0 on a lane: there, and only there, the
-        # criterion takes pmf_and_derivative's limits beside the one kernel call
+    def test_a_lane_at_zero_takes_one_kernel_call(self, monkeypatch, method):
+        # a background that reaches 0 on a lane: there the criterion takes
+        # the derivative's limit from the kernel's pmf, with the one kernel
+        # call of any evaluation, none at mu = 0, and no pmf of its own
         m = CountingModel(
             s_nom=1.0,
             backgrounds=(BackgroundProcess("b", 1.5, {"a": Response.linear(0.5)}),),
@@ -746,12 +750,13 @@ class TestPmfFromTheKernel:
             systematics=SystematicsModel(nuisances=(Nuisance("a", Prior.standard_normal()),)),
         )
         crit = _criterion(m, method, SampleSet(np.linspace(-2.0, 2.0, 64)[:, None], np.full(64, 1.0 / 64)))
-        kernel, pmf_call, calls = crit.kernel, crit.pmf_and_derivative, []
+        assert not crit.x_positive
+        kernel, calls = crit.kernel, []
         crit.kernel = lambda *args: calls.append("kernel") or kernel(*args)
-        crit.pmf_and_derivative = lambda *args: calls.append("pmf") or pmf_call(*args)
+        monkeypatch.setattr(marginal, "log_poisson_pmf", lambda *args: calls.append("pmf"))
         crit(0.0)
         crit(1.5)
-        assert calls == ["pmf", "kernel", "pmf"]
+        assert calls == ["kernel"]
 
 
 class TestPmfWithoutMasks:
@@ -765,28 +770,30 @@ class TestPmfWithoutMasks:
         ],
     )
     def test_positive_lanes_give_the_masked_formula(self, method, model, integrator):
-        # every b > 0, so no lane of x = mu*s + b is 0 and no mask is made
+        # every b > 0, so no lane of x = mu*s + b is 0 and no mask is made:
+        # the slope and curvature are the masked formula's on the kernel's
+        # pmf, and pmf_terms is exp(n ln x - x - ln n!) on every lane
         crit = _criterion(model, method, draw_samples(model.systematics, integrator))
         assert crit.x_positive
         n = model.n_obs
         for mu in (0.0, 0.5, 3.0, 40.0):
-            x = mu * crit.s + crit.b
+            x = crit.x_at(mu)
+            pmf = crit.kernel(n, crit.s, x)[1]
             zero = x == 0.0
             safe = np.where(zero, 1.0, x)
-            pmf = np.exp(n * np.log(safe) - x - math.lgamma(n + 1.0))
             dpmf = n * (pmf / safe) - pmf
-            pmf[zero] = float(n == 0)
-            dpmf[zero] = float(n == 1) - float(n == 0)
-            got_pmf, got_dpmf = crit.pmf_and_derivative(x)
-            assert got_pmf.tolist() == pmf.tolist()
-            assert got_dpmf.tolist() == dpmf.tolist()
+            dpmf[zero] = float(n == 1)
+            want = crit.mean(crit.d1_scale * pmf) / crit.den, crit.mean(crit.d2_scale * dpmf) / crit.den
+            assert crit(mu)[1:3] == want
+            assert crit.pmf_terms(mu).tolist() == np.exp(n * np.log(safe) - x - math.lgamma(n + 1.0)).tolist()
 
     @pytest.mark.parametrize("method", [_CLS, _BAYES])
     @pytest.mark.parametrize("n_obs", [0, 1, 2, 5])
     def test_zero_background_lane_takes_the_limit(self, method, n_obs):
         # a linear background response reaches 0 at eta = -2, the first
-        # lane: there x = 0 at mu = 0, and the pmf and its derivative take
-        # their limits, with no RuntimeWarning (the suite turns them into errors)
+        # lane: there x = 0 at mu = 0, and the pmf and the slope and
+        # curvature take their limits, with no RuntimeWarning (the suite
+        # turns them into errors)
         m = CountingModel(
             s_nom=1.0,
             backgrounds=(BackgroundProcess("b", 1.5, {"a": Response.linear(0.5)}),),
@@ -796,16 +803,31 @@ class TestPmfWithoutMasks:
         samples = SampleSet(np.linspace(-2.0, 2.0, 64)[:, None], np.full(64, 1.0 / 64))
         crit = _criterion(m, method, samples)
         assert crit.b[0] == 0.0 and not crit.x_positive
-        pmf, dpmf = crit.pmf_and_derivative(crit.b)
-        assert (pmf[0], dpmf[0]) == (float(n_obs == 0), float(n_obs == 1) - float(n_obs == 0))
+        pmf = crit.pmf_terms(0.0)
+        assert pmf[0] == crit.den_pmf[0] == float(n_obs == 0)
         rest = crit.b[1:]
         assert pmf[1:].tolist() == np.exp(n_obs * np.log(rest) - rest - math.lgamma(n_obs + 1.0)).tolist()
         value, slope, curvature, _ = crit(0.0)
         assert value == 1.0 and math.isfinite(slope) and math.isfinite(curvature)
-        # the masked path is the one-point formula on every lane
-        for k in (0, 17, 63):
-            one = _criterion(plain_model(s=1.0, b=float(crit.b[k]), n_obs=n_obs), method)
-            assert (pmf[k], dpmf[k]) == pytest.approx(one.pmf_and_derivative(float(crit.b[k])), rel=1e-14)
+        # at b = 0 the nominal point, on floats, takes the limits: pmf(n; 0) =
+        # [n = 0] and d pmf/dx = [n = 1] - [n = 0], with CLb = Q(n + 1, 0) = 1
+        limit = _criterion(plain_model(s=1.0, b=0.0, n_obs=n_obs), method)
+        assert limit(0.0)[:3] == (1.0, -float(n_obs == 0), float(n_obs == 0) - float(n_obs == 1))
+        # the set's slope and curvature are the weighted means of its lanes',
+        # each the one-point criterion's on that lane's b, the zero lane's limit included
+        for mu in (0.0, 1.5):
+            lanes = np.array([self._lane_derivatives(method, n_obs, float(b), mu) for b in crit.b])
+            got = crit(mu)
+            for k in (1, 2):
+                want = crit.mean(lanes[:, k - 1]) / crit.den
+                assert got[k] == pytest.approx(want, rel=1e-13, abs=1e-13 * crit.mean(np.abs(lanes[:, k - 1])))
+
+    @staticmethod
+    def _lane_derivatives(method, n_obs, b, mu):
+        # the slope and curvature terms of one lane: its criterion's, times its denominator
+        one = _criterion(plain_model(s=1.0, b=b, n_obs=n_obs), method)
+        _, slope, curvature, _ = one(mu)
+        return slope * one.den, curvature * one.den
 
 
 class TestNominalPointSet:
@@ -1406,19 +1428,26 @@ class TestOverflowedMean:
             got = self.CALLS[call](m, samples)
         assert got == ([0.0] * 6 if call == "scan_quantity" else 0.0)
 
-    def test_lanes_past_the_overflow_take_the_limit(self):
-        # one lane of x overflows, the other does not: only the first call
-        # has a bound that can overflow, and each lane takes its own pmf
+    def test_lanes_past_the_overflow_take_the_limit(self, monkeypatch):
+        # one lane of x overflows, the other does not: only the second call
+        # has a bound that can overflow, the one call that silences numpy's
+        # warning, and the lane at x = inf takes the kernel's pmf there, 0,
+        # with a derivative of 0
         crit = _Criterion(_BAYES, 3, np.array([1e-9, 1e300]), np.array([1.5, 1.5]), np.array([0.5, 0.5]))
-        assert crit.x_at(1.0)[1] is False
+        errstate, silenced = np.errstate, []
+        monkeypatch.setattr(np, "errstate", lambda **kw: silenced.append(kw) or errstate(**kw))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, edges = crit.x_at(1e10)
-            pmf, dpmf = crit.pmf_and_derivative(x, edges)
+            crit(1.0)
+            assert silenced == []
             value, slope, curvature, _ = crit(1e10)
-        assert edges and x[1] == math.inf
-        assert pmf.tolist() == [math.exp(log_poisson_pmf(3, float(x[0]))), 0.0] and dpmf[1] == 0.0
+            x = crit.x_at(1e10)
+            pmf = crit.kernel(3, crit.s, x)[1]
+            assert crit.pmf_terms(1e10).tolist() == [math.exp(log_poisson_pmf(3, float(x[0]))), 0.0]
+        assert x[1] == math.inf and pmf[1] == 0.0 and silenced == [{"over": "ignore"}] * 3
         assert slope == -0.5 * pmf[0] / crit.den
+        dpmf = 3 * (pmf[0] / x[0]) - pmf[0]
+        assert curvature == 0.5 * (-1e-9 * dpmf) / crit.den
         assert 0.0 < value < 1.0 and math.isfinite(curvature)
 
 

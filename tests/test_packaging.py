@@ -213,3 +213,15 @@ def test_tracer_layers_are_defined_in_their_home_modules():
         fn = getattr(importlib.import_module(module), attr, None)
         assert callable(fn), f"{module}.{attr} is gone"
         assert (fn.__module__, fn.__name__) == (module, attr), f"{module}.{attr} is defined elsewhere"
+
+
+def test_only_special_forms_a_pmf():
+    # ln n! and the log-pmf body have one owner: every other module takes
+    # the kernels' pmf or log_poisson_pmf, so a change to how the pmf is
+    # formed touches special.py alone
+    modules = sorted((Path(__file__).parents[1] / "src" / "countlim").glob("*.py"))
+    assert "special.py" in [path.name for path in modules]
+    for path in modules:
+        text = path.read_text()
+        for name in ("lgamma", "_log_pmf"):
+            assert (name in text) == (path.name == "special.py"), f"{name} in {path.name}"

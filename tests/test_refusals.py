@@ -131,8 +131,8 @@ def test_count_past_the_greatest_is_refused_in_one_line(n):
 
 @pytest.mark.parametrize("n", [1e306, 2.0**1023, math.nextafter(float(special._COUNT_MAX), math.inf)])
 def test_float_count_past_the_greatest_is_refused_in_one_line(n):
-    # an integral float too, which gamma_q's shortcut for the calculator's
-    # a = n + 1.0 once passed on to lgamma(a) and a bare OverflowError
+    # an integral float too, which a shortcut in gamma_q past _count once
+    # passed on to lgamma(a) and a bare OverflowError: every a goes through it
     rule = rf"at most 2\.5599833278516383e\+305, got {re.escape(repr(n))}$"
     for call, where in ((lambda: poisson_cdf(n, 2.5), "poisson_cdf.n"), (lambda: gamma_q(n, 2.5), "gamma_q.a")):
         with pytest.raises(ConfigError, match=rf"^{where} must be an integer of at least \d and {rule}"):

@@ -525,20 +525,21 @@ class TestShortcutAgainstTheFullPath:
 
     @pytest.mark.parametrize("monte_carlo", [False, True])
     @pytest.mark.parametrize("method", [marginal._CLS, marginal._BAYES])
-    def test_no_kernel_or_pmf_at_zero(self, method, monte_carlo, criterion_points):
+    def test_no_kernel_or_pmf_at_zero(self, monkeypatch, method, monte_carlo, criterion_points):
         model = bg_systematic_model(s=1.0, b=1.5, n_obs=3) if monte_carlo else plain_model(s=1.0, b=1.5, n_obs=3)
         samples = marginal.draw_samples(model.systematics, Integrator.monte_carlo(500, 1)) if monte_carlo else None
         crit = marginal._criterion(model, method, samples)
         kernel_x, pmf_x = [], []
-        kernel_call, pmf_call = crit.kernel, crit.pmf_and_derivative
+        kernel_call, pmf_call = crit.kernel, marginal.log_poisson_pmf
         crit.kernel = lambda n, s, x: kernel_x.append(x) or kernel_call(n, s, x)
-        crit.pmf_and_derivative = lambda x, *edges: pmf_x.append(x) or pmf_call(x, *edges)
+        # the criterion forms no pmf of its own: it takes the kernel's
+        monkeypatch.setattr(marginal, "log_poisson_pmf", lambda n, x: pmf_x.append(x) or pmf_call(n, x))
         start = marginal._start(crit, 0.05)
         assert start > 0.0
         _, _, evals, _ = solve_decreasing(crit, 0.05, 1e-9, 200, start)
         # every call is at a mu > 0, where x = mu*s + b is not b
         assert len(criterion_points) == len(kernel_x) == evals - 1 and 0.0 not in criterion_points
-        assert not any(np.array_equal(x, crit.b) for x in kernel_x + pmf_x)
+        assert not any(np.array_equal(x, crit.b) for x in kernel_x) and pmf_x == []
         with pytest.raises(ConvergenceError) as err:
             solve_decreasing(crit, 0.05, 1e-9, 2, start)
         assert err.value.history[0] == (0.0, 1.0) and len(err.value.history) == 2
