@@ -182,7 +182,7 @@ def draw_samples(systematics: SystematicsModel, integrator: Integrator | None) -
         points = integrator.nodes_per_dim**n_nuis
         if points > _GH_MAX_POINTS:
             raise ConfigError(
-                f"gauss_hermite grid of nodes^J = {integrator.nodes_per_dim}^{n_nuis} = {points} "
+                f"gauss_hermite grid of nodes^J = {integrator.nodes_per_dim}^{n_nuis} = {_shown(points)} "
                 f"points exceeds the budget of {_GH_MAX_POINTS}; use fewer nodes or monte_carlo"
             )
         if not systematics.all_normal_family:

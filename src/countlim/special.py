@@ -9,22 +9,24 @@ finite float), and a negative or NaN mean, with a ``ConfigError``.
 
 Every route but Temme's is a Poisson prefactor e^-x x^k / k! times one
 sum or one fraction. Its log, k ln x - x - ln k! (ln Gamma(a) at k = a
-in ``gamma_q``), is one body, ``_log_pmf``, shared by the kernels and
-:func:`log_poisson_pmf`, which takes the pmf's limits at x = 0 and inf;
-the kernels' (1 and 0) are in ``_at_ends``. No other module forms a
-pmf: :mod:`countlim.marginal`'s criterion takes the kernels' and the
-exp of :func:`log_poisson_pmf`. Every route, on a float and on wide lanes
-alike, hands back pmf(n; x) beside its value, built from the prefactor
-it computes anyway, for the criteria's slopes: ``poisson_cdf``'s lower
-tail returns its prefactor, pmf(n; x) itself; its upper tail prefactor
-(n + 1) / x; ``gamma_q``'s series and fraction, at a = n + 1, prefactor
-/ x; and Temme's route K(a) e^(-a eta^2/2) / x, with K(a) = exp(a ln a
-- a - ln Gamma(a)) cached per a (``_temme_pmf_scale``). So no route takes
-a second ``log`` or ``exp`` for it. The pmf is within a few ulp of the
-log's terms of exp(``log_poisson_pmf``), and the lower tail's is that,
-bit for bit; where the prefactor underflows, the pmf goes with it. The
-public kernels drop it (``_poisson_cdf_pmf`` and ``_gamma_q_pmf`` keep
-it), and ``_on_lanes`` gathers it as it does the value.
+in ``gamma_q``), is one body, ``_log_pmf``, the one place ln k! is taken:
+the kernels and :func:`log_poisson_pmf` hand it a count. The kernels'
+values at x = 0 and inf (1 and 0) and the pmf's are one body for a float
+and lanes, ``_at_ends``. No other module forms a pmf: the criterion
+takes the kernels' and :func:`log_poisson_pmf`'s. Every route, on a
+float and on wide lanes alike, hands back pmf(n; x) beside its value,
+built from the prefactor it computes anyway, for the criteria's slopes:
+``poisson_cdf``'s lower tail returns its prefactor, pmf(n; x) itself;
+its upper tail prefactor (n + 1) / x; ``gamma_q``'s series and
+fraction, at a = n + 1, prefactor / x; and Temme's route K(a)
+e^(-a eta^2/2) / x, with K(a) = exp(a ln a - a - ln Gamma(a)) cached
+per a (``_temme_pmf_scale``). So no route takes a second ``log`` or
+``exp`` for it. The pmf is within a few ulp of the log's terms of
+exp(``log_poisson_pmf``), and the lower tail's is that, bit for bit;
+where the prefactor underflows, the pmf goes with it. Each kernel's
+one ``_on_lanes`` call, which gathers the pmf as it does the value, is
+in its pmf entry (``_poisson_cdf_pmf``, ``_gamma_q_pmf``); the public
+kernel keeps the value.
 
 Three of ``gamma_q``'s routes, the continued fraction, eta^2/2 and
 Temme's expansion, have one body each, run on the ``math`` module's
@@ -33,15 +35,12 @@ functions for a float (``_MATH``) or on numpy's for an array
 / alone, has one body too. The series walks and erfcx's polynomial
 pieces, whose array form gathers a row of coefficients per lane, keep a
 float and an array form by design. Exact limits solve on the float
-paths, and narrow arrays run them lane by lane. An array call pays a
-fixed cost in numpy calls whatever its width, where a float path pays
-per lane. README tabulates the cost of an array call over the float
-path's on its lanes, by kernel, count and width, each call with its pmf
-(``tools/kernel_crossover.py``). Its median crosses 1 at 20 lanes (1.04
-to 1.07 over five runs): arrays of at most ``_NARROW_LANES`` = 20 lanes
-take the float paths, bit for bit. ``gamma_q`` above a = 20, where
-Temme's route takes most lanes, is the exception: its float path still
-wins at 40 lanes.
+paths, and arrays of at most ``_NARROW_LANES`` = 20 lanes run them lane
+by lane, bit for bit: an array call pays a fixed cost in numpy calls
+whatever its width, a float path per lane. On the benchmark's 16-lane
+``toys_small`` calls, running every array wide took 0.77x the time at
+b = 0.5 and 1.15-1.23x at b = 20, where ``gamma_q`` takes Temme's route,
+and cut ``limits_per_s`` in 9 of 10 perfbench pairs: the fork stays (README).
 
 Wider arrays take no convergence test. ``poisson_cdf`` sums the scalar
 walk's series as one polynomial in n/x or x/(n + 1), and ``gamma_q``'s
@@ -146,14 +145,14 @@ def _mean(owner, name: str, x):
     _require(owner, name, False, "be a nonnegative real number or an integer or float array of them", x)
 
 
-def _log_pmf(k, x, log_norm: float, ns):
-    """``k * ns.log(x) - x - log_norm``, the log of the Poisson prefactor
-    e^-x x^k / k! (``log_norm`` = ln k!) for 0 < x < inf: on a float with
-    ``ns`` the ``math`` namespace, or in place on ``ns.log(x)`` with numpy's."""
+def _log_pmf(k, x, ns, gamma_of=None):
+    """k ln x - x - ln Gamma(``gamma_of``), k + 1 by default: the log of e^-x x^k / k!, or at
+    ``gamma_of`` = k = a of x^a e^-x / Gamma(a), for 0 < x < inf, on a float with ``ns`` the
+    ``math`` namespace or in place on ``ns.log(x)`` with numpy's. No other body takes ln k!."""
     p = ns.log(x)
     p *= k
     p -= x
-    p -= log_norm
+    p -= math.lgamma(k + 1 if gamma_of is None else gamma_of)
     return p
 
 
@@ -161,7 +160,7 @@ def log_poisson_pmf(n, nu):
     """Log Poisson probability mass, n*ln(nu) - nu - ln(n!).
 
     ``n`` is a nonnegative integer count, ``nu`` a nonnegative mean
-    (scalar or array). The factorial goes through ``lgamma`` so large
+    (scalar or array). ln n! is ``lgamma``'s, in ``_log_pmf``, so large
     counts stay finite. ``nu == 0`` gives probability one for ``n == 0``
     and probability zero (``-inf``) otherwise; ``nu == inf`` gives the
     limit ``-inf``.
@@ -172,7 +171,7 @@ def log_poisson_pmf(n, nu):
     # _log_pmf sees 1 at nu = 0 and inf, where ln 1 = 0 raises no
     # warning, and those lanes take the limits
     inside = (0.0 < nu) & (nu < math.inf)
-    p = _log_pmf(n, ns.where(inside, nu, 1.0), math.lgamma(n + 1), ns)
+    p = _log_pmf(n, ns.where(inside, nu, 1.0), ns)
     return ns.where(inside, p, -math.inf if n else ns.where(nu == 0.0, 0.0, -math.inf))
 
 
@@ -192,7 +191,7 @@ def poisson_cdf(n, nu):
     1e-14 * (n + nu + 1) for n <= 1e4. Independent of :func:`gamma_q` by
     design.
     """
-    return _on_lanes(_poisson_cdf_scalar, _poisson_routes, _count(poisson_cdf, "n", n), _mean(poisson_cdf, "nu", nu))[0]
+    return _poisson_cdf_pmf(_count(poisson_cdf, "n", n), nu)[0]
 
 
 def _poisson_cdf_pmf(n: int, nu):
@@ -244,9 +243,9 @@ _TINY = math.ulp(0.0)  # the smallest positive float: x = 0 is a route of its ow
 
 
 def _at_ends(k, x, ns):
-    """Either kernel at x = 0, where it is 1, and at x = inf, where it takes
-    the limit 0, with pmf(k; x)'s limits there: 1 at x = 0 for k = 0, else 0."""
-    value = (x == 0.0).astype(float)
+    """Either kernel at x = 0, where it is 1, and at x = inf, where it takes the limit 0, with
+    pmf(k; x)'s limits there: 1 at x = 0 for k = 0, else 0; on a float and on lanes alike."""
+    value = 1.0 * (x == 0.0)
     return value, value * (k == 0)
 
 
@@ -270,32 +269,32 @@ _TAIL_EPS = 1e-17
 
 def _poisson_cdf_scalar(n: int, nu: float) -> tuple[float, float]:
     if not nu > 0.0:
-        return 1.0, float(n == 0)
+        return _at_ends(n, nu, _MATH)
     t = total = 1.0
     if nu >= n:
         if nu == math.inf:
-            return 0.0, 0.0
+            return _at_ends(n, nu, _MATH)
         inv = 1.0 / nu
         for k in range(n, 0, -1):
             t *= k * inv
             total += t
             if t <= _TAIL_EPS * total:
                 break
-        pmf = math.exp(_log_pmf(n, nu, math.lgamma(n + 1), _MATH))
+        pmf = math.exp(_log_pmf(n, nu, _MATH))
         return pmf * total, pmf
     k = n + 1
     while t > _TAIL_EPS * total:
         k += 1
         t *= nu / k
         total += t
-    pref = math.exp(_log_pmf(n + 1, nu, math.lgamma(n + 2), _MATH))
+    pref = math.exp(_log_pmf(n + 1, nu, _MATH))
     return 1.0 - pref * total, pref * (n + 1) / nu
 
 
 def _upper_tail_array(n: int, nu: np.ndarray, ns) -> tuple[np.ndarray, np.ndarray]:
     # P(N > n) from k = n + 1: H_j z^j, z = x/(n + 1) < 1, H_j = prod_{i<=j} (n + 1)/(n + 1 + i)
     sums = _series_sum(_series_blocks("upper", n), nu / (n + 1))
-    pref = ns.exp(_log_pmf(n + 1, nu, math.lgamma(n + 2), ns))
+    pref = ns.exp(_log_pmf(n + 1, nu, ns))
     value = 1.0 - pref * sums
     pref *= n + 1
     pref /= nu
@@ -306,7 +305,7 @@ def _lower_tail_array(n: int, x: np.ndarray, ns) -> tuple[np.ndarray, np.ndarray
     # P(N <= n) for x >= n, the prefactor pmf(n; x) times the sum: the terms
     # k = n down to 0, relative to the k = n one, are G_j y^j with
     # y = n/x <= 1 and G_j = prod_{i<j} (n - i)/n
-    pmf = ns.exp(_log_pmf(n, x, math.lgamma(n + 1), ns))
+    pmf = ns.exp(_log_pmf(n, x, ns))
     return pmf * _series_sum(_series_blocks("lower", n), n / x), pmf
 
 
@@ -453,7 +452,7 @@ def gamma_q(a, x):
     grid for integer a from 1 to 1e5 + 1. ``a`` is a count of at least 1
     and ``x`` a mean, where ``x == inf`` gives the limit 0.
     """
-    return _on_lanes(_gamma_q_scalar, _gamma_routes, float(_count(gamma_q, "a", a, 1)), _mean(gamma_q, "x", x))[0]
+    return _gamma_q_pmf(float(_count(gamma_q, "a", a, 1)), x)[0]
 
 
 def _gamma_q_pmf(a: float, x):
@@ -464,19 +463,19 @@ def _gamma_q_pmf(a: float, x):
 
 def _gamma_q_scalar(a: float, x: float) -> tuple[float, float]:
     if x == 0.0:
-        return 1.0, float(a == 1.0)
+        return _gamma_at_ends(a, x, _MATH)
     if a > _TEMME_MIN_A and _TEMME_LO * a <= x <= _TEMME_HI * a:
         return _temme(a, x, _MATH)
     if x < a + 1.0:
         return _lower_series_scalar(a, x)
     if x == math.inf:
-        return 0.0, 0.0
+        return _gamma_at_ends(a, x, _MATH)
     return _upper_cf(a, x, _MATH)
 
 
 def _lower_series_scalar(a: float, x: float) -> tuple[float, float]:
     # Q(a, x) = 1 - the lower series, walked, and pmf(a - 1; x)
-    pref = math.exp(_log_pmf(a, x, math.lgamma(a), _MATH))
+    pref = math.exp(_log_pmf(a, x, _MATH, gamma_of=a))
     if pref == 0.0:
         return 1.0, 0.0  # x far below a; the lower function underflows
     # on the route, x < a + 1, every ratio x / r is below 1 and falling: the
@@ -517,7 +516,7 @@ def _upper_cf(a: float, x, ns):
     two sums in place. t holds the next level's denominator: b + 2 depth at
     the deepest, then (t_k + b) + 2 (k - 1) below level k, and t_1 + b
     after the last. A prefactor that underflows gives 0 / t = 0."""
-    pref = ns.exp(_log_pmf(a, x, math.lgamma(a), ns))
+    pref = ns.exp(_log_pmf(a, x, ns, gamma_of=a))
     b = x + 1.0 - a
     levels = _cf_levels(a)
     t = b + 2 * len(levels)
@@ -546,7 +545,7 @@ def _lower_series_array(a: float, x: np.ndarray, ns) -> tuple[np.ndarray, np.nda
     # sum are those in x; and pmf(a - 1; x)
     import numpy as np
     sums = _series_sum(_series_blocks("gamma", a), x / _series_bound(a)[1])
-    pref = ns.exp(_log_pmf(a, x, math.lgamma(a), ns))
+    pref = ns.exp(_log_pmf(a, x, ns, gamma_of=a))
     value = np.maximum(0.0, 1.0 - pref * sums / a)
     pref /= x
     return value, pref

@@ -591,6 +591,10 @@ class TestRefusals:
             *[({**PLAIN, "n_obs": n}, args, "n_obs: CountingModel.n_obs must be a nonnegative integer "
               f"at most 2.5599833278516383e+305, got {str(n)[:4]}")
               for n in (10**400, 2**1023) for args in (["limit"], ["equivalence"], ["scan", "--mu-max", "5"])],
+            # a grid size of more than 4,300 digits once left Python's ValueError as a traceback
+            ({**PLAIN, "nuisances": [{"name": f"z{j}", "prior": {"kind": "standard_normal"}} for j in range(2400)]},
+             ["limit", "--integrator", "gh", "--nodes", "64"],
+             f"= 64^2400 = an int of more than {sys.get_int_max_str_digits()} digits points exceeds the budget of 1048576"),
             # a ragged correlation once left numpy's ValueError as a traceback
             ({**PLAIN, "nuisances": [{"name": "a", "prior": {"kind": "standard_normal"}}], "correlation": [[1.0, 0.0]]},
              ["limit"], "correlation: SystematicsModel.correlation must be a 1 x 1 matrix, a row and a column"),

@@ -3,6 +3,7 @@ without them, numpy is loaded only where a wide path needs it, and the
 CLI loads no click. The public API is pinned, with the names the
 benchmark uses."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -225,3 +226,9 @@ def test_only_special_forms_a_pmf():
         text = path.read_text()
         for name in ("lgamma", "_log_pmf"):
             assert (name in text) == (path.name == "special.py"), f"{name} in {path.name}"
+    # and in special.py, ln k! (ln Gamma(a) in gamma_q) is taken in one
+    # body: every route's prefactor passes _log_pmf a count, not ln k!
+    from countlim import special
+
+    assert sum(path.read_text().count("math.lgamma(") for path in modules) == 1
+    assert inspect.getsource(special._log_pmf).count("math.lgamma(") == 1

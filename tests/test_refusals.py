@@ -4,6 +4,7 @@ must ...``, whichever entry takes it and whatever is wrong with it."""
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from countlim import (
 )
 from countlim import special
 from countlim.marginal import scan_quantity
-from helpers import bg_systematic_model
+from helpers import bg_systematic_model, identity_systematic_model
 
 MODEL = bg_systematic_model()
 SAMPLES = draw_samples(MODEL.systematics, Integrator.gauss_hermite(4))
@@ -151,6 +152,15 @@ def test_greatest_count_is_a_count():
     assert CountingModel(s_nom=1.0, n_obs=n).n_obs == special._count(poisson_cdf, "n", n) == n
     assert special._count(poisson_cdf, "n", float(n)) == n
     assert poisson_cdf(n, 2.5) == gamma_q(n, 2.5) == gamma_q(float(n), 2.5) == 1.0
+
+
+def test_grid_too_large_to_print_is_refused_by_its_budget():
+    # 64^2400 has more than 4,300 digits: formatting the grid's size once
+    # raised Python's bare ValueError in place of the budget's ConfigError
+    systematics = identity_systematic_model(n_nuisances=2400).systematics
+    digits = sys.get_int_max_str_digits()
+    with pytest.raises(ConfigError, match=rf"= 64\^2400 = an int of more than {digits} digits points exceeds the budget"):
+        draw_samples(systematics, Integrator.gauss_hermite(64))
 
 
 @pytest.mark.parametrize(

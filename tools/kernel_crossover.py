@@ -7,9 +7,10 @@ criteria call it (the value with the pmf its route hands back), once through
 the array route and once lane by lane through the scalar twin, and prints
 the ratio of the two times (best of ``--rounds`` rounds of ``--calls``
 calls each): below 1 the array route is cheaper. Then the median of each
-width's column, and the width whose median is nearest 1: the crossover,
-where the two cost the same, and the value of ``special._NARROW_LANES``.
-Run from the repository root:
+width's column, and the width whose median is nearest 1: the crossover on
+these synthetic lanes. It does not set ``special._NARROW_LANES`` alone:
+the benchmark's own ``toys_small`` calls, timed with every array wide,
+are what keep it at 20 (README). Run from the repository root:
 
     python3 tools/kernel_crossover.py [--counts 0,5,30] [--widths 8,24,48] [--calls 100] [--rounds 7]
 """
