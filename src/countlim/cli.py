@@ -23,12 +23,13 @@ import sys
 from pathlib import Path
 
 from .config import _parse_file, load_model
-from .equivalence import _DEFAULT_TOL, VERDICT_UNEXPECTED, _paired_limits, compare_limits
+from .equivalence import _DEFAULT_TOL, VERDICT_UNEXPECTED, compare_limits
 from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError
 from .marginal import (
     _SCAN_MAX_POINTS,
     _SCAN_QUANTITIES,
     Integrator,
+    _paired_limits,
     bayesian_marginal_upper_limit,
     draw_samples,
     hybrid_cls_upper_limit,
@@ -93,8 +94,8 @@ def _load(config_path: str):
 
 def _request(cl: float, rel_tol: float) -> LimitRequest:
     """The request for ``--cl``, checked here as only the CLI has a cl, and a solver tolerance."""
-    if not 0.0 < cl < 1.0:
-        raise ConfigError(f"--cl must be in (0, 1), got {cl}")
+    if not (0.0 < cl < 1.0 and 1.0 - cl < 1.0):  # alpha = 1 - cl rounds to 1.0 for any cl <= 2**-54
+        raise ConfigError(f"--cl must be in (2**-54, 1), got {cl}")
     return LimitRequest(alpha=1.0 - cl, rel_tol=rel_tol)
 
 

@@ -6,7 +6,7 @@ of the strength parameter and the limits must coincide to solver
 precision. A genuinely uncertain signal breaks that cancellation and the
 limits are expected to differ; the size of the gap is model-dependent and
 is reported, never thresholded. :func:`compare_limits` and the CLI's
-``limit --method both`` run one paired solve, ``_paired_limits``.
+``limit --method both`` run one paired solve, ``marginal._paired_limits``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .exceptions import _float, _require
-from .marginal import _BAYES, _CLS, Integrator, SampleSet, _Criterion, _criterion, _limit, _solve, _takes_mc_error
+from .marginal import Integrator, SampleSet, _paired_limits
 from .model import CountingModel, _Record
 from .solver import LimitRequest
 
@@ -41,21 +41,6 @@ class EquivalenceReport(_Record):
 
     def to_dict(self) -> dict:
         return dict(zip(self._fields, self._values()))
-
-
-def _paired_limits(model, req, integrator, bayes_samples=None, bayes_error=False):
-    """The hybrid CLs limit, the marginal Bayesian limit solved from the
-    CLs root on the same yields or on ``bayes_samples``' own (see
-    :func:`compare_limits`), and their ``rel_diff``, |a - b| / max(a, b).
-    ``bayes_error`` adds the Bayesian Monte Carlo error."""
-    res_cls, crit, samples = _limit(model, _CLS, req, integrator)
-    if bayes_samples is None:
-        crit = _Criterion(_BAYES, crit.n, crit.s, crit.b, crit.w)
-    else:
-        crit, samples = _criterion(model, _BAYES, bayes_samples), bayes_samples
-    res_bayes = _solve(crit, req, bayes_error and _takes_mc_error(samples), start=res_cls.mu_up)
-    a, b = res_cls.mu_up, res_bayes.mu_up
-    return res_cls, res_bayes, abs(a - b) / max(a, b)
 
 
 def compare_limits(

@@ -18,9 +18,10 @@ None)`` of a model without nuisances give CLs, CLs+b, CLb and the
 closed-form posterior density. The limits of a model without nuisances
 draw no set, and run on its floats; numpy is imported where first needed.
 
-Every marginal limit takes one path, ``_limit``, which refuses a zero
-signal and draws the set. Whether a limit or a scan takes a Monte Carlo
-error is read from the set alone, by one predicate: ``_takes_mc_error``.
+Every marginal limit, the paired ones (``_paired_limits``) too, takes one
+path, ``_limit``, which refuses a zero signal and draws the set. Whether a
+limit or a scan takes a Monte Carlo error is read from the set alone, by
+one predicate: ``_takes_mc_error``.
 
 Reductions over samples go through ``np.add.reduce``, ``np.sum``'s pairwise
 sum without its dispatch, whose tree over a fixed (declaration) sample
@@ -32,11 +33,11 @@ from __future__ import annotations
 import functools
 import math
 import types
-from collections.abc import Iterable
+from collections.abc import Iterable, Sized
 
 from .exceptions import ConfigError, ConvergenceError, ModelError, YieldError, _float, _require, _shown
 from .model import CountingModel, SystematicsModel, _integer, _kind, _kind_dict, _Record, yields_on_samples
-from .special import _gamma_q_pmf, _gamma_q_scalar, _poisson_cdf_pmf, _poisson_cdf_scalar, log_poisson_pmf
+from .special import _count, _gamma_q_pmf, _gamma_q_scalar, _poisson_cdf_pmf, _poisson_cdf_scalar, log_poisson_pmf
 from .solver import LimitRequest, LimitResult, solve_decreasing
 
 __all__ = [
@@ -68,7 +69,7 @@ _GH_MAX_POINTS = 2**20  # largest Gauss-Hermite tensor grid draw_samples builds
 # one were drawn; a larger grid is built on each call and not kept.
 _GH_CACHED_VALUES = 2**16
 _MC_MAX_VALUES = 2**22  # largest Monte Carlo set, samples x nuisances
-_SCAN_MAX_POINTS = 2**20  # longest strength grid the scan command tabulates
+_SCAN_MAX_POINTS = 2**20  # longest strength grid scan_quantity tabulates
 _SCAN_QUANTITIES = ("cls", "clsb", "clb", "posterior")  # what scan_quantity tabulates
 # How far from 1 a set's weights may sum: draw_samples' sets sum within
 # 7.8e-16 of it (Monte Carlo sets of 1 to 2**22 samples, Gauss-Hermite
@@ -245,6 +246,7 @@ def marginal_likelihood(model: CountingModel, mu: float, n, samples: SampleSet) 
     sample whose mean overflows, as in ``_Criterion.pmf_terms``."""
     import numpy as np
     mu = _strength(marginal_likelihood, "mu", mu)
+    n = _count(marginal_likelihood, "n", n)
     s, b = yields_on_samples(model, samples.etas)
     with np.errstate(over="ignore"):  # a mean that overflows is inf, where the pmf is 0
         pmf = np.exp(log_poisson_pmf(n, mu * s + b))
@@ -306,13 +308,12 @@ class _Criterion:
     of :func:`~countlim.special.log_poisson_pmf`.
 
     At mu = 0 the numerator is the denominator, and the criterion is
-    exactly ``value_at_zero`` = 1: den / den, den a positive finite float,
-    the same reduction on both sides of a sample set. So a solve that has
-    a start records it there and jumps, calling nothing
-    (:func:`~countlim.solver.solve_decreasing`).
+    exactly 1: den / den, den a positive finite float, the same reduction
+    on both sides of a sample set. So ``_solve`` hands the solver that
+    value, and a solve that has a start records it there and jumps,
+    calling nothing (:func:`~countlim.solver.solve_decreasing`).
     """
 
-    value_at_zero = 1.0
     curved = True  # a set whose s^2 overflows is not (see __init__)
 
     def __init__(self, method, n: int, s, b, w):
@@ -577,7 +578,7 @@ def _solve(
     if start is None:
         start = _start(crit, req.alpha)
     mu, (value, slope, _, terms), evaluations, bracket = solve_decreasing(
-        crit, req.alpha, req.rel_tol, req.max_iter, start)
+        crit, req.alpha, req.rel_tol, req.max_iter, start, 1.0)  # c(0) = den / den
     if not with_stderr:
         return LimitResult(mu, value, evaluations, bracket)
     crit_stderr = crit.ratio_stderr(terms)
@@ -620,6 +621,8 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet):
     import numpy as np
     if not (isinstance(quantity, str) and quantity in _SCAN_QUANTITIES):
         _require(scan_quantity, "quantity", False, f"be one of {', '.join(_SCAN_QUANTITIES)}", quantity)
+    size = mus.size if isinstance(mus, np.ndarray) else len(mus) if isinstance(mus, Sized) else 0
+    _require(scan_quantity, "mus", size <= _SCAN_MAX_POINTS, f"hold at most {_SCAN_MAX_POINTS} points", size)
     # CLs = 1 at every mu without a signal, on any sample set: refused as by the limits
     crit = _criterion(model, _BAYES if quantity == "posterior" else _CLS, samples, quantity in ("clsb", "clb"))
     entries = mus.tolist() if isinstance(mus, np.ndarray) else mus
@@ -656,6 +659,21 @@ def _limit(model: CountingModel, method, req: LimitRequest, integrator: Integrat
         samples = draw_samples(model.systematics, integrator)
     crit = _criterion(model, method, samples)
     return _solve(crit, req, _takes_mc_error(samples)), crit, samples
+
+
+def _paired_limits(model, req, integrator, bayes_samples=None, bayes_error=False):
+    """The hybrid CLs limit, the marginal Bayesian limit solved from the
+    CLs root on the same yields or on ``bayes_samples``' own (see
+    :func:`~countlim.equivalence.compare_limits`), and their ``rel_diff``,
+    |a - b| / max(a, b). ``bayes_error`` adds the Bayesian Monte Carlo error."""
+    res_cls, crit, samples = _limit(model, _CLS, req, integrator)
+    if bayes_samples is None:
+        crit = _Criterion(_BAYES, crit.n, crit.s, crit.b, crit.w)
+    else:
+        crit, samples = _criterion(model, _BAYES, bayes_samples), bayes_samples
+    res_bayes = _solve(crit, req, bayes_error and _takes_mc_error(samples), start=res_cls.mu_up)
+    a, b = res_cls.mu_up, res_bayes.mu_up
+    return res_cls, res_bayes, abs(a - b) / max(a, b)
 
 
 def hybrid_cls_upper_limit(

@@ -34,24 +34,23 @@ end of their bracket.
 
 A solve counts mu = 0 as its first evaluation; when the caller gives a
 starting point in (0, 2**64], the second evaluation jumps straight
-there, and the rest of the solve proceeds from it. A criterion object
-may declare its value at 0 as ``value_at_zero``: every
-``marginal._Criterion`` does, being exactly 1 there. A solve with a
-start then records that value at mu = 0 and jumps, with no call and no
-arithmetic there. A plain function, or a solve with no start, is called
-at mu = 0, because the first step from 0 needs the slope there. Until a
-point below the target is found, a step may reach no further than
-8 * max(mu, 1), because the slope can be 0 or vanishingly small near
-mu = 0; that cap applies only after the jump. Once a point
-below the target is known, a step that leaves the sign-checked bracket
-is replaced by bisection. The test is applied at every evaluated point:
-a solve ends when the value is within ``10 * rel_tol * target`` of the
-target and the projected step is at most ``rel_tol * mu`` (or below the
-float64 resolution). The bracket is not shrunk to ``rel_tol``. A starting point is only a first guess: the
-solve still ends on the criterion's own value and slope.
-Each bracket end keeps the criterion's whole return there, unread past
-(c, c', c''), and the solve returns it with the end it chose: what else a
-criterion returns (``marginal._Criterion``'s terms) is at hand at the root.
+there, and the rest of the solve proceeds from it. A caller that knows
+c(0) passes it as ``value_at_zero``: a solve with a start then records
+that value at mu = 0 and jumps, with no call and no arithmetic there. A
+solve given no value, or no start, calls the criterion at mu = 0,
+because the first step from 0 needs the slope there. Until a point below
+the target is found, a step may reach no further than 8 * max(mu, 1),
+because the slope can be 0 or vanishingly small near mu = 0; that cap
+applies only after the jump. Once a point below the target is known, a
+step that leaves the sign-checked bracket is replaced by bisection. The
+test is applied at every evaluated point: a solve ends when the value is
+within ``10 * rel_tol * target`` of the target and the projected step is
+at most ``rel_tol * mu`` (or below the float64 resolution). The bracket
+is not shrunk to ``rel_tol``. A starting point is only a first guess:
+the solve still ends on the criterion's own value and slope. Each
+bracket end keeps the criterion's whole return there, unread past
+(c, c', c''), and the solve returns it with the end it chose: what else
+a criterion returns is at hand at the root.
 """
 
 from __future__ import annotations
@@ -130,47 +129,45 @@ def _fail(message, bracket, history):
     return ConvergenceError(message, bracket=bracket, iterations=len(history), history=history)
 
 
-def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, start: float = 0.0):
+def solve_decreasing(criterion, target: float, rel_tol: float, max_iter: int, start: float = 0.0,
+                     value_at_zero: float | None = None):
     """Solve c(mu) = target for a strictly decreasing criterion with c(0) > target.
 
     ``criterion(mu)`` returns ``(c(mu), c'(mu), c''(mu))``, and may add
-    entries after them, kept unread; the step is
-    Newton's on log c, times the Halley factor where that lies in (0.5, 2)
-    and neither the curvature of log c is rounding noise nor g' = c'/c
-    has rounded to 0. A Halley step is aimed past the root by
-    min(4 |step h|, rel_tol/4 * |mu + step|), so that the point where the
-    solve converges is most often the upper end of its bracket and the
-    solve ends there; a Newton step is not aimed. Only a solve that
-    converges below the root, with no point past it yet, evaluates one
-    probe past it, which signs the bracket and is not returned. Returns
-    ``(mu, criterion(mu), evaluations, (lo, hi))``, the criterion's return
-    from the evaluation made at ``mu``, where (lo, hi) is the tightest
-    sign-checked bracket around ``mu`` and ``mu`` is one of its ends. A
-    ``start`` in (0, 2**64] is evaluated second, right after
-    mu = 0, whether it lies below the root or past it; the jump counts
-    against ``max_iter``, and the 8 * max(mu, 1) cap on a step applies
-    only after it. Where ``criterion`` has a ``value_at_zero`` attribute
-    above the target and ``max_iter`` allows the jump, that value is
-    recorded as c(0), counted as the first evaluation, and ``criterion``
-    is not called at mu = 0. Any other
-    ``start`` (0, negative, beyond 2**64, inf or NaN) leaves the solve as
-    it is without one. Raises :class:`ConvergenceError`, carrying the
-    evaluated ``(mu, c(mu))`` pairs and the bracket, when ``max_iter``
-    evaluations do not converge, when no sign change is found below
-    ``2**64``, or when the bracket closes, unconverged, on a point where
-    c has underflowed to 0 while it is still above the target at the
-    other end: the root then lies past the underflow.
+    entries after them, kept unread; the step is Newton's on log c, times
+    the Halley factor where that lies in (0.5, 2) and neither the curvature
+    of log c is rounding noise nor g' = c'/c has rounded to 0. A Halley step
+    is aimed past the root by min(4 |step h|, rel_tol/4 * |mu + step|), so
+    that the point where the solve converges is most often the upper end of
+    its bracket and the solve ends there; a Newton step is not aimed. Only a
+    solve that converges below the root, with no point past it yet,
+    evaluates one probe past it, which signs the bracket and is not
+    returned. Returns ``(mu, criterion(mu), evaluations, (lo, hi))``, the
+    criterion's return from the evaluation made at ``mu``, where (lo, hi) is
+    the tightest sign-checked bracket around ``mu`` and ``mu`` is one of its
+    ends. A ``start`` in (0, 2**64] is evaluated second, right after mu = 0,
+    whether it lies below the root or past it; the jump counts against
+    ``max_iter``, and the 8 * max(mu, 1) cap on a step applies only after
+    it. Where ``value_at_zero`` is given above the target and ``max_iter``
+    allows the jump, that value is recorded as c(0), counted as the first
+    evaluation, and ``criterion`` is not called at mu = 0. Any other
+    ``start`` (0, negative, beyond 2**64, inf or NaN) leaves the solve as it
+    is without one. Raises :class:`ConvergenceError`, carrying the evaluated
+    ``(mu, c(mu))`` pairs and the bracket, when ``max_iter`` evaluations do
+    not converge, when no sign change is found below ``2**64``, or when the
+    bracket closes, unconverged, on a point where c has underflowed to 0
+    while it is still above the target at the other end: the root then lies
+    past the underflow.
     """
     log_target = math.log(target)
     crit_tol = 10.0 * rel_tol * target
     jump = 0.0 < start <= _BRACKET_CAP
     lo = hi = None  # (mu, c(mu), converged, criterion(mu)) at the ends of the bracket
-    # a criterion that declares c(0) needs no arithmetic there when the
-    # solve jumps on from 0: only the step from 0 would need its slope
-    value = getattr(criterion, "value_at_zero", None) if jump and max_iter > 1 else None
-    if value is not None and value > target:
-        history = [(0.0, value)]
-        lo = 0.0, value, False, None
+    # a given c(0) needs no arithmetic there when the solve jumps on from
+    # 0: only the step from 0 would need its slope
+    if jump and max_iter > 1 and value_at_zero is not None and value_at_zero > target:
+        history = [(0.0, value_at_zero)]
+        lo = 0.0, value_at_zero, False, None
         mu = start
     else:
         history = []

@@ -564,6 +564,9 @@ class TestRefusals:
             (MINIMAL, ["limit", "--tol", "inf"], r"rel_tol must be in (0, 1), got inf"),
             (MINIMAL, ["limit", "--tol", "1"], r"rel_tol must be in (0, 1), got 1.0"),
             (MINIMAL, ["equivalence", "--solver-tol", "inf"], r"rel_tol must be in (0, 1), got inf"),
+            # a cl of 2**-54 or less leaves alpha = 1 - cl at 1.0, once refused as LimitRequest.alpha
+            *[(MINIMAL, [command, "--cl", cl], f"--cl must be in (2**-54, 1), got {cl}")
+              for command in ("limit", "equivalence") for cl in ("1e-17", repr(2.0**-54))],
             (MINIMAL, ["equivalence", "--tol", "inf"], "compare_limits.tol must be a positive finite number, got inf"),
             (MINIMAL, ["equivalence", "--tol", "0"], "compare_limits.tol must be a positive finite number, got 0.0"),
             (MINIMAL, ["scan", "--mu-max", "inf", "--points", "3"], "need finite 0 <= mu-min < mu-max, got [0.0, inf]"),

@@ -3,6 +3,7 @@ without them, numpy is loaded only where a wide path needs it, and the
 CLI loads no click. The public API is pinned, with the names the
 benchmark uses."""
 
+import ast
 import inspect
 import json
 import subprocess
@@ -232,3 +233,16 @@ def test_only_special_forms_a_pmf():
 
     assert sum(path.read_text().count("math.lgamma(") for path in modules) == 1
     assert inspect.getsource(special._log_pmf).count("math.lgamma(") == 1
+
+
+def test_only_marginal_looks_inside_a_criterion():
+    # the criterion is marginal.py's own: the solver is handed c(0) rather
+    # than reading it off the criterion, and the paired solve lives beside
+    # _limit, so no other module builds, reads or inspects one
+    src = Path(__file__).parents[1] / "src" / "countlim"
+    for path in sorted(src.glob("*.py")):
+        assert ("_Criterion" in path.read_text()) == (path.name == "marginal.py"), path.name
+    assert "getattr" not in (src / "solver.py").read_text()
+    imported = [alias.name for node in ast.walk(ast.parse((src / "equivalence.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "marginal" for alias in node.names]
+    assert [name for name in imported if name.startswith("_")] == ["_paired_limits"]

@@ -25,7 +25,7 @@ from countlim import (
     poisson_cdf,
     yields_on_samples,
 )
-from countlim import special
+from countlim import marginal, special
 from countlim.marginal import scan_quantity
 from helpers import bg_systematic_model, identity_systematic_model
 
@@ -94,6 +94,9 @@ TABLE = {
        for f in (hybrid_cls, marginal_posterior_tail, marginal_posterior_density) for k, v in NOT_STRENGTHS.items()},
     **{f"marginal_likelihood mu {k}": (lambda v=v: marginal_likelihood(MODEL, v, 3, SAMPLES), "marginal_likelihood.mu")
        for k, v in NOT_STRENGTHS.items()},
+    # a bad n once was refused as log_poisson_pmf.n, a function the caller never called
+    **{f"marginal_likelihood n {k}": (lambda v=v: marginal_likelihood(MODEL, 1.0, v, SAMPLES), "marginal_likelihood.n")
+       for k, v in NOT_COUNTS.items()},
     **{f"scan_quantity quantity {k}": (lambda v=v: scan_quantity(MODEL, v, [1.0], SAMPLES), "scan_quantity.quantity")
        for k, v in {**ODD, "an unknown name": "pvalue", "a name in a list": ["cls"]}.items()},
     **{f"scan_quantity mus {k}": (lambda v=v: scan_quantity(MODEL, "cls", v, SAMPLES), "scan_quantity.mus")
@@ -152,6 +155,19 @@ def test_greatest_count_is_a_count():
     assert CountingModel(s_nom=1.0, n_obs=n).n_obs == special._count(poisson_cdf, "n", n) == n
     assert special._count(poisson_cdf, "n", float(n)) == n
     assert poisson_cdf(n, 2.5) == gamma_q(n, 2.5) == gamma_q(float(n), 2.5) == 1.0
+
+
+@pytest.mark.parametrize("grid", [np.zeros, lambda k: [0.0] * k, range], ids=["array", "list", "range"])
+def test_scan_grid_past_its_budget_is_refused_before_it_runs(monkeypatch, grid):
+    # only the CLI once held a scan to its budget: scan_quantity ran a
+    # grid of 2**22 points on a one-point set for 13 s, to 285 MB
+    budget = 2**20
+    with pytest.raises(ConfigError, match=rf"^scan_quantity.mus must hold at most {budget} points, got {budget + 1}$"):
+        scan_quantity(MODEL, "cls", grid(budget + 1), SAMPLES)
+    monkeypatch.setattr(marginal, "_SCAN_MAX_POINTS", 4)
+    assert len(scan_quantity(MODEL, "cls", grid(4), SAMPLES)[0]) == 4
+    with pytest.raises(ConfigError, match="^scan_quantity.mus must hold at most 4 points, got 5$"):
+        scan_quantity(MODEL, "cls", grid(5), SAMPLES)
 
 
 def test_grid_too_large_to_print_is_refused_by_its_budget():

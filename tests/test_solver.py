@@ -54,18 +54,19 @@ def poisson_ratio(n, b):
 @pytest.fixture
 def recorded_solves(monkeypatch):
     """Each solve the limit routines make: its result, its target and the
-    criterion values it evaluated, by mu."""
+    criterion values it evaluated, by mu, with the c(0) it was handed,
+    which a started solve records at mu = 0 without a call."""
     solves = []
 
-    def recorded(criterion, target, *args):
-        values = {}
+    def recorded(criterion, target, rel_tol, max_iter, start, value_at_zero):
+        values = {0.0: value_at_zero}
 
         def evaluate(mu):
             result = criterion(mu)
             values[mu] = result[0]
             return result
 
-        solves.append((solve_decreasing(evaluate, target, *args), target, values))
+        solves.append((solve_decreasing(evaluate, target, rel_tol, max_iter, start, value_at_zero), target, values))
         return solves[-1][0]
 
     monkeypatch.setattr(marginal, "solve_decreasing", recorded)
@@ -413,12 +414,11 @@ class TestStart:
         assert refusals[1] == refusals[0]
 
 
-class Declared:
-    """A criterion object that declares c(0) = ``value_at_zero``, as
-    ``marginal._Criterion`` does, and records the points it is called at."""
+class Recorded:
+    """A criterion that records the points it is called at."""
 
-    def __init__(self, criterion, value_at_zero=1.0):
-        self.criterion, self.value_at_zero, self.points = criterion, value_at_zero, []
+    def __init__(self, criterion):
+        self.criterion, self.points = criterion, []
 
     def __call__(self, mu):
         self.points.append(mu)
@@ -426,34 +426,37 @@ class Declared:
 
 
 class TestDeclaredValueAtZero:
+    """A solve handed c(0) as ``value_at_zero``."""
+
     @pytest.mark.parametrize("start", [0.3, 3.0, 30.0])
     def test_started_solve_does_not_evaluate_zero(self, start):
-        declared = Declared(poisson_ratio(10, 3.0))
+        recorded = Recorded(poisson_ratio(10, 3.0))
         full = solve_decreasing(poisson_ratio(10, 3.0), 0.1, 1e-9, 200, start)
-        assert solve_decreasing(declared, 0.1, 1e-9, 200, start) == full
-        assert declared.points[0] == start and 0.0 not in declared.points
+        assert solve_decreasing(recorded, 0.1, 1e-9, 200, start, value_at_zero=1.0) == full
+        assert recorded.points[0] == start and 0.0 not in recorded.points
 
     def test_solve_without_a_start_evaluates_zero(self):
         # the first Newton step needs the slope there
-        declared = Declared(exponential(1.0))
-        assert solve_decreasing(declared, 0.05, 1e-9, 200) == solve_decreasing(exponential(1.0), 0.05, 1e-9, 200)
-        assert declared.points[0] == 0.0
+        recorded = Recorded(exponential(1.0))
+        full = solve_decreasing(exponential(1.0), 0.05, 1e-9, 200)
+        assert solve_decreasing(recorded, 0.05, 1e-9, 200, value_at_zero=1.0) == full
+        assert recorded.points[0] == 0.0
 
     @pytest.mark.parametrize("max_iter", [1, 2])
     def test_refusal_is_the_full_paths(self, max_iter):
         refusals = []
-        for criterion in (poisson_ratio(50, 30.0), Declared(poisson_ratio(50, 30.0))):
+        for value_at_zero in (None, 1.0):
             with pytest.raises(ConvergenceError) as err:
-                solve_decreasing(criterion, 0.05, 1e-12, max_iter, start=5.0)
+                solve_decreasing(poisson_ratio(50, 30.0), 0.05, 1e-12, max_iter, start=5.0, value_at_zero=value_at_zero)
             refusals.append((str(err.value), err.value.history, err.value.bracket, err.value.iterations))
         assert refusals[1] == refusals[0]
         assert refusals[1][1][0] == (0.0, 1.0)
 
     def test_declared_value_not_above_the_target_is_evaluated(self):
-        declared = Declared(lambda mu: (0.01 * math.exp(-mu), -0.01 * math.exp(-mu), 0.01 * math.exp(-mu)), 0.01)
+        recorded = Recorded(lambda mu: (0.01 * math.exp(-mu), -0.01 * math.exp(-mu), 0.01 * math.exp(-mu)))
         with pytest.raises(ConvergenceError, match="not above the target") as err:
-            solve_decreasing(declared, 0.05, 1e-9, 100, start=2.0)
-        assert declared.points == [0.0] and err.value.history == [(0.0, 0.01)]
+            solve_decreasing(recorded, 0.05, 1e-9, 100, start=2.0, value_at_zero=0.01)
+        assert recorded.points == [0.0] and err.value.history == [(0.0, 0.01)]
 
 
 def exact_grid_criteria():
@@ -496,8 +499,8 @@ def criterion_points(monkeypatch):
 
 
 class TestShortcutAgainstTheFullPath:
-    """A ``_Criterion`` declares c(0) = 1, so a started solve records it
-    and jumps; wrapped in a plain function it takes the full path, which
+    """A ``_Criterion`` is 1 at mu = 0, so a started solve handed that
+    value records it and jumps; handed none, it takes the full path, which
     evaluates mu = 0. Both give the same solve."""
 
     @pytest.mark.parametrize("criteria", [exact_grid_criteria, sample_set_criteria], ids=["exact_grid", "sample_sets"])
@@ -506,7 +509,7 @@ class TestShortcutAgainstTheFullPath:
         for crit, alpha, start in criteria():
             total += 1
             del criterion_points[:]
-            direct = solve_decreasing(crit, alpha, 1e-9, 200, start)
+            direct = solve_decreasing(crit, alpha, 1e-9, 200, start, 1.0)
             direct_points = criterion_points[:]
             del criterion_points[:]
             full = solve_decreasing(lambda mu: crit(mu), alpha, 1e-9, 200, start)
@@ -536,12 +539,12 @@ class TestShortcutAgainstTheFullPath:
         monkeypatch.setattr(marginal, "log_poisson_pmf", lambda n, x: pmf_x.append(x) or pmf_call(n, x))
         start = marginal._start(crit, 0.05)
         assert start > 0.0
-        _, _, evals, _ = solve_decreasing(crit, 0.05, 1e-9, 200, start)
+        _, _, evals, _ = solve_decreasing(crit, 0.05, 1e-9, 200, start, 1.0)
         # every call is at a mu > 0, where x = mu*s + b is not b
         assert len(criterion_points) == len(kernel_x) == evals - 1 and 0.0 not in criterion_points
         assert not any(np.array_equal(x, crit.b) for x in kernel_x) and pmf_x == []
         with pytest.raises(ConvergenceError) as err:
-            solve_decreasing(crit, 0.05, 1e-9, 2, start)
+            solve_decreasing(crit, 0.05, 1e-9, 2, start, 1.0)
         assert err.value.history[0] == (0.0, 1.0) and len(err.value.history) == 2
         assert len(kernel_x) == evals
 
@@ -549,8 +552,27 @@ class TestShortcutAgainstTheFullPath:
     def test_one_evaluation_with_a_start(self, method):
         crit = marginal._criterion(plain_model(s=1.0, b=1.5, n_obs=3), method)
         with pytest.raises(ConvergenceError, match="within 1 iterations") as err:
-            solve_decreasing(crit, 0.05, 1e-9, 1, marginal._start(crit, 0.05))
+            solve_decreasing(crit, 0.05, 1e-9, 1, marginal._start(crit, 0.05), 1.0)
         assert err.value.history == [(0.0, 1.0)] and err.value.iterations == 1
+
+    @pytest.mark.parametrize("limit", [hybrid_cls_upper_limit, bayesian_marginal_upper_limit])
+    @pytest.mark.parametrize("monte_carlo", [False, True], ids=["exact", "sample_set"])
+    def test_a_forwarding_wrapper_changes_no_solve(self, monkeypatch, criterion_points, limit, monte_carlo):
+        # a plain function that forwards its arguments to the criterion, as
+        # a tracer or a spy wraps it, runs the solve production runs: the
+        # same points, none at mu = 0, and the same result
+        model = bg_systematic_model(s=1.0, b=1.5, n_obs=3) if monte_carlo else plain_model(s=1.0, b=1.5, n_obs=3)
+        integrator, req = Integrator.monte_carlo(500, 1), LimitRequest(alpha=0.05)
+        unwrapped, points = limit(model, req, integrator), criterion_points[:]
+        del criterion_points[:]
+        solve = marginal.solve_decreasing
+
+        def wrapped(criterion, *args, **kwargs):
+            return solve(lambda *a, **k: criterion(*a, **k), *args, **kwargs)
+
+        monkeypatch.setattr(marginal, "solve_decreasing", wrapped)
+        assert limit(model, req, integrator) == unwrapped
+        assert criterion_points == points and len(points) == unwrapped.iterations - 1 and 0.0 not in points
 
 
 class TestLimitRequest:
