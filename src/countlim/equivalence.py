@@ -57,20 +57,29 @@ def compare_limits(
     hybrid CLs limit is solved first, from the Cornish-Fisher start. The
     Bayesian solve then starts at the CLs root: with a certain signal the
     two criteria are the same function of mu, so that is its root too.
-    The start is only a first guess; the Bayesian criterion must still
-    converge there on its own value and slope, within ``req.rel_tol``,
-    and ``rel_diff`` then reads 0.0 when it does so at the very same
-    point. The CLs solve most often ends just past its root (see
+    An uncertain signal's starts at the CLs root times E_w[s] E_w[1/s],
+    aimed rel_tol/4 past it: the Bayesian term is the CLs one over s,
+    and for a log-normal signal response on its own normal nuisance the
+    product, kappa^(ln kappa), is the ratio of the two roots, up to the
+    set's quadrature error. The start is only a first guess; the
+    Bayesian criterion must still converge there on its own value and
+    slope, within ``req.rel_tol``, and ``rel_diff`` then reads 0.0 when a
+    certain signal's does so at the very same point. The CLs solve most
+    often ends just past its root (see
     :class:`~countlim.solver.LimitResult`), where the Bayesian criterion
     is then converged and not above alpha: the Bayesian solve ends after
-    that one kernel call, two evaluations with mu = 0. Where the CLs
-    solve ended short of its root, one probe past it signs the Bayesian
-    bracket. It takes no Monte Carlo error: the report has only the CLs one.
+    that one kernel call, two evaluations with mu = 0, and so does a
+    log-normal signal's from its scaled start. Where the CLs solve ended
+    short of its root, one probe past it signs the Bayesian bracket;
+    where the product is only a first-order start (a linear response, a
+    Monte Carlo set), a step or two more find the Bayesian root. It
+    takes no Monte Carlo error: the report has only the CLs one.
 
     ``bayes_samples`` overrides the Bayesian method's sample set and exists
     to let tests and the CLI's debug path demonstrate what a broken
     shared-sample contract looks like; its solve takes that set's own
-    yields, starts at the CLs root too, and finds its own root from there.
+    yields, starts at the CLs root whatever the signal, and finds its own
+    root from there.
     A ``tol`` that is no positive finite real is refused with ``ConfigError``.
     """
     value = _float(tol)

@@ -19,9 +19,13 @@ closed-form posterior density. The limits of a model without nuisances
 draw no set, and run on its floats; numpy is imported where first needed.
 
 Every marginal limit, the paired ones (``_paired_limits``) too, takes one
-path, ``_limit``, which refuses a zero signal and draws the set. Whether a
-limit or a scan takes a Monte Carlo error is read from the set alone, by
-one predicate: ``_takes_mc_error``.
+path, ``_limit``, which refuses a zero signal and draws the set. The
+paired Bayesian solve starts at the CLs root, times E_w[s] E_w[1/s] for
+an uncertain signal (``_bayes_start``): the Bayesian term is the CLs
+one over s, and for a log-normal signal response the product is the
+ratio of the two roots, up to the set's quadrature error. Whether a
+limit or a scan takes a Monte Carlo error is read from the set alone,
+by one predicate: ``_takes_mc_error``.
 
 Reductions over samples go through ``np.add.reduce``, ``np.sum``'s pairwise
 sum without its dispatch, whose tree over a fixed (declaration) sample
@@ -31,6 +35,7 @@ order keeps results reproducible and independent of any parallelism.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import types
 from collections.abc import Iterable, Sized
@@ -628,7 +633,9 @@ def scan_quantity(model: CountingModel, quantity: str, mus, samples: SampleSet):
     entries = mus.tolist() if isinstance(mus, np.ndarray) else mus
     # each entry a strength; a 0-d array or another value that is no sequence refuses as one entry of None
     entries = entries if isinstance(entries, Iterable) else [None]
-    grid = [_strength(scan_quantity, "mus", mu, True, mus) for mu in entries]
+    # an unsized grid is read one point past the budget at most, and refused there
+    grid = [_strength(scan_quantity, "mus", mu, True, mus) for mu in itertools.islice(entries, _SCAN_MAX_POINTS + 1)]
+    _require(scan_quantity, "mus", len(grid) <= _SCAN_MAX_POINTS, f"hold at most {_SCAN_MAX_POINTS} points", len(grid))
     terms_at = {"clb": lambda mu: crit.den_terms, "posterior": crit.pmf_terms}.get(quantity, crit.terms)
     ratio = quantity in ("cls", "posterior")
     value, stderr = (crit.ratio, crit.ratio_stderr) if ratio else (crit.mean, crit.mean_stderr)
@@ -665,15 +672,45 @@ def _paired_limits(model, req, integrator, bayes_samples=None, bayes_error=False
     """The hybrid CLs limit, the marginal Bayesian limit solved from the
     CLs root on the same yields or on ``bayes_samples``' own (see
     :func:`~countlim.equivalence.compare_limits`), and their ``rel_diff``,
-    |a - b| / max(a, b). ``bayes_error`` adds the Bayesian Monte Carlo error."""
+    |a - b| / max(a, b). ``bayes_error`` adds the Bayesian Monte Carlo error.
+    On the same yields an uncertain signal's Bayesian solve starts at the
+    CLs root times E_w[s] E_w[1/s] (``_bayes_start``), a certain
+    signal's at the CLs root itself."""
     res_cls, crit, samples = _limit(model, _CLS, req, integrator)
+    start = res_cls.mu_up
     if bayes_samples is None:
         crit = _Criterion(_BAYES, crit.n, crit.s, crit.b, crit.w)
+        if not model.signal_is_certain:
+            start = _bayes_start(crit, start, req.rel_tol)
     else:
         crit, samples = _criterion(model, _BAYES, bayes_samples), bayes_samples
-    res_bayes = _solve(crit, req, bayes_error and _takes_mc_error(samples), start=res_cls.mu_up)
+    res_bayes = _solve(crit, req, bayes_error and _takes_mc_error(samples), start=start)
     a, b = res_cls.mu_up, res_bayes.mu_up
     return res_cls, res_bayes, abs(a - b) / max(a, b)
+
+
+def _bayes_start(crit: _Criterion, mu_cls: float, rel_tol: float) -> float:
+    """The start of the Bayesian solve on the yields of ``crit``, from the
+    CLs root ``mu_cls`` there: mu_cls * E_w[s] * E_w[1/s], aimed rel_tol/4
+    past it, or ``mu_cls`` where that is not finite.
+
+    The Bayesian term is the CLs one over s, so its mean weighs each sample
+    by 1/s. For a log-normal signal response, s = s_nom kappa^eta on its
+    own standard-normal eta, the weight w/s shifts eta by -ln kappa: the
+    Bayesian criterion is then hybrid CLs at mu / (E[s] E[1/s]), with
+    E[s] E[1/s] = kappa^(ln kappa) in the integral, and mu_cls times that
+    is its root, up to the set's quadrature error. A CLs solve may end
+    within rounding of its root, where the Bayesian value can read an ulp
+    above alpha and pay a probe; aimed past, as a Halley step is, the
+    start converges as its bracket's upper end. Elsewhere the product is
+    a first-order start, and the solve still converges on its own
+    criterion. A signal yield whose reciprocal overflows (to inf, or
+    to NaN in the mean at weight 0) makes no warning and leaves the start
+    at the CLs root; a zero yield is refused by the Bayesian criterion."""
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = mu_cls * (crit.mean(crit.s) * crit.mean(1.0 / crit.s)) * (1.0 + 0.25 * rel_tol)
+    return start if start < math.inf else mu_cls
 
 
 def hybrid_cls_upper_limit(

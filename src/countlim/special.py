@@ -769,9 +769,8 @@ def _temme(a: float, x, ns):
     """Q(a, x) and pmf(a - 1; x) = K(a) e / x on Temme's route, e =
     exp(-a eta^2 / 2), on a float with ``ns`` the ``math`` namespace or on
     an array with numpy's. The expansion's two cases are one formula: with
-    sign = 1 from x = a up and -1 below, Q = sign e (erfcx(z) / 2 + sign P)
-    + (1 - sign) / 2, whose products with sign and sum with 0 are exact, so
-    each case keeps its bits."""
+    sign = 1 from x = a up and -1 below, e (erfcx(z) / 2 + sign P) is Q
+    from x = a up and 1 - Q below, and one ``where`` picks the case."""
     s = (x - a) / a
     h = _half_eta_sq(s, ns)
     ah = a * h
@@ -783,13 +782,10 @@ def _temme(a: float, x, ns):
     e = ns.exp(-ah)
     pmf = _temme_pmf_scale(a) * e
     pmf /= x
-    sign = ns.copysign(1.0, s)
-    poly *= sign * norm
+    poly *= ns.copysign(norm, s)
     q += poly
     q *= e
-    q *= sign
-    q += 0.5 - 0.5 * sign
-    return q, pmf
+    return ns.where(s < 0.0, 1.0 - q, q), pmf
 
 
 # erfcx(z) = exp(z^2) erfc(z) for z >= 0, from + - * / alone, so that the

@@ -38,16 +38,18 @@ def bg_systematic_model(s=1.0, b=1.5, n_obs=3, kappa=1.2, prior=None):
     )
 
 
-def signal_systematic_model(s=1.0, b=1.5, n_obs=3, kappa=1.2):
-    """Signal yield with one multiplicative log-normal systematic."""
+def signal_systematic_model(s=1.0, b=1.5, n_obs=3, kappa=1.2, bg_kappa=None):
+    """Signal yield with one multiplicative log-normal systematic; with
+    ``bg_kappa``, the background with an independent one of its own."""
+    nuisances, responses = (Nuisance("sscale", Prior.standard_normal()),), {}
+    if bg_kappa is not None:
+        nuisances += (Nuisance("bscale", Prior.standard_normal()),)
+        responses = {"bscale": Response.log_normal(bg_kappa)}
     return CountingModel(
         s_nom=s,
-        backgrounds=(BackgroundProcess("bkg", b),),
+        backgrounds=(BackgroundProcess("bkg", b, responses),),
         n_obs=n_obs,
-        systematics=SystematicsModel(
-            nuisances=(Nuisance("sscale", Prior.standard_normal()),),
-            signal_responses={"sscale": Response.log_normal(kappa)},
-        ),
+        systematics=SystematicsModel(nuisances=nuisances, signal_responses={"sscale": Response.log_normal(kappa)}),
     )
 
 

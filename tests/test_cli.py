@@ -14,6 +14,7 @@ import countlim.cli
 from countlim import Integrator, LimitRequest, compare_limits, marginal, special
 from countlim.config import load_model
 from helpers import run_cli, spy_on_draws, src_env
+from test_acceptance import PIN4_MU_BAYES, PIN4_MU_CLS
 
 MINIMAL = {"signal": {"nominal": 1.0}, "backgrounds": [], "n_obs": 0}
 
@@ -96,6 +97,17 @@ class TestLimitCommand:
         # solved alone, from its own start, the Bayes limit is the same root
         alone = json.loads(run_cli(args + ["--method", "bayes"])[1])["results"]["bayes"]
         assert alone["mu_up"] == pytest.approx(payload["results"]["bayes"]["mu_up"], rel=2e-9)
+
+    def test_uncertain_signal_bayes_solve_starts_at_its_root(self, tmp_path):
+        # criterion 4's model and settings: the Bayes solve starts at the CLs
+        # root times E_w[s] E_w[1/s], its root, and ends there after mu = 0
+        cfg = write_config(tmp_path, SIG_SYST)
+        code, out, _ = run_cli(["limit", cfg, "--method", "both", "--integrator", "gh", "--nodes", "32", "--tol", "1e-10"])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["bayes"]["iterations"] == 2
+        assert results["cls"]["mu_up"] == pytest.approx(PIN4_MU_CLS, rel=5e-9)
+        assert results["bayes"]["mu_up"] == pytest.approx(PIN4_MU_BAYES, rel=5e-9)
 
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {"signall": {"nominal": 1.0}, "n_obs": 0})

@@ -1,5 +1,7 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from countlim import (
@@ -11,11 +13,13 @@ from countlim import (
     Nuisance,
     Prior,
     Response,
+    SampleSet,
     SystematicsModel,
     bayesian_marginal_upper_limit,
     compare_limits,
     draw_samples,
     hybrid_cls_upper_limit,
+    yields_on_samples,
 )
 from countlim import marginal
 from countlim.equivalence import (
@@ -125,23 +129,67 @@ def bayes_solve_kernel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("model", "integrator"),
+    ("model", "integrator", "most_calls", "verdict"),
     [
-        (bg_systematic_model(kappa=1.2), Integrator.gauss_hermite(16)),
-        (bg_systematic_model(s=10.0, b=150.0, n_obs=150, kappa=1.05), Integrator.monte_carlo(2000, 3)),
-        (bg_systematic_model(s=10.0, b=150.0, n_obs=137, kappa=1.05), Integrator.monte_carlo(2000, 8)),
-        (plain_model(s=1.0, b=1.5, n_obs=3), Integrator.gauss_hermite(16)),
+        (bg_systematic_model(kappa=1.2), Integrator.gauss_hermite(16), 2, VERDICT_EQUIVALENT),
+        (bg_systematic_model(s=10.0, b=150.0, n_obs=150, kappa=1.05), Integrator.monte_carlo(2000, 3), 2,
+         VERDICT_EQUIVALENT),
+        (bg_systematic_model(s=10.0, b=150.0, n_obs=137, kappa=1.05), Integrator.monte_carlo(2000, 8), 2,
+         VERDICT_EQUIVALENT),
+        (plain_model(s=1.0, b=1.5, n_obs=3), Integrator.gauss_hermite(16), 2, VERDICT_EQUIVALENT),
+        # the CLs root times E_w[s] E_w[1/s] is a log-normal signal's Bayes root: one call
+        (signal_systematic_model(kappa=1.2), Integrator.gauss_hermite(32), 1, VERDICT_EXPECTED),
     ],
 )
-def test_bayes_solve_starts_at_the_cls_root(bayes_solve_kernel_calls, model, integrator):
+def test_bayes_solve_starts_at_the_cls_root(bayes_solve_kernel_calls, model, integrator, most_calls, verdict):
     # with a certain signal the CLs root is the Bayes root: the Bayes solve
-    # evaluates mu = 0 (no kernel call), the CLs root and at most one probe
+    # evaluates mu = 0 (no kernel call), the CLs root and at most one probe;
+    # a log-normal signal's, mu = 0 and the CLs root times kappa^(ln kappa)
     report = compare_limits(model, LimitRequest(alpha=0.05), integrator)
     cls_calls, bayes_calls = bayes_solve_kernel_calls
     assert cls_calls == 0
-    assert 1 <= bayes_calls <= 2
-    assert report.verdict == VERDICT_EQUIVALENT
-    assert report.rel_diff <= report.tol
+    assert 1 <= bayes_calls <= most_calls
+    assert report.verdict == verdict
+    assert (report.rel_diff <= report.tol) == (verdict == VERDICT_EQUIVALENT)
+
+
+@pytest.mark.parametrize("bg_kappa", [None, 1.3], ids=["signal only", "with background"])
+@pytest.mark.parametrize("kappa", [1.05, 1.2, 1.5])
+def test_log_normal_signal_parts_the_limits_by_kappa_to_the_ln_kappa(kappa, bg_kappa):
+    # the Bayes term is the CLs one over s: weighing each sample by 1/s
+    # shifts the signal's eta by -ln kappa, so the Bayes criterion is hybrid
+    # CLs at mu / (E[s] E[1/s]), E[s] E[1/s] = kappa^(ln kappa), and the Bayes
+    # solve started there ends on that one evaluation after mu = 0
+    model = signal_systematic_model(kappa=kappa, bg_kappa=bg_kappa)
+    integrator, req = Integrator.gauss_hermite(32), LimitRequest(alpha=0.05)
+    samples = draw_samples(model.systematics, integrator)
+    s, _ = yields_on_samples(model, samples.etas)
+    spread = float(np.add.reduce(samples.weights * s)) * float(np.add.reduce(samples.weights / s))
+    assert spread == pytest.approx(kappa ** math.log(kappa), rel=4 * 2.0**-52, abs=0.0)
+    res_cls, res_bayes, _ = marginal._paired_limits(model, req, integrator)
+    assert res_bayes.mu_up / res_cls.mu_up == pytest.approx(spread, rel=2 * req.rel_tol, abs=0.0)
+    assert res_bayes.iterations == 2
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (1.0, 0.0)])
+def test_bayes_start_stays_at_the_cls_root_where_one_over_s_overflows(monkeypatch, weights):
+    # the second sample's signal yield, 2^-1030, has a reciprocal past the
+    # float range: E_w[1/s] is inf (NaN at weight 0), and the start falls
+    # back to the CLs root without numpy's warning, which the suite makes an
+    # error. Its background, 1.5 * 2^20, leaves both criteria the first sample's alone
+    model = signal_systematic_model(kappa=2.0, bg_kappa=2.0)
+    hand_built = SampleSet(np.array([[0.0, 0.0], [-1030.0, 20.0]]), np.array(weights))
+    monkeypatch.setattr(marginal, "draw_samples", lambda systematics, integrator: hand_built)
+    starts, solve = [], marginal._solve
+
+    def recorded(crit, req, with_stderr=False, start=None):
+        starts.append(start)
+        return solve(crit, req, with_stderr, start)
+
+    monkeypatch.setattr(marginal, "_solve", recorded)
+    res_cls, res_bayes, _ = marginal._paired_limits(model, LimitRequest(alpha=0.05), Integrator.gauss_hermite(2))
+    assert starts == [None, res_cls.mu_up]
+    assert res_bayes.mu_up == pytest.approx(res_cls.mu_up, rel=2e-9)
 
 
 @pytest.mark.parametrize("override", [False, True])

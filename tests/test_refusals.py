@@ -170,6 +170,23 @@ def test_scan_grid_past_its_budget_is_refused_before_it_runs(monkeypatch, grid):
         scan_quantity(MODEL, "cls", grid(5), SAMPLES)
 
 
+def test_unsized_scan_grid_is_read_one_point_past_its_budget(monkeypatch):
+    # a generator has no len: one of 2**20 + 1 strengths was once tabulated whole, in 3.1 s
+    read = []
+
+    def grid(k):
+        for i in range(k):
+            read.append(i)
+            yield 0.5
+
+    monkeypatch.setattr(marginal, "_SCAN_MAX_POINTS", 4)
+    assert len(scan_quantity(MODEL, "cls", grid(4), SAMPLES)[0]) == 4
+    read.clear()
+    with pytest.raises(ConfigError, match="^scan_quantity.mus must hold at most 4 points, got 5$"):
+        scan_quantity(MODEL, "cls", grid(1000), SAMPLES)
+    assert len(read) == 5
+
+
 def test_grid_too_large_to_print_is_refused_by_its_budget():
     # 64^2400 has more than 4,300 digits: formatting the grid's size once
     # raised Python's bare ValueError in place of the budget's ConfigError
