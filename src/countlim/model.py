@@ -8,8 +8,10 @@ Yields respond multiplicatively to nuisance parameters through
 the model's identity, since eta vectors are positional.
 
 Each constructor refuses a field of the wrong type or range with a
-:class:`ModelError` naming the class and the field. Models, their arrays
-and mappings included, are immutable and every operation here is pure.
+:class:`ModelError` naming the class and the field. A built model never
+changes (its mappings and correlation are read-only, and a copy is rebuilt
+through the constructor), so it derives each value once; every operation
+here is pure.
 The model's classes and the run's records (``LimitRequest``,
 ``LimitResult``, ``Integrator``, ``EquivalenceReport``) are plain classes
 on one small base, ``_Record``, rather than generated ones: the standard
@@ -43,11 +45,13 @@ class _Record:
     """An immutable record. Its fields are its ``__init__``'s parameters, in
     order; ``__init__`` sets them (by ``_fill``) and then checks them. Each
     default is also the class's attribute of that name (``Integrator.seed``).
-    Equality, hashing and ``repr`` read that one list: a record equals only
-    a record of its own class with equal fields, hashes as the tuple of its
+    Equality, hashing, ``repr`` and copying read that one list (``_values``),
+    a read-only mapping read as the dict it holds: a record equals only a
+    record of its own class with equal fields, hashes as the tuple of its
     fields, and refuses the assignment or deletion of any attribute with an
-    ``AttributeError``. Pickling and copying are Python's own, by the
-    instance's ``__dict__``.
+    ``AttributeError``. Pickling and copying rebuild a record through
+    ``__init__`` from its fields, so a copy passes every check and derives
+    its own values.
     """
 
     _fields = ()
@@ -64,7 +68,8 @@ class _Record:
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        values = [getattr(self, name) for name in self._fields]
+        return tuple([dict(value) if type(value) is MappingProxyType else value for value in values])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -75,8 +80,11 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self):
-        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        shown = ", ".join([f"{name}={value!r}" for name, value in zip(self._fields, self._values())])
         return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -116,12 +124,12 @@ def _named(owner, name: str, cls) -> tuple:
 
 
 def _responses(owner, name: str) -> None:
-    """Field ``name`` of ``owner``, refused unless a mapping of nuisance names to Responses, stored as a dict."""
+    """Field ``name`` of ``owner``, refused unless a mapping of nuisance names to Responses, stored read-only."""
     value = getattr(owner, name)
     valid = isinstance(value, Mapping) and all(
         isinstance(key, str) and isinstance(resp, Response) for key, resp in value.items())
     _require(owner, name, valid, "map nuisance names to Responses")
-    object.__setattr__(owner, name, dict(value))
+    object.__setattr__(owner, name, MappingProxyType(dict(value)))
 
 
 def _kind(owner, typed) -> None:
@@ -143,7 +151,8 @@ def _kind_dict(obj) -> dict:
 def _correlation(owner, name: str, k: int):
     """The Cholesky factor of field ``name`` of ``owner``, refused unless a
     k x k matrix of finite reals for k >= 1, symmetric with a unit diagonal
-    and positive definite; the field is stored as a float array."""
+    and positive definite. The field and the factor are stored as float arrays
+    over immutable bytes, on which numpy refuses to set the write flag again."""
     import numpy as np
     _require(owner, name, k > 0, "be None without a Gaussian-prior nuisance to couple")
     try:
@@ -158,13 +167,12 @@ def _correlation(owner, name: str, k: int):
             if row[j] is None or not math.isfinite(row[j]):
                 where = f"{type(owner).__name__}.{name}[{i}][{j}]"
                 raise ModelError(f"{where} must be a finite real number, got {_shown(entry)}", field=name)
-    corr = np.array(rows)
-    corr.setflags(write=False)  # the model's: a write would bypass these checks and the Cholesky factor
+    corr = np.frombuffer(np.array(rows).tobytes()).reshape(k, k)  # a write would bypass these checks
     object.__setattr__(owner, name, corr)
     _require(owner, name, np.allclose(corr, corr.T, atol=1e-12), "be symmetric", rows)
     _require(owner, name, np.allclose(np.diag(corr), 1.0, atol=1e-12), "have a unit diagonal", rows)
     try:
-        return np.linalg.cholesky(corr)
+        return np.frombuffer(np.linalg.cholesky(corr).tobytes()).reshape(k, k)
     except np.linalg.LinAlgError:
         pass
     _require(owner, name, False, "be positive definite", rows)
@@ -279,14 +287,19 @@ class BackgroundProcess(_Record):
 class SystematicsModel(_Record):
     """Nuisance parameters, their priors, signal responses and an optional
     correlation matrix over the Gaussian-prior subset (declaration order).
-    It is not hashable.
+    It is not hashable. Derived on construction: ``names``; ``gaussian_indices``,
+    the positions of the normal-family priors; and ``all_normal_family``.
     """
 
     def __init__(self, nuisances: tuple = (), signal_responses: Mapping[str, Response] = _NO_RESPONSES,
                  correlation: np.ndarray | None = None):
         self._fill(nuisances, signal_responses, correlation)
-        _named(self, "nuisances", Nuisance)
+        nuisances = _named(self, "nuisances", Nuisance)
         _responses(self, "signal_responses")
+        object.__setattr__(self, "names", tuple([nu.name for nu in nuisances]))
+        gaussian = tuple([j for j, nu in enumerate(nuisances) if nu.prior.is_normal_family])
+        object.__setattr__(self, "gaussian_indices", gaussian)
+        object.__setattr__(self, "all_normal_family", len(gaussian) == len(nuisances))
         for key in self.signal_responses:
             _require(self, "signal_responses", key in self.names, "name declared nuisances only", key)
         chol = None if self.correlation is None else _correlation(self, "correlation", len(self.gaussian_indices))
@@ -299,20 +312,8 @@ class SystematicsModel(_Record):
 
     def _key(self) -> tuple:
         """What equality compares: the fields, with the correlation's finite entries as nested lists."""
-        corr = None if self.correlation is None else self.correlation.tolist()
-        return self.nuisances, self.signal_responses, corr
-
-    @property
-    def names(self) -> tuple:
-        return tuple(nu.name for nu in self.nuisances)
-
-    @property
-    def gaussian_indices(self) -> tuple:
-        return tuple(j for j, nu in enumerate(self.nuisances) if nu.prior.is_normal_family)
-
-    @property
-    def all_normal_family(self) -> bool:
-        return all(nu.prior.is_normal_family for nu in self.nuisances)
+        nuisances, signal_responses, corr = self._values()
+        return nuisances, signal_responses, None if corr is None else corr.tolist()
 
     def correlate(self, z: np.ndarray) -> np.ndarray:
         """Apply the Cholesky factor to the Gaussian columns of ``z`` (K x J)."""
@@ -324,21 +325,19 @@ class SystematicsModel(_Record):
         return out
 
 
-_NO_SYSTEMATICS = object()  # CountingModel's default: a SystematicsModel of its own
-
-
 class CountingModel(_Record):
     """Nominal yields, observed count and systematics of one channel.
 
     Derived on construction: ``b_nom_total``, the sum of the nominal
     backgrounds; ``has_systematics``, whether there is any nuisance;
     ``signal_is_certain``, whether every signal response is the identity;
-    and ``all_responses_identity``, whether every response is.
+    and ``all_responses_identity``, whether every response is. Models built
+    without systematics share one default ``SystematicsModel()``.
     """
 
     def __init__(self, s_nom: float, backgrounds: tuple = (), n_obs: int = 0,
-                 systematics: SystematicsModel = _NO_SYSTEMATICS):
-        self._fill(s_nom, backgrounds, n_obs, SystematicsModel() if systematics is _NO_SYSTEMATICS else systematics)
+                 systematics: SystematicsModel = SystematicsModel()):
+        self._fill(s_nom, backgrounds, n_obs, systematics)
         _require(self, "s_nom", 0.0 <= _real(self, "s_nom") < math.inf, "be finite and nonnegative")
         backgrounds = _named(self, "backgrounds", BackgroundProcess)
         _integer(self, "n_obs", f"be a nonnegative integer {_COUNT_RULE}", 0, _COUNT_MAX + 1)

@@ -1,7 +1,9 @@
 import copy
 import json
 import math
+import pickle
 import re
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -359,6 +361,22 @@ def with_defaults(doc):
     return doc
 
 
+def derived(model) -> tuple:
+    """What a model derives on construction, its systematics' included."""
+    syst = model.systematics
+    return (model.b_nom_total, model.has_systematics, model.signal_is_certain, model.all_responses_identity,
+            syst.names, syst.gaussian_indices, syst.all_normal_family)
+
+
+def test_a_tampered_record_is_refused_on_load():
+    # a copy is rebuilt through the constructor, so it passes every check the original did
+    bkg = BackgroundProcess("bkg", 1.5)
+    object.__setattr__(bkg, "b_nom", -1.0)
+    text = pickle.dumps(bkg)
+    with pytest.raises(ModelError, match=r"^BackgroundProcess\.b_nom must be finite and nonnegative, got -1\.0$"):
+        pickle.loads(text)
+
+
 class TestRoundTripProperty:
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(model=constructed())
@@ -369,6 +387,12 @@ class TestRoundTripProperty:
             return
         assert parse_model(emit_config(model)) == model
         assert parse_model(json.loads(json.dumps(emit_config(model)))) == model
+        # a copy is rebuilt through the constructors: equal, derived alike, read-only
+        for twin in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
+            assert twin == model and repr(twin) == repr(model)
+            assert derived(twin) == derived(model)
+            assert all(type(bkg.responses) is MappingProxyType for bkg in twin.backgrounds)
+            assert type(twin.systematics.signal_responses) is MappingProxyType
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(doc=documents())

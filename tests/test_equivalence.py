@@ -16,6 +16,7 @@ from countlim import (
     SampleSet,
     SystematicsModel,
     bayesian_marginal_upper_limit,
+    cls_upper_limit,
     compare_limits,
     draw_samples,
     hybrid_cls_upper_limit,
@@ -210,6 +211,20 @@ def test_yields_are_taken_once_per_sample_set(monkeypatch, override):
     assert len(calls) == 1 + override
     if override:
         assert calls[1] is other.etas
+
+
+def test_a_certain_signal_stays_certain():
+    # the equivalence is decided once, on construction: a signal response
+    # written in afterwards once flipped the verdict to unexpected_divergence
+    model = CountingModel(1.0, (BackgroundProcess("bkg", 1.5),), 3, SystematicsModel(
+        (Nuisance("sscale", Prior.standard_normal()),), {"sscale": Response.identity()}))
+    req, integ = LimitRequest(alpha=0.05), Integrator.gauss_hermite(16)
+    before = cls_upper_limit(model, req).mu_up
+    with pytest.raises(TypeError):
+        model.systematics.signal_responses["sscale"] = Response.log_normal(1.5)
+    assert model.signal_is_certain and model.all_responses_identity
+    assert compare_limits(model, req, integ).verdict == VERDICT_EQUIVALENT
+    assert cls_upper_limit(model, req).mu_up == before
 
 
 def test_report_deterministic():

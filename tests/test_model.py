@@ -552,6 +552,10 @@ class TestFrozenAfterConstruction:
         assert list(model.systematics.signal_responses) == ["a"]
         assert list(model.backgrounds[0].responses) == ["b"]
 
+    def test_models_without_systematics_share_one_default(self):
+        # sharing is safe only because no model can change it
+        assert CountingModel(1.0, (), 2).systematics is CountingModel(2.0, (), 3).systematics
+
 
 class TestRefusedWhereTheModelIsMade:
     def test_backgrounds_that_sum_past_the_float_range(self):

@@ -5,6 +5,7 @@ and rules here are those the records had as frozen dataclasses."""
 import copy
 import math
 import pickle
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -135,9 +136,46 @@ def test_pickle_and_deepcopy_give_an_equal_record(name):
         assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
         with pytest.raises(AttributeError):
             setattr(twin, FIELDS[name][0], 1.0)
-    if name == "SystematicsModel":  # the Cholesky factor travels with it
+    if name == "SystematicsModel":  # the Cholesky factor is rebuilt with it
         z = np.array([[1.0, 1.0]])
         assert np.array_equal(twin.correlate(z), record.correlate(z))
+
+
+def held(value):
+    """Each mapping and array ``value`` holds, through records (fields and derived values), tuples and mappings."""
+    if isinstance(value, (np.ndarray, Mapping)):
+        yield value
+    if isinstance(value, Mapping):
+        value = tuple(value.values())
+    elif hasattr(value, "_fields"):
+        value = tuple(vars(value).values())
+    if isinstance(value, tuple):
+        for item in value:
+            yield from held(item)
+
+
+@each_record
+def test_nothing_a_built_record_holds_can_change(name):
+    record = RECORDS[name][0]()
+    found = list(held(record))
+    if name in ("BackgroundProcess", "SystematicsModel", "CountingModel"):
+        assert any(isinstance(x, Mapping) for x in found)
+    if name in ("SystematicsModel", "CountingModel"):  # the correlation and its Cholesky factor
+        assert sum(isinstance(x, np.ndarray) for x in found) == 2
+    for x in found:
+        if isinstance(x, Mapping):
+            for change in (lambda: x.__setitem__("p", Response.identity()), lambda: x.update(p=Response.identity()),
+                           lambda: x.pop("p"), lambda: x.clear()):
+                with pytest.raises((TypeError, AttributeError)):
+                    change()
+        else:
+            with pytest.raises(ValueError):
+                x[0, 0] = 0.5
+            while isinstance(x, np.ndarray):  # the array, and each array it is a view of
+                with pytest.raises(ValueError):
+                    x.setflags(write=True)
+                x = x.base
+    assert record == RECORDS[name][0]() and repr(record) == RECORDS[name][2]
 
 
 @each_record

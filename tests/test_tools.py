@@ -167,6 +167,11 @@ def test_result_hash_of_configs_repeats_and_sees_each_decision(monkeypatch, caps
     assert tool.config_hash(1, 2) == lines[0].split()[2]
     monkeypatch.setattr(CountingModel, "__eq__", lambda model, other: False)
     assert tool.config_hash(1, 2) != lines[0].split()[2]
+    monkeypatch.undo()
+    # and so does a copy that does not rebuild the model it was taken of
+    reduce = CountingModel.__reduce__
+    monkeypatch.setattr(CountingModel, "__reduce__", lambda model: (reduce(model)[0], (0.5, *reduce(model)[1][1:])))
+    assert tool.config_hash(1, 2) != lines[0].split()[2]
 
 
 def test_result_hash_of_pointwise_repeats_and_sees_each_strength(monkeypatch, capsys):

@@ -20,12 +20,14 @@ by their bytes; so one kernel's line keeps its hash whatever another's
 calls return (a revision without the ``pmf`` entries hashes ``absent``).
 The ``configs`` workload, also named only on request, runs ``parse_model``
 on a seeded corpus of config documents (``config_hash``) and hashes, per
-document, ``"ok "``, the JSON of its ``emit_config``, the model's ``repr``
-and whether the model equals ``parse_model`` of that JSON, or
+document, ``"ok "``, the JSON of its ``emit_config``, the model's ``repr``,
+whether the model equals ``parse_model`` of that JSON, and whether the
+model's pickle round trip equals it, with that copy's ``repr``, or
 ``"refused"``: the accept-or-refuse decisions, the emitted configs and the
-models' ``repr`` and equality, not the error texts. A refusal is a ``CountLimError``, or the ``ValueError`` numpy
-raised on a ragged correlation before the model refused one; any other
-exception stops the tool. The ``pointwise`` workload, also named only on
+models' ``repr``, equality and copies, not the error texts. A refusal is a
+``CountLimError``, or the ``ValueError`` numpy raised on a ragged
+correlation before the model refused one; any other exception stops the
+tool. The ``pointwise`` workload, also named only on
 request, calls the pointwise entries (``hybrid_cls``,
 ``marginal_posterior_tail``, ``marginal_posterior_density``,
 ``marginal_likelihood``, ``yields_on_samples`` and ``scan_quantity`` for
@@ -64,6 +66,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tarfile
@@ -214,8 +217,8 @@ def _changed(doc, path, change):
 def config_hash(seed: int, ops: int) -> str:
     """The hash of the decisions on ``ops`` drawn documents at ``seed`` and
     on every mutation of each (``config_mutations``), and of each accepted
-    model's ``repr`` and its equality with the model its emitted config
-    parses to."""
+    model's ``repr``, its equality with the model its emitted config parses
+    to, and its pickle round trip's equality with it and ``repr``."""
     rng = np.random.default_rng(seed)
     digest = hashlib.sha256()
     for _ in range(ops):
@@ -223,7 +226,9 @@ def config_hash(seed: int, ops: int) -> str:
             try:
                 model = config.parse_model(doc)
                 emitted = config.emit_config(model)
-                line = f"ok {json.dumps(emitted)} {model!r} {model == config.parse_model(emitted)}"
+                twin = pickle.loads(pickle.dumps(model))
+                line = (f"ok {json.dumps(emitted)} {model!r} {model == config.parse_model(emitted)} "
+                        f"{twin == model} {twin!r}")
             except (CountLimError, ValueError):
                 line = "refused"
             digest.update(line.encode() + b"\n")
